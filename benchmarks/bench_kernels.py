@@ -1,11 +1,10 @@
-"""Benchmark the compiled stepping kernel against its pure-Python mirror.
+"""Benchmark the material-point stepping kernel.
 
 Runs the scalar relaxation loop (the hot path of material-point evolutions)
-through both backends with identical inputs and reports the best wall time
-with the total solver iteration count beside it, so a faster constant factor
-can be told apart from fewer iterations.
-The two implementations execute the same operation order, so the final
-states must agree bit-for-bit; the benchmark asserts that before timing.
+through ``kernels.mp_minimize`` and reports the best wall time with the total
+solver iteration count beside it, so a faster constant factor can be told
+apart from fewer iterations. Every step must converge (status 0); any other
+status stops the benchmark.
 
 Usage:
     python benchmarks/bench_kernels.py [--steps 3000] [--repeats 5]
@@ -14,32 +13,23 @@ Usage:
 import argparse
 import time
 
-from visco_pt import MaterialModel, _kernels_py, kernels
+from visco_pt import MaterialModel, kernels
 
 
-def run_relaxation(impl, model, f_vi0, tau, n_steps):
-    """March the zero-load relaxation with one backend; returns (F, Fv, iters)."""
+def run_relaxation(model, f_vi0, tau, n_steps):
+    """March the zero-load relaxation; returns (F, Fv, iters)."""
     F = Fv = f_vi0
     total_iters = 0
     for i in range(n_steps):
-        F, Fv, _, _, iters, status = impl.mp_minimize(
+        F, Fv, _, _, iters, status = kernels.mp_minimize(
             model.c_e, model.a4, model.c_v, model.d_v, model.p_psi,
             model.k_radius, 0.0, F, Fv, Fv, tau,
             1e-10, 10000, 1e-4, 0.5,
         )
-        if status not in (0, 1):
-            raise RuntimeError(f"backend {impl.BACKEND} failed at step {i}: {status}")
+        if status != 0:
+            raise SystemExit(f"step {i} did not converge: status {status}")
         total_iters += iters
     return F, Fv, total_iters
-
-
-def time_backend(impl, model, args):
-    best = float("inf")
-    for _ in range(args.repeats):
-        start = time.perf_counter()
-        F, Fv, iters = run_relaxation(impl, model, args.f_vi0, args.tau, args.steps)
-        best = min(best, time.perf_counter() - start)
-    return best, F, Fv, iters
 
 
 def main():
@@ -51,28 +41,16 @@ def main():
     args = parser.parse_args()
 
     model = MaterialModel()
-    impls = [("python", _kernels_py)]
-    if kernels.BACKEND == "compiled":
-        impls.insert(0, ("compiled", kernels))
-    else:
-        print("compiled kernel not available; timing the python backend only")
-
-    results = {}
-    for name, impl in impls:
-        seconds, F, Fv, iters = time_backend(impl, model, args)
-        results[name] = (seconds, F, Fv, iters)
-        per_step = 1e6 * seconds / args.steps
-        print(
-            f"{name:>9}: {seconds:8.4f} s  {iters:8d} iterations  "
-            f"({per_step:8.2f} us/step, F_vi({args.steps * args.tau:g}) = {Fv:.12f})"
-        )
-
-    if len(results) == 2:
-        (sc, fc, fvc, ic), (sp, fp, fvp, ip) = results["compiled"], results["python"]
-        if not (fc == fp and fvc == fvp and ic == ip):
-            raise SystemExit("backends disagree - investigate before trusting timings")
-        print(f"  parity: exact ({ic} iterations each)")
-        print(f" speedup: {sp / sc:.1f}x")
+    best = float("inf")
+    for _ in range(args.repeats):
+        start = time.perf_counter()
+        F, Fv, iters = run_relaxation(model, args.f_vi0, args.tau, args.steps)
+        best = min(best, time.perf_counter() - start)
+    per_step = 1e6 * best / args.steps
+    print(
+        f"{best:8.4f} s  {iters:8d} iterations  "
+        f"({per_step:8.2f} us/step, F_vi({args.steps * args.tau:g}) = {Fv:.12f})"
+    )
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from . import __version__, analysis, kernels
+from . import __version__, analysis
 from .config import ScenarioConfig, load_config
 from .domain import Loading, State, TimeGrid, stored_energies, total_energy
 from .errors import ViscoPTError
@@ -115,7 +115,7 @@ def _report_payload(config: ScenarioConfig, reports) -> dict:
         "tool": {
             "name": "visco-pt",
             "version": __version__,
-            "kernel_backend": kernels.BACKEND,
+            "kernel_backend": "python",
         },
         "config": config.as_dict(),
         "checks": [r.as_dict() for r in reports],

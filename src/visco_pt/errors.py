@@ -45,3 +45,15 @@ class StepRejected(ViscoPTError):
         super().__init__(
             f"step {index} rejected: stay-put inequality margin {margin:.3e} < -1e-8"
         )
+
+
+class SolverNotConverged(ViscoPTError):
+    """Step or substep solve stopped at max_iter or in a stalled line search."""
+
+    def __init__(self, where: str, status: str, grad_inf: float):
+        self.where = where
+        self.status = status
+        self.grad_inf = grad_inf
+        super().__init__(
+            f"{where} not solved: {status} at |grad|_inf {grad_inf:.3e}"
+        )

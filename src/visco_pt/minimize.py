@@ -11,6 +11,13 @@ the line search backtracks away from them.
 ``minimize_newton`` is damped Newton with the same Armijo line search for
 callers that supply an analytic Hessian; non-positive-definite Hessians fall
 back to a ridge-shifted solve, so descent is preserved away from convexity.
+Near the minimizer the full Newton step's predicted decrease ``-g.d`` falls
+below the rounding of f, where f can no longer rank trial points and Armijo
+would accept null steps until ``max_iter``. The resolution rule (shared with
+the material-point kernel): when ``-g.d <= RESOLUTION * (1 + |f|)``, the full
+step is taken as one iteration if the trial point is feasible and finite and
+its |grad|_inf is strictly below the current one, and the solver stops with
+``line_search_stalled`` otherwise.
 
 ``solve_quadratic`` solves min 1/2 x'Hx - b'x for SPD H by Cholesky
 factorization with one iterative-refinement pass and a residual guarantee.
@@ -31,6 +38,8 @@ MAX_ITER_EXCEEDED = "max_iter_exceeded"
 LINE_SEARCH_STALLED = "line_search_stalled"
 
 _MIN_STEP = 1e-18
+# Predicted decreases at or below this multiple of (1 + |f|) are rounding.
+RESOLUTION = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -150,7 +159,9 @@ def minimize_newton(
     x0 : array
         Feasible starting point.
     settings : MinimizeSettings
-        Tolerances; convergence is ``|grad|_inf <= grad_tol``.
+        Tolerances; convergence is ``|grad|_inf <= grad_tol``. Steps whose
+        predicted decrease is below the rounding of f follow the resolution
+        rule of the module docstring.
     value_only : callable, optional
         Cheaper value-only evaluation for line-search trials.
 
@@ -177,6 +188,18 @@ def minimize_newton(
             return MinimizeResult(x, f, grad_inf, iterations, MAX_ITER_EXCEEDED)
 
         d, slope = _newton_direction(hessian(x), g)
+        if -slope <= RESOLUTION * (1.0 + abs(f)):
+            trial = x + d
+            try:
+                f_trial, g_trial = value_and_grad(trial)
+            except InfeasibleState:
+                return MinimizeResult(x, f, grad_inf, iterations, LINE_SEARCH_STALLED)
+            if not (np.isfinite(f_trial) and np.all(np.isfinite(g_trial))
+                    and float(np.max(np.abs(g_trial))) < grad_inf):
+                return MinimizeResult(x, f, grad_inf, iterations, LINE_SEARCH_STALLED)
+            x, f, g = trial, f_trial, g_trial
+            iterations += 1
+            continue
         alpha = 1.0
         while True:
             trial = x + alpha * d

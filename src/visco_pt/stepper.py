@@ -9,11 +9,13 @@ against the stay-put competitor (the previous state itself, which carges no
 dissipation) is asserted on every step: E(t_i, new) + tau*Psi <= E(t_i, old)
 up to 1e-8, and violations reject the step.
 
-Routing: material-point scenarios go through the stepping kernel (compiled
-or pure-Python mirror), damped Newton with Armijo backtracking on the
-analytic 2x2 Hessian; shear-column scenarios with quadratic densities are
-a single SPD solve with a factorization cached across steps; anything else
-runs the same damped Newton on the element-local analytic Hessian.
+Routing: material-point scenarios go through the stepping kernel, damped
+Newton with Armijo backtracking on the analytic 2x2 Hessian; shear-column
+scenarios with quadratic densities are a single SPD solve with a
+factorization cached across steps; anything else runs the same damped Newton
+on the element-local analytic Hessian. A step or substep whose solver stops
+at ``max_iter`` or in a stalled line search raises
+:class:`SolverNotConverged`; no such step is accepted.
 
 The same solver evaluated at a substep r in (0, tau] gives phi_tau(r), the
 value function of the De Giorgi interpolation; its minimizer is the De
@@ -48,6 +50,7 @@ from .domain import (
 from .errors import (
     InfeasibleState,
     NonFiniteObjective,
+    SolverNotConverged,
     StepRejected,
     ValidationError,
 )
@@ -271,9 +274,14 @@ def _solve_incremental(
     r: float,
     settings: MinimizeSettings,
     operator: Optional[ShearQuadraticOperator] = None,
+    where: Optional[str] = None,
 ):
     """Minimize the incremental functional; returns (state, value, iterations,
-    status)."""
+    status).
+
+    Raises :class:`SolverNotConverged`, naming ``where`` (default: the
+    substep length r), if the solver stops without converging.
+    """
     if not (r > 0.0 and np.isfinite(r)):
         raise ValidationError(f"substep length must be > 0, got {r!r}")
 
@@ -281,7 +289,7 @@ def _solve_incremental(
         if model.has_custom_densities:
             raise ValidationError("time stepping requires the built-in density family")
         load = loading.f(t) + loading.g(t)
-        F, Fv, value, _, iterations, status = kernels.mp_minimize(
+        F, Fv, value, grad_inf, iterations, status = kernels.mp_minimize(
             model.c_e,
             model.a4,
             model.c_v,
@@ -302,7 +310,11 @@ def _solve_incremental(
             raise InfeasibleState("infeasible warm start for the incremental step")
         if status == 4:
             raise NonFiniteObjective("incremental objective is not finite")
-        return State.material_point(F, Fv), value, iterations, _KERNEL_STATUS[status]
+        if status != 0:
+            raise SolverNotConverged(
+                where or f"substep r={r!r}", _KERNEL_STATUS[status], grad_inf
+            )
+        return State.material_point(F, Fv), value, iterations, CONVERGED
 
     if _is_shear_quadratic(model):
         if operator is None:
@@ -326,7 +338,11 @@ def _solve_incremental(
         settings,
         value_only=value_only,
     )
-    return unpack_dofs(old, result.x), result.value, result.iterations, result.status
+    if not result.converged:
+        raise SolverNotConverged(
+            where or f"substep r={r!r}", result.status, result.grad_inf
+        )
+    return unpack_dofs(old, result.x), result.value, result.iterations, CONVERGED
 
 
 def incremental_step(
@@ -342,10 +358,11 @@ def incremental_step(
     """One incremental minimization step; returns ``(state, StepReport)``.
 
     Raises :class:`StepRejected` if the minimality inequality against the
-    stay-put competitor fails beyond 1e-8.
+    stay-put competitor fails beyond 1e-8, and :class:`SolverNotConverged`
+    if the step's solver stops without converging.
     """
     state, value, iterations, status = _solve_incremental(
-        model, old, loading, t, tau, settings, operator
+        model, old, loading, t, tau, settings, operator, where=f"step {index}"
     )
     diss = dissipation_increment(model, state, old, tau)
     energy_old = total_energy(model, old, loading, t)[0]

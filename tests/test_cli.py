@@ -109,7 +109,7 @@ def test_verify_passes_and_is_byte_identical(tmp_path):
     payload = json.loads(blob1)
     assert payload["pass"] is True
     assert payload["tool"]["name"] == "visco-pt"
-    assert payload["tool"]["kernel_backend"] in ("compiled", "python")
+    assert payload["tool"]["kernel_backend"] == "python"
     names = [c["check"] for c in payload["checks"]]
     assert names == [
         "energy_inequality_one",
@@ -157,6 +157,20 @@ def test_missing_required_key_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "t_final" in err
+
+
+def test_unsolved_step_exits_1_and_names_the_step(tmp_path, capsys):
+    # quartic elasticity under load needs more than one Newton iteration
+    cfg = write(
+        tmp_path,
+        "tight.cfg",
+        RELAX_SMALL + "a4 = 1.0\np_psi = 2.5\nload_f = 0.2\nmax_iter = 1\n",
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 1 not solved: max_iter_exceeded at |grad|_inf")
+    assert not (out / "run.csv").exists()
 
 
 def test_version_flag(capsys):

@@ -189,6 +189,45 @@ def test_minimize_newton_respects_infeasible_trials():
     assert result.x[0] == pytest.approx(0.9, abs=1e-10)
 
 
+def test_minimize_newton_judges_sub_rounding_steps_by_the_gradient():
+    # From 1e-8 off the minimizer the full step's predicted decrease (1e-16)
+    # is below the rounding of f ~ 1, and its value comes out one ulp higher:
+    # the step is taken as one iteration because the gradient falls.
+    def value_and_grad(x):
+        f = 1.0 + 0.5 * (x[0] - 0.3) ** 2
+        if x[0] == 0.3:
+            f += np.finfo(float).eps
+        return f, np.array([x[0] - 0.3])
+
+    result = minimize_newton(
+        value_and_grad, lambda x: np.eye(1), np.array([0.3 + 1e-8]), MinimizeSettings()
+    )
+    assert result.status == CONVERGED
+    assert result.iterations == 1
+    assert result.x[0] == 0.3
+
+
+def test_minimize_newton_stalls_when_the_gradient_cannot_fall():
+    # grad_tol below what the gradient can reach: once the step is
+    # sub-rounding and the gradient stops falling, the solver says so
+    # within a few iterations instead of running to max_iter.
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])
+    c = np.array([0.3, -0.7])
+
+    def value_and_grad(x):
+        return float(np.sum(np.cosh(x - c)) + 0.5 * x @ A @ x), np.sinh(x - c) + A @ x
+
+    result = minimize_newton(
+        value_and_grad,
+        lambda x: np.diag(np.cosh(x - c)) + A,
+        np.array([2.0, -1.0]),
+        MinimizeSettings(grad_tol=1e-30),
+    )
+    assert result.status == LINE_SEARCH_STALLED
+    assert result.iterations < 20
+    assert result.grad_inf <= 1e-12
+
+
 def test_solve_quadratic_residual_guarantee():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((6, 6))

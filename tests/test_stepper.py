@@ -20,6 +20,7 @@ from visco_pt import (
     MaterialModel,
     MinimizeSettings,
     ShearColumnMesh,
+    SolverNotConverged,
     State,
     StepRejected,
     TimeGrid,
@@ -29,6 +30,7 @@ from visco_pt import (
     equilibrate_elastic,
     incremental_step,
     interpolant,
+    load_config,
     minimize_newton,
     phi_tau,
     run_evolution,
@@ -112,6 +114,39 @@ def test_step_rejected_on_mismatched_operator():
     assert exc.value.index == 3
     assert exc.value.margin < -1e-8
     assert "step 3 rejected" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "model, old, where",
+    [
+        (
+            MaterialModel(c_e=2.0, a4=1.0, c_v=0.5, d_v=2.0, p_psi=2.5, k_radius=4.0),
+            State.material_point(1.5, 1.5),
+            "step 4",
+        ),
+        (MaterialModel(mode=SHEAR_COLUMN, a4=1.0, p_psi=2.5), shear_start(), "step 4"),
+    ],
+)
+def test_step_that_does_not_converge_raises(model, old, where):
+    # One iteration cannot reach grad_tol on these nonquadratic objectives:
+    # the step must be refused with its index, status and gradient, never
+    # accepted with a max_iter_exceeded report.
+    with pytest.raises(SolverNotConverged) as exc:
+        incremental_step(
+            model, old, Loading((0.2,)), 0.5, 0.5, MinimizeSettings(max_iter=1), index=4
+        )
+    assert exc.value.status == "max_iter_exceeded"
+    assert exc.value.grad_inf > 1e-10
+    assert str(exc.value).startswith(f"{where} not solved: max_iter_exceeded")
+
+
+def test_substep_that_does_not_converge_names_r():
+    model = MaterialModel(c_e=2.0, a4=1.0, c_v=0.5, d_v=2.0, p_psi=2.5, k_radius=4.0)
+    with pytest.raises(SolverNotConverged, match="substep r=0.25"):
+        phi_tau(
+            model, State.material_point(1.5, 1.5), Loading((0.2,)), 0.5, 0.25,
+            MinimizeSettings(max_iter=1),
+        )
 
 
 def test_mp_cubic_dissipation_step():
@@ -258,8 +293,7 @@ def test_interpolant_validation():
 
 def test_run_evolution_mp_relaxation():
     grid = TimeGrid(t_final=1.0, n_steps=100)
-    # 1e-8 is reliably reachable on O(1) objectives; at 1e-10 isolated steps
-    # stall on objective-value rounding instead of converging.
+    # a non-default grad_tol reaches the kernel
     settings = MinimizeSettings(grad_tol=1e-8)
     traj = run_evolution(
         UNIT_MP, State.material_point(F_O, F_O), ZERO, grid, settings
@@ -282,6 +316,19 @@ def test_scalar_relaxation_every_step_converges_in_few_iterations():
     traj = run_evolution(UNIT_MP, State.material_point(F_O, F_O), ZERO, grid)
     assert all(r.status == "converged" for r in traj.step_reports)
     assert sum(r.iterations for r in traj.step_reports) <= 2 * grid.n_steps
+
+
+def test_loaded_relaxation_every_step_converges():
+    # configs/mp_relax.cfg under a constant load of 0.1: near each minimizer
+    # the Newton step's predicted decrease is below the rounding of f, where
+    # Armijo alone stalled to max_iter on 8 of the 300 steps.
+    config = load_config("configs/mp_relax.cfg")
+    grid = config.grid()
+    traj = run_evolution(
+        config.model(), config.initial_state(), Loading((0.1,)), grid, config.settings()
+    )
+    assert all(r.status == "converged" for r in traj.step_reports)
+    assert sum(r.iterations for r in traj.step_reports) <= 3 * grid.n_steps
 
 
 def test_trajectory_delta_is_cumulative_dissipation():
