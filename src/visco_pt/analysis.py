@@ -8,18 +8,16 @@ convention applies. Fitted convergence orders are least-squares slopes in
 log-log coordinates, and reports keep the raw errors so rates can be
 recomputed externally.
 
-Parameter sweeps (tau, eps) fan out on a thread pool capped by the
-``VISCO_PT_THREADS`` environment variable and reduce in parameter order, so
-reports do not depend on scheduling.
+Parameter sweeps (tau, eps) run one after another in parameter order, and
+their lists are validated in full (:func:`tau_grids`, :func:`eps_values`)
+before the first trajectory runs.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -102,20 +100,6 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     return obj
-
-
-def _ordered_map(fn: Callable, items: Sequence):
-    """Map preserving item order; fans out on threads if allowed."""
-    workers = os.environ.get("VISCO_PT_THREADS", "")
-    try:
-        cap = int(workers) if workers else (os.cpu_count() or 1)
-    except ValueError:
-        cap = 1
-    cap = max(1, min(cap, len(items))) if items else 1
-    if cap == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
 
 
 def fit_rate(params: Sequence[float], errors: Sequence[float]) -> Optional[float]:
@@ -332,7 +316,7 @@ def check_monotonicity(
         sub = phi_tau(model, old, loading, t_i, r, settings)
         return dissipation_displacement(model, sub.state, old)
 
-    values = _ordered_map(displacement, taus)
+    values = [displacement(r) for r in taus]
     residuals = [b - a for a, b in zip(values, values[1:])]
     return VerificationReport.build(
         check="monotonicity",
@@ -374,6 +358,27 @@ def rk4_viscous_oracle(
     return values
 
 
+def tau_grids(t_final: float, tau_list: Sequence[float]) -> Dict[float, TimeGrid]:
+    """The distinct taus of a convergence sweep, largest first, each mapped to
+    the uniform grid of [0, t_final] it divides into.
+
+    Raises :class:`ValidationError` unless there are at least two taus and
+    each is positive, finite and divides ``t_final``.
+    """
+    taus = sorted({float(r) for r in tau_list}, reverse=True)
+    if len(taus) < 2:
+        raise ValidationError("need at least two tau values to fit an order")
+    grids = {}
+    for tau in taus:
+        if not (tau > 0.0 and np.isfinite(tau)):
+            raise ValidationError(f"tau={tau!r} must be positive and finite")
+        n = int(round(t_final / tau))
+        if n < 1 or abs(n * tau - t_final) > 1e-9 * max(1.0, t_final):
+            raise ValidationError(f"tau={tau!r} does not divide t_final={t_final!r}")
+        grids[tau] = TimeGrid(t_final, n)
+    return grids
+
+
 def tau_convergence(
     model: MaterialModel,
     state0: State,
@@ -389,9 +394,8 @@ def tau_convergence(
     a scalar ODE); ``closed_form_lin`` runs the linearized solver from
     v0 = F_vi0 - 1 and compares with the exponential decay.
     """
-    taus = sorted({float(r) for r in tau_list}, reverse=True)
-    if len(taus) < 2:
-        raise ValidationError("need at least two tau values to fit an order")
+    grids = tau_grids(t_final, tau_list)
+    taus = list(grids)
     settings = settings or MinimizeSettings()
     if oracle == "ode_rk4":
         if model.mode != MATERIAL_POINT or not loading.is_zero:
@@ -406,11 +410,7 @@ def tau_convergence(
     else:
         raise ValidationError(f"unknown oracle {oracle!r}")
 
-    def error_for(tau: float) -> float:
-        n = int(round(t_final / tau))
-        if n < 1 or abs(n * tau - t_final) > 1e-9 * max(1.0, t_final):
-            raise ValidationError(f"tau={tau!r} does not divide t_final={t_final!r}")
-        grid = TimeGrid(t_final, n)
+    def error_for(grid: TimeGrid) -> float:
         if oracle == "ode_rk4":
             traj = run_evolution(model, state0, loading, grid, settings)
             numeric = np.array([s.F_vi for s in traj.states])
@@ -426,7 +426,7 @@ def tau_convergence(
             )
         return float(np.max(np.abs(numeric - reference)))
 
-    errors = _ordered_map(error_for, taus)
+    errors = [error_for(grid) for grid in grids.values()]
     params = {
         "oracle": oracle,
         "tau_list": taus,
@@ -454,6 +454,20 @@ def tau_convergence(
 # -- linearization (epsilon) study ---------------------------------------------------
 
 
+def eps_values(epsilon_list: Sequence[float], decreasing: bool = True) -> List[float]:
+    """The epsilon list as floats, nonempty, each entry positive and finite
+    and, if ``decreasing``, strictly decreasing (the order along which an
+    epsilon study expects its errors to fall)."""
+    eps_list = [float(e) for e in epsilon_list]
+    if not eps_list:
+        raise ValidationError("epsilon_list must not be empty")
+    if any(not (e > 0.0 and np.isfinite(e)) for e in eps_list):
+        raise ValidationError("epsilon_list entries must be positive and finite")
+    if decreasing and any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ValidationError("epsilon_list must be strictly decreasing")
+    return eps_list
+
+
 def epsilon_study(
     model: MaterialModel,
     lin0: LinState,
@@ -478,11 +492,7 @@ def epsilon_study(
     exactly the quartic Taylor remainder with order 2; at a material point
     the geometric factors reduce it to order 1.
     """
-    eps_list = [float(e) for e in epsilon_list]
-    if any(e <= 0.0 or not np.isfinite(e) for e in eps_list):
-        raise ValidationError("epsilon_list entries must be positive and finite")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValidationError("epsilon_list must be strictly decreasing")
+    eps_list = eps_values(epsilon_list)
     settings = settings or MinimizeSettings()
     quad = model.quadratic_limit()
     lin_traj = run_lin_evolution(quad, lin0, loading0, grid)
@@ -517,7 +527,7 @@ def epsilon_study(
             gaps.append(abs((re.w_el + re.w_vi) - (w0_el + w0_vi)))
         return err_u, err_v, gaps[0], gaps[1]
 
-    rows = _ordered_map(run_for, eps_list)
+    rows = [run_for(eps) for eps in eps_list]
     err_u = [r[0] for r in rows]
     err_v = [r[1] for r in rows]
     gap_t0 = [r[2] for r in rows]
@@ -575,9 +585,7 @@ def density_convergence(
     |eps^-2 W(eps a) - (1/2) c a^2| is recorded; densities with a nonzero gap
     must fit order >= 1.9 (the built-in quartic term gives exactly 2).
     """
-    eps_list = [float(e) for e in epsilon_list]
-    if any(e <= 0.0 or not np.isfinite(e) for e in eps_list):
-        raise ValidationError("epsilon_list entries must be positive and finite")
+    eps_list = eps_values(epsilon_list, decreasing=False)
     if probe_grid is None:
         probe_grid = np.linspace(-1.0, 1.0, 41)
     grid = np.asarray(probe_grid, dtype=float)

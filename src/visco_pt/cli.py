@@ -21,8 +21,8 @@ from typing import List, Optional, Sequence
 
 from . import __version__, analysis
 from .config import ScenarioConfig, load_config
-from .domain import Loading, State, TimeGrid, stored_energies, total_energy
-from .errors import ViscoPTError
+from .domain import Loading, State, stored_energies, total_energy
+from .errors import ValidationError, ViscoPTError
 from .linearized import (
     LinState,
     LinTrajectory,
@@ -243,23 +243,19 @@ def _cmd_verify(config: ScenarioConfig, out: str) -> int:
 
 
 def _cmd_sweep_tau(config: ScenarioConfig, out: str, tau_list) -> int:
-    taus = sorted({float(t) for t in tau_list or config.tau_list}, reverse=True)
+    grids = analysis.tau_grids(config.t_final, tau_list or config.tau_list)
     model = config.model()
     loading = config.loading()
     settings = config.settings()
     state0 = config.initial_state()
-
-    def run_one(tau: float) -> Trajectory:
-        n = int(round(config.t_final / tau))
-        return run_evolution(
-            model, state0, loading, TimeGrid(config.t_final, n), settings
-        )
-
-    trajs = analysis._ordered_map(run_one, taus)
-    for tau, traj in zip(taus, trajs):
+    trajs = [
+        run_evolution(model, state0, loading, grid, settings)
+        for grid in grids.values()
+    ]
+    for tau, traj in zip(grids, trajs):
         _atomic_write(os.path.join(out, f"tau_{_fmt(tau)}.csv"), trajectory_csv(traj))
     report = analysis.tau_convergence(
-        model, state0, loading, config.t_final, taus, oracle="ode_rk4",
+        model, state0, loading, config.t_final, list(grids), oracle="ode_rk4",
         settings=settings,
     )
     payload = _report_payload(config, [report])
@@ -268,7 +264,7 @@ def _cmd_sweep_tau(config: ScenarioConfig, out: str, tau_list) -> int:
 
 
 def _cmd_sweep_eps(config: ScenarioConfig, out: str, eps_list) -> int:
-    eps = [float(e) for e in (eps_list or config.eps_list)]
+    eps = analysis.eps_values(eps_list or config.eps_list)
     model = config.model()
     loading0 = config.loading()
     settings = config.settings()
@@ -291,7 +287,7 @@ def _cmd_sweep_eps(config: ScenarioConfig, out: str, eps_list) -> int:
             init = State.shear_column(lin0.mesh, e * lin0.u, e * lin0.v)
         return run_evolution(model, init, loading_eps, grid, settings)
 
-    trajs = analysis._ordered_map(run_one, eps)
+    trajs = [run_one(e) for e in eps]
     for e, traj in zip(eps, trajs):
         _atomic_write(os.path.join(out, f"eps_{_fmt(e)}.csv"), trajectory_csv(traj))
     report = analysis.epsilon_study(model, lin0, loading0, grid, eps, settings)
@@ -319,11 +315,16 @@ def _cmd_densities(config: ScenarioConfig, out: str) -> int:
 # -- entry point ---------------------------------------------------------------------
 
 
-def _parse_list(text: Optional[str]) -> Optional[List[float]]:
+def _parse_list(text: Optional[str], flag: str) -> Optional[List[float]]:
     if text is None:
         return None
-    parts = text.replace(",", " ").split()
-    return [float(p) for p in parts]
+    values = []
+    for part in text.replace(",", " ").split():
+        try:
+            values.append(float(part))
+        except ValueError:
+            raise ValidationError(f"{flag}: {part!r} is not a number") from None
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,9 +374,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "verify":
             return _cmd_verify(config, args.out)
         if args.command == "sweep-tau":
-            return _cmd_sweep_tau(config, args.out, _parse_list(args.tau_list))
+            taus = _parse_list(args.tau_list, "--tau-list")
+            return _cmd_sweep_tau(config, args.out, taus)
         if args.command == "sweep-eps":
-            return _cmd_sweep_eps(config, args.out, _parse_list(args.eps_list))
+            eps = _parse_list(args.eps_list, "--eps-list")
+            return _cmd_sweep_eps(config, args.out, eps)
         if args.command == "densities":
             return _cmd_densities(config, args.out)
         raise ViscoPTError(f"unknown command {args.command!r}")

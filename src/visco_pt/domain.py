@@ -187,10 +187,6 @@ class Loading:
                 raise ValidationError(f"{name} must be finite coefficients")
             object.__setattr__(self, name, coeffs)
 
-    @staticmethod
-    def zero() -> "Loading":
-        return Loading()
-
     @property
     def is_zero(self) -> bool:
         return all(c == 0.0 for c in self.f_coeffs + self.g_coeffs)
@@ -355,65 +351,4 @@ def _check_mode(model: MaterialModel, state: State):
         raise ValidationError(
             f"model mode {model.mode} does not match state mode {state.mode}"
         )
-    if model.has_custom_densities:
-        raise ValidationError(
-            "energy evaluation requires the built-in density family"
-        )
 
-
-# -- curvature diagonals ------------------------------------------------------
-
-
-def incremental_hessian_diag(
-    model: MaterialModel,
-    warm: State,
-    old: State,
-    loading: Loading,
-    t: float,
-    r: float,
-) -> np.ndarray:
-    """Diagonal of the incremental-objective Hessian at the warm start,
-    in packed dofs, clipped away from zero."""
-    ddw_el = lambda s: model.c_e + 3.0 * model.a4 * np.asarray(s) ** 2
-    if model.p_psi == 2.0:
-        ddpsi = lambda x: model.d_v * np.ones_like(np.asarray(x, dtype=float))
-    else:
-        ddpsi = (
-            lambda x: 0.5
-            * model.d_v
-            * model.p_psi
-            * (model.p_psi - 1.0)
-            * np.abs(np.asarray(x, dtype=float)) ** (model.p_psi - 2.0)
-        )
-
-    if warm.mode == MATERIAL_POINT:
-        F, F_vi = warm.F, warm.F_vi
-        s = F / F_vi - 1.0
-        rate = (F_vi - old.F_vi) / (r * old.F_vi)
-        dF = float(ddw_el(s)) / F_vi**2
-        dFvi = (
-            float(ddw_el(s)) * F**2 / F_vi**4
-            + 2.0 * float(model.dw_el(s)) * F / F_vi**3
-            + model.c_v
-            + float(ddpsi(rate)) / (r * old.F_vi**2)
-        )
-        diag = np.asarray([dF, dFvi])
-    else:
-        h = warm.mesh.h
-        s_el = elastic_strain(warm)
-        el = np.asarray(ddw_el(s_el)) / h
-        vi = np.full(s_el.size, model.c_v / h)
-        rate = dissipation_rates(model, warm, old, r)
-        di = np.asarray(ddpsi(rate)) / (h * r)
-        diag = np.concatenate(
-            [_assemble_diag(el)[1:], _assemble_diag(el + vi + di)[1:]]
-        )
-    floor = 1e-12 * max(float(np.max(diag)), 1.0)
-    return np.maximum(diag, floor)
-
-
-def _assemble_diag(per_element: np.ndarray) -> np.ndarray:
-    out = np.zeros(per_element.size + 1)
-    out[:-1] += per_element
-    out[1:] += per_element
-    return out

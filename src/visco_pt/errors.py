@@ -32,10 +32,6 @@ class NotSymmetricPositiveDefinite(ViscoPTError):
     """Quadratic solve received a matrix that is not SPD."""
 
 
-class CurvatureNotConverged(ViscoPTError):
-    """Finite-difference curvature estimates at h and h/2 disagree."""
-
-
 class StepRejected(ViscoPTError):
     """Incremental step violated the stay-put minimality inequality."""
 

@@ -37,7 +37,7 @@ from .domain import (
 from .errors import ValidationError
 from .minimize import solve_quadratic
 from .rheology import MATERIAL_POINT, SHEAR_COLUMN, MaterialModel, QuadraticLimit
-from .stepper import ShearQuadraticOperator, Trajectory
+from .stepper import ShearQuadraticOperator, Trajectory, _difference_matrix
 
 
 @dataclass(frozen=True)
@@ -105,16 +105,16 @@ def lin_stored(quad: QuadraticLimit, state: LinState):
 
 
 def lin_pairing(state: LinState, loading: Loading, t: float) -> float:
-    f_val, g_val = loading.f(t), loading.g(t)
-    if state.mode == MATERIAL_POINT:
-        return (f_val + g_val) * float(state.u[0])
-    w = trapezoid_weights(state.mesh)
-    return f_val * float(w @ state.u) + g_val * float(state.u[-1])
+    return _lin_pair(state, loading.f(t), loading.g(t))
 
 
 def lin_pairing_delta(state: LinState, loading: Loading, t1: float, t0: float):
-    f_val = loading.f(t1) - loading.f(t0)
-    g_val = loading.g(t1) - loading.g(t0)
+    return _lin_pair(
+        state, loading.f(t1) - loading.f(t0), loading.g(t1) - loading.g(t0)
+    )
+
+
+def _lin_pair(state: LinState, f_val: float, g_val: float) -> float:
     if state.mode == MATERIAL_POINT:
         return (f_val + g_val) * float(state.u[0])
     w = trapezoid_weights(state.mesh)
@@ -245,12 +245,7 @@ def lin_equilibrium(
         load = loading.f(t) + loading.g(t)
         return LinState.material_point(float(prev.v[0]) + load / quad.c_el, prev.v[0])
     mesh = prev.mesh
-    n = mesh.n_elements
-    D = np.zeros((n, n))
-    for e in range(n):
-        D[e, e] = 1.0
-        if e >= 1:
-            D[e, e - 1] = -1.0
+    D = _difference_matrix(mesh.n_elements)
     K = quad.c_el * (D.T @ D) / mesh.h
     b = quad.c_el * (D.T @ _slopes(mesh, prev.v))
     b += loading.f(t) * trapezoid_weights(mesh)[1:]

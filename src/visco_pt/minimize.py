@@ -1,26 +1,21 @@
 """Smooth unconstrained minimization and SPD quadratic solves.
 
-``minimize_smooth`` is gradient descent with Armijo backtracking: robust,
-dependency-light, and monotone in the objective. Callers whose objective has
-a known quadratic backbone may pass a static per-dof ``scale`` (a diagonal
-preconditioner, fixed for the whole call); the iteration stays plain scaled
-steepest descent and none of the invariants change. Infeasible trial points
-are signaled by the objective (``InfeasibleState``) and treated as +inf, so
-the line search backtracks away from them.
-
-``minimize_newton`` is damped Newton with the same Armijo line search for
-callers that supply an analytic Hessian; non-positive-definite Hessians fall
-back to a ridge-shifted solve, so descent is preserved away from convexity.
-Near the minimizer the full Newton step's predicted decrease ``-g.d`` falls
-below the rounding of f, where f can no longer rank trial points and Armijo
-would accept null steps until ``max_iter``. The resolution rule (shared with
-the material-point kernel): when ``-g.d <= RESOLUTION * (1 + |f|)``, the full
+``minimize_newton`` is damped Newton with Armijo backtracking for objectives
+with an analytic Hessian; non-positive-definite Hessians fall back to a
+ridge-shifted solve, so descent is preserved away from convexity. Infeasible
+trial points are signaled by the objective (``InfeasibleState``) and treated
+as +inf, so the line search backtracks away from them. Near the minimizer
+the full Newton step's predicted decrease ``-g.d`` falls below the rounding
+of f, where f can no longer rank trial points and Armijo would accept null
+steps until ``max_iter``. The resolution rule (shared with the
+material-point kernel): when ``-g.d <= RESOLUTION * (1 + |f|)``, the full
 step is taken as one iteration if the trial point is feasible and finite and
 its |grad|_inf is strictly below the current one, and the solver stops with
 ``line_search_stalled`` otherwise.
 
-``solve_quadratic`` solves min 1/2 x'Hx - b'x for SPD H by Cholesky
-factorization with one iterative-refinement pass and a residual guarantee.
+``CholeskyOperator`` factorizes a fixed SPD matrix once and solves with one
+iterative-refinement pass; ``solve_quadratic`` uses it to solve
+min 1/2 x'Hx - b'x once, with a residual guarantee.
 """
 
 from __future__ import annotations
@@ -69,78 +64,6 @@ class MinimizeResult:
         return self.status == CONVERGED
 
 
-def minimize_smooth(
-    value_and_grad: Callable[[np.ndarray], Tuple[float, np.ndarray]],
-    x0: np.ndarray,
-    settings: MinimizeSettings = MinimizeSettings(),
-    scale: Optional[np.ndarray] = None,
-    value_only: Optional[Callable[[np.ndarray], float]] = None,
-) -> MinimizeResult:
-    """Gradient descent with Armijo backtracking.
-
-    Parameters
-    ----------
-    value_and_grad : callable
-        Returns ``(f(x), grad f(x))``; may raise ``InfeasibleState``.
-    x0 : array
-        Feasible starting point.
-    settings : MinimizeSettings
-        Tolerances; convergence is ``|grad|_inf <= grad_tol``.
-    scale : array, optional
-        Static positive per-dof scaling; the descent direction is
-        ``-scale * grad``. Default is unscaled steepest descent.
-    value_only : callable, optional
-        Cheaper value-only evaluation for line-search trials; defaults to
-        ``value_and_grad`` with the gradient discarded.
-
-    Returns
-    -------
-    MinimizeResult
-        Best point found; ``status`` is ``"converged"``,
-        ``"max_iter_exceeded"`` (flag, not an exception) or
-        ``"line_search_stalled"``.
-    """
-    if value_only is None:
-        value_only = lambda x: value_and_grad(x)[0]
-    x = np.array(x0, dtype=float)
-    if scale is not None:
-        scale = np.asarray(scale, dtype=float)
-        if scale.shape != x.shape or np.any(scale <= 0.0) or not np.all(np.isfinite(scale)):
-            raise ValueError("scale must be positive, finite, and match x0")
-
-    f, g = value_and_grad(x)
-    _require_finite(f, g)
-
-    iterations = 0
-    while True:
-        grad_inf = float(np.max(np.abs(g))) if g.size else 0.0
-        if grad_inf <= settings.grad_tol:
-            return MinimizeResult(x, f, grad_inf, iterations, CONVERGED)
-        if iterations >= settings.max_iter:
-            return MinimizeResult(x, f, grad_inf, iterations, MAX_ITER_EXCEEDED)
-
-        d = -g if scale is None else -scale * g
-        slope = float(g @ d)
-        alpha = 1.0
-        while True:
-            trial = x + alpha * d
-            try:
-                f_trial = value_only(trial)
-            except InfeasibleState:
-                f_trial = np.inf
-            if np.isnan(f_trial):
-                f_trial = np.inf
-            if f_trial <= f + settings.armijo_c * alpha * slope:
-                break
-            alpha *= settings.backtrack_factor
-            if alpha < _MIN_STEP:
-                return MinimizeResult(x, f, grad_inf, iterations, LINE_SEARCH_STALLED)
-        x = trial
-        f, g = value_and_grad(x)
-        _require_finite(f, g)
-        iterations += 1
-
-
 def minimize_newton(
     value_and_grad: Callable[[np.ndarray], Tuple[float, np.ndarray]],
     hessian: Callable[[np.ndarray], np.ndarray],
@@ -168,10 +91,11 @@ def minimize_newton(
     Returns
     -------
     MinimizeResult
-        Same contract as :func:`minimize_smooth`. The Newton system is solved
-        by Cholesky; if the Hessian is not positive definite (or the Newton
-        direction fails to descend), an escalating ridge ``H + lam*I`` is
-        applied until it is.
+        Best point found; ``status`` is ``"converged"``,
+        ``"max_iter_exceeded"`` or ``"line_search_stalled"`` (flags, not
+        exceptions). The Newton system is solved by Cholesky; if the Hessian
+        is not positive definite (or the Newton direction fails to descend),
+        an escalating ridge ``H + lam*I`` is applied until it is.
     """
     if value_only is None:
         value_only = lambda x: value_and_grad(x)[0]
@@ -257,23 +181,14 @@ def _require_finite(f: float, g: np.ndarray):
 def solve_quadratic(H: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimize 1/2 x'Hx - b'x for symmetric positive definite H.
 
-    Uses a Cholesky factorization (dense, direct) with one refinement pass;
-    guarantees ``|Hx - b|_inf <= 1e-10 * (1 + |b|_inf)``.
+    Solves through :class:`CholeskyOperator` (dense, direct, one refinement
+    pass); guarantees ``|Hx - b|_inf <= 1e-10 * (1 + |b|_inf)``.
     """
     H = np.asarray(H, dtype=float)
     b = np.asarray(b, dtype=float)
-    scale = float(np.max(np.abs(H))) if H.size else 0.0
     if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] != b.shape[0]:
         raise ValueError("H must be square and match b")
-    if scale == 0.0 or float(np.max(np.abs(H - H.T))) > 1e-12 * scale:
-        raise NotSymmetricPositiveDefinite("matrix is not symmetric")
-    try:
-        factor = scipy.linalg.cho_factor(H, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotSymmetricPositiveDefinite(str(exc)) from exc
-    x = scipy.linalg.cho_solve(factor, b, check_finite=False)
-    residual = b - H @ x
-    x = x + scipy.linalg.cho_solve(factor, residual, check_finite=False)
+    x = CholeskyOperator(H).solve(b)
     bound = 1e-10 * (1.0 + float(np.max(np.abs(b))))
     achieved = float(np.max(np.abs(H @ x - b)))
     if achieved > bound:

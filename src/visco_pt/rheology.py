@@ -1,5 +1,5 @@
 """Material model: stored-energy and dissipation densities in reduced strain
-coordinates, their small-strain quadratic limits, and structural checks.
+coordinates and their small-strain quadratic limits.
 
 Both supported geometries reduce every density to a scalar argument:
 
@@ -17,17 +17,18 @@ Built-in densities:
 
 The hard constraint |s| <= k_radius keeps the viscous strain in a compact
 set; violating it signals :class:`~visco_pt.errors.InfeasibleState` rather
-than returning an infinite value.
+than returning an infinite value. Every parameter set that
+:class:`MaterialModel` accepts makes these densities admissible for the
+scheme: zero and minimal at the origin, psi convex and p_psi-homogeneous.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CurvatureNotConverged, InfeasibleState, ValidationError
+from .errors import InfeasibleState, ValidationError
 
 MATERIAL_POINT = "material_point"
 SHEAR_COLUMN = "shear_column"
@@ -46,7 +47,7 @@ class QuadraticLimit:
 
 @dataclass(frozen=True)
 class MaterialModel:
-    """Parameter set for one scenario.
+    """Parameter set for one scenario of the built-in density family.
 
     Parameters
     ----------
@@ -61,12 +62,7 @@ class MaterialModel:
     p_psi : float
         Homogeneity exponent of the dissipation rate density, p_psi >= 2.
     k_radius : float
-        Half-width of the admissible viscous-strain interval.
-    w_el_fn, w_vi_fn, psi_fn : callable, optional
-        Custom densities (evaluation only). When set, the parametric family
-        above is ignored for that density, analytic derivatives are not
-        available, and the quadratic limit is estimated by finite
-        differences.
+        Half-width of the admissible viscous-strain interval, > 0.
     """
 
     mode: str = MATERIAL_POINT
@@ -76,9 +72,6 @@ class MaterialModel:
     d_v: float = 1.0
     p_psi: float = 2.0
     k_radius: float = 10.0
-    w_el_fn: Optional[Callable[[float], float]] = field(default=None, compare=False)
-    w_vi_fn: Optional[Callable[[float], float]] = field(default=None, compare=False)
-    psi_fn: Optional[Callable[[float], float]] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -94,28 +87,19 @@ class MaterialModel:
 
     # -- density evaluations -------------------------------------------------
 
-    @property
-    def has_custom_densities(self) -> bool:
-        return any(fn is not None for fn in (self.w_el_fn, self.w_vi_fn, self.psi_fn))
-
     def w_el(self, s):
         """Elastic stored-energy density."""
-        if self.w_el_fn is not None:
-            return _apply_custom(self.w_el_fn, s)
         s = np.asarray(s, dtype=float)
         out = 0.5 * self.c_e * s * s + 0.25 * self.a4 * s**4
         return _unwrap(out)
 
     def dw_el(self, s):
         """Derivative of ``w_el``."""
-        self._require_builtin("w_el")
         s = np.asarray(s, dtype=float)
         return _unwrap(self.c_e * s + self.a4 * s**3)
 
     def w_vi(self, s):
         """Viscous stored-energy density; infeasible outside |s| <= k_radius."""
-        if self.w_vi_fn is not None:
-            return _apply_custom(self.w_vi_fn, s)
         s = np.asarray(s, dtype=float)
         if np.any(np.abs(s) > self.k_radius):
             raise InfeasibleState(
@@ -125,7 +109,6 @@ class MaterialModel:
 
     def dw_vi(self, s):
         """Derivative of ``w_vi`` (inside the admissible interval)."""
-        self._require_builtin("w_vi")
         s = np.asarray(s, dtype=float)
         if np.any(np.abs(s) > self.k_radius):
             raise InfeasibleState(
@@ -135,8 +118,6 @@ class MaterialModel:
 
     def psi(self, r):
         """Dissipation rate density, positively p_psi-homogeneous and convex."""
-        if self.psi_fn is not None:
-            return _apply_custom(self.psi_fn, r)
         r = np.asarray(r, dtype=float)
         if self.p_psi == 2.0:
             out = 0.5 * self.d_v * r * r
@@ -146,7 +127,6 @@ class MaterialModel:
 
     def dpsi(self, r):
         """Derivative of ``psi`` (continuous at 0 since p_psi >= 2)."""
-        self._require_builtin("psi")
         r = np.asarray(r, dtype=float)
         if self.p_psi == 2.0:
             out = self.d_v * r
@@ -171,187 +151,18 @@ class MaterialModel:
         raise ValidationError(f"which must be 'el', 'vi' or 'psi', got {which!r}")
 
     def quadratic_limit(self) -> QuadraticLimit:
-        """Curvatures (c_el, c_vi, d_diss) of the densities at 0.
+        """Curvatures (c_el, c_vi, d_diss) = (c_e, c_v, d_v) of the densities
+        at 0.
 
-        Analytic for the built-in family; for custom densities estimated by a
-        central second difference at h=1e-5, cross-validated at h/2 (relative
-        disagreement below 1e-4 required). Requires p_psi = 2: for other
-        exponents the rescaled dissipation has no finite nonzero limit.
+        Requires p_psi = 2: for other exponents the rescaled dissipation has
+        no finite nonzero limit.
         """
-        if self.psi_fn is None and self.p_psi != 2.0:
+        if self.p_psi != 2.0:
             raise ValidationError(
                 f"quadratic limit requires p_psi = 2, got {self.p_psi!r}"
             )
-        c_el = self.c_e if self.w_el_fn is None else _fd_curvature(self.w_el_fn, "w_el")
-        c_vi = self.c_v if self.w_vi_fn is None else _fd_curvature(self.w_vi_fn, "w_vi")
-        d_diss = self.d_v if self.psi_fn is None else _fd_curvature(self.psi_fn, "psi")
-        return QuadraticLimit(c_el=c_el, c_vi=c_vi, d_diss=d_diss)
-
-    def _require_builtin(self, which: str):
-        fn = {"w_el": self.w_el_fn, "w_vi": self.w_vi_fn, "psi": self.psi_fn}[which]
-        if fn is not None:
-            raise ValidationError(
-                f"analytic derivative of custom density {which} is not available"
-            )
+        return QuadraticLimit(c_el=self.c_e, c_vi=self.c_v, d_diss=self.d_v)
 
 
 def _unwrap(value: np.ndarray):
     return float(value) if np.ndim(value) == 0 else value
-
-
-def _apply_custom(fn, s):
-    s = np.asarray(s, dtype=float)
-    if s.ndim == 0:
-        return float(fn(float(s)))
-    return np.asarray([fn(float(x)) for x in s.ravel()]).reshape(s.shape)
-
-
-def _fd_curvature(fn, name: str, h: float = 1e-5) -> float:
-    """Central second difference at 0 with step-halving cross-validation."""
-
-    def second(hh: float) -> float:
-        return (fn(hh) - 2.0 * fn(0.0) + fn(-hh)) / (hh * hh)
-
-    coarse = second(h)
-    fine = second(0.5 * h)
-    scale = max(abs(coarse), abs(fine), 1e-30)
-    if abs(coarse - fine) / scale >= 1e-4:
-        raise CurvatureNotConverged(
-            f"curvature of {name}: h and h/2 estimates disagree "
-            f"({coarse!r} vs {fine!r})"
-        )
-    return fine
-
-
-# -- structural assumption checks -------------------------------------------
-
-
-@dataclass(frozen=True)
-class AssumptionCheck:
-    """One sampled structural check; margin >= 0 means satisfied."""
-
-    name: str
-    margin: float
-    satisfied: bool
-    detail: dict
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    checks: tuple
-    satisfied: bool
-
-    def by_name(self, name: str) -> AssumptionCheck:
-        for check in self.checks:
-            if check.name == name:
-                return check
-        raise KeyError(name)
-
-
-def check_assumptions(
-    model: MaterialModel,
-    deltas: Sequence[float] = (0.5, 0.1, 0.01),
-    n_samples: int = 201,
-    tolerance: float = 1e-10,
-) -> AssumptionReport:
-    """Sampled verification of the structural hypotheses on the densities.
-
-    Checks (margins are worst sampled violations; positive = satisfied):
-
-    * nonnegativity and zero at the origin of all three densities;
-    * convexity of ``psi`` (midpoint convexity on a symmetric grid);
-    * coercivity ``psi(r) >= d_diss/2 * |r|^p_psi``;
-    * positive p_psi-homogeneity of ``psi``;
-    * two-sided quadratic pinch ``(1-delta) q <= w <= (1+delta) q`` with
-      ``q(s) = c/2 s^2`` on a ball whose sampled radius is reported, for each
-      requested ``delta`` and for both stored-energy densities.
-
-    Violations are reported, not raised.
-    """
-    limit = model.quadratic_limit()
-    checks = []
-
-    r_grid = np.linspace(-2.0, 2.0, n_samples)
-    s_grid = np.linspace(-min(2.0, model.k_radius), min(2.0, model.k_radius), n_samples)
-
-    w_el = np.asarray(model.w_el(s_grid))
-    w_vi = np.asarray(model.w_vi(s_grid))
-    psi = np.asarray(model.psi(r_grid))
-
-    origin = max(abs(model.w_el(0.0)), abs(model.w_vi(0.0)), abs(model.psi(0.0)))
-    checks.append(_check("zero_at_origin", -origin, tolerance, {}))
-    checks.append(
-        _check(
-            "nonnegative",
-            float(min(w_el.min(), w_vi.min(), psi.min())),
-            tolerance,
-            {},
-        )
-    )
-
-    # midpoint convexity of psi on the sampled grid
-    mid = model.psi(0.5 * (r_grid[:-1] + r_grid[1:]))
-    conv_margin = float(np.min(0.5 * (psi[:-1] + psi[1:]) - mid))
-    checks.append(_check("psi_convex", conv_margin, tolerance, {}))
-
-    # coercivity psi >= d_diss/2 |r|^p
-    lower = 0.5 * limit.d_diss * np.abs(r_grid) ** model.p_psi
-    checks.append(
-        _check(
-            "psi_lower_bound",
-            float(np.min(psi - lower)),
-            tolerance,
-            {"coefficient": 0.5 * limit.d_diss},
-        )
-    )
-
-    # positive p-homogeneity
-    lam_grid = (0.25, 0.5, 2.0, 3.0)
-    dev = 0.0
-    for lam in lam_grid:
-        scaled = np.asarray(model.psi(lam * r_grid))
-        ref = lam**model.p_psi * psi
-        dev = max(dev, float(np.max(np.abs(scaled - ref) / np.maximum(1.0, np.abs(ref)))))
-    checks.append(_check("psi_homogeneous", -dev, tolerance, {"lambdas": lam_grid}))
-
-    for delta in deltas:
-        checks.append(
-            _pinch_check("pinch_el", model.w_el, limit.c_el, delta, s_grid, tolerance)
-        )
-        checks.append(
-            _pinch_check("pinch_vi", model.w_vi, limit.c_vi, delta, s_grid, tolerance)
-        )
-
-    return AssumptionReport(
-        checks=tuple(checks), satisfied=all(c.satisfied for c in checks)
-    )
-
-
-def _check(name: str, margin: float, tolerance: float, detail: dict) -> AssumptionCheck:
-    return AssumptionCheck(
-        name=name, margin=margin, satisfied=bool(margin >= -tolerance), detail=detail
-    )
-
-
-def _pinch_check(name, density, curvature, delta, s_grid, tolerance) -> AssumptionCheck:
-    """Largest sampled radius on which the two-sided quadratic pinch holds,
-    and the worst margin inside that radius."""
-    order = np.argsort(np.abs(s_grid))
-    radius = 0.0
-    margin = np.inf
-    quad = 0.5 * curvature * s_grid**2
-    w = np.asarray(density(s_grid))
-    margins = np.minimum(w - (1.0 - delta) * quad, (1.0 + delta) * quad - w)
-    for idx in order:
-        if margins[idx] < -tolerance:
-            break
-        radius = abs(s_grid[idx])
-        margin = min(margin, float(margins[idx]))
-    if not np.isfinite(margin):
-        margin = float(margins[order[0]])
-    return AssumptionCheck(
-        name=f"{name}_delta_{delta:g}",
-        margin=margin,
-        satisfied=bool(margin >= -tolerance and radius > 0.0),
-        detail={"delta": delta, "radius": radius},
-    )

@@ -5,7 +5,7 @@ One step from state (y, y_vi) at time t_{i-1} to time t_i solves
     min  E(t_i, y, y_vi) + tau * Psi(y_vi_old, (y_vi - y_vi_old)/tau)
 
 over the packed dofs, warm-started from the previous state. Minimality
-against the stay-put competitor (the previous state itself, which carges no
+against the stay-put competitor (the previous state itself, which charges no
 dissipation) is asserted on every step: E(t_i, new) + tau*Psi <= E(t_i, old)
 up to 1e-8, and violations reject the step.
 
@@ -259,7 +259,6 @@ def _is_shear_quadratic(model: MaterialModel) -> bool:
         model.mode == SHEAR_COLUMN
         and model.a4 == 0.0
         and model.p_psi == 2.0
-        and not model.has_custom_densities
     )
 
 
@@ -286,8 +285,6 @@ def _solve_incremental(
         raise ValidationError(f"substep length must be > 0, got {r!r}")
 
     if model.mode == MATERIAL_POINT:
-        if model.has_custom_densities:
-            raise ValidationError("time stepping requires the built-in density family")
         load = loading.f(t) + loading.g(t)
         F, Fv, value, grad_inf, iterations, status = kernels.mp_minimize(
             model.c_e,
@@ -328,8 +325,6 @@ def _solve_incremental(
         )
         return state, value, 1, DIRECT
 
-    if model.has_custom_densities:
-        raise ValidationError("time stepping requires the built-in density family")
     value_and_grad, value_only = incremental_value_and_grad(model, old, loading, t, r)
     result = minimize_newton(
         value_and_grad,

@@ -3,6 +3,8 @@ and byte-level determinism of the JSON reports."""
 
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,9 @@ v0_slope = 0.4
 load_f = 0.0 0.2
 load_g = 0.1
 """
+
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def write(tmp_path, name, text):
@@ -213,6 +218,27 @@ def test_sweep_eps_outputs(tmp_path):
     assert payload["pass"] is True
 
 
+@pytest.mark.parametrize(
+    "command, config, flag, values, message",
+    [
+        ("sweep-tau", "mp_relax", "--tau-list", "0.07 0.05", "does not divide"),
+        ("sweep-tau", "mp_relax", "--tau-list", "abc", "--tau-list"),
+        ("sweep-tau", "mp_relax", "--tau-list", "0 0.1", "positive"),
+        ("sweep-eps", "eps_quartic", "--eps-list", "0.05 0.1", "strictly decreasing"),
+    ],
+)
+def test_bad_sweep_list_exits_1_before_any_trajectory(
+    tmp_path, capsys, command, config, flag, values, message
+):
+    cfg = str(REPO / "configs" / f"{config}.cfg")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), flag, values]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert message in err
+    assert list(out.glob("*.csv")) == []
+
+
 def test_densities_outputs(tmp_path):
     cfg = write(tmp_path, "relax.cfg", RELAX_SMALL + "a4 = 1.0\n")
     out = tmp_path / "out"
@@ -231,3 +257,17 @@ def test_no_temp_files_left_behind(tmp_path):
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
     leftovers = [p for p in out.iterdir() if p.suffix not in (".csv", ".json")]
     assert leftovers == []
+
+
+# -- options ----------------------------------------------------------------------
+
+
+def test_no_source_file_reads_the_environment():
+    # Every option is a config key or a CLI flag; an environment switch
+    # would change results without showing up in either.
+    readers = [
+        path.name
+        for path in sorted((REPO / "src" / "visco_pt").glob("*.py"))
+        if re.search(r"os\.environ|getenv", path.read_text(encoding="utf-8"))
+    ]
+    assert readers == []

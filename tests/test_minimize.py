@@ -1,4 +1,4 @@
-"""Descent solvers and SPD quadratic solves."""
+"""Newton minimizer and SPD quadratic solves."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from visco_pt.minimize import (
     CholeskyOperator,
     MinimizeSettings,
     minimize_newton,
-    minimize_smooth,
     solve_quadratic,
 )
 
@@ -26,100 +25,6 @@ def quadratic_problem(H, b):
 SPD = np.array([[4.0, 1.0], [1.0, 3.0]])
 RHS = np.array([1.0, 2.0])
 SOLUTION = np.linalg.solve(SPD, RHS)
-
-
-def test_minimize_smooth_quadratic_converges():
-    # Unscaled descent resolves the objective only to float rounding, which
-    # caps the reachable gradient near 1e-9 here; 1e-8 is attainable.
-    result = minimize_smooth(
-        quadratic_problem(SPD, RHS), np.zeros(2), MinimizeSettings(grad_tol=1e-8)
-    )
-    assert result.status == CONVERGED
-    assert result.converged
-    np.testing.assert_allclose(result.x, SOLUTION, atol=1e-8)
-    assert result.grad_inf <= 1e-8
-
-
-def test_minimize_smooth_scaled_reaches_tight_tolerance():
-    result = minimize_smooth(
-        quadratic_problem(SPD, RHS),
-        np.zeros(2),
-        MinimizeSettings(grad_tol=1e-10),
-        scale=1.0 / np.diag(SPD),
-    )
-    assert result.status == CONVERGED
-    np.testing.assert_allclose(result.x, SOLUTION, atol=1e-10)
-
-
-def test_minimize_smooth_scale_accelerates_anisotropy():
-    H = np.diag([1.0, 1e4])
-    b = np.array([1.0, 1.0])
-    settings = MinimizeSettings(grad_tol=1e-10, max_iter=200)
-    scaled = minimize_smooth(
-        quadratic_problem(H, b), np.zeros(2), settings, scale=1.0 / np.diag(H)
-    )
-    assert scaled.status == CONVERGED
-    unscaled = minimize_smooth(quadratic_problem(H, b), np.zeros(2), settings)
-    assert scaled.iterations < unscaled.iterations
-
-
-def test_minimize_smooth_objective_is_monotone_on_accepted_iterates():
-    # value_and_grad runs exactly at accepted points when a separate
-    # value_only handles the line-search trials.
-    values = []
-    base = quadratic_problem(SPD, RHS)
-
-    def tracking(x):
-        f, g = base(x)
-        values.append(f)
-        return f, g
-
-    minimize_smooth(
-        tracking,
-        np.array([3.0, -2.0]),
-        MinimizeSettings(grad_tol=1e-8),
-        value_only=lambda x: base(x)[0],
-    )
-    diffs = np.diff(np.array(values))
-    assert np.all(diffs <= 1e-15)
-
-
-def test_minimize_smooth_infeasible_trials_backtrack():
-    # Minimum at 0.9; points beyond 1.0 are infeasible, so full steps from
-    # the far side must backtrack through the barrier rather than fail.
-    def value_and_grad(x):
-        if x[0] > 1.0:
-            raise InfeasibleState("outside")
-        return (x[0] - 0.9) ** 2, np.array([2.0 * (x[0] - 0.9)])
-
-    result = minimize_smooth(
-        value_and_grad, np.array([0.0]), MinimizeSettings(grad_tol=1e-12), scale=np.array([10.0])
-    )
-    assert result.status == CONVERGED
-    assert result.x[0] == pytest.approx(0.9, abs=1e-10)
-
-
-def test_minimize_smooth_status_flags():
-    result = minimize_smooth(
-        quadratic_problem(SPD, RHS), np.zeros(2), MinimizeSettings(max_iter=1)
-    )
-    assert result.status == MAX_ITER_EXCEEDED
-    assert result.iterations == 1
-
-    def stuck(x):
-        return (np.inf if x[0] != 0.0 else 0.0), np.array([1.0])
-
-    result = minimize_smooth(stuck, np.zeros(1), MinimizeSettings())
-    assert result.status == LINE_SEARCH_STALLED
-
-
-def test_minimize_smooth_validates_scale():
-    with pytest.raises(ValueError):
-        minimize_smooth(
-            quadratic_problem(SPD, RHS), np.zeros(2), scale=np.array([1.0, -1.0])
-        )
-    with pytest.raises(ValueError):
-        minimize_smooth(quadratic_problem(SPD, RHS), np.zeros(2), scale=np.ones(3))
 
 
 def test_settings_validation():
@@ -142,18 +47,83 @@ def test_minimize_newton_quadratic_one_step():
     np.testing.assert_allclose(result.x, SOLUTION, atol=1e-12)
 
 
+def quartic_value_and_grad(x):
+    return float(np.sum(x**4)) + float(np.sum(x**2)), 4.0 * x**3 + 2.0 * x
+
+
+def quartic_hessian(x):
+    return np.diag(12.0 * x**2 + 2.0)
+
+
 def test_minimize_newton_quartic():
-    def value_and_grad(x):
-        return float(np.sum(x**4)) + float(np.sum(x**2)), 4.0 * x**3 + 2.0 * x
-
-    def hessian(x):
-        return np.diag(12.0 * x**2 + 2.0)
-
     result = minimize_newton(
-        value_and_grad, hessian, np.array([2.0, -1.5]), MinimizeSettings(grad_tol=1e-12)
+        quartic_value_and_grad,
+        quartic_hessian,
+        np.array([2.0, -1.5]),
+        MinimizeSettings(grad_tol=1e-12),
     )
     assert result.status == CONVERGED
     np.testing.assert_allclose(result.x, np.zeros(2), atol=1e-10)
+
+
+def test_minimize_newton_status_flags():
+    # One Newton step does not finish the quartic: max_iter stops it, flagged.
+    result = minimize_newton(
+        quartic_value_and_grad, quartic_hessian, np.array([2.0, -1.5]),
+        MinimizeSettings(max_iter=1),
+    )
+    assert result.status == MAX_ITER_EXCEEDED
+    assert result.iterations == 1
+
+    # +inf everywhere but the start: the full step predicts a decrease far
+    # above rounding, so Armijo backtracks through value_only until the step
+    # length underflows; the resolution rule never evaluates a trial.
+    full_calls, value_calls = [], []
+
+    def stuck(x):
+        full_calls.append(x.copy())
+        return (np.inf if x[0] != 0.0 else 0.0), np.array([1.0])
+
+    def stuck_value(x):
+        value_calls.append(x.copy())
+        return np.inf if x[0] != 0.0 else 0.0
+
+    result = minimize_newton(
+        stuck, lambda x: np.eye(1), np.zeros(1), MinimizeSettings(),
+        value_only=stuck_value,
+    )
+    assert result.status == LINE_SEARCH_STALLED
+    assert result.iterations == 0
+    assert len(full_calls) == 1
+    assert len(value_calls) > 50
+
+
+def test_minimize_newton_objective_is_monotone_on_accepted_iterates():
+    # Full Newton steps on sum(sqrt(1 + x^2)) overshoot far from 0, so the
+    # line search rejects trials; with a separate value_only those trials
+    # never reach value_and_grad, which runs once per accepted point.
+    values, trials = [], []
+
+    def value_and_grad(x):
+        root = np.sqrt(1.0 + x * x)
+        values.append(float(np.sum(root)))
+        return values[-1], x / root
+
+    def value_only(x):
+        trials.append(x.copy())
+        return float(np.sum(np.sqrt(1.0 + x * x)))
+
+    result = minimize_newton(
+        value_and_grad,
+        lambda x: np.diag((1.0 + x * x) ** -1.5),
+        np.array([2.0, -1.5]),
+        MinimizeSettings(),
+        value_only=value_only,
+    )
+    assert result.status == CONVERGED
+    assert len(values) == result.iterations + 1
+    assert len(trials) > result.iterations
+    assert np.all(np.diff(np.array(values)) <= 0.0)
 
 
 def test_minimize_newton_ridge_handles_concave_start():

@@ -1,21 +1,14 @@
-"""Density family: values, derivatives, rescaling, limits, assumptions."""
+"""Density family: values, derivatives, rescaling, limits, admissibility."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from visco_pt.errors import (
-    CurvatureNotConverged,
-    InfeasibleState,
-    ValidationError,
-)
-from visco_pt.rheology import (
-    MATERIAL_POINT,
-    SHEAR_COLUMN,
-    MaterialModel,
-    check_assumptions,
-)
+from visco_pt.errors import InfeasibleState, ValidationError
+from visco_pt.rheology import MATERIAL_POINT, SHEAR_COLUMN, MaterialModel
 
 FD_STEP = 1e-6
 
@@ -133,68 +126,68 @@ def test_quadratic_limit_rejects_nonquadratic_rate_exponent():
         MaterialModel(p_psi=3.0).quadratic_limit()
 
 
-def test_quadratic_limit_custom_densities_by_finite_differences():
+def pinch_radius(density, curvature, delta, s_grid):
+    """Largest sampled |s| up to which (1-delta) q <= w <= (1+delta) q holds
+    at every sample, with q(s) = curvature/2 s^2."""
+    radius = 0.0
+    quad = 0.5 * curvature * s_grid**2
+    w = np.asarray(density(s_grid))
+    margins = np.minimum(w - (1.0 - delta) * quad, (1.0 + delta) * quad - w)
+    for idx in np.argsort(np.abs(s_grid)):
+        if margins[idx] < 0.0:
+            break
+        radius = abs(float(s_grid[idx]))
+    return radius
+
+
+COEFFICIENT = st.floats(min_value=0.01, max_value=100.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    c_e=COEFFICIENT,
+    a4=st.one_of(st.just(0.0), COEFFICIENT),
+    c_v=COEFFICIENT,
+    d_v=COEFFICIENT,
+    p_psi=st.one_of(st.just(2.0), st.floats(min_value=2.0, max_value=4.0)),
+    k_radius=st.floats(min_value=0.01, max_value=10.0),
+)
+def test_densities_are_admissible_on_the_admissible_set(
+    c_e, a4, c_v, d_v, p_psi, k_radius
+):
     model = MaterialModel(
-        w_el_fn=lambda s: 1.0 * s * s,
-        w_vi_fn=lambda s: math.cosh(s) - 1.0,
-        psi_fn=lambda r: 0.5 * 1.5 * r * r,
+        c_e=c_e, a4=a4, c_v=c_v, d_v=d_v, p_psi=p_psi, k_radius=k_radius
     )
-    limit = model.quadratic_limit()
-    assert limit.c_el == pytest.approx(2.0, rel=1e-6)
-    assert limit.c_vi == pytest.approx(1.0, rel=1e-6)
-    assert limit.d_diss == pytest.approx(1.5, rel=1e-6)
+    r = np.linspace(-2.0, 2.0, 201)
+    s = np.linspace(-min(2.0, k_radius), min(2.0, k_radius), 201)
+    psi = np.asarray(model.psi(r))
+    tol = 1e-12 * max(1.0, float(np.max(psi)))
 
+    # zero at the origin, nonnegative
+    assert model.w_el(0.0) == model.w_vi(0.0) == model.psi(0.0) == 0.0
+    assert min(np.min(model.w_el(s)), np.min(model.w_vi(s)), np.min(psi)) >= 0.0
 
-def test_quadratic_limit_custom_kink_fails_cross_validation():
-    model = MaterialModel(w_el_fn=lambda s: abs(s))
-    with pytest.raises(CurvatureNotConverged):
-        model.quadratic_limit()
+    # midpoint convexity of psi
+    mid = np.asarray(model.psi(0.5 * (r[:-1] + r[1:])))
+    assert np.all(mid <= 0.5 * (psi[:-1] + psi[1:]) + tol)
 
+    # coercivity psi(r) >= d_v/2 |r|^p
+    assert np.all(psi >= 0.5 * d_v * np.abs(r) ** p_psi - tol)
 
-def test_custom_density_has_no_analytic_derivative():
-    model = MaterialModel(psi_fn=lambda r: 0.5 * r * r)
-    assert model.has_custom_densities
-    with pytest.raises(ValidationError):
-        model.dpsi(0.3)
-    assert model.psi(0.3) == pytest.approx(0.045)
+    # positive p-homogeneity
+    for lam in (0.25, 0.5, 2.0, 3.0):
+        scaled = np.asarray(model.psi(lam * r))
+        np.testing.assert_allclose(scaled, lam**p_psi * psi, rtol=1e-12, atol=0.0)
 
-
-def test_check_assumptions_builtin_family_satisfied():
-    for model in (
-        MaterialModel(),
-        MaterialModel(a4=1.0),
-        MaterialModel(mode=SHEAR_COLUMN, c_e=2.0, c_v=0.5, d_v=1.5),
-    ):
-        report = check_assumptions(model)
-        assert report.satisfied
-        assert report.by_name("psi_convex").margin >= -1e-10
-        assert report.by_name("psi_lower_bound").satisfied
-
-
-def test_check_assumptions_catches_mis_set_homogeneity():
-    # Quadratic rate density declared as 3-homogeneous: the sampled
-    # homogeneity margin must go negative and be reported, not raised.
-    model = MaterialModel(p_psi=3.0, psi_fn=lambda r: 0.5 * r * r)
-    report = check_assumptions(model)
-    assert not report.by_name("psi_homogeneous").satisfied
-    assert not report.satisfied
-
-
-def test_pinch_radius_quadratic_covers_whole_grid():
-    report = check_assumptions(MaterialModel())
-    check = report.by_name("pinch_el_delta_0.01")
-    assert check.satisfied
-    assert check.detail["radius"] == pytest.approx(2.0)
-
-
-def test_pinch_radius_quartic_shrinks_with_delta():
-    report = check_assumptions(MaterialModel(a4=1.0))
-    wide = report.by_name("pinch_el_delta_0.5").detail["radius"]
-    narrow = report.by_name("pinch_el_delta_0.01").detail["radius"]
-    assert 0.0 < narrow < wide
-    # w_el/quad - 1 = (a4/(2 c_e)) s^2 <= delta pins the radius analytically.
-    assert narrow <= math.sqrt(2.0 * 0.01) + 0.05
-    assert wide <= math.sqrt(2.0 * 0.5) + 0.05
+    # w_el/q - 1 = (a4 / (2 c_e)) s^2: the two-sided quadratic pinch holds on
+    # |s| <= sqrt(2 delta c_e / a4), and on the whole grid without a4
+    radii = [pinch_radius(model.w_el, c_e, delta, s) for delta in (0.5, 0.1, 0.01)]
+    assert radii[0] >= radii[1] >= radii[2]
+    for delta, radius in zip((0.5, 0.1, 0.01), radii):
+        if a4 == 0.0:
+            assert radius == float(np.max(s))
+        else:
+            assert radius <= math.sqrt(2.0 * delta * c_e / a4) * (1.0 + 1e-9)
 
 
 def test_mode_constants():
