@@ -155,11 +155,45 @@ COEFFICIENT = st.floats(min_value=0.01, max_value=100.0)
 def test_densities_are_admissible_on_the_admissible_set(
     c_e, a4, c_v, d_v, p_psi, k_radius
 ):
-    model = MaterialModel(
-        c_e=c_e, a4=a4, c_v=c_v, d_v=d_v, p_psi=p_psi, k_radius=k_radius
+    assert_admissible(
+        MaterialModel(
+            c_e=c_e, a4=a4, c_v=c_v, d_v=d_v, p_psi=p_psi, k_radius=k_radius
+        )
     )
+
+
+def test_check_assumptions_builtin_family_satisfied():
+    for model in (
+        MaterialModel(),
+        MaterialModel(a4=1.0),
+        MaterialModel(mode=SHEAR_COLUMN, c_e=2.0, c_v=0.5, d_v=1.5),
+    ):
+        assert_admissible(model)
+
+
+def test_pinch_radius_quadratic_covers_whole_grid():
+    s = np.linspace(-2.0, 2.0, 201)
+    assert pinch_radius(MaterialModel().w_el, 1.0, 0.01, s) == pytest.approx(2.0)
+
+
+def test_pinch_radius_quartic_shrinks_with_delta():
+    model = MaterialModel(a4=1.0)
+    s = np.linspace(-2.0, 2.0, 201)
+    wide = pinch_radius(model.w_el, model.c_e, 0.5, s)
+    narrow = pinch_radius(model.w_el, model.c_e, 0.01, s)
+    assert 0.0 < narrow < wide
+    # w_el/q - 1 = (a4/(2 c_e)) s^2 <= delta pins the radius analytically.
+    assert narrow <= math.sqrt(2.0 * 0.01) + 0.05
+    assert wide <= math.sqrt(2.0 * 0.5) + 0.05
+
+
+def assert_admissible(model):
+    """Sampled hypotheses on the densities of one model: zero at the origin,
+    nonnegative, psi convex, coercive and p_psi-homogeneous, and w_el pinched
+    two-sidedly by its quadratic limit."""
+    c_e, a4, d_v, p_psi = model.c_e, model.a4, model.d_v, model.p_psi
     r = np.linspace(-2.0, 2.0, 201)
-    s = np.linspace(-min(2.0, k_radius), min(2.0, k_radius), 201)
+    s = np.linspace(-min(2.0, model.k_radius), min(2.0, model.k_radius), 201)
     psi = np.asarray(model.psi(r))
     tol = 1e-12 * max(1.0, float(np.max(psi)))
 
