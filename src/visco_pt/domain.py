@@ -66,6 +66,16 @@ def project_zero_mean(mesh: ShearColumnMesh, beta: np.ndarray) -> np.ndarray:
     return beta - float(trapezoid_weights(mesh) @ beta)
 
 
+def difference_matrix(n: int) -> np.ndarray:
+    """Nodal-to-element difference map with the clamped bottom node removed."""
+    D = np.zeros((n, n))
+    for e in range(n):
+        D[e, e] = 1.0
+        if e >= 1:
+            D[e, e - 1] = -1.0
+    return D
+
+
 @dataclass(frozen=True)
 class State:
     """Deformation state in one of the two reduced geometries."""

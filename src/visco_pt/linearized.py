@@ -31,13 +31,14 @@ from .domain import (
     ShearColumnMesh,
     State,
     TimeGrid,
+    difference_matrix,
     project_zero_mean,
     trapezoid_weights,
 )
 from .errors import ValidationError
 from .minimize import solve_quadratic
 from .rheology import MATERIAL_POINT, SHEAR_COLUMN, MaterialModel, QuadraticLimit
-from .stepper import ShearQuadraticOperator, Trajectory, _difference_matrix
+from .stepper import ShearQuadraticOperator, Trajectory
 
 
 @dataclass(frozen=True)
@@ -245,7 +246,7 @@ def lin_equilibrium(
         load = loading.f(t) + loading.g(t)
         return LinState.material_point(float(prev.v[0]) + load / quad.c_el, prev.v[0])
     mesh = prev.mesh
-    D = _difference_matrix(mesh.n_elements)
+    D = difference_matrix(mesh.n_elements)
     K = quad.c_el * (D.T @ D) / mesh.h
     b = quad.c_el * (D.T @ _slopes(mesh, prev.v))
     b += loading.f(t) * trapezoid_weights(mesh)[1:]

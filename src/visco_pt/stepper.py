@@ -37,6 +37,7 @@ from .domain import (
     Loading,
     State,
     TimeGrid,
+    difference_matrix,
     dissipation_increment,
     dissipation_rates,
     dissipation_rate_value,
@@ -153,16 +154,6 @@ def incremental_value_and_grad(
 # -- shear-column Hessians -------------------------------------------------------
 
 
-def _difference_matrix(n: int) -> np.ndarray:
-    """Nodal-to-element difference map with the clamped bottom node removed."""
-    D = np.zeros((n, n))
-    for e in range(n):
-        D[e, e] = 1.0
-        if e >= 1:
-            D[e, e - 1] = -1.0
-    return D
-
-
 def _ddpsi(model: MaterialModel, rate: np.ndarray) -> np.ndarray:
     """Second derivative of the built-in dissipation density."""
     rate = np.asarray(rate, dtype=float)
@@ -191,7 +182,7 @@ def shear_incremental_hessian(
     mesh = old.mesh
     n = mesh.n_elements
     h = mesh.h
-    D = _difference_matrix(n)
+    D = difference_matrix(n)
     s_old = viscous_strain(old)
 
     def hessian(x: np.ndarray) -> np.ndarray:
@@ -224,7 +215,7 @@ class ShearQuadraticOperator:
     def __init__(self, c_el: float, c_vi: float, d: float, mesh, r: float):
         n = mesh.n_elements
         h = mesh.h
-        D = _difference_matrix(n)
+        D = difference_matrix(n)
         K = D.T @ D / h
         H = np.zeros((2 * n, 2 * n))
         H[:n, :n] = c_el * K
@@ -441,7 +432,7 @@ def equilibrate_elastic(
     h = mesh.h
     beta_slopes = viscous_strain(state)
     f_val, g_val = loading.f(t), loading.g(t)
-    D = _difference_matrix(n)
+    D = difference_matrix(n)
     if model.a4 == 0.0:
         K = model.c_e * (D.T @ D) / h
         b = model.c_e * (D.T @ beta_slopes)

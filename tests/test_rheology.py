@@ -189,9 +189,14 @@ def test_pinch_radius_quartic_shrinks_with_delta():
 
 def assert_admissible(model):
     """Sampled hypotheses on the densities of one model: zero at the origin,
-    nonnegative, psi convex, coercive and p_psi-homogeneous, and w_el pinched
-    two-sidedly by its quadratic limit."""
-    c_e, a4, d_v, p_psi = model.c_e, model.a4, model.d_v, model.p_psi
+    nonnegative, psi convex, coercive and p_psi-homogeneous, and w_el and w_vi
+    pinched two-sidedly by their quadratic limits."""
+    a4, d_v, p_psi = model.a4, model.d_v, model.p_psi
+    if p_psi == 2.0:
+        limit = model.quadratic_limit()
+        c_e, c_v = limit.c_el, limit.c_vi
+    else:
+        c_e, c_v = model.c_e, model.c_v
     r = np.linspace(-2.0, 2.0, 201)
     s = np.linspace(-min(2.0, model.k_radius), min(2.0, model.k_radius), 201)
     psi = np.asarray(model.psi(r))
@@ -222,6 +227,10 @@ def assert_admissible(model):
             assert radius == float(np.max(s))
         else:
             assert radius <= math.sqrt(2.0 * delta * c_e / a4) * (1.0 + 1e-9)
+
+    # w_vi is exactly quadratic: the pinch holds on the whole grid
+    for delta in (0.5, 0.1, 0.01):
+        assert pinch_radius(model.w_vi, c_v, delta, s) == float(np.max(s))
 
 
 def test_mode_constants():
