@@ -8,16 +8,20 @@ convention applies. Fitted convergence orders are least-squares slopes in
 log-log coordinates, and reports keep the raw errors so rates can be
 recomputed externally.
 
-Parameter sweeps (tau, eps) run one after another in parameter order, and
-their lists are validated in full (:func:`tau_grids`, :func:`eps_values`)
-before the first trajectory runs.
+Parameter sweeps run once per command. :func:`tau_sweep` and
+:func:`eps_sweep` validate their whole list (:func:`tau_grids`,
+:func:`eps_values`) and, for tau, the oracle before the first trajectory
+runs; then they run each trajectory once, in parameter order, judge it, and
+return the trajectories with the report, so the command line writes the
+very trajectories that were judged. :func:`tau_convergence` and
+:func:`epsilon_study` return the same reports without the trajectories.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -26,11 +30,12 @@ from .domain import (
     State,
     TimeGrid,
     dissipation_displacement,
-    total_energy,
+    energy_value,
 )
 from .errors import ValidationError
 from .linearized import (
     LinState,
+    LinTrajectory,
     lin_stored,
     mp_lin_closed_form,
     rescale_displacements,
@@ -233,14 +238,14 @@ def check_semistability(
         raise ValidationError(f"t={t!r} is not a grid time")
     state = traj.states[i]
     t_i = float(grid.times[i])
-    base = total_energy(traj.model, state, traj.loading, t_i)[0]
+    base = energy_value(traj.model, state, traj.loading, t_i)
     rng = np.random.default_rng(seed)
     residuals = []
     for _ in range(n_probes):
         direction = _probe_direction(rng, state)
         for amplitude in amplitudes:
             perturbed = _perturb_elastic(state, direction, float(amplitude))
-            value = total_energy(traj.model, perturbed, traj.loading, t_i)[0]
+            value = energy_value(traj.model, perturbed, traj.loading, t_i)
             residuals.append(value - base)
     return VerificationReport.build(
         check="semistability",
@@ -379,6 +384,73 @@ def tau_grids(t_final: float, tau_list: Sequence[float]) -> Dict[float, TimeGrid
     return grids
 
 
+def tau_sweep(
+    model: MaterialModel,
+    state0: State,
+    loading: Loading,
+    t_final: float,
+    tau_list: Sequence[float],
+    oracle: str = "ode_rk4",
+    settings: Optional[MinimizeSettings] = None,
+) -> Tuple[Dict[float, Union[Trajectory, LinTrajectory]], VerificationReport]:
+    """Run one trajectory per distinct tau and judge its sup-over-grid error
+    against an independent oracle, with fitted order.
+
+    ``ode_rk4`` requires a zero-load material point (the viscous strain obeys
+    a scalar ODE); ``closed_form_lin`` runs the linearized solver from
+    v0 = F_vi0 - 1 and compares with the exponential decay. The tau list and
+    the oracle are validated before the first trajectory runs. Returns the
+    trajectories, keyed by tau from largest to smallest, and the report.
+    """
+    grids = tau_grids(t_final, tau_list)
+    taus = list(grids)
+    settings = settings or MinimizeSettings()
+    if oracle not in ("ode_rk4", "closed_form_lin"):
+        raise ValidationError(f"unknown oracle {oracle!r}")
+    if model.mode != MATERIAL_POINT or not loading.is_zero:
+        raise ValidationError(f"{oracle} oracle requires a zero-load material point")
+
+    trajectories: Dict[float, Union[Trajectory, LinTrajectory]] = {}
+    errors = []
+    for tau, grid in grids.items():
+        if oracle == "ode_rk4":
+            traj = run_evolution(model, state0, loading, grid, settings)
+            numeric = np.array([s.F_vi for s in traj.states])
+            reference = rk4_viscous_oracle(model, state0.F_vi, grid.times)
+        else:
+            quad = model.quadratic_limit()
+            v0 = state0.F_vi - 1.0
+            traj = run_lin_evolution(quad, LinState.material_point(v0, v0), Loading(), grid)
+            numeric = np.array([s.v[0] for s in traj.states])
+            reference = np.array(
+                [mp_lin_closed_form(v0, quad, float(t))[1] for t in grid.times]
+            )
+        trajectories[tau] = traj
+        errors.append(float(np.max(np.abs(numeric - reference))))
+    params = {
+        "oracle": oracle,
+        "tau_list": taus,
+        "errors": errors,
+        "t_final": t_final,
+    }
+    if max(errors) <= 1e-12:
+        params["regime"] = "converged"
+        report = VerificationReport.build(
+            check="tau_convergence", params=params, residuals=[0.0], rates={}
+        )
+    else:
+        order = fit_rate(taus, errors)
+        params["regime"] = "rate"
+        report = VerificationReport.build(
+            check="tau_convergence",
+            params=params,
+            residuals=[order - 0.9] if order is not None else [-float("inf")],
+            rates={"order": order},
+            tolerance=0.0,
+        )
+    return trajectories, report
+
+
 def tau_convergence(
     model: MaterialModel,
     state0: State,
@@ -388,67 +460,8 @@ def tau_convergence(
     oracle: str = "ode_rk4",
     settings: Optional[MinimizeSettings] = None,
 ) -> VerificationReport:
-    """Sup-over-grid errors against an independent oracle, with fitted order.
-
-    ``ode_rk4`` requires a zero-load material point (the viscous strain obeys
-    a scalar ODE); ``closed_form_lin`` runs the linearized solver from
-    v0 = F_vi0 - 1 and compares with the exponential decay.
-    """
-    grids = tau_grids(t_final, tau_list)
-    taus = list(grids)
-    settings = settings or MinimizeSettings()
-    if oracle == "ode_rk4":
-        if model.mode != MATERIAL_POINT or not loading.is_zero:
-            raise ValidationError(
-                "ode_rk4 oracle requires a zero-load material point"
-            )
-    elif oracle == "closed_form_lin":
-        if model.mode != MATERIAL_POINT or not loading.is_zero:
-            raise ValidationError(
-                "closed_form_lin oracle requires a zero-load material point"
-            )
-    else:
-        raise ValidationError(f"unknown oracle {oracle!r}")
-
-    def error_for(grid: TimeGrid) -> float:
-        if oracle == "ode_rk4":
-            traj = run_evolution(model, state0, loading, grid, settings)
-            numeric = np.array([s.F_vi for s in traj.states])
-            reference = rk4_viscous_oracle(model, state0.F_vi, grid.times)
-        else:
-            quad = model.quadratic_limit()
-            v0 = state0.F_vi - 1.0
-            lin0 = LinState.material_point(v0, v0)
-            lt = run_lin_evolution(quad, lin0, Loading(), grid)
-            numeric = np.array([s.v[0] for s in lt.states])
-            reference = np.array(
-                [mp_lin_closed_form(v0, quad, float(t))[1] for t in grid.times]
-            )
-        return float(np.max(np.abs(numeric - reference)))
-
-    errors = [error_for(grid) for grid in grids.values()]
-    params = {
-        "oracle": oracle,
-        "tau_list": taus,
-        "errors": errors,
-        "t_final": t_final,
-    }
-    if max(errors) <= 1e-12:
-        params["regime"] = "converged"
-        return VerificationReport.build(
-            check="tau_convergence", params=params, residuals=[0.0], rates={}
-        )
-    order = fit_rate(taus, errors)
-    params["regime"] = "rate"
-    rates = {"order": order}
-    residuals = [order - 0.9] if order is not None else [-float("inf")]
-    return VerificationReport.build(
-        check="tau_convergence",
-        params=params,
-        residuals=residuals,
-        rates=rates,
-        tolerance=0.0,
-    )
+    """The report of :func:`tau_sweep`, without its trajectories."""
+    return tau_sweep(model, state0, loading, t_final, tau_list, oracle, settings)[1]
 
 
 # -- linearization (epsilon) study ---------------------------------------------------
@@ -468,15 +481,16 @@ def eps_values(epsilon_list: Sequence[float], decreasing: bool = True) -> List[f
     return eps_list
 
 
-def epsilon_study(
+def eps_sweep(
     model: MaterialModel,
     lin0: LinState,
     loading0: Loading,
     grid: TimeGrid,
     epsilon_list: Sequence[float],
     settings: Optional[MinimizeSettings] = None,
-) -> VerificationReport:
-    """Compare eps-rescaled finite-strain runs with the linearized run.
+) -> Tuple[LinTrajectory, Dict[float, Trajectory], VerificationReport]:
+    """Run the linearized trajectory and one eps-rescaled finite-strain
+    trajectory per eps, and compare them.
 
     For each eps the nonlinear problem uses loading eps*l0 and initial data
     id + eps*(u0, v0); its rescaled trajectory (u_eps, v_eps) is compared
@@ -491,13 +505,19 @@ def epsilon_study(
     must vanish with fitted order >= 0.9. In the shear ansatz that gap is
     exactly the quartic Taylor remainder with order 2; at a material point
     the geometric factors reduce it to order 1.
+
+    The epsilon list is validated before the first trajectory runs. Returns
+    the linearized trajectory, the finite-strain trajectories keyed by eps
+    in list order, and the report.
     """
     eps_list = eps_values(epsilon_list)
     settings = settings or MinimizeSettings()
     quad = model.quadratic_limit()
     lin_traj = run_lin_evolution(quad, lin0, loading0, grid)
 
-    def run_for(eps: float):
+    trajectories: Dict[float, Trajectory] = {}
+    err_u, err_v, gap_t0, gap_tf = [], [], [], []
+    for eps in eps_list:
         loading_eps = Loading(
             f_coeffs=tuple(eps * c for c in loading0.f_coeffs),
             g_coeffs=tuple(eps * c for c in loading0.g_coeffs),
@@ -507,31 +527,20 @@ def epsilon_study(
                 1.0 + eps * float(lin0.u[0]), 1.0 + eps * float(lin0.v[0])
             )
         else:
-            init = State.shear_column(
-                lin0.mesh, eps * lin0.u, eps * lin0.v
-            )
+            init = State.shear_column(lin0.mesh, eps * lin0.u, eps * lin0.v)
         traj = run_evolution(model, init, loading_eps, grid, settings)
+        trajectories[eps] = traj
         scaled = rescale_displacements(traj, eps)
-        err_u = max(
-            float(np.max(np.abs(a.u - b.u)))
-            for a, b in zip(scaled.states, lin_traj.states)
-        )
-        err_v = max(
-            float(np.max(np.abs(a.v - b.v)))
-            for a, b in zip(scaled.states, lin_traj.states)
-        )
+        pairs = list(zip(scaled.states, lin_traj.states))
+        err_u.append(max(float(np.max(np.abs(a.u - b.u))) for a, b in pairs))
+        err_v.append(max(float(np.max(np.abs(a.v - b.v))) for a, b in pairs))
         gaps = []
         for idx in (0, grid.n_steps):
             re = rescaled_energies(scaled.states[idx], eps, model)
             w0_el, w0_vi = lin_stored(quad, lin_traj.states[idx])
             gaps.append(abs((re.w_el + re.w_vi) - (w0_el + w0_vi)))
-        return err_u, err_v, gaps[0], gaps[1]
-
-    rows = [run_for(eps) for eps in eps_list]
-    err_u = [r[0] for r in rows]
-    err_v = [r[1] for r in rows]
-    gap_t0 = [r[2] for r in rows]
-    gap_tf = [r[3] for r in rows]
+        gap_t0.append(gaps[0])
+        gap_tf.append(gaps[1])
     params = {
         "epsilon_list": eps_list,
         "err_u": err_u,
@@ -543,9 +552,10 @@ def epsilon_study(
     }
     if len(eps_list) == 1:
         params["regime"] = "gaps_only"
-        return VerificationReport.build(
+        report = VerificationReport.build(
             check="epsilon_study", params=params, residuals=[0.0], rates={}
         )
+        return lin_traj, trajectories, report
     regimes: Dict[str, str] = {}
     rates: Dict[str, float] = {}
     residuals: List[float] = []
@@ -562,13 +572,26 @@ def epsilon_study(
         if name == "energy_t0":
             residuals.append((rate - 0.9) if rate is not None else -float("inf"))
     params["regimes"] = regimes
-    return VerificationReport.build(
+    report = VerificationReport.build(
         check="epsilon_study",
         params=params,
         residuals=residuals,
         rates=rates,
         tolerance=0.0,
     )
+    return lin_traj, trajectories, report
+
+
+def epsilon_study(
+    model: MaterialModel,
+    lin0: LinState,
+    loading0: Loading,
+    grid: TimeGrid,
+    epsilon_list: Sequence[float],
+    settings: Optional[MinimizeSettings] = None,
+) -> VerificationReport:
+    """The report of :func:`eps_sweep`, without its trajectories."""
+    return eps_sweep(model, lin0, loading0, grid, epsilon_list, settings)[2]
 
 
 # -- density convergence ---------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 
 from . import __version__, analysis
 from .config import ScenarioConfig, load_config
-from .domain import Loading, State, stored_energies, total_energy
+from .domain import energy_value, stored_energies
 from .errors import ValidationError, ViscoPTError
 from .linearized import (
     LinState,
@@ -60,19 +60,17 @@ def _dof_summary(state) -> tuple:
 
 def trajectory_csv(traj: Trajectory) -> str:
     """Ledger CSV for a finite-strain trajectory (cumulative bookkeeping)."""
-    model, loading, grid = traj.model, traj.loading, traj.grid
+    model, loading, times = traj.model, traj.loading, traj.grid.times
     delta = traj.delta
     lines = [CSV_HEADER]
     e0 = traj.energy(0)
     work = 0.0
     for i, state in enumerate(traj.states):
-        t = float(grid.times[i])
+        t = float(times[i])
         if i > 0:
-            work += loading.pairing_delta(
-                traj.states[i - 1], t, float(grid.times[i - 1])
-            )
+            work += loading.pairing_delta(traj.states[i - 1], t, float(times[i - 1]))
         w_el, w_vi = stored_energies(model, state)
-        e_total = total_energy(model, state, loading, t)[0]
+        e_total = energy_value(model, state, loading, t)
         diss_inc = float(traj.diss_increments[i - 1]) if i > 0 else 0.0
         residual = (e0 - work) - (e_total + float(delta[i]))
         row = (t, *_dof_summary(state), w_el, w_vi, work, e_total, diss_inc,
@@ -84,17 +82,17 @@ def trajectory_csv(traj: Trajectory) -> str:
 def lin_trajectory_csv(traj: LinTrajectory) -> str:
     """Same schema as trajectory_csv plus a lin flag; the F and F_vi columns
     carry the u and v summaries."""
-    quad, loading, grid = traj.quad, traj.loading, traj.grid
+    quad, loading, times = traj.quad, traj.loading, traj.grid.times
     delta = traj.delta
     lines = [CSV_HEADER + ",lin"]
     w_el0, w_vi0 = lin_stored(quad, traj.states[0])
     e0 = w_el0 + w_vi0 - lin_pairing(traj.states[0], loading, 0.0)
     work = 0.0
     for i, state in enumerate(traj.states):
-        t = float(grid.times[i])
+        t = float(times[i])
         if i > 0:
             work += lin_pairing_delta(
-                traj.states[i - 1], loading, t, float(grid.times[i - 1])
+                traj.states[i - 1], loading, t, float(times[i - 1])
             )
         w_el, w_vi = lin_stored(quad, state)
         e_total = w_el + w_vi - lin_pairing(state, loading, t)
@@ -243,54 +241,34 @@ def _cmd_verify(config: ScenarioConfig, out: str) -> int:
 
 
 def _cmd_sweep_tau(config: ScenarioConfig, out: str, tau_list) -> int:
-    grids = analysis.tau_grids(config.t_final, tau_list or config.tau_list)
-    model = config.model()
-    loading = config.loading()
-    settings = config.settings()
-    state0 = config.initial_state()
-    trajs = [
-        run_evolution(model, state0, loading, grid, settings)
-        for grid in grids.values()
-    ]
-    for tau, traj in zip(grids, trajs):
-        _atomic_write(os.path.join(out, f"tau_{_fmt(tau)}.csv"), trajectory_csv(traj))
-    report = analysis.tau_convergence(
-        model, state0, loading, config.t_final, list(grids), oracle="ode_rk4",
-        settings=settings,
+    trajs, report = analysis.tau_sweep(
+        config.model(),
+        config.initial_state(),
+        config.loading(),
+        config.t_final,
+        tau_list or config.tau_list,
+        oracle="ode_rk4",
+        settings=config.settings(),
     )
+    for tau, traj in trajs.items():
+        _atomic_write(os.path.join(out, f"tau_{_fmt(tau)}.csv"), trajectory_csv(traj))
     payload = _report_payload(config, [report])
     _atomic_write(os.path.join(out, "sweep_tau.json"), _json_dump(payload))
     return _emit_failures([report])
 
 
 def _cmd_sweep_eps(config: ScenarioConfig, out: str, eps_list) -> int:
-    eps = analysis.eps_values(eps_list or config.eps_list)
-    model = config.model()
-    loading0 = config.loading()
-    settings = config.settings()
-    grid = config.grid()
-    lin0 = config.lin_initial()
-    quad = model.quadratic_limit()
-    lin_traj = run_lin_evolution(quad, lin0, loading0, grid)
+    lin_traj, trajs, report = analysis.eps_sweep(
+        config.model(),
+        config.lin_initial(),
+        config.loading(),
+        config.grid(),
+        eps_list or config.eps_list,
+        config.settings(),
+    )
     _atomic_write(os.path.join(out, "eps_lin.csv"), lin_trajectory_csv(lin_traj))
-
-    def run_one(e: float) -> Trajectory:
-        loading_eps = Loading(
-            f_coeffs=tuple(e * c for c in loading0.f_coeffs),
-            g_coeffs=tuple(e * c for c in loading0.g_coeffs),
-        )
-        if model.mode == MATERIAL_POINT:
-            init = State.material_point(
-                1.0 + e * float(lin0.u[0]), 1.0 + e * float(lin0.v[0])
-            )
-        else:
-            init = State.shear_column(lin0.mesh, e * lin0.u, e * lin0.v)
-        return run_evolution(model, init, loading_eps, grid, settings)
-
-    trajs = [run_one(e) for e in eps]
-    for e, traj in zip(eps, trajs):
+    for e, traj in trajs.items():
         _atomic_write(os.path.join(out, f"eps_{_fmt(e)}.csv"), trajectory_csv(traj))
-    report = analysis.epsilon_study(model, lin0, loading0, grid, eps, settings)
     payload = _report_payload(config, [report])
     _atomic_write(os.path.join(out, "sweep_eps.json"), _json_dump(payload))
     return _emit_failures([report])

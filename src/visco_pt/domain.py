@@ -20,6 +20,7 @@ Packed dof layout (the vector the minimizers see):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -251,9 +252,12 @@ class TimeGrid:
     def tau(self) -> float:
         return self.t_final / self.n_steps
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_final, self.n_steps + 1)
+        """The n_steps + 1 grid times, computed once per grid and read-only."""
+        times = np.linspace(0.0, self.t_final, self.n_steps + 1)
+        times.flags.writeable = False
+        return times
 
 
 # -- energy and dissipation ---------------------------------------------------
@@ -276,15 +280,23 @@ def stored_energies(model: MaterialModel, state: State) -> tuple:
     )
 
 
+def energy_value(model: MaterialModel, state: State, loading: Loading, t: float) -> float:
+    """Total energy E(t, state): stored energies minus the load pairing."""
+    w_el, w_vi = stored_energies(model, state)
+    if state.mode == MATERIAL_POINT:
+        return w_el + w_vi - (loading.f(t) + loading.g(t)) * state.F
+    f_pair = loading.f(t) * float(trapezoid_weights(state.mesh) @ state.gamma)
+    return w_el + w_vi - f_pair - loading.g(t) * float(state.gamma[-1])
+
+
 def total_energy(model: MaterialModel, state: State, loading: Loading, t: float):
-    """Total energy E(t, state) and its analytic gradient in packed dofs."""
-    _check_mode(model, state)
+    """Total energy E(t, state), as :func:`energy_value`, and its analytic
+    gradient in packed dofs."""
+    value = energy_value(model, state, loading, t)
     if state.mode == MATERIAL_POINT:
         F, F_vi = state.F, state.F_vi
-        s = F / F_vi - 1.0
         load = loading.f(t) + loading.g(t)
-        value = float(model.w_el(s)) + float(model.w_vi(F_vi - 1.0)) - load * F
-        dw = model.dw_el(s)
+        dw = model.dw_el(F / F_vi - 1.0)
         grad = np.asarray(
             [
                 dw / F_vi - load,
@@ -293,23 +305,11 @@ def total_energy(model: MaterialModel, state: State, loading: Loading, t: float)
         )
         return value, grad
 
-    mesh = state.mesh
-    h = mesh.h
-    s_el = elastic_strain(state)
-    s_vi = viscous_strain(state)
-    f_val, g_val = loading.f(t), loading.g(t)
-    w = trapezoid_weights(mesh)
-    value = (
-        h * float(np.sum(model.w_el(s_el)))
-        + h * float(np.sum(model.w_vi(s_vi)))
-        - f_val * float(w @ state.gamma)
-        - g_val * float(state.gamma[-1])
-    )
-    d_el = np.asarray(model.dw_el(s_el))
-    d_vi = np.asarray(model.dw_vi(s_vi))
+    d_el = np.asarray(model.dw_el(elastic_strain(state)))
+    d_vi = np.asarray(model.dw_vi(viscous_strain(state)))
     grad_gamma = _assemble_slope_gradient(d_el)[1:]
-    grad_gamma -= f_val * w[1:]
-    grad_gamma[-1] -= g_val
+    grad_gamma -= loading.f(t) * trapezoid_weights(state.mesh)[1:]
+    grad_gamma[-1] -= loading.g(t)
     grad_beta = _assemble_slope_gradient(d_vi - d_el)[1:]
     return value, np.concatenate([grad_gamma, grad_beta])
 

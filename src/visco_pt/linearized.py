@@ -268,10 +268,9 @@ def run_lin_evolution(
         )
     states = [state0]
     diss = np.zeros(grid.n_steps)
+    times = grid.times
     for i in range(1, grid.n_steps + 1):
-        state = lin_step(
-            float(grid.times[i]), states[-1], grid.tau, quad, loading, operator
-        )
+        state = lin_step(float(times[i]), states[-1], grid.tau, quad, loading, operator)
         diss[i - 1] = lin_dissipation_increment(quad, state, states[-1], grid.tau)
         states.append(state)
     return LinTrajectory(

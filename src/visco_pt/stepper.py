@@ -42,6 +42,7 @@ from .domain import (
     dissipation_rates,
     dissipation_rate_value,
     elastic_strain,
+    energy_value,
     pack_dofs,
     total_energy,
     trapezoid_weights,
@@ -108,9 +109,9 @@ class Trajectory:
         return np.concatenate([[0.0], np.cumsum(self.diss_increments)])
 
     def energy(self, i: int) -> float:
-        return total_energy(
+        return energy_value(
             self.model, self.states[i], self.loading, float(self.grid.times[i])
-        )[0]
+        )
 
 
 # -- incremental objective on packed dofs --------------------------------------
@@ -145,8 +146,9 @@ def incremental_value_and_grad(
 
     def value_only(x: np.ndarray):
         state = unpack_dofs(template, x)
-        value, _ = total_energy(model, state, loading, t)
-        return value + dissipation_increment(model, state, old, r)
+        return energy_value(model, state, loading, t) + dissipation_increment(
+            model, state, old, r
+        )
 
     return value_and_grad, value_only
 
@@ -311,7 +313,7 @@ def _solve_incremental(
             )
         x = operator.solve(old, loading.f(t), loading.g(t))
         state = unpack_dofs(old, x)
-        value = total_energy(model, state, loading, t)[0] + dissipation_increment(
+        value = energy_value(model, state, loading, t) + dissipation_increment(
             model, state, old, r
         )
         return state, value, 1, DIRECT
@@ -351,7 +353,7 @@ def incremental_step(
         model, old, loading, t, tau, settings, operator, where=f"step {index}"
     )
     diss = dissipation_increment(model, state, old, tau)
-    energy_old = total_energy(model, old, loading, t)[0]
+    energy_old = energy_value(model, old, loading, t)
     margin = energy_old - value
     if margin < -STAY_PUT_TOL:
         raise StepRejected(index, margin)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from visco_pt import ConfigParseError, ValidationError, parse_config
+from visco_pt import ConfigParseError, ValidationError, analysis, cli, parse_config
 from visco_pt.cli import main
 
 MINIMAL = "mode = mp\nT = 3\nN = 300\nF_vi0 = 1.5\n"
@@ -225,6 +225,8 @@ def test_sweep_eps_outputs(tmp_path):
         ("sweep-tau", "mp_relax", "--tau-list", "abc", "--tau-list"),
         ("sweep-tau", "mp_relax", "--tau-list", "0 0.1", "positive"),
         ("sweep-eps", "eps_quartic", "--eps-list", "0.05 0.1", "strictly decreasing"),
+        ("sweep-tau", "shear_quadratic", "--tau-list", "0.1 0.05",
+         "ode_rk4 oracle requires a zero-load material point"),
     ],
 )
 def test_bad_sweep_list_exits_1_before_any_trajectory(
@@ -237,6 +239,50 @@ def test_bad_sweep_list_exits_1_before_any_trajectory(
     assert err.startswith("error:")
     assert message in err
     assert list(out.glob("*.csv")) == []
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Records ``(grid step, loading)`` of every finite-strain run and
+    ``"lin"`` for every linearized run that the command line or the analysis
+    layer starts."""
+    calls = []
+    for module in (analysis, cli):
+        evolve, lin_evolve = module.run_evolution, module.run_lin_evolution
+
+        def run_evolution(model, state0, loading, grid, *args, _run=evolve, **kw):
+            calls.append((grid.tau, loading))
+            return _run(model, state0, loading, grid, *args, **kw)
+
+        def run_lin_evolution(*args, _run=lin_evolve, **kw):
+            calls.append("lin")
+            return _run(*args, **kw)
+
+        monkeypatch.setattr(module, "run_evolution", run_evolution)
+        monkeypatch.setattr(module, "run_lin_evolution", run_lin_evolution)
+    return calls
+
+
+def test_sweep_tau_runs_each_trajectory_once(tmp_path, solver_calls):
+    cfg = write(tmp_path, "relax.cfg", RELAX_SMALL)
+    out = tmp_path / "out"
+    tau_list = ["--tau-list", "0.1 0.05 0.05 0.025"]
+    assert main(["sweep-tau", "--config", cfg, "--out", str(out)] + tau_list) == 0
+    assert sorted(tau for tau, _ in solver_calls) == pytest.approx([0.025, 0.05, 0.1])
+    assert len(list(out.glob("tau_*.csv"))) == 3
+
+
+def test_sweep_eps_runs_each_trajectory_once(tmp_path, solver_calls):
+    cfg = write(tmp_path, "shear.cfg", SHEAR_SMALL + "eps_list = 0.2 0.1 0.05\n")
+    out = tmp_path / "out"
+    assert main(["sweep-eps", "--config", cfg, "--out", str(out)]) == 0
+    assert solver_calls.count("lin") == 1
+    finite = [call for call in solver_calls if call != "lin"]
+    # load_g = 0.1, scaled by each eps in turn
+    assert [loading.g_coeffs[0] for _, loading in finite] == pytest.approx(
+        [0.02, 0.01, 0.005]
+    )
+    assert len(list(out.glob("eps_0*.csv"))) == 3
 
 
 def test_densities_outputs(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from visco_pt.domain import (
     Loading,
@@ -12,6 +14,7 @@ from visco_pt.domain import (
     dissipation_increment,
     dissipation_rates,
     elastic_strain,
+    energy_value,
     pack_dofs,
     project_zero_mean,
     stored_energies,
@@ -21,7 +24,7 @@ from visco_pt.domain import (
     viscous_strain,
 )
 from visco_pt.errors import InfeasibleState, ValidationError
-from visco_pt.rheology import MaterialModel, SHEAR_COLUMN
+from visco_pt.rheology import MATERIAL_POINT, MaterialModel, SHEAR_COLUMN
 
 MESH = ShearColumnMesh(8)
 
@@ -149,6 +152,19 @@ def test_time_grid():
         TimeGrid(1.0, 0)
 
 
+@pytest.mark.parametrize("t_final, n_steps", [(3.0, 300), (1.0, 80), (0.7, 3)])
+def test_time_grid_times_are_computed_once_and_read_only(t_final, n_steps):
+    grid = TimeGrid(t_final, n_steps)
+    times = grid.times
+    reference = np.linspace(0.0, t_final, n_steps + 1)
+    assert times.dtype == reference.dtype
+    assert times.tobytes() == reference.tobytes()
+    assert grid.times is times
+    with pytest.raises(ValueError):
+        times[1] = 0.5
+    assert grid == TimeGrid(t_final, n_steps)
+
+
 def test_stored_and_total_energy_material_point():
     model = MaterialModel()
     state = State.material_point(1.2, 1.5)
@@ -240,3 +256,44 @@ def test_dissipation_pair_validation():
     with pytest.raises(ValidationError):
         dissipation_increment(model, sh, other, 0.1)
 
+
+
+SLOPE = st.floats(-0.5, 0.5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    mode=st.sampled_from([MATERIAL_POINT, SHEAR_COLUMN]),
+    c_e=st.floats(0.5, 2.5),
+    a4=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+    c_v=st.floats(0.3, 1.5),
+    d_v=st.floats(0.5, 2.5),
+    p_psi=st.one_of(st.just(2.0), st.floats(2.0, 3.0)),
+    k_radius=st.floats(1.0, 10.0),
+    f_coeffs=st.lists(st.floats(-0.3, 0.3), min_size=1, max_size=3),
+    g_coeffs=st.lists(st.floats(-0.3, 0.3), min_size=1, max_size=3),
+    t=st.floats(0.0, 3.0),
+)
+def test_energy_value_is_exactly_the_value_of_total_energy(
+    data, mode, c_e, a4, c_v, d_v, p_psi, k_radius, f_coeffs, g_coeffs, t
+):
+    model = MaterialModel(
+        mode=mode, c_e=c_e, a4=a4, c_v=c_v, d_v=d_v, p_psi=p_psi, k_radius=k_radius
+    )
+    loading = Loading(f_coeffs=tuple(f_coeffs), g_coeffs=tuple(g_coeffs))
+    if mode == MATERIAL_POINT:
+        state = State.material_point(
+            data.draw(st.floats(0.6, 1.8)), data.draw(st.floats(0.6, 1.8))
+        )
+    else:
+        mesh = ShearColumnMesh(data.draw(st.integers(1, 8)))
+        n = mesh.n_elements
+        gamma_slopes = data.draw(st.lists(SLOPE, min_size=n, max_size=n))
+        beta_slopes = data.draw(st.lists(SLOPE, min_size=n, max_size=n))
+        gamma = np.concatenate([[0.0], np.cumsum(gamma_slopes) * mesh.h])
+        beta = np.concatenate([[0.0], np.cumsum(beta_slopes) * mesh.h])
+        state = State.shear_column(mesh, gamma, project_zero_mean(mesh, beta))
+    assert energy_value(model, state, loading, t) == total_energy(
+        model, state, loading, t
+    )[0]
