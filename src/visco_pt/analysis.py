@@ -129,7 +129,7 @@ def fit_rate(params: Sequence[float], errors: Sequence[float]) -> Optional[float
 def check_energy_inequality(
     traj: Trajectory,
     factor: str = "one",
-    m: int = 16,
+    m: int = 4,
     settings: Optional[MinimizeSettings] = None,
 ) -> VerificationReport:
     """Cumulative discrete energy inequality along the trajectory.
@@ -138,11 +138,13 @@ def check_energy_inequality(
     step n is E(0) - sum of load-rate work - E(t_n) - sum tau*Psi_i, which is
     nonnegative by per-step minimality. With ``factor="p_psi"`` the extra
     (p_psi - 1) * integral of the sub-step rate dissipation sharpens the
-    bound; the trapezoid error of that integral is estimated per step by
-    comparing against half as many sub-samples, and the summed estimate
-    widens the tolerance (it is reported in ``params``). For a zero-load
-    material point with p_psi = 2 the sharp form is an identity and
-    residuals are reported as -|raw| against a quadrature-level tolerance.
+    bound. That integral is Gauss-Legendre with m nodes, and its error is
+    estimated per step by the Gauss-Legendre rule with max(2, m // 2)
+    nodes, so a step makes m + max(2, m // 2) substep solves (6 at the
+    default m = 4). The summed estimate widens the tolerance (it is
+    reported in ``params``). For a zero-load material point with p_psi = 2
+    the sharp form is an identity and residuals are reported as -|raw|
+    against a quadrature-level tolerance.
     """
     if factor not in ("one", "p_psi"):
         raise ValidationError(f"factor must be 'one' or 'p_psi', got {factor!r}")

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 
 from . import __version__, analysis
 from .config import ScenarioConfig, load_config
-from .domain import energy_value, stored_energies
+from .domain import energy_from_stored, stored_energies
 from .errors import ValidationError, ViscoPTError
 from .linearized import (
     LinState,
@@ -70,7 +70,7 @@ def trajectory_csv(traj: Trajectory) -> str:
         if i > 0:
             work += loading.pairing_delta(traj.states[i - 1], t, float(times[i - 1]))
         w_el, w_vi = stored_energies(model, state)
-        e_total = energy_value(model, state, loading, t)
+        e_total = energy_from_stored(w_el, w_vi, state, loading, t)
         diss_inc = float(traj.diss_increments[i - 1]) if i > 0 else 0.0
         residual = (e0 - work) - (e_total + float(delta[i]))
         row = (t, *_dof_summary(state), w_el, w_vi, work, e_total, diss_inc,

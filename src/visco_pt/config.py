@@ -67,7 +67,7 @@ class ScenarioConfig:
     backtrack_factor: float = 0.5
     seed: int = 0
     checks: Tuple[str, ...] = DEFAULT_CHECKS
-    de_giorgi_m: int = 16
+    de_giorgi_m: int = 4
     tau_list: Tuple[float, ...] = (0.1, 0.05, 0.025, 0.0125)
     mono_tau_list: Tuple[float, ...] = (0.1, 0.2, 0.5, 1.0)
     eps_list: Tuple[float, ...] = (0.2, 0.1, 0.05)

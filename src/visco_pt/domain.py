@@ -283,6 +283,13 @@ def stored_energies(model: MaterialModel, state: State) -> tuple:
 def energy_value(model: MaterialModel, state: State, loading: Loading, t: float) -> float:
     """Total energy E(t, state): stored energies minus the load pairing."""
     w_el, w_vi = stored_energies(model, state)
+    return energy_from_stored(w_el, w_vi, state, loading, t)
+
+
+def energy_from_stored(
+    w_el: float, w_vi: float, state: State, loading: Loading, t: float
+) -> float:
+    """E(t, state) given ``stored_energies(model, state) == (w_el, w_vi)``."""
     if state.mode == MATERIAL_POINT:
         return w_el + w_vi - (loading.f(t) + loading.g(t)) * state.F
     f_pair = loading.f(t) * float(trapezoid_weights(state.mesh) @ state.gamma)

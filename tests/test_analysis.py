@@ -113,10 +113,34 @@ def test_energy_inequality_sharp_identity_mode():
 
 
 def test_energy_inequality_sharp_identity_tightens_with_m():
+    # Gauss-Legendre 2 -> 3; from 4 nodes on both residuals sit at roundoff.
     traj = relax_trajectory()
-    coarse = check_energy_inequality(traj, factor="p_psi", m=16)
-    fine = check_energy_inequality(traj, factor="p_psi", m=32)
+    coarse = check_energy_inequality(traj, factor="p_psi", m=2)
+    fine = check_energy_inequality(traj, factor="p_psi", m=3)
     assert abs(fine.min_residual) < abs(coarse.min_residual)
+
+
+def test_energy_inequality_sharp_makes_six_substep_solves_per_step(monkeypatch):
+    # The default m = 4 Gauss nodes for the integral plus m // 2 = 2 for its
+    # error estimate.
+    import visco_pt.stepper as stepper
+
+    traj = relax_trajectory()
+    calls = []
+    solve = stepper.phi_tau
+
+    def counted(*args, **kwargs):
+        calls.append(args[4])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(stepper, "phi_tau", counted)
+    for report in (
+        check_energy_inequality(traj, factor="p_psi"),
+        check_energy_inequality(traj, factor="p_psi", m=4),
+    ):
+        assert report.params["m"] == 4
+        assert report.passed
+    assert len(calls) == 2 * 6 * traj.grid.n_steps
 
 
 def test_energy_inequality_loaded_uses_quadrature_tolerance():

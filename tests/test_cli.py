@@ -100,6 +100,27 @@ def test_lin_writes_flag_column(tmp_path):
     assert len(lines) == 1 + 21
 
 
+def test_trajectory_csv_evaluates_stored_energies_once_per_row(monkeypatch):
+    from visco_pt import domain, run_evolution
+
+    config = parse_config(RELAX_SMALL)
+    traj = run_evolution(
+        config.model(), config.initial_state(), config.loading(), config.grid()
+    )
+    calls = []
+    for module in (domain, cli):
+        stored = module.stored_energies
+
+        def counted(*args, _stored=stored):
+            calls.append(args)
+            return _stored(*args)
+
+        monkeypatch.setattr(module, "stored_energies", counted)
+    rows = cli.trajectory_csv(traj).strip().splitlines()[1:]
+    # one evaluation per row, plus one for the initial energy E(0)
+    assert len(calls) == len(rows) + 1 == len(traj.states) + 1
+
+
 # -- verify -----------------------------------------------------------------------
 
 

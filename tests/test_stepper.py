@@ -14,6 +14,8 @@ and exactly        integral_0^tau Psi_r dr
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from visco_pt import (
     Loading,
@@ -25,6 +27,7 @@ from visco_pt import (
     StepRejected,
     TimeGrid,
     ValidationError,
+    check_energy_inequality,
     de_giorgi_integral,
     de_giorgi_interpolant,
     equilibrate_elastic,
@@ -39,7 +42,7 @@ from visco_pt import (
 from visco_pt.domain import SHEAR_COLUMN, pack_dofs, project_zero_mean
 from visco_pt.stepper import (
     ShearQuadraticOperator,
-    de_giorgi_nodes,
+    de_giorgi_rule,
     incremental_value_and_grad,
     shear_incremental_hessian,
 )
@@ -206,31 +209,104 @@ def single_step_trajectory(tau=0.5):
     return run_evolution(UNIT_MP, State.material_point(F_O, F_O), ZERO, grid)
 
 
+def closed_form_de_giorgi_integral(tau):
+    return 0.5 * (F_O - 1.0) ** 2 * tau * F_O**2 / (1.0 + tau * F_O**2)
+
+
 def test_de_giorgi_nodes_shape():
     tau = 0.5
-    nodes = de_giorgi_nodes(tau, 8)
-    assert nodes.shape == (8,)
-    assert nodes[-1] == tau  # sin(pi/2)^2 = 1 exactly
-    assert np.all(np.diff(nodes) > 0.0)
-    assert 0.0 < nodes[0] < tau / 8
+    for m in (2, 3, 4, 8):
+        nodes, weights = de_giorgi_rule(tau, m)
+        assert nodes.shape == weights.shape == (m,)
+        assert 0.0 < nodes[0] and nodes[-1] < tau
+        assert np.all(np.diff(nodes) > 0.0)
+        assert np.allclose(nodes + nodes[::-1], tau, rtol=0.0, atol=1e-15)
+        assert np.all(weights > 0.0)
+        assert float(np.sum(weights)) == pytest.approx(tau, abs=1e-15)
+    with pytest.raises(ValidationError):
+        de_giorgi_rule(tau, 1)
+
+
+def test_de_giorgi_rule_returns_fresh_arrays():
+    # The unit rule is cached per m; a caller that writes into the arrays it
+    # got must not change the rule for the next caller.
+    a, _ = de_giorgi_rule(0.5, 4)
+    a[:] = 0.0
+    b, wb = de_giorgi_rule(1.0, 4)
+    assert np.all(b > 0.0)
+    assert float(np.sum(wb)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_de_giorgi_integral_matches_closed_form():
     tau = 0.5
     traj = single_step_trajectory(tau)
-    exact = 0.5 * (F_O - 1.0) ** 2 * tau * F_O**2 / (1.0 + tau * F_O**2)
+    exact = closed_form_de_giorgi_integral(tau)
     q, nodes, samples = de_giorgi_integral(traj, 1, 64)
     assert nodes.shape == samples.shape == (64,)
     assert q == pytest.approx(exact, abs=2e-5)
 
 
-def test_de_giorgi_integral_second_order_in_samples():
+def test_de_giorgi_integral_gauss_convergence_in_samples():
+    # Gauss-Legendre on the smooth integrand gains more than a decade per
+    # added node (8.2e-3, 4.1e-4, 1.9e-5, 8.0e-7 relative at m = 2..5).
     tau = 0.5
     traj = single_step_trajectory(tau)
-    exact = 0.5 * (F_O - 1.0) ** 2 * tau * F_O**2 / (1.0 + tau * F_O**2)
-    err16 = abs(de_giorgi_integral(traj, 1, 16)[0] - exact)
-    err32 = abs(de_giorgi_integral(traj, 1, 32)[0] - exact)
-    assert err16 / err32 >= 3.0
+    exact = closed_form_de_giorgi_integral(tau)
+    errors = [
+        abs(de_giorgi_integral(traj, 1, m)[0] - exact) / exact for m in (2, 3, 4, 5)
+    ]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert fine <= coarse / 10.0
+    # The clustered trapezoid with 16 samples this rule replaced was off by
+    # 1.7e-3 relative; 4 Gauss nodes must be at least 50 times closer.
+    assert errors[2] <= 1.7e-3 / 50.0
+
+
+def test_de_giorgi_integral_makes_one_solve_per_node(monkeypatch):
+    import visco_pt.stepper as stepper
+
+    traj = single_step_trajectory()
+    calls = []
+    solve = stepper.phi_tau
+
+    def counted(*args, **kwargs):
+        calls.append(args[4])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(stepper, "phi_tau", counted)
+    for m in (2, 4, 7):
+        calls.clear()
+        _, nodes, _ = de_giorgi_integral(traj, 1, m)
+        assert calls == list(nodes)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    c_e=st.floats(0.5, 2.5),
+    a4=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+    c_v=st.floats(0.3, 1.5),
+    d_v=st.floats(0.5, 2.5),
+    p_psi=st.one_of(st.just(2.0), st.floats(2.0, 3.0)),
+    load=st.floats(-0.3, 0.3),
+    Fv=st.floats(0.6, 1.8),
+    tau=st.floats(0.01, 0.5),
+)
+def test_de_giorgi_error_estimate_bounds_the_error(
+    c_e, a4, c_v, d_v, p_psi, load, Fv, tau
+):
+    # energy_sharp widens its tolerance by (p - 1)|q_4 - q_2| per step; on a
+    # step from an elastically equilibrated state that must cover the error
+    # of q_4, measured against the 32-node rule.
+    model = MaterialModel(c_e=c_e, a4=a4, c_v=c_v, d_v=d_v, p_psi=p_psi)
+    loading = Loading((load,))
+    start = equilibrate_elastic(model, State.material_point(Fv, Fv), loading, 0.0)
+    traj = run_evolution(model, start, loading, TimeGrid(t_final=tau, n_steps=1))
+    report = check_energy_inequality(traj, factor="p_psi")
+    q = de_giorgi_integral(traj, 1, report.params["m"])[0]
+    q32 = de_giorgi_integral(traj, 1, 32)[0]
+    error = (p_psi - 1.0) * abs(q - q32)
+    assert report.params["m"] == 4
+    assert error <= report.params["quadrature_estimate"] + 1e-12 * max(1.0, abs(q32))
 
 
 def test_de_giorgi_interpolant_endpoint_is_the_step():
