@@ -240,7 +240,7 @@ def check_semistability(
         raise ValidationError(f"t={t!r} is not a grid time")
     state = traj.states[i]
     t_i = float(grid.times[i])
-    base = energy_value(traj.model, state, traj.loading, t_i)
+    base = traj.energy(i)
     rng = np.random.default_rng(seed)
     residuals = []
     for _ in range(n_probes):

@@ -21,7 +21,6 @@ from typing import List, Optional, Sequence
 
 from . import __version__, analysis
 from .config import ScenarioConfig, load_config
-from .domain import energy_from_stored, stored_energies
 from .errors import ValidationError, ViscoPTError
 from .linearized import (
     LinState,
@@ -58,50 +57,41 @@ def _dof_summary(state) -> tuple:
     return 1.0 + float(state.gamma[-1]), 1.0 + float(state.beta[-1] - state.beta[0])
 
 
-def trajectory_csv(traj: Trajectory) -> str:
-    """Ledger CSV for a finite-strain trajectory (cumulative bookkeeping)."""
-    model, loading, times = traj.model, traj.loading, traj.grid.times
-    delta = traj.delta
-    lines = [CSV_HEADER]
-    e0 = traj.energy(0)
-    work = 0.0
-    for i, state in enumerate(traj.states):
-        t = float(times[i])
+def _ledger_csv(traj, energies, pairing_delta, flag: str = "") -> str:
+    """Ledger CSV with cumulative bookkeeping, from each state's
+    ``(W_el, W_vi, E_total)`` and the load-rate work of each step; a nonempty
+    ``flag`` ends every row and adds the ``lin`` column to the header."""
+    states, times, delta = traj.states, traj.grid.times.tolist(), traj.delta.tolist()
+    diss = [0.0] + traj.diss_increments.tolist()
+    lines = [CSV_HEADER + (",lin" if flag else "")]
+    e0, work = energies[0][2], 0.0
+    for i, (state, (w_el, w_vi, e_total)) in enumerate(zip(states, energies)):
         if i > 0:
-            work += loading.pairing_delta(traj.states[i - 1], t, float(times[i - 1]))
-        w_el, w_vi = stored_energies(model, state)
-        e_total = energy_from_stored(w_el, w_vi, state, loading, t)
-        diss_inc = float(traj.diss_increments[i - 1]) if i > 0 else 0.0
-        residual = (e0 - work) - (e_total + float(delta[i]))
-        row = (t, *_dof_summary(state), w_el, w_vi, work, e_total, diss_inc,
-               float(delta[i]), residual)
-        lines.append(",".join(_fmt(v) for v in row))
+            work += pairing_delta(states[i - 1], times[i], times[i - 1])
+        residual = (e0 - work) - (e_total + delta[i])
+        row = (times[i], *_dof_summary(state), w_el, w_vi, work, e_total, diss[i],
+               delta[i], residual)
+        lines.append(",".join(_fmt(v) for v in row) + flag)
     return "\n".join(lines) + "\n"
+
+
+def trajectory_csv(traj: Trajectory) -> str:
+    """Ledger CSV for a finite-strain trajectory, from the stored energies it
+    carries."""
+    energies = [(*w, traj.energy(i)) for i, w in enumerate(traj.stored.tolist())]
+    return _ledger_csv(traj, energies, traj.loading.pairing_delta)
 
 
 def lin_trajectory_csv(traj: LinTrajectory) -> str:
     """Same schema as trajectory_csv plus a lin flag; the F and F_vi columns
     carry the u and v summaries."""
-    quad, loading, times = traj.quad, traj.loading, traj.grid.times
-    delta = traj.delta
-    lines = [CSV_HEADER + ",lin"]
-    w_el0, w_vi0 = lin_stored(quad, traj.states[0])
-    e0 = w_el0 + w_vi0 - lin_pairing(traj.states[0], loading, 0.0)
-    work = 0.0
-    for i, state in enumerate(traj.states):
-        t = float(times[i])
-        if i > 0:
-            work += lin_pairing_delta(
-                traj.states[i - 1], loading, t, float(times[i - 1])
-            )
-        w_el, w_vi = lin_stored(quad, state)
-        e_total = w_el + w_vi - lin_pairing(state, loading, t)
-        diss_inc = float(traj.diss_increments[i - 1]) if i > 0 else 0.0
-        residual = (e0 - work) - (e_total + float(delta[i]))
-        row = (t, *_dof_summary(state), w_el, w_vi, work, e_total, diss_inc,
-               float(delta[i]), residual)
-        lines.append(",".join(_fmt(v) for v in row) + ",1")
-    return "\n".join(lines) + "\n"
+    loading, energies = traj.loading, []
+    for state, t in zip(traj.states, traj.grid.times.tolist()):
+        w_el, w_vi = lin_stored(traj.quad, state)
+        energies.append((w_el, w_vi, w_el + w_vi - lin_pairing(state, loading, t)))
+    return _ledger_csv(
+        traj, energies, lambda s, t1, t0: lin_pairing_delta(s, loading, t1, t0), ",1"
+    )
 
 
 def _json_dump(payload: dict) -> str:

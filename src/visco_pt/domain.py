@@ -20,7 +20,7 @@ Packed dof layout (the vector the minimizers see):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -54,11 +54,14 @@ class ShearColumnMesh:
         return np.linspace(0.0, 1.0, self.n_nodes)
 
 
+@lru_cache(maxsize=None)
 def trapezoid_weights(mesh: ShearColumnMesh) -> np.ndarray:
-    """Nodal quadrature weights of the trapezoid rule (exact for P1)."""
+    """Nodal quadrature weights of the trapezoid rule (exact for P1), built
+    once per mesh and read-only."""
     w = np.full(mesh.n_nodes, mesh.h)
     w[0] = 0.5 * mesh.h
     w[-1] = 0.5 * mesh.h
+    w.flags.writeable = False
     return w
 
 
@@ -314,14 +317,14 @@ def total_energy(model: MaterialModel, state: State, loading: Loading, t: float)
 
     d_el = np.asarray(model.dw_el(elastic_strain(state)))
     d_vi = np.asarray(model.dw_vi(viscous_strain(state)))
-    grad_gamma = _assemble_slope_gradient(d_el)[1:]
+    grad_gamma = assemble_slope_gradient(d_el)[1:]
     grad_gamma -= loading.f(t) * trapezoid_weights(state.mesh)[1:]
     grad_gamma[-1] -= loading.g(t)
-    grad_beta = _assemble_slope_gradient(d_vi - d_el)[1:]
+    grad_beta = assemble_slope_gradient(d_vi - d_el)[1:]
     return value, np.concatenate([grad_gamma, grad_beta])
 
 
-def _assemble_slope_gradient(per_element: np.ndarray) -> np.ndarray:
+def assemble_slope_gradient(per_element: np.ndarray) -> np.ndarray:
     """Nodal gradient of h * sum_e density(slope_e): the h and 1/h cancel."""
     out = np.zeros(per_element.size + 1)
     out[:-1] -= per_element
@@ -345,15 +348,9 @@ def dissipation_increment(model: MaterialModel, new: State, old: State, r: float
     return r * new.mesh.h * float(np.sum(model.psi(rate)))
 
 
-def dissipation_rate_value(model: MaterialModel, new: State, old: State, r: float) -> float:
-    """Psi(old, (new - old)/r) itself (the rate functional, not its time
-    integral)."""
-    return dissipation_increment(model, new, old, r) / r
-
-
 def dissipation_displacement(model: MaterialModel, new: State, old: State) -> float:
     """Psi(old, new - old): the unnormalized displacement dissipation."""
-    return dissipation_rate_value(model, new, old, 1.0)
+    return dissipation_increment(model, new, old, 1.0)
 
 
 def _check_pair(new: State, old: State):

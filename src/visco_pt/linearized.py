@@ -31,6 +31,7 @@ from .domain import (
     ShearColumnMesh,
     State,
     TimeGrid,
+    assemble_slope_gradient,
     difference_matrix,
     project_zero_mean,
     trapezoid_weights,
@@ -200,16 +201,10 @@ def _lin_gradients(
     sig_el = quad.c_el * (eu - ev)
     sig_v = quad.c_vi * ev + quad.d_diss * rate
 
-    def assemble(per_element: np.ndarray) -> np.ndarray:
-        out = np.zeros(mesh.n_nodes)
-        out[:-1] -= per_element
-        out[1:] += per_element
-        return out
-
-    gu = assemble(sig_el)[1:]
+    gu = assemble_slope_gradient(sig_el)[1:]
     gu -= loading.f(t) * trapezoid_weights(mesh)[1:]
     gu[-1] -= loading.g(t)
-    gv = assemble(sig_v - sig_el)[1:]
+    gv = assemble_slope_gradient(sig_v - sig_el)[1:]
     return gu, gv
 
 

@@ -14,8 +14,9 @@ its |grad|_inf is strictly below the current one, and the solver stops with
 ``line_search_stalled`` otherwise.
 
 ``CholeskyOperator`` factorizes a fixed SPD matrix once and solves with one
-iterative-refinement pass; ``solve_quadratic`` uses it to solve
-min 1/2 x'Hx - b'x once, with a residual guarantee.
+iterative-refinement pass, calling LAPACK ``dpotrs`` on the cached factor
+directly (the routine ``scipy.linalg.cho_solve`` wraps); ``solve_quadratic``
+uses it to solve min 1/2 x'Hx - b'x once, with a residual guarantee.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrs
 
 from .errors import InfeasibleState, NonFiniteObjective, NotSymmetricPositiveDefinite
 
@@ -208,11 +210,17 @@ class CholeskyOperator:
         if scale == 0.0 or float(np.max(np.abs(H - H.T))) > 1e-12 * scale:
             raise NotSymmetricPositiveDefinite("matrix is not symmetric")
         try:
-            self._factor = scipy.linalg.cho_factor(H, lower=True, check_finite=False)
+            self._L, _ = scipy.linalg.cho_factor(H, lower=True, check_finite=False)
         except scipy.linalg.LinAlgError as exc:
             raise NotSymmetricPositiveDefinite(str(exc)) from exc
         self.H = H
 
+    def _potrs(self, b: np.ndarray) -> np.ndarray:
+        x, info = dpotrs(self._L, b, lower=1)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+        return x
+
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x = scipy.linalg.cho_solve(self._factor, b, check_finite=False)
-        return x + scipy.linalg.cho_solve(self._factor, b - self.H @ x, check_finite=False)
+        x = self._potrs(b)
+        return x + self._potrs(b - self.H @ x)

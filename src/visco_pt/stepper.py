@@ -38,13 +38,15 @@ from .domain import (
     Loading,
     State,
     TimeGrid,
+    assemble_slope_gradient,
     difference_matrix,
     dissipation_increment,
     dissipation_rates,
-    dissipation_rate_value,
     elastic_strain,
+    energy_from_stored,
     energy_value,
     pack_dofs,
+    stored_energies,
     total_energy,
     trapezoid_weights,
     unpack_dofs,
@@ -81,6 +83,8 @@ class StepReport:
     status: str
     stay_put_margin: float
     diss_increment: float
+    w_el: float
+    w_vi: float
 
 
 @dataclass(frozen=True)
@@ -96,10 +100,15 @@ class PhiTau:
 
 @dataclass
 class Trajectory:
+    """Accepted states with what was evaluated on them once, while stepping:
+    ``stored[i]`` is ``stored_energies(model, states[i])`` (read-only, shape
+    (n_steps + 1, 2)) and ``diss_increments[i - 1]`` the dissipation of step i."""
+
     model: MaterialModel
     loading: Loading
     grid: TimeGrid
     states: List[State]
+    stored: np.ndarray
     diss_increments: np.ndarray
     step_reports: List[StepReport]
     settings: MinimizeSettings
@@ -110,9 +119,9 @@ class Trajectory:
         return np.concatenate([[0.0], np.cumsum(self.diss_increments)])
 
     def energy(self, i: int) -> float:
-        return energy_value(
-            self.model, self.states[i], self.loading, float(self.grid.times[i])
-        )
+        w_el, w_vi = self.stored[i].tolist()
+        t = float(self.grid.times[i])
+        return energy_from_stored(w_el, w_vi, self.states[i], self.loading, t)
 
 
 # -- incremental objective on packed dofs --------------------------------------
@@ -137,12 +146,8 @@ def incremental_value_and_grad(
             grad[1] += float(model.dpsi(rate)) / old.F_vi
         else:
             value += r * state.mesh.h * float(np.sum(model.psi(rate)))
-            n = state.mesh.n_elements
             dpsi = np.asarray(model.dpsi(rate))
-            add = np.zeros(n + 1)
-            add[:-1] -= dpsi
-            add[1:] += dpsi
-            grad[n:] += add[1:]
+            grad[state.mesh.n_elements:] += assemble_slope_gradient(dpsi)[1:]
         return value, grad
 
     def value_only(x: np.ndarray):
@@ -232,17 +237,14 @@ class ShearQuadraticOperator:
         self._w = trapezoid_weights(mesh)
         self._op = CholeskyOperator(H)
 
-    def rhs(self, old_slopes: np.ndarray, f_val: float, g_val: float) -> np.ndarray:
+    def solve_slopes(self, old_slopes: np.ndarray, f_val: float, g_val: float):
+        """Packed minimizer given the previous viscous slopes directly."""
         n = self.mesh.n_elements
         b = np.zeros(2 * n)
         b[:n] = f_val * self._w[1:]
         b[n - 1] += g_val
         b[n:] = (self.d / self.r) * (self._D.T @ old_slopes)
-        return b
-
-    def solve_slopes(self, old_slopes: np.ndarray, f_val: float, g_val: float):
-        """Packed minimizer given the previous viscous slopes directly."""
-        return self._op.solve(self.rhs(old_slopes, f_val, g_val))
+        return self._op.solve(b)
 
     def solve(self, old: State, f_val: float, g_val: float) -> np.ndarray:
         return self.solve_slopes(viscous_strain(old), f_val, g_val)
@@ -269,8 +271,10 @@ def _solve_incremental(
     operator: Optional[ShearQuadraticOperator] = None,
     where: Optional[str] = None,
 ):
-    """Minimize the incremental functional; returns (state, value, iterations,
-    status).
+    """Minimize the incremental functional; returns ``(state, value, diss,
+    stored, iterations, status)``. ``diss`` is the dissipation r * Psi charged
+    to the substep; ``stored`` is ``stored_energies(model, state)`` where the
+    solve evaluates it for the value (the direct shear path), else None.
 
     Raises :class:`SolverNotConverged`, naming ``where`` (default: the
     substep length r), if the solver stops without converging.
@@ -305,7 +309,9 @@ def _solve_incremental(
             raise SolverNotConverged(
                 where or f"substep r={r!r}", _KERNEL_STATUS[status], grad_inf
             )
-        return State.material_point(F, Fv), value, iterations, CONVERGED
+        state = State.material_point(F, Fv)
+        diss = dissipation_increment(model, state, old, r)
+        return state, value, diss, None, iterations, CONVERGED
 
     if _is_shear_quadratic(model):
         if operator is None:
@@ -314,10 +320,10 @@ def _solve_incremental(
             )
         x = operator.solve(old, loading.f(t), loading.g(t))
         state = unpack_dofs(old, x)
-        value = energy_value(model, state, loading, t) + dissipation_increment(
-            model, state, old, r
-        )
-        return state, value, 1, DIRECT
+        stored = stored_energies(model, state)
+        diss = dissipation_increment(model, state, old, r)
+        value = energy_from_stored(*stored, state, loading, t) + diss
+        return state, value, diss, stored, 1, DIRECT
 
     value_and_grad, value_only = incremental_value_and_grad(model, old, loading, t, r)
     result = minimize_newton(
@@ -331,7 +337,9 @@ def _solve_incremental(
         raise SolverNotConverged(
             where or f"substep r={r!r}", result.status, result.grad_inf
         )
-    return unpack_dofs(old, result.x), result.value, result.iterations, CONVERGED
+    state = unpack_dofs(old, result.x)
+    diss = dissipation_increment(model, state, old, r)
+    return state, result.value, diss, None, result.iterations, CONVERGED
 
 
 def incremental_step(
@@ -343,21 +351,26 @@ def incremental_step(
     settings: MinimizeSettings = MinimizeSettings(),
     operator: Optional[ShearQuadraticOperator] = None,
     index: int = 0,
+    *,
+    stored_old: tuple,
 ):
     """One incremental minimization step; returns ``(state, StepReport)``.
+
+    ``stored_old`` is ``stored_energies(model, old)``; the report carries the
+    new state's pair as ``w_el`` and ``w_vi``, so each state's stored energies
+    are evaluated once along a trajectory.
 
     Raises :class:`StepRejected` if the minimality inequality against the
     stay-put competitor fails beyond 1e-8, and :class:`SolverNotConverged`
     if the step's solver stops without converging.
     """
-    state, value, iterations, status = _solve_incremental(
+    state, value, diss, stored, iterations, status = _solve_incremental(
         model, old, loading, t, tau, settings, operator, where=f"step {index}"
     )
-    diss = dissipation_increment(model, state, old, tau)
-    energy_old = energy_value(model, old, loading, t)
-    margin = energy_old - value
+    margin = energy_from_stored(*stored_old, old, loading, t) - value
     if margin < -STAY_PUT_TOL:
         raise StepRejected(index, margin)
+    w_el, w_vi = stored if stored is not None else stored_energies(model, state)
     report = StepReport(
         index=index,
         t=t,
@@ -365,6 +378,8 @@ def incremental_step(
         status=status,
         stay_put_margin=margin,
         diss_increment=diss,
+        w_el=w_el,
+        w_vi=w_vi,
     )
     return state, report
 
@@ -382,30 +397,25 @@ def run_evolution(
         operator = ShearQuadraticOperator(
             model.c_e, model.c_v, model.d_v, state0.mesh, grid.tau
         )
-    states = [state0]
-    diss = np.zeros(grid.n_steps)
-    reports: List[StepReport] = []
-    times = grid.times
+    states, stored, reports = [state0], [stored_energies(model, state0)], []
+    times = grid.times.tolist()
     for i in range(1, grid.n_steps + 1):
         state, report = incremental_step(
-            model,
-            states[-1],
-            loading,
-            float(times[i]),
-            grid.tau,
-            settings,
-            operator=operator,
-            index=i,
+            model, states[-1], loading, times[i], grid.tau, settings,
+            operator=operator, index=i, stored_old=stored[-1],
         )
         states.append(state)
-        diss[i - 1] = report.diss_increment
+        stored.append((report.w_el, report.w_vi))
         reports.append(report)
+    stored = np.array(stored)
+    stored.flags.writeable = False
     return Trajectory(
         model=model,
         loading=loading,
         grid=grid,
         states=states,
-        diss_increments=diss,
+        stored=stored,
+        diss_increments=np.array([r.diss_increment for r in reports]),
         step_reports=reports,
         settings=settings,
     )
@@ -540,13 +550,13 @@ def phi_tau(
     operator: Optional[ShearQuadraticOperator] = None,
 ) -> PhiTau:
     """Value, minimizer and rate dissipation of the substep functional."""
-    state, value, iterations, status = _solve_incremental(
+    state, value, diss, _, iterations, status = _solve_incremental(
         model, old, loading, t, r, settings, operator
     )
     return PhiTau(
         value=value,
         state=state,
-        rate_dissipation=dissipation_rate_value(model, state, old, r),
+        rate_dissipation=diss / r,
         iterations=iterations,
         status=status,
     )

@@ -100,25 +100,53 @@ def test_lin_writes_flag_column(tmp_path):
     assert len(lines) == 1 + 21
 
 
-def test_trajectory_csv_evaluates_stored_energies_once_per_row(monkeypatch):
-    from visco_pt import domain, run_evolution
+def count_calls(monkeypatch, modules, name):
+    """Counts the calls made through ``name`` in each of ``modules``."""
+    calls = []
+    for module in modules:
+        original = getattr(module, name, None)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted, raising=False)
+    return calls
+
+
+def test_trajectory_csv_makes_no_stored_energy_calls(monkeypatch):
+    from visco_pt import domain, run_evolution, stepper
 
     config = parse_config(RELAX_SMALL)
     traj = run_evolution(
         config.model(), config.initial_state(), config.loading(), config.grid()
     )
-    calls = []
-    for module in (domain, cli):
-        stored = module.stored_energies
-
-        def counted(*args, _stored=stored):
-            calls.append(args)
-            return _stored(*args)
-
-        monkeypatch.setattr(module, "stored_energies", counted)
+    calls = count_calls(monkeypatch, (domain, stepper, cli), "stored_energies")
     rows = cli.trajectory_csv(traj).strip().splitlines()[1:]
-    # one evaluation per row, plus one for the initial energy E(0)
-    assert len(calls) == len(rows) + 1 == len(traj.states) + 1
+    # every row reads the energies the trajectory carries
+    assert len(rows) == len(traj.states)
+    assert calls == []
+
+
+@pytest.mark.parametrize("text", [RELAX_SMALL, SHEAR_SMALL])
+def test_run_and_csv_evaluate_each_state_once(monkeypatch, text):
+    from visco_pt import domain, run_evolution, stepper
+
+    config = parse_config(text)
+    state0 = config.initial_state()
+    calls = count_calls(monkeypatch, (domain, stepper, cli), "stored_energies")
+    traj = run_evolution(config.model(), state0, config.loading(), config.grid())
+    cli.trajectory_csv(traj)
+    assert len(calls) == config.n_steps + 1
+
+
+def test_sweep_eps_formats_through_the_public_csv_functions(monkeypatch, tmp_path):
+    # The CSV layer is timed at these two names; the command must call them.
+    finite = count_calls(monkeypatch, (cli,), "trajectory_csv")
+    lin = count_calls(monkeypatch, (cli,), "lin_trajectory_csv")
+    cfg = write(tmp_path, "shear.cfg", SHEAR_SMALL + "eps_list = 0.2 0.1 0.05\n")
+    assert main(["sweep-eps", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert (len(finite), len(lin)) == (3, 1)
 
 
 # -- verify -----------------------------------------------------------------------

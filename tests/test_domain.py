@@ -55,6 +55,13 @@ def test_trapezoid_weights_sum_to_one():
     assert float(w @ MESH.nodes) == pytest.approx(0.5, abs=1e-15)
 
 
+def test_trapezoid_weights_built_once_per_mesh_and_read_only():
+    w = trapezoid_weights(MESH)
+    assert trapezoid_weights(MESH) is w
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+
+
 def test_project_zero_mean_is_idempotent():
     rng = np.random.default_rng(3)
     beta = rng.standard_normal(MESH.n_nodes)

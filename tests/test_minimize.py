@@ -1,6 +1,7 @@
 """Newton minimizer and SPD quadratic solves."""
 
 import numpy as np
+import scipy.linalg
 import pytest
 
 from visco_pt.errors import InfeasibleState, NotSymmetricPositiveDefinite
@@ -226,3 +227,28 @@ def test_cholesky_operator_repeated_solves():
         np.testing.assert_allclose(op.solve(b), np.linalg.solve(H, b), atol=1e-10)
     with pytest.raises(NotSymmetricPositiveDefinite):
         CholeskyOperator(np.array([[0.0, 1.0], [1.0, 0.0]]) + np.array([[0.0, 0.5], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("n", [2, 8, 16, 64])
+def test_cholesky_operator_matches_cho_solve_refinement_bitwise(n):
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n))
+    H = A @ A.T + n * np.eye(n)
+    op = CholeskyOperator(H)
+    factor = scipy.linalg.cho_factor(H, lower=True, check_finite=False)
+    for _ in range(20):
+        b = rng.standard_normal(n)
+        x = scipy.linalg.cho_solve(factor, b, check_finite=False)
+        x = x + scipy.linalg.cho_solve(factor, b - H @ x, check_finite=False)
+        assert np.array_equal(op.solve(b), x)
+
+
+@pytest.mark.parametrize("n", [2, 8, 16, 64])
+def test_solve_quadratic_residual_guarantee_random_spd(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(10):
+        A = rng.standard_normal((n, n))
+        H = A @ A.T + 1e-3 * np.eye(n)
+        b = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(n)
+        x = solve_quadratic(H, b)
+        assert float(np.max(np.abs(H @ x - b))) <= 1e-10 * (1.0 + float(np.max(np.abs(b))))

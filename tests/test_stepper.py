@@ -30,6 +30,7 @@ from visco_pt import (
     check_energy_inequality,
     de_giorgi_integral,
     de_giorgi_interpolant,
+    energy_value,
     equilibrate_elastic,
     incremental_step,
     interpolant,
@@ -39,7 +40,7 @@ from visco_pt import (
     run_evolution,
     total_energy,
 )
-from visco_pt.domain import SHEAR_COLUMN, pack_dofs, project_zero_mean
+from visco_pt.domain import SHEAR_COLUMN, pack_dofs, project_zero_mean, stored_energies
 from visco_pt.stepper import (
     ShearQuadraticOperator,
     de_giorgi_rule,
@@ -77,7 +78,9 @@ def shear_start(n=8):
 @pytest.mark.parametrize("f_old", [0.5, 1.0, 1.5, 2.0])
 def test_step_matches_closed_form(tau, f_old):
     old = State.material_point(f_old, f_old)
-    state, report = incremental_step(UNIT_MP, old, ZERO, tau, tau)
+    state, report = incremental_step(
+        UNIT_MP, old, ZERO, tau, tau, stored_old=stored_energies(UNIT_MP, old)
+    )
     expected = closed_form_minimizer(tau, f_old)
     assert state.F_vi == pytest.approx(expected, abs=1e-9)
     assert state.F == pytest.approx(expected, abs=1e-9)
@@ -87,15 +90,19 @@ def test_step_matches_closed_form(tau, f_old):
 
 def test_step_spot_value():
     # tau = 0.5, F_o = 1.5: G = (0.5 * 2.25 + 1.5) / (0.5 * 2.25 + 1).
+    old = State.material_point(1.5, 1.5)
     state, _ = incremental_step(
-        UNIT_MP, State.material_point(1.5, 1.5), ZERO, 0.5, 0.5
+        UNIT_MP, old, ZERO, 0.5, 0.5, stored_old=stored_energies(UNIT_MP, old)
     )
     assert state.F_vi == pytest.approx(1.2352941, abs=5e-8)
 
 
 def test_step_report_fields():
     old = State.material_point(1.5, 1.5)
-    state, report = incremental_step(UNIT_MP, old, ZERO, 0.25, 0.25, index=7)
+    state, report = incremental_step(
+        UNIT_MP, old, ZERO, 0.25, 0.25, index=7,
+        stored_old=stored_energies(UNIT_MP, old),
+    )
     assert report.index == 7
     assert report.t == 0.25
     assert report.iterations >= 1
@@ -113,7 +120,10 @@ def test_step_rejected_on_mismatched_operator():
     load = Loading((0.2,), (0.1,))
     bad = ShearQuadraticOperator(1.0, 1.0, 1.0, state0.mesh, 5.0)
     with pytest.raises(StepRejected) as exc:
-        incremental_step(model, state0, load, 0.0, 0.01, operator=bad, index=3)
+        incremental_step(
+            model, state0, load, 0.0, 0.01, operator=bad, index=3,
+            stored_old=stored_energies(model, state0),
+        )
     assert exc.value.index == 3
     assert exc.value.margin < -1e-8
     assert "step 3 rejected" in str(exc.value)
@@ -136,7 +146,8 @@ def test_step_that_does_not_converge_raises(model, old, where):
     # accepted with a max_iter_exceeded report.
     with pytest.raises(SolverNotConverged) as exc:
         incremental_step(
-            model, old, Loading((0.2,)), 0.5, 0.5, MinimizeSettings(max_iter=1), index=4
+            model, old, Loading((0.2,)), 0.5, 0.5, MinimizeSettings(max_iter=1), index=4,
+            stored_old=stored_energies(model, old),
         )
     assert exc.value.status == "max_iter_exceeded"
     assert exc.value.grad_inf > 1e-10
@@ -154,8 +165,9 @@ def test_substep_that_does_not_converge_names_r():
 
 def test_mp_cubic_dissipation_step():
     model = MaterialModel(p_psi=3.0)
+    old = State.material_point(1.5, 1.5)
     state, report = incremental_step(
-        model, State.material_point(1.5, 1.5), ZERO, 0.1, 0.1
+        model, old, ZERO, 0.1, 0.1, stored_old=stored_energies(model, old)
     )
     assert report.status == "converged"
     assert 1.0 < state.F_vi < 1.5
@@ -428,6 +440,65 @@ def test_run_evolution_shear_quadratic_margins():
     assert all(r.iterations == 1 for r in traj.step_reports)
 
 
+@pytest.mark.parametrize("shear", [False, True])
+def test_trajectory_carries_stored_energies_read_only(shear):
+    grid = TimeGrid(t_final=0.5, n_steps=10)
+    if shear:
+        model, state0, load = MaterialModel(mode=SHEAR_COLUMN), shear_start(), Loading((0.0, 0.2), (0.1,))
+    else:
+        model, state0, load = UNIT_MP, State.material_point(F_O, F_O), Loading((0.1,))
+    traj = run_evolution(model, state0, load, grid)
+    assert traj.stored.shape == (grid.n_steps + 1, 2)
+    assert not traj.stored.flags.writeable
+    with pytest.raises(ValueError):
+        traj.stored[0, 0] = 0.0
+    for i, state in enumerate(traj.states):
+        assert tuple(traj.stored[i]) == stored_energies(model, state)
+        t = float(grid.times[i])
+        assert traj.energy(i) == energy_value(model, state, load, t)
+
+
+def test_quadratic_shear_run_evaluates_dissipation_once_per_step(monkeypatch):
+    from visco_pt import domain, stepper
+
+    calls = []
+    for module in (domain, stepper):
+        def counted(*args, _original=module.dissipation_increment):
+            calls.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(module, "dissipation_increment", counted)
+    grid = TimeGrid(t_final=0.5, n_steps=10)
+    run_evolution(MaterialModel(mode=SHEAR_COLUMN), shear_start(), Loading((0.2,)), grid)
+    assert len(calls) == grid.n_steps
+
+
+def test_run_evolution_steps_through_the_public_names(monkeypatch):
+    # The step and the direct shear solve are timed at these names; a run
+    # must call them once per step.
+    from visco_pt import stepper
+
+    calls = []
+    step, solve = stepper.incremental_step, ShearQuadraticOperator.solve
+
+    def counted_step(*args, **kwargs):
+        calls.append("step")
+        return step(*args, **kwargs)
+
+    def counted_solve(self, *args):
+        calls.append("solve")
+        return solve(self, *args)
+
+    monkeypatch.setattr(stepper, "incremental_step", counted_step)
+    monkeypatch.setattr(ShearQuadraticOperator, "solve", counted_solve)
+    grid = TimeGrid(t_final=0.5, n_steps=10)
+    run_evolution(UNIT_MP, State.material_point(F_O, F_O), ZERO, grid)
+    assert calls == ["step"] * grid.n_steps
+    calls.clear()
+    run_evolution(MaterialModel(mode=SHEAR_COLUMN), shear_start(), Loading((0.2,)), grid)
+    assert calls == ["step", "solve"] * grid.n_steps
+
+
 # -- generic shear path vs dedicated quadratic operator -----------------------
 
 
@@ -436,7 +507,9 @@ def test_newton_path_agrees_with_quadratic_operator():
     model = MaterialModel(mode=SHEAR_COLUMN)
     load = Loading((0.2,), (0.1,))
     tau = 0.1
-    st_op, _ = incremental_step(model, state0, load, tau, tau)
+    st_op, _ = incremental_step(
+        model, state0, load, tau, tau, stored_old=stored_energies(model, state0)
+    )
     vg, vo = incremental_value_and_grad(model, state0, load, tau, tau)
     res = minimize_newton(
         vg,
