@@ -42,7 +42,7 @@ from .linearized import (
     rescaled_energies,
     run_lin_evolution,
 )
-from .minimize import MinimizeSettings
+from .minimize import RESOLUTION, MinimizeSettings
 from .rheology import MATERIAL_POINT, MaterialModel
 from .stepper import Trajectory, de_giorgi_integral, phi_tau, run_evolution
 
@@ -608,7 +608,9 @@ def density_convergence(
 
     For each density and eps, the sup over the probe grid of
     |eps^-2 W(eps a) - (1/2) c a^2| is recorded; densities with a nonzero gap
-    must fit order >= 1.9 (the built-in quartic term gives exactly 2).
+    must fit order >= 1.9 (the built-in quartic term gives exactly 2). A gap
+    of at most 16 eps_mach * (1/2) c max|a|^2, the rounding of the limit
+    density on the grid, counts as zero.
     """
     eps_list = eps_values(epsilon_list, decreasing=False)
     if probe_grid is None:
@@ -628,7 +630,9 @@ def density_convergence(
     rates: Dict[str, float] = {}
     residuals: List[float] = []
     for which in ("el", "vi", "psi"):
-        if max(gaps[which]) <= 1e-15:
+        # A gap within the rounding of the limit density is zero.
+        rounding = RESOLUTION * 0.5 * limits[which] * float(np.max(grid * grid))
+        if max(gaps[which]) <= rounding:
             residuals.append(0.0)
             continue
         rate = fit_rate(eps_list, gaps[which])

@@ -162,14 +162,14 @@ class ScenarioConfig:
                 f0 = self.F_vi0 if self.F0 is None else self.F0
                 return State.material_point(f0, self.F_vi0)
             seeded = State.material_point(self.F_vi0, self.F_vi0)
-            return equilibrate_elastic(model, seeded, loading, 0.0, self.settings())
+            return equilibrate_elastic(model, seeded, loading, 0.0)
         mesh = self.mesh()
         beta = project_zero_mean(mesh, self.v0_slope * mesh.nodes)
         if self.init_elastic == "direct":
             gamma = (self.u0_slope or 0.0) * mesh.nodes
             return State.shear_column(mesh, gamma, beta)
         seeded = State.shear_column(mesh, np.zeros(mesh.n_nodes), beta)
-        return equilibrate_elastic(model, seeded, loading, 0.0, self.settings())
+        return equilibrate_elastic(model, seeded, loading, 0.0)
 
     def lin_initial(self) -> LinState:
         """Initial data (u0, v0) for linearized runs and the epsilon study."""

@@ -9,7 +9,7 @@ exactly and the viscous constraint det = 1 holds structurally. gamma is
 clamped at the bottom node; beta is defined up to a constant and stored with
 zero mean.
 
-Packed dof layout (the vector the minimizers see):
+Packed dof layout (the vector that gradients and affine interpolants use):
 
 * material point: ``x = [F, F_vi]``;
 * shear column: ``x = [gamma[1:], beta[1:] - beta[0]]`` (bottom values
@@ -70,14 +70,21 @@ def project_zero_mean(mesh: ShearColumnMesh, beta: np.ndarray) -> np.ndarray:
     return beta - float(trapezoid_weights(mesh) @ beta)
 
 
-def difference_matrix(n: int) -> np.ndarray:
-    """Nodal-to-element difference map with the clamped bottom node removed."""
-    D = np.zeros((n, n))
-    for e in range(n):
-        D[e, e] = 1.0
-        if e >= 1:
-            D[e, e - 1] = -1.0
-    return D
+def nodal_from_slopes(mesh: ShearColumnMesh, slopes: np.ndarray) -> np.ndarray:
+    """P1 nodal profile that vanishes at the bottom node and has the given
+    element slopes."""
+    return np.concatenate([[0.0], mesh.h * np.cumsum(slopes)])
+
+
+def element_stress(mesh: ShearColumnMesh, f_val: float, g_val: float) -> np.ndarray:
+    """Element resultants sigma_e = g + f * (1 - x_e,mid) of a dead load.
+
+    With gamma(0) = 0 the load pairing is sum_e h * sigma_e * gamma'_e: the
+    traction g acts on every element, the body force on the part of the
+    column above the element's midpoint.
+    """
+    x_mid = (np.arange(mesh.n_elements) + 0.5) * mesh.h
+    return g_val + f_val * (1.0 - x_mid)
 
 
 @dataclass(frozen=True)

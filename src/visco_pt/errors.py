@@ -28,10 +28,6 @@ class NonFiniteObjective(ViscoPTError):
     """Objective or gradient evaluated to NaN/inf at an accepted point."""
 
 
-class NotSymmetricPositiveDefinite(ViscoPTError):
-    """Quadratic solve received a matrix that is not SPD."""
-
-
 class StepRejected(ViscoPTError):
     """Incremental step violated the stay-put minimality inequality."""
 

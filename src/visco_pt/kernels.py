@@ -6,10 +6,10 @@ Hessian that is not positive definite (psi'' vanishes at rate 0 when
 p_psi > 2) gets an escalating ridge ``H + lam*I`` until the Newton direction
 descends; after 60 escalations the direction falls back to steepest descent.
 
-Resolution rule (the one ``minimize.minimize_newton`` uses): near the
-minimizer the full step's predicted decrease ``-g.d`` falls below the
-rounding of f, so f can no longer rank the trial point and Armijo would
-accept null steps until ``max_iter``. When ``-g.d <= RESOLUTION * (1 + |f|)``
+Resolution rule (see :mod:`visco_pt.minimize`): near the minimizer the full
+step's predicted decrease ``-g.d`` falls below the rounding of f, so f can
+no longer rank the trial point and Armijo would accept null steps until
+``max_iter``. When ``-g.d <= RESOLUTION * (1 + |f|)``
 the full step is judged by the gradient instead: it is taken (as one
 iteration) if the trial point is feasible and finite and its |grad|_inf is
 strictly below the current one; otherwise the solver stops with status 2.

@@ -8,7 +8,10 @@ under the quadratic energy
 with quadratic rate dissipation (d/2)|vdot'|^2. Each step is the exact
 quadratic minimization of E0(t_i, u, v) + tau * Psi0((v - v_prev)/tau), i.e.
 a variational implicit Euler sharing its structure with the finite-strain
-stepper; comparisons between the two then isolate linearization error.
+stepper; comparisons between the two then isolate linearization error. Under
+dead loads the minimization splits into one closed-form problem per element
+(as in the finite-strain shear column), and the material point is the
+one-element case with resultant f + g.
 
 The bridge: a finite-strain trajectory computed under load eps*l0 and
 initial data id + eps*(u0, v0) is divided by eps into (u_eps, v_eps), and
@@ -29,17 +32,16 @@ import numpy as np
 from .domain import (
     Loading,
     ShearColumnMesh,
-    State,
     TimeGrid,
     assemble_slope_gradient,
-    difference_matrix,
+    element_stress,
+    nodal_from_slopes,
     project_zero_mean,
     trapezoid_weights,
 )
 from .errors import ValidationError
-from .minimize import solve_quadratic
 from .rheology import MATERIAL_POINT, SHEAR_COLUMN, MaterialModel, QuadraticLimit
-from .stepper import ShearQuadraticOperator, Trajectory
+from .stepper import Trajectory
 
 
 @dataclass(frozen=True)
@@ -139,39 +141,35 @@ def lin_dissipation_increment(
     return r * 0.5 * quad.d_diss * h * float(np.sum(rate * rate))
 
 
+def _lin_slopes(quad: QuadraticLimit, sigma, v_old, tau: float):
+    """Per-element minimizer ``(u', v')`` of one step under the resultant
+    sigma: c_el (u' - v') = sigma and c_vi v' + d (v' - v_old)/tau = sigma."""
+    v = v_old + (sigma - quad.c_vi * v_old) / (quad.c_vi + quad.d_diss / tau)
+    return v + sigma / quad.c_el, v
+
+
 def lin_step(
     t: float,
     prev: LinState,
     tau: float,
     quad: QuadraticLimit,
     loading: Loading,
-    operator: Optional[ShearQuadraticOperator] = None,
 ) -> LinState:
-    """One exact implicit-Euler step of the linearized system."""
+    """One exact implicit-Euler step of the linearized system.
+
+    Dead loads make each element (and the material point, the one-element
+    case with sigma = f + g) an independent closed-form problem.
+    """
     if not (tau > 0.0 and np.isfinite(tau)):
         raise ValidationError(f"step length must be > 0, got {tau!r}")
     if prev.mode == MATERIAL_POINT:
         load = loading.f(t) + loading.g(t)
-        H = np.array(
-            [
-                [quad.c_el, -quad.c_el],
-                [-quad.c_el, quad.c_el + quad.c_vi + quad.d_diss / tau],
-            ]
-        )
-        b = np.array([load, (quad.d_diss / tau) * float(prev.v[0])])
-        x = solve_quadratic(H, b)
-        return LinState.material_point(x[0], x[1])
+        return LinState.material_point(*_lin_slopes(quad, load, float(prev.v[0]), tau))
     mesh = prev.mesh
-    if operator is None:
-        operator = ShearQuadraticOperator(
-            quad.c_el, quad.c_vi, quad.d_diss, mesh, tau
-        )
-    x = operator.solve_slopes(_slopes(mesh, prev.v), loading.f(t), loading.g(t))
-    n = mesh.n_elements
+    sigma = element_stress(mesh, loading.f(t), loading.g(t))
+    du, dv = _lin_slopes(quad, sigma, _slopes(mesh, prev.v), tau)
     return LinState.shear_column(
-        mesh,
-        np.concatenate([[0.0], x[:n]]),
-        np.concatenate([[0.0], x[n:]]),
+        mesh, nodal_from_slopes(mesh, du), nodal_from_slopes(mesh, dv)
     )
 
 
@@ -241,12 +239,8 @@ def lin_equilibrium(
         load = loading.f(t) + loading.g(t)
         return LinState.material_point(float(prev.v[0]) + load / quad.c_el, prev.v[0])
     mesh = prev.mesh
-    D = difference_matrix(mesh.n_elements)
-    K = quad.c_el * (D.T @ D) / mesh.h
-    b = quad.c_el * (D.T @ _slopes(mesh, prev.v))
-    b += loading.f(t) * trapezoid_weights(mesh)[1:]
-    b[-1] += loading.g(t)
-    u = np.concatenate([[0.0], solve_quadratic(K, b)])
+    sigma = element_stress(mesh, loading.f(t), loading.g(t))
+    u = nodal_from_slopes(mesh, _slopes(mesh, prev.v) + sigma / quad.c_el)
     return LinState.shear_column(mesh, u, prev.v)
 
 
@@ -256,16 +250,11 @@ def run_lin_evolution(
     loading: Loading,
     grid: TimeGrid,
 ) -> LinTrajectory:
-    operator = None
-    if state0.mode == SHEAR_COLUMN:
-        operator = ShearQuadraticOperator(
-            quad.c_el, quad.c_vi, quad.d_diss, state0.mesh, grid.tau
-        )
     states = [state0]
     diss = np.zeros(grid.n_steps)
     times = grid.times
     for i in range(1, grid.n_steps + 1):
-        state = lin_step(float(times[i]), states[-1], grid.tau, quad, loading, operator)
+        state = lin_step(float(times[i]), states[-1], grid.tau, quad, loading)
         diss[i - 1] = lin_dissipation_increment(quad, state, states[-1], grid.tau)
         states.append(state)
     return LinTrajectory(

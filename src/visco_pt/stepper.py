@@ -4,17 +4,21 @@ One step from state (y, y_vi) at time t_{i-1} to time t_i solves
 
     min  E(t_i, y, y_vi) + tau * Psi(y_vi_old, (y_vi - y_vi_old)/tau)
 
-over the packed dofs, warm-started from the previous state. Minimality
-against the stay-put competitor (the previous state itself, which charges no
-dissipation) is asserted on every step: E(t_i, new) + tau*Psi <= E(t_i, old)
-up to 1e-8, and violations reject the step.
+over the state. Minimality against the stay-put competitor (the previous
+state itself, which charges no dissipation) is asserted on every step:
+E(t_i, new) + tau*Psi <= E(t_i, old) up to 1e-8, and violations reject the
+step.
 
-Routing: material-point scenarios go through the stepping kernel, damped
-Newton with Armijo backtracking on the analytic 2x2 Hessian; shear-column
-scenarios with quadratic densities are a single SPD solve with a
-factorization cached across steps; anything else runs the same damped Newton
-on the element-local analytic Hessian. A step or substep whose solver stops
-at ``max_iter`` or in a stalled line search raises
+Routing: a material-point step goes through the stepping kernel, damped
+Newton with Armijo backtracking on the analytic 2x2 Hessian, warm-started
+from the previous state. The shear column under dead loads is statically
+determinate, so its step splits into one problem per element: with the
+element resultant sigma_e = g + f * (1 - x_e,mid), the elastic strain solves
+w_el'(s) = sigma_e and the viscous slope solves
+c_v b + psi'((b - b_old)/r) = sigma_e (a closed form when p_psi = 2, a
+bracketed scalar Newton otherwise). The nodal profiles are rebuilt from the
+slopes, with beta projected to zero mean. A step or substep whose solver
+stops at ``max_iter`` or in a stalled line search raises
 :class:`SolverNotConverged`; no such step is accepted.
 
 The same solver evaluated at a substep r in (0, tau] gives phi_tau(r), the
@@ -38,17 +42,13 @@ from .domain import (
     Loading,
     State,
     TimeGrid,
-    assemble_slope_gradient,
-    difference_matrix,
     dissipation_increment,
-    dissipation_rates,
-    elastic_strain,
+    element_stress,
     energy_from_stored,
-    energy_value,
+    nodal_from_slopes,
     pack_dofs,
+    project_zero_mean,
     stored_energies,
-    total_energy,
-    trapezoid_weights,
     unpack_dofs,
     viscous_strain,
 )
@@ -63,14 +63,12 @@ from .minimize import (
     CONVERGED,
     LINE_SEARCH_STALLED,
     MAX_ITER_EXCEEDED,
-    CholeskyOperator,
+    RESOLUTION,
     MinimizeSettings,
-    minimize_newton,
 )
 from .rheology import MATERIAL_POINT, SHEAR_COLUMN, MaterialModel
 
 STAY_PUT_TOL = 1e-8
-DIRECT = "direct"
 
 _KERNEL_STATUS = {0: CONVERGED, 1: MAX_ITER_EXCEEDED, 2: LINE_SEARCH_STALLED}
 
@@ -124,140 +122,6 @@ class Trajectory:
         return energy_from_stored(w_el, w_vi, self.states[i], self.loading, t)
 
 
-# -- incremental objective on packed dofs --------------------------------------
-
-
-def incremental_value_and_grad(
-    model: MaterialModel,
-    old: State,
-    loading: Loading,
-    t: float,
-    r: float,
-):
-    """(value, grad) and value-only callables of the incremental objective."""
-    template = old
-
-    def value_and_grad(x: np.ndarray):
-        state = unpack_dofs(template, x)
-        value, grad = total_energy(model, state, loading, t)
-        rate = dissipation_rates(model, state, old, r)
-        if model.mode == MATERIAL_POINT:
-            value += r * float(model.psi(rate))
-            grad[1] += float(model.dpsi(rate)) / old.F_vi
-        else:
-            value += r * state.mesh.h * float(np.sum(model.psi(rate)))
-            dpsi = np.asarray(model.dpsi(rate))
-            grad[state.mesh.n_elements:] += assemble_slope_gradient(dpsi)[1:]
-        return value, grad
-
-    def value_only(x: np.ndarray):
-        state = unpack_dofs(template, x)
-        return energy_value(model, state, loading, t) + dissipation_increment(
-            model, state, old, r
-        )
-
-    return value_and_grad, value_only
-
-
-# -- shear-column Hessians -------------------------------------------------------
-
-
-def _ddpsi(model: MaterialModel, rate: np.ndarray) -> np.ndarray:
-    """Second derivative of the built-in dissipation density."""
-    rate = np.asarray(rate, dtype=float)
-    if model.p_psi == 2.0:
-        return model.d_v * np.ones_like(rate)
-    return (
-        0.5
-        * model.d_v
-        * model.p_psi
-        * (model.p_psi - 1.0)
-        * np.abs(rate) ** (model.p_psi - 2.0)
-    )
-
-
-def shear_incremental_hessian(
-    model: MaterialModel, old: State, r: float
-):
-    """Dense-Hessian callable of the shear incremental objective.
-
-    Element-local curvatures in the slopes assemble to the packed-dof blocks
-    [[A, -A], [-A, A + B + C]] with A the elastic, B the viscous-energy and
-    C the dissipation curvature; the sum is positive definite because the
-    elastic curvature is bounded below by c_e and the slope map is
-    invertible.
-    """
-    mesh = old.mesh
-    n = mesh.n_elements
-    h = mesh.h
-    D = difference_matrix(n)
-    s_old = viscous_strain(old)
-
-    def hessian(x: np.ndarray) -> np.ndarray:
-        state = unpack_dofs(old, x)
-        a = model.c_e + 3.0 * model.a4 * elastic_strain(state) ** 2
-        rate = (viscous_strain(state) - s_old) / r
-        bc = model.c_v + _ddpsi(model, rate) / r
-        A = D.T @ (a[:, None] * D) / h
-        H = np.zeros((2 * n, 2 * n))
-        H[:n, :n] = A
-        H[:n, n:] = -A
-        H[n:, :n] = -A
-        H[n:, n:] = A + D.T @ (bc[:, None] * D) / h
-        return H
-
-    return hessian
-
-
-# -- shear-column quadratic fast path ------------------------------------------
-
-
-class ShearQuadraticOperator:
-    """Cached SPD solve for shear scenarios with quadratic densities.
-
-    The Hessian depends only on (coefficients, mesh, r), so one Cholesky
-    factorization serves the whole evolution; the right-hand side carries
-    the load values and the previous viscous slopes.
-    """
-
-    def __init__(self, c_el: float, c_vi: float, d: float, mesh, r: float):
-        n = mesh.n_elements
-        h = mesh.h
-        D = difference_matrix(n)
-        K = D.T @ D / h
-        H = np.zeros((2 * n, 2 * n))
-        H[:n, :n] = c_el * K
-        H[:n, n:] = -c_el * K
-        H[n:, :n] = -c_el * K
-        H[n:, n:] = (c_el + c_vi + d / r) * K
-        self.mesh = mesh
-        self.r = r
-        self.d = d
-        self._D = D
-        self._w = trapezoid_weights(mesh)
-        self._op = CholeskyOperator(H)
-
-    def solve_slopes(self, old_slopes: np.ndarray, f_val: float, g_val: float):
-        """Packed minimizer given the previous viscous slopes directly."""
-        n = self.mesh.n_elements
-        b = np.zeros(2 * n)
-        b[:n] = f_val * self._w[1:]
-        b[n - 1] += g_val
-        b[n:] = (self.d / self.r) * (self._D.T @ old_slopes)
-        return self._op.solve(b)
-
-    def solve(self, old: State, f_val: float, g_val: float) -> np.ndarray:
-        return self.solve_slopes(viscous_strain(old), f_val, g_val)
-
-
-def _is_shear_quadratic(model: MaterialModel) -> bool:
-    return (
-        model.mode == SHEAR_COLUMN
-        and model.a4 == 0.0
-        and model.p_psi == 2.0
-    )
-
-
 # -- single incremental solve ---------------------------------------------------
 
 
@@ -268,19 +132,19 @@ def _solve_incremental(
     t: float,
     r: float,
     settings: MinimizeSettings,
-    operator: Optional[ShearQuadraticOperator] = None,
     where: Optional[str] = None,
 ):
     """Minimize the incremental functional; returns ``(state, value, diss,
     stored, iterations, status)``. ``diss`` is the dissipation r * Psi charged
     to the substep; ``stored`` is ``stored_energies(model, state)`` where the
-    solve evaluates it for the value (the direct shear path), else None.
+    solve evaluates it for the value (the shear column), else None.
 
     Raises :class:`SolverNotConverged`, naming ``where`` (default: the
     substep length r), if the solver stops without converging.
     """
     if not (r > 0.0 and np.isfinite(r)):
         raise ValidationError(f"substep length must be > 0, got {r!r}")
+    where = where or f"substep r={r!r}"
 
     if model.mode == MATERIAL_POINT:
         load = loading.f(t) + loading.g(t)
@@ -306,40 +170,78 @@ def _solve_incremental(
         if status == 4:
             raise NonFiniteObjective("incremental objective is not finite")
         if status != 0:
-            raise SolverNotConverged(
-                where or f"substep r={r!r}", _KERNEL_STATUS[status], grad_inf
-            )
+            raise SolverNotConverged(where, _KERNEL_STATUS[status], grad_inf)
         state = State.material_point(F, Fv)
         diss = dissipation_increment(model, state, old, r)
         return state, value, diss, None, iterations, CONVERGED
 
-    if _is_shear_quadratic(model):
-        if operator is None:
-            operator = ShearQuadraticOperator(
-                model.c_e, model.c_v, model.d_v, old.mesh, r
-            )
-        x = operator.solve(old, loading.f(t), loading.g(t))
-        state = unpack_dofs(old, x)
-        stored = stored_energies(model, state)
-        diss = dissipation_increment(model, state, old, r)
-        value = energy_from_stored(*stored, state, loading, t) + diss
-        return state, value, diss, stored, 1, DIRECT
-
-    value_and_grad, value_only = incremental_value_and_grad(model, old, loading, t, r)
-    result = minimize_newton(
-        value_and_grad,
-        shear_incremental_hessian(model, old, r),
-        pack_dofs(old),
-        settings,
-        value_only=value_only,
+    mesh = old.mesh
+    sigma = element_stress(mesh, loading.f(t), loading.g(t))
+    b, iterations = _viscous_slopes(
+        model, sigma, viscous_strain(old), r, mesh.h, settings, where
     )
-    if not result.converged:
-        raise SolverNotConverged(
-            where or f"substep r={r!r}", result.status, result.grad_inf
-        )
-    state = unpack_dofs(old, result.x)
+    gamma = nodal_from_slopes(mesh, _elastic_strains(model, sigma) + b)
+    beta = project_zero_mean(mesh, nodal_from_slopes(mesh, b))
+    state = State(mode=SHEAR_COLUMN, gamma=gamma, beta=beta, mesh=mesh)
+    stored = stored_energies(model, state)
     diss = dissipation_increment(model, state, old, r)
-    return state, result.value, diss, None, result.iterations, CONVERGED
+    value = energy_from_stored(*stored, state, loading, t) + diss
+    return state, value, diss, stored, iterations, CONVERGED
+
+
+def _elastic_strains(model: MaterialModel, sigma: np.ndarray) -> np.ndarray:
+    """Per-element elastic strains s with w_el'(s) = sigma."""
+    if model.a4 == 0.0:
+        return sigma / model.c_e
+    return np.array([_invert_stress(model, s) for s in sigma.tolist()])
+
+
+def _viscous_slopes(
+    model: MaterialModel,
+    sigma: np.ndarray,
+    b_old: np.ndarray,
+    r: float,
+    h: float,
+    settings: MinimizeSettings,
+    where: str,
+):
+    """Per-element viscous slopes b with c_v b + psi'((b - b_old)/r) = sigma;
+    returns ``(b, iterations)``.
+
+    A closed form when p_psi = 2 (0 iterations). Otherwise Newton on each
+    element, kept inside the bracket between b_old and sigma/c_v, where the
+    residual changes sign (a step that leaves it bisects). An element is
+    solved when h * |residual| <= grad_tol or when its Newton step is below
+    the resolution of b, ``RESOLUTION * max(1, |b|)``; ``iterations`` is the
+    most any element took. Raises :class:`SolverNotConverged` at ``max_iter``.
+    """
+    if model.p_psi == 2.0:
+        return b_old + (sigma - model.c_v * b_old) / (model.c_v + model.d_v / r), 0
+    p = model.p_psi
+    lo = np.minimum(b_old, sigma / model.c_v)
+    hi = np.maximum(b_old, sigma / model.c_v)
+    b = b_old.copy()
+    active = np.ones(b.shape, dtype=bool)
+    iterations = 0
+    while True:
+        rate = (b - b_old) / r
+        residual = model.c_v * b + model.dpsi(rate) - sigma
+        active &= h * np.abs(residual) > settings.grad_tol
+        if not active.any():
+            return b, iterations
+        if iterations >= settings.max_iter:
+            grad_inf = float(np.max(h * np.abs(residual[active])))
+            raise SolverNotConverged(where, MAX_ITER_EXCEEDED, grad_inf)
+        hi = np.where(residual > 0.0, b, hi)
+        lo = np.where(residual < 0.0, b, lo)
+        ddpsi = 0.5 * model.d_v * p * (p - 1.0) * np.abs(rate) ** (p - 2.0)
+        candidate = b - residual / (model.c_v + ddpsi / r)
+        outside = (candidate < lo) | (candidate > hi)
+        candidate = np.where(outside, 0.5 * (lo + hi), candidate)
+        resolved = np.abs(candidate - b) <= RESOLUTION * np.maximum(1.0, np.abs(b))
+        b = np.where(active, candidate, b)
+        active &= ~resolved
+        iterations += 1
 
 
 def incremental_step(
@@ -349,7 +251,6 @@ def incremental_step(
     t: float,
     tau: float,
     settings: MinimizeSettings = MinimizeSettings(),
-    operator: Optional[ShearQuadraticOperator] = None,
     index: int = 0,
     *,
     stored_old: tuple,
@@ -365,7 +266,7 @@ def incremental_step(
     if the step's solver stops without converging.
     """
     state, value, diss, stored, iterations, status = _solve_incremental(
-        model, old, loading, t, tau, settings, operator, where=f"step {index}"
+        model, old, loading, t, tau, settings, where=f"step {index}"
     )
     margin = energy_from_stored(*stored_old, old, loading, t) - value
     if margin < -STAY_PUT_TOL:
@@ -392,17 +293,12 @@ def run_evolution(
     settings: MinimizeSettings = MinimizeSettings(),
 ) -> Trajectory:
     """March the incremental scheme across the whole grid."""
-    operator = None
-    if _is_shear_quadratic(model):
-        operator = ShearQuadraticOperator(
-            model.c_e, model.c_v, model.d_v, state0.mesh, grid.tau
-        )
     states, stored, reports = [state0], [stored_energies(model, state0)], []
     times = grid.times.tolist()
     for i in range(1, grid.n_steps + 1):
         state, report = incremental_step(
             model, states[-1], loading, times[i], grid.tau, settings,
-            operator=operator, index=i, stored_old=stored[-1],
+            index=i, stored_old=stored[-1],
         )
         states.append(state)
         stored.append((report.w_el, report.w_vi))
@@ -425,11 +321,7 @@ def run_evolution(
 
 
 def equilibrate_elastic(
-    model: MaterialModel,
-    state: State,
-    loading: Loading,
-    t: float,
-    settings: MinimizeSettings = MinimizeSettings(),
+    model: MaterialModel, state: State, loading: Loading, t: float
 ) -> State:
     """Minimize the energy over the elastic variable at frozen viscous state.
 
@@ -439,47 +331,18 @@ def equilibrate_elastic(
         load = loading.f(t) + loading.g(t)
         s = _invert_stress(model, load * state.F_vi)
         return State.material_point((1.0 + s) * state.F_vi, state.F_vi)
-
     mesh = state.mesh
-    n = mesh.n_elements
-    h = mesh.h
-    beta_slopes = viscous_strain(state)
-    f_val, g_val = loading.f(t), loading.g(t)
-    D = difference_matrix(n)
-    if model.a4 == 0.0:
-        K = model.c_e * (D.T @ D) / h
-        b = model.c_e * (D.T @ beta_slopes)
-        b += f_val * trapezoid_weights(mesh)[1:]
-        b[-1] += g_val
-        gamma = np.concatenate([[0.0], CholeskyOperator(K).solve(b)])
-        return State(mode=SHEAR_COLUMN, gamma=gamma, beta=state.beta, mesh=mesh)
-
-    def value_and_grad(xg: np.ndarray):
-        trial = State(
-            mode=SHEAR_COLUMN,
-            gamma=np.concatenate([[0.0], xg]),
-            beta=state.beta,
-            mesh=mesh,
-        )
-        value, grad = total_energy(model, trial, loading, t)
-        return value, grad[:n]
-
-    def hessian(xg: np.ndarray) -> np.ndarray:
-        s_el = (D @ xg) / h - beta_slopes
-        a = model.c_e + 3.0 * model.a4 * s_el**2
-        return D.T @ (a[:, None] * D) / h
-
-    result = minimize_newton(value_and_grad, hessian, state.gamma[1:].copy(), settings)
-    return State(
-        mode=SHEAR_COLUMN,
-        gamma=np.concatenate([[0.0], result.x]),
-        beta=state.beta,
-        mesh=mesh,
-    )
+    sigma = element_stress(mesh, loading.f(t), loading.g(t))
+    slopes = _elastic_strains(model, sigma) + viscous_strain(state)
+    gamma = nodal_from_slopes(mesh, slopes)
+    return State(mode=SHEAR_COLUMN, gamma=gamma, beta=state.beta, mesh=mesh)
 
 
 def _invert_stress(model: MaterialModel, target: float) -> float:
-    """Solve c_e s + a4 s^3 = target (monotone; Newton with bisection guard)."""
+    """Solve c_e s + a4 s^3 = target (monotone; Newton with bisection guard).
+
+    Raises :class:`SolverNotConverged` if 200 iterations do not solve it.
+    """
     if model.a4 == 0.0:
         return target / model.c_e
     lo, hi = -1.0, 1.0
@@ -502,7 +365,9 @@ def _invert_stress(model: MaterialModel, target: float) -> float:
         else:
             lo = candidate
         s = candidate
-    return s
+    raise SolverNotConverged(
+        f"elastic stress inversion at {target!r}", MAX_ITER_EXCEEDED, abs(residual)
+    )
 
 
 # -- interpolants ---------------------------------------------------------------
@@ -547,11 +412,10 @@ def phi_tau(
     t: float,
     r: float,
     settings: MinimizeSettings = MinimizeSettings(),
-    operator: Optional[ShearQuadraticOperator] = None,
 ) -> PhiTau:
     """Value, minimizer and rate dissipation of the substep functional."""
     state, value, diss, _, iterations, status = _solve_incremental(
-        model, old, loading, t, r, settings, operator
+        model, old, loading, t, r, settings
     )
     return PhiTau(
         value=value,
@@ -615,17 +479,11 @@ def de_giorgi_integral(
     """
     nodes, weights = de_giorgi_rule(traj.grid.tau, m)
     settings = settings or traj.settings
-    operator = None
-    model, loading = traj.model, traj.loading
     old = traj.states[i - 1]
     t = float(traj.grid.times[i])
     samples = np.zeros(m)
     for j, r in enumerate(nodes):
-        if _is_shear_quadratic(model):
-            operator = ShearQuadraticOperator(
-                model.c_e, model.c_v, model.d_v, old.mesh, float(r)
-            )
         samples[j] = phi_tau(
-            model, old, loading, t, float(r), settings, operator
+            traj.model, old, traj.loading, t, float(r), settings
         ).rate_dissipation
     return float(weights @ samples), nodes, samples

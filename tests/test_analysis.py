@@ -346,6 +346,19 @@ def test_density_convergence_quadratic_is_exact():
     assert max(max(g) for g in report.params["gaps"].values()) <= 1e-15
 
 
+@pytest.mark.parametrize(
+    "coefficients", [{"d_v": 1e3}, {"c_e": 1e6}, {"c_v": 1e6}]
+)
+def test_density_convergence_zero_gap_scales_with_the_coefficient(coefficients):
+    # Quadratic densities have no gap. Their rounding grows with the
+    # coefficient (1.1e-13 at d_v = 1e3, 1.2e-10 at 1e6); fitting a rate to
+    # it gives about 0, which must not fail the check.
+    report = density_convergence(MaterialModel(**coefficients), [0.2, 0.1, 0.05])
+    assert report.passed
+    assert report.residuals == [0.0, 0.0, 0.0]
+    assert report.rates == {}
+
+
 def test_density_convergence_quartic_rate_two():
     model = MaterialModel(a4=1.0)
     report = density_convergence(model, [0.1, 0.05])

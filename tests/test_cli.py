@@ -4,6 +4,8 @@ and byte-level determinism of the JSON reports."""
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +207,19 @@ def test_verify_failure_exits_2_and_names_the_check(tmp_path, capsys):
     assert payload["pass"] is False
 
 
+@pytest.mark.parametrize("key", ["c_e", "d_v"])
+def test_verify_passes_on_shear_quartic_with_a_large_coefficient(tmp_path, key):
+    # Scaled by 1e6, the element problems stay scalar and exact, and the
+    # rounding of the quadratic densities is no density gap.
+    text = (REPO / "configs" / "shear_quartic.cfg").read_text()
+    assert f"\n{key} = 1.0\n" in text
+    scaled = text.replace(f"\n{key} = 1.0\n", f"\n{key} = 1e6\n")
+    cfg = write(tmp_path, "scaled.cfg", scaled)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "verify.json").read_text())["pass"] is True
+
+
 def test_missing_required_key_exits_1(tmp_path, capsys):
     cfg = write(tmp_path, "broken.cfg", "mode = mp\nn_steps = 10\nF_vi0 = 1.5\n")
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -355,6 +370,16 @@ def test_no_temp_files_left_behind(tmp_path):
 
 
 # -- options ----------------------------------------------------------------------
+
+
+def test_the_command_line_does_not_import_scipy():
+    # The runtime needs only numpy; scipy is a test dependency.
+    probe = "import sys, visco_pt.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_no_source_file_reads_the_environment():
