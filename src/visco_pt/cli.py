@@ -14,23 +14,24 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from . import __version__, analysis
 from .config import ScenarioConfig, load_config
 from .errors import ValidationError, ViscoPTError
 from .linearized import (
-    LinState,
     LinTrajectory,
     lin_pairing,
     lin_pairing_delta,
     lin_stored,
     run_lin_evolution,
 )
-from .rheology import MATERIAL_POINT
 from .stepper import Trajectory, run_evolution
 
 CSV_HEADER = "t,F,F_vi,W_el,W_vi,load_work,E_total,diss_inc,delta,ineq_residual"
@@ -47,50 +48,64 @@ def _atomic_write(path: str, data: str):
     os.replace(tmp, path)
 
 
-def _dof_summary(state) -> tuple:
-    if isinstance(state, LinState):
-        if state.mode == MATERIAL_POINT:
-            return float(state.u[0]), float(state.v[0])
-        return float(state.u[-1]), float(state.v[-1] - state.v[0])
-    if state.mode == MATERIAL_POINT:
-        return state.F, state.F_vi
-    return 1.0 + float(state.gamma[-1]), 1.0 + float(state.beta[-1] - state.beta[0])
+def _dof_column(mesh, arrays, offset: float) -> list:
+    """The F or F_vi column from one array per state: the value itself at a
+    material point (no mesh); in the shear column the top value
+    offset + h * (sum of the element slopes)."""
+    stacked = np.array(arrays)
+    if mesh is None:
+        return stacked[:, 0].tolist()
+    return (offset + mesh.h * stacked.sum(axis=1)).tolist()
 
 
-def _ledger_csv(traj, energies, pairing_delta, flag: str = "") -> str:
-    """Ledger CSV with cumulative bookkeeping, from each state's
-    ``(W_el, W_vi, E_total)`` and the load-rate work of each step; a nonempty
-    ``flag`` ends every row and adds the ``lin`` column to the header."""
+def _ledger_csv(traj, energies, pairing_delta, dofs, flag: str = "") -> str:
+    """Ledger CSV with cumulative bookkeeping, from the two dof columns, each
+    state's ``(W_el, W_vi, E_total)`` and the load-rate work of each step; a
+    nonempty ``flag`` ends every row and adds the ``lin`` column to the
+    header."""
     states, times, delta = traj.states, traj.grid.times.tolist(), traj.delta.tolist()
     diss = [0.0] + traj.diss_increments.tolist()
     lines = [CSV_HEADER + (",lin" if flag else "")]
     e0, work = energies[0][2], 0.0
-    for i, (state, (w_el, w_vi, e_total)) in enumerate(zip(states, energies)):
+    for i, (y, y_vi, (w_el, w_vi, e_total)) in enumerate(zip(*dofs, energies)):
         if i > 0:
             work += pairing_delta(states[i - 1], times[i], times[i - 1])
         residual = (e0 - work) - (e_total + delta[i])
-        row = (times[i], *_dof_summary(state), w_el, w_vi, work, e_total, diss[i],
-               delta[i], residual)
-        lines.append(",".join(_fmt(v) for v in row) + flag)
+        row = (times[i], y, y_vi, w_el, w_vi, work, e_total, diss[i], delta[i],
+               residual)
+        # format() inline, as _fmt does: the ledger is the hot output loop
+        lines.append(",".join([format(v, ".17g") for v in row]) + flag)
     return "\n".join(lines) + "\n"
 
 
 def trajectory_csv(traj: Trajectory) -> str:
     """Ledger CSV for a finite-strain trajectory, from the stored energies it
-    carries."""
+    carries; in the shear column F and F_vi are 1 + h * (sum of gamma') and
+    1 + h * (sum of beta')."""
+    states, mesh = traj.states, traj.states[0].mesh
+    dofs = (
+        _dof_column(mesh, [s.gamma for s in states], 1.0),
+        _dof_column(mesh, [s.beta for s in states], 1.0),
+    )
     energies = [(*w, traj.energy(i)) for i, w in enumerate(traj.stored.tolist())]
-    return _ledger_csv(traj, energies, traj.loading.pairing_delta)
+    return _ledger_csv(traj, energies, traj.loading.pairing_delta, dofs)
 
 
 def lin_trajectory_csv(traj: LinTrajectory) -> str:
     """Same schema as trajectory_csv plus a lin flag; the F and F_vi columns
-    carry the u and v summaries."""
-    loading, energies = traj.loading, []
-    for state, t in zip(traj.states, traj.grid.times.tolist()):
+    carry u and v, in the shear column h * (sum of u') and h * (sum of v')."""
+    loading, states, mesh = traj.loading, traj.states, traj.states[0].mesh
+    dofs = (
+        _dof_column(mesh, [s.u for s in states], 0.0),
+        _dof_column(mesh, [s.v for s in states], 0.0),
+    )
+    energies = []
+    for state, t in zip(states, traj.grid.times.tolist()):
         w_el, w_vi = lin_stored(traj.quad, state)
         energies.append((w_el, w_vi, w_el + w_vi - lin_pairing(state, loading, t)))
     return _ledger_csv(
-        traj, energies, lambda s, t1, t0: lin_pairing_delta(s, loading, t1, t0), ",1"
+        traj, energies, lambda s, t1, t0: lin_pairing_delta(s, loading, t1, t0),
+        dofs, ",1",
     )
 
 
@@ -179,7 +194,6 @@ def _run_checks(config: ScenarioConfig, names: Sequence[str]):
                     loading,
                     config.t_final,
                     config.tau_list,
-                    oracle="ode_rk4",
                     settings=settings,
                 )
             )
@@ -237,7 +251,6 @@ def _cmd_sweep_tau(config: ScenarioConfig, out: str, tau_list) -> int:
         config.loading(),
         config.t_final,
         tau_list or config.tau_list,
-        oracle="ode_rk4",
         settings=config.settings(),
     )
     for tau, traj in trajs.items():
@@ -328,12 +341,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            values = config.as_dict()
-            values["seed"] = args.seed
-            values = {
-                k: tuple(v) if isinstance(v, list) else v for k, v in values.items()
-            }
-            config = ScenarioConfig(**values)
+            config = dataclasses.replace(config, seed=args.seed)
         os.makedirs(args.out, exist_ok=True)
         if args.command == "run":
             return _cmd_run(config, args.out)

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .domain import Loading, ShearColumnMesh, State, TimeGrid, project_zero_mean
+from .domain import Loading, ShearColumnMesh, State, TimeGrid
 from .errors import ConfigParseError, ValidationError
 from .linearized import LinState, lin_equilibrium
 from .minimize import MinimizeSettings
@@ -163,13 +163,13 @@ class ScenarioConfig:
                 return State.material_point(f0, self.F_vi0)
             seeded = State.material_point(self.F_vi0, self.F_vi0)
             return equilibrate_elastic(model, seeded, loading, 0.0)
-        mesh = self.mesh()
-        beta = project_zero_mean(mesh, self.v0_slope * mesh.nodes)
+        n = self.n_elements
+        state = State.shear_column(
+            self.mesh(), np.full(n, self.u0_slope or 0.0), np.full(n, self.v0_slope)
+        )
         if self.init_elastic == "direct":
-            gamma = (self.u0_slope or 0.0) * mesh.nodes
-            return State.shear_column(mesh, gamma, beta)
-        seeded = State.shear_column(mesh, np.zeros(mesh.n_nodes), beta)
-        return equilibrate_elastic(model, seeded, loading, 0.0)
+            return state
+        return equilibrate_elastic(model, state, loading, 0.0)
 
     def lin_initial(self) -> LinState:
         """Initial data (u0, v0) for linearized runs and the epsilon study."""
@@ -186,13 +186,13 @@ class ScenarioConfig:
             return lin_equilibrium(
                 quad, LinState.material_point(v0, v0), loading, 0.0
             )
-        mesh = self.mesh()
-        v0 = project_zero_mean(mesh, self.v0_slope * mesh.nodes)
-        if self.u0_slope is not None:
-            return LinState.shear_column(mesh, self.u0_slope * mesh.nodes, v0)
-        return lin_equilibrium(
-            quad, LinState.shear_column(mesh, np.zeros(mesh.n_nodes), v0), loading, 0.0
+        n = self.n_elements
+        state = LinState.shear_column(
+            self.mesh(), np.full(n, self.u0_slope or 0.0), np.full(n, self.v0_slope)
         )
+        if self.u0_slope is not None:
+            return state
+        return lin_equilibrium(quad, state, loading, 0.0)
 
     def as_dict(self) -> dict:
         out = {}

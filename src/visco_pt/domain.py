@@ -2,33 +2,31 @@
 functionals with analytic gradients.
 
 Material point: the state is the pair (F, F_vi) of total and viscous
-stretches, F_vi > 0. Shear column: the state is a pair of P1 nodal profiles
-(gamma, beta) on [0, 1]; the deformation is X + gamma(X2) e1 and the viscous
-part X + beta(X2) e1, so the elastic strain per element is gamma' - beta'
-exactly and the viscous constraint det = 1 holds structurally. gamma is
-clamped at the bottom node; beta is defined up to a constant and stored with
-zero mean.
+stretches, F_vi > 0. Shear column: the deformation is X + gamma(X2) e1 and
+the viscous part X + beta(X2) e1 with P1 profiles on [0, 1], clamped at the
+bottom. Both maps are shears, so their composition adds the shear strains:
+the state is the pair of element slopes (gamma', beta'), stored as
+``gamma`` and ``beta`` (one value per element), the elastic strain per
+element is gamma' - beta' exactly and the viscous constraint det = 1 holds
+structurally. Slopes carry no gauge: the profiles are recovered by
+integrating from the clamped bottom, and beta's additive constant never
+enters an energy.
 
 Packed dof layout (the vector that gradients and affine interpolants use):
-
-* material point: ``x = [F, F_vi]``;
-* shear column: ``x = [gamma[1:], beta[1:] - beta[0]]`` (bottom values
-  eliminated; the beta block is re-projected to zero mean on unpacking,
-  which leaves every energy term unchanged).
+``x = [gamma, beta]``, that is ``[F, F_vi]`` at a material point and
+``[gamma', beta']`` in the shear column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import InfeasibleState, ValidationError
 from .rheology import MATERIAL_POINT, SHEAR_COLUMN, MaterialModel
-
-ZERO_MEAN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,46 +43,31 @@ class ShearColumnMesh:
     def h(self) -> float:
         return 1.0 / self.n_elements
 
-    @property
-    def n_nodes(self) -> int:
-        return self.n_elements + 1
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n_nodes)
-
-
-@lru_cache(maxsize=None)
-def trapezoid_weights(mesh: ShearColumnMesh) -> np.ndarray:
-    """Nodal quadrature weights of the trapezoid rule (exact for P1), built
-    once per mesh and read-only."""
-    w = np.full(mesh.n_nodes, mesh.h)
-    w[0] = 0.5 * mesh.h
-    w[-1] = 0.5 * mesh.h
-    w.flags.writeable = False
-    return w
-
-
-def project_zero_mean(mesh: ShearColumnMesh, beta: np.ndarray) -> np.ndarray:
-    """Remove the constant (null) component: subtract the trapezoid mean."""
-    return beta - float(trapezoid_weights(mesh) @ beta)
-
-
-def nodal_from_slopes(mesh: ShearColumnMesh, slopes: np.ndarray) -> np.ndarray:
-    """P1 nodal profile that vanishes at the bottom node and has the given
-    element slopes."""
-    return np.concatenate([[0.0], mesh.h * np.cumsum(slopes)])
+    @cached_property
+    def load_shapes(self) -> np.ndarray:
+        """Element resultants of a unit body force, 1 - x_e,mid (the length
+        of column above each element's midpoint), and of a unit top
+        traction, 1: a read-only (2, n_elements) array built once per mesh."""
+        shapes = np.ones((2, self.n_elements))
+        shapes[0] -= (np.arange(self.n_elements) + 0.5) * self.h
+        shapes.flags.writeable = False
+        return shapes
 
 
 def element_stress(mesh: ShearColumnMesh, f_val: float, g_val: float) -> np.ndarray:
-    """Element resultants sigma_e = g + f * (1 - x_e,mid) of a dead load.
-
-    With gamma(0) = 0 the load pairing is sum_e h * sigma_e * gamma'_e: the
+    """Element resultants sigma_e = g + f * (1 - x_e,mid) of a dead load: the
     traction g acts on every element, the body force on the part of the
-    column above the element's midpoint.
-    """
-    x_mid = (np.arange(mesh.n_elements) + 0.5) * mesh.h
-    return g_val + f_val * (1.0 - x_mid)
+    column above the element's midpoint."""
+    return g_val + f_val * mesh.load_shapes[0]
+
+
+def slope_pairing(mesh: ShearColumnMesh, slopes, f_val: float, g_val: float) -> float:
+    """The load pairing sum_e h * sigma_e * slopes_e of a profile clamped at
+    the bottom, with the resultants of :func:`element_stress`. It is summed
+    per load shape, so the many pairings of a trajectory ledger form no
+    sigma array."""
+    body, top = (mesh.load_shapes @ slopes).tolist()
+    return mesh.h * (f_val * body + g_val * top)
 
 
 @dataclass(frozen=True)
@@ -110,22 +93,17 @@ class State:
 
     @staticmethod
     def shear_column(mesh: ShearColumnMesh, gamma, beta) -> "State":
-        gamma = np.asarray(gamma, dtype=float).copy()
-        beta = np.asarray(beta, dtype=float).copy()
-        if gamma.shape != (mesh.n_nodes,) or beta.shape != (mesh.n_nodes,):
+        """Shear-column state from the element slopes gamma' and beta'."""
+        gamma = np.array(gamma, dtype=float)
+        beta = np.array(beta, dtype=float)
+        n = mesh.n_elements
+        if gamma.shape != (n,) or beta.shape != (n,):
             raise ValidationError(
-                f"gamma/beta must have {mesh.n_nodes} nodal values, "
+                f"gamma/beta must have {n} element slopes, "
                 f"got {gamma.shape} and {beta.shape}"
             )
         if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(beta))):
-            raise InfeasibleState("nonfinite nodal values")
-        if abs(gamma[0]) > ZERO_MEAN_TOL:
-            raise ValidationError(f"gamma(0) must vanish, got {gamma[0]!r}")
-        gamma[0] = 0.0
-        mean = float(trapezoid_weights(mesh) @ beta)
-        if abs(mean) > ZERO_MEAN_TOL:
-            raise ValidationError(f"beta must have zero mean, got mean {mean!r}")
-        beta -= mean
+            raise InfeasibleState("nonfinite element slopes")
         return State(mode=SHEAR_COLUMN, gamma=gamma, beta=beta, mesh=mesh)
 
     # -- material-point accessors --------------------------------------------
@@ -149,24 +127,21 @@ def elastic_strain(state: State):
     """Elastic strain coordinate: F/F_vi - 1, or gamma' - beta' per element."""
     if state.mode == MATERIAL_POINT:
         return state.F / state.F_vi - 1.0
-    h = state.mesh.h
-    return (np.diff(state.gamma) - np.diff(state.beta)) / h
+    return state.gamma - state.beta
 
 
 def viscous_strain(state: State):
     """Viscous strain coordinate: F_vi - 1, or beta' per element."""
     if state.mode == MATERIAL_POINT:
         return state.F_vi - 1.0
-    return np.diff(state.beta) / state.mesh.h
+    return state.beta
 
 
 # -- dof packing --------------------------------------------------------------
 
 
 def pack_dofs(state: State) -> np.ndarray:
-    if state.mode == MATERIAL_POINT:
-        return np.asarray([state.F, state.F_vi])
-    return np.concatenate([state.gamma[1:], state.beta[1:] - state.beta[0]])
+    return np.concatenate([state.gamma, state.beta])
 
 
 def unpack_dofs(template: State, x: np.ndarray) -> State:
@@ -174,15 +149,8 @@ def unpack_dofs(template: State, x: np.ndarray) -> State:
     x = np.asarray(x, dtype=float)
     if template.mode == MATERIAL_POINT:
         return State.material_point(x[0], x[1])
-    mesh = template.mesh
-    n = mesh.n_elements
-    if x.shape != (2 * n,):
-        raise ValidationError(f"dof vector must have length {2 * n}, got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InfeasibleState("nonfinite dof vector")
-    gamma = np.concatenate([[0.0], x[:n]])
-    beta = project_zero_mean(mesh, np.concatenate([[0.0], x[n:]]))
-    return State(mode=SHEAR_COLUMN, gamma=gamma, beta=beta, mesh=mesh)
+    n = template.mesh.n_elements
+    return State.shear_column(template.mesh, x[:n], x[n:])
 
 
 # -- loading ------------------------------------------------------------------
@@ -193,9 +161,11 @@ class Loading:
     """Body force and boundary traction with polynomial time dependence.
 
     ``f_coeffs``/``g_coeffs`` are ascending polynomial coefficients in t. In
-    the shear column, f(t) pairs with the trapezoid integral of gamma and
-    g(t) with the top nodal value; at a material point both pair with F (the
-    constant, dof-independent part of the pairing is dropped).
+    the shear column, f(t) pairs with the integral of gamma and g(t) with its
+    top value, which in slopes is sum_e h * sigma_e * gamma'_e with the
+    element resultants of :func:`element_stress`; at a material point both
+    pair with F (the constant, dof-independent part of the pairing is
+    dropped).
     """
 
     f_coeffs: tuple = (0.0,)
@@ -231,8 +201,7 @@ class Loading:
     def _pair(self, state: State, f_val: float, g_val: float) -> float:
         if state.mode == MATERIAL_POINT:
             return (f_val + g_val) * state.F
-        w = trapezoid_weights(state.mesh)
-        return f_val * float(w @ state.gamma) + g_val * float(state.gamma[-1])
+        return slope_pairing(state.mesh, state.gamma, f_val, g_val)
 
 
 def _polyval(coeffs: tuple, t: float) -> float:
@@ -300,10 +269,7 @@ def energy_from_stored(
     w_el: float, w_vi: float, state: State, loading: Loading, t: float
 ) -> float:
     """E(t, state) given ``stored_energies(model, state) == (w_el, w_vi)``."""
-    if state.mode == MATERIAL_POINT:
-        return w_el + w_vi - (loading.f(t) + loading.g(t)) * state.F
-    f_pair = loading.f(t) * float(trapezoid_weights(state.mesh) @ state.gamma)
-    return w_el + w_vi - f_pair - loading.g(t) * float(state.gamma[-1])
+    return w_el + w_vi - loading.pairing(state, t)
 
 
 def total_energy(model: MaterialModel, state: State, loading: Loading, t: float):
@@ -322,28 +288,19 @@ def total_energy(model: MaterialModel, state: State, loading: Loading, t: float)
         )
         return value, grad
 
-    d_el = np.asarray(model.dw_el(elastic_strain(state)))
-    d_vi = np.asarray(model.dw_vi(viscous_strain(state)))
-    grad_gamma = assemble_slope_gradient(d_el)[1:]
-    grad_gamma -= loading.f(t) * trapezoid_weights(state.mesh)[1:]
-    grad_gamma[-1] -= loading.g(t)
-    grad_beta = assemble_slope_gradient(d_vi - d_el)[1:]
+    mesh = state.mesh
+    d_el = model.dw_el(elastic_strain(state))
+    sigma = element_stress(mesh, loading.f(t), loading.g(t))
+    grad_gamma = mesh.h * (d_el - sigma)
+    grad_beta = mesh.h * (model.dw_vi(viscous_strain(state)) - d_el)
     return value, np.concatenate([grad_gamma, grad_beta])
-
-
-def assemble_slope_gradient(per_element: np.ndarray) -> np.ndarray:
-    """Nodal gradient of h * sum_e density(slope_e): the h and 1/h cancel."""
-    out = np.zeros(per_element.size + 1)
-    out[:-1] -= per_element
-    out[1:] += per_element
-    return out
 
 
 def dissipation_rates(model: MaterialModel, new: State, old: State, r: float):
     """Discrete viscous rate argument for a substep of length r."""
     if new.mode == MATERIAL_POINT:
         return (new.F_vi - old.F_vi) / (r * old.F_vi)
-    return (np.diff(new.beta) - np.diff(old.beta)) / (new.mesh.h * r)
+    return (new.beta - old.beta) / r
 
 
 def dissipation_increment(model: MaterialModel, new: State, old: State, r: float) -> float:

@@ -31,11 +31,13 @@ class NonFiniteObjective(ViscoPTError):
 class StepRejected(ViscoPTError):
     """Incremental step violated the stay-put minimality inequality."""
 
-    def __init__(self, index: int, margin: float):
+    def __init__(self, index: int, margin: float, tolerance: float):
         self.index = index
         self.margin = margin
+        self.tolerance = tolerance
         super().__init__(
-            f"step {index} rejected: stay-put inequality margin {margin:.3e} < -1e-8"
+            f"step {index} rejected: stay-put inequality margin {margin:.3e} "
+            f"< -{tolerance:.3e}"
         )
 
 

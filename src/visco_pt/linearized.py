@@ -11,7 +11,8 @@ a variational implicit Euler sharing its structure with the finite-strain
 stepper; comparisons between the two then isolate linearization error. Under
 dead loads the minimization splits into one closed-form problem per element
 (as in the finite-strain shear column), and the material point is the
-one-element case with resultant f + g.
+one-element case with resultant f + g. As there, the shear-column state is
+the pair of element slopes (u', v').
 
 The bridge: a finite-strain trajectory computed under load eps*l0 and
 initial data id + eps*(u0, v0) is divided by eps into (u_eps, v_eps), and
@@ -24,21 +25,12 @@ exactly and quadratic densities make the rescaled problem eps-independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Union
+from dataclasses import dataclass, replace
+from typing import List, Optional
 
 import numpy as np
 
-from .domain import (
-    Loading,
-    ShearColumnMesh,
-    TimeGrid,
-    assemble_slope_gradient,
-    element_stress,
-    nodal_from_slopes,
-    project_zero_mean,
-    trapezoid_weights,
-)
+from .domain import Loading, ShearColumnMesh, TimeGrid, element_stress, slope_pairing
 from .errors import ValidationError
 from .rheology import MATERIAL_POINT, SHEAR_COLUMN, MaterialModel, QuadraticLimit
 from .stepper import Trajectory
@@ -48,8 +40,8 @@ from .stepper import Trajectory
 class LinState:
     """Displacement pair of the linearized system.
 
-    ``u`` is pinned at the bottom node (u[0] = 0), ``v`` has zero mean; at a
-    material point both are single values.
+    In the shear column ``u`` and ``v`` hold the element slopes u' and v'
+    (one value per element); at a material point both are single values.
     """
 
     mode: str
@@ -66,16 +58,14 @@ class LinState:
 
     @staticmethod
     def shear_column(mesh: ShearColumnMesh, u, v) -> "LinState":
-        u = np.asarray(u, dtype=float).copy()
-        v = np.asarray(v, dtype=float).copy()
-        if u.shape != (mesh.n_nodes,) or v.shape != (mesh.n_nodes,):
-            raise ValidationError("nodal arrays must have one value per node")
-        if abs(u[0]) > 1e-12:
-            raise ValidationError(f"u must vanish at the bottom node, got {u[0]!r}")
-        u[0] = 0.0
-        return LinState(
-            mode=SHEAR_COLUMN, u=u, v=project_zero_mean(mesh, v), mesh=mesh
-        )
+        """Shear-column state from the element slopes u' and v'."""
+        u = np.array(u, dtype=float)
+        v = np.array(v, dtype=float)
+        if u.shape != (mesh.n_elements,) or v.shape != (mesh.n_elements,):
+            raise ValidationError("slope arrays must have one value per element")
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+            raise ValidationError("shear-column lin state must be finite")
+        return LinState(mode=SHEAR_COLUMN, u=u, v=v, mesh=mesh)
 
 
 @dataclass
@@ -91,20 +81,14 @@ class LinTrajectory:
         return np.concatenate([[0.0], np.cumsum(self.diss_increments)])
 
 
-def _slopes(mesh: ShearColumnMesh, nodal: np.ndarray) -> np.ndarray:
-    return np.diff(nodal) / mesh.h
-
-
 def lin_stored(quad: QuadraticLimit, state: LinState):
     """Stored quadratic energies ``(W_el0, W_vi0)``."""
     if state.mode == MATERIAL_POINT:
         e = float(state.u[0] - state.v[0])
         return 0.5 * quad.c_el * e * e, 0.5 * quad.c_vi * float(state.v[0]) ** 2
     h = state.mesh.h
-    eu = _slopes(state.mesh, state.u)
-    ev = _slopes(state.mesh, state.v)
-    w_el = 0.5 * quad.c_el * h * float(np.sum((eu - ev) ** 2))
-    w_vi = 0.5 * quad.c_vi * h * float(np.sum(ev**2))
+    w_el = 0.5 * quad.c_el * h * float(np.sum((state.u - state.v) ** 2))
+    w_vi = 0.5 * quad.c_vi * h * float(np.sum(state.v**2))
     return w_el, w_vi
 
 
@@ -121,8 +105,7 @@ def lin_pairing_delta(state: LinState, loading: Loading, t1: float, t0: float):
 def _lin_pair(state: LinState, f_val: float, g_val: float) -> float:
     if state.mode == MATERIAL_POINT:
         return (f_val + g_val) * float(state.u[0])
-    w = trapezoid_weights(state.mesh)
-    return f_val * float(w @ state.u) + g_val * float(state.u[-1])
+    return slope_pairing(state.mesh, state.u, f_val, g_val)
 
 
 def lin_energy(quad: QuadraticLimit, state: LinState, loading: Loading, t: float):
@@ -136,9 +119,8 @@ def lin_dissipation_increment(
     if new.mode == MATERIAL_POINT:
         rate = float(new.v[0] - old.v[0]) / r
         return r * 0.5 * quad.d_diss * rate * rate
-    h = new.mesh.h
-    rate = (_slopes(new.mesh, new.v) - _slopes(new.mesh, old.v)) / r
-    return r * 0.5 * quad.d_diss * h * float(np.sum(rate * rate))
+    rate = (new.v - old.v) / r
+    return r * 0.5 * quad.d_diss * new.mesh.h * float(np.sum(rate * rate))
 
 
 def _lin_slopes(quad: QuadraticLimit, sigma, v_old, tau: float):
@@ -165,12 +147,9 @@ def lin_step(
     if prev.mode == MATERIAL_POINT:
         load = loading.f(t) + loading.g(t)
         return LinState.material_point(*_lin_slopes(quad, load, float(prev.v[0]), tau))
-    mesh = prev.mesh
-    sigma = element_stress(mesh, loading.f(t), loading.g(t))
-    du, dv = _lin_slopes(quad, sigma, _slopes(mesh, prev.v), tau)
-    return LinState.shear_column(
-        mesh, nodal_from_slopes(mesh, du), nodal_from_slopes(mesh, dv)
-    )
+    sigma = element_stress(prev.mesh, loading.f(t), loading.g(t))
+    u, v = _lin_slopes(quad, sigma, prev.v, tau)
+    return LinState(mode=SHEAR_COLUMN, u=u, v=v, mesh=prev.mesh)
 
 
 def _lin_gradients(
@@ -181,29 +160,16 @@ def _lin_gradients(
     loading: Loading,
     t: float,
 ):
-    """Discrete Euler-Lagrange gradients (gu, gv) at ``state``."""
+    """Discrete Euler-Lagrange gradients (gu, gv) at ``state``, in the
+    element slopes for the shear column; the material point is the
+    one-element case with h = 1 and resultant f + g."""
     if state.mode == MATERIAL_POINT:
-        load = loading.f(t) + loading.g(t)
-        e = float(state.u[0] - state.v[0])
-        gu = quad.c_el * e - load
-        gv = (
-            -quad.c_el * e
-            + quad.c_vi * float(state.v[0])
-            + quad.d_diss * float(state.v[0] - prev.v[0]) / tau
-        )
-        return np.array([gu]), np.array([gv])
-    mesh = state.mesh
-    eu = _slopes(mesh, state.u)
-    ev = _slopes(mesh, state.v)
-    rate = (ev - _slopes(mesh, prev.v)) / tau
-    sig_el = quad.c_el * (eu - ev)
-    sig_v = quad.c_vi * ev + quad.d_diss * rate
-
-    gu = assemble_slope_gradient(sig_el)[1:]
-    gu -= loading.f(t) * trapezoid_weights(mesh)[1:]
-    gu[-1] -= loading.g(t)
-    gv = assemble_slope_gradient(sig_v - sig_el)[1:]
-    return gu, gv
+        h, sigma = 1.0, loading.f(t) + loading.g(t)
+    else:
+        h, sigma = state.mesh.h, element_stress(state.mesh, loading.f(t), loading.g(t))
+    sig_el = quad.c_el * (state.u - state.v)
+    sig_v = quad.c_vi * state.v + quad.d_diss * (state.v - prev.v) / tau
+    return h * (sig_el - sigma), h * (sig_v - sig_el)
 
 
 def lin_el_residual(
@@ -238,10 +204,8 @@ def lin_equilibrium(
     if prev.mode == MATERIAL_POINT:
         load = loading.f(t) + loading.g(t)
         return LinState.material_point(float(prev.v[0]) + load / quad.c_el, prev.v[0])
-    mesh = prev.mesh
-    sigma = element_stress(mesh, loading.f(t), loading.g(t))
-    u = nodal_from_slopes(mesh, _slopes(mesh, prev.v) + sigma / quad.c_el)
-    return LinState.shear_column(mesh, u, prev.v)
+    sigma = element_stress(prev.mesh, loading.f(t), loading.g(t))
+    return replace(prev, u=prev.v + sigma / quad.c_el)
 
 
 def run_lin_evolution(
@@ -303,14 +267,15 @@ def rescale_displacements(traj: Trajectory, eps: float) -> LinTrajectory:
     )
 
 
-@dataclass(frozen=True)
-class RescaledEnergies:
-    w_el: Union[float, np.ndarray]
-    w_vi: Union[float, np.ndarray]
-    psi_increments: Optional[np.ndarray]
+def rescaled_energies(state: LinState, eps: float, model: MaterialModel):
+    """Eps-scaled stored energies ``(W_el, W_vi)`` of a lin-layout state.
 
-
-def _rescaled_state_energies(state: LinState, eps: float, model: MaterialModel):
+    Evaluates eps^-2 W(eps-scaled arguments): at a material point the
+    elastic argument keeps its (1 + eps v)^-1 factor, the shear ansatz has
+    none.
+    """
+    if not (eps > 0.0 and np.isfinite(eps)):
+        raise ValidationError(f"eps must be > 0, got {eps!r}")
     if state.mode == MATERIAL_POINT:
         u, v = float(state.u[0]), float(state.v[0])
         s_el = eps * (u - v) / (1.0 + eps * v)
@@ -318,45 +283,6 @@ def _rescaled_state_energies(state: LinState, eps: float, model: MaterialModel):
         w_vi = float(model.w_vi(eps * v)) / (eps * eps)
         return w_el, w_vi
     h = state.mesh.h
-    eu = _slopes(state.mesh, state.u)
-    ev = _slopes(state.mesh, state.v)
-    w_el = h * float(np.sum(model.w_el(eps * (eu - ev)))) / (eps * eps)
-    w_vi = h * float(np.sum(model.w_vi(eps * ev))) / (eps * eps)
+    w_el = h * float(np.sum(model.w_el(eps * (state.u - state.v)))) / (eps * eps)
+    w_vi = h * float(np.sum(model.w_vi(eps * state.v))) / (eps * eps)
     return w_el, w_vi
-
-
-def rescaled_energies(
-    obj: Union[LinState, LinTrajectory], eps: float, model: MaterialModel
-) -> RescaledEnergies:
-    """Eps-scaled stored energies (and, for a trajectory, dissipation).
-
-    Evaluates eps^-2 W(eps-scaled arguments) on lin-layout variables; the
-    viscous rate at a material point keeps its (1 + eps v)^-1 factor, the
-    shear ansatz has none.
-    """
-    if not (eps > 0.0 and np.isfinite(eps)):
-        raise ValidationError(f"eps must be > 0, got {eps!r}")
-    if isinstance(obj, LinState):
-        w_el, w_vi = _rescaled_state_energies(obj, eps, model)
-        return RescaledEnergies(w_el=w_el, w_vi=w_vi, psi_increments=None)
-    n = obj.grid.n_steps
-    w_el = np.zeros(n + 1)
-    w_vi = np.zeros(n + 1)
-    for i, st in enumerate(obj.states):
-        w_el[i], w_vi[i] = _rescaled_state_energies(st, eps, model)
-    tau = obj.grid.tau
-    psi = np.zeros(n)
-    for i in range(1, n + 1):
-        new, old = obj.states[i], obj.states[i - 1]
-        if new.mode == MATERIAL_POINT:
-            rate = (
-                eps
-                * float(new.v[0] - old.v[0])
-                / (tau * (1.0 + eps * float(old.v[0])))
-            )
-            psi[i - 1] = tau * float(model.psi(rate)) / (eps * eps)
-        else:
-            h = new.mesh.h
-            rate = eps * (_slopes(new.mesh, new.v) - _slopes(new.mesh, old.v)) / tau
-            psi[i - 1] = tau * h * float(np.sum(model.psi(rate))) / (eps * eps)
-    return RescaledEnergies(w_el=w_el, w_vi=w_vi, psi_increments=psi)

@@ -6,8 +6,8 @@ One step from state (y, y_vi) at time t_{i-1} to time t_i solves
 
 over the state. Minimality against the stay-put competitor (the previous
 state itself, which charges no dissipation) is asserted on every step:
-E(t_i, new) + tau*Psi <= E(t_i, old) up to 1e-8, and violations reject the
-step.
+E(t_i, new) + tau*Psi <= E(t_i, old) up to 1e-8 plus the rounding of the two
+energies compared, and violations reject the step.
 
 Routing: a material-point step goes through the stepping kernel, damped
 Newton with Armijo backtracking on the analytic 2x2 Hessian, warm-started
@@ -16,9 +16,9 @@ determinate, so its step splits into one problem per element: with the
 element resultant sigma_e = g + f * (1 - x_e,mid), the elastic strain solves
 w_el'(s) = sigma_e and the viscous slope solves
 c_v b + psi'((b - b_old)/r) = sigma_e (a closed form when p_psi = 2, a
-bracketed scalar Newton otherwise). The nodal profiles are rebuilt from the
-slopes, with beta projected to zero mean. A step or substep whose solver
-stops at ``max_iter`` or in a stalled line search raises
+bracketed scalar Newton otherwise). The state is these element slopes:
+gamma' = s + b and beta' = b. A step or substep whose solver stops at
+``max_iter`` or in a stalled line search raises
 :class:`SolverNotConverged`; no such step is accepted.
 
 The same solver evaluated at a substep r in (0, tau] gives phi_tau(r), the
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
@@ -45,12 +45,9 @@ from .domain import (
     dissipation_increment,
     element_stress,
     energy_from_stored,
-    nodal_from_slopes,
     pack_dofs,
-    project_zero_mean,
     stored_energies,
     unpack_dofs,
-    viscous_strain,
 )
 from .errors import (
     InfeasibleState,
@@ -177,12 +174,9 @@ def _solve_incremental(
 
     mesh = old.mesh
     sigma = element_stress(mesh, loading.f(t), loading.g(t))
-    b, iterations = _viscous_slopes(
-        model, sigma, viscous_strain(old), r, mesh.h, settings, where
-    )
-    gamma = nodal_from_slopes(mesh, _elastic_strains(model, sigma) + b)
-    beta = project_zero_mean(mesh, nodal_from_slopes(mesh, b))
-    state = State(mode=SHEAR_COLUMN, gamma=gamma, beta=beta, mesh=mesh)
+    b, iterations = _viscous_slopes(model, sigma, old.beta, r, mesh.h, settings, where)
+    gamma = _elastic_strains(model, sigma) + b
+    state = State(mode=SHEAR_COLUMN, gamma=gamma, beta=b, mesh=mesh)
     stored = stored_energies(model, state)
     diss = dissipation_increment(model, state, old, r)
     value = energy_from_stored(*stored, state, loading, t) + diss
@@ -262,15 +256,19 @@ def incremental_step(
     are evaluated once along a trajectory.
 
     Raises :class:`StepRejected` if the minimality inequality against the
-    stay-put competitor fails beyond 1e-8, and :class:`SolverNotConverged`
-    if the step's solver stops without converging.
+    stay-put competitor fails by more than ``STAY_PUT_TOL`` plus the
+    rounding of the two energies it compares, ``RESOLUTION`` times the sum
+    of their magnitudes; and :class:`SolverNotConverged` if the step's
+    solver stops without converging.
     """
     state, value, diss, stored, iterations, status = _solve_incremental(
         model, old, loading, t, tau, settings, where=f"step {index}"
     )
-    margin = energy_from_stored(*stored_old, old, loading, t) - value
-    if margin < -STAY_PUT_TOL:
-        raise StepRejected(index, margin)
+    energy_old = energy_from_stored(*stored_old, old, loading, t)
+    margin = energy_old - value
+    tolerance = STAY_PUT_TOL + RESOLUTION * (abs(energy_old) + abs(value))
+    if margin < -tolerance:
+        raise StepRejected(index, margin, tolerance)
     w_el, w_vi = stored if stored is not None else stored_energies(model, state)
     report = StepReport(
         index=index,
@@ -331,11 +329,8 @@ def equilibrate_elastic(
         load = loading.f(t) + loading.g(t)
         s = _invert_stress(model, load * state.F_vi)
         return State.material_point((1.0 + s) * state.F_vi, state.F_vi)
-    mesh = state.mesh
-    sigma = element_stress(mesh, loading.f(t), loading.g(t))
-    slopes = _elastic_strains(model, sigma) + viscous_strain(state)
-    gamma = nodal_from_slopes(mesh, slopes)
-    return State(mode=SHEAR_COLUMN, gamma=gamma, beta=state.beta, mesh=mesh)
+    sigma = element_stress(state.mesh, loading.f(t), loading.g(t))
+    return replace(state, gamma=_elastic_strains(model, sigma) + state.beta)
 
 
 def _invert_stress(model: MaterialModel, target: float) -> float:

@@ -95,7 +95,6 @@ def test_03_first_order_tau_convergence():
         config.loading(),
         config.t_final,
         config.tau_list,
-        oracle="ode_rk4",
         settings=config.settings(),
     )
     assert report.passed
@@ -230,17 +229,12 @@ def test_11_gradient_consistency():
                 )
         else:
             from visco_pt import ShearColumnMesh
-            from visco_pt.domain import project_zero_mean
 
             mesh = ShearColumnMesh(8)
 
             def draw():
-                gamma = np.concatenate(
-                    [[0.0], rng.uniform(-0.5, 0.5, mesh.n_elements)]
-                )
-                beta = project_zero_mean(
-                    mesh, rng.uniform(-0.5, 0.5, mesh.n_nodes)
-                )
+                gamma = rng.uniform(-4.0, 4.0, mesh.n_elements)
+                beta = rng.uniform(-4.0, 4.0, mesh.n_elements)
                 return State(mode=mode, gamma=gamma, beta=beta, mesh=mesh)
 
         for _ in range(100):

@@ -16,10 +16,8 @@ from visco_pt.domain import (
     elastic_strain,
     energy_value,
     pack_dofs,
-    project_zero_mean,
     stored_energies,
     total_energy,
-    trapezoid_weights,
     unpack_dofs,
     viscous_strain,
 )
@@ -34,40 +32,15 @@ def random_mp_state(rng):
 
 
 def random_shear_state(rng, mesh=MESH):
-    gamma = np.concatenate([[0.0], rng.uniform(-0.5, 0.5, mesh.n_elements)])
-    beta = project_zero_mean(mesh, rng.uniform(-0.5, 0.5, mesh.n_nodes))
-    return State.shear_column(mesh, np.cumsum(gamma), beta)
+    gamma = rng.uniform(-4.0, 4.0, mesh.n_elements)
+    beta = rng.uniform(-4.0, 4.0, mesh.n_elements)
+    return State.shear_column(mesh, gamma, beta)
 
 
 def test_mesh_properties():
     assert MESH.h == 0.125
-    assert MESH.n_nodes == 9
-    np.testing.assert_allclose(MESH.nodes, np.linspace(0.0, 1.0, 9))
     with pytest.raises(ValidationError):
         ShearColumnMesh(0)
-
-
-def test_trapezoid_weights_sum_to_one():
-    w = trapezoid_weights(MESH)
-    assert w.sum() == pytest.approx(1.0, abs=1e-15)
-    assert w[0] == w[-1] == 0.5 * MESH.h
-    # exact for affine nodal profiles
-    assert float(w @ MESH.nodes) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_trapezoid_weights_built_once_per_mesh_and_read_only():
-    w = trapezoid_weights(MESH)
-    assert trapezoid_weights(MESH) is w
-    with pytest.raises(ValueError):
-        w[0] = 1.0
-
-
-def test_project_zero_mean_is_idempotent():
-    rng = np.random.default_rng(3)
-    beta = rng.standard_normal(MESH.n_nodes)
-    projected = project_zero_mean(MESH, beta)
-    assert abs(float(trapezoid_weights(MESH) @ projected)) < 1e-14
-    np.testing.assert_allclose(project_zero_mean(MESH, projected), projected)
 
 
 def test_state_constructors_validate():
@@ -76,12 +49,18 @@ def test_state_constructors_validate():
     with pytest.raises(InfeasibleState):
         State.material_point(np.inf, 1.0)
     with pytest.raises(ValidationError):
-        State.shear_column(MESH, np.ones(MESH.n_nodes), np.zeros(MESH.n_nodes))
-    with pytest.raises(ValidationError):
         State.shear_column(MESH, np.zeros(3), np.zeros(3))
-    lopsided = np.ones(MESH.n_nodes)
     with pytest.raises(ValidationError):
-        State.shear_column(MESH, np.zeros(MESH.n_nodes), lopsided)
+        State.shear_column(MESH, np.zeros(MESH.n_elements + 1), np.zeros(MESH.n_elements))
+    nonfinite = np.zeros(MESH.n_elements)
+    nonfinite[3] = np.nan
+    with pytest.raises(InfeasibleState):
+        State.shear_column(MESH, np.zeros(MESH.n_elements), nonfinite)
+    with pytest.raises(InfeasibleState):
+        State.shear_column(MESH, np.full(MESH.n_elements, np.inf), np.zeros(MESH.n_elements))
+    # any finite slopes are a state: slopes carry no gauge
+    state = State.shear_column(MESH, np.ones(MESH.n_elements), np.ones(MESH.n_elements))
+    assert state.gamma.shape == state.beta.shape == (MESH.n_elements,)
 
 
 def test_strain_coordinates():
@@ -89,9 +68,7 @@ def test_strain_coordinates():
     assert elastic_strain(state) == pytest.approx(1.2 / 1.5 - 1.0)
     assert viscous_strain(state) == pytest.approx(0.5)
     mesh = ShearColumnMesh(2)
-    gamma = np.array([0.0, 0.3, 0.5])
-    beta = project_zero_mean(mesh, np.array([0.0, 0.1, 0.1]))
-    state = State.shear_column(mesh, gamma, beta)
+    state = State.shear_column(mesh, [0.6, 0.4], [0.2, 0.0])
     np.testing.assert_allclose(elastic_strain(state), [0.4, 0.4])
     np.testing.assert_allclose(viscous_strain(state), [0.2, 0.0])
 
@@ -104,8 +81,8 @@ def test_pack_unpack_roundtrip():
         assert back.F == mp.F and back.F_vi == mp.F_vi
         sh = random_shear_state(rng)
         back = unpack_dofs(sh, pack_dofs(sh))
-        np.testing.assert_allclose(back.gamma, sh.gamma, atol=1e-15)
-        np.testing.assert_allclose(back.beta, sh.beta, atol=1e-15)
+        assert np.array_equal(back.gamma, sh.gamma)
+        assert np.array_equal(back.beta, sh.beta)
 
 
 def test_unpack_rejects_bad_vectors():
@@ -130,13 +107,16 @@ def test_loading_polynomials_and_pairing():
     mp = State.material_point(1.4, 1.1)
     assert loading.pairing(mp, 2.0) == pytest.approx((0.5 + 0.3) * 1.4)
 
-    mesh = ShearColumnMesh(4)
-    state = State.shear_column(
-        mesh, mesh.nodes * 0.4, project_zero_mean(mesh, np.zeros(mesh.n_nodes))
-    )
-    w = trapezoid_weights(mesh)
-    expected = 0.5 * float(w @ state.gamma) + 0.3 * float(state.gamma[-1])
-    assert loading.pairing(state, 2.0) == pytest.approx(expected, abs=1e-15)
+    # Shear column: f pairs with the integral of the profile gamma, which the
+    # trapezoid rule integrates exactly (P1), and g with its top value.
+    rng = np.random.default_rng(5)
+    for n in (1, 4, 9):
+        mesh = ShearColumnMesh(n)
+        state = State.shear_column(mesh, rng.uniform(-1.0, 1.0, n), np.zeros(n))
+        gamma = np.concatenate([[0.0], mesh.h * np.cumsum(state.gamma)])
+        integral = mesh.h * (float(np.sum(gamma)) - 0.5 * (gamma[0] + gamma[-1]))
+        expected = 0.5 * integral + 0.3 * gamma[-1]
+        assert loading.pairing(state, 2.0) == pytest.approx(expected, abs=1e-15)
 
 
 def test_pairing_delta_matches_pairing_difference():
@@ -187,9 +167,7 @@ def test_stored_and_total_energy_material_point():
 def test_total_energy_shear_matches_hand_quadrature():
     model = MaterialModel(mode=SHEAR_COLUMN, c_e=2.0, c_v=0.5)
     mesh = ShearColumnMesh(2)
-    gamma = np.array([0.0, 0.3, 0.5])
-    beta = project_zero_mean(mesh, np.array([0.0, 0.1, 0.1]))
-    state = State.shear_column(mesh, gamma, beta)
+    state = State.shear_column(mesh, [0.6, 0.4], [0.2, 0.0])
     value, _ = total_energy(model, state, Loading(), 0.0)
     s_el = np.array([0.4, 0.4])
     s_vi = np.array([0.2, 0.0])
@@ -296,11 +274,9 @@ def test_energy_value_is_exactly_the_value_of_total_energy(
     else:
         mesh = ShearColumnMesh(data.draw(st.integers(1, 8)))
         n = mesh.n_elements
-        gamma_slopes = data.draw(st.lists(SLOPE, min_size=n, max_size=n))
-        beta_slopes = data.draw(st.lists(SLOPE, min_size=n, max_size=n))
-        gamma = np.concatenate([[0.0], np.cumsum(gamma_slopes) * mesh.h])
-        beta = np.concatenate([[0.0], np.cumsum(beta_slopes) * mesh.h])
-        state = State.shear_column(mesh, gamma, project_zero_mean(mesh, beta))
+        gamma = data.draw(st.lists(SLOPE, min_size=n, max_size=n))
+        beta = data.draw(st.lists(SLOPE, min_size=n, max_size=n))
+        state = State.shear_column(mesh, gamma, beta)
     assert energy_value(model, state, loading, t) == total_energy(
         model, state, loading, t
     )[0]

@@ -47,7 +47,7 @@ ZERO = Loading()
 
 def shear_state(n=8, u_slope=0.5, v_slope=0.4):
     mesh = ShearColumnMesh(n)
-    return LinState.shear_column(mesh, u_slope * mesh.nodes, v_slope * mesh.nodes)
+    return LinState.shear_column(mesh, np.full(n, u_slope), np.full(n, v_slope))
 
 
 # -- single steps ---------------------------------------------------------------
@@ -229,10 +229,9 @@ def test_rescaled_energies_quadratic_model_is_eps_free():
     state = shear_state(n=4, u_slope=1.0, v_slope=0.0)
     model = MaterialModel(mode="shear_column")
     for eps in (0.4, 0.1, 0.05):
-        out = rescaled_energies(state, eps, model)
-        assert out.w_el == pytest.approx(0.5, abs=1e-14)
-        assert out.w_vi == pytest.approx(0.0, abs=1e-16)
-        assert out.psi_increments is None
+        w_el, w_vi = rescaled_energies(state, eps, model)
+        assert w_el == pytest.approx(0.5, abs=1e-14)
+        assert w_vi == pytest.approx(0.0, abs=1e-16)
 
 
 def test_rescaled_energies_shear_quartic_gap():
@@ -240,38 +239,22 @@ def test_rescaled_energies_shear_quartic_gap():
     state = shear_state(n=4, u_slope=1.0, v_slope=0.0)
     model = MaterialModel(mode="shear_column", a4=1.0)
     for eps in (0.1, 0.05):
-        out = rescaled_energies(state, eps, model)
-        assert out.w_el == pytest.approx(0.5 + eps**2 / 4.0, abs=1e-15)
-    gap = lambda eps: rescaled_energies(state, eps, model).w_el - 0.5
+        w_el, _ = rescaled_energies(state, eps, model)
+        assert w_el == pytest.approx(0.5 + eps**2 / 4.0, abs=1e-15)
+    gap = lambda eps: rescaled_energies(state, eps, model)[0] - 0.5
     assert gap(0.1) / gap(0.05) == pytest.approx(4.0, abs=1e-10)
 
 
 def test_rescaled_energies_mp_geometric_factor():
     model = MaterialModel()
     u, v, eps = 0.3, 0.2, 0.1
-    out = rescaled_energies(LinState.material_point(u, v), eps, model)
+    state = LinState.material_point(u, v)
+    w_el, w_vi = rescaled_energies(state, eps, model)
     s_el = eps * (u - v) / (1.0 + eps * v)
-    assert out.w_el == pytest.approx(0.5 * s_el**2 / eps**2, abs=1e-15)
-    assert out.w_vi == pytest.approx(0.5 * v**2, abs=1e-15)
-
-
-def test_rescaled_energies_trajectory_arrays():
-    eps = 0.1
-    model = MaterialModel()
-    grid = TimeGrid(t_final=0.2, n_steps=2)
-    traj = run_evolution(
-        model, State.material_point(1.0 + 0.5 * eps, 1.0 + 0.5 * eps), ZERO, grid
-    )
-    lin = rescale_displacements(traj, eps)
-    out = rescaled_energies(lin, eps, model)
-    assert out.w_el.shape == out.w_vi.shape == (3,)
-    assert out.psi_increments.shape == (2,)
-    # the rescaled dissipation increments are the finite-strain ones / eps^2
-    assert np.allclose(
-        out.psi_increments, traj.diss_increments / eps**2, atol=1e-16
-    )
+    assert w_el == pytest.approx(0.5 * s_el**2 / eps**2, abs=1e-15)
+    assert w_vi == pytest.approx(0.5 * v**2, abs=1e-15)
     with pytest.raises(ValidationError):
-        rescaled_energies(lin, -1.0, model)
+        rescaled_energies(state, -1.0, model)
 
 
 # -- state validation --------------------------------------------------------------
@@ -282,14 +265,13 @@ def test_lin_state_validation():
     with pytest.raises(ValidationError):
         LinState.material_point(float("nan"), 0.0)
     with pytest.raises(ValidationError):
-        LinState.shear_column(mesh, np.zeros(3), np.zeros(5))
+        LinState.shear_column(mesh, np.zeros(3), np.zeros(4))
     with pytest.raises(ValidationError):
-        LinState.shear_column(mesh, np.full(5, 0.3), np.zeros(5))
-    state = LinState.shear_column(mesh, np.zeros(5), np.full(5, 2.0))
-    # v is projected to zero trapezoid mean
-    from visco_pt.domain import trapezoid_weights
-
-    assert abs(float(trapezoid_weights(mesh) @ state.v)) < 1e-12
+        LinState.shear_column(mesh, np.zeros(5), np.zeros(5))
+    with pytest.raises(ValidationError):
+        LinState.shear_column(mesh, np.zeros(4), np.array([0.0, np.inf, 0.0, 0.0]))
+    state = LinState.shear_column(mesh, np.full(4, 0.3), np.full(4, 2.0))
+    assert state.u.shape == state.v.shape == (4,)
 
 
 def test_run_lin_evolution_shear_dissipation_bookkeeping():
