@@ -25,13 +25,7 @@ import numpy as np
 from . import __version__, analysis
 from .config import ScenarioConfig, load_config
 from .errors import ValidationError, ViscoPTError
-from .linearized import (
-    LinTrajectory,
-    lin_pairing,
-    lin_pairing_delta,
-    lin_stored,
-    run_lin_evolution,
-)
+from .linearized import LinTrajectory, run_lin_evolution
 from .stepper import Trajectory, run_evolution
 
 CSV_HEADER = "t,F,F_vi,W_el,W_vi,load_work,E_total,diss_inc,delta,ineq_residual"
@@ -48,33 +42,27 @@ def _atomic_write(path: str, data: str):
     os.replace(tmp, path)
 
 
-def _dof_column(mesh, arrays, offset: float) -> list:
-    """The F or F_vi column from one array per state: the value itself at a
-    material point (no mesh); in the shear column the top value
-    offset + h * (sum of the element slopes)."""
-    stacked = np.array(arrays)
-    if mesh is None:
-        return stacked[:, 0].tolist()
-    return (offset + mesh.h * stacked.sum(axis=1)).tolist()
-
-
-def _ledger_csv(traj, energies, pairing_delta, dofs, flag: str = "") -> str:
-    """Ledger CSV with cumulative bookkeeping, from the two dof columns, each
-    state's ``(W_el, W_vi, E_total)`` and the load-rate work of each step; a
-    nonempty ``flag`` ends every row and adds the ``lin`` column to the
-    header."""
-    states, times, delta = traj.states, traj.grid.times.tolist(), traj.delta.tolist()
-    diss = [0.0] + traj.diss_increments.tolist()
+def _ledger_csv(traj, offset: float, flag: str = "") -> str:
+    """Ledger CSV of a finite-strain or linearized trajectory, from its
+    arrays: one row per grid time with the two dof columns, W_el, W_vi, the
+    cumulative load-rate work, E_total, the step's dissipation, the
+    cumulative dissipation and the energy-inequality residual. At a material
+    point the dof columns are the dofs themselves; in the shear column they
+    are offset + h * (sum of the element slopes). A nonempty ``flag`` ends
+    every row and adds the ``lin`` column to the header."""
+    y, y_vi = traj.dofs[:, 0], traj.dofs[:, 1]
+    if traj.mesh is None:
+        y, y_vi = y[:, 0], y_vi[:, 0]
+    else:
+        y, y_vi = (offset + traj.mesh.h * col.sum(axis=1) for col in (y, y_vi))
+    energies, work, delta = traj.energies, traj.load_work, traj.delta
+    residual = (energies[0] - work) - (energies + delta)
+    diss = np.concatenate([[0.0], traj.diss_increments])
+    columns = (traj.grid.times, y, y_vi, traj.stored[:, 0], traj.stored[:, 1],
+               work, energies, diss, delta, residual)
+    row = ",".join(["%.17g"] * len(columns)) + flag
     lines = [CSV_HEADER + (",lin" if flag else "")]
-    e0, work = energies[0][2], 0.0
-    for i, (y, y_vi, (w_el, w_vi, e_total)) in enumerate(zip(*dofs, energies)):
-        if i > 0:
-            work += pairing_delta(states[i - 1], times[i], times[i - 1])
-        residual = (e0 - work) - (e_total + delta[i])
-        row = (times[i], y, y_vi, w_el, w_vi, work, e_total, diss[i], delta[i],
-               residual)
-        # format() inline, as _fmt does: the ledger is the hot output loop
-        lines.append(",".join([format(v, ".17g") for v in row]) + flag)
+    lines += [row % values for values in zip(*(c.tolist() for c in columns))]
     return "\n".join(lines) + "\n"
 
 
@@ -82,31 +70,13 @@ def trajectory_csv(traj: Trajectory) -> str:
     """Ledger CSV for a finite-strain trajectory, from the stored energies it
     carries; in the shear column F and F_vi are 1 + h * (sum of gamma') and
     1 + h * (sum of beta')."""
-    states, mesh = traj.states, traj.states[0].mesh
-    dofs = (
-        _dof_column(mesh, [s.gamma for s in states], 1.0),
-        _dof_column(mesh, [s.beta for s in states], 1.0),
-    )
-    energies = [(*w, traj.energy(i)) for i, w in enumerate(traj.stored.tolist())]
-    return _ledger_csv(traj, energies, traj.loading.pairing_delta, dofs)
+    return _ledger_csv(traj, 1.0)
 
 
 def lin_trajectory_csv(traj: LinTrajectory) -> str:
     """Same schema as trajectory_csv plus a lin flag; the F and F_vi columns
     carry u and v, in the shear column h * (sum of u') and h * (sum of v')."""
-    loading, states, mesh = traj.loading, traj.states, traj.states[0].mesh
-    dofs = (
-        _dof_column(mesh, [s.u for s in states], 0.0),
-        _dof_column(mesh, [s.v for s in states], 0.0),
-    )
-    energies = []
-    for state, t in zip(states, traj.grid.times.tolist()):
-        w_el, w_vi = lin_stored(traj.quad, state)
-        energies.append((w_el, w_vi, w_el + w_vi - lin_pairing(state, loading, t)))
-    return _ledger_csv(
-        traj, energies, lambda s, t1, t0: lin_pairing_delta(s, loading, t1, t0),
-        dofs, ",1",
-    )
+    return _ledger_csv(traj, 0.0, ",1")
 
 
 def _json_dump(payload: dict) -> str:

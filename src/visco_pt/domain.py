@@ -15,10 +15,18 @@ enters an energy.
 Packed dof layout (the vector that gradients and affine interpolants use):
 ``x = [gamma, beta]``, that is ``[F, F_vi]`` at a material point and
 ``[gamma', beta']`` in the shear column.
+
+Trajectory layout: one read-only dof array of shape (n_steps + 1, 2,
+n_elements), row i holding the pair of state i (n_elements = 1 at a material
+point); :class:`Ledger` builds states from its rows on demand and prices all
+rows at once.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -68,6 +76,19 @@ def slope_pairing(mesh: ShearColumnMesh, slopes, f_val: float, g_val: float) -> 
     sigma array."""
     body, top = (mesh.load_shapes @ slopes).tolist()
     return mesh.h * (f_val * body + g_val * top)
+
+
+def pairing(mesh: Optional[ShearColumnMesh], y, f_val: float, g_val: float) -> float:
+    """Load pairing of the dofs y under the load values f and g: (f + g) * F
+    at a material point (``mesh`` None), else :func:`slope_pairing`."""
+    if mesh is None:
+        return (f_val + g_val) * y
+    return slope_pairing(mesh, y, f_val, g_val)
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -121,6 +142,85 @@ class State:
     def _require(self, mode: str):
         if self.mode != mode:
             raise ValidationError(f"operation requires mode {mode}, state is {self.mode}")
+
+
+def state_from_dofs(mesh: Optional[ShearColumnMesh], y, y_vi, cls=State):
+    """The :class:`State` (or ``cls``, whose fields are ordered alike) with
+    dofs (y, y_vi): F and F_vi at a material point (``mesh`` None), element
+    slopes otherwise. Arrays are kept, not copied."""
+    if mesh is None:
+        return cls(MATERIAL_POINT, np.reshape(y, 1), np.reshape(y_vi, 1))
+    return cls(SHEAR_COLUMN, y, y_vi, mesh)
+
+
+def state_dofs(state: State) -> tuple:
+    """The dofs (y, y_vi) of a state: the floats (F, F_vi) at a material
+    point, the slope arrays (gamma', beta') in the shear column."""
+    if state.mode == MATERIAL_POINT:
+        return state.F, state.F_vi
+    return state.gamma, state.beta
+
+
+class DofStates(Sequence):
+    """Read-only view of a dof array as states, built from its rows on demand."""
+
+    def __init__(self, dofs: np.ndarray, make):
+        self._dofs, self._make = dofs, make
+
+    def __len__(self) -> int:
+        return len(self._dofs)
+
+    def __getitem__(self, i):
+        return self._make(*self._dofs[operator.index(i)])
+
+
+class Ledger:
+    """A trajectory's states and energy bookkeeping, for all states at once
+    from the fields ``mesh``, ``loading``, ``grid``, ``dofs``, ``stored``
+    and ``diss_increments``. Each value equals what the per-state functions
+    give, bit for bit: f and g are evaluated once per grid time, each shear
+    state keeps its own ``load_shapes @ slopes`` product, and ``np.cumsum``
+    adds in the order of a running sum. All results are read-only."""
+
+    state_class = State  # the class of ``states``
+
+    @cached_property
+    def states(self) -> Sequence:
+        """The states, built from ``dofs`` on demand."""
+        make = functools.partial(state_from_dofs, self.mesh, cls=self.state_class)
+        return DofStates(self.dofs, make)
+
+    @cached_property
+    def _load_ledger(self):
+        """The load pairing of each state at its time, and the cumulative
+        load-rate work against the previous state (0 at t = 0)."""
+        y, times = self.dofs[:, 0], self.grid.times
+        f, g = self.loading.f(times), self.loading.g(times)
+        df, dg = f[1:] - f[:-1], g[1:] - g[:-1]
+        if self.mesh is None:
+            pairs, steps = (f + g) * y[:, 0], (df + dg) * y[:-1, 0]
+        else:
+            body, top = np.array([self.mesh.load_shapes @ row for row in y]).T
+            pairs = self.mesh.h * (f * body + g * top)
+            steps = self.mesh.h * (df * body[:-1] + dg * top[:-1])
+        return read_only(pairs), read_only(np.cumsum(np.concatenate(([0.0], steps))))
+
+    @cached_property
+    def energies(self) -> np.ndarray:
+        """E(t_i, state i) = W_el + W_vi - pairing, for every state."""
+        return read_only((self.stored[:, 0] + self.stored[:, 1]) - self._load_ledger[0])
+
+    @property
+    def load_work(self) -> np.ndarray:
+        return self._load_ledger[1]
+
+    @cached_property
+    def delta(self) -> np.ndarray:
+        """Cumulative dissipation: delta[n] = sum of the first n increments."""
+        return read_only(np.concatenate([[0.0], np.cumsum(self.diss_increments)]))
+
+    def energy(self, i: int) -> float:
+        return float(self.energies[i])
 
 
 def elastic_strain(state: State):
@@ -199,12 +299,11 @@ class Loading:
         return self._pair(state, self.f(t1) - self.f(t0), self.g(t1) - self.g(t0))
 
     def _pair(self, state: State, f_val: float, g_val: float) -> float:
-        if state.mode == MATERIAL_POINT:
-            return (f_val + g_val) * state.F
-        return slope_pairing(state.mesh, state.gamma, f_val, g_val)
+        return pairing(state.mesh, state_dofs(state)[0], f_val, g_val)
 
 
-def _polyval(coeffs: tuple, t: float) -> float:
+def _polyval(coeffs: tuple, t):
+    """Horner's rule at t, a float or an array (elementwise alike)."""
     value = 0.0
     for c in reversed(coeffs):
         value = value * t + c
@@ -245,30 +344,23 @@ class TimeGrid:
 def stored_energies(model: MaterialModel, state: State) -> tuple:
     """(elastic, viscous) stored energy of a state."""
     _check_mode(model, state)
-    if state.mode == MATERIAL_POINT:
-        return (
-            float(model.w_el(state.F / state.F_vi - 1.0)),
-            float(model.w_vi(state.F_vi - 1.0)),
-        )
-    h = state.mesh.h
-    s_el = elastic_strain(state)
-    s_vi = viscous_strain(state)
+    return dof_stored_energies(model, state.mesh, *state_dofs(state))
+
+
+def dof_stored_energies(model: MaterialModel, mesh, y, y_vi) -> tuple:
+    """:func:`stored_energies` of the state with dofs (y, y_vi) on ``mesh``."""
+    if mesh is None:
+        return float(model.w_el(y / y_vi - 1.0)), float(model.w_vi(y_vi - 1.0))
+    h = mesh.h
     return (
-        h * float(np.sum(model.w_el(s_el))),
-        h * float(np.sum(model.w_vi(s_vi))),
+        h * float(np.add.reduce(model.w_el(y - y_vi))),
+        h * float(np.add.reduce(model.w_vi(y_vi))),
     )
 
 
 def energy_value(model: MaterialModel, state: State, loading: Loading, t: float) -> float:
     """Total energy E(t, state): stored energies minus the load pairing."""
     w_el, w_vi = stored_energies(model, state)
-    return energy_from_stored(w_el, w_vi, state, loading, t)
-
-
-def energy_from_stored(
-    w_el: float, w_vi: float, state: State, loading: Loading, t: float
-) -> float:
-    """E(t, state) given ``stored_energies(model, state) == (w_el, w_vi)``."""
     return w_el + w_vi - loading.pairing(state, t)
 
 
@@ -306,10 +398,14 @@ def dissipation_rates(model: MaterialModel, new: State, old: State, r: float):
 def dissipation_increment(model: MaterialModel, new: State, old: State, r: float) -> float:
     """r * Psi(old, (new - old)/r), the dissipation charged to a substep."""
     _check_pair(new, old)
-    rate = dissipation_rates(model, new, old, r)
-    if new.mode == MATERIAL_POINT:
-        return r * float(model.psi(rate))
-    return r * new.mesh.h * float(np.sum(model.psi(rate)))
+    return dof_dissipation(model, new.mesh, state_dofs(new)[1], state_dofs(old)[1], r)
+
+
+def dof_dissipation(model: MaterialModel, mesh, y_vi, y_vi_old, r: float) -> float:
+    """:func:`dissipation_increment` from the viscous dofs y_vi_old to y_vi."""
+    if mesh is None:
+        return r * float(model.psi((y_vi - y_vi_old) / (r * y_vi_old)))
+    return r * mesh.h * float(np.add.reduce(model.psi((y_vi - y_vi_old) / r)))
 
 
 def dissipation_displacement(model: MaterialModel, new: State, old: State) -> float:

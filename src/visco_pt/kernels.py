@@ -17,6 +17,12 @@ Every other step uses the Armijo search.
 
 Status codes: 0 converged, 1 max_iter exceeded, 2 line search stalled,
 3 infeasible start, 4 nonfinite objective.
+
+Besides the minimizer, a solve returns the parts of the value at it: W_el,
+W_vi and r * psi, evaluated in the order of operations of
+:class:`~visco_pt.rheology.MaterialModel`. W_vi and r * psi then equal what
+the model's densities give, bit for bit, and so does W_el when a4 = 0 (the
+model takes s**4 on a NumPy array, which Python's power does not reproduce).
 """
 
 from __future__ import annotations
@@ -114,6 +120,20 @@ def _newton_direction(hFF, hFFv, hFvFv, gF, gFv):
     return -gF, -gFv, -(gF * gF + gFv * gFv)
 
 
+def _parts(c_e, a4, c_v, d_v, p_psi, anchor, r, F, Fv):
+    """(W_el, W_vi, r * psi) at (F, Fv), multiplied out as MaterialModel does
+    for the quadratic terms."""
+    s = F / Fv - 1.0
+    s2 = s * s
+    svi = Fv - 1.0
+    rate = (Fv - anchor) / (r * anchor)
+    return (
+        0.5 * c_e * s * s + 0.25 * a4 * s2 * s2,
+        0.5 * c_v * svi * svi,
+        r * _psi(d_v, p_psi, rate),
+    )
+
+
 def mp_minimize(
     c_e,
     a4,
@@ -135,15 +155,17 @@ def mp_minimize(
 
     Converges when ``|grad|_inf <= grad_tol``; steps whose predicted decrease
     is below the rounding of f follow the resolution rule of the module
-    docstring. Returns ``(F, Fv, value, grad_inf, iterations, status)``.
+    docstring. Returns ``(F, Fv, value, grad_inf, iterations, status, w_el,
+    w_vi, dis)``, the last three the parts of ``value`` at (F, Fv) (zeros
+    for statuses 3 and 4).
     """
     ok, f, gF, gFv = _value_grad(
         c_e, a4, c_v, d_v, p_psi, k_radius, load, anchor, r, F, Fv
     )
     if not ok:
-        return F, Fv, 0.0, 0.0, 0, 3
+        return F, Fv, 0.0, 0.0, 0, 3, 0.0, 0.0, 0.0
     if f != f or f == _INF or f == -_INF:
-        return F, Fv, f, 0.0, 0, 4
+        return F, Fv, f, 0.0, 0, 4, 0.0, 0.0, 0.0
 
     iterations = 0
     while True:
@@ -151,9 +173,11 @@ def mp_minimize(
         aFv = gFv if gFv >= 0.0 else -gFv
         grad_inf = aF if aF >= aFv else aFv
         if grad_inf <= grad_tol:
-            return F, Fv, f, grad_inf, iterations, 0
+            status = 0
+            break
         if iterations >= max_iter:
-            return F, Fv, f, grad_inf, iterations, 1
+            status = 1
+            break
 
         hFF, hFFv, hFvFv = _hessian(c_e, a4, c_v, d_v, p_psi, anchor, r, F, Fv)
         dF, dFv, slope = _newton_direction(hFF, hFFv, hFvFv, gF, gFv)
@@ -164,10 +188,9 @@ def mp_minimize(
                 c_e, a4, c_v, d_v, p_psi, k_radius, load, anchor, r, tF, tFv
             )
             if not (ok and math.isfinite(ft) and math.isfinite(tgF)
-                    and math.isfinite(tgFv)):
-                return F, Fv, f, grad_inf, iterations, 2
-            if max(abs(tgF), abs(tgFv)) >= grad_inf:
-                return F, Fv, f, grad_inf, iterations, 2
+                    and math.isfinite(tgFv)) or max(abs(tgF), abs(tgFv)) >= grad_inf:
+                status = 2
+                break
             F, Fv, f, gF, gFv = tF, tFv, ft, tgF, tgFv
             iterations += 1
             continue
@@ -184,17 +207,23 @@ def mp_minimize(
                 break
             alpha *= backtrack
             if alpha < _MIN_STEP:
-                return F, Fv, f, grad_inf, iterations, 2
+                break
+        if alpha < _MIN_STEP:
+            status = 2
+            break
         F = tF
         Fv = tFv
         ok, f, gF, gFv = _value_grad(
             c_e, a4, c_v, d_v, p_psi, k_radius, load, anchor, r, F, Fv
         )
         if not ok:
-            return F, Fv, 0.0, 0.0, iterations, 3
+            return F, Fv, 0.0, 0.0, iterations, 3, 0.0, 0.0, 0.0
         if f != f or f == _INF or f == -_INF:
-            return F, Fv, f, 0.0, iterations, 4
+            return F, Fv, f, 0.0, iterations, 4, 0.0, 0.0, 0.0
         iterations += 1
+    return (F, Fv, f, grad_inf, iterations, status) + _parts(
+        c_e, a4, c_v, d_v, p_psi, anchor, r, F, Fv
+    )
 
 
 def mp_objective(c_e, a4, c_v, d_v, p_psi, k_radius, load, anchor, r, F, Fv):

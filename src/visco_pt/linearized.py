@@ -26,11 +26,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
-from .domain import Loading, ShearColumnMesh, TimeGrid, element_stress, slope_pairing
+from .domain import (
+    Ledger,
+    Loading,
+    ShearColumnMesh,
+    TimeGrid,
+    element_stress,
+    pairing,
+    read_only,
+)
 from .errors import ValidationError
 from .rheology import MATERIAL_POINT, SHEAR_COLUMN, MaterialModel, QuadraticLimit
 from .stepper import Trajectory
@@ -68,32 +77,45 @@ class LinState:
         return LinState(mode=SHEAR_COLUMN, u=u, v=v, mesh=mesh)
 
 
+
 @dataclass
-class LinTrajectory:
+class LinTrajectory(Ledger):
+    """Linearized states as one read-only dof array of shape
+    (n_steps + 1, 2, n_elements), row i holding (u, v) of state i, with the
+    dissipation of each step."""
+
     quad: QuadraticLimit
     loading: Loading
     grid: TimeGrid
-    states: List[LinState]
+    mesh: Optional[ShearColumnMesh]
+    dofs: np.ndarray
     diss_increments: np.ndarray
 
-    @property
-    def delta(self) -> np.ndarray:
-        return np.concatenate([[0.0], np.cumsum(self.diss_increments)])
+    state_class = LinState
+
+    @cached_property
+    def stored(self) -> np.ndarray:
+        """``lin_stored`` of every state, shape (n_steps + 1, 2), read-only."""
+        w_el, w_vi = _lin_stored(self.quad, self.mesh, self.dofs[:, 0], self.dofs[:, 1])
+        return read_only(np.column_stack([w_el, w_vi]))
+
+
+def _lin_stored(quad: QuadraticLimit, mesh, u, v):
+    """Arrays of W_el0 and W_vi0 for the rows of u and v."""
+    if mesh is None:
+        e = u[:, 0] - v[:, 0]
+        # Python's float ** 2, which can round unlike NumPy's v * v
+        squares = np.array([x**2 for x in v[:, 0].tolist()])
+        return 0.5 * quad.c_el * e * e, 0.5 * quad.c_vi * squares
+    h = mesh.h
+    w_el = 0.5 * quad.c_el * h * np.sum((u - v) ** 2, axis=1)
+    return w_el, 0.5 * quad.c_vi * h * np.sum(v**2, axis=1)
 
 
 def lin_stored(quad: QuadraticLimit, state: LinState):
     """Stored quadratic energies ``(W_el0, W_vi0)``."""
-    if state.mode == MATERIAL_POINT:
-        e = float(state.u[0] - state.v[0])
-        return 0.5 * quad.c_el * e * e, 0.5 * quad.c_vi * float(state.v[0]) ** 2
-    h = state.mesh.h
-    w_el = 0.5 * quad.c_el * h * float(np.sum((state.u - state.v) ** 2))
-    w_vi = 0.5 * quad.c_vi * h * float(np.sum(state.v**2))
-    return w_el, w_vi
-
-
-def lin_pairing(state: LinState, loading: Loading, t: float) -> float:
-    return _lin_pair(state, loading.f(t), loading.g(t))
+    w_el, w_vi = _lin_stored(quad, state.mesh, state.u[None], state.v[None])
+    return float(w_el[0]), float(w_vi[0])
 
 
 def lin_pairing_delta(state: LinState, loading: Loading, t1: float, t0: float):
@@ -103,14 +125,13 @@ def lin_pairing_delta(state: LinState, loading: Loading, t1: float, t0: float):
 
 
 def _lin_pair(state: LinState, f_val: float, g_val: float) -> float:
-    if state.mode == MATERIAL_POINT:
-        return (f_val + g_val) * float(state.u[0])
-    return slope_pairing(state.mesh, state.u, f_val, g_val)
+    u = float(state.u[0]) if state.mode == MATERIAL_POINT else state.u
+    return pairing(state.mesh, u, f_val, g_val)
 
 
 def lin_energy(quad: QuadraticLimit, state: LinState, loading: Loading, t: float):
     w_el, w_vi = lin_stored(quad, state)
-    return w_el + w_vi - lin_pairing(state, loading, t)
+    return w_el + w_vi - _lin_pair(state, loading.f(t), loading.g(t))
 
 
 def lin_dissipation_increment(
@@ -214,15 +235,35 @@ def run_lin_evolution(
     loading: Loading,
     grid: TimeGrid,
 ) -> LinTrajectory:
-    states = [state0]
-    diss = np.zeros(grid.n_steps)
-    times = grid.times
-    for i in range(1, grid.n_steps + 1):
-        state = lin_step(float(times[i]), states[-1], grid.tau, quad, loading)
-        diss[i - 1] = lin_dissipation_increment(quad, state, states[-1], grid.tau)
-        states.append(state)
+    """The scheme of :func:`lin_step` across the grid, with the arithmetic of
+    :func:`lin_step` and :func:`lin_dissipation_increment`: the resultants
+    of all grid times form one array, and only the viscous recursion runs
+    step by step."""
+    mesh, tau, n = state0.mesh, grid.tau, grid.n_steps
+    f, g = loading.f(grid.times), loading.g(grid.times)
+    if mesh is None:
+        sigma = (f + g)[:, None]
+    else:
+        sigma = g[:, None] + f[:, None] * mesh.load_shapes[0]
+    dofs = np.empty((n + 1, 2, len(state0.v)))
+    dofs[0] = state0.u, state0.v
+    v = dofs[:, 1]
+    denominator = quad.c_vi + quad.d_diss / tau
+    for i in range(1, n + 1):
+        v[i] = v[i - 1] + (sigma[i] - quad.c_vi * v[i - 1]) / denominator
+    dofs[1:, 0] = v[1:] + sigma[1:] / quad.c_el
+    rate = (v[1:] - v[:-1]) / tau
+    if mesh is None:
+        diss = tau * 0.5 * quad.d_diss * rate[:, 0] * rate[:, 0]
+    else:
+        diss = tau * 0.5 * quad.d_diss * mesh.h * np.sum(rate * rate, axis=1)
     return LinTrajectory(
-        quad=quad, loading=loading, grid=grid, states=states, diss_increments=diss
+        quad=quad,
+        loading=loading,
+        grid=grid,
+        mesh=mesh,
+        dofs=read_only(dofs),
+        diss_increments=read_only(diss),
     )
 
 
@@ -244,16 +285,7 @@ def rescale_displacements(traj: Trajectory, eps: float) -> LinTrajectory:
     """
     if not (eps > 0.0 and np.isfinite(eps)):
         raise ValidationError(f"eps must be > 0, got {eps!r}")
-    states = []
-    for st in traj.states:
-        if st.mode == MATERIAL_POINT:
-            states.append(
-                LinState.material_point((st.F - 1.0) / eps, (st.F_vi - 1.0) / eps)
-            )
-        else:
-            states.append(
-                LinState.shear_column(st.mesh, st.gamma / eps, st.beta / eps)
-            )
+    shift = 1.0 if traj.mesh is None else 0.0
     loading0 = Loading(
         f_coeffs=tuple(c / eps for c in traj.loading.f_coeffs),
         g_coeffs=tuple(c / eps for c in traj.loading.g_coeffs),
@@ -262,7 +294,8 @@ def rescale_displacements(traj: Trajectory, eps: float) -> LinTrajectory:
         quad=traj.model.quadratic_limit(),
         loading=loading0,
         grid=traj.grid,
-        states=states,
+        mesh=traj.mesh,
+        dofs=read_only((traj.dofs - shift) / eps),
         diss_increments=traj.diss_increments / (eps * eps),
     )
 

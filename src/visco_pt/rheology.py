@@ -90,7 +90,9 @@ class MaterialModel:
     def w_el(self, s):
         """Elastic stored-energy density."""
         s = np.asarray(s, dtype=float)
-        out = 0.5 * self.c_e * s * s + 0.25 * self.a4 * s**4
+        out = 0.5 * self.c_e * s * s
+        if self.a4 != 0.0:  # adding 0.25 * 0.0 * s**4 leaves a finite out as it is
+            out = out + 0.25 * self.a4 * s**4
         return _unwrap(out)
 
     def dw_el(self, s):
@@ -101,7 +103,7 @@ class MaterialModel:
     def w_vi(self, s):
         """Viscous stored-energy density; infeasible outside |s| <= k_radius."""
         s = np.asarray(s, dtype=float)
-        if np.any(np.abs(s) > self.k_radius):
+        if (np.abs(s) > self.k_radius).any():
             raise InfeasibleState(
                 f"viscous strain outside the admissible radius {self.k_radius}"
             )

@@ -11,15 +11,21 @@ energies compared, and violations reject the step.
 
 Routing: a material-point step goes through the stepping kernel, damped
 Newton with Armijo backtracking on the analytic 2x2 Hessian, warm-started
-from the previous state. The shear column under dead loads is statically
-determinate, so its step splits into one problem per element: with the
-element resultant sigma_e = g + f * (1 - x_e,mid), the elastic strain solves
-w_el'(s) = sigma_e and the viscous slope solves
-c_v b + psi'((b - b_old)/r) = sigma_e (a closed form when p_psi = 2, a
-bracketed scalar Newton otherwise). The state is these element slopes:
-gamma' = s + b and beta' = b. A step or substep whose solver stops at
-``max_iter`` or in a stalled line search raises
+from the previous state, in plain floats; the kernel also returns the
+state's stored energies and dissipation. The shear
+column under dead loads is statically determinate, so its step splits into
+one problem per element: with the element resultant
+sigma_e = g + f * (1 - x_e,mid), the elastic strain solves w_el'(s) = sigma_e
+and the viscous slope solves c_v b + psi'((b - b_old)/r) = sigma_e (a closed
+form when p_psi = 2, a bracketed scalar Newton otherwise). The state is
+these element slopes: gamma' = s + b and beta' = b. A step or substep whose
+solver stops at ``max_iter`` or in a stalled line search raises
 :class:`SolverNotConverged`; no such step is accepted.
+
+Steps pass the dofs (y, y_vi), floats at a material point and element
+arrays in the shear column, and build no :class:`State`; the
+:class:`Trajectory` stores them as one dof array (see :mod:`visco_pt.domain`)
+with per-state and per-step arrays beside it.
 
 The same solver evaluated at a substep r in (0, tau] gives phi_tau(r), the
 value function of the De Giorgi interpolation; its minimizer is the De
@@ -33,19 +39,26 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import kernels
 from .domain import (
+    Ledger,
     Loading,
+    ShearColumnMesh,
     State,
     TimeGrid,
-    dissipation_increment,
+    dof_dissipation,
+    dof_stored_energies,
     element_stress,
-    energy_from_stored,
     pack_dofs,
+    pairing,
+    read_only,
+    slope_pairing,
+    state_dofs,
+    state_from_dofs,
     stored_energies,
     unpack_dofs,
 )
@@ -63,124 +76,136 @@ from .minimize import (
     RESOLUTION,
     MinimizeSettings,
 )
-from .rheology import MATERIAL_POINT, SHEAR_COLUMN, MaterialModel
+from .rheology import MATERIAL_POINT, MaterialModel
 
 STAY_PUT_TOL = 1e-8
 
 _KERNEL_STATUS = {0: CONVERGED, 1: MAX_ITER_EXCEEDED, 2: LINE_SEARCH_STALLED}
 
 
-@dataclass(frozen=True)
-class StepReport:
-    index: int
-    t: float
-    iterations: int
-    status: str
-    stay_put_margin: float
-    diss_increment: float
+class Step(NamedTuple):
+    """One accepted step: the new dofs, their stored energies, the
+    dissipation, and the solver's iterations, status code (0 converged),
+    final |grad|_inf (0 for the shear closed form) and stay-put margin
+    E(t, old) - (E(t, new) + tau * Psi)."""
+
+    y: object
+    y_vi: object
     w_el: float
     w_vi: float
+    diss: float
+    iterations: int
+    status: int
+    grad_inf: float
+    margin: float
 
 
-@dataclass(frozen=True)
-class PhiTau:
-    """Value and minimizer of the incremental functional at substep r."""
+class PhiTau(NamedTuple):
+    """Value, minimizer dofs and rate dissipation of the incremental
+    functional at substep r; ``state`` builds the minimizer."""
 
     value: float
-    state: State
+    y: object
+    y_vi: object
     rate_dissipation: float
     iterations: int
     status: str
+    mesh: Optional[ShearColumnMesh] = None
+
+    @property
+    def state(self) -> State:
+        return state_from_dofs(self.mesh, self.y, self.y_vi)
 
 
 @dataclass
-class Trajectory:
-    """Accepted states with what was evaluated on them once, while stepping:
-    ``stored[i]`` is ``stored_energies(model, states[i])`` (read-only, shape
-    (n_steps + 1, 2)) and ``diss_increments[i - 1]`` the dissipation of step i."""
+class Trajectory(Ledger):
+    """Accepted states as one read-only dof array of shape (n_steps + 1, 2,
+    n_elements), with what was evaluated on them once, while stepping:
+    ``stored[i]`` is ``stored_energies(model, states[i])``, and the fields
+    of :class:`Step` i sit at index i - 1 of the per-step arrays. All arrays
+    are read-only."""
 
     model: MaterialModel
     loading: Loading
     grid: TimeGrid
-    states: List[State]
+    mesh: Optional[ShearColumnMesh]
+    dofs: np.ndarray
     stored: np.ndarray
     diss_increments: np.ndarray
-    step_reports: List[StepReport]
+    iterations: np.ndarray
+    status: np.ndarray
+    grad_inf: np.ndarray
+    stay_put_margin: np.ndarray
     settings: MinimizeSettings
-
-    @property
-    def delta(self) -> np.ndarray:
-        """Cumulative dissipation: delta[n] = sum of the first n increments."""
-        return np.concatenate([[0.0], np.cumsum(self.diss_increments)])
-
-    def energy(self, i: int) -> float:
-        w_el, w_vi = self.stored[i].tolist()
-        t = float(self.grid.times[i])
-        return energy_from_stored(w_el, w_vi, self.states[i], self.loading, t)
 
 
 # -- single incremental solve ---------------------------------------------------
 
 
+class _LoadAt(NamedTuple):
+    """The load at one time: its values f and g and, in the shear column, the
+    element resultants with the elastic strains that balance them."""
+
+    f: float
+    g: float
+    sigma: Optional[np.ndarray] = None
+    s_el: Optional[np.ndarray] = None
+
+
+def _load_at(model: MaterialModel, mesh, loading: Loading, t: float) -> _LoadAt:
+    f_val, g_val = loading.f(t), loading.g(t)
+    if mesh is None:
+        return _LoadAt(f_val, g_val)
+    sigma = element_stress(mesh, f_val, g_val)
+    return _LoadAt(f_val, g_val, sigma, _elastic_strains(model, sigma))
+
+
 def _solve_incremental(
     model: MaterialModel,
-    old: State,
-    loading: Loading,
-    t: float,
+    mesh: Optional[ShearColumnMesh],
+    old: tuple,
+    at: _LoadAt,
     r: float,
     settings: MinimizeSettings,
-    where: Optional[str] = None,
+    where: str,
 ):
-    """Minimize the incremental functional; returns ``(state, value, diss,
-    stored, iterations, status)``. ``diss`` is the dissipation r * Psi charged
-    to the substep; ``stored`` is ``stored_energies(model, state)`` where the
-    solve evaluates it for the value (the shear column), else None.
+    """Minimize the incremental functional from the dofs ``old`` under the
+    load ``at``; returns ``(y, y_vi, value, w_el, w_vi, diss, iterations,
+    grad_inf)``, with ``stored_energies`` of the minimizer and the
+    dissipation r * Psi charged to the substep.
 
-    Raises :class:`SolverNotConverged`, naming ``where`` (default: the
-    substep length r), if the solver stops without converging.
+    Raises :class:`SolverNotConverged`, naming ``where``, if the solver
+    stops without converging.
     """
-    if not (r > 0.0 and np.isfinite(r)):
+    if not (r > 0.0 and math.isfinite(r)):
         raise ValidationError(f"substep length must be > 0, got {r!r}")
-    where = where or f"substep r={r!r}"
 
-    if model.mode == MATERIAL_POINT:
-        load = loading.f(t) + loading.g(t)
-        F, Fv, value, grad_inf, iterations, status = kernels.mp_minimize(
-            model.c_e,
-            model.a4,
-            model.c_v,
-            model.d_v,
-            model.p_psi,
-            model.k_radius,
-            load,
-            old.F,
-            old.F_vi,
-            old.F_vi,
-            r,
-            settings.grad_tol,
-            settings.max_iter,
-            settings.armijo_c,
-            settings.backtrack_factor,
+    if mesh is None:
+        F_old, Fv_old = old
+        solved = kernels.mp_minimize(
+            model.c_e, model.a4, model.c_v, model.d_v, model.p_psi, model.k_radius,
+            at.f + at.g, F_old, Fv_old, Fv_old, r, settings.grad_tol,
+            settings.max_iter, settings.armijo_c, settings.backtrack_factor,
         )
+        F, Fv, value, grad_inf, iterations, status, w_el, w_vi, diss = solved
         if status == 3:
             raise InfeasibleState("infeasible warm start for the incremental step")
         if status == 4:
             raise NonFiniteObjective("incremental objective is not finite")
         if status != 0:
             raise SolverNotConverged(where, _KERNEL_STATUS[status], grad_inf)
-        state = State.material_point(F, Fv)
-        diss = dissipation_increment(model, state, old, r)
-        return state, value, diss, None, iterations, CONVERGED
+        if model.a4 != 0.0:  # the model's NumPy s**4 rounds unlike Python's
+            w_el = float(model.w_el(F / Fv - 1.0))
+        return F, Fv, value, w_el, w_vi, diss, iterations, grad_inf
 
-    mesh = old.mesh
-    sigma = element_stress(mesh, loading.f(t), loading.g(t))
-    b, iterations = _viscous_slopes(model, sigma, old.beta, r, mesh.h, settings, where)
-    gamma = _elastic_strains(model, sigma) + b
-    state = State(mode=SHEAR_COLUMN, gamma=gamma, beta=b, mesh=mesh)
-    stored = stored_energies(model, state)
-    diss = dissipation_increment(model, state, old, r)
-    value = energy_from_stored(*stored, state, loading, t) + diss
-    return state, value, diss, stored, iterations, CONVERGED
+    b, iterations, grad_inf = _viscous_slopes(
+        model, at.sigma, old[1], r, mesh.h, settings, where
+    )
+    gamma = at.s_el + b
+    w_el, w_vi = dof_stored_energies(model, mesh, gamma, b)
+    diss = dof_dissipation(model, mesh, b, old[1], r)
+    value = w_el + w_vi - slope_pairing(mesh, gamma, at.f, at.g) + diss
+    return gamma, b, value, w_el, w_vi, diss, iterations, grad_inf
 
 
 def _elastic_strains(model: MaterialModel, sigma: np.ndarray) -> np.ndarray:
@@ -200,17 +225,18 @@ def _viscous_slopes(
     where: str,
 ):
     """Per-element viscous slopes b with c_v b + psi'((b - b_old)/r) = sigma;
-    returns ``(b, iterations)``.
+    returns ``(b, iterations, grad_inf)``.
 
-    A closed form when p_psi = 2 (0 iterations). Otherwise Newton on each
-    element, kept inside the bracket between b_old and sigma/c_v, where the
-    residual changes sign (a step that leaves it bisects). An element is
-    solved when h * |residual| <= grad_tol or when its Newton step is below
-    the resolution of b, ``RESOLUTION * max(1, |b|)``; ``iterations`` is the
-    most any element took. Raises :class:`SolverNotConverged` at ``max_iter``.
+    A closed form when p_psi = 2 (0 iterations, grad_inf 0). Otherwise Newton
+    on each element, kept inside the bracket between b_old and sigma/c_v,
+    where the residual changes sign (a step that leaves it bisects). An
+    element is solved when h * |residual| <= grad_tol or when its Newton
+    step is below the resolution of b, ``RESOLUTION * max(1, |b|)``;
+    ``iterations`` is the most any element took, ``grad_inf`` the largest
+    final h * |residual|. Raises :class:`SolverNotConverged` at ``max_iter``.
     """
     if model.p_psi == 2.0:
-        return b_old + (sigma - model.c_v * b_old) / (model.c_v + model.d_v / r), 0
+        return b_old + (sigma - model.c_v * b_old) / (model.c_v + model.d_v / r), 0, 0.0
     p = model.p_psi
     lo = np.minimum(b_old, sigma / model.c_v)
     hi = np.maximum(b_old, sigma / model.c_v)
@@ -220,11 +246,12 @@ def _viscous_slopes(
     while True:
         rate = (b - b_old) / r
         residual = model.c_v * b + model.dpsi(rate) - sigma
-        active &= h * np.abs(residual) > settings.grad_tol
+        scaled = h * np.abs(residual)
+        active &= scaled > settings.grad_tol
         if not active.any():
-            return b, iterations
+            return b, iterations, float(np.max(scaled))
         if iterations >= settings.max_iter:
-            grad_inf = float(np.max(h * np.abs(residual[active])))
+            grad_inf = float(np.max(scaled[active]))
             raise SolverNotConverged(where, MAX_ITER_EXCEEDED, grad_inf)
         hi = np.where(residual > 0.0, b, hi)
         lo = np.where(residual < 0.0, b, lo)
@@ -240,7 +267,7 @@ def _viscous_slopes(
 
 def incremental_step(
     model: MaterialModel,
-    old: State,
+    old: tuple,
     loading: Loading,
     t: float,
     tau: float,
@@ -248,12 +275,11 @@ def incremental_step(
     index: int = 0,
     *,
     stored_old: tuple,
-):
-    """One incremental minimization step; returns ``(state, StepReport)``.
-
-    ``stored_old`` is ``stored_energies(model, old)``; the report carries the
-    new state's pair as ``w_el`` and ``w_vi``, so each state's stored energies
-    are evaluated once along a trajectory.
+    mesh: Optional[ShearColumnMesh] = None,
+) -> Step:
+    """One incremental minimization step from the dofs ``old = (y, y_vi)``
+    (slope arrays on ``mesh`` in the shear column) with stored energies
+    ``stored_old``; returns the :class:`Step`.
 
     Raises :class:`StepRejected` if the minimality inequality against the
     stay-put competitor fails by more than ``STAY_PUT_TOL`` plus the
@@ -261,26 +287,16 @@ def incremental_step(
     of their magnitudes; and :class:`SolverNotConverged` if the step's
     solver stops without converging.
     """
-    state, value, diss, stored, iterations, status = _solve_incremental(
-        model, old, loading, t, tau, settings, where=f"step {index}"
+    at = _load_at(model, mesh, loading, t)
+    y, y_vi, value, w_el, w_vi, diss, iterations, grad_inf = _solve_incremental(
+        model, mesh, old, at, tau, settings, f"step {index}"
     )
-    energy_old = energy_from_stored(*stored_old, old, loading, t)
+    energy_old = stored_old[0] + stored_old[1] - pairing(mesh, old[0], at.f, at.g)
     margin = energy_old - value
     tolerance = STAY_PUT_TOL + RESOLUTION * (abs(energy_old) + abs(value))
     if margin < -tolerance:
         raise StepRejected(index, margin, tolerance)
-    w_el, w_vi = stored if stored is not None else stored_energies(model, state)
-    report = StepReport(
-        index=index,
-        t=t,
-        iterations=iterations,
-        status=status,
-        stay_put_margin=margin,
-        diss_increment=diss,
-        w_el=w_el,
-        w_vi=w_vi,
-    )
-    return state, report
+    return Step(y, y_vi, w_el, w_vi, diss, iterations, 0, grad_inf, margin)
 
 
 def run_evolution(
@@ -291,27 +307,29 @@ def run_evolution(
     settings: MinimizeSettings = MinimizeSettings(),
 ) -> Trajectory:
     """March the incremental scheme across the whole grid."""
-    states, stored, reports = [state0], [stored_energies(model, state0)], []
+    mesh = state0.mesh
+    stored = stored0 = stored_energies(model, state0)
+    old = state_dofs(state0)
     times = grid.times.tolist()
+    steps = []
     for i in range(1, grid.n_steps + 1):
-        state, report = incremental_step(
-            model, states[-1], loading, times[i], grid.tau, settings,
-            index=i, stored_old=stored[-1],
+        step = incremental_step(
+            model, old, loading, times[i], grid.tau, settings, i,
+            stored_old=stored, mesh=mesh,
         )
-        states.append(state)
-        stored.append((report.w_el, report.w_vi))
-        reports.append(report)
-    stored = np.array(stored)
-    stored.flags.writeable = False
+        steps.append(step)
+        old, stored = step[:2], step[2:4]
+    y, y_vi, w_el, w_vi, *per_step = (np.array(column) for column in zip(*steps))
+    rows = (grid.n_steps, len(state0.gamma))
+    new = np.stack([y.reshape(rows), y_vi.reshape(rows)], axis=1)
+    dofs = np.concatenate([[(state0.gamma, state0.beta)], new])
+    stored = np.concatenate([[stored0], np.column_stack([w_el, w_vi])])
+    diss, iterations, status, grad_inf, margin = map(read_only, per_step)
     return Trajectory(
-        model=model,
-        loading=loading,
-        grid=grid,
-        states=states,
-        stored=stored,
-        diss_increments=np.array([r.diss_increment for r in reports]),
-        step_reports=reports,
-        settings=settings,
+        model=model, loading=loading, grid=grid, mesh=mesh,
+        dofs=read_only(dofs), stored=read_only(stored), diss_increments=diss,
+        iterations=iterations, status=status, grad_inf=grad_inf,
+        stay_put_margin=margin, settings=settings,
     )
 
 
@@ -407,18 +425,20 @@ def phi_tau(
     t: float,
     r: float,
     settings: MinimizeSettings = MinimizeSettings(),
+    *,
+    at: Optional[_LoadAt] = None,
 ) -> PhiTau:
-    """Value, minimizer and rate dissipation of the substep functional."""
-    state, value, diss, _, iterations, status = _solve_incremental(
-        model, old, loading, t, r, settings
+    """Value, minimizer and rate dissipation of the substep functional.
+
+    ``at`` is the load at t (``_load_at``); the substeps of one step share
+    it, so the shear column's elastic strains are solved once per step.
+    """
+    if at is None:
+        at = _load_at(model, old.mesh, loading, t)
+    y, y_vi, value, _, _, diss, iterations, _ = _solve_incremental(
+        model, old.mesh, state_dofs(old), at, r, settings, f"substep r={r!r}"
     )
-    return PhiTau(
-        value=value,
-        state=state,
-        rate_dissipation=diss / r,
-        iterations=iterations,
-        status=status,
-    )
+    return PhiTau(value, y, y_vi, diss / r, iterations, CONVERGED, old.mesh)
 
 
 def de_giorgi_interpolant(
@@ -466,19 +486,29 @@ def de_giorgi_integral(
     m: int,
     settings: Optional[MinimizeSettings] = None,
 ):
-    """Integral over r in [0, tau] of the substep rate dissipation.
+    """Integral over r in [0, tau] of the substep rate dissipation of step i,
+    with an estimate of its error.
 
-    Gauss-Legendre with m nodes (:func:`de_giorgi_rule`): one substep solve
-    per node, m in all. The integrand is smooth in r, so the error falls
-    geometrically in m. Returns ``(integral, nodes, samples)``.
+    Gauss-Legendre with m nodes (:func:`de_giorgi_rule`), and the
+    max(2, m // 2)-node rule for the estimate |q_m - q_coarse|: one substep
+    solve per node, m + max(2, m // 2) in all, sharing the load at t_i. The
+    integrand is smooth in r, so the error falls geometrically in m. Returns
+    ``(integral, estimate, nodes, samples)``, the last two of the m-node rule.
     """
     nodes, weights = de_giorgi_rule(traj.grid.tau, m)
+    coarse_nodes, coarse_weights = de_giorgi_rule(traj.grid.tau, max(2, m // 2))
     settings = settings or traj.settings
     old = traj.states[i - 1]
     t = float(traj.grid.times[i])
-    samples = np.zeros(m)
-    for j, r in enumerate(nodes):
-        samples[j] = phi_tau(
-            traj.model, old, traj.loading, t, float(r), settings
-        ).rate_dissipation
-    return float(weights @ samples), nodes, samples
+    at = _load_at(traj.model, traj.mesh, traj.loading, t)
+
+    def rates(rule_nodes):
+        return np.array([
+            phi_tau(traj.model, old, traj.loading, t, r, settings, at=at).rate_dissipation
+            for r in rule_nodes.tolist()
+        ])
+
+    samples = rates(nodes)
+    integral = float(weights @ samples)
+    coarse = float(coarse_weights @ rates(coarse_nodes))
+    return integral, abs(integral - coarse), nodes, samples

@@ -73,16 +73,17 @@ def test_02_closed_form_step_oracle():
     for tau in (0.5, 0.1, 0.01):
         for f_old in (0.5, 1.0, 1.5, 2.0):
             old = State.material_point(f_old, f_old)
-            state, _ = incremental_step(
-                model, old, Loading(), tau, tau, stored_old=stored_energies(model, old)
+            step = incremental_step(
+                model, (f_old, f_old), Loading(), tau, tau,
+                stored_old=stored_energies(model, old),
             )
             expected = (tau * f_old**2 + f_old) / (tau * f_old**2 + 1.0)
-            assert state.F_vi == pytest.approx(expected, abs=1e-9)
+            assert step.y_vi == pytest.approx(expected, abs=1e-9)
     old = State.material_point(1.5, 1.5)
-    spot, _ = incremental_step(
-        model, old, Loading(), 0.5, 0.5, stored_old=stored_energies(model, old)
+    spot = incremental_step(
+        model, (1.5, 1.5), Loading(), 0.5, 0.5, stored_old=stored_energies(model, old)
     )
-    assert spot.F_vi == pytest.approx(1.2352941, abs=5e-8)
+    assert spot.y_vi == pytest.approx(1.2352941, abs=5e-8)
     assert time.perf_counter() - start < 1.0
 
 

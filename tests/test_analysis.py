@@ -143,6 +143,27 @@ def test_energy_inequality_sharp_makes_six_substep_solves_per_step(monkeypatch):
     assert len(calls) == 2 * 6 * traj.grid.n_steps
 
 
+def test_energy_sharp_inverts_each_stress_law_once_per_step(monkeypatch):
+    # The six substeps of a step share the load at t_n, so a quartic shear
+    # column inverts its elastic stress law once per element and step.
+    import visco_pt.stepper as stepper
+
+    model = MaterialModel(mode="shear_column", a4=1.0)
+    mesh = ShearColumnMesh(4)
+    state0 = State.shear_column(mesh, np.full(4, 0.5), np.full(4, 0.4))
+    traj = run_evolution(model, state0, Loading((0.3,), (0.2,)), TimeGrid(1.0, 5))
+    calls = []
+    invert = stepper._invert_stress
+
+    def counted(*args):
+        calls.append(args[1])
+        return invert(*args)
+
+    monkeypatch.setattr(stepper, "_invert_stress", counted)
+    assert check_energy_inequality(traj, factor="p_psi").passed
+    assert len(calls) == traj.grid.n_steps * mesh.n_elements
+
+
 def test_energy_inequality_loaded_uses_quadrature_tolerance():
     grid = TimeGrid(t_final=0.5, n_steps=5)
     traj = run_evolution(
@@ -269,6 +290,36 @@ def test_tau_convergence_first_order_window():
     assert 0.9 <= report.rates["order"] <= 1.3
     assert len(report.params["errors"]) == 4
     assert all(e > 0.0 for e in report.params["errors"])
+
+
+@pytest.mark.parametrize(
+    "t_final, taus",
+    [(3.0, [0.1, 0.05, 0.025, 0.0125]), (3.0, [0.1, 0.075]), (1.0, [0.25, 0.2, 0.1])],
+)
+def test_tau_sweep_integrates_the_oracle_once(monkeypatch, t_final, taus):
+    # One RK4 pass over the union of the grids' times serves every tau, also
+    # when the grids do not nest (0.1 and 0.075 on [0, 3]: 30 and 40 steps),
+    # and its samples agree with a separate pass per grid to roundoff.
+    from visco_pt import analysis
+
+    calls = []
+    oracle = analysis.rk4_viscous_oracle
+
+    def counted(model, f_vi0, times, *args):
+        calls.append(len(times))
+        return oracle(model, f_vi0, times, *args)
+
+    monkeypatch.setattr(analysis, "rk4_viscous_oracle", counted)
+    trajs, report = analysis.tau_sweep(
+        UNIT_MP, State.material_point(1.5, 1.5), ZERO, t_final, taus
+    )
+    assert len(calls) == 1
+    assert calls[0] <= sum(traj.grid.n_steps + 1 for traj in trajs.values())
+    for traj, error in zip(trajs.values(), report.params["errors"]):
+        separate = oracle(UNIT_MP, 1.5, traj.grid.times)
+        assert error == pytest.approx(
+            float(np.max(np.abs(traj.dofs[:, 1, 0] - separate))), abs=1e-15
+        )
 
 
 def test_tau_convergence_validations():

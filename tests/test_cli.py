@@ -132,14 +132,20 @@ def test_trajectory_csv_makes_no_stored_energy_calls(monkeypatch):
 
 @pytest.mark.parametrize("text", [RELAX_SMALL, SHEAR_SMALL])
 def test_run_and_csv_evaluate_each_state_once(monkeypatch, text):
-    from visco_pt import domain, run_evolution, stepper
+    # The stored energies of a state come from stored_energies (the initial
+    # state), dof_stored_energies (a shear step) or the kernel, which
+    # returns them with the minimizer (a material-point step): one of these
+    # per state, and none from the CSV.
+    from visco_pt import domain, kernels, run_evolution, stepper
 
     config = parse_config(text)
     state0 = config.initial_state()
     calls = count_calls(monkeypatch, (domain, stepper, cli), "stored_energies")
+    steps = count_calls(monkeypatch, (stepper,), "dof_stored_energies")
+    solves = count_calls(monkeypatch, (kernels,), "mp_minimize")
     traj = run_evolution(config.model(), state0, config.loading(), config.grid())
     cli.trajectory_csv(traj)
-    assert len(calls) == config.n_steps + 1
+    assert len(calls) + len(steps) + len(solves) == config.n_steps + 1
 
 
 def test_sweep_eps_formats_through_the_public_csv_functions(monkeypatch, tmp_path):

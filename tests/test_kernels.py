@@ -24,7 +24,7 @@ def run_kernel(params, load, F, Fv, r):
 
 
 def test_kernel_converges_to_stationary_point():
-    F, Fv, value, grad_inf, iterations, status = run_kernel(
+    F, Fv, value, grad_inf, iterations, status, *_ = run_kernel(
         MODELS[1], 0.1, 1.5, 1.5, 0.5
     )
     assert status == 0
@@ -41,7 +41,7 @@ def test_kernel_converges_from_indefinite_hessian():
     c_e, a4, c_v, d_v, p_psi, _ = MODELS[2]
     hFF, hFFv, hFvFv = kernels._hessian(c_e, a4, c_v, d_v, p_psi, 0.7, 0.5, 1.8, 0.7)
     assert hFF * hFvFv - hFFv * hFFv < 0.0
-    F, Fv, value, grad_inf, _, status = run_kernel(MODELS[2], 0.1, 1.8, 0.7, 0.5)
+    F, Fv, value, grad_inf, _, status, *_ = run_kernel(MODELS[2], 0.1, 1.8, 0.7, 0.5)
     assert status == 0
     assert grad_inf <= 1e-10
     _, start = kernels.mp_objective(*MODELS[2], 0.1, 0.7, 0.5, 1.8, 0.7)
@@ -51,7 +51,7 @@ def test_kernel_converges_from_indefinite_hessian():
 def test_kernel_zero_load_closed_form():
     # tau = 0.5, F_old = 1.5: both dofs land on (tau F^2 + F)/(tau F^2 + 1).
     expected = (0.5 * 2.25 + 1.5) / (0.5 * 2.25 + 1.0)
-    F, Fv, _, _, _, status = run_kernel(MODELS[0], 0.0, 1.5, 1.5, 0.5)
+    F, Fv, _, _, _, status, *_ = run_kernel(MODELS[0], 0.0, 1.5, 1.5, 0.5)
     assert status == 0
     assert F == pytest.approx(expected, abs=1e-9)
     assert Fv == pytest.approx(expected, abs=1e-9)
@@ -63,7 +63,7 @@ def test_kernel_sub_rounding_newton_step_is_judged_by_the_gradient():
     # the rounding of f and its value comes out one ulp higher, so Armijo
     # alone backtracks to null steps until max_iter.
     anchor = 1.4584881295718732
-    F, Fv, value, grad_inf, iterations, status = kernels.mp_minimize(
+    F, Fv, value, grad_inf, iterations, status, *_ = kernels.mp_minimize(
         *MODELS[0], 0.1 * 0.05, 1.4669968800682816, anchor, anchor, 0.01, *SOLVER
     )
     assert status == 0
@@ -104,7 +104,7 @@ def test_kernel_converges_on_the_admissible_set(
     c_e, a4, c_v, d_v, p_psi, k_radius, load, F, Fv, r
 ):
     params = (c_e, a4, c_v, d_v, p_psi, k_radius)
-    _, _, value, grad_inf, _, status = run_kernel(params, load, F, Fv, r)
+    _, _, value, grad_inf, _, status, *_ = run_kernel(params, load, F, Fv, r)
     assert status == 0
     assert grad_inf <= 1e-10
     _, start = kernels.mp_objective(*params, load, Fv, r, F, Fv)

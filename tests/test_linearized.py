@@ -38,6 +38,7 @@ from visco_pt.linearized import (
     lin_energy,
     lin_pairing_delta,
     lin_semistability_residual,
+    lin_stored,
 )
 from visco_pt.stepper import de_giorgi_rule
 
@@ -285,3 +286,37 @@ def test_run_lin_evolution_shear_dissipation_bookkeeping():
         for i in range(6)
     ]
     assert np.all(np.diff(energies) < 0.0)
+
+
+@pytest.mark.parametrize("shear", [False, True])
+def test_lin_trajectory_arrays_equal_the_stepwise_scheme(shear):
+    # run_lin_evolution forms all resultants at once and sums the stored
+    # energies and dissipation over all rows; each value must equal, bit
+    # for bit, what lin_step and the per-state functions give.
+    quad = MaterialModel(c_e=1.7, c_v=0.3, d_v=2.9).quadratic_limit()
+    loading = Loading((0.2, -0.7, 0.4), (0.1, 0.3))
+    if shear:
+        mesh = ShearColumnMesh(9)
+        state = LinState.shear_column(mesh, np.linspace(-0.3, 0.5, 9), np.linspace(0.4, -0.2, 9))
+    else:
+        # v0 ** 2 (Python's power, as lin_stored squares) is not v0 * v0
+        v0 = 0.4650494217375609
+        assert v0**2 != v0 * v0
+        state = LinState.material_point(0.37, v0)
+    grid = TimeGrid(t_final=1.3, n_steps=7)
+    traj = run_lin_evolution(quad, state, loading, grid)
+    assert traj.dofs.shape == (8, 2, 9 if shear else 1)
+    assert not traj.dofs.flags.writeable
+    times = grid.times.tolist()
+    work = 0.0
+    for i, lin in enumerate(traj.states):
+        if i > 0:
+            prev = traj.states[i - 1]
+            expected = lin_step(times[i], prev, grid.tau, quad, loading)
+            assert np.array_equal(lin.u, expected.u) and np.array_equal(lin.v, expected.v)
+            diss = lin_dissipation_increment(quad, lin, prev, grid.tau)
+            assert traj.diss_increments[i - 1] == diss
+            work += lin_pairing_delta(prev, loading, times[i], times[i - 1])
+        assert tuple(traj.stored[i].tolist()) == lin_stored(quad, lin)
+        assert traj.energy(i) == lin_energy(quad, lin, loading, times[i])
+        assert traj.load_work[i] == work
