@@ -63,8 +63,6 @@ class ScenarioConfig:
     v0_slope: float = 0.0
     grad_tol: float = 1e-10
     max_iter: int = 10000
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
     seed: int = 0
     checks: Tuple[str, ...] = DEFAULT_CHECKS
     de_giorgi_m: int = 4
@@ -82,7 +80,7 @@ class ScenarioConfig:
         _positive("t_final", self.t_final)
         if self.n_steps < 1:
             raise ValidationError(f"n_steps must be >= 1, got {self.n_steps}")
-        for name in ("c_e", "c_v", "d_v", "k_radius", "grad_tol", "armijo_c"):
+        for name in ("c_e", "c_v", "d_v", "k_radius", "grad_tol"):
             _positive(name, getattr(self, name))
         if self.a4 < 0.0:
             raise ValidationError(f"a4 must be >= 0, got {self.a4}")
@@ -92,10 +90,6 @@ class ScenarioConfig:
             raise ValidationError(f"n_elements must be >= 1, got {self.n_elements}")
         if self.max_iter < 1:
             raise ValidationError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValidationError(
-                f"backtrack_factor must be in (0, 1), got {self.backtrack_factor}"
-            )
         if self.init_elastic not in ("equilibrate", "direct"):
             raise ValidationError(
                 "init_elastic must be 'equilibrate' or 'direct', "
@@ -145,8 +139,6 @@ class ScenarioConfig:
         return MinimizeSettings(
             grad_tol=self.grad_tol,
             max_iter=self.max_iter,
-            armijo_c=self.armijo_c,
-            backtrack_factor=self.backtrack_factor,
         )
 
     def initial_state(self) -> State:
@@ -228,8 +220,6 @@ _FLOAT_KEYS = {
     "u0_slope",
     "v0_slope",
     "grad_tol",
-    "armijo_c",
-    "backtrack_factor",
 }
 _FLOAT_LIST_KEYS = {
     "load_f",

@@ -42,7 +42,7 @@ class StepRejected(ViscoPTError):
 
 
 class SolverNotConverged(ViscoPTError):
-    """Step or substep solve stopped at max_iter or in a stalled line search."""
+    """Step or substep solve stopped at max_iter."""
 
     def __init__(self, where: str, status: str, grad_inf: float):
         self.where = where

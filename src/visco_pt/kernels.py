@@ -1,28 +1,38 @@
 """Material-point stepping kernel.
 
-Minimizes the material-point incremental objective by damped Newton on the
-analytic 2x2 Hessian, with Armijo backtracking, in plain-float arithmetic. A
-Hessian that is not positive definite (psi'' vanishes at rate 0 when
-p_psi > 2) gets an escalating ridge ``H + lam*I`` until the Newton direction
-descends; after 60 escalations the direction falls back to steepest descent.
+The incremental objective at a material point, with anchor a (the previous
+F_vi) and substep r,
 
-Resolution rule (see :mod:`visco_pt.minimize`): near the minimizer the full
-step's predicted decrease ``-g.d`` falls below the rounding of f, so f can
-no longer rank the trial point and Armijo would accept null steps until
-``max_iter``. When ``-g.d <= RESOLUTION * (1 + |f|)``
-the full step is judged by the gradient instead: it is taken (as one
-iteration) if the trial point is feasible and finite and its |grad|_inf is
-strictly below the current one; otherwise the solver stops with status 2.
-Every other step uses the Armijo search.
+    E(F, x) = w_el(F/x - 1) + w_vi(x - 1) + r * psi((x - a)/(r a)) - load * F,
 
-Status codes: 0 converged, 1 max_iter exceeded, 2 line search stalled,
-3 infeasible start, 4 nonfinite objective.
+is minimized over F in closed form: at x = F_vi the elastic strain s = F/x - 1
+solves w_el'(s) = load * x (as in ``equilibrate_elastic``), and F = (1 + s) x.
+What is left is one scalar equation in x, for the objective g reduced over F:
+
+    g'(x)  = c_v (x - 1) + psi'((x - a)/(r a)) / a - load (1 + s) = 0,
+    g''(x) = c_v - load^2 / w_el''(s) + psi''((x - a)/(r a)) / (r a^2).
+
+With a4 = 0 and p_psi = 2, g' is affine and its root is a closed form (0
+iterations). Otherwise scalar Newton from x = a solves it, inside the bracket
+of the iterates between which g' changes sign (a step that leaves the
+bracket bisects it) and inside the admissible interval
+[max(0, 1 - k_radius), 1 + k_radius]. It is converged when |g'| <= grad_tol
+or when its step is at most ``RESOLUTION * max(1, |x|)``, the rule of the
+shear column's viscous solve (see :mod:`visco_pt.minimize`).
+
+The root is the step's minimizer only if g'' > 0 there and it is admissible,
+0 < x and |x - 1| <= k_radius. Otherwise the step has no minimizer in the
+admissible set (when load^2 >= c_e c_v the objective can fall without bound
+as x grows), and the solve stops at once: Newton stops at the first iterate
+where g' shows the root beyond the admissible interval.
+
+Status codes: 0 converged, 1 max_iter exceeded, 3 no admissible minimizer,
+4 nonfinite objective.
 
 Besides the minimizer, a solve returns the parts of the value at it: W_el,
 W_vi and r * psi, evaluated in the order of operations of
-:class:`~visco_pt.rheology.MaterialModel`. W_vi and r * psi then equal what
-the model's densities give, bit for bit, and so does W_el when a4 = 0 (the
-model takes s**4 on a NumPy array, which Python's power does not reproduce).
+:class:`~visco_pt.rheology.MaterialModel`, so that each equals what the
+model's densities give, bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +42,6 @@ import math
 from .minimize import RESOLUTION
 
 _INF = float("inf")
-_MIN_STEP = 1e-18
 
 
 def _psi(d_v, p_psi, x):
@@ -54,75 +63,75 @@ def _ddpsi(d_v, p_psi, x):
     return 0.5 * d_v * p_psi * (p_psi - 1.0) * abs(x) ** (p_psi - 2.0)
 
 
-def _value(c_e, a4, c_v, d_v, p_psi, k_radius, load, anchor, r, F, Fv):
-    if Fv <= 0.0:
-        return False, 0.0
-    svi = Fv - 1.0
-    if svi > k_radius or svi < -k_radius:
-        return False, 0.0
-    s = F / Fv - 1.0
-    s2 = s * s
-    w = 0.5 * c_e * s2 + 0.25 * a4 * s2 * s2
-    wv = 0.5 * c_v * svi * svi
-    rate = (Fv - anchor) / (r * anchor)
-    dis = r * _psi(d_v, p_psi, rate)
-    return True, w + wv + dis - load * F
+def _strain(c_e, a4, target):
+    """Root s of c_e s + a4 s^3 = target. Newton from target / c_e moves |s|
+    monotonically down to the root; it stops when |s| no longer falls."""
+    s = target / c_e
+    if a4 == 0.0:
+        return s
+    while True:
+        s_new = s - (c_e * s + a4 * s * s * s - target) / (c_e + 3.0 * a4 * s * s)
+        if not abs(s_new) < abs(s):
+            return s
+        s = s_new
 
 
-def _value_grad(c_e, a4, c_v, d_v, p_psi, k_radius, load, anchor, r, F, Fv):
-    ok, f = _value(c_e, a4, c_v, d_v, p_psi, k_radius, load, anchor, r, F, Fv)
-    if not ok:
-        return False, 0.0, 0.0, 0.0
-    s = F / Fv - 1.0
-    s2 = s * s
-    dw = c_e * s + a4 * s * s2
-    svi = Fv - 1.0
-    rate = (Fv - anchor) / (r * anchor)
-    gF = dw / Fv - load
-    gFv = -dw * F / (Fv * Fv) + c_v * svi + _dpsi(d_v, p_psi, rate) / anchor
-    return True, f, gF, gFv
-
-
-def _hessian(c_e, a4, c_v, d_v, p_psi, anchor, r, F, Fv):
-    s = F / Fv - 1.0
-    s2 = s * s
-    dw = c_e * s + a4 * s * s2
-    ddw = c_e + 3.0 * a4 * s2
-    rate = (Fv - anchor) / (r * anchor)
-    Fv2 = Fv * Fv
-    Fv3 = Fv2 * Fv
-    hFF = ddw / Fv2
-    hFFv = -ddw * F / Fv3 - dw / Fv2
-    hFvFv = (
-        ddw * F * F / (Fv2 * Fv2)
-        + 2.0 * dw * F / Fv3
-        + c_v
+def _reduced(c_e, a4, c_v, d_v, p_psi, load, anchor, r, x):
+    """The elastic strain s, g'(x) and g''(x) of the objective reduced over F."""
+    s = _strain(c_e, a4, load * x)
+    rate = (x - anchor) / (r * anchor)
+    g1 = c_v * (x - 1.0) + _dpsi(d_v, p_psi, rate) / anchor - load * (1.0 + s)
+    g2 = (
+        c_v
+        - load * load / (c_e + 3.0 * a4 * s * s)
         + _ddpsi(d_v, p_psi, rate) / (r * anchor * anchor)
     )
-    return hFF, hFFv, hFvFv
+    return s, g1, g2
 
 
-def _newton_direction(hFF, hFFv, hFvFv, gF, gFv):
-    """Descent direction ``(dF, dFv, slope)`` from the ridge-shifted solve."""
-    lam_unit = 1e-10 * max(abs(hFF), abs(hFFv), abs(hFvFv), 1.0)
-    lam = 0.0
-    for _ in range(60):
-        a = hFF + lam
-        c = hFvFv + lam
-        det = a * c - hFFv * hFFv
-        if a > 0.0 and det > 0.0:
-            dF = (hFFv * gFv - c * gF) / det
-            dFv = (hFFv * gF - a * gFv) / det
-            slope = gF * dF + gFv * dFv
-            if slope < 0.0 and math.isfinite(dF) and math.isfinite(dFv):
-                return dF, dFv, slope
-        lam = lam_unit if lam == 0.0 else 10.0 * lam
-    return -gF, -gFv, -(gF * gF + gFv * gFv)
+def _newton(c_e, a4, c_v, d_v, p_psi, k_radius, load, anchor, r, grad_tol, max_iter):
+    """Bracketed Newton on g'(x) = 0 from x = anchor; returns ``(x, s, g1,
+    g2, iterations, status)`` at the last iterate.
+
+    Iterates stay in the admissible interval [low, high]: a step that would
+    leave it, or one wanted where g'' <= 0, goes to its end, and the solve
+    stops with status 3 as soon as the sign of g' puts the root beyond an
+    end, and with status 4 at a NaN g'(x).
+    """
+    low, high = max(0.0, 1.0 - k_radius), 1.0 + k_radius
+    lo, hi = -_INF, _INF
+    x = anchor
+    iterations = 0
+    resolved = False
+    while True:
+        s, g1, g2 = _reduced(c_e, a4, c_v, d_v, p_psi, load, anchor, r, x)
+        if g1 != g1:
+            return x, s, g1, g2, iterations, 4
+        if abs(g1) <= grad_tol:
+            return x, s, g1, g2, iterations, 0
+        if g1 > 0.0:
+            hi = x
+        else:
+            lo = x
+        if lo >= high or hi <= low:
+            return x, s, g1, g2, iterations, 3
+        if resolved:
+            return x, s, g1, g2, iterations, 0
+        if iterations >= max_iter:
+            return x, s, g1, g2, iterations, 1
+        if g2 > 0.0:
+            x_new = min(max(x - g1 / g2, low), high)
+        else:
+            x_new = high if g1 < 0.0 else low
+        if not lo <= x_new <= hi:
+            x_new = 0.5 * (lo + hi)
+        resolved = abs(x_new - x) <= RESOLUTION * max(1.0, abs(x))
+        x = x_new
+        iterations += 1
 
 
 def _parts(c_e, a4, c_v, d_v, p_psi, anchor, r, F, Fv):
-    """(W_el, W_vi, r * psi) at (F, Fv), multiplied out as MaterialModel does
-    for the quadratic terms."""
+    """(W_el, W_vi, r * psi) at (F, Fv), multiplied out as MaterialModel does."""
     s = F / Fv - 1.0
     s2 = s * s
     svi = Fv - 1.0
@@ -135,97 +144,43 @@ def _parts(c_e, a4, c_v, d_v, p_psi, anchor, r, F, Fv):
 
 
 def mp_minimize(
-    c_e,
-    a4,
-    c_v,
-    d_v,
-    p_psi,
-    k_radius,
-    load,
-    F,
-    Fv,
-    anchor,
-    r,
-    grad_tol,
-    max_iter,
-    armijo_c,
-    backtrack,
+    c_e, a4, c_v, d_v, p_psi, k_radius, load, anchor, r, grad_tol, max_iter
 ):
-    """Minimize the material-point incremental objective from (F, Fv).
+    """Minimize the material-point incremental objective with dissipation
+    anchor ``anchor`` (the previous F_vi, > 0) over substep ``r``.
 
-    Converges when ``|grad|_inf <= grad_tol``; steps whose predicted decrease
-    is below the rounding of f follow the resolution rule of the module
-    docstring. Returns ``(F, Fv, value, grad_inf, iterations, status, w_el,
-    w_vi, dis)``, the last three the parts of ``value`` at (F, Fv) (zeros
-    for statuses 3 and 4).
+    Returns ``(F, Fv, value, grad_inf, iterations, status, w_el, w_vi,
+    dis)``: the last iterate, the objective there, |g'| there (the gradient
+    in F vanishes by construction), the Newton iterations, the status code,
+    and the parts of ``value``. For status 3, ``value`` is g'' at Fv, the
+    reduced curvature, and the parts are zeros: Fv is the root, or the
+    iterate beyond which it lies.
     """
-    ok, f, gF, gFv = _value_grad(
-        c_e, a4, c_v, d_v, p_psi, k_radius, load, anchor, r, F, Fv
-    )
-    if not ok:
-        return F, Fv, 0.0, 0.0, 0, 3, 0.0, 0.0, 0.0
-    if f != f or f == _INF or f == -_INF:
-        return F, Fv, f, 0.0, 0, 4, 0.0, 0.0, 0.0
-
-    iterations = 0
-    while True:
-        aF = gF if gF >= 0.0 else -gF
-        aFv = gFv if gFv >= 0.0 else -gFv
-        grad_inf = aF if aF >= aFv else aFv
-        if grad_inf <= grad_tol:
-            status = 0
-            break
-        if iterations >= max_iter:
-            status = 1
-            break
-
-        hFF, hFFv, hFvFv = _hessian(c_e, a4, c_v, d_v, p_psi, anchor, r, F, Fv)
-        dF, dFv, slope = _newton_direction(hFF, hFFv, hFvFv, gF, gFv)
-        if -slope <= RESOLUTION * (1.0 + abs(f)):
-            tF = F + dF
-            tFv = Fv + dFv
-            ok, ft, tgF, tgFv = _value_grad(
-                c_e, a4, c_v, d_v, p_psi, k_radius, load, anchor, r, tF, tFv
-            )
-            if not (ok and math.isfinite(ft) and math.isfinite(tgF)
-                    and math.isfinite(tgFv)) or max(abs(tgF), abs(tgFv)) >= grad_inf:
-                status = 2
-                break
-            F, Fv, f, gF, gFv = tF, tFv, ft, tgF, tgFv
-            iterations += 1
-            continue
-        alpha = 1.0
-        while True:
-            tF = F + alpha * dF
-            tFv = Fv + alpha * dFv
-            ok, ft = _value(
-                c_e, a4, c_v, d_v, p_psi, k_radius, load, anchor, r, tF, tFv
-            )
-            if not ok or ft != ft:
-                ft = _INF
-            if ft <= f + armijo_c * alpha * slope:
-                break
-            alpha *= backtrack
-            if alpha < _MIN_STEP:
-                break
-        if alpha < _MIN_STEP:
-            status = 2
-            break
-        F = tF
-        Fv = tFv
-        ok, f, gF, gFv = _value_grad(
-            c_e, a4, c_v, d_v, p_psi, k_radius, load, anchor, r, F, Fv
+    if a4 == 0.0 and p_psi == 2.0:
+        x = anchor + (load * (1.0 + load * anchor / c_e) - c_v * (anchor - 1.0)) / (
+            c_v - load * load / c_e + d_v / (r * anchor * anchor)
         )
-        if not ok:
-            return F, Fv, 0.0, 0.0, iterations, 3, 0.0, 0.0, 0.0
-        if f != f or f == _INF or f == -_INF:
-            return F, Fv, f, 0.0, iterations, 4, 0.0, 0.0, 0.0
-        iterations += 1
-    return (F, Fv, f, grad_inf, iterations, status) + _parts(
-        c_e, a4, c_v, d_v, p_psi, anchor, r, F, Fv
-    )
+        s, g1, g2 = _reduced(c_e, a4, c_v, d_v, p_psi, load, anchor, r, x)
+        iterations, status = 0, 0
+    else:
+        x, s, g1, g2, iterations, status = _newton(
+            c_e, a4, c_v, d_v, p_psi, k_radius, load, anchor, r, grad_tol, max_iter
+        )
+    F = (1.0 + s) * x
+    if status == 3 or (
+        status == 0 and not (g2 > 0.0 and x > 0.0 and abs(x - 1.0) <= k_radius)
+    ):
+        return F, x, g2, abs(g1), iterations, 3, 0.0, 0.0, 0.0
+    w_el, w_vi, dis = _parts(c_e, a4, c_v, d_v, p_psi, anchor, r, F, x)
+    value = w_el + w_vi + dis - load * F
+    if not math.isfinite(value):
+        status = 4
+    return F, x, value, abs(g1), iterations, status, w_el, w_vi, dis
 
 
 def mp_objective(c_e, a4, c_v, d_v, p_psi, k_radius, load, anchor, r, F, Fv):
     """Objective value at (F, Fv); raises nothing, returns (feasible, value)."""
-    return _value(c_e, a4, c_v, d_v, p_psi, k_radius, load, anchor, r, F, Fv)
+    if not (Fv > 0.0 and abs(Fv - 1.0) <= k_radius):
+        return False, 0.0
+    w_el, w_vi, dis = _parts(c_e, a4, c_v, d_v, p_psi, anchor, r, F, Fv)
+    return True, w_el + w_vi + dis - load * F

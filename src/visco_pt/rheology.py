@@ -91,8 +91,9 @@ class MaterialModel:
         """Elastic stored-energy density."""
         s = np.asarray(s, dtype=float)
         out = 0.5 * self.c_e * s * s
-        if self.a4 != 0.0:  # adding 0.25 * 0.0 * s**4 leaves a finite out as it is
-            out = out + 0.25 * self.a4 * s**4
+        if self.a4 != 0.0:  # adding 0.25 * 0.0 * s2 * s2 leaves a finite out as it is
+            s2 = s * s
+            out = out + 0.25 * self.a4 * s2 * s2
         return _unwrap(out)
 
     def dw_el(self, s):

@@ -9,18 +9,23 @@ state itself, which charges no dissipation) is asserted on every step:
 E(t_i, new) + tau*Psi <= E(t_i, old) up to 1e-8 plus the rounding of the two
 energies compared, and violations reject the step.
 
-Routing: a material-point step goes through the stepping kernel, damped
-Newton with Armijo backtracking on the analytic 2x2 Hessian, warm-started
-from the previous state, in plain floats; the kernel also returns the
-state's stored energies and dissipation. The shear
-column under dead loads is statically determinate, so its step splits into
-one problem per element: with the element resultant
+Routing: both geometries eliminate the elastic variable in closed form and
+solve scalar equations for the viscous one. A material-point step goes
+through the stepping kernel (:mod:`visco_pt.kernels`): F solves
+w_el'(F/F_vi - 1) = load * F_vi, and F_vi one scalar equation anchored at the
+previous F_vi (a closed form when a4 = 0 and p_psi = 2, a bracketed scalar
+Newton otherwise), in plain floats; the kernel also returns the state's
+stored energies and dissipation. A step with no admissible minimizer (the
+root leaves the admissible set, or the reduced curvature there is not
+positive) raises :class:`InfeasibleState` at once, naming the step and the
+curvature. The shear column under dead loads is statically determinate, so
+its step splits into one problem per element: with the element resultant
 sigma_e = g + f * (1 - x_e,mid), the elastic strain solves w_el'(s) = sigma_e
 and the viscous slope solves c_v b + psi'((b - b_old)/r) = sigma_e (a closed
 form when p_psi = 2, a bracketed scalar Newton otherwise). The state is
 these element slopes: gamma' = s + b and beta' = b. A step or substep whose
-solver stops at ``max_iter`` or in a stalled line search raises
-:class:`SolverNotConverged`; no such step is accepted.
+solver stops at ``max_iter`` raises :class:`SolverNotConverged`; no such
+step is accepted.
 
 Steps pass the dofs (y, y_vi), floats at a material point and element
 arrays in the shear column, and build no :class:`State`; the
@@ -69,18 +74,10 @@ from .errors import (
     StepRejected,
     ValidationError,
 )
-from .minimize import (
-    CONVERGED,
-    LINE_SEARCH_STALLED,
-    MAX_ITER_EXCEEDED,
-    RESOLUTION,
-    MinimizeSettings,
-)
+from .minimize import CONVERGED, MAX_ITER_EXCEEDED, RESOLUTION, MinimizeSettings
 from .rheology import MATERIAL_POINT, MaterialModel
 
 STAY_PUT_TOL = 1e-8
-
-_KERNEL_STATUS = {0: CONVERGED, 1: MAX_ITER_EXCEEDED, 2: LINE_SEARCH_STALLED}
 
 
 class Step(NamedTuple):
@@ -175,27 +172,28 @@ def _solve_incremental(
     dissipation r * Psi charged to the substep.
 
     Raises :class:`SolverNotConverged`, naming ``where``, if the solver
-    stops without converging.
+    stops without converging, and at a material point
+    :class:`InfeasibleState`, naming ``where`` and the reduced curvature, if
+    the step has no admissible minimizer.
     """
     if not (r > 0.0 and math.isfinite(r)):
         raise ValidationError(f"substep length must be > 0, got {r!r}")
 
     if mesh is None:
-        F_old, Fv_old = old
         solved = kernels.mp_minimize(
             model.c_e, model.a4, model.c_v, model.d_v, model.p_psi, model.k_radius,
-            at.f + at.g, F_old, Fv_old, Fv_old, r, settings.grad_tol,
-            settings.max_iter, settings.armijo_c, settings.backtrack_factor,
+            at.f + at.g, old[1], r, settings.grad_tol, settings.max_iter,
         )
         F, Fv, value, grad_inf, iterations, status, w_el, w_vi, diss = solved
         if status == 3:
-            raise InfeasibleState("infeasible warm start for the incremental step")
+            raise InfeasibleState(
+                f"{where} has no admissible minimizer: at F_vi = {Fv!r}, "
+                f"|g'| = {grad_inf:.3e} and the reduced curvature g'' = {value:.3e}"
+            )
         if status == 4:
-            raise NonFiniteObjective("incremental objective is not finite")
-        if status != 0:
-            raise SolverNotConverged(where, _KERNEL_STATUS[status], grad_inf)
-        if model.a4 != 0.0:  # the model's NumPy s**4 rounds unlike Python's
-            w_el = float(model.w_el(F / Fv - 1.0))
+            raise NonFiniteObjective(f"{where}: incremental objective is not finite")
+        if status == 1:
+            raise SolverNotConverged(where, MAX_ITER_EXCEEDED, grad_inf)
         return F, Fv, value, w_el, w_vi, diss, iterations, grad_inf
 
     b, iterations, grad_inf = _viscous_slopes(

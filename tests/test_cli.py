@@ -56,8 +56,9 @@ def test_parse_minimal_config_with_aliases():
 
 
 def test_parse_unknown_key_is_named():
-    with pytest.raises(ConfigParseError, match="tua"):
-        parse_config(MINIMAL + "tua = 0.1\n")
+    for key in ("tua", "armijo_c", "backtrack_factor"):
+        with pytest.raises(ConfigParseError, match=f"unknown key '{key}'"):
+            parse_config(MINIMAL + f"{key} = 0.1\n")
 
 
 def test_parse_duplicate_key():
@@ -221,6 +222,17 @@ def test_verify_passes_on_shear_quartic_with_a_large_coefficient(tmp_path, key):
     assert f"\n{key} = 1.0\n" in text
     scaled = text.replace(f"\n{key} = 1.0\n", f"\n{key} = 1e6\n")
     cfg = write(tmp_path, "scaled.cfg", scaled)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "verify.json").read_text())["pass"] is True
+
+
+def test_verify_passes_on_mp_relax_with_a_large_dissipation_coefficient(tmp_path):
+    # d_v = 1e6 scales the objective by 1e6 / tau: the closed-form step does
+    # not depend on an absolute gradient tolerance.
+    text = (REPO / "configs" / "mp_relax.cfg").read_text()
+    assert "\nd_v = 1.0\n" in text
+    cfg = write(tmp_path, "scaled.cfg", text.replace("\nd_v = 1.0\n", "\nd_v = 1e6\n"))
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
     assert json.loads((out / "verify.json").read_text())["pass"] is True

@@ -10,7 +10,3 @@ def test_settings_validation():
         MinimizeSettings(grad_tol=0.0)
     with pytest.raises(ValueError):
         MinimizeSettings(max_iter=0)
-    with pytest.raises(ValueError):
-        MinimizeSettings(armijo_c=1.0)
-    with pytest.raises(ValueError):
-        MinimizeSettings(backtrack_factor=0.0)
