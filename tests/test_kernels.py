@@ -58,15 +58,26 @@ def reduced_curvature(params, load, anchor, r, F, Fv):
     return c_v - load**2 / (c_e + 3.0 * a4 * s**2) + ddpsi / (r * anchor**2)
 
 
+def assert_converges(params, load, F_old, Fv_old, r):
+    """The kernel, anchored at Fv_old, returns a stationary point of the full
+    objective with positive reduced curvature, below the value at the start
+    (F_old, Fv_old)."""
+    F, Fv, value, grad_inf, iterations, status, *_ = run_kernel(params, load, Fv_old, r)
+    assert status == 0
+    assert iterations <= 10
+    assert grad_inf <= 1e-10
+    g_F, g_Fv, tolerance = stationarity(params, load, Fv_old, r, F, Fv)
+    assert max(abs(g_F), abs(g_Fv)) <= tolerance
+    assert reduced_curvature(params, load, Fv_old, r, F, Fv) > 0.0
+    ok, check = kernels.mp_objective(*params, load, Fv_old, r, F, Fv)
+    assert ok and check == value
+    _, start = kernels.mp_objective(*params, load, Fv_old, r, F_old, Fv_old)
+    assert value < start
+
+
 # Starts (F_old, F_vi_old) with their models, loads and substeps.
 CONVERGENCE_CASES = (
     (MODELS[1], 0.1, 1.5, 1.5, 0.5),
-    # p_psi = 3: psi'' vanishes at the anchor (rate 0), and with F far from
-    # F_vi the 2x2 Hessian of the full objective there is indefinite.
-    (MODELS[2], 0.1, 1.8, 0.7, 0.5),
-    # Step 5 of configs/mp_loaded.cfg (load 0.1 * 0.05), whose full Newton
-    # step once fell below the rounding of the objective.
-    (MODELS[0], 0.1 * 0.05, 1.4669968800682816, 1.4584881295718732, 0.01),
     # load^2 = 2.9 c_e c_v: a Newton step leaves the bracket and must bisect
     # it, or it reaches F_vi = 0.
     ((0.03, 1.5, 0.015, 0.11, 2.8, 8.0), -0.036, 4.0, 4.0, 0.8),
@@ -77,18 +88,31 @@ CONVERGENCE_CASES = (
 
 
 def test_kernel_converges_to_stationary_point():
-    for params, load, F_old, Fv_old, r in CONVERGENCE_CASES:
-        F, Fv, value, grad_inf, iterations, status, *_ = run_kernel(params, load, Fv_old, r)
-        assert status == 0
-        assert iterations <= 10
-        assert grad_inf <= 1e-10
-        g_F, g_Fv, tolerance = stationarity(params, load, Fv_old, r, F, Fv)
-        assert max(abs(g_F), abs(g_Fv)) <= tolerance
-        assert reduced_curvature(params, load, Fv_old, r, F, Fv) > 0.0
-        ok, check = kernels.mp_objective(*params, load, Fv_old, r, F, Fv)
-        assert ok and check == value
-        _, start = kernels.mp_objective(*params, load, Fv_old, r, F_old, Fv_old)
-        assert value < start
+    for case in CONVERGENCE_CASES:
+        assert_converges(*case)
+
+
+def test_kernel_converges_from_indefinite_hessian():
+    # p_psi = 3: psi'' vanishes at the anchor (rate 0), and with F = 1.8 far
+    # from F_vi = 0.7 the 2x2 Hessian of the full objective there is
+    # indefinite; the reduced scalar solve must still reach the minimizer.
+    c_e, a4, c_v, _, _, _ = MODELS[2]
+    F, Fv = 1.8, 0.7
+    s = F / Fv - 1.0
+    ddw = c_e + 3.0 * a4 * s**2
+    dw = c_e * s + a4 * s**3
+    h_FF = ddw / Fv**2
+    h_FFv = -ddw * F / Fv**3 - dw / Fv**2
+    h_FvFv = ddw * F**2 / Fv**4 + 2.0 * dw * F / Fv**3 + c_v  # psi'' = 0
+    assert h_FF * h_FvFv - h_FFv**2 < 0.0
+    assert_converges(MODELS[2], 0.1, F, Fv, 0.5)
+
+
+def test_kernel_sub_rounding_newton_step_is_judged_by_the_gradient():
+    # Step 5 of configs/mp_loaded.cfg (load 0.1 * 0.05, one ulp above 0.005),
+    # whose full Newton step once fell below the rounding of the objective:
+    # the solve is judged by the gradient, never by a change of value.
+    assert_converges(MODELS[0], 0.1 * 0.05, 1.4669968800682816, 1.4584881295718732, 0.01)
 
 
 def test_kernel_zero_load_closed_form():
