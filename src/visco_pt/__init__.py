@@ -35,10 +35,8 @@ from .stepper import (
     Step,
     Trajectory,
     de_giorgi_integral,
-    de_giorgi_interpolant,
     equilibrate_elastic,
     incremental_step,
-    interpolant,
     phi_tau,
     run_evolution,
 )
@@ -57,7 +55,6 @@ from .analysis import (
     VerificationReport,
     check_energy_inequality,
     check_monotonicity,
-    check_semistability,
     density_convergence,
     eps_sweep,
     epsilon_study,
@@ -94,9 +91,7 @@ __all__ = [
     "ViscoPTError",
     "check_energy_inequality",
     "check_monotonicity",
-    "check_semistability",
     "de_giorgi_integral",
-    "de_giorgi_interpolant",
     "density_convergence",
     "dissipation_increment",
     "elastic_strain",
@@ -105,7 +100,6 @@ __all__ = [
     "epsilon_study",
     "equilibrate_elastic",
     "incremental_step",
-    "interpolant",
     "lin_el_residual",
     "lin_equilibrium",
     "lin_step",

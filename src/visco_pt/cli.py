@@ -7,14 +7,13 @@ Subcommands: ``run`` (single trajectory to CSV), ``lin`` (linearized run),
 (stderr names the check and its worst residual), 1 on runtime errors.
 
 All outputs are written atomically (temp file + rename) with
-17-significant-digit decimals, so identical config and seed give
-byte-identical files.
+17-significant-digit decimals, so identical configs give byte-identical
+files.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -85,11 +84,7 @@ def _json_dump(payload: dict) -> str:
 
 def _report_payload(config: ScenarioConfig, reports) -> dict:
     return {
-        "tool": {
-            "name": "visco-pt",
-            "version": __version__,
-            "kernel_backend": "python",
-        },
+        "tool": {"name": "visco-pt", "version": __version__},
         "config": config.as_dict(),
         "checks": [r.as_dict() for r in reports],
         "pass": all(r.passed for r in reports),
@@ -136,15 +131,7 @@ def _run_checks(config: ScenarioConfig, names: Sequence[str]):
                 )
             )
         elif name == "semistability":
-            reports.append(
-                analysis.semistability_sweep(
-                    trajectory(),
-                    stride=config.stride,
-                    n_probes=config.n_probes,
-                    amplitudes=config.amplitudes,
-                    seed=config.seed,
-                )
-            )
+            reports.append(analysis.semistability_sweep(trajectory()))
         elif name == "monotonicity":
             reports.append(
                 analysis.check_monotonicity(
@@ -298,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="scenario config path")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override seed")
+        # Parsed and ignored; ROADMAP item 1 removes it with the benchmark's use.
+        p.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
         if name == "sweep-tau":
             p.add_argument("--tau-list", default=None, help="override tau values")
         if name == "sweep-eps":
@@ -310,8 +298,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
         os.makedirs(args.out, exist_ok=True)
         if args.command == "run":
             return _cmd_run(config, args.out)

@@ -63,15 +63,11 @@ class ScenarioConfig:
     v0_slope: float = 0.0
     grad_tol: float = 1e-10
     max_iter: int = 10000
-    seed: int = 0
     checks: Tuple[str, ...] = DEFAULT_CHECKS
     de_giorgi_m: int = 4
     tau_list: Tuple[float, ...] = (0.1, 0.05, 0.025, 0.0125)
     mono_tau_list: Tuple[float, ...] = (0.1, 0.2, 0.5, 1.0)
     eps_list: Tuple[float, ...] = (0.2, 0.1, 0.05)
-    n_probes: int = 20
-    amplitudes: Tuple[float, ...] = (1e-2, 1e-1)
-    stride: int = 10
 
     def __post_init__(self):
         object.__setattr__(self, "mode", _MODE_ALIASES.get(self.mode, self.mode))
@@ -95,15 +91,9 @@ class ScenarioConfig:
                 "init_elastic must be 'equilibrate' or 'direct', "
                 f"got {self.init_elastic!r}"
             )
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.de_giorgi_m < 2:
             raise ValidationError(f"de_giorgi_m must be >= 2, got {self.de_giorgi_m}")
-        if self.n_probes < 1:
-            raise ValidationError(f"n_probes must be >= 1, got {self.n_probes}")
-        if self.stride < 1:
-            raise ValidationError(f"stride must be >= 1, got {self.stride}")
-        for name in ("tau_list", "mono_tau_list", "eps_list", "amplitudes"):
+        for name in ("tau_list", "mono_tau_list", "eps_list"):
             values = getattr(self, name)
             if not values or any(v <= 0.0 or not np.isfinite(v) for v in values):
                 raise ValidationError(f"{name} entries must be positive and finite")
@@ -204,7 +194,7 @@ def _positive(name: str, value: float):
 # -- parsing --------------------------------------------------------------------
 
 _STR_KEYS = {"mode", "init_elastic"}
-_INT_KEYS = {"n_steps", "n_elements", "max_iter", "seed", "de_giorgi_m", "n_probes", "stride"}
+_INT_KEYS = {"n_steps", "n_elements", "max_iter", "de_giorgi_m"}
 _FLOAT_KEYS = {
     "t_final",
     "c_e",
@@ -227,7 +217,6 @@ _FLOAT_LIST_KEYS = {
     "tau_list",
     "mono_tau_list",
     "eps_list",
-    "amplitudes",
 }
 _STR_LIST_KEYS = {"checks"}
 _ALL_KEYS = _STR_KEYS | _INT_KEYS | _FLOAT_KEYS | _FLOAT_LIST_KEYS | _STR_LIST_KEYS

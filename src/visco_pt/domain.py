@@ -12,7 +12,7 @@ structurally. Slopes carry no gauge: the profiles are recovered by
 integrating from the clamped bottom, and beta's additive constant never
 enters an energy.
 
-Packed dof layout (the vector that gradients and affine interpolants use):
+Packed dof layout (the vector of the analytic gradients):
 ``x = [gamma, beta]``, that is ``[F, F_vi]`` at a material point and
 ``[gamma', beta']`` in the shear column.
 

@@ -64,8 +64,10 @@ def _ddpsi(d_v, p_psi, x):
 
 
 def _strain(c_e, a4, target):
-    """Root s of c_e s + a4 s^3 = target. Newton from target / c_e moves |s|
-    monotonically down to the root; it stops when |s| no longer falls."""
+    """Root s of c_e s + a4 s^3 = target, the one inversion of w_el' (the
+    shear column and ``equilibrate_elastic`` use it too). Newton from
+    target / c_e moves |s| monotonically down to the root; it stops when |s|
+    no longer falls."""
     s = target / c_e
     if a4 == 0.0:
         return s

@@ -58,14 +58,12 @@ from .domain import (
     dof_dissipation,
     dof_stored_energies,
     element_stress,
-    pack_dofs,
     pairing,
     read_only,
     slope_pairing,
     state_dofs,
     state_from_dofs,
     stored_energies,
-    unpack_dofs,
 )
 from .errors import (
     InfeasibleState,
@@ -210,7 +208,8 @@ def _elastic_strains(model: MaterialModel, sigma: np.ndarray) -> np.ndarray:
     """Per-element elastic strains s with w_el'(s) = sigma."""
     if model.a4 == 0.0:
         return sigma / model.c_e
-    return np.array([_invert_stress(model, s) for s in sigma.tolist()])
+    c_e, a4 = model.c_e, model.a4
+    return np.array([kernels._strain(c_e, a4, s) for s in sigma.tolist()])
 
 
 def _viscous_slopes(
@@ -334,83 +333,30 @@ def run_evolution(
 # -- elastic equilibration ------------------------------------------------------
 
 
+def balancing_stress(state: State, loading: Loading, t: float):
+    """The stress w_el'(s) that balances the load at t with the viscous state
+    frozen: load * F_vi at a material point, the element resultants
+    sigma_e in the shear column."""
+    f_val, g_val = loading.f(t), loading.g(t)
+    if state.mode == MATERIAL_POINT:
+        return (f_val + g_val) * state.F_vi
+    return element_stress(state.mesh, f_val, g_val)
+
+
 def equilibrate_elastic(
     model: MaterialModel, state: State, loading: Loading, t: float
 ) -> State:
     """Minimize the energy over the elastic variable at frozen viscous state.
 
-    Used to prepare initial data (and as the r -> 0 limit state of phi_tau).
+    w_el is convex, so the minimizer is the one root of w_el'(s) =
+    :func:`balancing_stress`, solved as in a step. Used to prepare initial
+    data and to judge semistability.
     """
+    sigma = balancing_stress(state, loading, t)
     if model.mode == MATERIAL_POINT:
-        load = loading.f(t) + loading.g(t)
-        s = _invert_stress(model, load * state.F_vi)
+        s = kernels._strain(model.c_e, model.a4, sigma)
         return State.material_point((1.0 + s) * state.F_vi, state.F_vi)
-    sigma = element_stress(state.mesh, loading.f(t), loading.g(t))
     return replace(state, gamma=_elastic_strains(model, sigma) + state.beta)
-
-
-def _invert_stress(model: MaterialModel, target: float) -> float:
-    """Solve c_e s + a4 s^3 = target (monotone; Newton with bisection guard).
-
-    Raises :class:`SolverNotConverged` if 200 iterations do not solve it.
-    """
-    if model.a4 == 0.0:
-        return target / model.c_e
-    lo, hi = -1.0, 1.0
-    while model.c_e * lo + model.a4 * lo**3 > target:
-        lo *= 2.0
-    while model.c_e * hi + model.a4 * hi**3 < target:
-        hi *= 2.0
-    s = target / model.c_e
-    s = min(max(s, lo), hi)
-    for _ in range(200):
-        residual = model.c_e * s + model.a4 * s**3 - target
-        if abs(residual) <= 1e-14 * (1.0 + abs(target)):
-            return s
-        step = residual / (model.c_e + 3.0 * model.a4 * s * s)
-        candidate = s - step
-        if candidate <= lo or candidate >= hi:
-            candidate = 0.5 * (lo + hi)
-        if model.c_e * candidate + model.a4 * candidate**3 > target:
-            hi = candidate
-        else:
-            lo = candidate
-        s = candidate
-    raise SolverNotConverged(
-        f"elastic stress inversion at {target!r}", MAX_ITER_EXCEEDED, abs(residual)
-    )
-
-
-# -- interpolants ---------------------------------------------------------------
-
-
-def interpolant(traj: Trajectory, which: str, t: float) -> State:
-    """Piecewise interpolants of the discrete trajectory.
-
-    ``backward`` is right-continuous at the nodes from the left
-    (value states[i] on (t_{i-1}, t_i]), ``forward`` takes states[i-1] on
-    [t_{i-1}, t_i), and ``affine`` interpolates the dofs linearly.
-    """
-    grid = traj.grid
-    if not (0.0 <= t <= grid.t_final + 1e-12):
-        raise ValidationError(f"t={t!r} outside [0, {grid.t_final}]")
-    tau = grid.tau
-    if which == "backward":
-        i = int(math.ceil(t / tau - 1e-12))
-        return traj.states[min(max(i, 0), grid.n_steps)]
-    if which == "forward":
-        i = int(math.floor(t / tau + 1e-12))
-        return traj.states[min(i, grid.n_steps)]
-    if which == "affine":
-        i = int(math.ceil(t / tau - 1e-12))
-        i = min(max(i, 1), grid.n_steps)
-        t0 = (i - 1) * tau
-        theta = min(max((t - t0) / tau, 0.0), 1.0)
-        x = (1.0 - theta) * pack_dofs(traj.states[i - 1]) + theta * pack_dofs(
-            traj.states[i]
-        )
-        return unpack_dofs(traj.states[i - 1], x)
-    raise ValidationError(f"unknown interpolant {which!r}")
 
 
 # -- De Giorgi interpolation ----------------------------------------------------
@@ -437,22 +383,6 @@ def phi_tau(
         model, old.mesh, state_dofs(old), at, r, settings, f"substep r={r!r}"
     )
     return PhiTau(value, y, y_vi, diss / r, iterations, CONVERGED, old.mesh)
-
-
-def de_giorgi_interpolant(
-    traj: Trajectory, i: int, r: float, settings: Optional[MinimizeSettings] = None
-) -> State:
-    """Minimizer of the substep functional between grid points i-1 and i."""
-    if not (1 <= i <= traj.grid.n_steps):
-        raise ValidationError(f"step index {i} outside 1..{traj.grid.n_steps}")
-    return phi_tau(
-        traj.model,
-        traj.states[i - 1],
-        traj.loading,
-        float(traj.grid.times[i]),
-        r,
-        settings or traj.settings,
-    ).state
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,10 +1,12 @@
 """Verification harness: report plumbing, energy inequalities, semistability
-probes, substep monotonicity, convergence studies, and density limits.
+against the elastic minimizer, substep monotonicity, convergence studies, and
+density limits.
 
 All residuals share one sign convention: positive means the inequality under
 test holds, and a report passes exactly when min(residuals) >= -tolerance.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -20,15 +22,16 @@ from visco_pt import (
     VerificationReport,
     check_energy_inequality,
     check_monotonicity,
-    check_semistability,
     density_convergence,
     epsilon_study,
+    load_config,
     rk4_viscous_oracle,
     run_evolution,
     semistability_sweep,
     tau_convergence,
 )
-from visco_pt.analysis import _perturb_elastic, fit_rate
+from visco_pt.analysis import INEQUALITY_TOL, fit_rate
+from visco_pt.domain import stored_energies
 from visco_pt.linearized import LinState
 
 UNIT_MP = MaterialModel()
@@ -146,20 +149,20 @@ def test_energy_inequality_sharp_makes_six_substep_solves_per_step(monkeypatch):
 def test_energy_sharp_inverts_each_stress_law_once_per_step(monkeypatch):
     # The six substeps of a step share the load at t_n, so a quartic shear
     # column inverts its elastic stress law once per element and step.
-    import visco_pt.stepper as stepper
+    import visco_pt.kernels as kernels
 
     model = MaterialModel(mode="shear_column", a4=1.0)
     mesh = ShearColumnMesh(4)
     state0 = State.shear_column(mesh, np.full(4, 0.5), np.full(4, 0.4))
     traj = run_evolution(model, state0, Loading((0.3,), (0.2,)), TimeGrid(1.0, 5))
     calls = []
-    invert = stepper._invert_stress
+    invert = kernels._strain
 
     def counted(*args):
-        calls.append(args[1])
+        calls.append(args[2])
         return invert(*args)
 
-    monkeypatch.setattr(stepper, "_invert_stress", counted)
+    monkeypatch.setattr(kernels, "_strain", counted)
     assert check_energy_inequality(traj, factor="p_psi").passed
     assert len(calls) == traj.grid.n_steps * mesh.n_elements
 
@@ -185,55 +188,76 @@ def test_energy_inequality_rejects_unknown_factor():
 # -- semistability ----------------------------------------------------------------
 
 
+def shipped_trajectory(name):
+    config = load_config(f"configs/{name}.cfg")
+    return run_evolution(
+        config.model(),
+        config.initial_state(),
+        config.loading(),
+        config.grid(),
+        config.settings(),
+    )
+
+
+def moved(traj, dofs):
+    """The trajectory with the dofs ``dofs`` and their stored energies."""
+    traj = dataclasses.replace(traj, dofs=dofs)
+    stored = np.array([stored_energies(traj.model, s) for s in traj.states])
+    return dataclasses.replace(traj, stored=stored)
+
+
 def test_semistability_at_grid_time():
+    # Zero load, quadratic densities: at the state (F, F_vi) the elastic
+    # minimizer is (F_vi, F_vi), below it by c_e / 2 * (F / F_vi - 1)^2.
     traj = relax_trajectory()
-    report = check_semistability(traj, 0.5, n_probes=10, amplitudes=(1e-2, 1e-1))
+    dofs = traj.dofs.copy()
+    dofs[10, 0] += 0.1
+    report = semistability_sweep(moved(traj, dofs))
+    F, F_vi = dofs[10, :, 0]
+    assert report.residuals[10] == pytest.approx(-0.5 * (F / F_vi - 1.0) ** 2)
+    assert report.params["worst_step_index"] == 10
+    assert not report.passed
+
+
+def test_semistability_sweep_covers_every_grid_time():
+    traj = relax_trajectory()
+    report = semistability_sweep(traj)
+    assert report.params["times_checked"] == traj.grid.n_steps + 1
+    assert len(report.residuals) == traj.grid.n_steps + 1
     assert report.passed
-    assert len(report.residuals) == 20
-    assert report.min_residual >= -1e-8
 
 
-def test_semistability_rejects_non_grid_time():
-    traj = relax_trajectory()
-    with pytest.raises(ValidationError):
-        check_semistability(traj, 0.123)
-
-
-def test_semistability_sweep_covers_stride_and_endpoint():
-    traj = relax_trajectory()
-    report = semistability_sweep(traj, stride=10, n_probes=5)
-    # times 0, 0.5, 1.0 with 5 probes x 2 amplitudes each
-    assert report.params["times_checked"] == [0.0, 0.5, 1.0]
-    assert len(report.residuals) == 30
+def test_semistability_fails_on_a_shifted_material_point():
+    # A stepped state is the exact elastic minimizer: every gap is 0. Moving
+    # F by 1e-3 moves the elastic strain by 1e-3 / F_vi and leaves the gap
+    # c_e / 2 * (1e-3 / F_vi)^2 (about -3.8e-7), far beyond the tolerance.
+    traj = shipped_trajectory("mp_loaded")
+    report = semistability_sweep(traj)
     assert report.passed
-    with pytest.raises(ValidationError):
-        semistability_sweep(traj, stride=0)
+    assert report.residuals == [0.0] * (traj.grid.n_steps + 1)
+    assert report.params["max_stress_residual"] <= 1e-15
+    dofs = traj.dofs.copy()
+    dofs[:, 0] += 1e-3
+    shifted = semistability_sweep(moved(traj, dofs))
+    assert not shifted.passed
+    worst = -0.5 * (1e-3 / np.min(dofs[:, 1])) ** 2
+    assert shifted.min_residual == pytest.approx(worst, rel=1e-6)
+    assert shifted.min_residual < -10.0 * INEQUALITY_TOL
+    assert shifted.params["max_stress_residual"] >= 1e-4
 
 
-def test_semistability_is_seed_deterministic():
-    traj = relax_trajectory()
-    a = check_semistability(traj, 1.0, seed=3)
-    b = check_semistability(traj, 1.0, seed=3)
-    c = check_semistability(traj, 1.0, seed=4)
-    assert a.residuals == b.residuals
-    assert a.residuals != c.residuals
-
-
-def test_shear_probe_moves_the_nodal_profile_by_the_direction():
-    # The probe is defined on the nodal values gamma(x_1..x_n) above the
-    # clamped bottom; on the slope state it must move exactly those.
-    rng = np.random.default_rng(8)
-    for n in (1, 5, 16):
-        mesh = ShearColumnMesh(n)
-        state = State.shear_column(
-            mesh, rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
-        )
-        direction = rng.uniform(-1.0, 1.0, n)
-        moved = _perturb_elastic(state, direction, 0.1)
-        # the rebuilt profile h * cumsum(gamma') moves at nodes 1..n by:
-        shift = mesh.h * np.cumsum(moved.gamma - state.gamma)
-        np.testing.assert_allclose(shift, 0.1 * direction, rtol=0.0, atol=1e-15)
-        assert np.array_equal(moved.beta, state.beta)
+def test_semistability_fails_on_one_shifted_shear_element():
+    traj = shipped_trajectory("shear_quadratic")
+    report = semistability_sweep(traj)
+    assert report.passed
+    assert report.residuals == [0.0] * (traj.grid.n_steps + 1)
+    dofs = traj.dofs.copy()
+    dofs[30, 0, 5] += 1e-3
+    shifted = semistability_sweep(moved(traj, dofs))
+    assert not shifted.passed
+    assert shifted.params["worst_step_index"] == 30
+    # h * c_e / 2 * (1e-3)^2 with h = 1/16
+    assert shifted.min_residual == pytest.approx(-0.5e-6 / 16, rel=1e-6)
 
 
 # -- substep monotonicity -----------------------------------------------------------

@@ -142,6 +142,22 @@ def log_uniform(lo, hi):
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(
+    c_e=log_uniform(1e-3, 1e3),
+    a4=st.just(0.0) | log_uniform(1e-3, 1e3),
+    target=st.just(0.0) | log_uniform(1e-6, 1e6),
+)
+def test_strain_solves_the_stress_law(c_e, a4, target):
+    # The one inversion of w_el'(s) = c_e s + a4 s^3 that the steps and
+    # equilibrate_elastic share: odd in the target, and exact up to the
+    # rounding of the terms of the residual.
+    s = kernels._strain(c_e, a4, target)
+    assert kernels._strain(c_e, a4, -target) == -s
+    terms = abs(c_e * s) + abs(a4 * s**3) + abs(target)
+    assert abs(c_e * s + a4 * s**3 - target) <= 4.0 * np.finfo(float).eps * terms
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
     c_e=log_uniform(1e-3, 1e6),
     a4=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
     c_v=log_uniform(1e-3, 1e6),

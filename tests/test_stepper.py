@@ -1,6 +1,5 @@
 """Incremental minimization stepping: closed-form single steps, substep
-envelopes, De Giorgi interpolation, trajectory interpolants, and elastic
-equilibration.
+envelopes, De Giorgi interpolation, and elastic equilibration.
 
 Closed forms used as oracles (unit material-point model, zero load, p = 2,
 start F = F_vi = F_o): minimizing over the elastic dof gives F = F_vi, and
@@ -33,11 +32,9 @@ from visco_pt import (
     ValidationError,
     check_energy_inequality,
     de_giorgi_integral,
-    de_giorgi_interpolant,
     energy_value,
     equilibrate_elastic,
     incremental_step,
-    interpolant,
     load_config,
     phi_tau,
     run_evolution,
@@ -375,57 +372,12 @@ def test_de_giorgi_error_estimate_bounds_the_error(
 
 def test_de_giorgi_interpolant_endpoint_is_the_step():
     traj = single_step_trajectory()
-    state = de_giorgi_interpolant(traj, 1, traj.grid.tau)
+    state = phi_tau(
+        traj.model, traj.states[0], traj.loading, traj.grid.t_final, r=traj.grid.tau
+    ).state
     assert np.allclose(
         pack_dofs(state), pack_dofs(traj.states[1]), atol=1e-9
     )
-
-
-def test_de_giorgi_interpolant_validates_index():
-    traj = single_step_trajectory()
-    with pytest.raises(ValidationError):
-        de_giorgi_interpolant(traj, 0, 0.1)
-    with pytest.raises(ValidationError):
-        de_giorgi_interpolant(traj, 2, 0.1)
-    with pytest.raises(ValidationError):
-        de_giorgi_integral(traj, 1, 1)
-
-
-# -- trajectory interpolants --------------------------------------------------
-
-
-def test_interpolants_between_nodes():
-    grid = TimeGrid(t_final=1.0, n_steps=4)
-    traj = run_evolution(UNIT_MP, State.material_point(F_O, F_O), ZERO, grid)
-    t_mid = 0.375  # halfway between t_1 = 0.25 and t_2 = 0.5
-    back = interpolant(traj, "backward", t_mid)
-    fwd = interpolant(traj, "forward", t_mid)
-    aff = interpolant(traj, "affine", t_mid)
-    assert back.F_vi == traj.states[2].F_vi
-    assert fwd.F_vi == traj.states[1].F_vi
-    assert aff.F_vi == pytest.approx(
-        0.5 * (traj.states[1].F_vi + traj.states[2].F_vi), abs=1e-14
-    )
-
-
-def test_interpolants_at_grid_nodes():
-    grid = TimeGrid(t_final=1.0, n_steps=4)
-    traj = run_evolution(UNIT_MP, State.material_point(F_O, F_O), ZERO, grid)
-    for i, t in enumerate(grid.times):
-        for which in ("backward", "forward", "affine"):
-            assert interpolant(traj, which, float(t)).F_vi == pytest.approx(
-                traj.states[i].F_vi, abs=1e-14
-            )
-
-
-def test_interpolant_validation():
-    traj = single_step_trajectory()
-    with pytest.raises(ValidationError):
-        interpolant(traj, "backward", -0.1)
-    with pytest.raises(ValidationError):
-        interpolant(traj, "backward", traj.grid.t_final + 1.0)
-    with pytest.raises(ValidationError):
-        interpolant(traj, "cubic", 0.1)
 
 
 # -- full evolutions -----------------------------------------------------------
@@ -763,6 +715,28 @@ def test_condensed_shear_step_is_stationary_for_the_full_functional(
 
 
 # -- elastic equilibration ------------------------------------------------------
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    a4=st.just(0.0) | st.floats(0.0, 5.0),
+    load=st.floats(-0.5, 0.5),
+    start=st.floats(0.8, 1.5),
+)
+def test_a_step_ends_at_its_elastic_minimizer(a4, load, start):
+    # Steps and equilibrate_elastic invert the stress law through the same
+    # function, so a stepped state is its own elastic minimizer, bit for bit.
+    loading = Loading((load,), (0.5 * load,))
+    for model, state0 in (
+        (MaterialModel(a4=a4), State.material_point(start, start)),
+        (MaterialModel(mode=SHEAR_COLUMN, a4=a4), shear_start(4)),
+    ):
+        traj = run_evolution(model, state0, loading, TimeGrid(t_final=0.5, n_steps=2))
+        for i, t in enumerate(traj.grid.times.tolist()[1:], start=1):
+            state = traj.states[i]
+            minimizer = equilibrate_elastic(model, state, loading, t)
+            assert np.array_equal(minimizer.gamma, state.gamma)
+            assert np.array_equal(minimizer.beta, state.beta)
 
 
 def test_equilibrate_mp_linear_stress():
