@@ -47,7 +47,7 @@ from .linearized import (
     run_lin_evolution,
 )
 from .minimize import RESOLUTION, MinimizeSettings
-from .rheology import MATERIAL_POINT, MaterialModel
+from .rheology import MaterialModel
 from .stepper import (
     Trajectory,
     balancing_stress,
@@ -138,10 +138,7 @@ def fit_rate(params: Sequence[float], errors: Sequence[float]) -> Optional[float
 
 
 def check_energy_inequality(
-    traj: Trajectory,
-    factor: str = "one",
-    m: int = 4,
-    settings: Optional[MinimizeSettings] = None,
+    traj: Trajectory, factor: str = "one", m: int = 4
 ) -> VerificationReport:
     """Cumulative discrete energy inequality along the trajectory.
 
@@ -152,10 +149,10 @@ def check_energy_inequality(
     bound. That integral is Gauss-Legendre with m nodes, and its error is
     estimated per step by the Gauss-Legendre rule with max(2, m // 2)
     nodes, so a step makes m + max(2, m // 2) substep solves (6 at the
-    default m = 4). The summed estimate widens the tolerance (it is
-    reported in ``params``). For a zero-load material point with p_psi = 2
-    the sharp form is an identity and residuals are reported as -|raw|
-    against a quadrature-level tolerance.
+    default m = 4) under ``traj.settings``. The summed estimate widens the
+    tolerance (it is reported in ``params``). For a zero-load material point
+    with p_psi = 2 the sharp form is an identity and residuals are reported
+    as -|raw| against a quadrature-level tolerance.
     """
     if factor not in ("one", "p_psi"):
         raise ValidationError(f"factor must be 'one' or 'p_psi', got {factor!r}")
@@ -163,7 +160,7 @@ def check_energy_inequality(
     e0 = traj.energy(0)
     equality = (
         factor == "p_psi"
-        and model.mode == MATERIAL_POINT
+        and traj.mesh is None
         and loading.is_zero
         and model.p_psi == 2.0
     )
@@ -172,7 +169,7 @@ def check_energy_inequality(
     if factor == "p_psi":
         total = 0.0
         for n in range(1, grid.n_steps + 1):
-            q, q_error, _, _ = de_giorgi_integral(traj, n, m, settings)
+            q, q_error, _, _ = de_giorgi_integral(traj, n, m)
             total += (model.p_psi - 1.0) * q
             quad_estimate += (model.p_psi - 1.0) * q_error
             improved[n - 1] = total
@@ -369,7 +366,7 @@ def tau_sweep(
     grids = tau_grids(t_final, tau_list)
     taus = list(grids)
     settings = settings or MinimizeSettings()
-    if model.mode != MATERIAL_POINT or not loading.is_zero:
+    if state0.mesh is not None or not loading.is_zero:
         raise ValidationError("ode_rk4 oracle requires a zero-load material point")
 
     trajectories: Dict[float, Trajectory] = {}
@@ -474,7 +471,7 @@ def eps_sweep(
             f_coeffs=tuple(eps * c for c in loading0.f_coeffs),
             g_coeffs=tuple(eps * c for c in loading0.g_coeffs),
         )
-        if model.mode == MATERIAL_POINT:
+        if lin0.mesh is None:
             init = State.material_point(
                 1.0 + eps * float(lin0.u[0]), 1.0 + eps * float(lin0.v[0])
             )

@@ -125,11 +125,8 @@ def _run_checks(config: ScenarioConfig, names: Sequence[str]):
         if name == "energy_one":
             reports.append(analysis.check_energy_inequality(trajectory(), "one"))
         elif name == "energy_sharp":
-            reports.append(
-                analysis.check_energy_inequality(
-                    trajectory(), "p_psi", m=config.de_giorgi_m, settings=settings
-                )
-            )
+            m = config.de_giorgi_m
+            reports.append(analysis.check_energy_inequality(trajectory(), "p_psi", m=m))
         elif name == "semistability":
             reports.append(analysis.semistability_sweep(trajectory()))
         elif name == "monotonicity":

@@ -1,15 +1,17 @@
 """Scenario configuration: a flat key-value text format.
 
 Lines hold ``key = value`` pairs; ``[section]`` headers are cosmetic
-grouping, ``#`` starts a comment. Keys are globally unique, unknown keys are
-an error (catches typos), and every value is validated on parse. List-valued
-keys take whitespace-separated numbers.
+grouping, ``#`` starts a comment. The keys are the fields of
+:class:`ScenarioConfig`, each parsed by its field's type (lists are
+whitespace-separated); fields without a default are required, unknown keys
+are an error (catches typos), and a key may appear once. Every value is
+validated on parse, numeric ranges by the objects the config builds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Optional, Tuple
+from dataclasses import MISSING, dataclass, fields
+from typing import Optional, Tuple, get_type_hints
 
 import numpy as np
 
@@ -73,19 +75,8 @@ class ScenarioConfig:
         object.__setattr__(self, "mode", _MODE_ALIASES.get(self.mode, self.mode))
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        _positive("t_final", self.t_final)
-        if self.n_steps < 1:
-            raise ValidationError(f"n_steps must be >= 1, got {self.n_steps}")
-        for name in ("c_e", "c_v", "d_v", "k_radius", "grad_tol"):
-            _positive(name, getattr(self, name))
-        if self.a4 < 0.0:
-            raise ValidationError(f"a4 must be >= 0, got {self.a4}")
-        if self.p_psi < 2.0:
-            raise ValidationError(f"p_psi must be >= 2, got {self.p_psi}")
-        if self.n_elements < 1:
-            raise ValidationError(f"n_elements must be >= 1, got {self.n_elements}")
-        if self.max_iter < 1:
-            raise ValidationError(f"max_iter must be >= 1, got {self.max_iter}")
+        for build in (self.model, self.grid, self.loading, self.mesh, self.settings):
+            build()  # each object checks the ranges of its own parameters
         if self.init_elastic not in ("equilibrate", "direct"):
             raise ValidationError(
                 "init_elastic must be 'equilibrate' or 'direct', "
@@ -107,7 +98,6 @@ class ScenarioConfig:
 
     def model(self) -> MaterialModel:
         return MaterialModel(
-            mode=self.mode,
             c_e=self.c_e,
             a4=self.a4,
             c_v=self.c_v,
@@ -186,40 +176,20 @@ class ScenarioConfig:
         return out
 
 
-def _positive(name: str, value: float):
-    if not (value > 0.0 and np.isfinite(value)):
-        raise ValidationError(f"{name} must be > 0, got {value!r}")
-
-
 # -- parsing --------------------------------------------------------------------
 
-_STR_KEYS = {"mode", "init_elastic"}
-_INT_KEYS = {"n_steps", "n_elements", "max_iter", "de_giorgi_m"}
-_FLOAT_KEYS = {
-    "t_final",
-    "c_e",
-    "a4",
-    "c_v",
-    "d_v",
-    "p_psi",
-    "k_radius",
-    "F0",
-    "F_vi0",
-    "u0",
-    "v0",
-    "u0_slope",
-    "v0_slope",
-    "grad_tol",
+_PARSERS = {
+    str: str,
+    int: int,
+    float: float,
+    Optional[float]: float,
+    Tuple[float, ...]: lambda value: tuple(float(v) for v in value.split()),
+    Tuple[str, ...]: lambda value: tuple(value.split()),
 }
-_FLOAT_LIST_KEYS = {
-    "load_f",
-    "load_g",
-    "tau_list",
-    "mono_tau_list",
-    "eps_list",
+_KEY_PARSERS = {
+    key: _PARSERS[hint] for key, hint in get_type_hints(ScenarioConfig).items()
 }
-_STR_LIST_KEYS = {"checks"}
-_ALL_KEYS = _STR_KEYS | _INT_KEYS | _FLOAT_KEYS | _FLOAT_LIST_KEYS | _STR_LIST_KEYS
+_REQUIRED_KEYS = [f.name for f in fields(ScenarioConfig) if f.default is MISSING]
 _KEY_ALIASES = {"T": "t_final", "N": "n_steps"}
 
 
@@ -239,7 +209,7 @@ def parse_config(text: str) -> ScenarioConfig:
         key, _, value = stripped.partition("=")
         key = _KEY_ALIASES.get(key.strip(), key.strip())
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEY_PARSERS:
             raise ConfigParseError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigParseError(f"line {lineno}: duplicate key {key!r}")
@@ -250,21 +220,12 @@ def parse_config(text: str) -> ScenarioConfig:
     kwargs = {}
     for key, (lineno, value) in raw.items():
         try:
-            if key in _STR_KEYS:
-                kwargs[key] = value
-            elif key in _INT_KEYS:
-                kwargs[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                kwargs[key] = float(value)
-            elif key in _FLOAT_LIST_KEYS:
-                kwargs[key] = tuple(float(v) for v in value.split())
-            else:
-                kwargs[key] = tuple(value.split())
+            kwargs[key] = _KEY_PARSERS[key](value)
         except ValueError as exc:
             raise ConfigParseError(
                 f"line {lineno}: cannot parse value for key {key!r}: {exc}"
             ) from None
-    for required in ("mode", "t_final", "n_steps"):
+    for required in _REQUIRED_KEYS:
         if required not in kwargs:
             raise ValidationError(f"missing required key {required!r}")
     return ScenarioConfig(**kwargs)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -93,12 +93,16 @@ def read_only(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class State:
-    """Deformation state in one of the two reduced geometries."""
+    """Deformation state in one of the two reduced geometries: the shear
+    column on ``mesh``, or a material point when ``mesh`` is None."""
 
-    mode: str
     gamma: np.ndarray
     beta: np.ndarray
-    mesh: Optional[ShearColumnMesh] = field(default=None)
+    mesh: Optional[ShearColumnMesh] = None
+
+    @property
+    def mode(self) -> str:
+        return MATERIAL_POINT if self.mesh is None else SHEAR_COLUMN
 
     @staticmethod
     def material_point(F: float, F_vi: float) -> "State":
@@ -106,11 +110,7 @@ class State:
             raise InfeasibleState(f"nonfinite state ({F!r}, {F_vi!r})")
         if F_vi <= 0.0:
             raise InfeasibleState(f"F_vi must be > 0, got {F_vi!r}")
-        return State(
-            mode=MATERIAL_POINT,
-            gamma=np.asarray([float(F)]),
-            beta=np.asarray([float(F_vi)]),
-        )
+        return State(np.asarray([float(F)]), np.asarray([float(F_vi)]))
 
     @staticmethod
     def shear_column(mesh: ShearColumnMesh, gamma, beta) -> "State":
@@ -125,7 +125,7 @@ class State:
             )
         if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(beta))):
             raise InfeasibleState("nonfinite element slopes")
-        return State(mode=SHEAR_COLUMN, gamma=gamma, beta=beta, mesh=mesh)
+        return State(gamma, beta, mesh)
 
     # -- material-point accessors --------------------------------------------
 
@@ -149,8 +149,8 @@ def state_from_dofs(mesh: Optional[ShearColumnMesh], y, y_vi, cls=State):
     dofs (y, y_vi): F and F_vi at a material point (``mesh`` None), element
     slopes otherwise. Arrays are kept, not copied."""
     if mesh is None:
-        return cls(MATERIAL_POINT, np.reshape(y, 1), np.reshape(y_vi, 1))
-    return cls(SHEAR_COLUMN, y, y_vi, mesh)
+        return cls(np.reshape(y, 1), np.reshape(y_vi, 1))
+    return cls(y, y_vi, mesh)
 
 
 def state_dofs(state: State) -> tuple:
@@ -272,10 +272,10 @@ class Loading:
     g_coeffs: tuple = (0.0,)
 
     def __post_init__(self):
-        for name in ("f_coeffs", "g_coeffs"):
+        for name, key in (("f_coeffs", "load_f"), ("g_coeffs", "load_g")):
             coeffs = tuple(float(c) for c in getattr(self, name)) or (0.0,)
             if not all(np.isfinite(c) for c in coeffs):
-                raise ValidationError(f"{name} must be finite coefficients")
+                raise ValidationError(f"{key} must be finite, got {coeffs}")
             object.__setattr__(self, name, coeffs)
 
     @property
@@ -343,7 +343,6 @@ class TimeGrid:
 
 def stored_energies(model: MaterialModel, state: State) -> tuple:
     """(elastic, viscous) stored energy of a state."""
-    _check_mode(model, state)
     return dof_stored_energies(model, state.mesh, *state_dofs(state))
 
 
@@ -418,11 +417,3 @@ def _check_pair(new: State, old: State):
         raise ValidationError("states have different modes")
     if new.mode == SHEAR_COLUMN and new.mesh.n_elements != old.mesh.n_elements:
         raise ValidationError("states live on different meshes")
-
-
-def _check_mode(model: MaterialModel, state: State):
-    if model.mode != state.mode:
-        raise ValidationError(
-            f"model mode {model.mode} does not match state mode {state.mode}"
-        )
-

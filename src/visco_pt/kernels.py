@@ -39,6 +39,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .minimize import RESOLUTION
 
 _INF = float("inf")
@@ -65,12 +67,16 @@ def _ddpsi(d_v, p_psi, x):
 
 def _strain(c_e, a4, target):
     """Root s of c_e s + a4 s^3 = target, the one inversion of w_el' (the
-    shear column and ``equilibrate_elastic`` use it too). Newton from
-    target / c_e moves |s| monotonically down to the root; it stops when |s|
-    no longer falls."""
+    shear column and ``equilibrate_elastic`` use it too). Both target / c_e
+    and the cube root of target / a4 lie beyond the root, and Newton from
+    the smaller of them in magnitude (the first while |target| <=
+    sqrt(c_e^3 / a4); the second keeps s^3 finite) moves |s| monotonically
+    down to the root; it stops when |s| no longer falls."""
     s = target / c_e
     if a4 == 0.0:
         return s
+    if a4 * s * s > c_e:
+        s = float(np.cbrt(target) / np.cbrt(a4))
     while True:
         s_new = s - (c_e * s + a4 * s * s * s - target) / (c_e + 3.0 * a4 * s * s)
         if not abs(s_new) < abs(s):

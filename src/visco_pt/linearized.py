@@ -53,17 +53,20 @@ class LinState:
     (one value per element); at a material point both are single values.
     """
 
-    mode: str
     u: np.ndarray
     v: np.ndarray
     mesh: Optional[ShearColumnMesh] = None
+
+    @property
+    def mode(self) -> str:
+        return MATERIAL_POINT if self.mesh is None else SHEAR_COLUMN
 
     @staticmethod
     def material_point(u: float, v: float) -> "LinState":
         u, v = float(u), float(v)
         if not (np.isfinite(u) and np.isfinite(v)):
             raise ValidationError("material-point lin state must be finite")
-        return LinState(mode=MATERIAL_POINT, u=np.array([u]), v=np.array([v]))
+        return LinState(np.array([u]), np.array([v]))
 
     @staticmethod
     def shear_column(mesh: ShearColumnMesh, u, v) -> "LinState":
@@ -74,7 +77,7 @@ class LinState:
             raise ValidationError("slope arrays must have one value per element")
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
             raise ValidationError("shear-column lin state must be finite")
-        return LinState(mode=SHEAR_COLUMN, u=u, v=v, mesh=mesh)
+        return LinState(u, v, mesh)
 
 
 
@@ -170,7 +173,7 @@ def lin_step(
         return LinState.material_point(*_lin_slopes(quad, load, float(prev.v[0]), tau))
     sigma = element_stress(prev.mesh, loading.f(t), loading.g(t))
     u, v = _lin_slopes(quad, sigma, prev.v, tau)
-    return LinState(mode=SHEAR_COLUMN, u=u, v=v, mesh=prev.mesh)
+    return LinState(u, v, prev.mesh)
 
 
 def _lin_gradients(

@@ -1,4 +1,5 @@
-"""Solver settings, status names and the resolution of floating point.
+"""Solver settings, the status of an unconverged solve and the resolution
+of floating point.
 
 Both geometries reduce a step to scalar equations: the material point to one
 equation in F_vi (:func:`visco_pt.kernels.mp_minimize`), the shear column to
@@ -13,11 +14,13 @@ cannot resolve x.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-CONVERGED = "converged"
+from .errors import ValidationError
+
 MAX_ITER_EXCEEDED = "max_iter_exceeded"
 
 # Changes at or below this multiple of the magnitude are rounding.
@@ -30,5 +33,8 @@ class MinimizeSettings:
     max_iter: int = 10000
 
     def __post_init__(self):
-        if self.grad_tol <= 0.0 or self.max_iter < 1:
-            raise ValueError("grad_tol must be > 0 and max_iter >= 1")
+        grad_tol = self.grad_tol
+        if not (grad_tol > 0.0 and math.isfinite(grad_tol)):
+            raise ValidationError(f"grad_tol must be finite and > 0, got {grad_tol!r}")
+        if self.max_iter < 1:
+            raise ValidationError(f"max_iter must be >= 1, got {self.max_iter!r}")

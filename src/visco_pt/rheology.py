@@ -47,12 +47,11 @@ class QuadraticLimit:
 
 @dataclass(frozen=True)
 class MaterialModel:
-    """Parameter set for one scenario of the built-in density family.
+    """Parameter set for one scenario of the built-in density family. It
+    serves both geometries: the state's mesh picks the reduction.
 
     Parameters
     ----------
-    mode : str
-        ``"material_point"`` or ``"shear_column"``.
     c_e, a4 : float
         Quadratic and quartic elastic coefficients, c_e > 0, a4 >= 0.
     c_v : float
@@ -65,7 +64,6 @@ class MaterialModel:
         Half-width of the admissible viscous-strain interval, > 0.
     """
 
-    mode: str = MATERIAL_POINT
     c_e: float = 1.0
     a4: float = 0.0
     c_v: float = 1.0
@@ -74,11 +72,9 @@ class MaterialModel:
     k_radius: float = 10.0
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name, positive in (("c_e", True), ("c_v", True), ("d_v", True), ("k_radius", True)):
+        for name in ("c_e", "c_v", "d_v", "k_radius"):
             value = getattr(self, name)
-            if not np.isfinite(value) or (positive and value <= 0.0):
+            if not (np.isfinite(value) and value > 0.0):
                 raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
         if not np.isfinite(self.a4) or self.a4 < 0.0:
             raise ValidationError(f"a4 must be finite and >= 0, got {self.a4!r}")

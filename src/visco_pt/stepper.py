@@ -72,17 +72,17 @@ from .errors import (
     StepRejected,
     ValidationError,
 )
-from .minimize import CONVERGED, MAX_ITER_EXCEEDED, RESOLUTION, MinimizeSettings
-from .rheology import MATERIAL_POINT, MaterialModel
+from .minimize import MAX_ITER_EXCEEDED, RESOLUTION, MinimizeSettings
+from .rheology import MaterialModel
 
 STAY_PUT_TOL = 1e-8
 
 
 class Step(NamedTuple):
     """One accepted step: the new dofs, their stored energies, the
-    dissipation, and the solver's iterations, status code (0 converged),
-    final |grad|_inf (0 for the shear closed form) and stay-put margin
-    E(t, old) - (E(t, new) + tau * Psi)."""
+    dissipation, and the solver's iterations, final |grad|_inf (0 for the
+    shear closed form) and stay-put margin E(t, old) - (E(t, new) + tau *
+    Psi). An accepted step has converged."""
 
     y: object
     y_vi: object
@@ -90,7 +90,6 @@ class Step(NamedTuple):
     w_vi: float
     diss: float
     iterations: int
-    status: int
     grad_inf: float
     margin: float
 
@@ -104,7 +103,6 @@ class PhiTau(NamedTuple):
     y_vi: object
     rate_dissipation: float
     iterations: int
-    status: str
     mesh: Optional[ShearColumnMesh] = None
 
     @property
@@ -128,7 +126,6 @@ class Trajectory(Ledger):
     stored: np.ndarray
     diss_increments: np.ndarray
     iterations: np.ndarray
-    status: np.ndarray
     grad_inf: np.ndarray
     stay_put_margin: np.ndarray
     settings: MinimizeSettings
@@ -293,7 +290,7 @@ def incremental_step(
     tolerance = STAY_PUT_TOL + RESOLUTION * (abs(energy_old) + abs(value))
     if margin < -tolerance:
         raise StepRejected(index, margin, tolerance)
-    return Step(y, y_vi, w_el, w_vi, diss, iterations, 0, grad_inf, margin)
+    return Step(y, y_vi, w_el, w_vi, diss, iterations, grad_inf, margin)
 
 
 def run_evolution(
@@ -321,11 +318,11 @@ def run_evolution(
     new = np.stack([y.reshape(rows), y_vi.reshape(rows)], axis=1)
     dofs = np.concatenate([[(state0.gamma, state0.beta)], new])
     stored = np.concatenate([[stored0], np.column_stack([w_el, w_vi])])
-    diss, iterations, status, grad_inf, margin = map(read_only, per_step)
+    diss, iterations, grad_inf, margin = map(read_only, per_step)
     return Trajectory(
         model=model, loading=loading, grid=grid, mesh=mesh,
         dofs=read_only(dofs), stored=read_only(stored), diss_increments=diss,
-        iterations=iterations, status=status, grad_inf=grad_inf,
+        iterations=iterations, grad_inf=grad_inf,
         stay_put_margin=margin, settings=settings,
     )
 
@@ -338,7 +335,7 @@ def balancing_stress(state: State, loading: Loading, t: float):
     frozen: load * F_vi at a material point, the element resultants
     sigma_e in the shear column."""
     f_val, g_val = loading.f(t), loading.g(t)
-    if state.mode == MATERIAL_POINT:
+    if state.mesh is None:
         return (f_val + g_val) * state.F_vi
     return element_stress(state.mesh, f_val, g_val)
 
@@ -353,7 +350,7 @@ def equilibrate_elastic(
     data and to judge semistability.
     """
     sigma = balancing_stress(state, loading, t)
-    if model.mode == MATERIAL_POINT:
+    if state.mesh is None:
         s = kernels._strain(model.c_e, model.a4, sigma)
         return State.material_point((1.0 + s) * state.F_vi, state.F_vi)
     return replace(state, gamma=_elastic_strains(model, sigma) + state.beta)
@@ -382,7 +379,7 @@ def phi_tau(
     y, y_vi, value, _, _, diss, iterations, _ = _solve_incremental(
         model, old.mesh, state_dofs(old), at, r, settings, f"substep r={r!r}"
     )
-    return PhiTau(value, y, y_vi, diss / r, iterations, CONVERGED, old.mesh)
+    return PhiTau(value, y, y_vi, diss / r, iterations, old.mesh)
 
 
 @functools.lru_cache(maxsize=None)
@@ -408,14 +405,10 @@ def de_giorgi_rule(tau: float, m: int):
     return tau * nodes, tau * weights
 
 
-def de_giorgi_integral(
-    traj: Trajectory,
-    i: int,
-    m: int,
-    settings: Optional[MinimizeSettings] = None,
-):
+def de_giorgi_integral(traj: Trajectory, i: int, m: int):
     """Integral over r in [0, tau] of the substep rate dissipation of step i,
-    with an estimate of its error.
+    with an estimate of its error; the substeps solve under the settings of
+    ``traj``.
 
     Gauss-Legendre with m nodes (:func:`de_giorgi_rule`), and the
     max(2, m // 2)-node rule for the estimate |q_m - q_coarse|: one substep
@@ -425,14 +418,13 @@ def de_giorgi_integral(
     """
     nodes, weights = de_giorgi_rule(traj.grid.tau, m)
     coarse_nodes, coarse_weights = de_giorgi_rule(traj.grid.tau, max(2, m // 2))
-    settings = settings or traj.settings
-    old = traj.states[i - 1]
+    model, loading, old = traj.model, traj.loading, traj.states[i - 1]
     t = float(traj.grid.times[i])
-    at = _load_at(traj.model, traj.mesh, traj.loading, t)
+    at = _load_at(model, traj.mesh, loading, t)
 
     def rates(rule_nodes):
         return np.array([
-            phi_tau(traj.model, old, traj.loading, t, r, settings, at=at).rate_dissipation
+            phi_tau(model, old, loading, t, r, traj.settings, at=at).rate_dissipation
             for r in rule_nodes.tolist()
         ])
 

@@ -214,7 +214,7 @@ def test_11_gradient_consistency():
     rng = np.random.default_rng(0)
     worst = 0.0
     for mode in ("material_point", "shear_column"):
-        model = MaterialModel(mode=mode, c_e=1.3, a4=0.8, c_v=0.8, d_v=1.1)
+        model = MaterialModel(c_e=1.3, a4=0.8, c_v=0.8, d_v=1.1)
         loading = Loading((0.2,), (0.1,))
         if mode == "material_point":
             def draw():
@@ -230,7 +230,7 @@ def test_11_gradient_consistency():
             def draw():
                 gamma = rng.uniform(-4.0, 4.0, mesh.n_elements)
                 beta = rng.uniform(-4.0, 4.0, mesh.n_elements)
-                return State(mode=mode, gamma=gamma, beta=beta, mesh=mesh)
+                return State(gamma=gamma, beta=beta, mesh=mesh)
 
         for _ in range(100):
             state = draw()

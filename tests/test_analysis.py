@@ -151,7 +151,7 @@ def test_energy_sharp_inverts_each_stress_law_once_per_step(monkeypatch):
     # column inverts its elastic stress law once per element and step.
     import visco_pt.kernels as kernels
 
-    model = MaterialModel(mode="shear_column", a4=1.0)
+    model = MaterialModel(a4=1.0)
     mesh = ShearColumnMesh(4)
     state0 = State.shear_column(mesh, np.full(4, 0.5), np.full(4, 0.4))
     traj = run_evolution(model, state0, Loading((0.3,), (0.2,)), TimeGrid(1.0, 5))
@@ -364,7 +364,7 @@ def shear_lin0(n=4):
 
 
 def test_epsilon_study_quartic_rates():
-    model = MaterialModel(mode="shear_column", a4=1.0)
+    model = MaterialModel(a4=1.0)
     grid = TimeGrid(t_final=0.2, n_steps=40)
     report = epsilon_study(
         model, shear_lin0(), Loading((0.3,), (0.2,)), grid, [0.2, 0.1, 0.05]
@@ -380,7 +380,7 @@ def test_epsilon_study_quartic_rates():
 
 
 def test_epsilon_study_quadratic_hits_floor():
-    model = MaterialModel(mode="shear_column")
+    model = MaterialModel()
     grid = TimeGrid(t_final=0.2, n_steps=40)
     report = epsilon_study(
         model, shear_lin0(), Loading((0.3,), (0.2,)), grid, [0.2, 0.1, 0.05]
@@ -392,7 +392,7 @@ def test_epsilon_study_quadratic_hits_floor():
 
 
 def test_epsilon_study_single_eps_reports_gaps_only():
-    model = MaterialModel(mode="shear_column")
+    model = MaterialModel()
     grid = TimeGrid(t_final=0.1, n_steps=10)
     report = epsilon_study(
         model, shear_lin0(), Loading((0.3,), (0.2,)), grid, [0.1]
@@ -403,7 +403,7 @@ def test_epsilon_study_single_eps_reports_gaps_only():
 
 
 def test_epsilon_study_validates_eps_list():
-    model = MaterialModel(mode="shear_column")
+    model = MaterialModel()
     grid = TimeGrid(t_final=0.1, n_steps=10)
     with pytest.raises(ValidationError):
         epsilon_study(model, shear_lin0(), ZERO, grid, [0.05, 0.1])

@@ -79,6 +79,34 @@ def test_parse_empty_value_and_bad_line():
         parse_config("mode = mp\nwhat is this\n")
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("c_e", "0"),
+        ("c_v", "-1"),
+        ("d_v", "nan"),
+        ("k_radius", "inf"),
+        ("a4", "-1"),
+        ("a4", "inf"),
+        ("p_psi", "1.5"),
+        ("p_psi", "inf"),
+        ("t_final", "0"),
+        ("n_steps", "0"),
+        ("n_elements", "0"),
+        ("grad_tol", "0"),
+        ("grad_tol", "nan"),
+        ("grad_tol", "inf"),
+        ("max_iter", "0"),
+        ("load_f", "nan"),
+    ],
+)
+def test_parse_names_the_key_of_an_out_of_range_value(key, value):
+    # The objects the config builds check the ranges; the message names the key.
+    keys = {"mode": "mp", "t_final": "3", "n_steps": "300", "F_vi0": "1.5", key: value}
+    with pytest.raises(ValidationError, match=key):
+        parse_config("".join(f"{k} = {v}\n" for k, v in keys.items()))
+
+
 def test_zero_steps_is_a_validation_error():
     with pytest.raises(ValidationError):
         parse_config("mode = mp\nT = 3\nN = 0\nF_vi0 = 1.5\n")

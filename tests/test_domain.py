@@ -165,7 +165,7 @@ def test_stored_and_total_energy_material_point():
 
 
 def test_total_energy_shear_matches_hand_quadrature():
-    model = MaterialModel(mode=SHEAR_COLUMN, c_e=2.0, c_v=0.5)
+    model = MaterialModel(c_e=2.0, c_v=0.5)
     mesh = ShearColumnMesh(2)
     state = State.shear_column(mesh, [0.6, 0.4], [0.2, 0.0])
     value, _ = total_energy(model, state, Loading(), 0.0)
@@ -175,11 +175,12 @@ def test_total_energy_shear_matches_hand_quadrature():
     assert value == pytest.approx(expected, abs=1e-15)
 
 
-def test_energy_rejects_mode_mismatch():
-    shear_model = MaterialModel(mode=SHEAR_COLUMN)
-    state = State.material_point(1.0, 1.0)
-    with pytest.raises(ValidationError):
-        total_energy(shear_model, state, Loading(), 0.0)
+def test_state_mode_is_read_from_the_mesh():
+    assert State.material_point(1.0, 1.0).mode == MATERIAL_POINT == "material_point"
+    state = State.shear_column(ShearColumnMesh(2), [0.0, 0.0], [0.0, 0.0])
+    assert state.mode == SHEAR_COLUMN == "shear_column"
+    with pytest.raises(AttributeError):
+        state.mode = MATERIAL_POINT
 
 
 def gradient_rel_error(model, state, loading, t, h=1e-6):
@@ -199,14 +200,11 @@ def gradient_rel_error(model, state, loading, t, h=1e-6):
 
 def test_gradient_matches_finite_differences_both_modes():
     loading = Loading(f_coeffs=(0.1, 0.05), g_coeffs=(0.2,))
-    mp_model = MaterialModel(c_e=1.2, a4=0.8, c_v=0.9)
-    sh_model = MaterialModel(mode=SHEAR_COLUMN, c_e=1.2, a4=0.8, c_v=0.9)
+    model = MaterialModel(c_e=1.2, a4=0.8, c_v=0.9)
     rng = np.random.default_rng(11)
     for _ in range(25):
-        assert gradient_rel_error(mp_model, random_mp_state(rng), loading, 0.7) < 1e-6
-        assert (
-            gradient_rel_error(sh_model, random_shear_state(rng), loading, 0.7) < 1e-6
-        )
+        assert gradient_rel_error(model, random_mp_state(rng), loading, 0.7) < 1e-6
+        assert gradient_rel_error(model, random_shear_state(rng), loading, 0.7) < 1e-6
 
 
 def test_dissipation_increment_scalar_spot_value():
@@ -264,7 +262,7 @@ def test_energy_value_is_exactly_the_value_of_total_energy(
     data, mode, c_e, a4, c_v, d_v, p_psi, k_radius, f_coeffs, g_coeffs, t
 ):
     model = MaterialModel(
-        mode=mode, c_e=c_e, a4=a4, c_v=c_v, d_v=d_v, p_psi=p_psi, k_radius=k_radius
+        c_e=c_e, a4=a4, c_v=c_v, d_v=d_v, p_psi=p_psi, k_radius=k_radius
     )
     loading = Loading(f_coeffs=tuple(f_coeffs), g_coeffs=tuple(g_coeffs))
     if mode == MATERIAL_POINT:

@@ -156,6 +156,14 @@ def test_strain_solves_the_stress_law(c_e, a4, target):
     assert abs(c_e * s + a4 * s**3 - target) <= 4.0 * np.finfo(float).eps * terms
 
 
+@pytest.mark.parametrize("target", [1e103, -1e103])
+def test_strain_of_a_huge_target_is_its_cube_root(target):
+    # From target / c_e, s^3 would overflow; Newton starts at the cube root
+    # of target / a4 instead and still ends at the root.
+    s = kernels._strain(1.0, 1.0, target)
+    assert s == pytest.approx(math.copysign(2.1544346900318836e34, target), rel=1e-15)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(
     c_e=log_uniform(1e-3, 1e6),

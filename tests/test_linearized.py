@@ -228,7 +228,7 @@ def test_rescale_displacements_arithmetic():
 def test_rescaled_energies_quadratic_model_is_eps_free():
     # exact 2-homogeneity: the eps-scaled energy equals the limit form.
     state = shear_state(n=4, u_slope=1.0, v_slope=0.0)
-    model = MaterialModel(mode="shear_column")
+    model = MaterialModel()
     for eps in (0.4, 0.1, 0.05):
         w_el, w_vi = rescaled_energies(state, eps, model)
         assert w_el == pytest.approx(0.5, abs=1e-14)
@@ -238,7 +238,7 @@ def test_rescaled_energies_quadratic_model_is_eps_free():
 def test_rescaled_energies_shear_quartic_gap():
     # constant unit elastic slope: w_el = 1/2 + eps^2 / 4 exactly.
     state = shear_state(n=4, u_slope=1.0, v_slope=0.0)
-    model = MaterialModel(mode="shear_column", a4=1.0)
+    model = MaterialModel(a4=1.0)
     for eps in (0.1, 0.05):
         w_el, _ = rescaled_energies(state, eps, model)
         assert w_el == pytest.approx(0.5 + eps**2 / 4.0, abs=1e-15)

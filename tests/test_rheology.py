@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from visco_pt.errors import InfeasibleState, ValidationError
-from visco_pt.rheology import MATERIAL_POINT, SHEAR_COLUMN, MaterialModel
+from visco_pt.rheology import MaterialModel
 
 FD_STEP = 1e-6
 
@@ -66,8 +66,6 @@ def test_viscous_constraint_radius():
 
 
 def test_parameter_validation():
-    with pytest.raises(ValidationError):
-        MaterialModel(mode="plate")
     with pytest.raises(ValidationError):
         MaterialModel(c_e=0.0)
     with pytest.raises(ValidationError):
@@ -166,7 +164,7 @@ def test_check_assumptions_builtin_family_satisfied():
     for model in (
         MaterialModel(),
         MaterialModel(a4=1.0),
-        MaterialModel(mode=SHEAR_COLUMN, c_e=2.0, c_v=0.5, d_v=1.5),
+        MaterialModel(c_e=2.0, c_v=0.5, d_v=1.5),
     ):
         assert_admissible(model)
 
@@ -231,8 +229,3 @@ def assert_admissible(model):
     # w_vi is exactly quadratic: the pinch holds on the whole grid
     for delta in (0.5, 0.1, 0.01):
         assert pinch_radius(model.w_vi, c_v, delta, s) == float(np.max(s))
-
-
-def test_mode_constants():
-    assert MaterialModel(mode=MATERIAL_POINT).mode == "material_point"
-    assert MaterialModel(mode=SHEAR_COLUMN).mode == "shear_column"
