@@ -24,7 +24,7 @@ epsilon study compares slopes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,8 +34,7 @@ from .domain import (
     State,
     TimeGrid,
     dissipation_displacement,
-    elastic_strain,
-    energy_value,
+    element_stress,
 )
 from .errors import ValidationError
 from .linearized import (
@@ -50,9 +49,8 @@ from .minimize import RESOLUTION, MinimizeSettings
 from .rheology import MaterialModel
 from .stepper import (
     Trajectory,
-    balancing_stress,
+    _elastic_strains,
     de_giorgi_integral,
-    equilibrate_elastic,
     phi_tau,
     run_evolution,
 )
@@ -146,11 +144,11 @@ def check_energy_inequality(
     step n is E(0) - sum of load-rate work - E(t_n) - sum tau*Psi_i, which is
     nonnegative by per-step minimality. With ``factor="p_psi"`` the extra
     (p_psi - 1) * integral of the sub-step rate dissipation sharpens the
-    bound. That integral is Gauss-Legendre with m nodes, and its error is
-    estimated per step by the Gauss-Legendre rule with max(2, m // 2)
-    nodes, so a step makes m + max(2, m // 2) substep solves (6 at the
-    default m = 4) under ``traj.settings``. The summed estimate widens the
-    tolerance (it is reported in ``params``). For a zero-load material point
+    bound. One :func:`de_giorgi_integral` pass gives that integral for every
+    step, Gauss-Legendre with m nodes, and its error estimate by the rule
+    with max(2, m // 2) nodes: m + max(2, m // 2) substep solves per step (6
+    at the default m = 4) under ``traj.settings``. The summed estimate
+    widens the tolerance (it is reported in ``params``). For a zero-load material point
     with p_psi = 2 the sharp form is an identity and residuals are reported
     as -|raw| against a quadrature-level tolerance.
     """
@@ -167,12 +165,9 @@ def check_energy_inequality(
     improved = np.zeros(grid.n_steps)
     quad_estimate = 0.0
     if factor == "p_psi":
-        total = 0.0
-        for n in range(1, grid.n_steps + 1):
-            q, q_error, _, _ = de_giorgi_integral(traj, n, m)
-            total += (model.p_psi - 1.0) * q
-            quad_estimate += (model.p_psi - 1.0) * q_error
-            improved[n - 1] = total
+        q, q_error = de_giorgi_integral(traj, m)
+        improved = np.cumsum((model.p_psi - 1.0) * q)
+        quad_estimate = float(np.cumsum((model.p_psi - 1.0) * q_error)[-1])
     lhs = traj.energies[1:] + traj.delta[1:] + improved
     raw = (e0 - traj.load_work[1:]) - lhs
     residuals = -np.abs(raw) if equality else raw
@@ -208,22 +203,36 @@ def semistability_sweep(traj: Trajectory) -> VerificationReport:
     exactly when state i minimizes over the elastic variable. ``params``
     also record the step index of the worst gap and, reported only, the
     worst relative stress residual |w_el'(s) - sigma| / (1 + |sigma|) of
-    the elastic strains s against :func:`balancing_stress`.
+    the elastic strains s against the stress sigma that balances the load.
+    All states are judged at once, in the arithmetic of the per-state
+    functions; the energies come from the ledger of the minimizers.
     """
-    model, loading = traj.model, traj.loading
-    residuals, stress_residuals = [], []
-    for i, (state, t_i) in enumerate(zip(traj.states, traj.grid.times.tolist())):
-        minimizer = equilibrate_elastic(model, state, loading, t_i)
-        residuals.append(energy_value(model, minimizer, loading, t_i) - traj.energy(i))
-        sigma = balancing_stress(state, loading, t_i)
-        off_balance = model.dw_el(elastic_strain(state)) - sigma
-        stress_residuals.append(np.abs(off_balance) / (1.0 + np.abs(sigma)))
+    model, mesh = traj.model, traj.mesh
+    times = traj.grid.times[:, None]
+    f, g = traj.loading.f(times), traj.loading.g(times)
+    y, y_vi = traj.dofs[:, 0], traj.dofs[:, 1]
+    if mesh is None:
+        sigma = (f + g) * y_vi
+        y_min = (1.0 + _elastic_strains(model, sigma[:, 0])[:, None]) * y_vi
+        stored = model.w_el(y_min / y_vi - 1.0), model.w_vi(y_vi - 1.0)
+        strain = y / y_vi - 1.0
+    else:
+        sigma = element_stress(mesh, f, g)
+        y_min = _elastic_strains(model, sigma.ravel()).reshape(sigma.shape) + y_vi
+        stored = [
+            mesh.h * np.add.reduce(w, axis=-1)[:, None]
+            for w in (model.w_el(y_min - y_vi), model.w_vi(y_vi))
+        ]
+        strain = y - y_vi
+    minimizer = replace(traj, dofs=np.stack([y_min, y_vi], 1), stored=np.hstack(stored))
+    residuals = minimizer.energies - traj.energies
+    stress_residual = np.abs(model.dw_el(strain) - sigma) / (1.0 + np.abs(sigma))
     return VerificationReport.build(
         check="semistability",
         params={
             "times_checked": len(residuals),
             "worst_step_index": int(np.argmin(residuals)),
-            "max_stress_residual": float(np.max(np.hstack(stress_residuals))),
+            "max_stress_residual": float(np.max(stress_residual)),
         },
         residuals=residuals,
         tolerance=INEQUALITY_TOL,
@@ -231,6 +240,24 @@ def semistability_sweep(traj: Trajectory) -> VerificationReport:
 
 
 # -- dissipation monotonicity ------------------------------------------------------
+
+
+def _positive(name: str, values: Sequence[float]) -> List[float]:
+    """The list as floats; raises unless it is nonempty and each entry is
+    positive and finite."""
+    values = [float(v) for v in values]
+    if not values or any(not (v > 0.0 and math.isfinite(v)) for v in values):
+        raise ValidationError(f"{name} entries must be positive and finite")
+    return values
+
+
+def substep_values(tau_list: Sequence[float], name: str = "tau_list") -> List[float]:
+    """The substeps of a monotonicity check as floats: nonempty, positive,
+    finite and nondecreasing. Errors name the list ``name``."""
+    taus = _positive(name, tau_list)
+    if any(b < a for a, b in zip(taus, taus[1:])):
+        raise ValidationError(f"{name} must be nondecreasing")
+    return taus
 
 
 def check_monotonicity(
@@ -247,11 +274,7 @@ def check_monotonicity(
     minimized and Psi(old, y_vi,r - old) recorded; residuals are consecutive
     differences.
     """
-    taus = [float(r) for r in tau_list]
-    if any(r <= 0.0 or not np.isfinite(r) for r in taus):
-        raise ValidationError("tau_list entries must be positive and finite")
-    if any(b < a for a, b in zip(taus, taus[1:])):
-        raise ValidationError("tau_list must be nondecreasing")
+    taus = substep_values(tau_list)
     settings = settings or MinimizeSettings()
 
     def displacement(r: float) -> float:
@@ -326,20 +349,22 @@ def _oracle_on_grids(
     }
 
 
-def tau_grids(t_final: float, tau_list: Sequence[float]) -> Dict[float, TimeGrid]:
-    """The distinct taus of a convergence sweep, largest first, each mapped to
-    the uniform grid of [0, t_final] it divides into.
-
-    Raises :class:`ValidationError` unless there are at least two taus and
-    each is positive, finite and divides ``t_final``.
-    """
-    taus = sorted({float(r) for r in tau_list}, reverse=True)
+def tau_values(tau_list: Sequence[float]) -> List[float]:
+    """The distinct taus of a convergence sweep, largest first: at least two,
+    each positive and finite."""
+    taus = sorted(set(_positive("tau_list", tau_list)), reverse=True)
     if len(taus) < 2:
         raise ValidationError("need at least two tau values to fit an order")
+    return taus
+
+
+def tau_grids(t_final: float, tau_list: Sequence[float]) -> Dict[float, TimeGrid]:
+    """The taus of :func:`tau_values`, each mapped to the uniform grid of
+    [0, t_final] it divides into; raises :class:`ValidationError` unless
+    each divides ``t_final``.
+    """
     grids = {}
-    for tau in taus:
-        if not (tau > 0.0 and np.isfinite(tau)):
-            raise ValidationError(f"tau={tau!r} must be positive and finite")
+    for tau in tau_values(tau_list):
         n = int(round(t_final / tau))
         if n < 1 or abs(n * tau - t_final) > 1e-9 * max(1.0, t_final):
             raise ValidationError(f"tau={tau!r} does not divide t_final={t_final!r}")
@@ -415,17 +440,16 @@ def tau_convergence(
 # -- linearization (epsilon) study ---------------------------------------------------
 
 
-def eps_values(epsilon_list: Sequence[float], decreasing: bool = True) -> List[float]:
+def eps_values(
+    epsilon_list: Sequence[float], decreasing: bool = True, name: str = "epsilon_list"
+) -> List[float]:
     """The epsilon list as floats, nonempty, each entry positive and finite
     and, if ``decreasing``, strictly decreasing (the order along which an
-    epsilon study expects its errors to fall)."""
-    eps_list = [float(e) for e in epsilon_list]
-    if not eps_list:
-        raise ValidationError("epsilon_list must not be empty")
-    if any(not (e > 0.0 and np.isfinite(e)) for e in eps_list):
-        raise ValidationError("epsilon_list entries must be positive and finite")
+    epsilon study expects its errors to fall). Errors name the list
+    ``name``."""
+    eps_list = _positive(name, epsilon_list)
     if decreasing and any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValidationError("epsilon_list must be strictly decreasing")
+        raise ValidationError(f"{name} must be strictly decreasing")
     return eps_list
 
 

@@ -15,6 +15,7 @@ from typing import Optional, Tuple, get_type_hints
 
 import numpy as np
 
+from .analysis import eps_values, substep_values, tau_values
 from .domain import Loading, ShearColumnMesh, State, TimeGrid
 from .errors import ConfigParseError, ValidationError
 from .linearized import LinState, lin_equilibrium
@@ -84,10 +85,9 @@ class ScenarioConfig:
             )
         if self.de_giorgi_m < 2:
             raise ValidationError(f"de_giorgi_m must be >= 2, got {self.de_giorgi_m}")
-        for name in ("tau_list", "mono_tau_list", "eps_list"):
-            values = getattr(self, name)
-            if not values or any(v <= 0.0 or not np.isfinite(v) for v in values):
-                raise ValidationError(f"{name} entries must be positive and finite")
+        tau_values(self.tau_list)
+        substep_values(self.mono_tau_list, "mono_tau_list")
+        eps_values(self.eps_list, decreasing=False, name="eps_list")
         for check in self.checks:
             if check not in KNOWN_CHECKS:
                 raise ValidationError(

@@ -36,7 +36,10 @@ The same solver evaluated at a substep r in (0, tau] gives phi_tau(r), the
 value function of the De Giorgi interpolation; its minimizer is the De
 Giorgi interpolant and the integral of the rate dissipation over r in
 [0, tau] (Gauss-Legendre) supplies the improved dissipation term of the
-sharp energy identity.
+sharp energy identity. :func:`de_giorgi_integral` prices it for a whole
+trajectory from its dof array, with no :class:`State` and no phi_tau: the
+material-point substeps go one by one through the kernel, the shear-column
+substeps of all steps and nodes through one batched viscous-slope solve.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -192,7 +195,7 @@ def _solve_incremental(
         return F, Fv, value, w_el, w_vi, diss, iterations, grad_inf
 
     b, iterations, grad_inf = _viscous_slopes(
-        model, at.sigma, old[1], r, mesh.h, settings, where
+        model, at.sigma, old[1], r, mesh.h, settings, lambda: where
     )
     gamma = at.s_el + b
     w_el, w_vi = dof_stored_energies(model, mesh, gamma, b)
@@ -213,21 +216,24 @@ def _viscous_slopes(
     model: MaterialModel,
     sigma: np.ndarray,
     b_old: np.ndarray,
-    r: float,
+    r,
     h: float,
     settings: MinimizeSettings,
-    where: str,
+    where: Callable[..., str],
 ):
     """Per-element viscous slopes b with c_v b + psi'((b - b_old)/r) = sigma;
     returns ``(b, iterations, grad_inf)``.
 
-    A closed form when p_psi = 2 (0 iterations, grad_inf 0). Otherwise Newton
-    on each element, kept inside the bracket between b_old and sigma/c_v,
-    where the residual changes sign (a step that leaves it bisects). An
-    element is solved when h * |residual| <= grad_tol or when its Newton
-    step is below the resolution of b, ``RESOLUTION * max(1, |b|)``;
-    ``iterations`` is the most any element took, ``grad_inf`` the largest
-    final h * |residual|. Raises :class:`SolverNotConverged` at ``max_iter``.
+    The last axis holds one solve's elements; leading axes of ``b_old``
+    batch independent solves (``sigma`` and ``r`` broadcast). A closed form
+    when p_psi = 2 (0 iterations, grad_inf 0). Otherwise Newton on each
+    element, kept inside the bracket between b_old and sigma/c_v, where the
+    residual changes sign (a step that leaves it bisects). An element is
+    solved, and then left as it is, when h * |residual| <= grad_tol or when
+    its Newton step is below the resolution of b, ``RESOLUTION * max(1,
+    |b|)``; ``iterations`` is the most any element took, ``grad_inf`` the
+    largest final h * |residual|. Raises :class:`SolverNotConverged` at
+    ``max_iter``, named ``where(*row)`` for the first unconverged solve.
     """
     if model.p_psi == 2.0:
         return b_old + (sigma - model.c_v * b_old) / (model.c_v + model.d_v / r), 0, 0.0
@@ -245,8 +251,9 @@ def _viscous_slopes(
         if not active.any():
             return b, iterations, float(np.max(scaled))
         if iterations >= settings.max_iter:
-            grad_inf = float(np.max(scaled[active]))
-            raise SolverNotConverged(where, MAX_ITER_EXCEEDED, grad_inf)
+            row = np.unravel_index(np.argmax(active), active.shape)[:-1]
+            grad_inf = float(np.max(scaled[row][active[row]]))
+            raise SolverNotConverged(where(*row), MAX_ITER_EXCEEDED, grad_inf)
         hi = np.where(residual > 0.0, b, hi)
         lo = np.where(residual < 0.0, b, lo)
         ddpsi = 0.5 * model.d_v * p * (p - 1.0) * np.abs(rate) ** (p - 2.0)
@@ -330,29 +337,21 @@ def run_evolution(
 # -- elastic equilibration ------------------------------------------------------
 
 
-def balancing_stress(state: State, loading: Loading, t: float):
-    """The stress w_el'(s) that balances the load at t with the viscous state
-    frozen: load * F_vi at a material point, the element resultants
-    sigma_e in the shear column."""
-    f_val, g_val = loading.f(t), loading.g(t)
-    if state.mesh is None:
-        return (f_val + g_val) * state.F_vi
-    return element_stress(state.mesh, f_val, g_val)
-
-
 def equilibrate_elastic(
     model: MaterialModel, state: State, loading: Loading, t: float
 ) -> State:
     """Minimize the energy over the elastic variable at frozen viscous state.
 
-    w_el is convex, so the minimizer is the one root of w_el'(s) =
-    :func:`balancing_stress`, solved as in a step. Used to prepare initial
-    data and to judge semistability.
+    w_el is convex, so the minimizer is the one root of w_el'(s) = sigma,
+    solved as in a step, for the stress sigma that balances the load at t:
+    load * F_vi at a material point, the element resultants sigma_e in the
+    shear column. Used to prepare initial data.
     """
-    sigma = balancing_stress(state, loading, t)
+    f_val, g_val = loading.f(t), loading.g(t)
     if state.mesh is None:
-        s = kernels._strain(model.c_e, model.a4, sigma)
+        s = kernels._strain(model.c_e, model.a4, (f_val + g_val) * state.F_vi)
         return State.material_point((1.0 + s) * state.F_vi, state.F_vi)
+    sigma = element_stress(state.mesh, f_val, g_val)
     return replace(state, gamma=_elastic_strains(model, sigma) + state.beta)
 
 
@@ -366,16 +365,9 @@ def phi_tau(
     t: float,
     r: float,
     settings: MinimizeSettings = MinimizeSettings(),
-    *,
-    at: Optional[_LoadAt] = None,
 ) -> PhiTau:
-    """Value, minimizer and rate dissipation of the substep functional.
-
-    ``at`` is the load at t (``_load_at``); the substeps of one step share
-    it, so the shear column's elastic strains are solved once per step.
-    """
-    if at is None:
-        at = _load_at(model, old.mesh, loading, t)
+    """Value, minimizer and rate dissipation of the substep functional."""
+    at = _load_at(model, old.mesh, loading, t)
     y, y_vi, value, _, _, diss, iterations, _ = _solve_incremental(
         model, old.mesh, state_dofs(old), at, r, settings, f"substep r={r!r}"
     )
@@ -405,30 +397,54 @@ def de_giorgi_rule(tau: float, m: int):
     return tau * nodes, tau * weights
 
 
-def de_giorgi_integral(traj: Trajectory, i: int, m: int):
-    """Integral over r in [0, tau] of the substep rate dissipation of step i,
-    with an estimate of its error; the substeps solve under the settings of
-    ``traj``.
+def de_giorgi_integral(traj: Trajectory, m: int):
+    """Integral over r in [0, tau] of the substep rate dissipation of every
+    step, with an estimate of its error; the substeps solve under the
+    settings of ``traj``.
 
     Gauss-Legendre with m nodes (:func:`de_giorgi_rule`), and the
     max(2, m // 2)-node rule for the estimate |q_m - q_coarse|: one substep
-    solve per node, m + max(2, m // 2) in all, sharing the load at t_i. The
-    integrand is smooth in r, so the error falls geometrically in m. Returns
-    ``(integral, estimate, nodes, samples)``, the last two of the m-node rule.
+    solve per node and step, m + max(2, m // 2) per step, from the step's
+    old dofs under the load at its end. The integrand is smooth in r, so the
+    error falls geometrically in m. A material point solves them one by one
+    in the kernel, the shear column as one batch of shape (steps, nodes,
+    elements). Returns per-step arrays ``(integral, estimate)``; a substep
+    that fails raises, naming its step and r.
     """
-    nodes, weights = de_giorgi_rule(traj.grid.tau, m)
-    coarse_nodes, coarse_weights = de_giorgi_rule(traj.grid.tau, max(2, m // 2))
-    model, loading, old = traj.model, traj.loading, traj.states[i - 1]
-    t = float(traj.grid.times[i])
-    at = _load_at(model, traj.mesh, loading, t)
+    grid, model, mesh, settings = traj.grid, traj.model, traj.mesh, traj.settings
+    nodes, weights = de_giorgi_rule(grid.tau, m)
+    coarse_nodes, coarse_weights = de_giorgi_rule(grid.tau, max(2, m // 2))
+    r = np.concatenate([nodes, coarse_nodes])
+    rs = r.tolist()
+    substeps = [f"substep r={x!r}" for x in rs]
 
-    def rates(rule_nodes):
-        return np.array([
-            phi_tau(model, old, loading, t, r, traj.settings, at=at).rate_dissipation
-            for r in rule_nodes.tolist()
-        ])
+    def where(n, j):
+        return f"step {n + 1}, {substeps[j]}"
 
-    samples = rates(nodes)
-    integral = float(weights @ samples)
-    coarse = float(coarse_weights @ rates(coarse_nodes))
-    return integral, abs(integral - coarse), nodes, samples
+    if mesh is None:
+        olds = traj.dofs[:-1, :, 0].tolist()
+        rates = []
+        for n, (old, t) in enumerate(zip(olds, grid.times[1:].tolist()), start=1):
+            at, step = _load_at(model, mesh, traj.loading, t), f"step {n}, "
+            rates.append([
+                _solve_incremental(model, mesh, old, at, x, settings, step + name)[5] / x
+                for x, name in zip(rs, substeps)
+            ])
+        rates = np.array(rates)
+    else:
+        times = grid.times[1:, None, None]
+        sigma = element_stress(mesh, traj.loading.f(times), traj.loading.g(times))
+        shape = (grid.n_steps, len(rs), mesh.n_elements)
+        b_old = np.broadcast_to(traj.dofs[:-1, None, 1], shape)
+        column = r[:, None]
+        b, _, _ = _viscous_slopes(model, sigma, b_old, column, mesh.h, settings, where)
+        outside = np.argwhere(np.abs(b).max(axis=-1) > model.k_radius)
+        if len(outside):
+            raise InfeasibleState(
+                f"{where(*outside[0])} leaves the admissible radius {model.k_radius}"
+            )
+        # diss / r, with diss = r * h * sum formed as dof_dissipation forms it
+        rates = r * mesh.h * np.add.reduce(model.psi((b - b_old) / column), axis=-1) / r
+    integral = np.array([weights @ row for row in rates[:, : len(nodes)]])
+    coarse = np.array([coarse_weights @ row for row in rates[:, len(nodes):]])
+    return integral, np.abs(integral - coarse)

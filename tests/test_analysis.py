@@ -11,20 +11,29 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from visco_pt import (
+    InfeasibleState,
     Loading,
     MaterialModel,
+    MinimizeSettings,
     ShearColumnMesh,
+    SolverNotConverged,
     State,
     TimeGrid,
     ValidationError,
     VerificationReport,
     check_energy_inequality,
     check_monotonicity,
+    de_giorgi_integral,
     density_convergence,
+    energy_value,
     epsilon_study,
+    equilibrate_elastic,
     load_config,
+    phi_tau,
     rk4_viscous_oracle,
     run_evolution,
     semistability_sweep,
@@ -33,6 +42,7 @@ from visco_pt import (
 from visco_pt.analysis import INEQUALITY_TOL, fit_rate
 from visco_pt.domain import stored_energies
 from visco_pt.linearized import LinState
+from visco_pt.stepper import de_giorgi_rule
 
 UNIT_MP = MaterialModel()
 ZERO = Loading()
@@ -130,13 +140,13 @@ def test_energy_inequality_sharp_makes_six_substep_solves_per_step(monkeypatch):
 
     traj = relax_trajectory()
     calls = []
-    solve = stepper.phi_tau
+    solve = stepper._solve_incremental
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args[4])
-        return solve(*args, **kwargs)
+        return solve(*args)
 
-    monkeypatch.setattr(stepper, "phi_tau", counted)
+    monkeypatch.setattr(stepper, "_solve_incremental", counted)
     for report in (
         check_energy_inequality(traj, factor="p_psi"),
         check_energy_inequality(traj, factor="p_psi", m=4),
@@ -147,8 +157,9 @@ def test_energy_inequality_sharp_makes_six_substep_solves_per_step(monkeypatch):
 
 
 def test_energy_sharp_inverts_each_stress_law_once_per_step(monkeypatch):
-    # The six substeps of a step share the load at t_n, so a quartic shear
-    # column inverts its elastic stress law once per element and step.
+    # At most once per element and step; in fact not at all: the substep
+    # rate dissipation of a shear column depends on the viscous slopes
+    # alone, and the batched substeps solve no elastic strain.
     import visco_pt.kernels as kernels
 
     model = MaterialModel(a4=1.0)
@@ -164,7 +175,122 @@ def test_energy_sharp_inverts_each_stress_law_once_per_step(monkeypatch):
 
     monkeypatch.setattr(kernels, "_strain", counted)
     assert check_energy_inequality(traj, factor="p_psi").passed
-    assert len(calls) == traj.grid.n_steps * mesh.n_elements
+    assert calls == []
+
+
+def first_failing_substep(traj, solver, error):
+    """``(where, grad_inf)`` of the first substep, in step and node order,
+    whose lone :func:`phi_tau` solve under the settings ``solver`` raises
+    ``error``."""
+    nodes, _ = de_giorgi_rule(traj.grid.tau, 4)
+    coarse, _ = de_giorgi_rule(traj.grid.tau, 2)
+    for n in range(1, traj.grid.n_steps + 1):
+        for r in nodes.tolist() + coarse.tolist():
+            try:
+                phi_tau(traj.model, traj.states[n - 1], traj.loading,
+                        float(traj.grid.times[n]), r, solver)
+            except error as exc:
+                return f"step {n}, substep r={r!r}", getattr(exc, "grad_inf", None)
+    return None
+
+
+@pytest.mark.parametrize("max_iter", [1, 5, 7])
+def test_energy_sharp_names_the_first_shear_substep_that_does_not_converge(max_iter):
+    # Under t^4 the first steps barely move and converge in few iterations,
+    # so with more iterations allowed the first failure moves to later steps.
+    model = MaterialModel(a4=1.0, p_psi=3.0)
+    rest = State.shear_column(ShearColumnMesh(4), np.zeros(4), np.zeros(4))
+    quartic = Loading((0.0, 0.0, 0.0, 0.0, 1.0))
+    traj = run_evolution(model, rest, quartic, TimeGrid(1.0, 10))
+    capped = MinimizeSettings(max_iter=max_iter)
+    where, grad_inf = first_failing_substep(traj, capped, SolverNotConverged)
+    with pytest.raises(SolverNotConverged) as exc:
+        check_energy_inequality(dataclasses.replace(traj, settings=capped), "p_psi")
+    assert exc.value.where == where
+    assert exc.value.grad_inf == grad_inf
+    assert str(exc.value).startswith(f"{where} not solved: max_iter_exceeded")
+
+
+def test_energy_sharp_names_a_material_point_substep_without_a_minimizer():
+    # Under the load 10 the reduced curvature c_v - load^2/c_e + d_v/(r a^2)
+    # is negative at the first node of step 1: the substep has no minimizer.
+    traj = dataclasses.replace(relax_trajectory(2, 0.2), loading=Loading((10.0,)))
+    where, _ = first_failing_substep(traj, traj.settings, InfeasibleState)
+    with pytest.raises(InfeasibleState) as exc:
+        check_energy_inequality(traj, "p_psi")
+    assert where == f"step 1, substep r={de_giorgi_rule(0.1, 4)[0].tolist()[0]!r}"
+    assert str(exc.value).startswith(f"{where} has no admissible minimizer")
+    assert "reduced curvature g'' = -" in str(exc.value)
+
+
+def test_energy_sharp_names_the_first_shear_substep_outside_the_radius():
+    # The viscous slopes grow from 0.4 past 0.41 during step 2.
+    mesh = ShearColumnMesh(4)
+    start = State.shear_column(mesh, np.full(4, 0.5), np.full(4, 0.4))
+    traj = run_evolution(UNIT_MP, start, Loading((0.3,), (0.2,)), TimeGrid(1.0, 5))
+    traj = dataclasses.replace(traj, model=MaterialModel(k_radius=0.41))
+    where, _ = first_failing_substep(traj, traj.settings, InfeasibleState)
+    with pytest.raises(InfeasibleState) as exc:
+        check_energy_inequality(traj, "p_psi")
+    assert where.startswith("step 2, ")
+    assert str(exc.value) == f"{where} leaves the admissible radius 0.41"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    shear=st.booleans(),
+    a4=st.one_of(st.just(0.0), st.floats(0.0, 2.0, exclude_min=True)),
+    p_psi=st.one_of(st.just(2.0), st.floats(2.0, 3.0, exclude_min=True)),
+    c_v=st.floats(0.5, 1.5),
+    d_v=st.floats(0.5, 2.0),
+    f=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+    g=st.floats(-0.2, 0.2),
+    start=st.floats(-0.4, 0.4),
+    n_steps=st.integers(1, 4),
+    n_elements=st.integers(1, 12),
+    shift=st.one_of(st.just(0.0), st.floats(-0.05, 0.05)),
+)
+def test_array_passes_equal_the_per_state_functions(
+    shear, a4, p_psi, c_v, d_v, f, g, start, n_steps, n_elements, shift
+):
+    # de_giorgi_integral and semistability_sweep judge a whole trajectory at
+    # once; each value must equal, bit for bit, what phi_tau and
+    # equilibrate_elastic + energy_value give state by state. A stepped state
+    # is its own elastic minimizer, so ``shift`` moves the elastic dofs off it.
+    model = MaterialModel(a4=a4, p_psi=p_psi, c_v=c_v, d_v=d_v)
+    loading = Loading(f, (g,))
+    if shear:
+        mesh = ShearColumnMesh(n_elements)
+        state0 = State.shear_column(mesh, np.zeros(n_elements), np.full(n_elements, start))
+    else:
+        state0 = State.material_point(1.0 + start, 1.0 + start)
+    state0 = equilibrate_elastic(model, state0, loading, 0.0)
+    traj = run_evolution(model, state0, loading, TimeGrid(0.5, n_steps))
+    traj = moved(traj, traj.dofs + np.array([shift, 0.0])[:, None])
+    times = traj.grid.times.tolist()
+
+    nodes, weights = de_giorgi_rule(traj.grid.tau, 4)
+    coarse_nodes, coarse_weights = de_giorgi_rule(traj.grid.tau, 2)
+
+    def quadrature(rule_nodes, rule_weights, n):
+        rates = [
+            phi_tau(model, traj.states[n - 1], loading, times[n], r).rate_dissipation
+            for r in rule_nodes.tolist()
+        ]
+        return float(rule_weights @ np.array(rates))
+
+    fine = [quadrature(nodes, weights, n) for n in range(1, n_steps + 1)]
+    coarse = [quadrature(coarse_nodes, coarse_weights, n) for n in range(1, n_steps + 1)]
+    integral, estimate = de_giorgi_integral(traj, 4)
+    assert integral.tolist() == fine
+    assert estimate.tolist() == [abs(a - b) for a, b in zip(fine, coarse)]
+
+    gaps = [
+        energy_value(model, equilibrate_elastic(model, state, loading, t), loading, t)
+        - traj.energy(i)
+        for i, (state, t) in enumerate(zip(traj.states, times))
+    ]
+    assert semistability_sweep(traj).residuals == gaps
 
 
 def test_energy_inequality_loaded_uses_quadrature_tolerance():

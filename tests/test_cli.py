@@ -107,6 +107,35 @@ def test_parse_names_the_key_of_an_out_of_range_value(key, value):
         parse_config("".join(f"{k} = {v}\n" for k, v in keys.items()))
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("tau_list", "0", "tau_list entries must be positive and finite"),
+        ("tau_list", "0.1", "need at least two tau values"),
+        ("mono_tau_list", "0.5 0.1", "mono_tau_list must be nondecreasing"),
+        ("eps_list", "0.1 -0.05", "eps_list entries must be positive and finite"),
+    ],
+)
+def test_list_keys_reach_the_validator_of_their_check(tmp_path, capsys, key, value, message):
+    # The config parse and the command-line overrides share one validator per
+    # list: analysis.tau_values, substep_values and eps_values.
+    with pytest.raises(ValidationError, match=message):
+        parse_config(MINIMAL + f"{key} = {value}\n")
+    cfg = write(tmp_path, "bad.cfg", MINIMAL + f"{key} = {value}\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_tau_list_override_of_zero_exits_1(tmp_path, capsys):
+    cfg = str(REPO / "configs" / "mp_relax.cfg")
+    argv = ["sweep-tau", "--config", cfg, "--out", str(tmp_path), "--tau-list", "0"]
+    assert main(argv) == 1
+    assert "error: tau_list entries must be positive and finite" in capsys.readouterr().err
+    # The override is validated before the model or the state is looked at.
+    with pytest.raises(ValidationError, match="positive and finite"):
+        analysis.tau_sweep(None, None, None, 3.0, [0.0])
+
+
 def test_zero_steps_is_a_validation_error():
     with pytest.raises(ValidationError):
         parse_config("mode = mp\nT = 3\nN = 0\nF_vi0 = 1.5\n")

@@ -295,10 +295,10 @@ def test_de_giorgi_integral_matches_closed_form():
     tau = 0.5
     traj = single_step_trajectory(tau)
     exact = closed_form_de_giorgi_integral(tau)
-    q, estimate, nodes, samples = de_giorgi_integral(traj, 1, 64)
-    assert nodes.shape == samples.shape == (64,)
-    assert q == pytest.approx(exact, abs=2e-5)
-    assert abs(q - exact) <= estimate
+    q, estimate = de_giorgi_integral(traj, 64)
+    assert q.shape == estimate.shape == (1,)
+    assert q[0] == pytest.approx(exact, abs=2e-5)
+    assert abs(q[0] - exact) <= estimate[0]
 
 
 def test_de_giorgi_integral_gauss_convergence_in_samples():
@@ -308,7 +308,7 @@ def test_de_giorgi_integral_gauss_convergence_in_samples():
     traj = single_step_trajectory(tau)
     exact = closed_form_de_giorgi_integral(tau)
     errors = [
-        abs(de_giorgi_integral(traj, 1, m)[0] - exact) / exact for m in (2, 3, 4, 5)
+        abs(de_giorgi_integral(traj, m)[0][0] - exact) / exact for m in (2, 3, 4, 5)
     ]
     for coarse, fine in zip(errors, errors[1:]):
         assert fine <= coarse / 10.0
@@ -318,22 +318,38 @@ def test_de_giorgi_integral_gauss_convergence_in_samples():
 
 
 def test_de_giorgi_integral_makes_one_solve_per_node(monkeypatch):
+    # A material point solves each substep of each step once; the shear
+    # column solves all of them in one batch, with r as a column.
     import visco_pt.stepper as stepper
 
-    traj = single_step_trajectory()
-    calls = []
-    solve = stepper.phi_tau
+    grid = TimeGrid(0.5, 3)
+    mp = run_evolution(UNIT_MP, State.material_point(F_O, F_O), ZERO, grid)
+    shear = run_evolution(UNIT_MP, shear_start(), Loading((0.2,), (0.1,)), grid)
+    calls, batches = [], []
+    solve, slopes = stepper._solve_incremental, stepper._viscous_slopes
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args[4])
-        return solve(*args, **kwargs)
+        return solve(*args)
 
-    monkeypatch.setattr(stepper, "phi_tau", counted)
+    def batched(*args):
+        batches.append(args[3])
+        return slopes(*args)
+
+    monkeypatch.setattr(stepper, "_solve_incremental", counted)
+    monkeypatch.setattr(stepper, "_viscous_slopes", batched)
     for m in (2, 4, 7):
+        nodes, _ = de_giorgi_rule(grid.tau, m)
+        coarse, _ = de_giorgi_rule(grid.tau, max(2, m // 2))
+        substeps = list(nodes) + list(coarse)
+        de_giorgi_integral(mp, m)
+        assert calls == substeps * grid.n_steps
+        assert batches == []
         calls.clear()
-        _, _, nodes, _ = de_giorgi_integral(traj, 1, m)
-        coarse, _ = de_giorgi_rule(traj.grid.tau, max(2, m // 2))
-        assert calls == list(nodes) + list(coarse)
+        de_giorgi_integral(shear, m)
+        assert calls == []
+        assert len(batches) == 1
+        assert batches.pop().tolist() == [[r] for r in substeps]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -358,8 +374,8 @@ def test_de_giorgi_error_estimate_bounds_the_error(
     start = equilibrate_elastic(model, State.material_point(Fv, Fv), loading, 0.0)
     traj = run_evolution(model, start, loading, TimeGrid(t_final=tau, n_steps=1))
     report = check_energy_inequality(traj, factor="p_psi")
-    q = de_giorgi_integral(traj, 1, report.params["m"])[0]
-    q32 = de_giorgi_integral(traj, 1, 32)[0]
+    q = de_giorgi_integral(traj, report.params["m"])[0][0]
+    q32 = de_giorgi_integral(traj, 32)[0][0]
     error = (p_psi - 1.0) * abs(q - q32)
     assert report.params["m"] == 4
     assert error <= report.params["quadrature_estimate"] + 1e-12 * max(1.0, abs(q32))
