@@ -1,6 +1,7 @@
 """Command-line interface: config parsing, subcommand outputs, exit codes,
 and byte-level determinism of the JSON reports."""
 
+import hashlib
 import json
 import os
 import re
@@ -485,3 +486,55 @@ def test_no_source_file_reads_the_environment():
         if re.search(r"os\.environ|getenv", path.read_text(encoding="utf-8"))
     ]
     assert readers == []
+
+
+# -- shipped outputs --------------------------------------------------------------
+
+# sha256 of every CSV the shipped configs write, recorded from the per-step
+# march before the stepper priced its ledger in arrays. The CSVs hold only
+# IEEE arithmetic (no LAPACK), so they must not change by a bit; verify.json
+# carries polyfit rates and is checked run to run by test_12 instead.
+SHIPPED_CSV_SHA256 = {
+    ("run", "mp_relax"): {
+        "run.csv": "d80aab09bd2b0d8c76fc64459d4a2ff0006f691dd05198a8fb7b004fd2d0aa9d",
+    },
+    ("run", "mp_loaded"): {
+        "run.csv": "fd6465de30db7d1267b0410e5e887030899ccf2f4b0ffa15b17657028b584d5a",
+    },
+    ("run", "shear_quadratic"): {
+        "run.csv": "c97948844631333f2fd2870cc439575b322dbc369234bc9b9c670dc5504799a2",
+    },
+    ("run", "shear_quartic"): {
+        "run.csv": "1a0a949f1858f054e3d1ccf8b9230c6e43e534ac4ace6c385eb4886a527438e0",
+    },
+    ("sweep-tau", "mp_relax"): {
+        "tau_0.012500000000000001.csv": "d56131ad9bdf5afd5fcb4b64a062fac70a37478200fff620455674d80bec4e0c",
+        "tau_0.025000000000000001.csv": "a18d6f23259700e23d3fd4c4e4bec4623e745dbfe489254e651f47e8bc0d694d",
+        "tau_0.050000000000000003.csv": "1e0d7113c666b55ee27f0322bf446ff33586b42c5a3fa82cccc2280378ac255f",
+        "tau_0.10000000000000001.csv": "fa4349198297e80e783eb0fb473f920618af680a2e29a649cdd96ca610a23629",
+    },
+    ("sweep-eps", "eps_quadratic"): {
+        "eps_0.050000000000000003.csv": "b3fd31902305c8a23471b9df4f4d15c3e66a271830589f79ce917a9a81861473",
+        "eps_0.10000000000000001.csv": "22e45d238d4dd496cfeaefe4d80f3e672a79087e5bf72c7a08d31a9533417891",
+        "eps_0.20000000000000001.csv": "656e5d91a586f0258779f6cfc55fa33ef4fa6cd77c7bf6ef74f2fa4e351aeab2",
+        "eps_lin.csv": "93fedf55d08b3027d9a6b5878379fe14bf13ba4574cc23944a524847c4ebf21f",
+    },
+    ("sweep-eps", "eps_quartic"): {
+        "eps_0.050000000000000003.csv": "20e49e238e2c5f2278591f418929ff7f6053f7c26b18d40dd5c6ec541280a0e5",
+        "eps_0.10000000000000001.csv": "49b4de7067428249d6a4eb45864e229a53e22e36fb1083c63fcfdfdcc9140e6d",
+        "eps_0.20000000000000001.csv": "42a0b02b68e043d949acc48e562b7d5c26c74d46f3b03fa3e8879e14b22f51ee",
+        "eps_lin.csv": "dc3a347548b4f9878b23940d25851266ce090d8bebac64cbf8a2823b0a1d3922",
+    },
+}
+
+
+@pytest.mark.parametrize("command, stem", list(SHIPPED_CSV_SHA256))
+def test_shipped_csv_outputs_keep_their_digests(tmp_path, command, stem):
+    cfg = str(REPO / "configs" / f"{stem}.cfg")
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    written = sorted(path.name for path in tmp_path.glob("*.csv"))
+    expected = SHIPPED_CSV_SHA256[command, stem]
+    assert written == sorted(expected)
+    for name, digest in expected.items():
+        actual = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert actual == digest, f"{command} {stem}: {name} changed (sha256 {actual})"
