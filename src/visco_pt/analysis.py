@@ -299,13 +299,11 @@ def rk4_viscous_oracle(
 ) -> np.ndarray:
     """Classical RK4 integration of the zero-load flow dF = -(c_v/d_v) F^2 (F-1).
 
-    Integrates interval by interval so values land exactly on ``times``.
+    Integrates interval by interval so values land exactly on ``times``. The
+    right-hand side -c f f (f - 1) is written out at each stage, in that
+    order of operations.
     """
-    c = model.c_v / model.d_v
-
-    def rhs(f: float) -> float:
-        return -c * f * f * (f - 1.0)
-
+    m = -(model.c_v / model.d_v)
     values = np.zeros(len(times))
     values[0] = f_vi0
     f = f_vi0
@@ -313,12 +311,16 @@ def rk4_viscous_oracle(
         span = float(times[k] - times[k - 1])
         n_sub = max(1, int(round(span / substep)))
         h = span / n_sub
+        half, sixth = 0.5 * h, h / 6.0
         for _ in range(n_sub):
-            k1 = rhs(f)
-            k2 = rhs(f + 0.5 * h * k1)
-            k3 = rhs(f + 0.5 * h * k2)
-            k4 = rhs(f + h * k3)
-            f += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k1 = m * f * f * (f - 1.0)
+            x = f + half * k1
+            k2 = m * x * x * (x - 1.0)
+            x = f + half * k2
+            k3 = m * x * x * (x - 1.0)
+            x = f + h * k3
+            k4 = m * x * x * (x - 1.0)
+            f += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         values[k] = f
     return values
 

@@ -69,21 +69,36 @@ def element_stress(mesh: ShearColumnMesh, f_val: float, g_val: float) -> np.ndar
     return g_val + f_val * mesh.load_shapes[0]
 
 
-def slope_pairing(mesh: ShearColumnMesh, slopes, f_val: float, g_val: float) -> float:
-    """The load pairing sum_e h * sigma_e * slopes_e of a profile clamped at
-    the bottom, with the resultants of :func:`element_stress`. It is summed
-    per load shape, so the many pairings of a trajectory ledger form no
-    sigma array."""
-    body, top = (mesh.load_shapes @ slopes).tolist()
+def pairing_products(mesh: Optional[ShearColumnMesh], y: np.ndarray) -> np.ndarray:
+    """Each row's factors in the load pairing, for the rows of y (one state's
+    dofs y per row): F itself at a material point (``mesh`` None), shape
+    (rows,); in the shear column the (body, top) products ``load_shapes @
+    slopes``, shape (2, rows), formed row by row as :func:`pairing` forms
+    them."""
+    if mesh is None:
+        return y[:, 0]
+    return np.array([mesh.load_shapes @ row for row in y]).reshape(-1, 2).T
+
+
+def product_pairings(mesh: Optional[ShearColumnMesh], products, f_val, g_val):
+    """The load pairings of :func:`pairing` from the factors of
+    :func:`pairing_products` (their last axis runs over states), under the
+    load values f and g (floats, or arrays along the same axis)."""
+    if mesh is None:
+        return (f_val + g_val) * products
+    body, top = products
     return mesh.h * (f_val * body + g_val * top)
 
 
 def pairing(mesh: Optional[ShearColumnMesh], y, f_val: float, g_val: float) -> float:
     """Load pairing of the dofs y under the load values f and g: (f + g) * F
-    at a material point (``mesh`` None), else :func:`slope_pairing`."""
-    if mesh is None:
-        return (f_val + g_val) * y
-    return slope_pairing(mesh, y, f_val, g_val)
+    at a material point (``mesh`` None). In the shear column it is the
+    pairing sum_e h * sigma_e * y_e of a profile clamped at the bottom with
+    the resultants of :func:`element_stress`, summed per load shape, so the
+    many pairings of a trajectory ledger form no sigma array."""
+    if mesh is not None:
+        y = (mesh.load_shapes @ y).tolist()
+    return product_pairings(mesh, y, f_val, g_val)
 
 
 def read_only(array: np.ndarray) -> np.ndarray:
@@ -179,8 +194,9 @@ class Ledger:
     from the fields ``mesh``, ``loading``, ``grid``, ``dofs``, ``stored``
     and ``diss_increments``. Each value equals what the per-state functions
     give, bit for bit: f and g are evaluated once per grid time, each shear
-    state keeps its own ``load_shapes @ slopes`` product, and ``np.cumsum``
-    adds in the order of a running sum. All results are read-only."""
+    state keeps its own ``load_shapes @ slopes`` product
+    (:func:`pairing_products`), and ``np.cumsum`` adds in the order of a
+    running sum. All results are read-only."""
 
     state_class = State  # the class of ``states``
 
@@ -191,18 +207,20 @@ class Ledger:
         return DofStates(self.dofs, make)
 
     @cached_property
+    def pairing_products(self) -> np.ndarray:
+        """:func:`pairing_products` of every state, read-only. A trajectory
+        whose march formed them already may set them in advance."""
+        return read_only(pairing_products(self.mesh, self.dofs[:, 0]))
+
+    @cached_property
     def _load_ledger(self):
         """The load pairing of each state at its time, and the cumulative
         load-rate work against the previous state (0 at t = 0)."""
-        y, times = self.dofs[:, 0], self.grid.times
+        times, products = self.grid.times, self.pairing_products
         f, g = self.loading.f(times), self.loading.g(times)
         df, dg = f[1:] - f[:-1], g[1:] - g[:-1]
-        if self.mesh is None:
-            pairs, steps = (f + g) * y[:, 0], (df + dg) * y[:-1, 0]
-        else:
-            body, top = np.array([self.mesh.load_shapes @ row for row in y]).T
-            pairs = self.mesh.h * (f * body + g * top)
-            steps = self.mesh.h * (df * body[:-1] + dg * top[:-1])
+        pairs = product_pairings(self.mesh, products, f, g)
+        steps = product_pairings(self.mesh, products[..., :-1], df, dg)
         return read_only(pairs), read_only(np.cumsum(np.concatenate(([0.0], steps))))
 
     @cached_property

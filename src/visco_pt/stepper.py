@@ -27,10 +27,16 @@ these element slopes: gamma' = s + b and beta' = b. A step or substep whose
 solver stops at ``max_iter`` raises :class:`SolverNotConverged`; no such
 step is accepted.
 
-Steps pass the dofs (y, y_vi), floats at a material point and element
-arrays in the shear column, and build no :class:`State`; the
-:class:`Trajectory` stores them as one dof array (see :mod:`visco_pt.domain`)
-with per-state and per-step arrays beside it.
+Only the viscous variable carries history from one step to the next, so
+:func:`run_evolution` marches only the solves (one kernel call per
+material-point step, one viscous-slope solve per shear step) under loads
+formed for all steps at once. Everything else is a function of the two
+states around a step and is priced after the march in one array pass, bit
+for bit as the per-state functions of :mod:`visco_pt.domain` price it; the
+earliest failing step still raises what it raised when steps ran one by
+one. :func:`incremental_step` is the one-step march. No :class:`State` is
+built: the :class:`Trajectory` stores the states as one dof array (see
+:mod:`visco_pt.domain`) with per-state and per-step arrays beside it.
 
 The same solver evaluated at a substep r in (0, tau] gives phi_tau(r), the
 value function of the De Giorgi interpolation; its minimizer is the De
@@ -62,8 +68,9 @@ from .domain import (
     dof_stored_energies,
     element_stress,
     pairing,
+    pairing_products,
+    product_pairings,
     read_only,
-    slope_pairing,
     state_dofs,
     state_from_dofs,
     stored_energies,
@@ -74,6 +81,7 @@ from .errors import (
     SolverNotConverged,
     StepRejected,
     ValidationError,
+    ViscoPTError,
 )
 from .minimize import MAX_ITER_EXCEEDED, RESOLUTION, MinimizeSettings
 from .rheology import MaterialModel
@@ -116,7 +124,7 @@ class PhiTau(NamedTuple):
 @dataclass
 class Trajectory(Ledger):
     """Accepted states as one read-only dof array of shape (n_steps + 1, 2,
-    n_elements), with what was evaluated on them once, while stepping:
+    n_elements), with what was priced on them once, after the march:
     ``stored[i]`` is ``stored_energies(model, states[i])``, and the fields
     of :class:`Step` i sit at index i - 1 of the per-step arrays. All arrays
     are read-only."""
@@ -155,6 +163,26 @@ def _load_at(model: MaterialModel, mesh, loading: Loading, t: float) -> _LoadAt:
     return _LoadAt(f_val, g_val, sigma, _elastic_strains(model, sigma))
 
 
+def _check_substep(r):
+    if not (r > 0.0 and math.isfinite(r)):
+        raise ValidationError(f"substep length must be > 0, got {r!r}")
+
+
+def _kernel_failure(solved: tuple, where: str) -> Exception:
+    """The error named by the nonzero status of a ``kernels.mp_minimize``
+    result: :class:`InfeasibleState` with the reduced curvature (3),
+    :class:`NonFiniteObjective` (4) or :class:`SolverNotConverged` (1)."""
+    _, Fv, value, grad_inf, _, status = solved[:6]
+    if status == 3:
+        return InfeasibleState(
+            f"{where} has no admissible minimizer: at F_vi = {Fv!r}, "
+            f"|g'| = {grad_inf:.3e} and the reduced curvature g'' = {value:.3e}"
+        )
+    if status == 4:
+        return NonFiniteObjective(f"{where}: incremental objective is not finite")
+    return SolverNotConverged(where, MAX_ITER_EXCEEDED, grad_inf)
+
+
 def _solve_incremental(
     model: MaterialModel,
     mesh: Optional[ShearColumnMesh],
@@ -164,34 +192,25 @@ def _solve_incremental(
     settings: MinimizeSettings,
     where: str,
 ):
-    """Minimize the incremental functional from the dofs ``old`` under the
-    load ``at``; returns ``(y, y_vi, value, w_el, w_vi, diss, iterations,
+    """Minimize the substep functional from the dofs ``old`` under the load
+    ``at``; returns ``(y, y_vi, value, w_el, w_vi, diss, iterations,
     grad_inf)``, with ``stored_energies`` of the minimizer and the
     dissipation r * Psi charged to the substep.
 
     Raises :class:`SolverNotConverged`, naming ``where``, if the solver
     stops without converging, and at a material point
     :class:`InfeasibleState`, naming ``where`` and the reduced curvature, if
-    the step has no admissible minimizer.
+    the substep has no admissible minimizer.
     """
-    if not (r > 0.0 and math.isfinite(r)):
-        raise ValidationError(f"substep length must be > 0, got {r!r}")
-
+    _check_substep(r)
     if mesh is None:
         solved = kernels.mp_minimize(
             model.c_e, model.a4, model.c_v, model.d_v, model.p_psi, model.k_radius,
             at.f + at.g, old[1], r, settings.grad_tol, settings.max_iter,
         )
-        F, Fv, value, grad_inf, iterations, status, w_el, w_vi, diss = solved
-        if status == 3:
-            raise InfeasibleState(
-                f"{where} has no admissible minimizer: at F_vi = {Fv!r}, "
-                f"|g'| = {grad_inf:.3e} and the reduced curvature g'' = {value:.3e}"
-            )
-        if status == 4:
-            raise NonFiniteObjective(f"{where}: incremental objective is not finite")
-        if status == 1:
-            raise SolverNotConverged(where, MAX_ITER_EXCEEDED, grad_inf)
+        if solved[5]:
+            raise _kernel_failure(solved, where)
+        F, Fv, value, grad_inf, iterations, _, w_el, w_vi, diss = solved
         return F, Fv, value, w_el, w_vi, diss, iterations, grad_inf
 
     b, iterations, grad_inf = _viscous_slopes(
@@ -200,7 +219,7 @@ def _solve_incremental(
     gamma = at.s_el + b
     w_el, w_vi = dof_stored_energies(model, mesh, gamma, b)
     diss = dof_dissipation(model, mesh, b, old[1], r)
-    value = w_el + w_vi - slope_pairing(mesh, gamma, at.f, at.g) + diss
+    value = w_el + w_vi - pairing(mesh, gamma, at.f, at.g) + diss
     return gamma, b, value, w_el, w_vi, diss, iterations, grad_inf
 
 
@@ -266,6 +285,121 @@ def _viscous_slopes(
         iterations += 1
 
 
+# -- the march ------------------------------------------------------------------
+
+
+def _march_point(model: MaterialModel, mesh, dofs, f, g, tau: float, settings, first: int):
+    """Kernel solves of steps first, first + 1, ... into the rows 1, 2, ...
+    of ``dofs``, under the loads f + g at their ends, each anchored at the
+    F_vi of the one before. The kernel returns each step's stored energies
+    and dissipation with its minimizer, so nothing is left to price here.
+    Returns ``(w_el, w_vi, diss, iterations, grad_inf, error)``: arrays over
+    the steps solved, and the error of the step where the march stopped
+    (None if none)."""
+    anchor, solves, error = float(dofs[0, 1, 0]), [], None
+    try:
+        for i, load in enumerate((f + g).tolist(), start=first):
+            solved = kernels.mp_minimize(
+                model.c_e, model.a4, model.c_v, model.d_v, model.p_psi, model.k_radius,
+                load, anchor, tau, settings.grad_tol, settings.max_iter,
+            )
+            if solved[5]:
+                error = _kernel_failure(solved, f"step {i}")
+                break
+            solves.append(solved)
+            anchor = solved[1]
+    except (ViscoPTError, ArithmeticError) as failure:  # raised once earlier steps pass
+        error = failure
+    F, Fv, _, grad_inf, iterations, _, w_el, w_vi, diss = np.reshape(solves, (-1, 9)).T
+    dofs[1 : len(F) + 1, :, 0] = np.column_stack([F, Fv])
+    return w_el, w_vi, diss, iterations.astype(int), grad_inf, error
+
+
+def _march_column(model: MaterialModel, mesh, dofs, f, g, tau: float, settings, first: int):
+    """Viscous-slope solves of steps first, first + 1, ... into the rows 1,
+    2, ... of ``dofs``, under the element resultants of the loads at their
+    ends, each from the slopes of the one before; then, in one array pass
+    over the steps solved, their elastic strains, stored energies and
+    dissipation, as :func:`dof_stored_energies` and :func:`dof_dissipation`
+    give them, up to the first state that ``w_vi`` refuses, whose error
+    then fails its step. Returns what :func:`_march_point` returns."""
+    sigma = element_stress(mesh, f[:, None], g[:, None])
+    b, iterations, grad_inf, error = dofs[0, 1], [], [], None
+    try:
+        for i, row in enumerate(sigma, start=first):
+            b, its, res = _viscous_slopes(
+                model, row, b, tau, mesh.h, settings, lambda: f"step {i}"
+            )
+            dofs[i - first + 1, 1] = b
+            iterations.append(its)
+            grad_inf.append(res)
+    except (ViscoPTError, ArithmeticError) as failure:  # raised once earlier steps pass
+        error = failure
+    n = len(iterations)
+    beyond = np.flatnonzero((np.abs(dofs[1 : n + 1, 1]) > model.k_radius).any(axis=-1))
+    if len(beyond):  # that step fails before any later one
+        n = int(beyond[0])
+        try:
+            model.w_vi(dofs[n + 1, 1])
+        except InfeasibleState as refused:
+            error = refused
+    gamma, b = dofs[1 : n + 1, 0], dofs[1 : n + 1, 1]
+    np.add(_elastic_strains(model, sigma[:n].ravel()).reshape(b.shape), b, out=gamma)
+    h = mesh.h
+    w_el = h * np.add.reduce(model.w_el(gamma - b), axis=-1)
+    w_vi = h * np.add.reduce(model.w_vi(b), axis=-1)
+    diss = tau * h * np.add.reduce(model.psi(np.diff(dofs[: n + 1, 1], axis=0) / tau), axis=-1)
+    return w_el, w_vi, diss, np.array(iterations[:n], dtype=int), np.array(grad_inf[:n]), error
+
+
+def _steps(model, mesh, old, stored_old, loading, ends, tau, settings, first):
+    """Steps first, first + 1, ... from the dofs ``old`` (shape (2,
+    n_elements)) with stored energies ``stored_old`` to the times ``ends``.
+
+    Only the viscous dofs carry history from step to step, so only their
+    solves march, one call per step (:func:`_march_point`,
+    :func:`_march_column`). What the march leaves to price is then priced
+    in one array pass over the steps: the load pairings of each new state
+    and of its old state at the new time, from each state's
+    :func:`~visco_pt.domain.pairing_products`, and with them each step's
+    value E(t_i, new) + tau * Psi and stay-put margin E(t_i, old) - value,
+    each as the per-state functions give it, bit for bit.
+
+    The earliest step that fails raises what it raised when the steps ran
+    one by one: its solve error; the error of ``w_vi`` for a viscous strain
+    outside the admissible radius; or :class:`StepRejected` when the margin
+    falls below -(``STAY_PUT_TOL`` plus the rounding of the two energies it
+    compares, ``RESOLUTION`` times the sum of their magnitudes). Returns
+    ``(dofs, stored, pairing_products, diss, iterations, grad_inf,
+    margins)``.
+    """
+    _check_substep(tau)
+    f, g = loading.f(ends), loading.g(ends)
+    dofs = np.empty((len(ends) + 1,) + old.shape)
+    dofs[0] = old
+    march = _march_point if mesh is None else _march_column
+    w_el, w_vi, diss, iterations, grad_inf, error = march(
+        model, mesh, dofs, f, g, tau, settings, first
+    )
+    n = len(diss)
+    dofs = dofs[: n + 1]
+    stored = np.concatenate([[stored_old], np.column_stack([w_el, w_vi])])
+    products = pairing_products(mesh, dofs[:, 0])
+    f, g = f[:n], g[:n]
+    totals = stored[:, 0] + stored[:, 1]
+    energy_old = totals[:-1] - product_pairings(mesh, products[..., :-1], f, g)
+    value = (totals[1:] - product_pairings(mesh, products[..., 1:], f, g)) + diss
+    margins = energy_old - value
+    tolerance = STAY_PUT_TOL + RESOLUTION * (np.abs(energy_old) + np.abs(value))
+    rejected = np.flatnonzero(margins < -tolerance)
+    if len(rejected):
+        k = rejected[0]
+        raise StepRejected(first + int(k), float(margins[k]), float(tolerance[k]))
+    if error is not None:
+        raise error
+    return dofs, stored, products, diss, iterations, grad_inf, margins
+
+
 def incremental_step(
     model: MaterialModel,
     old: tuple,
@@ -280,7 +414,8 @@ def incremental_step(
 ) -> Step:
     """One incremental minimization step from the dofs ``old = (y, y_vi)``
     (slope arrays on ``mesh`` in the shear column) with stored energies
-    ``stored_old``; returns the :class:`Step`.
+    ``stored_old``, named step ``index``: the one-step march of
+    :func:`run_evolution`. Returns the :class:`Step`.
 
     Raises :class:`StepRejected` if the minimality inequality against the
     stay-put competitor fails by more than ``STAY_PUT_TOL`` plus the
@@ -288,16 +423,16 @@ def incremental_step(
     of their magnitudes; and :class:`SolverNotConverged` if the step's
     solver stops without converging.
     """
-    at = _load_at(model, mesh, loading, t)
-    y, y_vi, value, w_el, w_vi, diss, iterations, grad_inf = _solve_incremental(
-        model, mesh, old, at, tau, settings, f"step {index}"
+    dofs, stored, _, diss, iterations, grad_inf, margins = _steps(
+        model, mesh, np.reshape(np.array(old, dtype=float), (2, -1)), stored_old,
+        loading, np.array([t]), tau, settings, index,
     )
-    energy_old = stored_old[0] + stored_old[1] - pairing(mesh, old[0], at.f, at.g)
-    margin = energy_old - value
-    tolerance = STAY_PUT_TOL + RESOLUTION * (abs(energy_old) + abs(value))
-    if margin < -tolerance:
-        raise StepRejected(index, margin, tolerance)
-    return Step(y, y_vi, w_el, w_vi, diss, iterations, grad_inf, margin)
+    y, y_vi = dofs[1] if mesh is not None else dofs[1, :, 0].tolist()
+    w_el, w_vi = stored[1].tolist()
+    return Step(
+        y, y_vi, w_el, w_vi, float(diss[0]), int(iterations[0]), float(grad_inf[0]),
+        float(margins[0]),
+    )
 
 
 def run_evolution(
@@ -307,31 +442,19 @@ def run_evolution(
     grid: TimeGrid,
     settings: MinimizeSettings = MinimizeSettings(),
 ) -> Trajectory:
-    """March the incremental scheme across the whole grid."""
-    mesh = state0.mesh
-    stored = stored0 = stored_energies(model, state0)
-    old = state_dofs(state0)
-    times = grid.times.tolist()
-    steps = []
-    for i in range(1, grid.n_steps + 1):
-        step = incremental_step(
-            model, old, loading, times[i], grid.tau, settings, i,
-            stored_old=stored, mesh=mesh,
-        )
-        steps.append(step)
-        old, stored = step[:2], step[2:4]
-    y, y_vi, w_el, w_vi, *per_step = (np.array(column) for column in zip(*steps))
-    rows = (grid.n_steps, len(state0.gamma))
-    new = np.stack([y.reshape(rows), y_vi.reshape(rows)], axis=1)
-    dofs = np.concatenate([[(state0.gamma, state0.beta)], new])
-    stored = np.concatenate([[stored0], np.column_stack([w_el, w_vi])])
-    diss, iterations, grad_inf, margin = map(read_only, per_step)
-    return Trajectory(
-        model=model, loading=loading, grid=grid, mesh=mesh,
-        dofs=read_only(dofs), stored=read_only(stored), diss_increments=diss,
-        iterations=iterations, grad_inf=grad_inf,
-        stay_put_margin=margin, settings=settings,
+    """March the incremental scheme across the whole grid: the solves step by
+    step, the ledger in one array pass (see :func:`_steps`)."""
+    old = np.array([state0.gamma, state0.beta])
+    stored0 = stored_energies(model, state0)
+    priced = _steps(model, state0.mesh, old, stored0, loading, grid.times[1:], grid.tau, settings, 1)
+    dofs, stored, products, diss, iterations, grad_inf, margins = map(read_only, priced)
+    traj = Trajectory(
+        model=model, loading=loading, grid=grid, mesh=state0.mesh, dofs=dofs,
+        stored=stored, diss_increments=diss, iterations=iterations,
+        grad_inf=grad_inf, stay_put_margin=margins, settings=settings,
     )
+    traj.pairing_products = products  # the pricing formed them; the ledger reuses them
+    return traj
 
 
 # -- elastic equilibration ------------------------------------------------------

@@ -197,20 +197,29 @@ def test_trajectory_csv_makes_no_stored_energy_calls(monkeypatch):
 
 @pytest.mark.parametrize("text", [RELAX_SMALL, SHEAR_SMALL])
 def test_run_and_csv_evaluate_each_state_once(monkeypatch, text):
-    # The stored energies of a state come from stored_energies (the initial
-    # state), dof_stored_energies (a shear step) or the kernel, which
-    # returns them with the minimizer (a material-point step): one of these
-    # per state, and none from the CSV.
-    from visco_pt import domain, kernels, run_evolution, stepper
+    # The stored energies of a state are priced once: the initial state's by
+    # stored_energies, a shear step's in the array pass after the march
+    # (w_el sees its element strains once), a material-point step's by the
+    # kernel, which returns them with the minimizer. The CSV prices none.
+    from visco_pt import MaterialModel, kernels, run_evolution
 
     config = parse_config(text)
     state0 = config.initial_state()
-    calls = count_calls(monkeypatch, (domain, stepper, cli), "stored_energies")
-    steps = count_calls(monkeypatch, (stepper,), "dof_stored_energies")
+    strains, w_el = [], MaterialModel.w_el
+
+    def counted(self, s):
+        strains.append(np.size(s))
+        return w_el(self, s)
+
+    monkeypatch.setattr(MaterialModel, "w_el", counted)
     solves = count_calls(monkeypatch, (kernels,), "mp_minimize")
     traj = run_evolution(config.model(), state0, config.loading(), config.grid())
+    n_elements = len(state0.gamma)
+    assert sum(strains) + len(solves) * n_elements == (config.n_steps + 1) * n_elements
+    strains.clear()
+    solves.clear()
     cli.trajectory_csv(traj)
-    assert len(calls) + len(steps) + len(solves) == config.n_steps + 1
+    assert (strains, solves) == ([], [])
 
 
 def test_sweep_eps_formats_through_the_public_csv_functions(monkeypatch, tmp_path):

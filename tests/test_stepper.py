@@ -44,7 +44,6 @@ from visco_pt import (
 from visco_pt.domain import (
     dissipation_increment,
     dissipation_rates,
-    dof_dissipation,
     energy_value,
     pack_dofs,
     state_dofs,
@@ -114,22 +113,16 @@ def test_step_report_fields():
 
 def test_step_rejected_on_mismatched_operator(monkeypatch):
     # A solve for a 500 times longer substep pulls the state far beyond the
-    # true minimizer, so the stay-put comparison must fail.
+    # true minimizer, so the stay-put comparison, which charges the true
+    # dissipation of the step, must fail.
     from visco_pt import stepper
 
-    solve = stepper._solve_incremental
+    slopes = stepper._viscous_slopes
 
-    def long_substep(model, mesh, old, at, r, settings, where):
-        gamma, beta, _, _, _, _, iterations, grad_inf = solve(
-            model, mesh, old, at, 500.0 * r, settings, where
-        )
-        state, start = State.shear_column(mesh, gamma, beta), State.shear_column(mesh, *old)
-        w_el, w_vi = stored_energies(model, state)
-        diss = dissipation_increment(model, state, start, r)
-        value = energy_value(model, state, load, 0.0) + diss
-        return gamma, beta, value, w_el, w_vi, diss, iterations, grad_inf
+    def long_substep(model, sigma, b_old, r, h, settings, where):
+        return slopes(model, sigma, b_old, 500.0 * r, h, settings, where)
 
-    monkeypatch.setattr(stepper, "_solve_incremental", long_substep)
+    monkeypatch.setattr(stepper, "_viscous_slopes", long_substep)
     state0 = shear_start()
     model = MaterialModel()
     load = Loading((0.2,), (0.1,))
@@ -551,6 +544,66 @@ def test_trajectory_ledger_equals_the_per_state_functions(
         assert traj.load_work[i] == work
 
 
+def polynomial_load(bound):
+    """Ascending coefficients of a polynomial of degree <= 2 whose values on
+    [0, 1] stay within ``bound`` in magnitude."""
+    return st.lists(st.floats(-bound / 3.0, bound / 3.0), min_size=1, max_size=3).map(tuple)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(
+    n=st.one_of(st.none(), st.integers(1, 12)),
+    c_e=log_uniform(1e-1, 1e2),
+    a4=st.one_of(st.just(0.0), st.floats(0.0, 2.0, exclude_min=True)),
+    c_v=log_uniform(1e-1, 1e2),
+    d_v=log_uniform(1e-1, 1e2),
+    p_psi=st.one_of(st.just(2.0), st.floats(2.0, 3.0, exclude_min=True)),
+    f_hat=polynomial_load(0.45),
+    g_hat=polynomial_load(0.45),
+    n_steps=st.integers(1, 6),
+    t_final=st.floats(0.05, 1.0),
+    data=st.data(),
+)
+def test_march_prices_each_step_as_the_per_state_functions(
+    n, c_e, a4, c_v, d_v, p_psi, f_hat, g_hat, n_steps, t_final, data
+):
+    # The ledger of a run, priced after the march in one array pass (the
+    # kernel's parts at a material point), must equal what the per-state
+    # functions give for each state and step, bit for bit: the stored
+    # energies, the dissipation and the stay-put margin E(t_i, old) -
+    # (E(t_i, new) + tau * Psi). The shear column (n elements, None for a
+    # material point) covers single elements and the pairwise sums past 8.
+    # Dead loads of polynomial shape stay below 0.9 min(c_e, c_v) on [0, 1],
+    # so every step has an admissible minimizer and the viscous strains stay
+    # well inside k_radius.
+    model = MaterialModel(c_e=c_e, a4=a4, c_v=c_v, d_v=d_v, p_psi=p_psi)
+    scale = min(c_e, c_v)
+    loading = Loading(
+        tuple(scale * c for c in f_hat), tuple(scale * c for c in g_hat)
+    )
+    if n is None:
+        v0 = data.draw(st.floats(-0.4, 0.4))
+        start = State.material_point(1.0 + v0, 1.0 + v0)
+    else:
+        slopes = st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)
+        start = State.shear_column(
+            ShearColumnMesh(n), np.array(data.draw(slopes)), np.array(data.draw(slopes))
+        )
+    grid = TimeGrid(t_final, n_steps)
+    traj = run_evolution(model, start, loading, grid)
+    states, times = traj.states, grid.times.tolist()
+    for i, state in enumerate(states):
+        assert tuple(traj.stored[i].tolist()) == stored_energies(model, state)
+        if i > 0:
+            old = states[i - 1]
+            diss = dissipation_increment(model, state, old, grid.tau)
+            assert traj.diss_increments[i - 1] == diss
+            margin = energy_value(model, old, loading, times[i]) - (
+                energy_value(model, state, loading, times[i]) + diss
+            )
+            assert traj.stay_put_margin[i - 1] == margin
+
+
 def test_failing_steps_are_named_by_their_index(monkeypatch):
     # A fast-growing load with a tight max_iter: the first steps solve, a
     # later one does not, and the error names it with its gradient.
@@ -573,25 +626,80 @@ def test_failing_steps_are_named_by_their_index(monkeypatch):
 
     # A step 3 that lands on the minimizer for a 500 times longer step, and
     # is charged its true dissipation, is rejected as step 3.
-    from visco_pt import stepper
-
-    solve = stepper._solve_incremental
-
-    def overshoot(model, mesh, old, at, r, settings, where):
-        if where != "step 3":
-            return solve(model, mesh, old, at, r, settings, where)
-        y, y_vi, value, w_el, w_vi, diss, iterations, grad_inf = solve(
-            model, mesh, old, at, 500.0 * r, settings, where
-        )
-        charged = dof_dissipation(model, mesh, y_vi, old[1], r)
-        return y, y_vi, value - diss + charged, w_el, w_vi, charged, iterations, grad_inf
-
-    monkeypatch.setattr(stepper, "_solve_incremental", overshoot)
+    overshoot(monkeypatch, {3: 500.0})
     for state0 in (State.material_point(F_O, F_O), shear_start()):
         with pytest.raises(StepRejected) as exc:
             run_evolution(UNIT_MP, state0, Loading((0.2,), (0.1,)), TimeGrid(0.1, 5))
         assert exc.value.index == 3
         assert str(exc.value).startswith("step 3 rejected")
+
+
+def overshoot(monkeypatch, factors, stalled=(), outside=()):
+    """Makes step i of a run solve for a substep ``factors[i]`` times longer,
+    at a material point and in the shear column; the march still charges
+    the dissipation of the true step. The steps in ``stalled`` get one
+    iteration to reach an unreachable tolerance, so their solves fail; in
+    the shear column the viscous slopes of the steps in ``outside`` move
+    beyond the admissible radius."""
+    from visco_pt import kernels, stepper
+
+    mp_minimize, slopes = kernels.mp_minimize, stepper._viscous_slopes
+    stall = MinimizeSettings(grad_tol=1e-300, max_iter=1)
+    calls = []
+
+    def point(c_e, a4, c_v, d_v, p_psi, k_radius, load, anchor, r, grad_tol, max_iter):
+        calls.append(r)
+        step = len(calls)
+        if step in stalled:
+            grad_tol, max_iter = stall.grad_tol, stall.max_iter
+        solved = mp_minimize(
+            c_e, a4, c_v, d_v, p_psi, k_radius, load, anchor, factors.get(step, 1.0) * r,
+            grad_tol, max_iter,
+        )
+        F, Fv = solved[:2]
+        return solved[:6] + kernels._parts(c_e, a4, c_v, d_v, p_psi, anchor, r, F, Fv)
+
+    def column(model, sigma, b_old, r, h, settings, where):
+        step = int(where().removeprefix("step "))
+        if step in stalled:
+            settings = stall
+        b, iterations, grad_inf = slopes(
+            model, sigma, b_old, factors.get(step, 1.0) * r, h, settings, where
+        )
+        if step in outside:
+            b = b + 2.0 * model.k_radius
+        return b, iterations, grad_inf
+
+    monkeypatch.setattr(kernels, "mp_minimize", point)
+    monkeypatch.setattr(stepper, "_viscous_slopes", column)
+
+
+def test_the_earliest_failing_step_raises(monkeypatch):
+    # The march solves ahead of the per-step checks, so a step 3 that fails
+    # the stay-put check must be named even when step 5 fails too: in its
+    # solve or, in the shear column, by a viscous strain outside the
+    # admissible radius. Step 5 alone fails as it did step by step.
+    model = MaterialModel(a4=1.0, p_psi=2.5)
+    loading = Loading((0.2,), (0.1,))
+    grid = TimeGrid(0.1, 6)
+    stalled = ({"stalled": {5}}, SolverNotConverged, "step 5 not solved: max_iter_exceeded")
+    outside = ({"outside": {5}}, InfeasibleState, "viscous strain outside the admissible radius")
+    for state0, faults in (
+        (State.material_point(F_O, F_O), [stalled]),
+        (shear_start(), [stalled, outside]),
+    ):
+        start = equilibrate_elastic(model, state0, loading, 0.0)
+        for fault, error, message in faults:
+            with monkeypatch.context() as patch:
+                overshoot(patch, {3: 500.0}, **fault)
+                with pytest.raises(StepRejected) as exc:
+                    run_evolution(model, start, loading, grid)
+            assert exc.value.index == 3
+            with monkeypatch.context() as patch:
+                overshoot(patch, {}, **fault)
+                with pytest.raises(error) as exc:
+                    run_evolution(model, start, loading, grid)
+            assert str(exc.value).startswith(message)
 
 
 def test_step_without_a_minimizer_fails_at_once():
@@ -614,6 +722,9 @@ def test_step_without_a_minimizer_fails_at_once():
 
 
 def test_quadratic_shear_run_evaluates_dissipation_once_per_step(monkeypatch):
+    # The march prices the dissipation of every step once, in one array
+    # pass: psi sees the element rates of each step once, and the per-state
+    # functions are not called.
     from visco_pt import domain, stepper
 
     calls = []
@@ -627,29 +738,52 @@ def test_quadratic_shear_run_evaluates_dissipation_once_per_step(monkeypatch):
                 return _original(*args)
 
             monkeypatch.setattr(module, name, counted)
+    rates, psi = [], MaterialModel.psi
+
+    def counted_psi(self, r):
+        rates.append(np.size(r))
+        return psi(self, r)
+
+    monkeypatch.setattr(MaterialModel, "psi", counted_psi)
     grid = TimeGrid(t_final=0.5, n_steps=10)
     run_evolution(MaterialModel(), shear_start(), Loading((0.2,)), grid)
-    assert len(calls) == grid.n_steps
+    assert calls == []
+    assert sum(rates) == grid.n_steps * 8
 
 
 def test_run_evolution_steps_through_the_public_names(monkeypatch):
-    # The step is timed at this name; a run must call it once per step.
-    from visco_pt import stepper
+    # A step is its solve, looked up at the name a tracer wraps: one
+    # kernels.mp_minimize call per material-point step, one _viscous_slopes
+    # call per shear step, named by the step. No step goes through
+    # incremental_step.
+    from visco_pt import kernels, stepper
 
     calls = []
-    step = stepper.incremental_step
+    step, mp_minimize, slopes = (
+        stepper.incremental_step, kernels.mp_minimize, stepper._viscous_slopes
+    )
 
     def counted_step(*args, **kwargs):
         calls.append("step")
         return step(*args, **kwargs)
 
+    def counted_kernel(*args):
+        calls.append("kernel")
+        return mp_minimize(*args)
+
+    def counted_slopes(*args):
+        calls.append(args[-1]())
+        return slopes(*args)
+
     monkeypatch.setattr(stepper, "incremental_step", counted_step)
+    monkeypatch.setattr(kernels, "mp_minimize", counted_kernel)
+    monkeypatch.setattr(stepper, "_viscous_slopes", counted_slopes)
     grid = TimeGrid(t_final=0.5, n_steps=10)
     run_evolution(UNIT_MP, State.material_point(F_O, F_O), ZERO, grid)
-    assert calls == ["step"] * grid.n_steps
+    assert calls == ["kernel"] * grid.n_steps
     calls.clear()
     run_evolution(MaterialModel(), shear_start(), Loading((0.2,)), grid)
-    assert calls == ["step"] * grid.n_steps
+    assert calls == [f"step {i}" for i in range(1, grid.n_steps + 1)]
 
 
 # -- condensed shear step -------------------------------------------------------
