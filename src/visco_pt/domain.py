@@ -208,8 +208,10 @@ class Ledger:
 
     @cached_property
     def pairing_products(self) -> np.ndarray:
-        """:func:`pairing_products` of every state, read-only. A trajectory
-        whose march formed them already may set them in advance."""
+        """:func:`pairing_products` of every state, read-only.
+        :func:`~visco_pt.stepper.run_evolution` caches the ones its pricing
+        formed from the same dofs; a copy made by ``dataclasses.replace``
+        forms its own."""
         return read_only(pairing_products(self.mesh, self.dofs[:, 0]))
 
     @cached_property
@@ -365,13 +367,15 @@ def stored_energies(model: MaterialModel, state: State) -> tuple:
 
 
 def dof_stored_energies(model: MaterialModel, mesh, y, y_vi) -> tuple:
-    """:func:`stored_energies` of the state with dofs (y, y_vi) on ``mesh``."""
+    """:func:`stored_energies` of the state with dofs (y, y_vi) on ``mesh``.
+    In the shear column the last axis runs over the elements; leading axes
+    hold further states, each priced on its own."""
     if mesh is None:
         return float(model.w_el(y / y_vi - 1.0)), float(model.w_vi(y_vi - 1.0))
     h = mesh.h
     return (
-        h * float(np.add.reduce(model.w_el(y - y_vi))),
-        h * float(np.add.reduce(model.w_vi(y_vi))),
+        h * np.add.reduce(model.w_el(y - y_vi), axis=-1),
+        h * np.add.reduce(model.w_vi(y_vi), axis=-1),
     )
 
 
@@ -418,11 +422,12 @@ def dissipation_increment(model: MaterialModel, new: State, old: State, r: float
     return dof_dissipation(model, new.mesh, state_dofs(new)[1], state_dofs(old)[1], r)
 
 
-def dof_dissipation(model: MaterialModel, mesh, y_vi, y_vi_old, r: float) -> float:
-    """:func:`dissipation_increment` from the viscous dofs y_vi_old to y_vi."""
+def dof_dissipation(model: MaterialModel, mesh, y_vi, y_vi_old, r: float):
+    """:func:`dissipation_increment` from the viscous dofs y_vi_old to y_vi;
+    in the shear column over their last axis, as :func:`dof_stored_energies`."""
     if mesh is None:
         return r * float(model.psi((y_vi - y_vi_old) / (r * y_vi_old)))
-    return r * mesh.h * float(np.add.reduce(model.psi((y_vi - y_vi_old) / r)))
+    return r * mesh.h * np.add.reduce(model.psi((y_vi - y_vi_old) / r), axis=-1)
 
 
 def dissipation_displacement(model: MaterialModel, new: State, old: State) -> float:

@@ -81,7 +81,6 @@ from .errors import (
     SolverNotConverged,
     StepRejected,
     ValidationError,
-    ViscoPTError,
 )
 from .minimize import MAX_ITER_EXCEEDED, RESOLUTION, MinimizeSettings
 from .rheology import MaterialModel
@@ -308,7 +307,7 @@ def _march_point(model: MaterialModel, mesh, dofs, f, g, tau: float, settings, f
                 break
             solves.append(solved)
             anchor = solved[1]
-    except (ViscoPTError, ArithmeticError) as failure:  # raised once earlier steps pass
+    except Exception as failure:  # raised once earlier steps pass
         error = failure
     F, Fv, _, grad_inf, iterations, _, w_el, w_vi, diss = np.reshape(solves, (-1, 9)).T
     dofs[1 : len(F) + 1, :, 0] = np.column_stack([F, Fv])
@@ -319,10 +318,10 @@ def _march_column(model: MaterialModel, mesh, dofs, f, g, tau: float, settings, 
     """Viscous-slope solves of steps first, first + 1, ... into the rows 1,
     2, ... of ``dofs``, under the element resultants of the loads at their
     ends, each from the slopes of the one before; then, in one array pass
-    over the steps solved, their elastic strains, stored energies and
-    dissipation, as :func:`dof_stored_energies` and :func:`dof_dissipation`
-    give them, up to the first state that ``w_vi`` refuses, whose error
-    then fails its step. Returns what :func:`_march_point` returns."""
+    over the steps solved, their elastic strains, and their stored energies
+    and dissipation from :func:`dof_stored_energies` and
+    :func:`dof_dissipation`, up to the first state that ``w_vi`` refuses,
+    whose error then fails its step. Returns what :func:`_march_point` returns."""
     sigma = element_stress(mesh, f[:, None], g[:, None])
     b, iterations, grad_inf, error = dofs[0, 1], [], [], None
     try:
@@ -333,7 +332,7 @@ def _march_column(model: MaterialModel, mesh, dofs, f, g, tau: float, settings, 
             dofs[i - first + 1, 1] = b
             iterations.append(its)
             grad_inf.append(res)
-    except (ViscoPTError, ArithmeticError) as failure:  # raised once earlier steps pass
+    except Exception as failure:  # raised once earlier steps pass
         error = failure
     n = len(iterations)
     beyond = np.flatnonzero((np.abs(dofs[1 : n + 1, 1]) > model.k_radius).any(axis=-1))
@@ -345,10 +344,8 @@ def _march_column(model: MaterialModel, mesh, dofs, f, g, tau: float, settings, 
             error = refused
     gamma, b = dofs[1 : n + 1, 0], dofs[1 : n + 1, 1]
     np.add(_elastic_strains(model, sigma[:n].ravel()).reshape(b.shape), b, out=gamma)
-    h = mesh.h
-    w_el = h * np.add.reduce(model.w_el(gamma - b), axis=-1)
-    w_vi = h * np.add.reduce(model.w_vi(b), axis=-1)
-    diss = tau * h * np.add.reduce(model.psi(np.diff(dofs[: n + 1, 1], axis=0) / tau), axis=-1)
+    w_el, w_vi = dof_stored_energies(model, mesh, gamma, b)
+    diss = dof_dissipation(model, mesh, b, dofs[:n, 1], tau)
     return w_el, w_vi, diss, np.array(iterations[:n], dtype=int), np.array(grad_inf[:n]), error
 
 
@@ -453,7 +450,7 @@ def run_evolution(
         stored=stored, diss_increments=diss, iterations=iterations,
         grad_inf=grad_inf, stay_put_margin=margins, settings=settings,
     )
-    traj.pairing_products = products  # the pricing formed them; the ledger reuses them
+    traj.pairing_products = products  # the ledger's cache: formed from these dofs
     return traj
 
 

@@ -634,13 +634,14 @@ def test_failing_steps_are_named_by_their_index(monkeypatch):
         assert str(exc.value).startswith("step 3 rejected")
 
 
-def overshoot(monkeypatch, factors, stalled=(), outside=()):
+def overshoot(monkeypatch, factors, stalled=(), outside=(), broken=()):
     """Makes step i of a run solve for a substep ``factors[i]`` times longer,
     at a material point and in the shear column; the march still charges
     the dissipation of the true step. The steps in ``stalled`` get one
     iteration to reach an unreachable tolerance, so their solves fail; in
     the shear column the viscous slopes of the steps in ``outside`` move
-    beyond the admissible radius."""
+    beyond the admissible radius. The solves of the steps in ``broken``
+    raise a ValueError, an error no solver names."""
     from visco_pt import kernels, stepper
 
     mp_minimize, slopes = kernels.mp_minimize, stepper._viscous_slopes
@@ -650,6 +651,8 @@ def overshoot(monkeypatch, factors, stalled=(), outside=()):
     def point(c_e, a4, c_v, d_v, p_psi, k_radius, load, anchor, r, grad_tol, max_iter):
         calls.append(r)
         step = len(calls)
+        if step in broken:
+            raise ValueError(f"step {step} broken")
         if step in stalled:
             grad_tol, max_iter = stall.grad_tol, stall.max_iter
         solved = mp_minimize(
@@ -661,6 +664,8 @@ def overshoot(monkeypatch, factors, stalled=(), outside=()):
 
     def column(model, sigma, b_old, r, h, settings, where):
         step = int(where().removeprefix("step "))
+        if step in broken:
+            raise ValueError(f"step {step} broken")
         if step in stalled:
             settings = stall
         b, iterations, grad_inf = slopes(
@@ -677,16 +682,18 @@ def overshoot(monkeypatch, factors, stalled=(), outside=()):
 def test_the_earliest_failing_step_raises(monkeypatch):
     # The march solves ahead of the per-step checks, so a step 3 that fails
     # the stay-put check must be named even when step 5 fails too: in its
-    # solve or, in the shear column, by a viscous strain outside the
-    # admissible radius. Step 5 alone fails as it did step by step.
+    # solve, with a solver's error or any other, or, in the shear column,
+    # by a viscous strain outside the admissible radius. Step 5 alone fails
+    # as it did step by step.
     model = MaterialModel(a4=1.0, p_psi=2.5)
     loading = Loading((0.2,), (0.1,))
     grid = TimeGrid(0.1, 6)
     stalled = ({"stalled": {5}}, SolverNotConverged, "step 5 not solved: max_iter_exceeded")
     outside = ({"outside": {5}}, InfeasibleState, "viscous strain outside the admissible radius")
+    broken = ({"broken": {5}}, ValueError, "step 5 broken")
     for state0, faults in (
-        (State.material_point(F_O, F_O), [stalled]),
-        (shear_start(), [stalled, outside]),
+        (State.material_point(F_O, F_O), [stalled, broken]),
+        (shear_start(), [stalled, outside, broken]),
     ):
         start = equilibrate_elastic(model, state0, loading, 0.0)
         for fault, error, message in faults:
@@ -723,8 +730,8 @@ def test_step_without_a_minimizer_fails_at_once():
 
 def test_quadratic_shear_run_evaluates_dissipation_once_per_step(monkeypatch):
     # The march prices the dissipation of every step once, in one array
-    # pass: psi sees the element rates of each step once, and the per-state
-    # functions are not called.
+    # pass: one dof_dissipation call over the viscous slopes of all steps,
+    # in which psi sees the element rates of each step once.
     from visco_pt import domain, stepper
 
     calls = []
@@ -747,7 +754,7 @@ def test_quadratic_shear_run_evaluates_dissipation_once_per_step(monkeypatch):
     monkeypatch.setattr(MaterialModel, "psi", counted_psi)
     grid = TimeGrid(t_final=0.5, n_steps=10)
     run_evolution(MaterialModel(), shear_start(), Loading((0.2,)), grid)
-    assert calls == []
+    assert [np.shape(args[2]) for args in calls] == [(grid.n_steps, 8)]
     assert sum(rates) == grid.n_steps * 8
 
 
