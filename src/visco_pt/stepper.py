@@ -10,42 +10,44 @@ E(t_i, new) + tau*Psi <= E(t_i, old) up to 1e-8 plus the rounding of the two
 energies compared, and violations reject the step.
 
 Routing: both geometries eliminate the elastic variable in closed form and
-solve scalar equations for the viscous one. A material-point step goes
-through the stepping kernel (:mod:`visco_pt.kernels`): F solves
-w_el'(F/F_vi - 1) = load * F_vi, and F_vi one scalar equation anchored at the
-previous F_vi (a closed form when a4 = 0 and p_psi = 2, a bracketed scalar
-Newton otherwise), in plain floats; the kernel also returns the state's
-stored energies and dissipation. A step with no admissible minimizer (the
-root leaves the admissible set, or the reduced curvature there is not
-positive) raises :class:`InfeasibleState` at once, naming the step and the
-curvature. The shear column under dead loads is statically determinate, so
-its step splits into one problem per element: with the element resultant
-sigma_e = g + f * (1 - x_e,mid), the elastic strain solves w_el'(s) = sigma_e
-and the viscous slope solves c_v b + psi'((b - b_old)/r) = sigma_e (a closed
-form when p_psi = 2, a bracketed scalar Newton otherwise). The state is
-these element slopes: gamma' = s + b and beta' = b. A step or substep whose
-solver stops at ``max_iter`` raises :class:`SolverNotConverged`; no such
-step is accepted.
+solve scalar equations for the viscous one, and each solve, a step of length
+tau or a substep of length r, is one call of one primitive per geometry. At
+a material point :func:`_kernel_solve` calls the stepping kernel
+(:mod:`visco_pt.kernels`): F solves w_el'(F/F_vi - 1) = load * F_vi, and
+F_vi one scalar equation anchored at the previous F_vi (a closed form when
+a4 = 0 and p_psi = 2, a bracketed scalar Newton otherwise), in plain floats;
+the kernel also returns the state's stored energies and dissipation. A
+solve with no admissible minimizer (the root leaves the admissible set, or
+the reduced curvature there is not positive) raises :class:`InfeasibleState`
+at once, naming the curvature. The shear column under dead loads is
+statically determinate, so its solve splits into one problem per element:
+with the element resultant sigma_e = g + f * (1 - x_e,mid),
+:func:`_viscous_slopes` solves c_v b + psi'((b - b_old)/r) = sigma_e for the
+viscous slope (a closed form when p_psi = 2, a bracketed scalar Newton
+otherwise), and the elastic strain solves w_el'(s) = sigma_e. The state is
+these element slopes: gamma' = s + b and beta' = b. A solve that stops at
+``max_iter`` raises :class:`SolverNotConverged`; no such step is accepted.
 
 Only the viscous variable carries history from one step to the next, so
-:func:`run_evolution` marches only the solves (one kernel call per
-material-point step, one viscous-slope solve per shear step) under loads
-formed for all steps at once. Everything else is a function of the two
-states around a step and is priced after the march in one array pass, bit
-for bit as the per-state functions of :mod:`visco_pt.domain` price it; the
-earliest failing step still raises what it raised when steps ran one by
-one. :func:`incremental_step` is the one-step march. No :class:`State` is
-built: the :class:`Trajectory` stores the states as one dof array (see
-:mod:`visco_pt.domain`) with per-state and per-step arrays beside it.
+:func:`run_evolution` marches only the solves (one primitive call per step)
+under loads formed for all steps at once. Everything else is a function of
+the two states around a step and is priced after the march in one array
+pass, bit for bit as the per-state functions of :mod:`visco_pt.domain`
+price it; the earliest failing step still raises what it raised when steps
+ran one by one. :func:`incremental_step` is the one-step march. No
+:class:`State` is built: the :class:`Trajectory` stores the states as one
+dof array (see :mod:`visco_pt.domain`) with per-state and per-step arrays
+beside it.
 
-The same solver evaluated at a substep r in (0, tau] gives phi_tau(r), the
-value function of the De Giorgi interpolation; its minimizer is the De
-Giorgi interpolant and the integral of the rate dissipation over r in
-[0, tau] (Gauss-Legendre) supplies the improved dissipation term of the
-sharp energy identity. :func:`de_giorgi_integral` prices it for a whole
-trajectory from its dof array, with no :class:`State` and no phi_tau: the
-material-point substeps go one by one through the kernel, the shear-column
-substeps of all steps and nodes through one batched viscous-slope solve.
+The same solve over a substep r in (0, tau] gives phi_tau(r), the value
+function of the De Giorgi interpolation, priced by the per-state functions;
+its minimizer is the De Giorgi interpolant, the step itself at r = tau. The
+integral of the rate dissipation over r in [0, tau] (Gauss-Legendre)
+supplies the improved dissipation term of the sharp energy identity;
+:func:`de_giorgi_integral` prices it for a whole trajectory from its dof
+array, with no :class:`State` and no phi_tau: the material-point substeps go
+one by one through the kernel, the shear-column substeps of all steps and
+nodes through one batched viscous-slope solve.
 """
 
 from __future__ import annotations
@@ -64,10 +66,11 @@ from .domain import (
     ShearColumnMesh,
     State,
     TimeGrid,
+    dissipation_increment,
     dof_dissipation,
     dof_stored_energies,
     element_stress,
-    pairing,
+    energy_value,
     pairing_products,
     product_pairings,
     read_only,
@@ -105,19 +108,13 @@ class Step(NamedTuple):
 
 
 class PhiTau(NamedTuple):
-    """Value, minimizer dofs and rate dissipation of the incremental
-    functional at substep r; ``state`` builds the minimizer."""
+    """Value, minimizer, rate dissipation and solver iterations of the
+    incremental functional at substep r."""
 
     value: float
-    y: object
-    y_vi: object
+    state: State
     rate_dissipation: float
     iterations: int
-    mesh: Optional[ShearColumnMesh] = None
-
-    @property
-    def state(self) -> State:
-        return state_from_dofs(self.mesh, self.y, self.y_vi)
 
 
 @dataclass
@@ -141,25 +138,10 @@ class Trajectory(Ledger):
     settings: MinimizeSettings
 
 
-# -- single incremental solve ---------------------------------------------------
-
-
-class _LoadAt(NamedTuple):
-    """The load at one time: its values f and g and, in the shear column, the
-    element resultants with the elastic strains that balance them."""
-
-    f: float
-    g: float
-    sigma: Optional[np.ndarray] = None
-    s_el: Optional[np.ndarray] = None
-
-
-def _load_at(model: MaterialModel, mesh, loading: Loading, t: float) -> _LoadAt:
-    f_val, g_val = loading.f(t), loading.g(t)
-    if mesh is None:
-        return _LoadAt(f_val, g_val)
-    sigma = element_stress(mesh, f_val, g_val)
-    return _LoadAt(f_val, g_val, sigma, _elastic_strains(model, sigma))
+# -- the two solve primitives: _kernel_solve and _viscous_slopes ----------------
+#
+# Each names its failure by calling ``where``: with no arguments for one solve,
+# with the leading indices of the first failing solve of a batch.
 
 
 def _check_substep(r):
@@ -167,59 +149,29 @@ def _check_substep(r):
         raise ValidationError(f"substep length must be > 0, got {r!r}")
 
 
-def _kernel_failure(solved: tuple, where: str) -> Exception:
-    """The error named by the nonzero status of a ``kernels.mp_minimize``
-    result: :class:`InfeasibleState` with the reduced curvature (3),
-    :class:`NonFiniteObjective` (4) or :class:`SolverNotConverged` (1)."""
+def _kernel_solve(model: MaterialModel, load, anchor, r, settings, where):
+    """Solve the material-point functional in ``kernels.mp_minimize``
+    (looked up at the module attribute, where a tracer wraps it) under the
+    load f + g ``load``, from the viscous dof ``anchor``, over the substep
+    r; returns the kernel's tuple ``(F, Fv, value, grad_inf, iterations,
+    status, w_el, w_vi, diss)``. A nonzero status raises, named ``where()``:
+    :class:`InfeasibleState` with the reduced curvature (3),
+    :class:`NonFiniteObjective` (4), :class:`SolverNotConverged` (1)."""
+    solved = kernels.mp_minimize(
+        model.c_e, model.a4, model.c_v, model.d_v, model.p_psi, model.k_radius,
+        load, anchor, r, settings.grad_tol, settings.max_iter,
+    )
+    if not solved[5]:
+        return solved
     _, Fv, value, grad_inf, _, status = solved[:6]
     if status == 3:
-        return InfeasibleState(
-            f"{where} has no admissible minimizer: at F_vi = {Fv!r}, "
+        raise InfeasibleState(
+            f"{where()} has no admissible minimizer: at F_vi = {Fv!r}, "
             f"|g'| = {grad_inf:.3e} and the reduced curvature g'' = {value:.3e}"
         )
     if status == 4:
-        return NonFiniteObjective(f"{where}: incremental objective is not finite")
-    return SolverNotConverged(where, MAX_ITER_EXCEEDED, grad_inf)
-
-
-def _solve_incremental(
-    model: MaterialModel,
-    mesh: Optional[ShearColumnMesh],
-    old: tuple,
-    at: _LoadAt,
-    r: float,
-    settings: MinimizeSettings,
-    where: str,
-):
-    """Minimize the substep functional from the dofs ``old`` under the load
-    ``at``; returns ``(y, y_vi, value, w_el, w_vi, diss, iterations,
-    grad_inf)``, with ``stored_energies`` of the minimizer and the
-    dissipation r * Psi charged to the substep.
-
-    Raises :class:`SolverNotConverged`, naming ``where``, if the solver
-    stops without converging, and at a material point
-    :class:`InfeasibleState`, naming ``where`` and the reduced curvature, if
-    the substep has no admissible minimizer.
-    """
-    _check_substep(r)
-    if mesh is None:
-        solved = kernels.mp_minimize(
-            model.c_e, model.a4, model.c_v, model.d_v, model.p_psi, model.k_radius,
-            at.f + at.g, old[1], r, settings.grad_tol, settings.max_iter,
-        )
-        if solved[5]:
-            raise _kernel_failure(solved, where)
-        F, Fv, value, grad_inf, iterations, _, w_el, w_vi, diss = solved
-        return F, Fv, value, w_el, w_vi, diss, iterations, grad_inf
-
-    b, iterations, grad_inf = _viscous_slopes(
-        model, at.sigma, old[1], r, mesh.h, settings, lambda: where
-    )
-    gamma = at.s_el + b
-    w_el, w_vi = dof_stored_energies(model, mesh, gamma, b)
-    diss = dof_dissipation(model, mesh, b, old[1], r)
-    value = w_el + w_vi - pairing(mesh, gamma, at.f, at.g) + diss
-    return gamma, b, value, w_el, w_vi, diss, iterations, grad_inf
+        raise NonFiniteObjective(f"{where()}: incremental objective is not finite")
+    raise SolverNotConverged(where(), MAX_ITER_EXCEEDED, grad_inf)
 
 
 def _elastic_strains(model: MaterialModel, sigma: np.ndarray) -> np.ndarray:
@@ -288,9 +240,9 @@ def _viscous_slopes(
 
 
 def _march_point(model: MaterialModel, mesh, dofs, f, g, tau: float, settings, first: int):
-    """Kernel solves of steps first, first + 1, ... into the rows 1, 2, ...
-    of ``dofs``, under the loads f + g at their ends, each anchored at the
-    F_vi of the one before. The kernel returns each step's stored energies
+    """:func:`_kernel_solve` of steps first, first + 1, ... into the rows 1,
+    2, ... of ``dofs``, under the loads f + g at their ends, each anchored at
+    the F_vi of the one before. The kernel returns each step's stored energies
     and dissipation with its minimizer, so nothing is left to price here.
     Returns ``(w_el, w_vi, diss, iterations, grad_inf, error)``: arrays over
     the steps solved, and the error of the step where the march stopped
@@ -298,13 +250,7 @@ def _march_point(model: MaterialModel, mesh, dofs, f, g, tau: float, settings, f
     anchor, solves, error = float(dofs[0, 1, 0]), [], None
     try:
         for i, load in enumerate((f + g).tolist(), start=first):
-            solved = kernels.mp_minimize(
-                model.c_e, model.a4, model.c_v, model.d_v, model.p_psi, model.k_radius,
-                load, anchor, tau, settings.grad_tol, settings.max_iter,
-            )
-            if solved[5]:
-                error = _kernel_failure(solved, f"step {i}")
-                break
+            solved = _kernel_solve(model, load, anchor, tau, settings, lambda: f"step {i}")
             solves.append(solved)
             anchor = solved[1]
     except Exception as failure:  # raised once earlier steps pass
@@ -486,12 +432,25 @@ def phi_tau(
     r: float,
     settings: MinimizeSettings = MinimizeSettings(),
 ) -> PhiTau:
-    """Value, minimizer and rate dissipation of the substep functional."""
-    at = _load_at(model, old.mesh, loading, t)
-    y, y_vi, value, _, _, diss, iterations, _ = _solve_incremental(
-        model, old.mesh, state_dofs(old), at, r, settings, f"substep r={r!r}"
-    )
-    return PhiTau(value, y, y_vi, diss / r, iterations, old.mesh)
+    """Value, minimizer and rate dissipation of the substep functional,
+    solved as a step of length r is; the value is priced by the per-state
+    functions, E(t, new) + r * Psi. A failure is named ``substep r=...``."""
+    _check_substep(r)
+    mesh, (_, y_vi_old) = old.mesh, state_dofs(old)
+    f_val, g_val = loading.f(t), loading.g(t)
+
+    def where():
+        return f"substep r={r!r}"
+
+    if mesh is None:
+        solved = _kernel_solve(model, f_val + g_val, y_vi_old, r, settings, where)
+        new, iterations = state_from_dofs(mesh, *solved[:2]), solved[4]
+    else:
+        sigma = element_stress(mesh, f_val, g_val)
+        b, iterations, _ = _viscous_slopes(model, sigma, y_vi_old, r, mesh.h, settings, where)
+        new = state_from_dofs(mesh, _elastic_strains(model, sigma) + b, b)
+    diss = dissipation_increment(model, new, old, r)
+    return PhiTau(energy_value(model, new, loading, t) + diss, new, diss / r, iterations)
 
 
 @functools.lru_cache(maxsize=None)
@@ -541,19 +500,18 @@ def de_giorgi_integral(traj: Trajectory, m: int):
     def where(n, j):
         return f"step {n + 1}, {substeps[j]}"
 
+    f, g = traj.loading.f(grid.times[1:]), traj.loading.g(grid.times[1:])
     if mesh is None:
-        olds = traj.dofs[:-1, :, 0].tolist()
-        rates = []
-        for n, (old, t) in enumerate(zip(olds, grid.times[1:].tolist()), start=1):
-            at, step = _load_at(model, mesh, traj.loading, t), f"step {n}, "
-            rates.append([
-                _solve_incremental(model, mesh, old, at, x, settings, step + name)[5] / x
-                for x, name in zip(rs, substeps)
-            ])
-        rates = np.array(rates)
+        anchors = traj.dofs[:-1, 1, 0].tolist()
+        rates = np.array([
+            [
+                _kernel_solve(model, load, anchor, x, settings, lambda: where(n, j))[8] / x
+                for j, x in enumerate(rs)
+            ]
+            for n, (anchor, load) in enumerate(zip(anchors, (f + g).tolist()))
+        ])
     else:
-        times = grid.times[1:, None, None]
-        sigma = element_stress(mesh, traj.loading.f(times), traj.loading.g(times))
+        sigma = element_stress(mesh, f[:, None, None], g[:, None, None])
         shape = (grid.n_steps, len(rs), mesh.n_elements)
         b_old = np.broadcast_to(traj.dofs[:-1, None, 1], shape)
         column = r[:, None]

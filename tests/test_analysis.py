@@ -136,17 +136,17 @@ def test_energy_inequality_sharp_identity_tightens_with_m():
 def test_energy_inequality_sharp_makes_six_substep_solves_per_step(monkeypatch):
     # The default m = 4 Gauss nodes for the integral plus m // 2 = 2 for its
     # error estimate.
-    import visco_pt.stepper as stepper
+    import visco_pt.kernels as kernels
 
     traj = relax_trajectory()
     calls = []
-    solve = stepper._solve_incremental
+    solve = kernels.mp_minimize
 
     def counted(*args):
-        calls.append(args[4])
+        calls.append(args[8])
         return solve(*args)
 
-    monkeypatch.setattr(stepper, "_solve_incremental", counted)
+    monkeypatch.setattr(kernels, "mp_minimize", counted)
     for report in (
         check_energy_inequality(traj, factor="p_psi"),
         check_energy_inequality(traj, factor="p_psi", m=4),

@@ -180,6 +180,37 @@ def test_substep_that_does_not_converge_names_r():
         )
 
 
+def test_shear_substep_that_does_not_converge_names_r():
+    old = State.shear_column(ShearColumnMesh(4), np.full(4, 0.5), np.full(4, 0.4))
+    with pytest.raises(SolverNotConverged) as exc:
+        phi_tau(
+            MaterialModel(a4=1.0, p_psi=3.0), old, Loading((0.3,), (0.2,)), 0.5, 0.25,
+            MinimizeSettings(max_iter=1),
+        )
+    assert exc.value.where == "substep r=0.25"
+    assert exc.value.grad_inf == 0.1584375
+    assert str(exc.value) == (
+        "substep r=0.25 not solved: max_iter_exceeded at |grad|_inf 1.584e-01"
+    )
+
+
+def test_shear_substep_beyond_the_radius_is_infeasible():
+    old = State.shear_column(ShearColumnMesh(4), np.full(4, 0.5), np.full(4, 0.4))
+    with pytest.raises(InfeasibleState) as exc:
+        phi_tau(MaterialModel(k_radius=0.41), old, Loading((0.3,), (0.2,)), 0.5, 0.25)
+    assert str(exc.value) == "viscous strain outside the admissible radius 0.41"
+
+
+def test_material_point_substep_without_a_minimizer_names_r():
+    # load^2 = 4 >= c_e * c_v: the root of g' lies at a negative F_vi.
+    with pytest.raises(InfeasibleState) as exc:
+        phi_tau(MaterialModel(), State.material_point(1.2, 1.2), Loading((2.0,)), 0.5, 0.25)
+    assert str(exc.value) == (
+        "substep r=0.25 has no admissible minimizer: at F_vi = -28.499999999999986, "
+        "|g'| = 1.421e-14 and the reduced curvature g'' = -2.222e-01"
+    )
+
+
 def test_mp_cubic_dissipation_step():
     model = MaterialModel(p_psi=3.0)
     step = step_from(model, State.material_point(1.5, 1.5), ZERO, 0.1, 0.1)
@@ -313,23 +344,24 @@ def test_de_giorgi_integral_gauss_convergence_in_samples():
 def test_de_giorgi_integral_makes_one_solve_per_node(monkeypatch):
     # A material point solves each substep of each step once; the shear
     # column solves all of them in one batch, with r as a column.
+    import visco_pt.kernels as kernels
     import visco_pt.stepper as stepper
 
     grid = TimeGrid(0.5, 3)
     mp = run_evolution(UNIT_MP, State.material_point(F_O, F_O), ZERO, grid)
     shear = run_evolution(UNIT_MP, shear_start(), Loading((0.2,), (0.1,)), grid)
     calls, batches = [], []
-    solve, slopes = stepper._solve_incremental, stepper._viscous_slopes
+    solve, slopes = kernels.mp_minimize, stepper._viscous_slopes
 
     def counted(*args):
-        calls.append(args[4])
+        calls.append(args[8])
         return solve(*args)
 
     def batched(*args):
         batches.append(args[3])
         return slopes(*args)
 
-    monkeypatch.setattr(stepper, "_solve_incremental", counted)
+    monkeypatch.setattr(kernels, "mp_minimize", counted)
     monkeypatch.setattr(stepper, "_viscous_slopes", batched)
     for m in (2, 4, 7):
         nodes, _ = de_giorgi_rule(grid.tau, m)
@@ -602,6 +634,41 @@ def test_march_prices_each_step_as_the_per_state_functions(
                 energy_value(model, state, loading, times[i]) + diss
             )
             assert traj.stay_put_margin[i - 1] == margin
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n=st.one_of(st.none(), st.integers(1, 12)),
+    a4=st.one_of(st.just(0.0), st.floats(0.0, 2.0, exclude_min=True)),
+    p_psi=st.one_of(st.just(2.0), st.floats(2.0, 3.0, exclude_min=True)),
+    f=polynomial_load(0.45),
+    g=polynomial_load(0.45),
+    n_steps=st.integers(1, 4),
+    data=st.data(),
+)
+def test_phi_tau_over_a_whole_step_is_the_step(n, a4, p_psi, f, g, n_steps, data):
+    # A step and a substep go through one solve: phi_tau over the step
+    # length tau from state i - 1 must give step i of the run bit for bit,
+    # its dofs, its rate dissipation and the value E(t_i, new) + tau * Psi.
+    # The shear column has n elements, None is a material point.
+    model = MaterialModel(a4=a4, p_psi=p_psi)
+    loading = Loading(f, g)
+    if n is None:
+        v0 = data.draw(st.floats(-0.4, 0.4))
+        start = State.material_point(1.0 + v0, 1.0 + v0)
+    else:
+        slopes = st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)
+        start = State.shear_column(
+            ShearColumnMesh(n), np.array(data.draw(slopes)), np.array(data.draw(slopes))
+        )
+    traj = run_evolution(model, start, loading, TimeGrid(0.5, n_steps))
+    tau, times = traj.grid.tau, traj.grid.times.tolist()
+    for i in range(1, n_steps + 1):
+        sub = phi_tau(model, traj.states[i - 1], loading, times[i], tau)
+        diss = traj.diss_increments[i - 1]
+        assert np.array_equal([sub.state.gamma, sub.state.beta], traj.dofs[i])
+        assert sub.rate_dissipation == diss / tau
+        assert sub.value == energy_value(model, sub.state, loading, times[i]) + diss
 
 
 def test_failing_steps_are_named_by_their_index(monkeypatch):
