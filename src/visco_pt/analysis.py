@@ -8,12 +8,17 @@ convention applies. Fitted convergence orders are least-squares slopes in
 log-log coordinates, and reports keep the raw errors so rates can be
 recomputed externally.
 
+The sharp energy inequality takes the De Giorgi integral in closed form
+where every substep solve is one (p_psi = 2, and a4 = 0 at a material
+point), and by Gauss-Legendre otherwise. The tau oracle is the exact
+zero-load viscous flow, :func:`viscous_flow`.
+
 Parameter sweeps run once per command. :func:`tau_sweep` and
 :func:`eps_sweep` validate their whole list (:func:`tau_grids`,
-:func:`eps_values`) and, for tau, that the ODE oracle applies before the
-first trajectory runs; then they run each trajectory once, in parameter
-order, judge it, and return the trajectories with the report, so the
-command line writes the very trajectories that were judged.
+:func:`eps_values`) and, for tau, that the oracle applies before the first
+trajectory runs; then they run each trajectory once, in parameter order,
+judge it, and return the trajectories with the report, so the command line
+writes the very trajectories that were judged.
 :func:`tau_convergence` and :func:`epsilon_study` return the same reports
 without the trajectories. Semistability is judged against the exact
 elastic minimizer at every grid time, so no check draws random numbers.
@@ -50,15 +55,16 @@ from .rheology import MaterialModel
 from .stepper import (
     Trajectory,
     _elastic_strains,
+    de_giorgi_closed_form,
     de_giorgi_integral,
     phi_tau,
     run_evolution,
+    substeps_in_closed_form,
 )
 
 INEQUALITY_TOL = 1e-8
 MONOTONICITY_TOL = 1e-9
 QUAD_FLOOR = 1e-7
-RK4_SUBSTEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -136,7 +142,7 @@ def fit_rate(params: Sequence[float], errors: Sequence[float]) -> Optional[float
 
 
 def check_energy_inequality(
-    traj: Trajectory, factor: str = "one", m: int = 4
+    traj: Trajectory, factor: str = "one", m: Optional[int] = None
 ) -> VerificationReport:
     """Cumulative discrete energy inequality along the trajectory.
 
@@ -144,13 +150,17 @@ def check_energy_inequality(
     step n is E(0) - sum of load-rate work - E(t_n) - sum tau*Psi_i, which is
     nonnegative by per-step minimality. With ``factor="p_psi"`` the extra
     (p_psi - 1) * integral of the sub-step rate dissipation sharpens the
-    bound. One :func:`de_giorgi_integral` pass gives that integral for every
-    step, Gauss-Legendre with m nodes, and its error estimate by the rule
-    with max(2, m // 2) nodes: m + max(2, m // 2) substep solves per step (6
-    at the default m = 4) under ``traj.settings``. The summed estimate
-    widens the tolerance (it is reported in ``params``). For a zero-load material point
-    with p_psi = 2 the sharp form is an identity and residuals are reported
-    as -|raw| against a quadrature-level tolerance.
+    bound. With ``m`` None, where every substep solve is a closed form
+    (:func:`substeps_in_closed_form`), one :func:`de_giorgi_closed_form`
+    pass gives that integral for every step exactly (rule ``closed_form``,
+    estimate 0, no substep solve). Otherwise, or with an explicit ``m``, one
+    :func:`de_giorgi_integral` pass gives it by Gauss-Legendre with m nodes
+    (4 when ``m`` is None), and its error estimate by the rule with max(2, m
+    // 2) nodes: m + max(2, m // 2) substep solves per step under
+    ``traj.settings``. The summed estimate widens the tolerance (it is
+    reported in ``params``). For a zero-load material point with p_psi = 2
+    the sharp form is an identity and residuals are reported as -|raw|
+    against a quadrature-level tolerance.
     """
     if factor not in ("one", "p_psi"):
         raise ValidationError(f"factor must be 'one' or 'p_psi', got {factor!r}")
@@ -163,11 +173,16 @@ def check_energy_inequality(
         and model.p_psi == 2.0
     )
     improved = np.zeros(grid.n_steps)
-    quad_estimate = 0.0
+    quad_estimate, rule = 0.0, None
     if factor == "p_psi":
-        q, q_error = de_giorgi_integral(traj, m)
+        if m is None and substeps_in_closed_form(model, traj.mesh):
+            q, rule = de_giorgi_closed_form(traj), "closed_form"
+        else:
+            m = 4 if m is None else m
+            q, q_error = de_giorgi_integral(traj, m)
+            quad_estimate = float(np.cumsum((model.p_psi - 1.0) * q_error)[-1])
+            rule = "gauss_legendre"
         improved = np.cumsum((model.p_psi - 1.0) * q)
-        quad_estimate = float(np.cumsum((model.p_psi - 1.0) * q_error)[-1])
     lhs = traj.energies[1:] + traj.delta[1:] + improved
     raw = (e0 - traj.load_work[1:]) - lhs
     residuals = -np.abs(raw) if equality else raw
@@ -179,6 +194,7 @@ def check_energy_inequality(
         check=f"energy_inequality_{factor}",
         params={
             "factor": factor,
+            "rule": rule,
             "m": m if factor == "p_psi" else None,
             "equality_mode": equality,
             "n_steps": grid.n_steps,
@@ -294,61 +310,41 @@ def check_monotonicity(
 # -- tau convergence ----------------------------------------------------------------
 
 
-def rk4_viscous_oracle(
-    model: MaterialModel, f_vi0: float, times: np.ndarray, substep: float = RK4_SUBSTEP
-) -> np.ndarray:
-    """Classical RK4 integration of the zero-load flow dF = -(c_v/d_v) F^2 (F-1).
+def viscous_flow(model: MaterialModel, f_vi0: float, times) -> np.ndarray:
+    """The zero-load viscous flow dF/dt = -(c_v/d_v) F^2 (F - 1) from F(0) =
+    f_vi0 > 0, exactly, at ``times``.
 
-    Integrates interval by interval so values land exactly on ``times``. The
-    right-hand side -c f f (f - 1) is written out at each stage, in that
-    order of operations.
+    Along the flow G(F) = log|1 - 1/F| + 1/F falls at the rate c_v/d_v
+    (dG/dF = 1 / (F^2 (F - 1))), so G(F(t)) = G(f_vi0) - (c_v/d_v) t. F
+    never crosses the rest state 1 and G is monotone on either side of it,
+    so each F(t) is found by one bisection over all times at once, between
+    f_vi0 and 1, down to two adjacent floats; of those it returns the one
+    whose G is nearer the target (log1p forms G where F > 1). From f_vi0 = 1
+    the flow rests.
     """
-    m = -(model.c_v / model.d_v)
-    values = np.zeros(len(times))
-    values[0] = f_vi0
-    f = f_vi0
-    for k in range(1, len(times)):
-        span = float(times[k] - times[k - 1])
-        n_sub = max(1, int(round(span / substep)))
-        h = span / n_sub
-        half, sixth = 0.5 * h, h / 6.0
-        for _ in range(n_sub):
-            k1 = m * f * f * (f - 1.0)
-            x = f + half * k1
-            k2 = m * x * x * (x - 1.0)
-            x = f + half * k2
-            k3 = m * x * x * (x - 1.0)
-            x = f + h * k3
-            k4 = m * x * x * (x - 1.0)
-            f += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        values[k] = f
-    return values
+    times = np.asarray(times, dtype=float)
+    start = np.full(times.shape, float(f_vi0))
+    if f_vi0 == 1.0:
+        return start
 
+    def G(F):
+        with np.errstate(divide="ignore"):
+            if f_vi0 > 1.0:
+                return np.log1p(-1.0 / F) + 1.0 / F
+            return np.log(1.0 / F - 1.0) + 1.0 / F
 
-def _oracle_on_grids(
-    model: MaterialModel, f_vi0: float, t_final: float, grids: Dict[float, TimeGrid]
-) -> Dict[float, np.ndarray]:
-    """:func:`rk4_viscous_oracle` on each grid, sampled from one pass over the
-    union of their times.
-
-    A grid time k * t_final / n is the mark k * (L / n) on the common
-    refinement into L = lcm(n) intervals. The pass visits the marks of all
-    grids, so it costs about t_final / RK4_SUBSTEP RK4 steps plus one per
-    mark, whether or not the grids nest; on nested grids the union is the
-    finest grid itself.
-    """
-    common = math.lcm(*(grid.n_steps for grid in grids.values()))
-    strides = {tau: common // grid.n_steps for tau, grid in grids.items()}
-    marks = sorted({k * stride for tau, stride in strides.items()
-                    for k in range(grids[tau].n_steps + 1)})
-    times = np.array(marks, dtype=float) * (t_final / common)
-    times[-1] = t_final
-    values = rk4_viscous_oracle(model, f_vi0, times)
-    position = {mark: j for j, mark in enumerate(marks)}
-    return {
-        tau: values[[position[k * stride] for k in range(grids[tau].n_steps + 1)]]
-        for tau, stride in strides.items()
-    }
+    target = G(start) - (model.c_v / model.d_v) * times
+    near, far = start, np.ones(times.shape)  # the ends toward f_vi0 and toward 1
+    while True:
+        mid = 0.5 * (near + far)
+        moving = (mid != near) & (mid != far)
+        if not moving.any():
+            break
+        passed = G(mid) > target  # the flow passes mid before the time sought
+        near = np.where(moving & passed, mid, near)
+        far = np.where(moving & ~passed, mid, far)
+    nearer_far = np.abs(G(far) - target) < np.abs(G(near) - target)
+    return np.where(nearer_far, far, near)
 
 
 def tau_values(tau_list: Sequence[float]) -> List[float]:
@@ -383,28 +379,32 @@ def tau_sweep(
     settings: Optional[MinimizeSettings] = None,
 ) -> Tuple[Dict[float, Trajectory], VerificationReport]:
     """Run one trajectory per distinct tau and judge its sup-over-grid error
-    against the RK4 solution of the viscous ODE, with fitted order.
+    against the exact viscous flow (:func:`viscous_flow`), with fitted order.
 
-    The oracle requires a zero-load material point, where the viscous strain
-    obeys a scalar ODE. The tau list and that requirement are validated
-    before the first trajectory runs. Returns the trajectories, keyed by tau
-    from largest to smallest, and the report.
+    The oracle requires a zero-load material point with p_psi = 2, where the
+    viscous strain obeys that flow. The tau list and these requirements are
+    validated before the first trajectory runs. Returns the trajectories,
+    keyed by tau from largest to smallest, and the report.
     """
     grids = tau_grids(t_final, tau_list)
     taus = list(grids)
     settings = settings or MinimizeSettings()
     if state0.mesh is not None or not loading.is_zero:
-        raise ValidationError("ode_rk4 oracle requires a zero-load material point")
+        raise ValidationError("the exact-flow oracle requires a zero-load material point")
+    if model.p_psi != 2.0:
+        raise ValidationError(f"the exact-flow oracle requires p_psi = 2, got {model.p_psi!r}")
 
     trajectories: Dict[float, Trajectory] = {}
     errors = []
-    references = _oracle_on_grids(model, state0.F_vi, t_final, grids)
-    for tau, grid in grids.items():
+    times = [grid.times for grid in grids.values()]
+    flow = viscous_flow(model, state0.F_vi, np.concatenate(times))
+    references = np.split(flow, np.cumsum([len(t) for t in times[:-1]]))
+    for (tau, grid), reference in zip(grids.items(), references):
         traj = run_evolution(model, state0, loading, grid, settings)
         trajectories[tau] = traj
-        errors.append(float(np.max(np.abs(traj.dofs[:, 1, 0] - references[tau]))))
+        errors.append(float(np.max(np.abs(traj.dofs[:, 1, 0] - reference))))
     params = {
-        "oracle": "ode_rk4",
+        "oracle": "exact_flow",
         "tau_list": taus,
         "errors": errors,
         "t_final": t_final,

@@ -125,8 +125,7 @@ def _run_checks(config: ScenarioConfig, names: Sequence[str]):
         if name == "energy_one":
             reports.append(analysis.check_energy_inequality(trajectory(), "one"))
         elif name == "energy_sharp":
-            m = config.de_giorgi_m
-            reports.append(analysis.check_energy_inequality(trajectory(), "p_psi", m=m))
+            reports.append(analysis.check_energy_inequality(trajectory(), "p_psi"))
         elif name == "semistability":
             reports.append(analysis.semistability_sweep(trajectory()))
         elif name == "monotonicity":

@@ -67,7 +67,6 @@ class ScenarioConfig:
     grad_tol: float = 1e-10
     max_iter: int = 10000
     checks: Tuple[str, ...] = DEFAULT_CHECKS
-    de_giorgi_m: int = 4
     tau_list: Tuple[float, ...] = (0.1, 0.05, 0.025, 0.0125)
     mono_tau_list: Tuple[float, ...] = (0.1, 0.2, 0.5, 1.0)
     eps_list: Tuple[float, ...] = (0.2, 0.1, 0.05)
@@ -83,8 +82,6 @@ class ScenarioConfig:
                 "init_elastic must be 'equilibrate' or 'direct', "
                 f"got {self.init_elastic!r}"
             )
-        if self.de_giorgi_m < 2:
-            raise ValidationError(f"de_giorgi_m must be >= 2, got {self.de_giorgi_m}")
         tau_values(self.tau_list)
         substep_values(self.mono_tau_list, "mono_tau_list")
         eps_values(self.eps_list, decreasing=False, name="eps_list")

@@ -42,12 +42,15 @@ beside it.
 The same solve over a substep r in (0, tau] gives phi_tau(r), the value
 function of the De Giorgi interpolation, priced by the per-state functions;
 its minimizer is the De Giorgi interpolant, the step itself at r = tau. The
-integral of the rate dissipation over r in [0, tau] (Gauss-Legendre)
-supplies the improved dissipation term of the sharp energy identity;
-:func:`de_giorgi_integral` prices it for a whole trajectory from its dof
-array, with no :class:`State` and no phi_tau: the material-point substeps go
-one by one through the kernel, the shear-column substeps of all steps and
-nodes through one batched viscous-slope solve.
+integral of the rate dissipation over r in [0, tau] supplies the improved
+dissipation term of the sharp energy identity, for a whole trajectory from
+its dof array, with no :class:`State` and no phi_tau. When every substep
+solve is a closed form (p_psi = 2, and a4 = 0 at a material point), the rate
+is a rational function of r and :func:`de_giorgi_closed_form` integrates it
+exactly in one array pass, with no substep solve. :func:`de_giorgi_integral`
+is the Gauss-Legendre rule for any model: the material-point substeps go one
+by one through the kernel, the shear-column substeps of all steps and nodes
+through one batched viscous-slope solve.
 """
 
 from __future__ import annotations
@@ -448,6 +451,8 @@ def phi_tau(
     else:
         sigma = element_stress(mesh, f_val, g_val)
         b, iterations, _ = _viscous_slopes(model, sigma, y_vi_old, r, mesh.h, settings, where)
+        if np.max(np.abs(b)) > model.k_radius:
+            raise InfeasibleState(f"{where()} leaves the admissible radius {model.k_radius}")
         new = state_from_dofs(mesh, _elastic_strains(model, sigma) + b, b)
     diss = dissipation_increment(model, new, old, r)
     return PhiTau(energy_value(model, new, loading, t) + diss, new, diss / r, iterations)
@@ -526,3 +531,70 @@ def de_giorgi_integral(traj: Trajectory, m: int):
     integral = np.array([weights @ row for row in rates[:, : len(nodes)]])
     coarse = np.array([coarse_weights @ row for row in rates[:, len(nodes):]])
     return integral, np.abs(integral - coarse)
+
+
+def substeps_in_closed_form(model: MaterialModel, mesh: Optional[ShearColumnMesh]) -> bool:
+    """True when every substep solve is a closed form, so that
+    :func:`de_giorgi_closed_form` applies: p_psi = 2, and a4 = 0 at a
+    material point (the shear column's viscous slope never sees the elastic
+    law)."""
+    return model.p_psi == 2.0 and (mesh is not None or model.a4 == 0.0)
+
+
+def de_giorgi_closed_form(traj: Trajectory) -> np.ndarray:
+    """Integral over r in [0, tau] of the substep rate dissipation of every
+    step, exact, in one array pass; needs :func:`substeps_in_closed_form`.
+
+    Each step's substeps run from its old dofs under the load at its end.
+    At a material point with anchor a and load l = f + g, let N = l (1 + l a
+    / c_e) - c_v (a - 1) and C = c_v - l^2 / c_e: the substep minimizer is
+    x(r) = a + N r a^2 / (C r a^2 + d_v), its rate dissipation d_v N^2 a^2 /
+    (2 (C r a^2 + d_v)^2), and the integral N^2 a^2 tau / (2 (C tau a^2 +
+    d_v)). In the shear column each slope moves from its old value b_e at
+    the rate (sigma_e - c_v b_e) / (c_v r + d_v), and the integral is h *
+    sum_e (sigma_e - c_v b_e)^2 tau / (2 (c_v tau + d_v)).
+
+    No substep is solved, but each is checked as its solve would check it.
+    The minimizer moves monotonically in r, from the anchor to the step's
+    own minimizer at r = tau, and the reduced curvature C + d_v / (r a^2) is
+    least at r = tau, so the two ends decide: at a material point the
+    curvature at r = tau must be positive and both ends admissible, in the
+    shear column both ends must lie within the admissible radius. The first
+    step that fails raises :class:`InfeasibleState`, naming it.
+    """
+    model, grid, mesh = traj.model, traj.grid, traj.mesh
+    if not substeps_in_closed_form(model, mesh):
+        raise ValidationError(
+            "the De Giorgi closed form needs p_psi = 2, and a4 = 0 at a material point"
+        )
+    tau, c_v, d_v, k_radius = grid.tau, model.c_v, model.d_v, model.k_radius
+    f, g = traj.loading.f(grid.times[1:]), traj.loading.g(grid.times[1:])
+    substeps = f"a substep r in (0, {tau!r}]"
+    if mesh is None:
+        a, load = traj.dofs[:-1, 1, 0], f + g
+        push = load * (1.0 + load * a / model.c_e) - c_v * (a - 1.0)
+        stiffness = (c_v - load * load / model.c_e) * tau * a * a + d_v
+        with np.errstate(divide="ignore", invalid="ignore"):
+            end = a + push * tau * a * a / stiffness
+        admissible = [(x > 0.0) & (np.abs(x - 1.0) <= k_radius) for x in (a, end)]
+        failed = np.flatnonzero(~((stiffness > 0.0) & admissible[0] & admissible[1]))
+        if len(failed):
+            n = failed[0]
+            curvature = stiffness[n] / (tau * a[n] * a[n])
+            raise InfeasibleState(
+                f"step {n + 1}, {substeps} has no admissible minimizer: from F_vi = "
+                f"{float(a[n])!r} to {float(end[n])!r}, and at r = tau the reduced curvature "
+                f"g'' = {curvature:.3e}"
+            )
+        return push * push * a * a * tau / (2.0 * stiffness)
+    sigma = element_stress(mesh, f[:, None], g[:, None])
+    b = traj.dofs[:-1, 1]
+    drive = sigma - c_v * b
+    end = b + drive / (c_v + d_v / tau)
+    inside = (np.abs(b) <= k_radius) & (np.abs(end) <= k_radius)
+    failed = np.flatnonzero(~inside.all(axis=-1))
+    if len(failed):
+        raise InfeasibleState(
+            f"step {failed[0] + 1}, {substeps} leaves the admissible radius {k_radius}"
+        )
+    return mesh.h * np.add.reduce(drive * drive, axis=-1) * tau / (2.0 * (c_v * tau + d_v))

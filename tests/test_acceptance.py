@@ -28,7 +28,7 @@ from visco_pt import (
     tau_convergence,
     total_energy,
 )
-from visco_pt.analysis import epsilon_study, rk4_viscous_oracle
+from visco_pt.analysis import epsilon_study, viscous_flow
 from visco_pt.cli import main
 from visco_pt.domain import pack_dofs, stored_energies, unpack_dofs
 from visco_pt.linearized import LinState
@@ -59,7 +59,7 @@ def test_01_scalar_relaxation_reproduction():
     grid = TimeGrid(t_final=3.0, n_steps=3000)  # tau = 1e-3
     traj = run_evolution(model, State.material_point(1.5, 1.5), Loading(), grid)
     f_vi = np.array([s.F_vi for s in traj.states])
-    oracle = rk4_viscous_oracle(model, 1.5, grid.times)
+    oracle = viscous_flow(model, 1.5, grid.times)
     elapsed = time.perf_counter() - start
     assert np.all(np.diff(f_vi) < 0.0)
     assert 1.0 < f_vi[-1] < 1.1

@@ -27,6 +27,7 @@ from visco_pt import (
     VerificationReport,
     check_energy_inequality,
     check_monotonicity,
+    de_giorgi_closed_form,
     de_giorgi_integral,
     density_convergence,
     energy_value,
@@ -34,12 +35,13 @@ from visco_pt import (
     equilibrate_elastic,
     load_config,
     phi_tau,
-    rk4_viscous_oracle,
     run_evolution,
     semistability_sweep,
     tau_convergence,
+    viscous_flow,
 )
 from visco_pt.analysis import INEQUALITY_TOL, fit_rate
+from visco_pt.minimize import RESOLUTION
 from visco_pt.domain import stored_energies
 from visco_pt.linearized import LinState
 from visco_pt.stepper import de_giorgi_rule
@@ -134,8 +136,9 @@ def test_energy_inequality_sharp_identity_tightens_with_m():
 
 
 def test_energy_inequality_sharp_makes_six_substep_solves_per_step(monkeypatch):
-    # The default m = 4 Gauss nodes for the integral plus m // 2 = 2 for its
-    # error estimate.
+    # With m = 4: 4 Gauss nodes for the integral plus m // 2 = 2 for its
+    # error estimate. By default p = 2 and a4 = 0 make every substep a closed
+    # form, and the integral is exact with no substep solve.
     import visco_pt.kernels as kernels
 
     traj = relax_trajectory()
@@ -147,13 +150,15 @@ def test_energy_inequality_sharp_makes_six_substep_solves_per_step(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(kernels, "mp_minimize", counted)
-    for report in (
-        check_energy_inequality(traj, factor="p_psi"),
-        check_energy_inequality(traj, factor="p_psi", m=4),
-    ):
-        assert report.params["m"] == 4
-        assert report.passed
-    assert len(calls) == 2 * 6 * traj.grid.n_steps
+    exact = check_energy_inequality(traj, factor="p_psi")
+    assert (exact.params["rule"], exact.params["m"]) == ("closed_form", None)
+    assert exact.params["quadrature_estimate"] == 0.0
+    assert exact.passed
+    assert calls == []
+    gauss = check_energy_inequality(traj, factor="p_psi", m=4)
+    assert (gauss.params["rule"], gauss.params["m"]) == ("gauss_legendre", 4)
+    assert gauss.passed
+    assert len(calls) == 6 * traj.grid.n_steps
 
 
 def test_energy_sharp_inverts_each_stress_law_once_per_step(monkeypatch):
@@ -217,21 +222,22 @@ def test_energy_sharp_names_a_material_point_substep_without_a_minimizer():
     traj = dataclasses.replace(relax_trajectory(2, 0.2), loading=Loading((10.0,)))
     where, _ = first_failing_substep(traj, traj.settings, InfeasibleState)
     with pytest.raises(InfeasibleState) as exc:
-        check_energy_inequality(traj, "p_psi")
+        check_energy_inequality(traj, "p_psi", m=4)
     assert where == f"step 1, substep r={de_giorgi_rule(0.1, 4)[0].tolist()[0]!r}"
     assert str(exc.value).startswith(f"{where} has no admissible minimizer")
     assert "reduced curvature g'' = -" in str(exc.value)
 
 
 def test_energy_sharp_names_the_first_shear_substep_outside_the_radius():
-    # The viscous slopes grow from 0.4 past 0.41 during step 2.
+    # The viscous slopes pass 0.41 at the end of step 1, beyond its last Gauss
+    # node, so the rule first meets them in step 2.
     mesh = ShearColumnMesh(4)
     start = State.shear_column(mesh, np.full(4, 0.5), np.full(4, 0.4))
     traj = run_evolution(UNIT_MP, start, Loading((0.3,), (0.2,)), TimeGrid(1.0, 5))
     traj = dataclasses.replace(traj, model=MaterialModel(k_radius=0.41))
     where, _ = first_failing_substep(traj, traj.settings, InfeasibleState)
     with pytest.raises(InfeasibleState) as exc:
-        check_energy_inequality(traj, "p_psi")
+        check_energy_inequality(traj, "p_psi", m=4)
     assert where.startswith("step 2, ")
     assert str(exc.value) == f"{where} leaves the admissible radius 0.41"
 
@@ -418,13 +424,68 @@ def test_monotonicity_validates_tau_list():
 # -- tau convergence -----------------------------------------------------------------
 
 
+def rk4_flow(rate, f_vi0, times, substep):
+    """Classical RK4 for dF/dt = -rate F^2 (F - 1), interval by interval so
+    that the values land on ``times``: an oracle independent of
+    :func:`viscous_flow`."""
+    values = [f_vi0]
+    f = f_vi0
+    for span in np.diff(times).tolist():
+        n_sub = max(1, int(round(span / substep)))
+        h = span / n_sub
+        for _ in range(n_sub):
+            k1 = -rate * f * f * (f - 1.0)
+            x = f + 0.5 * h * k1
+            k2 = -rate * x * x * (x - 1.0)
+            x = f + 0.5 * h * k2
+            k3 = -rate * x * x * (x - 1.0)
+            x = f + h * k3
+            k4 = -rate * x * x * (x - 1.0)
+            f += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        values.append(f)
+    return np.array(values)
+
+
+def flow_invariant(f):
+    """G(F) = log|1 - 1/F| + 1/F, which falls at the rate c_v/d_v along the flow."""
+    return np.log(np.abs(f - 1.0) / f) + 1.0 / f
+
+
 def test_rk4_oracle_self_convergence():
+    # A fine RK4 converges, and to the exact flow.
     times = np.array([0.0, 1.0, 2.0, 3.0])
-    coarse = rk4_viscous_oracle(UNIT_MP, 1.5, times, substep=1e-3)
-    fine = rk4_viscous_oracle(UNIT_MP, 1.5, times, substep=1e-4)
+    coarse = rk4_flow(1.0, 1.5, times, substep=1e-3)
+    fine = rk4_flow(1.0, 1.5, times, substep=1e-4)
     assert np.max(np.abs(coarse - fine)) < 1e-10
     assert np.all(np.diff(fine) < 0.0)
     assert np.all(fine >= 1.0)
+    assert np.max(np.abs(viscous_flow(UNIT_MP, 1.5, times) - fine)) < 1e-12
+
+
+@pytest.mark.parametrize("f_vi0", [1.5, 1.0 + 1e-6, 4.0, 0.5, 1.0 - 1e-6, 0.05, 1.0])
+def test_viscous_flow_is_monotone_and_keeps_its_invariant(f_vi0):
+    # From above 1 the flow falls toward 1, from below it rises, from 1 it
+    # rests; G(F(t)) + (c_v/d_v) t stays G(f_vi0) to the rounding of G and
+    # of one float step in F.
+    model = MaterialModel(c_v=1.3, d_v=0.7)
+    rate = model.c_v / model.d_v
+    times = np.linspace(0.0, 6.0, 61)
+    flow = viscous_flow(model, f_vi0, times)
+    assert flow[0] == f_vi0
+    if f_vi0 == 1.0:
+        assert np.all(flow == 1.0)
+        return
+    steps = np.diff(flow)
+    if f_vi0 > 1.0:
+        assert np.all(steps <= 0.0) and np.all(flow > 1.0)
+    else:
+        assert np.all(steps >= 0.0) and np.all(flow < 1.0)
+    assert np.any(steps != 0.0)
+    target = flow_invariant(f_vi0) - rate * times
+    slope = 1.0 / (flow * flow * np.abs(flow - 1.0))  # |dG/dF|
+    rounding = 8.0 * RESOLUTION * (1.0 + np.abs(target)) + 4.0 * slope * np.spacing(flow)
+    assert np.all(np.abs(flow_invariant(flow) - target) <= rounding)
+    assert np.max(np.abs(flow - rk4_flow(rate, f_vi0, times, substep=5e-4))) <= 1e-9
 
 
 def test_tau_convergence_first_order_window():
@@ -447,29 +508,27 @@ def test_tau_convergence_first_order_window():
     [(3.0, [0.1, 0.05, 0.025, 0.0125]), (3.0, [0.1, 0.075]), (1.0, [0.25, 0.2, 0.1])],
 )
 def test_tau_sweep_integrates_the_oracle_once(monkeypatch, t_final, taus):
-    # One RK4 pass over the union of the grids' times serves every tau, also
+    # One exact-flow solve over the times of all grids serves every tau, also
     # when the grids do not nest (0.1 and 0.075 on [0, 3]: 30 and 40 steps),
-    # and its samples agree with a separate pass per grid to roundoff.
+    # and its values are those of a separate solve per grid, bit for bit.
     from visco_pt import analysis
 
     calls = []
-    oracle = analysis.rk4_viscous_oracle
+    oracle = analysis.viscous_flow
 
-    def counted(model, f_vi0, times, *args):
+    def counted(model, f_vi0, times):
         calls.append(len(times))
-        return oracle(model, f_vi0, times, *args)
+        return oracle(model, f_vi0, times)
 
-    monkeypatch.setattr(analysis, "rk4_viscous_oracle", counted)
+    monkeypatch.setattr(analysis, "viscous_flow", counted)
     trajs, report = analysis.tau_sweep(
         UNIT_MP, State.material_point(1.5, 1.5), ZERO, t_final, taus
     )
-    assert len(calls) == 1
-    assert calls[0] <= sum(traj.grid.n_steps + 1 for traj in trajs.values())
+    assert calls == [sum(traj.grid.n_steps + 1 for traj in trajs.values())]
+    assert report.params["oracle"] == "exact_flow"
     for traj, error in zip(trajs.values(), report.params["errors"]):
         separate = oracle(UNIT_MP, 1.5, traj.grid.times)
-        assert error == pytest.approx(
-            float(np.max(np.abs(traj.dofs[:, 1, 0] - separate))), abs=1e-15
-        )
+        assert error == float(np.max(np.abs(traj.dofs[:, 1, 0] - separate)))
 
 
 def test_tau_convergence_validations():
@@ -480,6 +539,20 @@ def test_tau_convergence_validations():
         tau_convergence(UNIT_MP, state0, ZERO, 1.0, [0.1])
     with pytest.raises(ValidationError):
         tau_convergence(UNIT_MP, state0, ZERO, 1.0, [0.4, 0.3])
+
+
+def test_tau_sweep_rejects_p_psi_other_than_two_before_any_run(monkeypatch):
+    # The oracle is the p = 2 flow; any other p_psi is an input error, raised
+    # before the first trajectory runs.
+    from visco_pt import analysis
+
+    runs = []
+    monkeypatch.setattr(analysis, "run_evolution", lambda *args: runs.append(args))
+    with pytest.raises(ValidationError, match=r"p_psi = 2, got 2\.5"):
+        analysis.tau_sweep(
+            MaterialModel(p_psi=2.5), State.material_point(1.5, 1.5), ZERO, 1.0, [0.1, 0.05]
+        )
+    assert runs == []
 
 
 # -- epsilon study -------------------------------------------------------------------

@@ -394,7 +394,7 @@ def test_sweep_eps_outputs(tmp_path):
         ("sweep-tau", "mp_relax", "--tau-list", "0 0.1", "positive"),
         ("sweep-eps", "eps_quartic", "--eps-list", "0.05 0.1", "strictly decreasing"),
         ("sweep-tau", "shear_quadratic", "--tau-list", "0.1 0.05",
-         "ode_rk4 oracle requires a zero-load material point"),
+         "exact-flow oracle requires a zero-load material point"),
     ],
 )
 def test_bad_sweep_list_exits_1_before_any_trajectory(

@@ -11,6 +11,7 @@ and exactly        integral_0^tau Psi_r dr
                           = (F_o - 1)^2 tau F_o^2 / (2 (1 + tau F_o^2)).
 """
 
+import dataclasses
 import math
 import re
 import time
@@ -32,6 +33,7 @@ from visco_pt import (
     TimeGrid,
     ValidationError,
     check_energy_inequality,
+    de_giorgi_closed_form,
     de_giorgi_integral,
     energy_value,
     equilibrate_elastic,
@@ -198,7 +200,7 @@ def test_shear_substep_beyond_the_radius_is_infeasible():
     old = State.shear_column(ShearColumnMesh(4), np.full(4, 0.5), np.full(4, 0.4))
     with pytest.raises(InfeasibleState) as exc:
         phi_tau(MaterialModel(k_radius=0.41), old, Loading((0.3,), (0.2,)), 0.5, 0.25)
-    assert str(exc.value) == "viscous strain outside the admissible radius 0.41"
+    assert str(exc.value) == "substep r=0.25 leaves the admissible radius 0.41"
 
 
 def test_material_point_substep_without_a_minimizer_names_r():
@@ -323,6 +325,7 @@ def test_de_giorgi_integral_matches_closed_form():
     assert q.shape == estimate.shape == (1,)
     assert q[0] == pytest.approx(exact, abs=2e-5)
     assert abs(q[0] - exact) <= estimate[0]
+    assert de_giorgi_closed_form(traj)[0] == pytest.approx(exact, rel=1e-15)
 
 
 def test_de_giorgi_integral_gauss_convergence_in_samples():
@@ -393,17 +396,135 @@ def test_de_giorgi_error_estimate_bounds_the_error(
 ):
     # energy_sharp widens its tolerance by (p - 1)|q_4 - q_2| per step; on a
     # step from an elastically equilibrated state that must cover the error
-    # of q_4, measured against the 32-node rule.
+    # of q_4, measured against the 32-node rule. Where the substeps are closed
+    # forms (p = 2, a4 = 0) it takes the exact integral instead, with no
+    # estimate, which must then match the 32-node rule.
     model = MaterialModel(c_e=c_e, a4=a4, c_v=c_v, d_v=d_v, p_psi=p_psi)
     loading = Loading((load,))
     start = equilibrate_elastic(model, State.material_point(Fv, Fv), loading, 0.0)
     traj = run_evolution(model, start, loading, TimeGrid(t_final=tau, n_steps=1))
     report = check_energy_inequality(traj, factor="p_psi")
-    q = de_giorgi_integral(traj, report.params["m"])[0][0]
     q32 = de_giorgi_integral(traj, 32)[0][0]
+    if p_psi == 2.0 and a4 == 0.0:
+        assert report.params["rule"] == "closed_form"
+        assert report.params["m"] is None
+        assert report.params["quadrature_estimate"] == 0.0
+        q = de_giorgi_closed_form(traj)[0]
+        assert abs(q - q32) <= 1e-12 * max(1.0, abs(q32))
+        return
+    q = de_giorgi_integral(traj, report.params["m"])[0][0]
     error = (p_psi - 1.0) * abs(q - q32)
+    assert report.params["rule"] == "gauss_legendre"
     assert report.params["m"] == 4
     assert error <= report.params["quadrature_estimate"] + 1e-12 * max(1.0, abs(q32))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    shear=st.booleans(),
+    c_e=st.floats(1.0, 2.5),
+    a4=st.floats(0.0, 2.0),
+    c_v=st.floats(0.5, 1.5),
+    d_v=st.floats(0.3, 2.5),
+    f=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+    g=st.floats(-0.2, 0.2),
+    start=st.floats(-0.4, 0.4),
+    t_final=st.floats(0.05, 0.5),
+    n_steps=st.integers(1, 4),
+    n_elements=st.integers(1, 8),
+)
+def test_de_giorgi_closed_form_matches_the_16_node_rule(
+    shear, c_e, a4, c_v, d_v, f, g, start, t_final, n_steps, n_elements
+):
+    # On these draws the integrand is analytic well beyond [0, tau], so 16
+    # Gauss-Legendre nodes integrate it to rounding: that of the rule's rates
+    # (x(r) - a) / (r a), which lose digits to cancellation where a step moves
+    # little, relative error about eps * max(1, |a|) / |x(tau) - a|. A
+    # material point has a closed form only with a4 = 0; the shear column
+    # has one for any a4.
+    model = MaterialModel(c_e=c_e, a4=a4 if shear else 0.0, c_v=c_v, d_v=d_v)
+    loading = Loading(f, (g,))
+    if shear:
+        mesh = ShearColumnMesh(n_elements)
+        state0 = State.shear_column(mesh, np.zeros(n_elements), np.full(n_elements, start))
+    else:
+        state0 = State.material_point(1.0 + start, 1.0 + start)
+    state0 = equilibrate_elastic(model, state0, loading, 0.0)
+    traj = run_evolution(model, state0, loading, TimeGrid(t_final, n_steps))
+    exact = de_giorgi_closed_form(traj)
+    q16, _ = de_giorgi_integral(traj, 16)
+    assert exact.shape == q16.shape == (n_steps,)
+    anchors = traj.dofs[:-1, 1]
+    moved = np.max(np.abs(traj.dofs[1:, 1] - anchors), axis=-1)
+    size = np.maximum(1.0, np.max(np.abs(anchors), axis=-1))
+    rounding = RESOLUTION * np.abs(q16) * size / np.maximum(moved, 1e-300)
+    underflow = np.finfo(float).tiny
+    assert np.all(np.abs(exact - q16) <= rounding + underflow)
+
+
+def grown_material_point():
+    """Five steps of F_vi rising from 1 under the load 0.3 (to 1.234 at
+    step 4 and 1.276 at step 5)."""
+    load = Loading((0.3,))
+    start = equilibrate_elastic(UNIT_MP, State.material_point(1.0, 1.0), load, 0.0)
+    return run_evolution(UNIT_MP, start, load, TimeGrid(1.0, 5))
+
+
+def relaxed_material_point():
+    """Two steps of F_vi relaxing from 1.5 (to 1.154 at step 1)."""
+    return run_evolution(UNIT_MP, State.material_point(F_O, F_O), ZERO, TimeGrid(2.0, 2))
+
+
+def grown_column():
+    """Five steps of slopes rising from 0.4 (to at most 0.4104 at step 1)."""
+    start = State.shear_column(ShearColumnMesh(4), np.full(4, 0.5), np.full(4, 0.4))
+    return run_evolution(UNIT_MP, start, Loading((0.3,), (0.2,)), TimeGrid(1.0, 5))
+
+
+@pytest.mark.parametrize(
+    "trajectory, doctored, step",
+    [
+        # load^2 > c_e c_v: the reduced curvature is negative at r = tau
+        (relaxed_material_point, {"loading": Loading((10.0,))}, 1),
+        # x(tau) of step 5 leaves |F_vi - 1| <= 0.25
+        (grown_material_point, {"model": MaterialModel(k_radius=0.25)}, 5),
+        # the anchor 1.5 lies outside |F_vi - 1| <= 0.45, x(tau) inside
+        (relaxed_material_point, {"model": MaterialModel(k_radius=0.45)}, 1),
+        # step 1 ends beyond the radius 0.41
+        (grown_column, {"model": MaterialModel(k_radius=0.41)}, 1),
+        # the slopes of step 1 run to about 17, beyond the radius 10
+        (grown_column, {"loading": Loading((100.0,))}, 1),
+    ],
+)
+def test_de_giorgi_closed_form_refuses_an_infeasible_substep(trajectory, doctored, step):
+    # The closed form solves no substep, yet must refuse every trajectory with
+    # a substep r in (0, tau] that a solve refuses, naming the first such
+    # step. The substep minimizer is monotone in r, so phi_tau at the two ends
+    # of (0, tau] finds the steps that fail.
+    traj = dataclasses.replace(trajectory(), **doctored)
+    tau = traj.grid.tau
+
+    def refused(n):
+        for r in (1e-9 * tau, tau):
+            try:
+                phi_tau(traj.model, traj.states[n - 1], traj.loading, traj.grid.times[n], r)
+            except InfeasibleState:
+                return True
+        return False
+
+    assert [n for n in range(1, traj.grid.n_steps + 1) if refused(n)][0] == step
+    with pytest.raises(InfeasibleState) as exc:
+        de_giorgi_closed_form(traj)
+    assert str(exc.value).startswith(f"step {step}, a substep r in (0, {tau!r}] ")
+    with pytest.raises(InfeasibleState):
+        check_energy_inequality(traj, "p_psi")
+
+
+def test_de_giorgi_closed_form_needs_closed_form_substeps():
+    traj = single_step_trajectory()
+    for model in (MaterialModel(p_psi=2.5), MaterialModel(a4=1.0)):
+        with pytest.raises(ValidationError, match="p_psi = 2, and a4 = 0"):
+            de_giorgi_closed_form(dataclasses.replace(traj, model=model))
 
 
 def test_de_giorgi_interpolant_endpoint_is_the_step():
