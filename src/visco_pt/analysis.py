@@ -157,7 +157,8 @@ def check_energy_inequality(
     :func:`de_giorgi_integral` pass gives it by Gauss-Legendre with m nodes
     (4 when ``m`` is None), and its error estimate by the rule with max(2, m
     // 2) nodes: m + max(2, m // 2) substep solves per step under
-    ``traj.settings``. The summed estimate widens the tolerance (it is
+    ``traj.settings``, and one at r = tau that checks the end of each
+    step's substep path. The summed estimate widens the tolerance (it is
     reported in ``params``). For a zero-load material point with p_psi = 2
     the sharp form is an identity and residuals are reported as -|raw|
     against a quadrature-level tolerance.

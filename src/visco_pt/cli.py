@@ -1,10 +1,14 @@
 """Command-line interface: scenario runs, sweeps, and verification.
 
-Subcommands: ``run`` (single trajectory to CSV), ``lin`` (linearized run),
-``sweep-tau`` (grid refinement against the ODE oracle), ``sweep-eps``
+One argument parser takes the command as its first positional argument:
+``run`` (single trajectory to CSV), ``lin`` (linearized run), ``sweep-tau``
+(grid refinement against the exact-flow oracle), ``sweep-eps``
 (linearization study), ``verify`` (selected checks to JSON), ``densities``
-(density-convergence table). Exit codes: 0 on pass, 2 when a check fails
-(stderr names the check and its worst residual), 1 on runtime errors.
+(density-convergence table). Every command takes ``--config`` and ``--out``;
+``--tau-list`` belongs to ``sweep-tau`` and ``--eps-list`` to ``sweep-eps``
+alone. Exit codes: 0 on pass, 2 when a check fails (stderr names the check
+and its worst residual) or the command line is malformed, 1 on runtime
+errors.
 
 All outputs are written atomically (temp file + rename) with
 17-significant-digit decimals, so identical configs give byte-identical
@@ -59,10 +63,9 @@ def _ledger_csv(traj, offset: float, flag: str = "") -> str:
     diss = np.concatenate([[0.0], traj.diss_increments])
     columns = (traj.grid.times, y, y_vi, traj.stored[:, 0], traj.stored[:, 1],
                work, energies, diss, delta, residual)
-    row = ",".join(["%.17g"] * len(columns)) + flag
-    lines = [CSV_HEADER + (",lin" if flag else "")]
-    lines += [row % values for values in zip(*(c.tolist() for c in columns))]
-    return "\n".join(lines) + "\n"
+    row = ",".join(["%.17g"] * len(columns)) + flag + "\n"
+    values = tuple(np.column_stack(columns).ravel().tolist())
+    return CSV_HEADER + (",lin" if flag else "") + "\n" + (row * len(y)) % values
 
 
 def trajectory_csv(traj: Trajectory) -> str:
@@ -168,7 +171,7 @@ def _run_checks(config: ScenarioConfig, names: Sequence[str]):
     return reports
 
 
-# -- subcommands --------------------------------------------------------------------
+# -- commands -----------------------------------------------------------------------
 
 
 def _cmd_run(config: ScenarioConfig, out: str) -> int:
@@ -261,37 +264,50 @@ def _parse_list(text: Optional[str], flag: str) -> Optional[List[float]]:
     return values
 
 
+COMMANDS = (
+    ("run", "single finite-strain trajectory to run.csv"),
+    ("lin", "linearized trajectory to lin.csv"),
+    ("sweep-tau", "tau refinement with exact-flow oracle rates"),
+    ("sweep-eps", "linearization study across epsilon"),
+    ("verify", "run the configured checks to verify.json"),
+    ("densities", "rescaled-density convergence table"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every command: the command is a positional choice, and
+    the options of all commands sit beside it (:func:`main` refuses a list
+    option on a command that does not take it)."""
     parser = argparse.ArgumentParser(
         prog="visco-pt",
-        description="Incremental-minimization solver for a finite-strain "
-        "viscoelastic column, with a linearized companion and a "
-        "verification harness.",
+        description="Incremental-minimization solver for a finite-strain viscoelastic\n"
+        "column, with a linearized companion and a verification harness.",
+        epilog="commands:\n" + "".join(f"  {n:<11}{h}\n" for n, h in COMMANDS),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
+    parser.add_argument(
+        "command", choices=[name for name, _ in COMMANDS], metavar="command",
+        help="one of the commands below",
+    )
+    parser.add_argument("--config", required=True, help="scenario config path")
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--tau-list", default=None, help="override tau values (sweep-tau)")
+    parser.add_argument("--eps-list", default=None, help="override eps values (sweep-eps)")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("run", "single finite-strain trajectory to run.csv"),
-        ("lin", "linearized trajectory to lin.csv"),
-        ("sweep-tau", "tau refinement with ODE-oracle rates"),
-        ("sweep-eps", "linearization study across epsilon"),
-        ("verify", "run the configured checks to verify.json"),
-        ("densities", "rescaled-density convergence table"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="scenario config path")
-        p.add_argument("--out", default=".", help="output directory")
-        # Parsed and ignored; ROADMAP item 1 removes it with the benchmark's use.
-        p.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
-        if name == "sweep-tau":
-            p.add_argument("--tau-list", default=None, help="override tau values")
-        if name == "sweep-eps":
-            p.add_argument("--eps-list", default=None, help="override eps values")
+    # Parsed and ignored; ROADMAP item 1 removes it with the benchmark's use.
+    parser.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for flag, value, command in (
+        ("--tau-list", args.tau_list, "sweep-tau"),
+        ("--eps-list", args.eps_list, "sweep-eps"),
+    ):
+        if value is not None and args.command != command:
+            parser.error(f"{flag} is accepted only by {command}")
     try:
         config = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)

@@ -488,48 +488,70 @@ def de_giorgi_integral(traj: Trajectory, m: int):
 
     Gauss-Legendre with m nodes (:func:`de_giorgi_rule`), and the
     max(2, m // 2)-node rule for the estimate |q_m - q_coarse|: one substep
-    solve per node and step, m + max(2, m // 2) per step, from the step's
-    old dofs under the load at its end. The integrand is smooth in r, so the
-    error falls geometrically in m. A material point solves them one by one
-    in the kernel, the shear column as one batch of shape (steps, nodes,
-    elements). Returns per-step arrays ``(integral, estimate)``; a substep
-    that fails raises, naming its step and r.
+    solve per node and step, from the step's old dofs under the load at its
+    end. The integrand is smooth in r, so the error falls geometrically in
+    m. A material point solves them one by one in the kernel, the shear
+    column as one batch of shape (steps, nodes, elements). Returns per-step
+    arrays ``(integral, estimate)``.
+
+    The nodes lie inside (0, tau), so each step's path is also checked at its
+    two ends, as :func:`de_giorgi_closed_form` checks it: the anchor must be
+    admissible, and one unweighted solve at r = tau must succeed, m + max(2,
+    m // 2) + 1 solves per step in all. A substep that fails raises, naming
+    its step and r; an inadmissible anchor raises :class:`InfeasibleState`,
+    naming its step. The first failing step is the one named.
     """
     grid, model, mesh, settings = traj.grid, traj.model, traj.mesh, traj.settings
     nodes, weights = de_giorgi_rule(grid.tau, m)
     coarse_nodes, coarse_weights = de_giorgi_rule(grid.tau, max(2, m // 2))
-    r = np.concatenate([nodes, coarse_nodes])
+    r = np.concatenate([nodes, coarse_nodes, [grid.tau]])
     rs = r.tolist()
     substeps = [f"substep r={x!r}" for x in rs]
+    k_radius = model.k_radius
 
     def where(n, j):
         return f"step {n + 1}, {substeps[j]}"
 
+    def anchor_outside(n):
+        return InfeasibleState(
+            f"step {n + 1}, the anchor of its substeps lies outside the admissible radius "
+            f"{k_radius}"
+        )
+
     f, g = traj.loading.f(grid.times[1:]), traj.loading.g(grid.times[1:])
+    anchors = traj.dofs[:-1, 1]
     if mesh is None:
-        anchors = traj.dofs[:-1, 1, 0].tolist()
-        rates = np.array([
-            [
+        anchors = anchors[:, 0]
+        admissible = ((anchors > 0.0) & (np.abs(anchors - 1.0) <= k_radius)).tolist()
+        rates = []
+        for n, (anchor, load) in enumerate(zip(anchors.tolist(), (f + g).tolist())):
+            if not admissible[n]:
+                raise anchor_outside(n)
+            rates.append([
                 _kernel_solve(model, load, anchor, x, settings, lambda: where(n, j))[8] / x
                 for j, x in enumerate(rs)
-            ]
-            for n, (anchor, load) in enumerate(zip(anchors, (f + g).tolist()))
-        ])
+            ])
+        rates = np.array(rates)
     else:
         sigma = element_stress(mesh, f[:, None, None], g[:, None, None])
         shape = (grid.n_steps, len(rs), mesh.n_elements)
-        b_old = np.broadcast_to(traj.dofs[:-1, None, 1], shape)
+        b_old = np.broadcast_to(anchors[:, None], shape)
         column = r[:, None]
         b, _, _ = _viscous_slopes(model, sigma, b_old, column, mesh.h, settings, where)
-        outside = np.argwhere(np.abs(b).max(axis=-1) > model.k_radius)
-        if len(outside):
+        start_outside = np.abs(anchors).max(axis=-1) > k_radius
+        outside = np.abs(b).max(axis=-1) > k_radius
+        failed = np.flatnonzero(start_outside | outside.any(axis=-1))
+        if len(failed):
+            n = failed[0]
+            if start_outside[n]:
+                raise anchor_outside(n)
             raise InfeasibleState(
-                f"{where(*outside[0])} leaves the admissible radius {model.k_radius}"
+                f"{where(n, np.argmax(outside[n]))} leaves the admissible radius {k_radius}"
             )
         # diss / r, with diss = r * h * sum formed as dof_dissipation forms it
         rates = r * mesh.h * np.add.reduce(model.psi((b - b_old) / column), axis=-1) / r
     integral = np.array([weights @ row for row in rates[:, : len(nodes)]])
-    coarse = np.array([coarse_weights @ row for row in rates[:, len(nodes):]])
+    coarse = np.array([coarse_weights @ row for row in rates[:, len(nodes) : -1]])
     return integral, np.abs(integral - coarse)
 
 

@@ -135,10 +135,11 @@ def test_energy_inequality_sharp_identity_tightens_with_m():
     assert abs(fine.min_residual) < abs(coarse.min_residual)
 
 
-def test_energy_inequality_sharp_makes_six_substep_solves_per_step(monkeypatch):
-    # With m = 4: 4 Gauss nodes for the integral plus m // 2 = 2 for its
-    # error estimate. By default p = 2 and a4 = 0 make every substep a closed
-    # form, and the integral is exact with no substep solve.
+def test_energy_inequality_sharp_makes_seven_substep_solves_per_step(monkeypatch):
+    # With m = 4: 4 Gauss nodes for the integral, m // 2 = 2 for its error
+    # estimate and one unweighted solve at r = tau, the end of the substep
+    # path. By default p = 2 and a4 = 0 make every substep a closed form, and
+    # the integral is exact with no substep solve.
     import visco_pt.kernels as kernels
 
     traj = relax_trajectory()
@@ -158,7 +159,7 @@ def test_energy_inequality_sharp_makes_six_substep_solves_per_step(monkeypatch):
     gauss = check_energy_inequality(traj, factor="p_psi", m=4)
     assert (gauss.params["rule"], gauss.params["m"]) == ("gauss_legendre", 4)
     assert gauss.passed
-    assert len(calls) == 6 * traj.grid.n_steps
+    assert len(calls) == 7 * traj.grid.n_steps
 
 
 def test_energy_sharp_inverts_each_stress_law_once_per_step(monkeypatch):
@@ -184,13 +185,13 @@ def test_energy_sharp_inverts_each_stress_law_once_per_step(monkeypatch):
 
 
 def first_failing_substep(traj, solver, error):
-    """``(where, grad_inf)`` of the first substep, in step and node order,
-    whose lone :func:`phi_tau` solve under the settings ``solver`` raises
-    ``error``."""
+    """``(where, grad_inf)`` of the first substep, in step and node order
+    (the 4 Gauss nodes, the 2 of the estimate, then r = tau), whose lone
+    :func:`phi_tau` solve under the settings ``solver`` raises ``error``."""
     nodes, _ = de_giorgi_rule(traj.grid.tau, 4)
     coarse, _ = de_giorgi_rule(traj.grid.tau, 2)
     for n in range(1, traj.grid.n_steps + 1):
-        for r in nodes.tolist() + coarse.tolist():
+        for r in nodes.tolist() + coarse.tolist() + [traj.grid.tau]:
             try:
                 phi_tau(traj.model, traj.states[n - 1], traj.loading,
                         float(traj.grid.times[n]), r, solver)
@@ -230,7 +231,7 @@ def test_energy_sharp_names_a_material_point_substep_without_a_minimizer():
 
 def test_energy_sharp_names_the_first_shear_substep_outside_the_radius():
     # The viscous slopes pass 0.41 at the end of step 1, beyond its last Gauss
-    # node, so the rule first meets them in step 2.
+    # node; the unweighted solve at r = tau meets them there.
     mesh = ShearColumnMesh(4)
     start = State.shear_column(mesh, np.full(4, 0.5), np.full(4, 0.4))
     traj = run_evolution(UNIT_MP, start, Loading((0.3,), (0.2,)), TimeGrid(1.0, 5))
@@ -238,7 +239,7 @@ def test_energy_sharp_names_the_first_shear_substep_outside_the_radius():
     where, _ = first_failing_substep(traj, traj.settings, InfeasibleState)
     with pytest.raises(InfeasibleState) as exc:
         check_energy_inequality(traj, "p_psi", m=4)
-    assert where.startswith("step 2, ")
+    assert where == "step 1, substep r=0.2"
     assert str(exc.value) == f"{where} leaves the admissible radius 0.41"
 
 

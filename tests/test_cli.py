@@ -1,4 +1,4 @@
-"""Command-line interface: config parsing, subcommand outputs, exit codes,
+"""Command-line interface: config parsing, command outputs, exit codes,
 and byte-level determinism of the JSON reports."""
 
 import hashlib
@@ -278,9 +278,17 @@ def test_verify_reports_where_semistability_is_worst(tmp_path):
 
 
 def test_seed_option_is_hidden(capsys):
-    with pytest.raises(SystemExit):
-        main(["verify", "--help"])
-    assert "--seed" not in capsys.readouterr().out
+    # -h lists every command and option but the ignored --seed.
+    for argv in (["-h"], ["verify", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--seed" not in out
+        for name in ("run", "lin", "sweep-tau", "sweep-eps", "verify", "densities"):
+            assert re.search(rf"^  {name} +\S", out, re.MULTILINE), name
+        for flag in ("--config", "--out", "--tau-list", "--eps-list", "--version"):
+            assert flag in out
 
 
 def test_verify_failure_exits_2_and_names_the_check(tmp_path, capsys):
@@ -344,6 +352,47 @@ def test_unsolved_step_exits_1_and_names_the_step(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: step 1 not solved: max_iter_exceeded at |grad|_inf")
     assert not (out / "run.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, command",
+    [("--tau-list", c) for c in ("run", "lin", "sweep-eps", "verify", "densities")]
+    + [("--eps-list", c) for c in ("run", "lin", "sweep-tau", "verify", "densities")],
+)
+def test_list_option_on_another_command_exits_2(tmp_path, capsys, flag, command):
+    cfg = str(REPO / "configs" / "mp_relax.cfg")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", str(out), flag, "0.1 0.05"])
+    assert exc.value.code == 2
+    assert f"error: {flag} is accepted only by " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_options_may_come_before_the_command(tmp_path):
+    cfg = write(tmp_path, "relax.cfg", RELAX_SMALL)
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["run", "--config", cfg, "--out", str(out1)]) == 0
+    assert main(["--out", str(out2), "--config", cfg, "run"]) == 0
+    assert (out2 / "run.csv").read_bytes() == (out1 / "run.csv").read_bytes()
+
+
+def test_main_builds_one_argument_parser(tmp_path, monkeypatch):
+    # One parser per call, none cached across calls: a subparser tree would
+    # build one parser per command besides the top one.
+    import argparse
+
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cfg = write(tmp_path, "relax.cfg", RELAX_SMALL)
+    for _ in range(2):
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert built == ["visco-pt", "visco-pt"]
 
 
 def test_version_flag(capsys):

@@ -345,8 +345,9 @@ def test_de_giorgi_integral_gauss_convergence_in_samples():
 
 
 def test_de_giorgi_integral_makes_one_solve_per_node(monkeypatch):
-    # A material point solves each substep of each step once; the shear
-    # column solves all of them in one batch, with r as a column.
+    # A material point solves each substep of each step once, and the
+    # unweighted r = tau that checks the end of its path; the shear column
+    # solves all of them in one batch, with r as a column.
     import visco_pt.kernels as kernels
     import visco_pt.stepper as stepper
 
@@ -369,7 +370,7 @@ def test_de_giorgi_integral_makes_one_solve_per_node(monkeypatch):
     for m in (2, 4, 7):
         nodes, _ = de_giorgi_rule(grid.tau, m)
         coarse, _ = de_giorgi_rule(grid.tau, max(2, m // 2))
-        substeps = list(nodes) + list(coarse)
+        substeps = list(nodes) + list(coarse) + [grid.tau]
         de_giorgi_integral(mp, m)
         assert calls == substeps * grid.n_steps
         assert batches == []
@@ -500,7 +501,9 @@ def test_de_giorgi_closed_form_refuses_an_infeasible_substep(trajectory, doctore
     # The closed form solves no substep, yet must refuse every trajectory with
     # a substep r in (0, tau] that a solve refuses, naming the first such
     # step. The substep minimizer is monotone in r, so phi_tau at the two ends
-    # of (0, tau] finds the steps that fail.
+    # of (0, tau] finds the steps that fail. The Gauss-Legendre rule, whose
+    # nodes lie inside (0, tau), checks the same two ends and names the same
+    # step.
     traj = dataclasses.replace(trajectory(), **doctored)
     tau = traj.grid.tau
 
@@ -516,6 +519,9 @@ def test_de_giorgi_closed_form_refuses_an_infeasible_substep(trajectory, doctore
     with pytest.raises(InfeasibleState) as exc:
         de_giorgi_closed_form(traj)
     assert str(exc.value).startswith(f"step {step}, a substep r in (0, {tau!r}] ")
+    with pytest.raises(InfeasibleState) as exc:
+        de_giorgi_integral(traj, 4)
+    assert str(exc.value).startswith(f"step {step}, ")
     with pytest.raises(InfeasibleState):
         check_energy_inequality(traj, "p_psi")
 
