@@ -32,12 +32,10 @@ from .domain import (
 from .minimize import MinimizeSettings
 from .stepper import (
     PhiTau,
-    Step,
     Trajectory,
     de_giorgi_closed_form,
     de_giorgi_integral,
     equilibrate_elastic,
-    incremental_step,
     phi_tau,
     run_evolution,
 )
@@ -46,8 +44,6 @@ from .linearized import (
     LinTrajectory,
     lin_el_residual,
     lin_equilibrium,
-    lin_step,
-    mp_lin_closed_form,
     rescale_displacements,
     rescaled_energies,
     run_lin_evolution,
@@ -84,7 +80,6 @@ __all__ = [
     "SolverNotConverged",
     "State",
     "StepRejected",
-    "Step",
     "TimeGrid",
     "Trajectory",
     "ValidationError",
@@ -101,12 +96,9 @@ __all__ = [
     "eps_sweep",
     "epsilon_study",
     "equilibrate_elastic",
-    "incremental_step",
     "lin_el_residual",
     "lin_equilibrium",
-    "lin_step",
     "load_config",
-    "mp_lin_closed_form",
     "parse_config",
     "phi_tau",
     "rescale_displacements",

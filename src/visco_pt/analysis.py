@@ -39,13 +39,13 @@ from .domain import (
     State,
     TimeGrid,
     dissipation_displacement,
+    dof_stored_energies,
     element_stress,
 )
 from .errors import ValidationError
 from .linearized import (
     LinState,
     LinTrajectory,
-    lin_stored,
     rescale_displacements,
     rescaled_energies,
     run_lin_evolution,
@@ -231,17 +231,14 @@ def semistability_sweep(traj: Trajectory) -> VerificationReport:
     if mesh is None:
         sigma = (f + g) * y_vi
         y_min = (1.0 + _elastic_strains(model, sigma[:, 0])[:, None]) * y_vi
-        stored = model.w_el(y_min / y_vi - 1.0), model.w_vi(y_vi - 1.0)
+        stored = np.hstack([model.w_el(y_min / y_vi - 1.0), model.w_vi(y_vi - 1.0)])
         strain = y / y_vi - 1.0
     else:
         sigma = element_stress(mesh, f, g)
         y_min = _elastic_strains(model, sigma.ravel()).reshape(sigma.shape) + y_vi
-        stored = [
-            mesh.h * np.add.reduce(w, axis=-1)[:, None]
-            for w in (model.w_el(y_min - y_vi), model.w_vi(y_vi))
-        ]
+        stored = np.column_stack(dof_stored_energies(model, mesh, y_min, y_vi))
         strain = y - y_vi
-    minimizer = replace(traj, dofs=np.stack([y_min, y_vi], 1), stored=np.hstack(stored))
+    minimizer = replace(traj, dofs=np.stack([y_min, y_vi], 1), stored=stored)
     residuals = minimizer.energies - traj.energies
     stress_residual = np.abs(model.dw_el(strain) - sigma) / (1.0 + np.abs(sigma))
     return VerificationReport.build(
@@ -513,7 +510,7 @@ def eps_sweep(
         gaps = []
         for idx in (0, grid.n_steps):
             w_el, w_vi = rescaled_energies(scaled.states[idx], eps, model)
-            w0_el, w0_vi = lin_stored(quad, lin_traj.states[idx])
+            w0_el, w0_vi = lin_traj.stored[idx].tolist()
             gaps.append(abs((w_el + w_vi) - (w0_el + w0_vi)))
         gap_t0.append(gaps[0])
         gap_tf.append(gaps[1])

@@ -12,9 +12,9 @@ structurally. Slopes carry no gauge: the profiles are recovered by
 integrating from the clamped bottom, and beta's additive constant never
 enters an energy.
 
-Packed dof layout (the vector of the analytic gradients):
-``x = [gamma, beta]``, that is ``[F, F_vi]`` at a material point and
-``[gamma', beta']`` in the shear column.
+Packed dof layout (the vector of the analytic gradients of
+:func:`total_energy`): ``x = [gamma, beta]``, that is ``[F, F_vi]`` at a
+material point and ``[gamma', beta']`` in the shear column.
 
 Trajectory layout: one read-only dof array of shape (n_steps + 1, 2,
 n_elements), row i holding the pair of state i (n_elements = 1 at a material
@@ -257,22 +257,6 @@ def viscous_strain(state: State):
     return state.beta
 
 
-# -- dof packing --------------------------------------------------------------
-
-
-def pack_dofs(state: State) -> np.ndarray:
-    return np.concatenate([state.gamma, state.beta])
-
-
-def unpack_dofs(template: State, x: np.ndarray) -> State:
-    """Inverse of :func:`pack_dofs`; signals infeasible trial vectors."""
-    x = np.asarray(x, dtype=float)
-    if template.mode == MATERIAL_POINT:
-        return State.material_point(x[0], x[1])
-    n = template.mesh.n_elements
-    return State.shear_column(template.mesh, x[:n], x[n:])
-
-
 # -- loading ------------------------------------------------------------------
 
 
@@ -310,16 +294,7 @@ class Loading:
 
     def pairing(self, state: State, t: float) -> float:
         """Dof-dependent part of the load pairing at time t."""
-        return self._pair(state, self.f(t), self.g(t))
-
-    def pairing_delta(self, state: State, t1: float, t0: float) -> float:
-        """Exact integral of the load-rate pairing over [t0, t1] against a
-        frozen state (polynomial coefficients integrate to endpoint
-        differences)."""
-        return self._pair(state, self.f(t1) - self.f(t0), self.g(t1) - self.g(t0))
-
-    def _pair(self, state: State, f_val: float, g_val: float) -> float:
-        return pairing(state.mesh, state_dofs(state)[0], f_val, g_val)
+        return pairing(state.mesh, state_dofs(state)[0], self.f(t), self.g(t))
 
 
 def _polyval(coeffs: tuple, t):
@@ -407,13 +382,6 @@ def total_energy(model: MaterialModel, state: State, loading: Loading, t: float)
     grad_gamma = mesh.h * (d_el - sigma)
     grad_beta = mesh.h * (model.dw_vi(viscous_strain(state)) - d_el)
     return value, np.concatenate([grad_gamma, grad_beta])
-
-
-def dissipation_rates(model: MaterialModel, new: State, old: State, r: float):
-    """Discrete viscous rate argument for a substep of length r."""
-    if new.mode == MATERIAL_POINT:
-        return (new.F_vi - old.F_vi) / (r * old.F_vi)
-    return (new.beta - old.beta) / r
 
 
 def dissipation_increment(model: MaterialModel, new: State, old: State, r: float) -> float:

@@ -185,10 +185,3 @@ def mp_minimize(
         status = 4
     return F, x, value, abs(g1), iterations, status, w_el, w_vi, dis
 
-
-def mp_objective(c_e, a4, c_v, d_v, p_psi, k_radius, load, anchor, r, F, Fv):
-    """Objective value at (F, Fv); raises nothing, returns (feasible, value)."""
-    if not (Fv > 0.0 and abs(Fv - 1.0) <= k_radius):
-        return False, 0.0
-    w_el, w_vi, dis = _parts(c_e, a4, c_v, d_v, p_psi, anchor, r, F, Fv)
-    return True, w_el + w_vi + dis - load * F

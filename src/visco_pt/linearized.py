@@ -24,7 +24,6 @@ exactly and quadratic densities make the rescaled problem eps-independent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
@@ -37,7 +36,6 @@ from .domain import (
     ShearColumnMesh,
     TimeGrid,
     element_stress,
-    pairing,
     read_only,
 )
 from .errors import ValidationError
@@ -98,82 +96,19 @@ class LinTrajectory(Ledger):
 
     @cached_property
     def stored(self) -> np.ndarray:
-        """``lin_stored`` of every state, shape (n_steps + 1, 2), read-only."""
-        w_el, w_vi = _lin_stored(self.quad, self.mesh, self.dofs[:, 0], self.dofs[:, 1])
+        """Stored quadratic energies (W_el0, W_vi0) of every state, shape
+        (n_steps + 1, 2), read-only."""
+        quad, u, v = self.quad, self.dofs[:, 0], self.dofs[:, 1]
+        if self.mesh is None:
+            e = u[:, 0] - v[:, 0]
+            # Python's float ** 2, which can round unlike NumPy's v * v
+            squares = np.array([x**2 for x in v[:, 0].tolist()])
+            w_el, w_vi = 0.5 * quad.c_el * e * e, 0.5 * quad.c_vi * squares
+        else:
+            h = self.mesh.h
+            w_el = 0.5 * quad.c_el * h * np.sum((u - v) ** 2, axis=1)
+            w_vi = 0.5 * quad.c_vi * h * np.sum(v**2, axis=1)
         return read_only(np.column_stack([w_el, w_vi]))
-
-
-def _lin_stored(quad: QuadraticLimit, mesh, u, v):
-    """Arrays of W_el0 and W_vi0 for the rows of u and v."""
-    if mesh is None:
-        e = u[:, 0] - v[:, 0]
-        # Python's float ** 2, which can round unlike NumPy's v * v
-        squares = np.array([x**2 for x in v[:, 0].tolist()])
-        return 0.5 * quad.c_el * e * e, 0.5 * quad.c_vi * squares
-    h = mesh.h
-    w_el = 0.5 * quad.c_el * h * np.sum((u - v) ** 2, axis=1)
-    return w_el, 0.5 * quad.c_vi * h * np.sum(v**2, axis=1)
-
-
-def lin_stored(quad: QuadraticLimit, state: LinState):
-    """Stored quadratic energies ``(W_el0, W_vi0)``."""
-    w_el, w_vi = _lin_stored(quad, state.mesh, state.u[None], state.v[None])
-    return float(w_el[0]), float(w_vi[0])
-
-
-def lin_pairing_delta(state: LinState, loading: Loading, t1: float, t0: float):
-    return _lin_pair(
-        state, loading.f(t1) - loading.f(t0), loading.g(t1) - loading.g(t0)
-    )
-
-
-def _lin_pair(state: LinState, f_val: float, g_val: float) -> float:
-    u = float(state.u[0]) if state.mode == MATERIAL_POINT else state.u
-    return pairing(state.mesh, u, f_val, g_val)
-
-
-def lin_energy(quad: QuadraticLimit, state: LinState, loading: Loading, t: float):
-    w_el, w_vi = lin_stored(quad, state)
-    return w_el + w_vi - _lin_pair(state, loading.f(t), loading.g(t))
-
-
-def lin_dissipation_increment(
-    quad: QuadraticLimit, new: LinState, old: LinState, r: float
-) -> float:
-    if new.mode == MATERIAL_POINT:
-        rate = float(new.v[0] - old.v[0]) / r
-        return r * 0.5 * quad.d_diss * rate * rate
-    rate = (new.v - old.v) / r
-    return r * 0.5 * quad.d_diss * new.mesh.h * float(np.sum(rate * rate))
-
-
-def _lin_slopes(quad: QuadraticLimit, sigma, v_old, tau: float):
-    """Per-element minimizer ``(u', v')`` of one step under the resultant
-    sigma: c_el (u' - v') = sigma and c_vi v' + d (v' - v_old)/tau = sigma."""
-    v = v_old + (sigma - quad.c_vi * v_old) / (quad.c_vi + quad.d_diss / tau)
-    return v + sigma / quad.c_el, v
-
-
-def lin_step(
-    t: float,
-    prev: LinState,
-    tau: float,
-    quad: QuadraticLimit,
-    loading: Loading,
-) -> LinState:
-    """One exact implicit-Euler step of the linearized system.
-
-    Dead loads make each element (and the material point, the one-element
-    case with sigma = f + g) an independent closed-form problem.
-    """
-    if not (tau > 0.0 and np.isfinite(tau)):
-        raise ValidationError(f"step length must be > 0, got {tau!r}")
-    if prev.mode == MATERIAL_POINT:
-        load = loading.f(t) + loading.g(t)
-        return LinState.material_point(*_lin_slopes(quad, load, float(prev.v[0]), tau))
-    sigma = element_stress(prev.mesh, loading.f(t), loading.g(t))
-    u, v = _lin_slopes(quad, sigma, prev.v, tau)
-    return LinState(u, v, prev.mesh)
 
 
 def _lin_gradients(
@@ -213,14 +148,6 @@ def lin_el_residual(
     return max(float(np.max(np.abs(gu))), float(np.max(np.abs(gv))))
 
 
-def lin_semistability_residual(
-    quad: QuadraticLimit, state: LinState, loading: Loading, t: float
-) -> float:
-    """Sup-norm of the u-gradient alone: u minimizes at frozen v."""
-    gu, _ = _lin_gradients(quad, state, state, 1.0, loading, t)
-    return float(np.max(np.abs(gu)))
-
-
 def lin_equilibrium(
     quad: QuadraticLimit, prev: LinState, loading: Loading, t: float
 ) -> LinState:
@@ -238,10 +165,12 @@ def run_lin_evolution(
     loading: Loading,
     grid: TimeGrid,
 ) -> LinTrajectory:
-    """The scheme of :func:`lin_step` across the grid, with the arithmetic of
-    :func:`lin_step` and :func:`lin_dissipation_increment`: the resultants
-    of all grid times form one array, and only the viscous recursion runs
-    step by step."""
+    """The exact implicit-Euler steps of the linearized system across the
+    grid. Dead loads make each element (and the material point, the
+    one-element case with resultant f + g) an independent closed-form
+    problem: c_el (u' - v') = sigma and c_vi v' + d (v' - v_old)/tau =
+    sigma. The resultants of all grid times form one array, and only the
+    viscous recursion runs step by step."""
     mesh, tau, n = state0.mesh, grid.tau, grid.n_steps
     f, g = loading.f(grid.times), loading.g(grid.times)
     if mesh is None:
@@ -268,12 +197,6 @@ def run_lin_evolution(
         dofs=read_only(dofs),
         diss_increments=read_only(diss),
     )
-
-
-def mp_lin_closed_form(v0: float, quad: QuadraticLimit, t: float):
-    """Zero-load material point: v(t) = v0 exp(-(c_vi/d) t) and u = v."""
-    v = v0 * math.exp(-(quad.c_vi / quad.d_diss) * t)
-    return v, v
 
 
 # -- rescaling bridge -----------------------------------------------------------

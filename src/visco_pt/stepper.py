@@ -34,10 +34,9 @@ under loads formed for all steps at once. Everything else is a function of
 the two states around a step and is priced after the march in one array
 pass, bit for bit as the per-state functions of :mod:`visco_pt.domain`
 price it; the earliest failing step still raises what it raised when steps
-ran one by one. :func:`incremental_step` is the one-step march. No
-:class:`State` is built: the :class:`Trajectory` stores the states as one
-dof array (see :mod:`visco_pt.domain`) with per-state and per-step arrays
-beside it.
+ran one by one. No :class:`State` is built: the :class:`Trajectory` stores
+the states as one dof array (see :mod:`visco_pt.domain`) with per-state and
+per-step arrays beside it.
 
 The same solve over a substep r in (0, tau] gives phi_tau(r), the value
 function of the De Giorgi interpolation, priced by the per-state functions;
@@ -94,22 +93,6 @@ from .rheology import MaterialModel
 STAY_PUT_TOL = 1e-8
 
 
-class Step(NamedTuple):
-    """One accepted step: the new dofs, their stored energies, the
-    dissipation, and the solver's iterations, final |grad|_inf (0 for the
-    shear closed form) and stay-put margin E(t, old) - (E(t, new) + tau *
-    Psi). An accepted step has converged."""
-
-    y: object
-    y_vi: object
-    w_el: float
-    w_vi: float
-    diss: float
-    iterations: int
-    grad_inf: float
-    margin: float
-
-
 class PhiTau(NamedTuple):
     """Value, minimizer, rate dissipation and solver iterations of the
     incremental functional at substep r."""
@@ -124,8 +107,10 @@ class PhiTau(NamedTuple):
 class Trajectory(Ledger):
     """Accepted states as one read-only dof array of shape (n_steps + 1, 2,
     n_elements), with what was priced on them once, after the march:
-    ``stored[i]`` is ``stored_energies(model, states[i])``, and the fields
-    of :class:`Step` i sit at index i - 1 of the per-step arrays. All arrays
+    ``stored[i]`` is ``stored_energies(model, states[i])``, and step i's
+    dissipation, solver iterations, final |grad|_inf (0 for a closed form)
+    and stay-put margin E(t_i, old) - (E(t_i, new) + tau * Psi) sit at index
+    i - 1 of the per-step arrays. An accepted step has converged. All arrays
     are read-only."""
 
     model: MaterialModel
@@ -242,17 +227,17 @@ def _viscous_slopes(
 # -- the march ------------------------------------------------------------------
 
 
-def _march_point(model: MaterialModel, mesh, dofs, f, g, tau: float, settings, first: int):
-    """:func:`_kernel_solve` of steps first, first + 1, ... into the rows 1,
-    2, ... of ``dofs``, under the loads f + g at their ends, each anchored at
-    the F_vi of the one before. The kernel returns each step's stored energies
+def _march_point(model: MaterialModel, mesh, dofs, f, g, tau: float, settings):
+    """:func:`_kernel_solve` of steps 1, 2, ... into the same rows of
+    ``dofs``, under the loads f + g at their ends, each anchored at the F_vi
+    of the one before. The kernel returns each step's stored energies
     and dissipation with its minimizer, so nothing is left to price here.
     Returns ``(w_el, w_vi, diss, iterations, grad_inf, error)``: arrays over
     the steps solved, and the error of the step where the march stopped
     (None if none)."""
     anchor, solves, error = float(dofs[0, 1, 0]), [], None
     try:
-        for i, load in enumerate((f + g).tolist(), start=first):
+        for i, load in enumerate((f + g).tolist(), start=1):
             solved = _kernel_solve(model, load, anchor, tau, settings, lambda: f"step {i}")
             solves.append(solved)
             anchor = solved[1]
@@ -263,22 +248,22 @@ def _march_point(model: MaterialModel, mesh, dofs, f, g, tau: float, settings, f
     return w_el, w_vi, diss, iterations.astype(int), grad_inf, error
 
 
-def _march_column(model: MaterialModel, mesh, dofs, f, g, tau: float, settings, first: int):
-    """Viscous-slope solves of steps first, first + 1, ... into the rows 1,
-    2, ... of ``dofs``, under the element resultants of the loads at their
-    ends, each from the slopes of the one before; then, in one array pass
-    over the steps solved, their elastic strains, and their stored energies
-    and dissipation from :func:`dof_stored_energies` and
-    :func:`dof_dissipation`, up to the first state that ``w_vi`` refuses,
-    whose error then fails its step. Returns what :func:`_march_point` returns."""
+def _march_column(model: MaterialModel, mesh, dofs, f, g, tau: float, settings):
+    """Viscous-slope solves of steps 1, 2, ... into the same rows of
+    ``dofs``, under the element resultants of the loads at their ends, each
+    from the slopes of the one before; then, in one array pass over the
+    steps solved, their elastic strains, and their stored energies and
+    dissipation from :func:`dof_stored_energies` and :func:`dof_dissipation`,
+    up to the first state that ``w_vi`` refuses, whose error then fails its
+    step. Returns what :func:`_march_point` returns."""
     sigma = element_stress(mesh, f[:, None], g[:, None])
     b, iterations, grad_inf, error = dofs[0, 1], [], [], None
     try:
-        for i, row in enumerate(sigma, start=first):
+        for i, row in enumerate(sigma, start=1):
             b, its, res = _viscous_slopes(
                 model, row, b, tau, mesh.h, settings, lambda: f"step {i}"
             )
-            dofs[i - first + 1, 1] = b
+            dofs[i, 1] = b
             iterations.append(its)
             grad_inf.append(res)
     except Exception as failure:  # raised once earlier steps pass
@@ -298,9 +283,14 @@ def _march_column(model: MaterialModel, mesh, dofs, f, g, tau: float, settings, 
     return w_el, w_vi, diss, np.array(iterations[:n], dtype=int), np.array(grad_inf[:n]), error
 
 
-def _steps(model, mesh, old, stored_old, loading, ends, tau, settings, first):
-    """Steps first, first + 1, ... from the dofs ``old`` (shape (2,
-    n_elements)) with stored energies ``stored_old`` to the times ``ends``.
+def run_evolution(
+    model: MaterialModel,
+    state0: State,
+    loading: Loading,
+    grid: TimeGrid,
+    settings: MinimizeSettings = MinimizeSettings(),
+) -> Trajectory:
+    """March the incremental scheme across the whole grid.
 
     Only the viscous dofs carry history from step to step, so only their
     solves march, one call per step (:func:`_march_point`,
@@ -313,23 +303,22 @@ def _steps(model, mesh, old, stored_old, loading, ends, tau, settings, first):
 
     The earliest step that fails raises what it raised when the steps ran
     one by one: its solve error; the error of ``w_vi`` for a viscous strain
-    outside the admissible radius; or :class:`StepRejected` when the margin
-    falls below -(``STAY_PUT_TOL`` plus the rounding of the two energies it
-    compares, ``RESOLUTION`` times the sum of their magnitudes). Returns
-    ``(dofs, stored, pairing_products, diss, iterations, grad_inf,
-    margins)``.
+    outside the admissible radius; :class:`NonFiniteObjective` when the
+    margin is not finite; or :class:`StepRejected` when the margin falls
+    below -(``STAY_PUT_TOL`` plus the rounding of the two energies it
+    compares, ``RESOLUTION`` times the sum of their magnitudes).
     """
+    mesh, tau = state0.mesh, grid.tau
+    stored0 = stored_energies(model, state0)
     _check_substep(tau)
-    f, g = loading.f(ends), loading.g(ends)
-    dofs = np.empty((len(ends) + 1,) + old.shape)
-    dofs[0] = old
+    f, g = loading.f(grid.times[1:]), loading.g(grid.times[1:])
+    dofs = np.empty((grid.n_steps + 1, 2, len(state0.beta)))
+    dofs[0] = state0.gamma, state0.beta
     march = _march_point if mesh is None else _march_column
-    w_el, w_vi, diss, iterations, grad_inf, error = march(
-        model, mesh, dofs, f, g, tau, settings, first
-    )
+    w_el, w_vi, diss, iterations, grad_inf, error = march(model, mesh, dofs, f, g, tau, settings)
     n = len(diss)
     dofs = dofs[: n + 1]
-    stored = np.concatenate([[stored_old], np.column_stack([w_el, w_vi])])
+    stored = np.concatenate([[stored0], np.column_stack([w_el, w_vi])])
     products = pairing_products(mesh, dofs[:, 0])
     f, g = f[:n], g[:n]
     totals = stored[:, 0] + stored[:, 1]
@@ -337,69 +326,21 @@ def _steps(model, mesh, old, stored_old, loading, ends, tau, settings, first):
     value = (totals[1:] - product_pairings(mesh, products[..., 1:], f, g)) + diss
     margins = energy_old - value
     tolerance = STAY_PUT_TOL + RESOLUTION * (np.abs(energy_old) + np.abs(value))
-    rejected = np.flatnonzero(margins < -tolerance)
-    if len(rejected):
-        k = rejected[0]
-        raise StepRejected(first + int(k), float(margins[k]), float(tolerance[k]))
+    failed = np.flatnonzero((margins < -tolerance) | ~np.isfinite(margins))
+    if len(failed):
+        k = int(failed[0])
+        if not math.isfinite(margins[k]):
+            raise NonFiniteObjective(f"step {k + 1}: incremental objective is not finite")
+        raise StepRejected(k + 1, float(margins[k]), float(tolerance[k]))
     if error is not None:
         raise error
-    return dofs, stored, products, diss, iterations, grad_inf, margins
-
-
-def incremental_step(
-    model: MaterialModel,
-    old: tuple,
-    loading: Loading,
-    t: float,
-    tau: float,
-    settings: MinimizeSettings = MinimizeSettings(),
-    index: int = 0,
-    *,
-    stored_old: tuple,
-    mesh: Optional[ShearColumnMesh] = None,
-) -> Step:
-    """One incremental minimization step from the dofs ``old = (y, y_vi)``
-    (slope arrays on ``mesh`` in the shear column) with stored energies
-    ``stored_old``, named step ``index``: the one-step march of
-    :func:`run_evolution`. Returns the :class:`Step`.
-
-    Raises :class:`StepRejected` if the minimality inequality against the
-    stay-put competitor fails by more than ``STAY_PUT_TOL`` plus the
-    rounding of the two energies it compares, ``RESOLUTION`` times the sum
-    of their magnitudes; and :class:`SolverNotConverged` if the step's
-    solver stops without converging.
-    """
-    dofs, stored, _, diss, iterations, grad_inf, margins = _steps(
-        model, mesh, np.reshape(np.array(old, dtype=float), (2, -1)), stored_old,
-        loading, np.array([t]), tau, settings, index,
-    )
-    y, y_vi = dofs[1] if mesh is not None else dofs[1, :, 0].tolist()
-    w_el, w_vi = stored[1].tolist()
-    return Step(
-        y, y_vi, w_el, w_vi, float(diss[0]), int(iterations[0]), float(grad_inf[0]),
-        float(margins[0]),
-    )
-
-
-def run_evolution(
-    model: MaterialModel,
-    state0: State,
-    loading: Loading,
-    grid: TimeGrid,
-    settings: MinimizeSettings = MinimizeSettings(),
-) -> Trajectory:
-    """March the incremental scheme across the whole grid: the solves step by
-    step, the ledger in one array pass (see :func:`_steps`)."""
-    old = np.array([state0.gamma, state0.beta])
-    stored0 = stored_energies(model, state0)
-    priced = _steps(model, state0.mesh, old, stored0, loading, grid.times[1:], grid.tau, settings, 1)
-    dofs, stored, products, diss, iterations, grad_inf, margins = map(read_only, priced)
     traj = Trajectory(
-        model=model, loading=loading, grid=grid, mesh=state0.mesh, dofs=dofs,
-        stored=stored, diss_increments=diss, iterations=iterations,
-        grad_inf=grad_inf, stay_put_margin=margins, settings=settings,
+        model=model, loading=loading, grid=grid, mesh=mesh, dofs=read_only(dofs),
+        stored=read_only(stored), diss_increments=read_only(diss),
+        iterations=read_only(iterations), grad_inf=read_only(grad_inf),
+        stay_put_margin=read_only(margins), settings=settings,
     )
-    traj.pairing_products = products  # the ledger's cache: formed from these dofs
+    traj.pairing_products = read_only(products)  # the ledger's cache: formed from these dofs
     return traj
 
 

@@ -354,6 +354,23 @@ def test_unsolved_step_exits_1_and_names_the_step(tmp_path, capsys):
     assert not (out / "run.csv").exists()
 
 
+def test_step_of_infinite_energy_exits_1_and_names_the_step(tmp_path, capsys):
+    # A traction of 1e200 strains each element by 1e200, so W_el and the load
+    # pairing overflow and the stay-put margin is NaN: no step is accepted, as
+    # a material point under the same load accepts none.
+    cfg = write(
+        tmp_path,
+        "huge.cfg",
+        "mode = shear\nt_final = 1\nn_steps = 4\nn_elements = 4\nc_v = 1e300\nload_g = 1e200\n",
+    )
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: step 1: incremental objective is not finite\n"
+    assert not (out / "run.csv").exists()
+
+
 @pytest.mark.parametrize(
     "flag, command",
     [("--tau-list", c) for c in ("run", "lin", "sweep-eps", "verify", "densities")]

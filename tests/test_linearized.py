@@ -11,6 +11,7 @@ and its integral over r in [0, tau] is exactly
     (ell - c_vi v_prev)^2 tau / (2 (c_vi tau + d)).
 """
 
+import functools
 import math
 
 import numpy as np
@@ -24,22 +25,13 @@ from visco_pt import (
     ValidationError,
     lin_el_residual,
     lin_equilibrium,
-    lin_step,
-    mp_lin_closed_form,
     rescale_displacements,
     rescaled_energies,
     run_evolution,
     run_lin_evolution,
 )
-from visco_pt.domain import State
-from visco_pt.linearized import (
-    LinState,
-    lin_dissipation_increment,
-    lin_energy,
-    lin_pairing_delta,
-    lin_semistability_residual,
-    lin_stored,
-)
+from visco_pt.domain import State, element_stress
+from visco_pt.linearized import LinState, _lin_gradients
 from visco_pt.stepper import de_giorgi_rule
 
 UNIT_QUAD = MaterialModel().quadratic_limit()
@@ -51,22 +43,62 @@ def shear_state(n=8, u_slope=0.5, v_slope=0.4):
     return LinState.shear_column(mesh, np.full(n, u_slope), np.full(n, v_slope))
 
 
+def resultants(state, loading, t):
+    """h and the resultants sigma of the load at t: f + g at a material
+    point (one element, h = 1), the element resultants in the column."""
+    if state.mesh is None:
+        return 1.0, loading.f(t) + loading.g(t)
+    return state.mesh.h, element_stress(state.mesh, loading.f(t), loading.g(t))
+
+
+def lin_stored(quad, state):
+    """(W_el0, W_vi0): h sum_e c_el (u' - v')^2 / 2 and h sum_e c_vi v'^2 / 2."""
+    h = 1.0 if state.mesh is None else state.mesh.h
+    e, v = state.u - state.v, state.v
+    return 0.5 * quad.c_el * h * float(np.sum(e * e)), 0.5 * quad.c_vi * h * float(np.sum(v * v))
+
+
+def lin_pairing(state, loading, t):
+    """<l0(t), u> = h sum_e sigma_e u'_e."""
+    h, sigma = resultants(state, loading, t)
+    return h * float(np.sum(sigma * state.u))
+
+
+def lin_energy(quad, state, loading, t):
+    """E0(t, state): the stored energies minus the load pairing."""
+    return sum(lin_stored(quad, state)) - lin_pairing(state, loading, t)
+
+
+def lin_steps(quad, state, loading, grid):
+    """The scheme step by step, with each step's dissipation: per element,
+    c_el (u' - v') = sigma and c_vi v' + d (v' - v_prev) / tau = sigma under
+    the resultants at the step's end."""
+    tau, steps = grid.tau, []
+    for t in grid.times[1:].tolist():
+        h, sigma = resultants(state, loading, t)
+        v = state.v + (sigma - quad.c_vi * state.v) / (quad.c_vi + quad.d_diss / tau)
+        rate = (v - state.v) / tau
+        diss = tau * 0.5 * quad.d_diss * h * np.sum(rate * rate)
+        state = LinState(v + sigma / quad.c_el, v, state.mesh)
+        steps.append((state, diss))
+    return steps
+
+
+def semistability_residual(quad, state, loading, t):
+    """Sup-norm of the u-gradient alone: u minimizes at frozen v."""
+    gu, _ = _lin_gradients(quad, state, state, 1.0, loading, t)
+    return float(np.max(np.abs(gu)))
+
+
 # -- single steps ---------------------------------------------------------------
 
 
 def test_lin_step_mp_spot_value():
     # zero load, unit coefficients: v_1 = v_0 / (1 + tau) = 5/11.
-    state = lin_step(0.1, LinState.material_point(0.5, 0.5), 0.1, UNIT_QUAD, ZERO)
+    prev = LinState.material_point(0.5, 0.5)
+    state = run_lin_evolution(UNIT_QUAD, prev, ZERO, TimeGrid(0.1, 1)).states[1]
     assert float(state.v[0]) == pytest.approx(5.0 / 11.0, abs=1e-14)
     assert float(state.u[0]) == pytest.approx(5.0 / 11.0, abs=1e-14)
-
-
-def test_lin_step_validates_tau():
-    prev = LinState.material_point(0.5, 0.5)
-    with pytest.raises(ValidationError):
-        lin_step(0.1, prev, 0.0, UNIT_QUAD, ZERO)
-    with pytest.raises(ValidationError):
-        lin_step(0.1, prev, float("nan"), UNIT_QUAD, ZERO)
 
 
 def test_lin_step_tracks_exponential_decay():
@@ -75,41 +107,29 @@ def test_lin_step_tracks_exponential_decay():
     traj = run_lin_evolution(
         UNIT_QUAD, LinState.material_point(0.5, 0.5), ZERO, grid
     )
-    errs = [
-        abs(
-            float(traj.states[i].v[0])
-            - mp_lin_closed_form(0.5, UNIT_QUAD, float(grid.times[i]))[0]
-        )
-        for i in range(grid.n_steps + 1)
-    ]
+    decay = 0.5 * np.exp(-(UNIT_QUAD.c_vi / UNIT_QUAD.d_diss) * grid.times)
     # implicit Euler is first order; tau ~ 1e-3 gives ~1e-4 here
-    assert max(errs) < 2e-3
+    assert float(np.max(np.abs(traj.dofs[:, 1, 0] - decay))) < 2e-3
     # closed form halves the amplitude at t = ln 2
     assert float(traj.states[-1].v[0]) == pytest.approx(0.25, abs=1e-3)
 
 
-def test_mp_lin_closed_form_returns_matched_pair():
-    quad = MaterialModel(c_v=2.0, d_v=0.5).quadratic_limit()
-    v, u = mp_lin_closed_form(0.5, quad, 0.25)
-    assert v == u
-    assert v == pytest.approx(0.5 * math.exp(-(2.0 / 0.5) * 0.25), abs=1e-15)
-
-
 def test_lin_step_el_residual_mp():
-    prev = LinState.material_point(0.6, 0.5)
     load = Loading((0.1,), (0.05,))
-    state = lin_step(0.3, prev, 0.1, UNIT_QUAD, load)
-    assert lin_el_residual(UNIT_QUAD, state, prev, 0.1, load, 0.3) <= 1e-10
-    assert lin_semistability_residual(UNIT_QUAD, state, load, 0.3) <= 1e-10
+    traj = run_lin_evolution(UNIT_QUAD, LinState.material_point(0.6, 0.5), load, TimeGrid(0.3, 3))
+    for i in (1, 2, 3):
+        prev, state, t = traj.states[i - 1], traj.states[i], float(traj.grid.times[i])
+        assert lin_el_residual(UNIT_QUAD, state, prev, 0.1, load, t) <= 1e-10
 
 
 def test_lin_step_el_residual_shear():
     prev = shear_state()
     load = Loading((0.0, 0.2), (0.1,))
     quad = MaterialModel(c_e=1.3, c_v=0.8, d_v=1.1).quadratic_limit()
-    state = lin_step(0.5, prev, 0.05, quad, load)
-    assert lin_el_residual(quad, state, prev, 0.05, load, 0.5) <= 1e-10
-    assert lin_semistability_residual(quad, state, load, 0.5) <= 1e-10
+    traj = run_lin_evolution(quad, prev, load, TimeGrid(0.5, 10))
+    for i in range(1, 11):
+        prev, state, t = traj.states[i - 1], traj.states[i], float(traj.grid.times[i])
+        assert lin_el_residual(quad, state, prev, 0.05, load, t) <= 1e-10
 
 
 # -- equilibrium initial data ---------------------------------------------------
@@ -120,13 +140,13 @@ def test_lin_equilibrium_mp():
     state = lin_equilibrium(UNIT_QUAD, LinState.material_point(0.0, 0.5), load, 0.0)
     assert float(state.v[0]) == 0.5
     assert float(state.u[0]) == pytest.approx(0.7, abs=1e-14)
-    assert lin_semistability_residual(UNIT_QUAD, state, load, 0.0) <= 1e-12
+    assert semistability_residual(UNIT_QUAD, state, load, 0.0) <= 1e-12
 
 
 def test_lin_equilibrium_shear():
     load = Loading((0.2,), (0.1,))
     state = lin_equilibrium(UNIT_QUAD, shear_state(), load, 0.0)
-    assert lin_semistability_residual(UNIT_QUAD, state, load, 0.0) <= 1e-12
+    assert semistability_residual(UNIT_QUAD, state, load, 0.0) <= 1e-12
 
 
 # -- factor-two energy-dissipation balance ---------------------------------------
@@ -142,7 +162,7 @@ def mp_balance_residuals(quad, u0, v0, loading, grid):
     for n in range(1, grid.n_steps + 1):
         t_n, t_prev = float(grid.times[n]), float(grid.times[n - 1])
         prev = traj.states[n - 1]
-        work += lin_pairing_delta(prev, loading, t_n, t_prev)
+        work += lin_pairing(prev, loading, t_n) - lin_pairing(prev, loading, t_prev)
         diss += float(traj.diss_increments[n - 1])
         ell = loading.f(t_n) + loading.g(t_n)
         gap = ell - quad.c_vi * float(prev.v[0])
@@ -179,18 +199,14 @@ def test_factor_two_balance_shear():
     for n in range(1, grid.n_steps + 1):
         t_n, t_prev = float(grid.times[n]), float(grid.times[n - 1])
         prev = traj.states[n - 1]
-        work += lin_pairing_delta(prev, loading, t_n, t_prev)
+        work += lin_pairing(prev, loading, t_n) - lin_pairing(prev, loading, t_prev)
         diss += float(traj.diss_increments[n - 1])
+        # each substep solves under the load at t_n, frozen over [0, r]
+        frozen = Loading((loading.f(t_n),), (loading.g(t_n),))
         samples = np.array(
             [
-                lin_dissipation_increment(
-                    UNIT_QUAD,
-                    lin_step(t_n, prev, float(r), UNIT_QUAD, loading),
-                    prev,
-                    float(r),
-                )
-                / float(r)
-                for r in nodes
+                run_lin_evolution(UNIT_QUAD, prev, frozen, TimeGrid(r, 1)).diss_increments[0] / r
+                for r in nodes.tolist()
             ]
         )
         improved += float(weights @ samples)
@@ -290,33 +306,31 @@ def test_run_lin_evolution_shear_dissipation_bookkeeping():
 
 @pytest.mark.parametrize("shear", [False, True])
 def test_lin_trajectory_arrays_equal_the_stepwise_scheme(shear):
-    # run_lin_evolution forms all resultants at once and sums the stored
-    # energies and dissipation over all rows; each value must equal, bit
-    # for bit, what lin_step and the per-state functions give.
+    # run_lin_evolution forms all resultants at once and prices all rows in
+    # arrays; its states and dissipation must equal the stepwise scheme bit
+    # for bit, and its ledger the definitions of the energies.
     quad = MaterialModel(c_e=1.7, c_v=0.3, d_v=2.9).quadratic_limit()
     loading = Loading((0.2, -0.7, 0.4), (0.1, 0.3))
     if shear:
         mesh = ShearColumnMesh(9)
         state = LinState.shear_column(mesh, np.linspace(-0.3, 0.5, 9), np.linspace(0.4, -0.2, 9))
     else:
-        # v0 ** 2 (Python's power, as lin_stored squares) is not v0 * v0
-        v0 = 0.4650494217375609
-        assert v0**2 != v0 * v0
-        state = LinState.material_point(0.37, v0)
+        state = LinState.material_point(0.37, 0.4650494217375609)
     grid = TimeGrid(t_final=1.3, n_steps=7)
     traj = run_lin_evolution(quad, state, loading, grid)
     assert traj.dofs.shape == (8, 2, 9 if shear else 1)
     assert not traj.dofs.flags.writeable
     times = grid.times.tolist()
+    for i, (expected, diss) in enumerate(lin_steps(quad, state, loading, grid), start=1):
+        lin = traj.states[i]
+        assert np.array_equal(lin.u, expected.u) and np.array_equal(lin.v, expected.v)
+        assert traj.diss_increments[i - 1] == diss
     work = 0.0
     for i, lin in enumerate(traj.states):
         if i > 0:
             prev = traj.states[i - 1]
-            expected = lin_step(times[i], prev, grid.tau, quad, loading)
-            assert np.array_equal(lin.u, expected.u) and np.array_equal(lin.v, expected.v)
-            diss = lin_dissipation_increment(quad, lin, prev, grid.tau)
-            assert traj.diss_increments[i - 1] == diss
-            work += lin_pairing_delta(prev, loading, times[i], times[i - 1])
-        assert tuple(traj.stored[i].tolist()) == lin_stored(quad, lin)
-        assert traj.energy(i) == lin_energy(quad, lin, loading, times[i])
-        assert traj.load_work[i] == work
+            work += lin_pairing(prev, loading, times[i]) - lin_pairing(prev, loading, times[i - 1])
+        close = functools.partial(pytest.approx, rel=1e-14, abs=1e-15)
+        assert traj.stored[i].tolist() == close(list(lin_stored(quad, lin)))
+        assert traj.energy(i) == close(lin_energy(quad, lin, loading, times[i]))
+        assert traj.load_work[i] == close(work)

@@ -37,7 +37,6 @@ from visco_pt import (
     de_giorgi_integral,
     energy_value,
     equilibrate_elastic,
-    incremental_step,
     load_config,
     phi_tau,
     run_evolution,
@@ -45,9 +44,8 @@ from visco_pt import (
 )
 from visco_pt.domain import (
     dissipation_increment,
-    dissipation_rates,
     energy_value,
-    pack_dofs,
+    pairing,
     state_dofs,
     stored_energies,
 )
@@ -74,43 +72,39 @@ def shear_start(n=8):
 # -- single incremental steps -----------------------------------------------
 
 
-def step_from(model, old, loading, t, tau, settings=MinimizeSettings(), index=0):
-    """incremental_step from a State, as run_evolution calls it: the old
-    dofs, their stored energies and, in the shear column, the mesh."""
-    return incremental_step(
-        model, state_dofs(old), loading, t, tau, settings, index,
-        stored_old=stored_energies(model, old), mesh=old.mesh,
-    )
+def step_from(model, old, loading, tau, settings=MinimizeSettings()):
+    """The trajectory of one step of length tau from ``old``."""
+    return run_evolution(model, old, loading, TimeGrid(tau, 1), settings)
 
 
 @pytest.mark.parametrize("tau", [0.5, 0.1, 0.01])
 @pytest.mark.parametrize("f_old", [0.5, 1.0, 1.5, 2.0])
 def test_step_matches_closed_form(tau, f_old):
-    step = step_from(UNIT_MP, State.material_point(f_old, f_old), ZERO, tau, tau)
+    step = step_from(UNIT_MP, State.material_point(f_old, f_old), ZERO, tau)
     expected = closed_form_minimizer(tau, f_old)
-    assert step.y_vi == pytest.approx(expected, abs=1e-9)
-    assert step.y == pytest.approx(expected, abs=1e-9)
-    assert step.margin >= -1e-8
+    assert step.states[1].F_vi == pytest.approx(expected, abs=1e-9)
+    assert step.states[1].F == pytest.approx(expected, abs=1e-9)
+    assert step.stay_put_margin[0] >= -1e-8
 
 
 def test_step_spot_value():
     # tau = 0.5, F_o = 1.5: G = (0.5 * 2.25 + 1.5) / (0.5 * 2.25 + 1).
-    step = step_from(UNIT_MP, State.material_point(1.5, 1.5), ZERO, 0.5, 0.5)
-    assert step.y_vi == pytest.approx(1.2352941, abs=5e-8)
+    step = step_from(UNIT_MP, State.material_point(1.5, 1.5), ZERO, 0.5)
+    assert step.states[1].F_vi == pytest.approx(1.2352941, abs=5e-8)
 
 
 def test_step_report_fields():
     old = State.material_point(1.5, 1.5)
-    step = step_from(UNIT_MP, old, ZERO, 0.25, 0.25, index=7)
-    new = State.material_point(step.y, step.y_vi)
-    assert step.iterations == 0  # quadratic densities: the closed form
-    assert 0.0 <= step.grad_inf <= 1e-10
-    assert step.diss > 0.0
-    assert step.diss == dissipation_increment(UNIT_MP, new, old, 0.25)
-    assert (step.w_el, step.w_vi) == stored_energies(UNIT_MP, new)
+    step = step_from(UNIT_MP, old, ZERO, 0.25)
+    new = step.states[1]
+    assert step.iterations[0] == 0  # quadratic densities: the closed form
+    assert 0.0 <= step.grad_inf[0] <= 1e-10
+    assert step.diss_increments[0] > 0.0
+    assert step.diss_increments[0] == dissipation_increment(UNIT_MP, new, old, 0.25)
+    assert tuple(step.stored[1].tolist()) == stored_energies(UNIT_MP, new)
     # a relaxing step strictly lowers the stay-put energy
-    assert step.margin > 0.0
-    assert step.y_vi < old.F_vi
+    assert step.stay_put_margin[0] > 0.0
+    assert new.F_vi < old.F_vi
 
 
 def test_step_rejected_on_mismatched_operator(monkeypatch):
@@ -129,10 +123,10 @@ def test_step_rejected_on_mismatched_operator(monkeypatch):
     model = MaterialModel()
     load = Loading((0.2,), (0.1,))
     with pytest.raises(StepRejected) as exc:
-        step_from(model, state0, load, 0.0, 0.01, index=3)
-    assert exc.value.index == 3
+        step_from(model, state0, load, 0.01)
+    assert exc.value.index == 1
     assert exc.value.margin < -1e-8
-    assert "step 3 rejected" in str(exc.value)
+    assert "step 1 rejected" in str(exc.value)
 
 
 @pytest.mark.parametrize("g", [1e3, 3e3, 1e4])
@@ -156,18 +150,27 @@ def test_stay_put_tolerance_scales_with_the_energies(g):
     [
         (
             MaterialModel(c_e=2.0, a4=1.0, c_v=0.5, d_v=2.0, p_psi=2.5, k_radius=4.0),
-            State.material_point(1.5, 1.5),
+            State.material_point(1.0, 1.0),
             "step 4",
         ),
-        (MaterialModel(a4=1.0, p_psi=2.5), shear_start(), "step 4"),
+        (
+            MaterialModel(a4=1.0, p_psi=2.5),
+            State.shear_column(ShearColumnMesh(8), np.zeros(8), np.zeros(8)),
+            "step 4",
+        ),
     ],
 )
 def test_step_that_does_not_converge_raises(model, old, where):
-    # One iteration cannot reach grad_tol on these nonquadratic objectives:
-    # the step must be refused with its index, status and gradient, never
-    # accepted with a max_iter_exceeded report.
+    # The state rests under a body force 0.25 (t - 0.5)(t - 1)(t - 1.5),
+    # which is 0 at the ends of steps 1 to 3, so they solve at once. At the
+    # end of step 4 it is 0.1875, and one iteration cannot reach grad_tol on
+    # these nonquadratic objectives: the step must be refused with its
+    # index, status and gradient, never accepted with a max_iter_exceeded
+    # report.
+    loading = Loading((-0.1875, 0.6875, -0.75, 0.25))
+    settings = MinimizeSettings(max_iter=1)
     with pytest.raises(SolverNotConverged) as exc:
-        step_from(model, old, Loading((0.2,)), 0.5, 0.5, MinimizeSettings(max_iter=1), index=4)
+        run_evolution(model, old, loading, TimeGrid(2.0, 4), settings)
     assert exc.value.status == "max_iter_exceeded"
     assert exc.value.grad_inf > 1e-10
     assert str(exc.value).startswith(f"{where} not solved: max_iter_exceeded")
@@ -215,9 +218,9 @@ def test_material_point_substep_without_a_minimizer_names_r():
 
 def test_mp_cubic_dissipation_step():
     model = MaterialModel(p_psi=3.0)
-    step = step_from(model, State.material_point(1.5, 1.5), ZERO, 0.1, 0.1)
-    assert 1.0 < step.y_vi < 1.5
-    assert step.margin >= -1e-8
+    step = step_from(model, State.material_point(1.5, 1.5), ZERO, 0.1)
+    assert 1.0 < step.states[1].F_vi < 1.5
+    assert step.stay_put_margin[0] >= -1e-8
 
 
 # -- substep functional (phi_tau) -------------------------------------------
@@ -538,9 +541,7 @@ def test_de_giorgi_interpolant_endpoint_is_the_step():
     state = phi_tau(
         traj.model, traj.states[0], traj.loading, traj.grid.t_final, r=traj.grid.tau
     ).state
-    assert np.allclose(
-        pack_dofs(state), pack_dofs(traj.states[1]), atol=1e-9
-    )
+    assert np.allclose([state.gamma, state.beta], traj.dofs[1], atol=1e-9)
 
 
 # -- full evolutions -----------------------------------------------------------
@@ -699,7 +700,11 @@ def test_trajectory_ledger_equals_the_per_state_functions(
             old = states[i - 1]
             diss = dissipation_increment(model, state, old, grid.tau)
             assert traj.diss_increments[i - 1] == diss
-            work += loading.pairing_delta(old, times[i], times[i - 1])
+            # the load-rate work against the frozen old state: its pairing
+            # with the load increments
+            df = loading.f(times[i]) - loading.f(times[i - 1])
+            dg = loading.g(times[i]) - loading.g(times[i - 1])
+            work += pairing(old.mesh, state_dofs(old)[0], df, dg)
         assert traj.load_work[i] == work
 
 
@@ -955,18 +960,11 @@ def test_quadratic_shear_run_evaluates_dissipation_once_per_step(monkeypatch):
 def test_run_evolution_steps_through_the_public_names(monkeypatch):
     # A step is its solve, looked up at the name a tracer wraps: one
     # kernels.mp_minimize call per material-point step, one _viscous_slopes
-    # call per shear step, named by the step. No step goes through
-    # incremental_step.
+    # call per shear step, named by the step.
     from visco_pt import kernels, stepper
 
     calls = []
-    step, mp_minimize, slopes = (
-        stepper.incremental_step, kernels.mp_minimize, stepper._viscous_slopes
-    )
-
-    def counted_step(*args, **kwargs):
-        calls.append("step")
-        return step(*args, **kwargs)
+    mp_minimize, slopes = kernels.mp_minimize, stepper._viscous_slopes
 
     def counted_kernel(*args):
         calls.append("kernel")
@@ -976,7 +974,6 @@ def test_run_evolution_steps_through_the_public_names(monkeypatch):
         calls.append(args[-1]())
         return slopes(*args)
 
-    monkeypatch.setattr(stepper, "incremental_step", counted_step)
     monkeypatch.setattr(kernels, "mp_minimize", counted_kernel)
     monkeypatch.setattr(stepper, "_viscous_slopes", counted_slopes)
     grid = TimeGrid(t_final=0.5, n_steps=10)
@@ -1026,7 +1023,7 @@ def test_condensed_shear_step_is_stationary_for_the_full_functional(
 
     # Gradient in the slopes of the stored energies and the dissipation...
     _, grad = total_energy(model, state, Loading(), 0.0)
-    rate = dissipation_rates(model, state, old, r)
+    rate = (state.beta - old.beta) / r
     grad[n:] += mesh.h * np.asarray(model.dpsi(rate))
     # ...minus that of the load pairing f * (trapezoid integral of gamma) +
     # g * gamma(1), with the nodal gamma = h * cumsum(gamma'): the slope of
