@@ -29,6 +29,8 @@ from visco_pt.analysis import epsilon_study, viscous_flow
 from visco_pt.cli import main
 from visco_pt.linearized import LinState
 
+from test_domain import unpack
+
 SCENARIOS = ("mp_relax", "mp_loaded", "shear_quadratic", "shear_quartic")
 
 
@@ -194,14 +196,6 @@ def test_10_density_convergence_exact_gap():
     assert gaps[1] == pytest.approx(0.05**2 / 4.0, abs=1e-12)
     assert report.rates["el"] >= 1.9
     assert report.passed
-
-
-def unpack(template, x):
-    """The state with the packed dofs x = [gamma, beta] on the template's mesh."""
-    if template.mesh is None:
-        return State.material_point(x[0], x[1])
-    n = template.mesh.n_elements
-    return State.shear_column(template.mesh, x[:n], x[n:])
 
 
 def test_11_gradient_consistency():
