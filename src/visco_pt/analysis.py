@@ -87,7 +87,7 @@ class VerificationReport:
         tolerance: float = 0.0,
     ) -> "VerificationReport":
         residuals = [float(r) for r in residuals]
-        passed = min(residuals, default=0.0) >= -tolerance
+        passed = _least(residuals) >= -tolerance
         return VerificationReport(
             check=check,
             params=_jsonable(params),
@@ -99,7 +99,7 @@ class VerificationReport:
 
     @property
     def min_residual(self) -> float:
-        return min(self.residuals, default=0.0)
+        return _least(self.residuals)
 
     def as_dict(self) -> dict:
         return {
@@ -110,6 +110,12 @@ class VerificationReport:
             "tolerance": self.tolerance,
             "pass": self.passed,
         }
+
+
+def _least(residuals: List[float]) -> float:
+    """The least residual (0 for none), NaN when any is NaN: what ``min``
+    alone returns then depends on where the NaN stands."""
+    return math.nan if any(map(math.isnan, residuals)) else min(residuals, default=0.0)
 
 
 def _jsonable(obj):

@@ -18,7 +18,9 @@ of the iterates between which g' changes sign (a step that leaves the
 bracket bisects it) and inside the admissible interval
 [max(0, 1 - k_radius), 1 + k_radius]. It is converged when |g'| <= grad_tol
 or when its step is at most ``RESOLUTION * max(1, |x|)``, the rule of the
-shear column's viscous solve (see :mod:`visco_pt.minimize`).
+shear column's viscous solve (see :mod:`visco_pt.minimize`). Its iterates
+stay in the admissible interval: a step that would leave it, or one wanted
+where g'' <= 0, goes to its end.
 
 The root is the step's minimizer only if g'' > 0 there and it is admissible,
 0 < x and |x - 1| <= k_radius. Otherwise the step has no minimizer in the
@@ -33,6 +35,12 @@ Besides the minimizer, a solve returns the parts of the value at it: W_el,
 W_vi and r * psi, evaluated in the order of operations of
 :class:`~visco_pt.rheology.MaterialModel`, so that each equals what the
 model's densities give, bit for bit.
+
+A material-point trajectory is one :func:`mp_march` call: its steps solve
+one after another in plain floats, each anchored at the F_vi of the one
+before, with no Python call per step but the elastic inversion of a Newton
+iterate (:func:`_strain`). :func:`mp_minimize` is its one-load case, the
+single solve of a De Giorgi substep or of ``phi_tau``.
 """
 
 from __future__ import annotations
@@ -44,25 +52,6 @@ import numpy as np
 from .minimize import RESOLUTION
 
 _INF = float("inf")
-
-
-def _psi(d_v, p_psi, x):
-    if p_psi == 2.0:
-        return 0.5 * d_v * x * x
-    return 0.5 * d_v * abs(x) ** p_psi
-
-
-def _dpsi(d_v, p_psi, x):
-    if p_psi == 2.0:
-        return d_v * x
-    m = 0.5 * d_v * p_psi * abs(x) ** (p_psi - 1.0)
-    return m if x >= 0.0 else -m
-
-
-def _ddpsi(d_v, p_psi, x):
-    if p_psi == 2.0:
-        return d_v
-    return 0.5 * d_v * p_psi * (p_psi - 1.0) * abs(x) ** (p_psi - 2.0)
 
 
 def _strain(c_e, a4, target):
@@ -84,78 +73,114 @@ def _strain(c_e, a4, target):
         s = s_new
 
 
-def _reduced(c_e, a4, c_v, d_v, p_psi, load, anchor, r, x):
-    """The elastic strain s, g'(x) and g''(x) of the objective reduced over F."""
-    s = _strain(c_e, a4, load * x)
-    rate = (x - anchor) / (r * anchor)
-    g1 = c_v * (x - 1.0) + _dpsi(d_v, p_psi, rate) / anchor - load * (1.0 + s)
-    g2 = (
-        c_v
-        - load * load / (c_e + 3.0 * a4 * s * s)
-        + _ddpsi(d_v, p_psi, rate) / (r * anchor * anchor)
-    )
-    return s, g1, g2
+def mp_march(
+    c_e, a4, c_v, d_v, p_psi, k_radius, loads, anchor, r, grad_tol, max_iter, out
+):
+    """Minimize the material-point incremental objective over substep ``r``
+    under each load of ``loads`` in turn, the first anchored at ``anchor``
+    (the previous F_vi, > 0) and each later one at the F_vi of the one
+    before.
 
-
-def _newton(c_e, a4, c_v, d_v, p_psi, k_radius, load, anchor, r, grad_tol, max_iter):
-    """Bracketed Newton on g'(x) = 0 from x = anchor; returns ``(x, s, g1,
-    g2, iterations, status)`` at the last iterate.
-
-    Iterates stay in the admissible interval [low, high]: a step that would
-    leave it, or one wanted where g'' <= 0, goes to its end, and the solve
-    stops with status 3 as soon as the sign of g' puts the root beyond an
-    end, and with status 4 at a NaN g'(x).
+    Appends each step's tuple (see :func:`mp_minimize`) to ``out``, which the
+    caller owns, and stops after the first with a nonzero status, so an
+    error raised in a step leaves the tuples of the steps before it there.
     """
+    closed = a4 == 0.0 and p_psi == 2.0
+    quadratic = p_psi == 2.0
     low, high = max(0.0, 1.0 - k_radius), 1.0 + k_radius
-    lo, hi = -_INF, _INF
-    x = anchor
-    iterations = 0
-    resolved = False
-    while True:
-        s, g1, g2 = _reduced(c_e, a4, c_v, d_v, p_psi, load, anchor, r, x)
-        if g1 != g1:
-            return x, s, g1, g2, iterations, 4
-        if abs(g1) <= grad_tol:
-            return x, s, g1, g2, iterations, 0
-        if g1 > 0.0:
-            hi = x
+    # psi'(y) = dpsi |y|^(p_psi - 1) sign(y), psi''(y) = ddpsi |y|^(p_psi - 2)
+    dpsi = 0.5 * d_v * p_psi
+    ddpsi = dpsi * (p_psi - 1.0)
+    for load in loads:
+        ra = r * anchor
+        if closed:
+            viscous = d_v / (ra * anchor)
+            x = anchor + (load * (1.0 + load * anchor / c_e) - c_v * (anchor - 1.0)) / (
+                c_v - load * load / c_e + viscous
+            )
+            s = load * x / c_e
+            rate = (x - anchor) / ra
+            g1 = c_v * (x - 1.0) + d_v * rate / anchor - load * (1.0 + s)
+            # w_el''(s) as written, not c_e: an overflowing s makes it 0 * inf =
+            # NaN, and then the step has no minimizer (status 3)
+            g2 = c_v - load * load / (c_e + 3.0 * a4 * s * s) + viscous
+            iterations, status = 0, 0
         else:
-            lo = x
-        if lo >= high or hi <= low:
-            return x, s, g1, g2, iterations, 3
-        if resolved:
-            return x, s, g1, g2, iterations, 0
-        if iterations >= max_iter:
-            return x, s, g1, g2, iterations, 1
-        if g2 > 0.0:
-            x_new = min(max(x - g1 / g2, low), high)
+            # Newton from the anchor, inside the bracket [lo, hi] of the
+            # iterates between which g' changes sign and inside the
+            # admissible interval [low, high]
+            lo, hi = -_INF, _INF
+            x = anchor
+            iterations, status = 0, 0
+            resolved = False
+            while True:
+                s = _strain(c_e, a4, load * x)
+                rate = (x - anchor) / ra
+                if quadratic:
+                    d1, d2 = d_v * rate, d_v
+                else:
+                    m = dpsi * abs(rate) ** (p_psi - 1.0)
+                    d1 = m if rate >= 0.0 else -m
+                    d2 = ddpsi * abs(rate) ** (p_psi - 2.0)
+                g1 = c_v * (x - 1.0) + d1 / anchor - load * (1.0 + s)
+                g2 = c_v - load * load / (c_e + 3.0 * a4 * s * s) + d2 / (ra * anchor)
+                if g1 != g1:
+                    status = 4
+                    break
+                if abs(g1) <= grad_tol:
+                    break
+                if g1 > 0.0:
+                    hi = x
+                else:
+                    lo = x
+                if lo >= high or hi <= low:
+                    status = 3
+                    break
+                if resolved:
+                    break
+                if iterations >= max_iter:
+                    status = 1
+                    break
+                if g2 > 0.0:
+                    x_new = min(max(x - g1 / g2, low), high)
+                else:
+                    x_new = high if g1 < 0.0 else low
+                if not lo <= x_new <= hi:
+                    x_new = 0.5 * (lo + hi)
+                resolved = abs(x_new - x) <= RESOLUTION * max(1.0, abs(x))
+                x = x_new
+                iterations += 1
+        F = (1.0 + s) * x
+        if status == 3 or (
+            status == 0 and not (g2 > 0.0 and x > 0.0 and abs(x - 1.0) <= k_radius)
+        ):
+            out.append((F, x, g2, abs(g1), iterations, 3, 0.0, 0.0, 0.0))
+            return
+        # the parts, multiplied out as MaterialModel does
+        e = F / x - 1.0
+        e2 = e * e
+        v = x - 1.0
+        w_el = 0.5 * c_e * e * e + 0.25 * a4 * e2 * e2
+        w_vi = 0.5 * c_v * v * v
+        if quadratic:
+            dis = r * (0.5 * d_v * rate * rate)
         else:
-            x_new = high if g1 < 0.0 else low
-        if not lo <= x_new <= hi:
-            x_new = 0.5 * (lo + hi)
-        resolved = abs(x_new - x) <= RESOLUTION * max(1.0, abs(x))
-        x = x_new
-        iterations += 1
-
-
-def _parts(c_e, a4, c_v, d_v, p_psi, anchor, r, F, Fv):
-    """(W_el, W_vi, r * psi) at (F, Fv), multiplied out as MaterialModel does."""
-    s = F / Fv - 1.0
-    s2 = s * s
-    svi = Fv - 1.0
-    rate = (Fv - anchor) / (r * anchor)
-    return (
-        0.5 * c_e * s * s + 0.25 * a4 * s2 * s2,
-        0.5 * c_v * svi * svi,
-        r * _psi(d_v, p_psi, rate),
-    )
+            dis = r * (0.5 * d_v * abs(rate) ** p_psi)
+        value = w_el + w_vi + dis - load * F
+        if not math.isfinite(value):
+            status = 4
+        out.append((F, x, value, abs(g1), iterations, status, w_el, w_vi, dis))
+        if status:
+            return
+        anchor = x
 
 
 def mp_minimize(
     c_e, a4, c_v, d_v, p_psi, k_radius, load, anchor, r, grad_tol, max_iter
 ):
     """Minimize the material-point incremental objective with dissipation
-    anchor ``anchor`` (the previous F_vi, > 0) over substep ``r``.
+    anchor ``anchor`` (the previous F_vi, > 0) over substep ``r``: the
+    one-load :func:`mp_march`.
 
     Returns ``(F, Fv, value, grad_inf, iterations, status, w_el, w_vi,
     dis)``: the last iterate, the objective there, |g'| there (the gradient
@@ -164,24 +189,6 @@ def mp_minimize(
     reduced curvature, and the parts are zeros: Fv is the root, or the
     iterate beyond which it lies.
     """
-    if a4 == 0.0 and p_psi == 2.0:
-        x = anchor + (load * (1.0 + load * anchor / c_e) - c_v * (anchor - 1.0)) / (
-            c_v - load * load / c_e + d_v / (r * anchor * anchor)
-        )
-        s, g1, g2 = _reduced(c_e, a4, c_v, d_v, p_psi, load, anchor, r, x)
-        iterations, status = 0, 0
-    else:
-        x, s, g1, g2, iterations, status = _newton(
-            c_e, a4, c_v, d_v, p_psi, k_radius, load, anchor, r, grad_tol, max_iter
-        )
-    F = (1.0 + s) * x
-    if status == 3 or (
-        status == 0 and not (g2 > 0.0 and x > 0.0 and abs(x - 1.0) <= k_radius)
-    ):
-        return F, x, g2, abs(g1), iterations, 3, 0.0, 0.0, 0.0
-    w_el, w_vi, dis = _parts(c_e, a4, c_v, d_v, p_psi, anchor, r, F, x)
-    value = w_el + w_vi + dis - load * F
-    if not math.isfinite(value):
-        status = 4
-    return F, x, value, abs(g1), iterations, status, w_el, w_vi, dis
-
+    out = []
+    mp_march(c_e, a4, c_v, d_v, p_psi, k_radius, (load,), anchor, r, grad_tol, max_iter, out)
+    return out[0]

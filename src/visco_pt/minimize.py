@@ -2,7 +2,7 @@
 of floating point.
 
 Both geometries reduce a step to scalar equations: the material point to one
-equation in F_vi (:func:`visco_pt.kernels.mp_minimize`), the shear column to
+equation in F_vi (:mod:`visco_pt.kernels`), the shear column to
 one per element for the viscous slope (in :mod:`visco_pt.stepper`). Each is
 a closed form when the densities are quadratic and a bracketed scalar Newton
 otherwise, and both Newton solves read these settings and share one

@@ -10,16 +10,16 @@ E(t_i, new) + tau*Psi <= E(t_i, old) up to 1e-8 plus the rounding of the two
 energies compared, and violations reject the step.
 
 Routing: both geometries eliminate the elastic variable in closed form and
-solve scalar equations for the viscous one, and each solve, a step of length
-tau or a substep of length r, is one call of one primitive per geometry. At
-a material point :func:`_kernel_solve` calls the stepping kernel
-(:mod:`visco_pt.kernels`): F solves w_el'(F/F_vi - 1) = load * F_vi, and
-F_vi one scalar equation anchored at the previous F_vi (a closed form when
-a4 = 0 and p_psi = 2, a bracketed scalar Newton otherwise), in plain floats;
-the kernel also returns the state's stored energies and dissipation. A
-solve with no admissible minimizer (the root leaves the admissible set, or
-the reduced curvature there is not positive) raises :class:`InfeasibleState`
-at once, naming the curvature. The shear column under dead loads is
+solve scalar equations for the viscous one. At a material point the stepping
+kernel (:mod:`visco_pt.kernels`) solves them in plain floats: F solves
+w_el'(F/F_vi - 1) = load * F_vi, and F_vi one scalar equation anchored at the
+previous F_vi (a closed form when a4 = 0 and p_psi = 2, a bracketed scalar
+Newton otherwise); the kernel also returns the state's stored energies and
+dissipation. A whole trajectory is one ``kernels.mp_march`` call, and a
+single solve (a De Giorgi substep, ``phi_tau``) one :func:`_kernel_solve`
+call. A solve with no admissible minimizer (the root leaves the admissible
+set, or the reduced curvature there is not positive) fails at once, naming
+the curvature (:func:`_failure`). The shear column under dead loads is
 statically determinate, so its solve splits into one problem per element:
 with the element resultant sigma_e = g + f * (1 - x_e,mid),
 :func:`_viscous_slopes` solves c_v b + psi'((b - b_old)/r) = sigma_e for the
@@ -29,7 +29,8 @@ these element slopes: gamma' = s + b and beta' = b. A solve that stops at
 ``max_iter`` raises :class:`SolverNotConverged`; no such step is accepted.
 
 Only the viscous variable carries history from one step to the next, so
-:func:`run_evolution` marches only the solves (one primitive call per step)
+:func:`run_evolution` marches only the solves (one kernel call per
+material-point trajectory, one :func:`_viscous_slopes` call per shear step)
 under loads formed for all steps at once. Everything else is a function of
 the two states around a step and is priced after the march in one array
 pass, bit for bit as the per-state functions of :mod:`visco_pt.domain`
@@ -55,6 +56,7 @@ through one batched viscous-slope solve.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
@@ -126,10 +128,11 @@ class Trajectory(Ledger):
     settings: MinimizeSettings
 
 
-# -- the two solve primitives: _kernel_solve and _viscous_slopes ----------------
+# -- the solve primitives: the kernel and _viscous_slopes ------------------------
 #
-# Each names its failure by calling ``where``: with no arguments for one solve,
-# with the leading indices of the first failing solve of a batch.
+# _kernel_solve and _viscous_slopes name a failure by calling ``where``: with
+# no arguments for one solve, with the leading indices of the first failing
+# solve of a batch. A material-point march names the step where it stopped.
 
 
 def _check_substep(r):
@@ -137,29 +140,36 @@ def _check_substep(r):
         raise ValidationError(f"substep length must be > 0, got {r!r}")
 
 
+def _failure(solved, where: str) -> Exception:
+    """The error of a kernel tuple ``(F, Fv, value, grad_inf, iterations,
+    status, ...)`` with a nonzero status, named ``where``:
+    :class:`InfeasibleState` with the reduced curvature (3),
+    :class:`NonFiniteObjective` (4), :class:`SolverNotConverged` (1)."""
+    _, Fv, value, grad_inf, _, status = solved[:6]
+    if status == 3:
+        return InfeasibleState(
+            f"{where} has no admissible minimizer: at F_vi = {Fv!r}, "
+            f"|g'| = {grad_inf:.3e} and the reduced curvature g'' = {value:.3e}"
+        )
+    if status == 4:
+        return NonFiniteObjective(f"{where}: incremental objective is not finite")
+    return SolverNotConverged(where, MAX_ITER_EXCEEDED, grad_inf)
+
+
 def _kernel_solve(model: MaterialModel, load, anchor, r, settings, where):
     """Solve the material-point functional in ``kernels.mp_minimize``
     (looked up at the module attribute, where a tracer wraps it) under the
     load f + g ``load``, from the viscous dof ``anchor``, over the substep
     r; returns the kernel's tuple ``(F, Fv, value, grad_inf, iterations,
-    status, w_el, w_vi, diss)``. A nonzero status raises, named ``where()``:
-    :class:`InfeasibleState` with the reduced curvature (3),
-    :class:`NonFiniteObjective` (4), :class:`SolverNotConverged` (1)."""
+    status, w_el, w_vi, diss)``. A nonzero status raises its
+    :func:`_failure`, named ``where()``."""
     solved = kernels.mp_minimize(
         model.c_e, model.a4, model.c_v, model.d_v, model.p_psi, model.k_radius,
         load, anchor, r, settings.grad_tol, settings.max_iter,
     )
-    if not solved[5]:
-        return solved
-    _, Fv, value, grad_inf, _, status = solved[:6]
-    if status == 3:
-        raise InfeasibleState(
-            f"{where()} has no admissible minimizer: at F_vi = {Fv!r}, "
-            f"|g'| = {grad_inf:.3e} and the reduced curvature g'' = {value:.3e}"
-        )
-    if status == 4:
-        raise NonFiniteObjective(f"{where()}: incremental objective is not finite")
-    raise SolverNotConverged(where(), MAX_ITER_EXCEEDED, grad_inf)
+    if solved[5]:
+        raise _failure(solved, where())
+    return solved
 
 
 def _elastic_strains(model: MaterialModel, sigma: np.ndarray) -> np.ndarray:
@@ -228,24 +238,30 @@ def _viscous_slopes(
 
 
 def _march_point(model: MaterialModel, mesh, dofs, f, g, tau: float, settings):
-    """:func:`_kernel_solve` of steps 1, 2, ... into the same rows of
-    ``dofs``, under the loads f + g at their ends, each anchored at the F_vi
-    of the one before. The kernel returns each step's stored energies
-    and dissipation with its minimizer, so nothing is left to price here.
-    Returns ``(w_el, w_vi, diss, iterations, grad_inf, error)``: arrays over
-    the steps solved, and the error of the step where the march stopped
-    (None if none)."""
-    anchor, solves, error = float(dofs[0, 1, 0]), [], None
+    """One ``kernels.mp_march`` call (looked up at the module attribute) for
+    steps 1, 2, ... into the same rows of ``dofs``, under the loads f + g at
+    their ends, each anchored at the F_vi of the one before. The kernel
+    returns each step's stored energies and dissipation with its minimizer,
+    so nothing is left to price here. Returns ``(w_el, w_vi, diss,
+    iterations, grad_inf, error)``: arrays over the steps solved, and the
+    error of the step where the march stopped (None if none): what its
+    solve raised, or the :func:`_failure` of its nonzero status."""
+    solves, error = [], None
     try:
-        for i, load in enumerate((f + g).tolist(), start=1):
-            solved = _kernel_solve(model, load, anchor, tau, settings, lambda: f"step {i}")
-            solves.append(solved)
-            anchor = solved[1]
+        kernels.mp_march(
+            model.c_e, model.a4, model.c_v, model.d_v, model.p_psi, model.k_radius,
+            (f + g).tolist(), float(dofs[0, 1, 0]), tau, settings.grad_tol,
+            settings.max_iter, solves,
+        )
     except Exception as failure:  # raised once earlier steps pass
         error = failure
-    F, Fv, _, grad_inf, iterations, _, w_el, w_vi, diss = np.reshape(solves, (-1, 9)).T
-    dofs[1 : len(F) + 1, :, 0] = np.column_stack([F, Fv])
-    return w_el, w_vi, diss, iterations.astype(int), grad_inf, error
+    if solves and solves[-1][5]:
+        failed = solves.pop()
+        error = _failure(failed, f"step {len(solves) + 1}")
+    n = len(solves)
+    steps = np.fromiter(itertools.chain.from_iterable(solves), float, 9 * n).reshape(n, 9)
+    dofs[1 : n + 1, :, 0] = steps[:, :2]
+    return steps[:, 6], steps[:, 7], steps[:, 8], steps[:, 4].astype(int), steps[:, 3], error
 
 
 def _march_column(model: MaterialModel, mesh, dofs, f, g, tau: float, settings):
@@ -293,8 +309,9 @@ def run_evolution(
     """March the incremental scheme across the whole grid.
 
     Only the viscous dofs carry history from step to step, so only their
-    solves march, one call per step (:func:`_march_point`,
-    :func:`_march_column`). What the march leaves to price is then priced
+    solves march: one kernel call for a material point
+    (:func:`_march_point`), one call per step for the shear column
+    (:func:`_march_column`). What the march leaves to price is then priced
     in one array pass over the steps: the load pairings of each new state
     and of its old state at the new time, from each state's
     :func:`~visco_pt.domain.pairing_products`, and with them each step's

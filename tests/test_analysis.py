@@ -8,6 +8,7 @@ test holds, and a report passes exactly when min(residuals) >= -tolerance.
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from visco_pt import (
     VerificationReport,
     check_energy_inequality,
     check_monotonicity,
+    cli,
     de_giorgi_closed_form,
     de_giorgi_integral,
     density_convergence,
@@ -67,6 +69,17 @@ def test_report_pass_is_derived_from_min_residual():
     empty = VerificationReport.build("demo", {}, [])
     assert empty.passed
     assert empty.min_residual == 0.0
+
+
+@pytest.mark.parametrize("residuals", [[1.0, math.nan], [math.nan, 1.0]])
+def test_report_with_a_nan_residual_fails_in_any_order(residuals, capsys):
+    # min() of a list holding a NaN depends on where the NaN stands; a NaN
+    # residual fails the report, and the failure names the NaN.
+    report = VerificationReport.build("demo", {}, residuals, tolerance=1e-9)
+    assert not report.passed
+    assert math.isnan(report.min_residual)
+    assert cli._emit_failures([report]) == 2
+    assert "min residual nan" in capsys.readouterr().err
 
 
 def test_report_as_dict_round_trips_through_json():

@@ -15,6 +15,8 @@ import pytest
 from visco_pt import ConfigParseError, ValidationError, analysis, cli, parse_config
 from visco_pt.cli import main
 
+from test_stepper import march_load_by_load
+
 MINIMAL = "mode = mp\nT = 3\nN = 300\nF_vi0 = 1.5\n"
 
 RELAX_SMALL = """\
@@ -201,7 +203,7 @@ def test_run_and_csv_evaluate_each_state_once(monkeypatch, text):
     # stored_energies, a shear step's in the array pass after the march
     # (w_el sees its element strains once), a material-point step's by the
     # kernel, which returns them with the minimizer. The CSV prices none.
-    from visco_pt import MaterialModel, kernels, run_evolution
+    from visco_pt import MaterialModel, run_evolution
 
     config = parse_config(text)
     state0 = config.initial_state()
@@ -212,14 +214,15 @@ def test_run_and_csv_evaluate_each_state_once(monkeypatch, text):
         return w_el(self, s)
 
     monkeypatch.setattr(MaterialModel, "w_el", counted)
-    solves = count_calls(monkeypatch, (kernels,), "mp_minimize")
+    marches = march_load_by_load(monkeypatch)
     traj = run_evolution(config.model(), state0, config.loading(), config.grid())
     n_elements = len(state0.gamma)
-    assert sum(strains) + len(solves) * n_elements == (config.n_steps + 1) * n_elements
+    solves = sum(len(loads) for loads in marches)
+    assert sum(strains) + solves * n_elements == (config.n_steps + 1) * n_elements
     strains.clear()
-    solves.clear()
+    marches.clear()
     cli.trajectory_csv(traj)
-    assert (strains, solves) == ([], [])
+    assert (strains, marches) == ([], [])
 
 
 def test_sweep_eps_formats_through_the_public_csv_functions(monkeypatch, tmp_path):

@@ -1,7 +1,8 @@
-"""Material-point stepping kernel: minimizers, the resolution rule, and
-status codes."""
+"""Material-point stepping kernel: minimizers, the resolution rule, status
+codes, and the march of a load sequence."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -244,3 +245,142 @@ def test_kernel_status_max_iter():
     assert out[5] == 1
     assert out[4] == 1
     assert out[3] > 1e-10
+
+
+# -- the march -------------------------------------------------------------------
+
+
+def march(params, loads, anchor, r, solver=SOLVER):
+    """The tuples of one mp_march over ``loads``."""
+    out = []
+    kernels.mp_march(*params, loads, anchor, r, *solver, out)
+    return out
+
+
+def chain(params, loads, anchor, r, solver=SOLVER):
+    """One-load mp_minimize calls over ``loads``, each anchored at the F_vi
+    of the one before, up to and with the first nonzero status."""
+    out = []
+    for load in loads:
+        out.append(run_kernel(params, load, anchor, r, solver))
+        if out[-1][5]:
+            break
+        anchor = out[-1][1]
+    return out
+
+
+def bits(solves):
+    """The tuples with each float as its bytes, so that == compares them bit
+    for bit, a NaN included."""
+    return [tuple(struct.pack("<d", v) if isinstance(v, float) else v for v in t) for t in solves]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    c_e=log_uniform(1e-2, 1e2),
+    a4=st.just(0.0) | st.floats(0.0, 2.0, exclude_min=True),
+    c_v=log_uniform(1e-2, 1e2),
+    d_v=log_uniform(1e-2, 1e2),
+    p_psi=st.just(2.0) | st.floats(2.0, 4.0, exclude_min=True),
+    k_radius=st.floats(0.2, 10.0),
+    ratios=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=10),
+    anchor=st.floats(0.6, 1.8),
+    r=log_uniform(1e-4, 1.0),
+    max_iter=st.sampled_from([1, 2, 3, 10000]),
+)
+def test_march_equals_the_chain_of_one_load_solves(
+    c_e, a4, c_v, d_v, p_psi, k_radius, ratios, anchor, r, max_iter
+):
+    # The closed form (a4 = 0, p_psi = 2) and Newton, under loads relative
+    # to sqrt(c_e c_v) and a max_iter that may run out: one march is the
+    # chain, bit for bit, and stops where it stops.
+    params = (c_e, a4, c_v, d_v, p_psi, k_radius)
+    loads = [ratio * math.sqrt(c_e * c_v) for ratio in ratios]
+    solver = (SOLVER[0], max_iter)
+    assert bits(march(params, loads, anchor, r, solver)) == bits(
+        chain(params, loads, anchor, r, solver)
+    )
+
+
+@pytest.mark.parametrize(
+    "params, loads, anchor, r, max_iter, statuses",
+    [
+        # Newton runs out of iterations under the first load
+        (MODELS[3], (0.0, 0.0, 0.2, 0.2), 1.0, 0.5, 1, [0, 0, 1]),
+        # load^2 > c_e c_v: the closed form's root maximizes the reduced objective
+        ((1.0, 0.0, 1.0, 0.01, 2.0, 10.0), (0.1, 0.2, -1.5, 0.1), 1.0, 1.0, 10000, [0, 0, 3]),
+        # W_el overflows at the closed form's minimizer
+        ((1.0, 0.0, 1.5e308, 1.0, 2.0, 10.0), (0.0, 1e154, 0.0), 1.0, 1.0, 10000, [0, 4]),
+        # the dissipation overflows at Newton's
+        ((1e72, 0.0, 1e168, 1e304, 3.0, 10.0), (0.0, 1e137, 0.0), 1.0, 1e-3, 10000, [0, 4]),
+    ],
+)
+def test_march_stops_after_the_first_nonzero_status(params, loads, anchor, r, max_iter, statuses):
+    solver = (SOLVER[0], max_iter)
+    out = march(params, loads, anchor, r, solver)
+    assert [solved[5] for solved in out] == statuses
+    assert bits(out) == bits(chain(params, loads, anchor, r, solver))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    c_e=log_uniform(1e-3, 1e3),
+    c_v=log_uniform(1e-3, 1e3),
+    d_v=log_uniform(1e-3, 1e3),
+    k_radius=st.floats(0.2, 10.0),
+    ratio=st.floats(-1.5, 1.5),
+    anchor=st.floats(0.6, 1.8),
+    r=log_uniform(1e-8, 1.0),
+)
+def test_closed_form_reports_the_reduced_derivatives_at_its_root(
+    c_e, c_v, d_v, k_radius, ratio, anchor, r
+):
+    # a4 = 0 and p_psi = 2: the step's |g'| is g' at the returned F_vi, and
+    # g'' there, written out as in the module docstring, is its value when
+    # it names no minimizer and positive when it converged.
+    a4 = 0.0
+    params = (c_e, a4, c_v, d_v, 2.0, k_radius)
+    load = ratio * math.sqrt(c_e * c_v)
+    F, x, value, grad_inf, iterations, status, *_ = run_kernel(params, load, anchor, r)
+    s = load * x / c_e
+    rate = (x - anchor) / (r * anchor)
+    g1 = c_v * (x - 1.0) + d_v * rate / anchor - load * (1.0 + s)
+    g2 = c_v - load * load / (c_e + 3.0 * a4 * s * s) + d_v / (r * anchor * anchor)
+    assert (iterations, F) == (0, (1.0 + s) * x)
+    assert bits([(grad_inf,)]) == bits([(abs(g1),)])
+    assert status in (0, 3)
+    if status == 3:
+        assert bits([(value,)]) == bits([(g2,)])
+    else:
+        assert g2 > 0.0
+
+
+def test_closed_form_overflowing_strain_leaves_no_minimizer():
+    # load / c_e = 1e308: at the root F_vi = 3 the strain load F_vi / c_e
+    # overflows, and 3 a4 s^2 = 0 * inf makes g'' NaN, so the step has no
+    # minimizer. Had g'' been formed with c_e alone, it would read 5e307 > 0
+    # and the step would end as a nonfinite objective instead.
+    c_e, c_v = 1e-308, 1.5e308
+    F, x, value, _, _, status, *_ = run_kernel((c_e, 0.0, c_v, 1.0, 2.0, 10.0), 1.0, 1.0, 1.0)
+    assert (x, status) == (3.0, 3)
+    assert math.isnan(value)
+    assert c_v - 1.0 / c_e + 1.0 > 0.0
+
+
+class BrokenLoad(float):
+    """A load whose product raises, as a solve may raise."""
+
+    def __mul__(self, other):
+        raise ValueError("broken load")
+
+    __rmul__ = __mul__
+
+
+@pytest.mark.parametrize("params", [MODELS[0], MODELS[3]])
+def test_an_error_in_a_step_leaves_the_steps_before_it(params):
+    # The caller owns the list: the closed form or Newton raising at step 3
+    # leaves steps 1 and 2 there, for the caller to price.
+    out = []
+    with pytest.raises(ValueError, match="broken load"):
+        kernels.mp_march(*params, (0.1, 0.2, BrokenLoad(0.3), 0.4), 1.5, 0.5, *SOLVER, out)
+    assert bits(out) == bits(chain(params, (0.1, 0.2), 1.5, 0.5))

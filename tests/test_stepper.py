@@ -833,6 +833,38 @@ def test_failing_steps_are_named_by_their_index(monkeypatch):
         assert str(exc.value).startswith("step 3 rejected")
 
 
+def march_load_by_load(monkeypatch, solve=None):
+    """Patches ``kernels.mp_march`` with a fake that marches one load at a
+    time through the real kernel: step i (from 1) of a march is ``solve(one,
+    i, params, load, anchor, r, grad_tol, max_iter)``, where ``one(params,
+    load, anchor, r, grad_tol, max_iter)`` is the real kernel's tuple for
+    one load; without ``solve`` it is that tuple. Like the kernel, the fake
+    stops after the first nonzero status. Returns a list that holds, for
+    each march, the list of the loads it solved."""
+    from visco_pt import kernels
+
+    march, marches = kernels.mp_march, []
+
+    def one(params, load, anchor, r, grad_tol, max_iter):
+        out = []
+        march(*params, (load,), anchor, r, grad_tol, max_iter, out)
+        return out[0]
+
+    def fake(c_e, a4, c_v, d_v, p_psi, k_radius, loads, anchor, r, grad_tol, max_iter, out):
+        params, solved = (c_e, a4, c_v, d_v, p_psi, k_radius), []
+        marches.append(solved)
+        for i, load in enumerate(loads, start=1):
+            solver = (params, load, anchor, r, grad_tol, max_iter)
+            out.append(one(*solver) if solve is None else solve(one, i, *solver))
+            solved.append(load)
+            if out[-1][5]:
+                return
+            anchor = out[-1][1]
+
+    monkeypatch.setattr(kernels, "mp_march", fake)
+    return marches
+
+
 def overshoot(monkeypatch, factors, stalled=(), outside=(), broken=()):
     """Makes step i of a run solve for a substep ``factors[i]`` times longer,
     at a material point and in the shear column; the march still charges
@@ -841,25 +873,22 @@ def overshoot(monkeypatch, factors, stalled=(), outside=(), broken=()):
     the shear column the viscous slopes of the steps in ``outside`` move
     beyond the admissible radius. The solves of the steps in ``broken``
     raise a ValueError, an error no solver names."""
-    from visco_pt import kernels, stepper
+    from visco_pt import stepper
 
-    mp_minimize, slopes = kernels.mp_minimize, stepper._viscous_slopes
+    slopes = stepper._viscous_slopes
     stall = MinimizeSettings(grad_tol=1e-300, max_iter=1)
-    calls = []
 
-    def point(c_e, a4, c_v, d_v, p_psi, k_radius, load, anchor, r, grad_tol, max_iter):
-        calls.append(r)
-        step = len(calls)
+    def point(one, step, params, load, anchor, r, grad_tol, max_iter):
         if step in broken:
             raise ValueError(f"step {step} broken")
         if step in stalled:
             grad_tol, max_iter = stall.grad_tol, stall.max_iter
-        solved = mp_minimize(
-            c_e, a4, c_v, d_v, p_psi, k_radius, load, anchor, factors.get(step, 1.0) * r,
-            grad_tol, max_iter,
-        )
-        F, Fv = solved[:2]
-        return solved[:6] + kernels._parts(c_e, a4, c_v, d_v, p_psi, anchor, r, F, Fv)
+        solved = one(params, load, anchor, factors.get(step, 1.0) * r, grad_tol, max_iter)
+        if solved[5]:
+            return solved
+        model, (F, Fv) = MaterialModel(*params), solved[:2]
+        rate = (Fv - anchor) / (r * anchor)
+        return solved[:6] + (model.w_el(F / Fv - 1.0), model.w_vi(Fv - 1.0), r * model.psi(rate))
 
     def column(model, sigma, b_old, r, h, settings, where):
         step = int(where().removeprefix("step "))
@@ -874,7 +903,7 @@ def overshoot(monkeypatch, factors, stalled=(), outside=(), broken=()):
             b = b + 2.0 * model.k_radius
         return b, iterations, grad_inf
 
-    monkeypatch.setattr(kernels, "mp_minimize", point)
+    march_load_by_load(monkeypatch, point)
     monkeypatch.setattr(stepper, "_viscous_slopes", column)
 
 
@@ -958,29 +987,25 @@ def test_quadratic_shear_run_evaluates_dissipation_once_per_step(monkeypatch):
 
 
 def test_run_evolution_steps_through_the_public_names(monkeypatch):
-    # A step is its solve, looked up at the name a tracer wraps: one
-    # kernels.mp_minimize call per material-point step, one _viscous_slopes
-    # call per shear step, named by the step.
-    from visco_pt import kernels, stepper
+    # A run's solves are looked up at the names a tracer wraps: one
+    # kernels.mp_march call per material-point trajectory, solving every
+    # step, and one _viscous_slopes call per shear step, named by the step.
+    from visco_pt import stepper
 
     calls = []
-    mp_minimize, slopes = kernels.mp_minimize, stepper._viscous_slopes
-
-    def counted_kernel(*args):
-        calls.append("kernel")
-        return mp_minimize(*args)
+    slopes = stepper._viscous_slopes
 
     def counted_slopes(*args):
         calls.append(args[-1]())
         return slopes(*args)
 
-    monkeypatch.setattr(kernels, "mp_minimize", counted_kernel)
+    marches = march_load_by_load(monkeypatch)
     monkeypatch.setattr(stepper, "_viscous_slopes", counted_slopes)
     grid = TimeGrid(t_final=0.5, n_steps=10)
     run_evolution(UNIT_MP, State.material_point(F_O, F_O), ZERO, grid)
-    assert calls == ["kernel"] * grid.n_steps
-    calls.clear()
+    assert ([len(loads) for loads in marches], calls) == ([grid.n_steps], [])
     run_evolution(MaterialModel(), shear_start(), Loading((0.2,)), grid)
+    assert len(marches) == 1
     assert calls == [f"step {i}" for i in range(1, grid.n_steps + 1)]
 
 
