@@ -119,18 +119,26 @@ class ScenarioConfig:
         )
 
     def initial_state(self) -> State:
-        """Initial data for the finite-strain run."""
+        """Initial data for the finite-strain run. At a material point it
+        mirrors :meth:`lin_initial`: without ``F_vi0``, F_vi = 1 + v0, and a
+        given ``u0`` sets F = 1 + u0 as it is, the state that the epsilon
+        study starts from at eps = 1."""
         from .stepper import equilibrate_elastic
 
         model = self.model()
         loading = self.loading()
         if self.mode == MATERIAL_POINT:
-            if self.F_vi0 is None:
-                raise ValidationError("material-point run requires F_vi0")
+            F_vi0 = self.F_vi0
+            if F_vi0 is None and self.v0 is not None:
+                F_vi0 = 1.0 + self.v0
+            if F_vi0 is None:
+                raise ValidationError("material-point run requires F_vi0 or v0")
             if self.init_elastic == "direct":
-                f0 = self.F_vi0 if self.F0 is None else self.F0
-                return State.material_point(f0, self.F_vi0)
-            seeded = State.material_point(self.F_vi0, self.F_vi0)
+                f0 = F_vi0 if self.F0 is None else self.F0
+                return State.material_point(f0, F_vi0)
+            if self.u0 is not None:
+                return State.material_point(1.0 + self.u0, F_vi0)
+            seeded = State.material_point(F_vi0, F_vi0)
             return equilibrate_elastic(model, seeded, loading, 0.0)
         n = self.n_elements
         state = State.shear_column(

@@ -73,11 +73,11 @@ def pairing_products(mesh: Optional[ShearColumnMesh], y: np.ndarray) -> np.ndarr
     """Each row's factors in the load pairing, for the rows of y (one state's
     dofs y per row): F itself at a material point (``mesh`` None), shape
     (rows,); in the shear column the (body, top) products ``load_shapes @
-    slopes``, shape (2, rows), formed row by row as :func:`pairing` forms
-    them."""
+    slopes``, shape (2, rows), in one stacked matmul that forms each row's
+    product as :func:`pairing` forms it."""
     if mesh is None:
         return y[:, 0]
-    return np.array([mesh.load_shapes @ row for row in y]).reshape(-1, 2).T
+    return np.matmul(mesh.load_shapes, y[..., None])[..., 0].T
 
 
 def product_pairings(mesh: Optional[ShearColumnMesh], products, f_val, g_val):

@@ -1,4 +1,11 @@
-"""Material-point stepping kernel.
+"""Plain-float stepping kernels: the material-point solve and march, and
+the linear viscous recursion.
+
+Each kernel marches a whole trajectory in Python floats, with no NumPy call
+per step; NumPy's per-call cost would outweigh the arithmetic of one step.
+
+The material point
+------------------
 
 The incremental objective at a material point, with anchor a (the previous
 F_vi) and substep r,
@@ -41,6 +48,19 @@ one after another in plain floats, each anchored at the F_vi of the one
 before, with no Python call per step but the elastic inversion of a Newton
 iterate (:func:`_strain`). :func:`mp_minimize` is its one-load case, the
 single solve of a De Giorgi substep or of ``phi_tau``.
+
+The linear viscous recursion
+----------------------------
+
+With quadratic densities every viscous step is one closed form,
+
+    b_i = b_{i-1} + (sigma_i - c b_{i-1}) / denominator,
+
+per element of the shear column (c = c_v, denominator = c_v + d_v / tau) and
+of the linearized model (c = c_vi, denominator = c_vi + d / tau).
+:func:`linear_march` runs it for all steps, one element after another.
+Its cost grows with the element-steps, that of a NumPy row per step with
+the steps alone, so it is the faster of the two up to about 30 elements.
 """
 
 from __future__ import annotations
@@ -192,3 +212,23 @@ def mp_minimize(
     out = []
     mp_march(c_e, a4, c_v, d_v, p_psi, k_radius, (load,), anchor, r, grad_tol, max_iter, out)
     return out[0]
+
+
+def linear_march(sigma, b0, c, denominator):
+    """The linear viscous recursion b_i = b_{i-1} + (sigma_i - c b_{i-1}) /
+    denominator from the start row ``b0`` (shape (E,)) under the rows
+    sigma_1..sigma_n of ``sigma`` (shape (n, E)); returns the (n + 1, E)
+    array of b_0..b_n. Each element marches in plain floats, with the
+    operations of a NumPy row step in the same order, so every bit agrees
+    with it; one element's floats at a time, so that they never outnumber
+    the steps."""
+    c, denominator = float(c), float(denominator)
+    out = np.empty((len(sigma) + 1, len(b0)))
+    for e, b in enumerate(b0.tolist()):
+        march = [b]
+        append = march.append
+        for s in sigma[:, e].tolist():
+            b = b + (s - c * b) / denominator
+            append(b)
+        out[:, e] = march
+    return out

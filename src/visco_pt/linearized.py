@@ -30,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import kernels
 from .domain import (
     Ledger,
     Loading,
@@ -169,8 +170,9 @@ def run_lin_evolution(
     grid. Dead loads make each element (and the material point, the
     one-element case with resultant f + g) an independent closed-form
     problem: c_el (u' - v') = sigma and c_vi v' + d (v' - v_old)/tau =
-    sigma. The resultants of all grid times form one array, and only the
-    viscous recursion runs step by step."""
+    sigma. The resultants of all grid times form one array, and the viscous
+    recursion is one ``kernels.linear_march`` call (looked up at the module
+    attribute); the rest follows from it in array passes."""
     mesh, tau, n = state0.mesh, grid.tau, grid.n_steps
     f, g = loading.f(grid.times), loading.g(grid.times)
     if mesh is None:
@@ -180,9 +182,7 @@ def run_lin_evolution(
     dofs = np.empty((n + 1, 2, len(state0.v)))
     dofs[0] = state0.u, state0.v
     v = dofs[:, 1]
-    denominator = quad.c_vi + quad.d_diss / tau
-    for i in range(1, n + 1):
-        v[i] = v[i - 1] + (sigma[i] - quad.c_vi * v[i - 1]) / denominator
+    v[:] = kernels.linear_march(sigma[1:], state0.v, quad.c_vi, quad.c_vi + quad.d_diss / tau)
     dofs[1:, 0] = v[1:] + sigma[1:] / quad.c_el
     rate = (v[1:] - v[:-1]) / tau
     if mesh is None:

@@ -29,15 +29,17 @@ these element slopes: gamma' = s + b and beta' = b. A solve that stops at
 ``max_iter`` raises :class:`SolverNotConverged`; no such step is accepted.
 
 Only the viscous variable carries history from one step to the next, so
-:func:`run_evolution` marches only the solves (one kernel call per
-material-point trajectory, one :func:`_viscous_slopes` call per shear step)
-under loads formed for all steps at once. Everything else is a function of
-the two states around a step and is priced after the march in one array
-pass, bit for bit as the per-state functions of :mod:`visco_pt.domain`
-price it; the earliest failing step still raises what it raised when steps
-ran one by one. No :class:`State` is built: the :class:`Trajectory` stores
-the states as one dof array (see :mod:`visco_pt.domain`) with per-state and
-per-step arrays beside it.
+:func:`run_evolution` marches only the solves under loads formed for all
+steps at once: one ``kernels.mp_march`` call per material-point trajectory;
+in the shear column one ``kernels.linear_march`` call per trajectory when
+p_psi = 2, whose closed form is linear in the slopes, and one
+:func:`_viscous_slopes` call per step otherwise. Everything else is a
+function of the two states around a step and is priced after the march in
+one array pass, bit for bit as the per-state functions of
+:mod:`visco_pt.domain` price it; the earliest failing step still raises what
+it raised when steps ran one by one. No :class:`State` is built: the
+:class:`Trajectory` stores the states as one dof array (see
+:mod:`visco_pt.domain`) with per-state and per-step arrays beside it.
 
 The same solve over a substep r in (0, tau] gives phi_tau(r), the value
 function of the De Giorgi interpolation, priced by the per-state functions;
@@ -271,17 +273,27 @@ def _march_column(model: MaterialModel, mesh, dofs, f, g, tau: float, settings):
     steps solved, their elastic strains, and their stored energies and
     dissipation from :func:`dof_stored_energies` and :func:`dof_dissipation`,
     up to the first state that ``w_vi`` refuses, whose error then fails its
-    step. Returns what :func:`_march_point` returns."""
+    step. When p_psi = 2 every solve is the closed form of
+    :func:`_viscous_slopes`, and the march is one ``kernels.linear_march``
+    call (looked up at the module attribute); otherwise it is one
+    :func:`_viscous_slopes` call per step, named by the step. Returns what
+    :func:`_march_point` returns."""
     sigma = element_stress(mesh, f[:, None], g[:, None])
-    b, iterations, grad_inf, error = dofs[0, 1], [], [], None
+    iterations, grad_inf, error = [], [], None
     try:
-        for i, row in enumerate(sigma, start=1):
-            b, its, res = _viscous_slopes(
-                model, row, b, tau, mesh.h, settings, lambda: f"step {i}"
-            )
-            dofs[i, 1] = b
-            iterations.append(its)
-            grad_inf.append(res)
+        if model.p_psi == 2.0:
+            c_v = model.c_v
+            dofs[:, 1] = kernels.linear_march(sigma, dofs[0, 1], c_v, c_v + model.d_v / tau)
+            iterations, grad_inf = [0] * len(sigma), [0.0] * len(sigma)
+        else:
+            b = dofs[0, 1]
+            for i, row in enumerate(sigma, start=1):
+                b, its, res = _viscous_slopes(
+                    model, row, b, tau, mesh.h, settings, lambda: f"step {i}"
+                )
+                dofs[i, 1] = b
+                iterations.append(its)
+                grad_inf.append(res)
     except Exception as failure:  # raised once earlier steps pass
         error = failure
     n = len(iterations)
@@ -310,9 +322,10 @@ def run_evolution(
 
     Only the viscous dofs carry history from step to step, so only their
     solves march: one kernel call for a material point
-    (:func:`_march_point`), one call per step for the shear column
-    (:func:`_march_column`). What the march leaves to price is then priced
-    in one array pass over the steps: the load pairings of each new state
+    (:func:`_march_point`); for the shear column (:func:`_march_column`) one
+    kernel call when p_psi = 2, one :func:`_viscous_slopes` call per step
+    otherwise. What the march leaves to price is then priced in one array
+    pass over the steps: the load pairings of each new state
     and of its old state at the new time, from each state's
     :func:`~visco_pt.domain.pairing_products`, and with them each step's
     value E(t_i, new) + tau * Psi and stay-put margin E(t_i, old) - value,

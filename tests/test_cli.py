@@ -159,6 +159,22 @@ def test_run_writes_monotone_trajectory(tmp_path):
     assert np.all(np.diff(f_vi) < 0.0)
 
 
+def test_run_starts_a_material_point_from_u0_and_v0(tmp_path):
+    # eps_quartic gives u0 and v0 but no F_vi0: a run starts where the
+    # epsilon study starts at eps = 1, from (F, F_vi) = (1 + u0, 1 + v0).
+    out = tmp_path / "out"
+    cfg = str(REPO / "configs" / "eps_quartic.cfg")
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    first = (out / "run.csv").read_text().splitlines()[1].split(",")
+    assert (float(first[1]), float(first[2])) == (1.3, 1.2)
+
+
+def test_material_point_run_without_viscous_data_is_a_validation_error():
+    config = parse_config("mode = mp\nT = 1\nN = 10\nu0 = 0.3\n")
+    with pytest.raises(ValidationError, match="requires F_vi0 or v0"):
+        config.initial_state()
+
+
 def test_lin_writes_flag_column(tmp_path):
     cfg = write(tmp_path, "relax.cfg", RELAX_SMALL + "v0 = 0.5\n")
     out = tmp_path / "out"
@@ -584,6 +600,30 @@ SHIPPED_CSV_SHA256 = {
     },
     ("run", "shear_quartic"): {
         "run.csv": "1a0a949f1858f054e3d1ccf8b9230c6e43e534ac4ace6c385eb4886a527438e0",
+    },
+    ("run", "eps_quadratic"): {
+        "run.csv": "8b14cac2a7a058cc0f63e42a89005d04af0ba179fecd0cde54c3ba7602ce9a79",
+    },
+    ("run", "eps_quartic"): {
+        "run.csv": "3fda3fcea930d12cf6760bb1cb838f2bee8758554e7ab4d6cf7c32a4827f4324",
+    },
+    ("lin", "mp_relax"): {
+        "lin.csv": "beb24f66a3055f5ecd6528f97c1fc0856110dc3c08fa061e7fbb8cf3888b6814",
+    },
+    ("lin", "mp_loaded"): {
+        "lin.csv": "59d5212617d15e2cb5e0575652be032bbbc79699deca407397116d48c3fcc557",
+    },
+    ("lin", "shear_quadratic"): {
+        "lin.csv": "65b0fe20e2ec7e027b1e45403cfcc72beaebeffa7779e46d998738724f7eb738",
+    },
+    ("lin", "shear_quartic"): {
+        "lin.csv": "007aa643061eb6e7fdea950cf28d23d1a95cda526215f1a61ec44f6dad40b961",
+    },
+    ("lin", "eps_quadratic"): {
+        "lin.csv": "93fedf55d08b3027d9a6b5878379fe14bf13ba4574cc23944a524847c4ebf21f",
+    },
+    ("lin", "eps_quartic"): {
+        "lin.csv": "dc3a347548b4f9878b23940d25851266ce090d8bebac64cbf8a2823b0a1d3922",
     },
     ("sweep-tau", "mp_relax"): {
         "tau_0.012500000000000001.csv": "d56131ad9bdf5afd5fcb4b64a062fac70a37478200fff620455674d80bec4e0c",

@@ -14,6 +14,7 @@ from visco_pt.domain import (
     dissipation_increment,
     elastic_strain,
     energy_value,
+    pairing_products,
     stored_energies,
     total_energy,
     viscous_strain,
@@ -250,3 +251,17 @@ def test_energy_value_is_exactly_the_value_of_total_energy(
     assert energy_value(model, state, loading, t) == total_energy(
         model, state, loading, t
     )[0]
+
+
+@pytest.mark.parametrize("n_elements", [1, 2, 8, 16, 33])
+def test_pairing_products_form_each_states_own_product(n_elements):
+    # The stacked product of a strided dof view gives, byte for byte, each
+    # state's load_shapes @ slopes, the product the per-state pairing forms.
+    mesh = ShearColumnMesh(n_elements)
+    rng = np.random.default_rng(n_elements)
+    dofs = rng.normal(size=(41, 2, n_elements)) * 10.0 ** rng.integers(-6, 6, (41, 2, n_elements))
+    y = dofs[:, 0]
+    products = pairing_products(mesh, y)
+    assert products.shape == (2, len(y))
+    expected = np.array([mesh.load_shapes @ row for row in y]).T
+    assert products.tobytes() == expected.tobytes()

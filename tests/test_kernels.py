@@ -1,5 +1,6 @@
-"""Material-point stepping kernel: minimizers, the resolution rule, status
-codes, and the march of a load sequence."""
+"""Plain-float stepping kernels: the material-point minimizers, the
+resolution rule, status codes and the march of a load sequence; and the
+linear viscous recursion."""
 
 import math
 import struct
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from visco_pt import MaterialModel, kernels
+from visco_pt import MaterialModel, MinimizeSettings, kernels
 from visco_pt.minimize import RESOLUTION
+from visco_pt.stepper import _viscous_slopes
 
 # (c_e, a4, c_v, d_v, p_psi, k_radius)
 MODELS = (
@@ -384,3 +386,39 @@ def test_an_error_in_a_step_leaves_the_steps_before_it(params):
     with pytest.raises(ValueError, match="broken load"):
         kernels.mp_march(*params, (0.1, 0.2, BrokenLoad(0.3), 0.4), 1.5, 0.5, *SOLVER, out)
     assert bits(out) == bits(chain(params, (0.1, 0.2), 1.5, 0.5))
+
+
+# -- the linear viscous recursion -------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n_steps=st.integers(0, 30),
+    n_elements=st.integers(1, 20),
+    c=log_uniform(1e-3, 1e3),
+    d=log_uniform(1e-3, 1e3),
+    tau=log_uniform(1e-4, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_linear_march_chains_the_one_step_closed_forms(n_steps, n_elements, c, d, tau, seed):
+    # One march equals, byte for byte, the one-step closed forms chained row
+    # by row: the p_psi = 2 viscous slopes of the shear column, and the
+    # linearized step b + (sigma - c b) / denominator. The rows come from a
+    # seed, which keeps a failing example quick to shrink.
+    rng = np.random.default_rng(seed)
+    sigma, b0 = (
+        rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+        for shape in ((n_steps, n_elements), n_elements)
+    )
+    model, denominator = MaterialModel(c_v=c, d_v=d), c + d / tau
+    marched = kernels.linear_march(sigma, b0, c, denominator)
+    assert marched.shape == (n_steps + 1, n_elements)
+    slopes, linear = [b0], [b0]
+    for row in sigma:
+        b, iterations, grad_inf = _viscous_slopes(
+            model, row, slopes[-1], tau, 1.0 / n_elements, MinimizeSettings(), str
+        )
+        assert (iterations, grad_inf) == (0, 0.0)
+        slopes.append(b)
+        linear.append(linear[-1] + (row - c * linear[-1]) / denominator)
+    assert marched.tobytes() == np.array(slopes).tobytes() == np.array(linear).tobytes()

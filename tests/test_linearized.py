@@ -351,3 +351,24 @@ def test_lin_trajectory_arrays_equal_the_stepwise_scheme(shear):
         assert tuple(traj.stored[i].tolist()) == lin_stored(quad, lin)
         assert traj.energy(i) == lin_energy(quad, lin, loading, times[i])
         assert traj.load_work[i] == work
+
+
+def test_run_lin_evolution_marches_in_one_kernel_call(monkeypatch):
+    # The viscous recursion of a linearized run is one kernels.linear_march
+    # call (looked up at the module attribute) in both geometries, with c =
+    # c_vi and denominator c_vi + d / tau.
+    from visco_pt import kernels
+
+    calls, march = [], kernels.linear_march
+
+    def counted(sigma, b0, c, denominator):
+        calls.append((sigma.shape, c, denominator))
+        return march(sigma, b0, c, denominator)
+
+    monkeypatch.setattr(kernels, "linear_march", counted)
+    quad = MaterialModel(c_v=0.3, d_v=2.9).quadratic_limit()
+    grid = TimeGrid(t_final=1.3, n_steps=7)
+    for state in (LinState.material_point(0.37, 0.4), shear_state()):
+        run_lin_evolution(quad, state, Loading((0.2,), (0.1,)), grid)
+    denominator = 0.3 + 2.9 / grid.tau
+    assert calls == [((7, 1), 0.3, denominator), ((7, 8), 0.3, denominator)]

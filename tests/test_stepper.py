@@ -110,15 +110,12 @@ def test_step_report_fields():
 def test_step_rejected_on_mismatched_operator(monkeypatch):
     # A solve for a 500 times longer substep pulls the state far beyond the
     # true minimizer, so the stay-put comparison, which charges the true
-    # dissipation of the step, must fail.
-    from visco_pt import stepper
+    # dissipation of the step, must fail. With p_psi = 2 the shear march is
+    # kernels.linear_march, so the defect is its denominator c_v + d_v / r.
+    def long_substep(one, step, row, b, c, denominator):
+        return one(row, b, c, c + (denominator - c) / 500.0)
 
-    slopes = stepper._viscous_slopes
-
-    def long_substep(model, sigma, b_old, r, h, settings, where):
-        return slopes(model, sigma, b_old, 500.0 * r, h, settings, where)
-
-    monkeypatch.setattr(stepper, "_viscous_slopes", long_substep)
+    march_row_by_row(monkeypatch, long_substep)
     state0 = shear_start()
     model = MaterialModel()
     load = Loading((0.2,), (0.1,))
@@ -865,14 +862,44 @@ def march_load_by_load(monkeypatch, solve=None):
     return marches
 
 
+def march_row_by_row(monkeypatch, solve=None):
+    """Patches ``kernels.linear_march`` with a fake that marches one row at
+    a time through the real kernel: step i (from 1) of a march is
+    ``solve(one, i, row, b, c, denominator)``, where ``one(row, b, c,
+    denominator)`` is the real kernel's next row from the row ``b``;
+    without ``solve`` it is that row. Returns a list that holds, for each
+    march, the list of the rows of sigma it solved."""
+    from visco_pt import kernels
+
+    march, marches = kernels.linear_march, []
+
+    def one(row, b, c, denominator):
+        return march(row[None], b, c, denominator)[1]
+
+    def fake(sigma, b0, c, denominator):
+        rows, solved = [b0], []
+        marches.append(solved)
+        for i, row in enumerate(sigma, start=1):
+            solver = (row, rows[-1], c, denominator)
+            rows.append(one(*solver) if solve is None else solve(one, i, *solver))
+            solved.append(row)
+        return np.array(rows)
+
+    monkeypatch.setattr(kernels, "linear_march", fake)
+    return marches
+
+
 def overshoot(monkeypatch, factors, stalled=(), outside=(), broken=()):
     """Makes step i of a run solve for a substep ``factors[i]`` times longer,
-    at a material point and in the shear column; the march still charges
-    the dissipation of the true step. The steps in ``stalled`` get one
-    iteration to reach an unreachable tolerance, so their solves fail; in
-    the shear column the viscous slopes of the steps in ``outside`` move
+    at a material point and in the shear column (in ``kernels.linear_march``
+    when p_psi = 2, in ``_viscous_slopes`` otherwise); the march still
+    charges the dissipation of the true step. The steps in ``stalled`` get
+    one iteration to reach an unreachable tolerance, so their solves fail;
+    in the shear column the viscous slopes of the steps in ``outside`` move
     beyond the admissible radius. The solves of the steps in ``broken``
-    raise a ValueError, an error no solver names."""
+    raise a ValueError, an error no solver names. In the shear column these
+    three reach only the per-step solves of p_psi != 2: the linear march has
+    no solver to stall and no per-step error."""
     from visco_pt import stepper
 
     slopes = stepper._viscous_slopes
@@ -903,7 +930,14 @@ def overshoot(monkeypatch, factors, stalled=(), outside=(), broken=()):
             b = b + 2.0 * model.k_radius
         return b, iterations, grad_inf
 
+    def linear(one, step, row, b, c, denominator):
+        if step not in factors:
+            return one(row, b, c, denominator)
+        # the denominator c + d / r of the longer substep
+        return one(row, b, c, c + (denominator - c) / factors[step])
+
     march_load_by_load(monkeypatch, point)
+    march_row_by_row(monkeypatch, linear)
     monkeypatch.setattr(stepper, "_viscous_slopes", column)
 
 
@@ -989,7 +1023,9 @@ def test_quadratic_shear_run_evaluates_dissipation_once_per_step(monkeypatch):
 def test_run_evolution_steps_through_the_public_names(monkeypatch):
     # A run's solves are looked up at the names a tracer wraps: one
     # kernels.mp_march call per material-point trajectory, solving every
-    # step, and one _viscous_slopes call per shear step, named by the step.
+    # step; one kernels.linear_march call per p_psi = 2 shear trajectory,
+    # marching every step; and with p_psi != 2 one _viscous_slopes call per
+    # shear step, named by the step.
     from visco_pt import stepper
 
     calls = []
@@ -1000,12 +1036,16 @@ def test_run_evolution_steps_through_the_public_names(monkeypatch):
         return slopes(*args)
 
     marches = march_load_by_load(monkeypatch)
+    linear = march_row_by_row(monkeypatch)
     monkeypatch.setattr(stepper, "_viscous_slopes", counted_slopes)
     grid = TimeGrid(t_final=0.5, n_steps=10)
     run_evolution(UNIT_MP, State.material_point(F_O, F_O), ZERO, grid)
-    assert ([len(loads) for loads in marches], calls) == ([grid.n_steps], [])
+    assert ([len(loads) for loads in marches], linear, calls) == ([grid.n_steps], [], [])
     run_evolution(MaterialModel(), shear_start(), Loading((0.2,)), grid)
     assert len(marches) == 1
+    assert ([len(rows) for rows in linear], calls) == ([grid.n_steps], [])
+    run_evolution(MaterialModel(p_psi=2.5), shear_start(), Loading((0.2,)), grid)
+    assert (len(marches), len(linear)) == (1, 1)
     assert calls == [f"step {i}" for i in range(1, grid.n_steps + 1)]
 
 
