@@ -33,8 +33,6 @@ from .minimize import MinimizeSettings
 from .stepper import (
     PhiTau,
     Trajectory,
-    de_giorgi_closed_form,
-    de_giorgi_integral,
     equilibrate_elastic,
     phi_tau,
     run_evolution,
@@ -87,8 +85,6 @@ __all__ = [
     "ViscoPTError",
     "check_energy_inequality",
     "check_monotonicity",
-    "de_giorgi_closed_form",
-    "de_giorgi_integral",
     "density_convergence",
     "dissipation_increment",
     "elastic_strain",

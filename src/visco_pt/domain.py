@@ -286,6 +286,11 @@ class Loading:
     def is_zero(self) -> bool:
         return all(c == 0.0 for c in self.f_coeffs + self.g_coeffs)
 
+    @property
+    def is_constant(self) -> bool:
+        """True when neither f nor g depends on t."""
+        return all(c == 0.0 for c in self.f_coeffs[1:] + self.g_coeffs[1:])
+
     def f(self, t: float) -> float:
         return _polyval(self.f_coeffs, t)
 

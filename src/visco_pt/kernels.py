@@ -47,7 +47,7 @@ A material-point trajectory is one :func:`mp_march` call: its steps solve
 one after another in plain floats, each anchored at the F_vi of the one
 before, with no Python call per step but the elastic inversion of a Newton
 iterate (:func:`_strain`). :func:`mp_minimize` is its one-load case, the
-single solve of a De Giorgi substep or of ``phi_tau``.
+single solve of ``phi_tau``.
 
 The linear viscous recursion
 ----------------------------

@@ -16,12 +16,12 @@ w_el'(F/F_vi - 1) = load * F_vi, and F_vi one scalar equation anchored at the
 previous F_vi (a closed form when a4 = 0 and p_psi = 2, a bracketed scalar
 Newton otherwise); the kernel also returns the state's stored energies and
 dissipation. A whole trajectory is one ``kernels.mp_march`` call, and a
-single solve (a De Giorgi substep, ``phi_tau``) one :func:`_kernel_solve`
-call. A solve with no admissible minimizer (the root leaves the admissible
-set, or the reduced curvature there is not positive) fails at once, naming
-the curvature (:func:`_failure`). The shear column under dead loads is
-statically determinate, so its solve splits into one problem per element:
-with the element resultant sigma_e = g + f * (1 - x_e,mid),
+single solve (``phi_tau``) one ``kernels.mp_minimize`` call. A solve with
+no admissible minimizer (the root leaves the admissible set, or the reduced
+curvature there is not positive) fails at once, naming the curvature
+(:func:`_failure`). The shear column under dead loads is statically
+determinate, so its solve splits into one problem per element: with the
+element resultant sigma_e = g + f * (1 - x_e,mid),
 :func:`_viscous_slopes` solves c_v b + psi'((b - b_old)/r) = sigma_e for the
 viscous slope (a closed form when p_psi = 2, a bracketed scalar Newton
 otherwise), and the elastic strain solves w_el'(s) = sigma_e. The state is
@@ -44,24 +44,19 @@ it raised when steps ran one by one. No :class:`State` is built: the
 The same solve over a substep r in (0, tau] gives phi_tau(r), the value
 function of the De Giorgi interpolation, priced by the per-state functions;
 its minimizer is the De Giorgi interpolant, the step itself at r = tau. The
-integral of the rate dissipation over r in [0, tau] supplies the improved
-dissipation term of the sharp energy identity, for a whole trajectory from
-its dof array, with no :class:`State` and no phi_tau. When every substep
-solve is a closed form (p_psi = 2, and a4 = 0 at a material point), the rate
-is a rational function of r and :func:`de_giorgi_closed_form` integrates it
-exactly in one array pass, with no substep solve. :func:`de_giorgi_integral`
-is the Gauss-Legendre rule for any model: the material-point substeps go one
-by one through the kernel, the shear-column substeps of all steps and nodes
-through one batched viscous-slope solve.
+integral of its rate dissipation over r in [0, tau], the improved
+dissipation term of the sharp energy identity, needs no substep solve:
+:func:`de_giorgi_dissipation` takes it exactly for a whole trajectory, in
+one array pass over its accepted states, from each step's own dissipation
+and the Bregman gap of the reduced energy between the step's two ends.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -112,10 +107,11 @@ class Trajectory(Ledger):
     """Accepted states as one read-only dof array of shape (n_steps + 1, 2,
     n_elements), with what was priced on them once, after the march:
     ``stored[i]`` is ``stored_energies(model, states[i])``, and step i's
-    dissipation, solver iterations, final |grad|_inf (0 for a closed form)
-    and stay-put margin E(t_i, old) - (E(t_i, new) + tau * Psi) sit at index
-    i - 1 of the per-step arrays. An accepted step has converged. All arrays
-    are read-only."""
+    dissipation, solver iterations, final |grad|_inf (for a closed form 0 in
+    the shear column, the rounding of g' at a material point) and stay-put
+    margin E(t_i, old) - (E(t_i, new) + tau * Psi) sit at index i - 1 of the
+    per-step arrays. An accepted step has converged. All arrays are
+    read-only."""
 
     model: MaterialModel
     loading: Loading
@@ -131,10 +127,6 @@ class Trajectory(Ledger):
 
 
 # -- the solve primitives: the kernel and _viscous_slopes ------------------------
-#
-# _kernel_solve and _viscous_slopes name a failure by calling ``where``: with
-# no arguments for one solve, with the leading indices of the first failing
-# solve of a batch. A material-point march names the step where it stopped.
 
 
 def _check_substep(r):
@@ -158,22 +150,6 @@ def _failure(solved, where: str) -> Exception:
     return SolverNotConverged(where, MAX_ITER_EXCEEDED, grad_inf)
 
 
-def _kernel_solve(model: MaterialModel, load, anchor, r, settings, where):
-    """Solve the material-point functional in ``kernels.mp_minimize``
-    (looked up at the module attribute, where a tracer wraps it) under the
-    load f + g ``load``, from the viscous dof ``anchor``, over the substep
-    r; returns the kernel's tuple ``(F, Fv, value, grad_inf, iterations,
-    status, w_el, w_vi, diss)``. A nonzero status raises its
-    :func:`_failure`, named ``where()``."""
-    solved = kernels.mp_minimize(
-        model.c_e, model.a4, model.c_v, model.d_v, model.p_psi, model.k_radius,
-        load, anchor, r, settings.grad_tol, settings.max_iter,
-    )
-    if solved[5]:
-        raise _failure(solved, where())
-    return solved
-
-
 def _elastic_strains(model: MaterialModel, sigma: np.ndarray) -> np.ndarray:
     """Per-element elastic strains s with w_el'(s) = sigma."""
     if model.a4 == 0.0:
@@ -186,24 +162,22 @@ def _viscous_slopes(
     model: MaterialModel,
     sigma: np.ndarray,
     b_old: np.ndarray,
-    r,
+    r: float,
     h: float,
     settings: MinimizeSettings,
-    where: Callable[..., str],
+    where: str,
 ):
     """Per-element viscous slopes b with c_v b + psi'((b - b_old)/r) = sigma;
     returns ``(b, iterations, grad_inf)``.
 
-    The last axis holds one solve's elements; leading axes of ``b_old``
-    batch independent solves (``sigma`` and ``r`` broadcast). A closed form
-    when p_psi = 2 (0 iterations, grad_inf 0). Otherwise Newton on each
-    element, kept inside the bracket between b_old and sigma/c_v, where the
-    residual changes sign (a step that leaves it bisects). An element is
-    solved, and then left as it is, when h * |residual| <= grad_tol or when
-    its Newton step is below the resolution of b, ``RESOLUTION * max(1,
-    |b|)``; ``iterations`` is the most any element took, ``grad_inf`` the
-    largest final h * |residual|. Raises :class:`SolverNotConverged` at
-    ``max_iter``, named ``where(*row)`` for the first unconverged solve.
+    A closed form when p_psi = 2 (0 iterations, grad_inf 0). Otherwise
+    Newton on each element, kept inside the bracket between b_old and
+    sigma/c_v, where the residual changes sign (a step that leaves it
+    bisects). An element is solved, and then left as it is, when h *
+    |residual| <= grad_tol or when its Newton step is below the resolution
+    of b, ``RESOLUTION * max(1, |b|)``; ``iterations`` is the most any
+    element took, ``grad_inf`` the largest final h * |residual|. Raises
+    :class:`SolverNotConverged` at ``max_iter``, named ``where``.
     """
     if model.p_psi == 2.0:
         return b_old + (sigma - model.c_v * b_old) / (model.c_v + model.d_v / r), 0, 0.0
@@ -221,9 +195,7 @@ def _viscous_slopes(
         if not active.any():
             return b, iterations, float(np.max(scaled))
         if iterations >= settings.max_iter:
-            row = np.unravel_index(np.argmax(active), active.shape)[:-1]
-            grad_inf = float(np.max(scaled[row][active[row]]))
-            raise SolverNotConverged(where(*row), MAX_ITER_EXCEEDED, grad_inf)
+            raise SolverNotConverged(where, MAX_ITER_EXCEEDED, float(np.max(scaled[active])))
         hi = np.where(residual > 0.0, b, hi)
         lo = np.where(residual < 0.0, b, lo)
         ddpsi = 0.5 * model.d_v * p * (p - 1.0) * np.abs(rate) ** (p - 2.0)
@@ -288,9 +260,7 @@ def _march_column(model: MaterialModel, mesh, dofs, f, g, tau: float, settings):
         else:
             b = dofs[0, 1]
             for i, row in enumerate(sigma, start=1):
-                b, its, res = _viscous_slopes(
-                    model, row, b, tau, mesh.h, settings, lambda: f"step {i}"
-                )
+                b, its, res = _viscous_slopes(model, row, b, tau, mesh.h, settings, f"step {i}")
                 dofs[i, 1] = b
                 iterations.append(its)
                 grad_inf.append(res)
@@ -412,182 +382,55 @@ def phi_tau(
     _check_substep(r)
     mesh, (_, y_vi_old) = old.mesh, state_dofs(old)
     f_val, g_val = loading.f(t), loading.g(t)
-
-    def where():
-        return f"substep r={r!r}"
-
+    where = f"substep r={r!r}"
     if mesh is None:
-        solved = _kernel_solve(model, f_val + g_val, y_vi_old, r, settings, where)
+        solved = kernels.mp_minimize(
+            model.c_e, model.a4, model.c_v, model.d_v, model.p_psi, model.k_radius,
+            f_val + g_val, y_vi_old, r, settings.grad_tol, settings.max_iter,
+        )
+        if solved[5]:
+            raise _failure(solved, where)
         new, iterations = state_from_dofs(mesh, *solved[:2]), solved[4]
     else:
         sigma = element_stress(mesh, f_val, g_val)
         b, iterations, _ = _viscous_slopes(model, sigma, y_vi_old, r, mesh.h, settings, where)
         if np.max(np.abs(b)) > model.k_radius:
-            raise InfeasibleState(f"{where()} leaves the admissible radius {model.k_radius}")
+            raise InfeasibleState(f"{where} leaves the admissible radius {model.k_radius}")
         new = state_from_dofs(mesh, _elastic_strains(model, sigma) + b, b)
     diss = dissipation_increment(model, new, old, r)
     return PhiTau(energy_value(model, new, loading, t) + diss, new, diss / r, iterations)
 
 
-@functools.lru_cache(maxsize=None)
-def _unit_gauss_legendre(m: int):
-    """Gauss-Legendre nodes and weights on [0, 1], read-only, built once per m."""
-    x, w = np.polynomial.legendre.leggauss(m)
-    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-def de_giorgi_rule(tau: float, m: int):
-    """The m-node Gauss-Legendre rule on [0, tau]: ``(nodes, weights)``.
-
-    The nodes lie strictly inside (0, tau), increase and are symmetric about
-    tau/2; the weights are positive and sum to tau. The rule is exact for
-    polynomials of degree 2m - 1 in r.
-    """
-    if m < 2:
-        raise ValidationError(f"need at least 2 substep samples, got {m}")
-    nodes, weights = _unit_gauss_legendre(m)
-    return tau * nodes, tau * weights
-
-
-def de_giorgi_integral(traj: Trajectory, m: int):
+def de_giorgi_dissipation(traj: Trajectory) -> np.ndarray:
     """Integral over r in [0, tau] of the substep rate dissipation of every
-    step, with an estimate of its error; the substeps solve under the
-    settings of ``traj``.
-
-    Gauss-Legendre with m nodes (:func:`de_giorgi_rule`), and the
-    max(2, m // 2)-node rule for the estimate |q_m - q_coarse|: one substep
-    solve per node and step, from the step's old dofs under the load at its
-    end. The integrand is smooth in r, so the error falls geometrically in
-    m. A material point solves them one by one in the kernel, the shear
-    column as one batch of shape (steps, nodes, elements). Returns per-step
-    arrays ``(integral, estimate)``.
-
-    The nodes lie inside (0, tau), so each step's path is also checked at its
-    two ends, as :func:`de_giorgi_closed_form` checks it: the anchor must be
-    admissible, and one unweighted solve at r = tau must succeed, m + max(2,
-    m // 2) + 1 solves per step in all. A substep that fails raises, naming
-    its step and r; an inadmissible anchor raises :class:`InfeasibleState`,
-    naming its step. The first failing step is the one named.
-    """
-    grid, model, mesh, settings = traj.grid, traj.model, traj.mesh, traj.settings
-    nodes, weights = de_giorgi_rule(grid.tau, m)
-    coarse_nodes, coarse_weights = de_giorgi_rule(grid.tau, max(2, m // 2))
-    r = np.concatenate([nodes, coarse_nodes, [grid.tau]])
-    rs = r.tolist()
-    substeps = [f"substep r={x!r}" for x in rs]
-    k_radius = model.k_radius
-
-    def where(n, j):
-        return f"step {n + 1}, {substeps[j]}"
-
-    def anchor_outside(n):
-        return InfeasibleState(
-            f"step {n + 1}, the anchor of its substeps lies outside the admissible radius "
-            f"{k_radius}"
-        )
-
-    f, g = traj.loading.f(grid.times[1:]), traj.loading.g(grid.times[1:])
-    anchors = traj.dofs[:-1, 1]
-    if mesh is None:
-        anchors = anchors[:, 0]
-        admissible = ((anchors > 0.0) & (np.abs(anchors - 1.0) <= k_radius)).tolist()
-        rates = []
-        for n, (anchor, load) in enumerate(zip(anchors.tolist(), (f + g).tolist())):
-            if not admissible[n]:
-                raise anchor_outside(n)
-            rates.append([
-                _kernel_solve(model, load, anchor, x, settings, lambda: where(n, j))[8] / x
-                for j, x in enumerate(rs)
-            ])
-        rates = np.array(rates)
-    else:
-        sigma = element_stress(mesh, f[:, None, None], g[:, None, None])
-        shape = (grid.n_steps, len(rs), mesh.n_elements)
-        b_old = np.broadcast_to(anchors[:, None], shape)
-        column = r[:, None]
-        b, _, _ = _viscous_slopes(model, sigma, b_old, column, mesh.h, settings, where)
-        start_outside = np.abs(anchors).max(axis=-1) > k_radius
-        outside = np.abs(b).max(axis=-1) > k_radius
-        failed = np.flatnonzero(start_outside | outside.any(axis=-1))
-        if len(failed):
-            n = failed[0]
-            if start_outside[n]:
-                raise anchor_outside(n)
-            raise InfeasibleState(
-                f"{where(n, np.argmax(outside[n]))} leaves the admissible radius {k_radius}"
-            )
-        # diss / r, with diss = r * h * sum formed as dof_dissipation forms it
-        rates = r * mesh.h * np.add.reduce(model.psi((b - b_old) / column), axis=-1) / r
-    integral = np.array([weights @ row for row in rates[:, : len(nodes)]])
-    coarse = np.array([coarse_weights @ row for row in rates[:, len(nodes) : -1]])
-    return integral, np.abs(integral - coarse)
-
-
-def substeps_in_closed_form(model: MaterialModel, mesh: Optional[ShearColumnMesh]) -> bool:
-    """True when every substep solve is a closed form, so that
-    :func:`de_giorgi_closed_form` applies: p_psi = 2, and a4 = 0 at a
-    material point (the shear column's viscous slope never sees the elastic
-    law)."""
-    return model.p_psi == 2.0 and (mesh is not None or model.a4 == 0.0)
-
-
-def de_giorgi_closed_form(traj: Trajectory) -> np.ndarray:
-    """Integral over r in [0, tau] of the substep rate dissipation of every
-    step, exact, in one array pass; needs :func:`substeps_in_closed_form`.
+    step, exact, in one array pass with no substep solve.
 
     Each step's substeps run from its old dofs under the load at its end.
-    At a material point with anchor a and load l = f + g, let N = l (1 + l a
-    / c_e) - c_v (a - 1) and C = c_v - l^2 / c_e: the substep minimizer is
-    x(r) = a + N r a^2 / (C r a^2 + d_v), its rate dissipation d_v N^2 a^2 /
-    (2 (C r a^2 + d_v)^2), and the integral N^2 a^2 tau / (2 (C tau a^2 +
-    d_v)). In the shear column each slope moves from its old value b_e at
-    the rate (sigma_e - c_v b_e) / (c_v r + d_v), and the integral is h *
-    sum_e (sigma_e - c_v b_e)^2 tau / (2 (c_v tau + d_v)).
+    Their minimizers, the De Giorgi interpolant, run from the anchor a of
+    the viscous dof (r -> 0) to the step's own x (r = tau). Let R be the
+    energy reduced over the elastic variable. The substep Euler-Lagrange
+    equation and the p_psi-homogeneity of psi give
 
-    No substep is solved, but each is checked as its solve would check it.
-    The minimizer moves monotonically in r, from the anchor to the step's
-    own minimizer at r = tau, and the reduced curvature C + d_v / (r a^2) is
-    least at r = tau, so the two ends decide: at a material point the
-    curvature at r = tau must be positive and both ends admissible, in the
-    shear column both ends must lie within the admissible radius. The first
-    step that fails raises :class:`InfeasibleState`, naming it.
+        integral = tau * psi(rate at tau) + B / (p_psi - 1),
+        B = R(a) - R(x) + R'(x) (x - a),
+
+    with B the Bregman gap of R and tau * psi(rate at tau) the step's own
+    dissipation. At a material point with load l = f + g, R(x) is the
+    state's energy E(t_i, state i), since the march minimized over F;
+    R'(x) = c_v (x - 1) - l F / x; and R(a) takes one elastic solve,
+    w_el'(s) = l a. In a shear element the elastic strain is fixed by
+    sigma_e, so B = h * sum_e c_v (b_old - b_new)^2 / 2.
     """
     model, grid, mesh = traj.model, traj.grid, traj.mesh
-    if not substeps_in_closed_form(model, mesh):
-        raise ValidationError(
-            "the De Giorgi closed form needs p_psi = 2, and a4 = 0 at a material point"
-        )
-    tau, c_v, d_v, k_radius = grid.tau, model.c_v, model.d_v, model.k_radius
-    f, g = traj.loading.f(grid.times[1:]), traj.loading.g(grid.times[1:])
-    substeps = f"a substep r in (0, {tau!r}]"
+    anchors, steps = traj.dofs[:-1, 1], traj.dofs[1:, 1]
     if mesh is None:
-        a, load = traj.dofs[:-1, 1, 0], f + g
-        push = load * (1.0 + load * a / model.c_e) - c_v * (a - 1.0)
-        stiffness = (c_v - load * load / model.c_e) * tau * a * a + d_v
-        with np.errstate(divide="ignore", invalid="ignore"):
-            end = a + push * tau * a * a / stiffness
-        admissible = [(x > 0.0) & (np.abs(x - 1.0) <= k_radius) for x in (a, end)]
-        failed = np.flatnonzero(~((stiffness > 0.0) & admissible[0] & admissible[1]))
-        if len(failed):
-            n = failed[0]
-            curvature = stiffness[n] / (tau * a[n] * a[n])
-            raise InfeasibleState(
-                f"step {n + 1}, {substeps} has no admissible minimizer: from F_vi = "
-                f"{float(a[n])!r} to {float(end[n])!r}, and at r = tau the reduced curvature "
-                f"g'' = {curvature:.3e}"
-            )
-        return push * push * a * a * tau / (2.0 * stiffness)
-    sigma = element_stress(mesh, f[:, None], g[:, None])
-    b = traj.dofs[:-1, 1]
-    drive = sigma - c_v * b
-    end = b + drive / (c_v + d_v / tau)
-    inside = (np.abs(b) <= k_radius) & (np.abs(end) <= k_radius)
-    failed = np.flatnonzero(~inside.all(axis=-1))
-    if len(failed):
-        raise InfeasibleState(
-            f"step {failed[0] + 1}, {substeps} leaves the admissible radius {k_radius}"
-        )
-    return mesh.h * np.add.reduce(drive * drive, axis=-1) * tau / (2.0 * (c_v * tau + d_v))
+        a, x, F = anchors[:, 0], steps[:, 0], traj.dofs[1:, 0, 0]
+        load = traj.loading.f(grid.times[1:]) + traj.loading.g(grid.times[1:])
+        s = _elastic_strains(model, load * a)
+        reduced = model.w_el(s) + model.w_vi(a - 1.0) - load * ((1.0 + s) * a)
+        slope = model.c_v * (x - 1.0) - load * F / x
+        gap = (reduced - traj.energies[1:]) + slope * (x - a)
+    else:
+        drop = anchors - steps
+        gap = mesh.h * np.add.reduce(0.5 * model.c_v * drop * drop, axis=-1)
+    return traj.diss_increments + gap / (model.p_psi - 1.0)

@@ -416,7 +416,7 @@ def test_linear_march_chains_the_one_step_closed_forms(n_steps, n_elements, c, d
     slopes, linear = [b0], [b0]
     for row in sigma:
         b, iterations, grad_inf = _viscous_slopes(
-            model, row, slopes[-1], tau, 1.0 / n_elements, MinimizeSettings(), str
+            model, row, slopes[-1], tau, 1.0 / n_elements, MinimizeSettings(), ""
         )
         assert (iterations, grad_inf) == (0, 0.0)
         slopes.append(b)

@@ -31,7 +31,8 @@ from visco_pt import (
 )
 from visco_pt.domain import State, element_stress, pairing
 from visco_pt.linearized import LinState, _lin_gradients
-from visco_pt.stepper import de_giorgi_rule
+
+from test_stepper import de_giorgi_reference
 
 UNIT_QUAD = MaterialModel().quadratic_limit()
 ZERO = Loading()
@@ -209,22 +210,22 @@ def test_factor_two_balance_shear():
     loading = Loading((0.0, 0.2), (0.1,))
     traj = run_lin_evolution(UNIT_QUAD, shear_state(), loading, grid)
     e0 = lin_energy(UNIT_QUAD, traj.states[0], loading, 0.0)
+    times = grid.times.tolist()
+
+    def rate(n, r):
+        # each substep solves under the load at t_n, frozen over [0, r]
+        frozen = Loading((loading.f(times[n]),), (loading.g(times[n]),))
+        substep = run_lin_evolution(UNIT_QUAD, traj.states[n - 1], frozen, TimeGrid(r, 1))
+        return substep.diss_increments[0] / r
+
+    integrals = de_giorgi_reference(traj, 4, rate).tolist()
     work = diss = improved = 0.0
-    nodes, weights = de_giorgi_rule(grid.tau, 4)
     for n in range(1, grid.n_steps + 1):
-        t_n, t_prev = float(grid.times[n]), float(grid.times[n - 1])
+        t_n, t_prev = times[n], times[n - 1]
         prev = traj.states[n - 1]
         work += lin_pairing_delta(prev, loading, t_n, t_prev)
         diss += float(traj.diss_increments[n - 1])
-        # each substep solves under the load at t_n, frozen over [0, r]
-        frozen = Loading((loading.f(t_n),), (loading.g(t_n),))
-        samples = np.array(
-            [
-                run_lin_evolution(UNIT_QUAD, prev, frozen, TimeGrid(r, 1)).diss_increments[0] / r
-                for r in nodes.tolist()
-            ]
-        )
-        improved += float(weights @ samples)
+        improved += integrals[n - 1]
         lhs = lin_energy(UNIT_QUAD, traj.states[n], loading, t_n) + diss + improved
         assert (e0 - work) - lhs >= -1e-9
 

@@ -31,10 +31,7 @@ from visco_pt import (
     State,
     StepRejected,
     TimeGrid,
-    ValidationError,
     check_energy_inequality,
-    de_giorgi_closed_form,
-    de_giorgi_integral,
     energy_value,
     equilibrate_elastic,
     load_config,
@@ -50,7 +47,7 @@ from visco_pt.domain import (
     stored_energies,
 )
 from visco_pt.minimize import RESOLUTION
-from visco_pt.stepper import de_giorgi_rule
+from visco_pt.stepper import de_giorgi_dissipation
 
 UNIT_MP = MaterialModel()
 ZERO = Loading()
@@ -293,131 +290,84 @@ def closed_form_de_giorgi_integral(tau):
     return 0.5 * (F_O - 1.0) ** 2 * tau * F_O**2 / (1.0 + tau * F_O**2)
 
 
-def test_de_giorgi_nodes_shape():
-    tau = 0.5
-    for m in (2, 3, 4, 8):
-        nodes, weights = de_giorgi_rule(tau, m)
-        assert nodes.shape == weights.shape == (m,)
-        assert 0.0 < nodes[0] and nodes[-1] < tau
-        assert np.all(np.diff(nodes) > 0.0)
-        assert np.allclose(nodes + nodes[::-1], tau, rtol=0.0, atol=1e-15)
-        assert np.all(weights > 0.0)
-        assert float(np.sum(weights)) == pytest.approx(tau, abs=1e-15)
-    with pytest.raises(ValidationError):
-        de_giorgi_rule(tau, 1)
+def de_giorgi_reference(traj, m, rate=None):
+    """The m-node Gauss-Legendre rule on [0, tau] for each step n of
+    ``traj``: an array of the integrals over r of ``rate(n, r)``, by default
+    the rate dissipation of :func:`phi_tau` over the substep r from state
+    n - 1 under the load at t_n and the settings of ``traj``. The reference
+    the exact :func:`de_giorgi_dissipation` is measured against."""
+    if rate is None:
+        times = traj.grid.times.tolist()
 
+        def rate(n, r):
+            old = traj.states[n - 1]
+            solved = phi_tau(traj.model, old, traj.loading, times[n], r, traj.settings)
+            return solved.rate_dissipation
 
-def test_de_giorgi_rule_returns_fresh_arrays():
-    # The unit rule is cached per m; a caller that writes into the arrays it
-    # got must not change the rule for the next caller.
-    a, _ = de_giorgi_rule(0.5, 4)
-    a[:] = 0.0
-    b, wb = de_giorgi_rule(1.0, 4)
-    assert np.all(b > 0.0)
-    assert float(np.sum(wb)) == pytest.approx(1.0, abs=1e-15)
+    x, w = np.polynomial.legendre.leggauss(m)
+    tau = traj.grid.tau
+    nodes, weights = (0.5 * tau * (x + 1.0)).tolist(), 0.5 * tau * w
+    steps = range(1, traj.grid.n_steps + 1)
+    return np.array([weights @ np.array([rate(n, r) for r in nodes]) for n in steps])
 
 
 def test_de_giorgi_integral_matches_closed_form():
     tau = 0.5
     traj = single_step_trajectory(tau)
     exact = closed_form_de_giorgi_integral(tau)
-    q, estimate = de_giorgi_integral(traj, 64)
-    assert q.shape == estimate.shape == (1,)
-    assert q[0] == pytest.approx(exact, abs=2e-5)
-    assert abs(q[0] - exact) <= estimate[0]
-    assert de_giorgi_closed_form(traj)[0] == pytest.approx(exact, rel=1e-15)
+    q = de_giorgi_dissipation(traj)
+    assert q.shape == (1,)
+    assert q[0] == pytest.approx(exact, rel=1e-15)
+    assert de_giorgi_reference(traj, 64)[0] == pytest.approx(exact, rel=1e-14)
 
 
 def test_de_giorgi_integral_gauss_convergence_in_samples():
-    # Gauss-Legendre on the smooth integrand gains more than a decade per
-    # added node (8.2e-3, 4.1e-4, 1.9e-5, 8.0e-7 relative at m = 2..5).
+    # The reference rule on the smooth integrand gains more than a decade
+    # per added node (8.2e-3, 4.1e-4, 1.9e-5, 8.0e-7 relative at m = 2..5).
     tau = 0.5
     traj = single_step_trajectory(tau)
     exact = closed_form_de_giorgi_integral(tau)
-    errors = [
-        abs(de_giorgi_integral(traj, m)[0][0] - exact) / exact for m in (2, 3, 4, 5)
-    ]
+    errors = [abs(de_giorgi_reference(traj, m)[0] - exact) / exact for m in (2, 3, 4, 5)]
     for coarse, fine in zip(errors, errors[1:]):
         assert fine <= coarse / 10.0
-    # The clustered trapezoid with 16 samples this rule replaced was off by
-    # 1.7e-3 relative; 4 Gauss nodes must be at least 50 times closer.
+    # A clustered trapezoid with 16 samples was off by 1.7e-3 relative; 4
+    # Gauss nodes must be at least 50 times closer.
     assert errors[2] <= 1.7e-3 / 50.0
 
 
-def test_de_giorgi_integral_makes_one_solve_per_node(monkeypatch):
-    # A material point solves each substep of each step once, and the
-    # unweighted r = tau that checks the end of its path; the shear column
-    # solves all of them in one batch, with r as a column.
+def test_de_giorgi_dissipation_solves_no_substep(monkeypatch):
+    # The integral reads the accepted states: no kernel solve, no viscous
+    # slope, no phi_tau; at a material point with a4 > 0 one inversion of
+    # the stress law per step (the reduced energy at the anchor), in the
+    # shear column none (its Bregman gap depends on the slopes alone).
     import visco_pt.kernels as kernels
     import visco_pt.stepper as stepper
 
     grid = TimeGrid(0.5, 3)
-    mp = run_evolution(UNIT_MP, State.material_point(F_O, F_O), ZERO, grid)
-    shear = run_evolution(UNIT_MP, shear_start(), Loading((0.2,), (0.1,)), grid)
-    calls, batches = [], []
-    solve, slopes = kernels.mp_minimize, stepper._viscous_slopes
+    model = MaterialModel(a4=1.0, p_psi=2.5)
+    loading = Loading((0.2,), (0.1,))
+    runs = [
+        run_evolution(model, equilibrate_elastic(model, start, loading, 0.0), loading, grid)
+        for start in (State.material_point(F_O, F_O), shear_start())
+    ]
+    calls = []
 
-    def counted(*args):
-        calls.append(args[8])
-        return solve(*args)
+    def counted(name, solve):
+        def wrapped(*args):
+            calls.append(name)
+            return solve(*args)
 
-    def batched(*args):
-        batches.append(args[3])
-        return slopes(*args)
+        return wrapped
 
-    monkeypatch.setattr(kernels, "mp_minimize", counted)
-    monkeypatch.setattr(stepper, "_viscous_slopes", batched)
-    for m in (2, 4, 7):
-        nodes, _ = de_giorgi_rule(grid.tau, m)
-        coarse, _ = de_giorgi_rule(grid.tau, max(2, m // 2))
-        substeps = list(nodes) + list(coarse) + [grid.tau]
-        de_giorgi_integral(mp, m)
-        assert calls == substeps * grid.n_steps
-        assert batches == []
+    for module, name in (
+        (kernels, "mp_minimize"), (kernels, "mp_march"), (kernels, "_strain"),
+        (stepper, "_viscous_slopes"), (stepper, "phi_tau"),
+    ):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for traj, inversions in zip(runs, (["_strain"] * grid.n_steps, [])):
+        assert de_giorgi_dissipation(traj).shape == (grid.n_steps,)
+        assert calls == inversions
         calls.clear()
-        de_giorgi_integral(shear, m)
-        assert calls == []
-        assert len(batches) == 1
-        assert batches.pop().tolist() == [[r] for r in substeps]
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(
-    c_e=st.floats(0.5, 2.5),
-    a4=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
-    c_v=st.floats(0.3, 1.5),
-    d_v=st.floats(0.5, 2.5),
-    p_psi=st.one_of(st.just(2.0), st.floats(2.0, 3.0)),
-    load=st.floats(-0.3, 0.3),
-    Fv=st.floats(0.6, 1.8),
-    tau=st.floats(0.01, 0.5),
-)
-def test_de_giorgi_error_estimate_bounds_the_error(
-    c_e, a4, c_v, d_v, p_psi, load, Fv, tau
-):
-    # energy_sharp widens its tolerance by (p - 1)|q_4 - q_2| per step; on a
-    # step from an elastically equilibrated state that must cover the error
-    # of q_4, measured against the 32-node rule. Where the substeps are closed
-    # forms (p = 2, a4 = 0) it takes the exact integral instead, with no
-    # estimate, which must then match the 32-node rule.
-    model = MaterialModel(c_e=c_e, a4=a4, c_v=c_v, d_v=d_v, p_psi=p_psi)
-    loading = Loading((load,))
-    start = equilibrate_elastic(model, State.material_point(Fv, Fv), loading, 0.0)
-    traj = run_evolution(model, start, loading, TimeGrid(t_final=tau, n_steps=1))
-    report = check_energy_inequality(traj, factor="p_psi")
-    q32 = de_giorgi_integral(traj, 32)[0][0]
-    if p_psi == 2.0 and a4 == 0.0:
-        assert report.params["rule"] == "closed_form"
-        assert report.params["m"] is None
-        assert report.params["quadrature_estimate"] == 0.0
-        q = de_giorgi_closed_form(traj)[0]
-        assert abs(q - q32) <= 1e-12 * max(1.0, abs(q32))
-        return
-    q = de_giorgi_integral(traj, report.params["m"])[0][0]
-    error = (p_psi - 1.0) * abs(q - q32)
-    assert report.params["rule"] == "gauss_legendre"
-    assert report.params["m"] == 4
-    assert error <= report.params["quadrature_estimate"] + 1e-12 * max(1.0, abs(q32))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -427,6 +377,7 @@ def test_de_giorgi_error_estimate_bounds_the_error(
     a4=st.floats(0.0, 2.0),
     c_v=st.floats(0.5, 1.5),
     d_v=st.floats(0.3, 2.5),
+    p_psi=st.one_of(st.just(2.0), st.floats(2.0, 3.0, exclude_min=True)),
     f=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
     g=st.floats(-0.2, 0.2),
     start=st.floats(-0.4, 0.4),
@@ -435,15 +386,20 @@ def test_de_giorgi_error_estimate_bounds_the_error(
     n_elements=st.integers(1, 8),
 )
 def test_de_giorgi_closed_form_matches_the_16_node_rule(
-    shear, c_e, a4, c_v, d_v, f, g, start, t_final, n_steps, n_elements
+    shear, c_e, a4, c_v, d_v, p_psi, f, g, start, t_final, n_steps, n_elements
 ):
-    # On these draws the integrand is analytic well beyond [0, tau], so 16
-    # Gauss-Legendre nodes integrate it to rounding: that of the rule's rates
-    # (x(r) - a) / (r a), which lose digits to cancellation where a step moves
-    # little, relative error about eps * max(1, |a|) / |x(tau) - a|. A
-    # material point has a closed form only with a4 = 0; the shear column
-    # has one for any a4.
-    model = MaterialModel(c_e=c_e, a4=a4 if shear else 0.0, c_v=c_v, d_v=d_v)
+    # The exact integral of de_giorgi_dissipation against the 16-node
+    # reference rule, on Newton paths (p_psi > 2, or a4 > 0 at a material
+    # point) as on closed forms. On these draws the integrand is analytic
+    # well beyond [0, tau] (a p_psi > 2 step within about 1e-8 of rest would
+    # put a singularity next to r = 0; none is drawn), so 16 nodes
+    # integrate it to rounding: that of
+    # the rule's rates (x(r) - a) / (r a), which lose digits to cancellation
+    # where a step moves little, relative error about eps * max(1, |a|) /
+    # |x(tau) - a|. A Newton solve stops within grad_tol of its root, which
+    # moves the identity of a step by at most grad_tol times the distance the
+    # step moves, and each substep solve of the rule alike.
+    model = MaterialModel(c_e=c_e, a4=a4, c_v=c_v, d_v=d_v, p_psi=p_psi)
     loading = Loading(f, (g,))
     if shear:
         mesh = ShearColumnMesh(n_elements)
@@ -452,15 +408,17 @@ def test_de_giorgi_closed_form_matches_the_16_node_rule(
         state0 = State.material_point(1.0 + start, 1.0 + start)
     state0 = equilibrate_elastic(model, state0, loading, 0.0)
     traj = run_evolution(model, state0, loading, TimeGrid(t_final, n_steps))
-    exact = de_giorgi_closed_form(traj)
-    q16, _ = de_giorgi_integral(traj, 16)
+    exact = de_giorgi_dissipation(traj)
+    q16 = de_giorgi_reference(traj, 16)
     assert exact.shape == q16.shape == (n_steps,)
     anchors = traj.dofs[:-1, 1]
-    moved = np.max(np.abs(traj.dofs[1:, 1] - anchors), axis=-1)
+    steps = np.abs(traj.dofs[1:, 1] - anchors)
+    moved = np.max(steps, axis=-1)
     size = np.maximum(1.0, np.max(np.abs(anchors), axis=-1))
     rounding = RESOLUTION * np.abs(q16) * size / np.maximum(moved, 1e-300)
+    solves = traj.settings.grad_tol * np.sum(steps, axis=-1)
     underflow = np.finfo(float).tiny
-    assert np.all(np.abs(exact - q16) <= rounding + underflow)
+    assert np.all(np.abs(exact - q16) <= rounding + solves + underflow)
 
 
 def grown_material_point():
@@ -497,40 +455,30 @@ def grown_column():
         (grown_column, {"loading": Loading((100.0,))}, 1),
     ],
 )
-def test_de_giorgi_closed_form_refuses_an_infeasible_substep(trajectory, doctored, step):
-    # The closed form solves no substep, yet must refuse every trajectory with
-    # a substep r in (0, tau] that a solve refuses, naming the first such
-    # step. The substep minimizer is monotone in r, so phi_tau at the two ends
-    # of (0, tau] finds the steps that fail. The Gauss-Legendre rule, whose
-    # nodes lie inside (0, tau), checks the same two ends and names the same
-    # step.
+def test_march_refuses_what_substeps_refuse(trajectory, doctored, step):
+    # de_giorgi_dissipation checks no substep: the substep minimizer moves
+    # monotonically in r from the anchor to the step's own minimizer, so a
+    # path that a substep solve refuses has an end that the march refuses.
+    # On each doctored model or loading, phi_tau at the two ends of (0, tau]
+    # first refuses step ``step``; run_evolution from the same start accepts
+    # the steps before it and refuses the start or that step.
     traj = dataclasses.replace(trajectory(), **doctored)
-    tau = traj.grid.tau
+    model, start, loading, tau = traj.model, traj.states[0], traj.loading, traj.grid.tau
 
     def refused(n):
         for r in (1e-9 * tau, tau):
             try:
-                phi_tau(traj.model, traj.states[n - 1], traj.loading, traj.grid.times[n], r)
+                phi_tau(model, traj.states[n - 1], loading, traj.grid.times[n], r)
             except InfeasibleState:
                 return True
         return False
 
     assert [n for n in range(1, traj.grid.n_steps + 1) if refused(n)][0] == step
+    if step > 1:
+        run_evolution(model, start, loading, TimeGrid((step - 1) * tau, step - 1))
     with pytest.raises(InfeasibleState) as exc:
-        de_giorgi_closed_form(traj)
-    assert str(exc.value).startswith(f"step {step}, a substep r in (0, {tau!r}] ")
-    with pytest.raises(InfeasibleState) as exc:
-        de_giorgi_integral(traj, 4)
-    assert str(exc.value).startswith(f"step {step}, ")
-    with pytest.raises(InfeasibleState):
-        check_energy_inequality(traj, "p_psi")
-
-
-def test_de_giorgi_closed_form_needs_closed_form_substeps():
-    traj = single_step_trajectory()
-    for model in (MaterialModel(p_psi=2.5), MaterialModel(a4=1.0)):
-        with pytest.raises(ValidationError, match="p_psi = 2, and a4 = 0"):
-            de_giorgi_closed_form(dataclasses.replace(traj, model=model))
+        run_evolution(model, start, loading, traj.grid)
+    assert re.match(f"step {step} |viscous strain outside", str(exc.value))
 
 
 def test_de_giorgi_interpolant_endpoint_is_the_step():
@@ -918,7 +866,7 @@ def overshoot(monkeypatch, factors, stalled=(), outside=(), broken=()):
         return solved[:6] + (model.w_el(F / Fv - 1.0), model.w_vi(Fv - 1.0), r * model.psi(rate))
 
     def column(model, sigma, b_old, r, h, settings, where):
-        step = int(where().removeprefix("step "))
+        step = int(where.removeprefix("step "))
         if step in broken:
             raise ValueError(f"step {step} broken")
         if step in stalled:
@@ -1032,7 +980,7 @@ def test_run_evolution_steps_through_the_public_names(monkeypatch):
     slopes = stepper._viscous_slopes
 
     def counted_slopes(*args):
-        calls.append(args[-1]())
+        calls.append(args[-1])
         return slopes(*args)
 
     marches = march_load_by_load(monkeypatch)
