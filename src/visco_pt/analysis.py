@@ -173,8 +173,9 @@ def check_energy_inequality(traj: Trajectory, factor: str = "one") -> Verificati
     if factor == "p_psi":
         improved = np.cumsum((model.p_psi - 1.0) * de_giorgi_dissipation(traj))
         start = traj.states[0]
-        settled = equilibrate_elastic(model, start, loading, 0.0)
-        equality = loading.is_constant and np.array_equal(settled.gamma, start.gamma)
+        equality = loading.is_constant and np.array_equal(
+            equilibrate_elastic(model, start, loading, 0.0).gamma, start.gamma
+        )
     lhs = traj.energies[1:] + traj.delta[1:] + improved
     raw = (e0 - traj.load_work[1:]) - lhs
     if equality:
