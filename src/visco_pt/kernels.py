@@ -1,5 +1,5 @@
-"""Plain-float stepping kernels: the material-point solve and march, and
-the linear viscous recursion.
+"""Plain-float stepping kernels: the material-point march and the shear
+column's.
 
 Each kernel marches a whole trajectory in Python floats, with no NumPy call
 per step; NumPy's per-call cost would outweigh the arithmetic of one step.
@@ -49,18 +49,16 @@ before, with no Python call per step but the elastic inversion of a Newton
 iterate (:func:`_strain`). :func:`mp_minimize` is its one-load case, the
 single solve of ``phi_tau``.
 
-The linear viscous recursion
-----------------------------
+The shear column
+----------------
 
-With quadratic densities every viscous step is one closed form,
-
-    b_i = b_{i-1} + (sigma_i - c b_{i-1}) / denominator,
-
-per element of the shear column (c = c_v, denominator = c_v + d_v / tau) and
-of the linearized model (c = c_vi, denominator = c_vi + d / tau).
-:func:`linear_march` runs it for all steps, one element after another.
-Its cost grows with the element-steps, that of a NumPy row per step with
-the steps alone, so it is the faster of the two up to about 30 elements.
+Under dead loads a shear step splits into one scalar equation per element
+for its viscous slope b, c_v b + psi'((b - b_old)/r) = sigma_e, and a whole
+trajectory is one :func:`column_march` call (``phi_tau``'s solve a one-row
+march). With p_psi = 2 it is linear in the slopes, b_i = b_{i-1} +
+(sigma_i - c b_{i-1}) / (c + d / r), the recursion of the linearized model
+too, with (c, d) = (c_vi, d). The march runs one element after another: up
+to about 30 elements it is faster than a NumPy row per step.
 """
 
 from __future__ import annotations
@@ -214,21 +212,72 @@ def mp_minimize(
     return out[0]
 
 
-def linear_march(sigma, b0, c, denominator):
-    """The linear viscous recursion b_i = b_{i-1} + (sigma_i - c b_{i-1}) /
-    denominator from the start row ``b0`` (shape (E,)) under the rows
-    sigma_1..sigma_n of ``sigma`` (shape (n, E)); returns the (n + 1, E)
-    array of b_0..b_n. Each element marches in plain floats, with the
-    operations of a NumPy row step in the same order, so every bit agrees
-    with it; one element's floats at a time, so that they never outnumber
-    the steps."""
-    c, denominator = float(c), float(denominator)
-    out = np.empty((len(sigma) + 1, len(b0)))
-    for e, b in enumerate(b0.tolist()):
-        march = [b]
-        append = march.append
-        for s in sigma[:, e].tolist():
-            b = b + (s - c * b) / denominator
-            append(b)
-        out[:, e] = march
-    return out
+def column_march(c_v, d_v, p_psi, sigma, r, h, grad_tol, max_iter, slopes, out):
+    """Solve c_v b + psi'((b - b_old)/r) = sigma_e for the slope b of each
+    element under each row of ``sigma`` (shape (n, E)) in turn, from the row
+    ``slopes[0]``; write step i's slopes to ``slopes[i]`` and append its
+    ``(iterations, grad_inf, status)`` to ``out`` (both the caller's): the
+    most Newton iterations and the largest final h * |residual| of its
+    elements, and 0. The march stops after the earliest step at which an
+    element stops at ``max_iter``: its tuple holds ``max_iter``, the worst
+    h * |residual| of the elements failing there and status 1.
+
+    With p_psi = 2 a step is the closed form, in the order of operations of
+    the NumPy row step, so every bit agrees with it. Otherwise Newton from
+    b_old, bisecting the bracket between b_old and sigma_e / c_v where a
+    step leaves it, until h * |residual| <= grad_tol or the step is at most
+    ``RESOLUTION * max(1, |b|)``.
+    """
+    n, n_elements = sigma.shape
+    c_v, d_v, r, h = float(c_v), float(d_v), float(r), float(h)
+    if p_psi == 2.0:
+        denominator = c_v + d_v / r
+        for e, b in enumerate(slopes[0].tolist()):
+            march = [b]
+            append = march.append
+            for s in sigma[:, e].tolist():
+                b = b + (s - c_v * b) / denominator
+                append(b)
+            slopes[:, e] = march
+        out.extend([(0, 0.0, 0)] * n)
+        return
+    # psi'(y) = dpsi |y|^(p_psi - 1) sign(y), psi''(y) = ddpsi |y|^(p_psi - 2)
+    dpsi = 0.5 * d_v * p_psi
+    ddpsi = dpsi * (p_psi - 1.0)
+    solves = np.zeros((n, n_elements, 2))  # (iterations, h * |residual|)
+    failed, worst = n, 0.0  # the earliest failing step (n: none) and its residual
+    for e, b_old in enumerate(slopes[0].tolist()):
+        march, steps = [b_old], []
+        # up to the earliest failing step, which this element may share
+        for i, s in enumerate(sigma[: failed + 1, e].tolist()):
+            lo, hi = sorted((b_old, s / c_v))
+            b, count, resolved = b_old, 0, False
+            while True:
+                rate = (b - b_old) / r
+                m = dpsi * abs(rate) ** (p_psi - 1.0)
+                residual = c_v * b + (m if rate >= 0.0 else -m) - s
+                scaled = h * abs(residual)
+                if resolved or not scaled > grad_tol or count >= max_iter:
+                    break
+                if residual > 0.0:
+                    hi = b
+                elif residual < 0.0:
+                    lo = b
+                x = b - residual / (c_v + ddpsi * abs(rate) ** (p_psi - 2.0) / r)
+                if x < lo or x > hi:
+                    x = 0.5 * (lo + hi)
+                resolved = abs(x - b) <= RESOLUTION * max(1.0, abs(b))
+                b = x
+                count += 1
+            if not resolved and scaled > grad_tol:  # stopped at max_iter
+                worst = max(worst, scaled) if i == failed else scaled
+                failed = i
+                break
+            march.append(b)
+            steps.append((count, scaled))
+            b_old = b
+        slopes[: len(march), e] = march
+        solves[: len(steps), e] = np.reshape(steps, (len(steps), 2))
+    out.extend((int(its), res, 0) for its, res in solves[:failed].max(axis=1).tolist())
+    if failed < n:
+        out.append((max_iter, worst, 1))

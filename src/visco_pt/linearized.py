@@ -10,9 +10,10 @@ quadratic minimization of E0(t_i, u, v) + tau * Psi0((v - v_prev)/tau), i.e.
 a variational implicit Euler sharing its structure with the finite-strain
 stepper; comparisons between the two then isolate linearization error. Under
 dead loads the minimization splits into one closed-form problem per element
-(as in the finite-strain shear column), and the material point is the
-one-element case with resultant f + g. As there, the shear-column state is
-the pair of element slopes (u', v').
+(as in the finite-strain shear column, whose march ``kernels.column_march``
+it shares with p = 2), and the material point is the one-element case with
+resultant f + g. As there, the shear-column state is the pair of element
+slopes (u', v').
 
 The bridge: a finite-strain trajectory computed under load eps*l0 and
 initial data id + eps*(u0, v0) is divided by eps into (u_eps, v_eps), and
@@ -171,8 +172,9 @@ def run_lin_evolution(
     one-element case with resultant f + g) an independent closed-form
     problem: c_el (u' - v') = sigma and c_vi v' + d (v' - v_old)/tau =
     sigma. The resultants of all grid times form one array, and the viscous
-    recursion is one ``kernels.linear_march`` call (looked up at the module
-    attribute); the rest follows from it in array passes."""
+    recursion is one ``kernels.column_march`` call (looked up at the module
+    attribute) with the quadratic limit's c_vi, d and p = 2; the rest follows
+    from it in array passes."""
     mesh, tau, n = state0.mesh, grid.tau, grid.n_steps
     f, g = loading.f(grid.times), loading.g(grid.times)
     if mesh is None:
@@ -182,7 +184,8 @@ def run_lin_evolution(
     dofs = np.empty((n + 1, 2, len(state0.v)))
     dofs[0] = state0.u, state0.v
     v = dofs[:, 1]
-    v[:] = kernels.linear_march(sigma[1:], state0.v, quad.c_vi, quad.c_vi + quad.d_diss / tau)
+    # p = 2: the closed form, which reads neither h nor grad_tol and max_iter
+    kernels.column_march(quad.c_vi, quad.d_diss, 2.0, sigma[1:], tau, 1.0, 1.0, 1, v, [])
     dofs[1:, 0] = v[1:] + sigma[1:] / quad.c_el
     rate = (v[1:] - v[:-1]) / tau
     if mesh is None:

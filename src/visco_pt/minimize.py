@@ -1,15 +1,15 @@
 """Solver settings, the status of an unconverged solve and the resolution
 of floating point.
 
-Both geometries reduce a step to scalar equations: the material point to one
-equation in F_vi (:mod:`visco_pt.kernels`), the shear column to
-one per element for the viscous slope (in :mod:`visco_pt.stepper`). Each is
-a closed form when the densities are quadratic and a bracketed scalar Newton
-otherwise, and both Newton solves read these settings and share one
-convergence rule: the residual (for the shear column, h times each element
-residual) is at most ``grad_tol``, or the Newton step is at most
-``RESOLUTION * max(1, |x|)`` for the iterate x, below which floating point
-cannot resolve x.
+Both geometries reduce a step to scalar equations, solved in
+:mod:`visco_pt.kernels` by one march per trajectory: the material point to
+one equation in F_vi, the shear column to one per element for the viscous
+slope. Each is a closed form when the densities are quadratic and a
+bracketed scalar Newton otherwise, and both Newton solves read these
+settings and share one convergence rule: the residual (for the shear
+column, h times each element residual) is at most ``grad_tol``, or the
+Newton step is at most ``RESOLUTION * max(1, |x|)`` for the iterate x,
+below which floating point cannot resolve x.
 """
 
 from __future__ import annotations

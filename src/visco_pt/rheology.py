@@ -141,13 +141,10 @@ class MaterialModel:
         """
         if eps <= 0.0 or not np.isfinite(eps):
             raise ValidationError(f"eps must be finite and > 0, got {eps!r}")
-        if which == "el":
-            return _unwrap(np.asarray(self.w_el(np.asarray(a, dtype=float) * eps)) / eps**2)
-        if which == "vi":
-            return _unwrap(np.asarray(self.w_vi(np.asarray(a, dtype=float) * eps)) / eps**2)
-        if which == "psi":
-            return _unwrap(np.asarray(self.psi(np.asarray(a, dtype=float) * eps)) / eps**2)
-        raise ValidationError(f"which must be 'el', 'vi' or 'psi', got {which!r}")
+        density = {"el": self.w_el, "vi": self.w_vi, "psi": self.psi}.get(which)
+        if density is None:
+            raise ValidationError(f"which must be 'el', 'vi' or 'psi', got {which!r}")
+        return _unwrap(np.asarray(density(np.asarray(a, dtype=float) * eps)) / eps**2)
 
     def quadratic_limit(self) -> QuadraticLimit:
         """Curvatures (c_el, c_vi, d_diss) = (c_e, c_v, d_v) of the densities

@@ -21,21 +21,19 @@ no admissible minimizer (the root leaves the admissible set, or the reduced
 curvature there is not positive) fails at once, naming the curvature
 (:func:`_failure`). The shear column under dead loads is statically
 determinate, so its solve splits into one problem per element: with the
-element resultant sigma_e = g + f * (1 - x_e,mid),
-:func:`_viscous_slopes` solves c_v b + psi'((b - b_old)/r) = sigma_e for the
-viscous slope (a closed form when p_psi = 2, a bracketed scalar Newton
-otherwise), and the elastic strain solves w_el'(s) = sigma_e. The state is
-these element slopes: gamma' = s + b and beta' = b. A solve that stops at
-``max_iter`` raises :class:`SolverNotConverged`; no such step is accepted.
+element resultant sigma_e = g + f * (1 - x_e,mid), the viscous slope
+solves c_v b + psi'((b - b_old)/r) = sigma_e (a closed form when p_psi = 2,
+a bracketed scalar Newton otherwise) in ``kernels.column_march``, and the
+elastic strain solves w_el'(s) = sigma_e. The state is these element
+slopes: gamma' = s + b and beta' = b. A solve that stops at ``max_iter``
+raises :class:`SolverNotConverged`; no such step is accepted.
 
 Only the viscous variable carries history from one step to the next, so
 :func:`run_evolution` marches only the solves under loads formed for all
-steps at once: one ``kernels.mp_march`` call per material-point trajectory;
-in the shear column one ``kernels.linear_march`` call per trajectory when
-p_psi = 2, whose closed form is linear in the slopes, and one
-:func:`_viscous_slopes` call per step otherwise. Everything else is a
-function of the two states around a step and is priced after the march in
-one array pass, bit for bit as the per-state functions of
+steps at once: one ``kernels.mp_march`` call per material-point trajectory
+and one ``kernels.column_march`` call per shear trajectory. Everything else
+is a function of the two states around a step and is priced after the march
+in one array pass, bit for bit as the per-state functions of
 :mod:`visco_pt.domain` price it; the earliest failing step still raises what
 it raised when steps ran one by one. No :class:`State` is built: the
 :class:`Trajectory` stores the states as one dof array (see
@@ -126,7 +124,7 @@ class Trajectory(Ledger):
     settings: MinimizeSettings
 
 
-# -- the solve primitives: the kernel and _viscous_slopes ------------------------
+# -- the solve primitives --------------------------------------------------------
 
 
 def _check_substep(r):
@@ -134,16 +132,15 @@ def _check_substep(r):
         raise ValidationError(f"substep length must be > 0, got {r!r}")
 
 
-def _failure(solved, where: str) -> Exception:
-    """The error of a kernel tuple ``(F, Fv, value, grad_inf, iterations,
-    status, ...)`` with a nonzero status, named ``where``:
-    :class:`InfeasibleState` with the reduced curvature (3),
+def _failure(where: str, status, grad_inf, Fv=None, curvature=None) -> Exception:
+    """The error of a kernel solve that stopped with a nonzero status, in
+    either geometry, named ``where``: :class:`InfeasibleState` with the
+    reduced curvature at ``Fv`` (3, a material point's alone),
     :class:`NonFiniteObjective` (4), :class:`SolverNotConverged` (1)."""
-    _, Fv, value, grad_inf, _, status = solved[:6]
     if status == 3:
         return InfeasibleState(
             f"{where} has no admissible minimizer: at F_vi = {Fv!r}, "
-            f"|g'| = {grad_inf:.3e} and the reduced curvature g'' = {value:.3e}"
+            f"|g'| = {grad_inf:.3e} and the reduced curvature g'' = {curvature:.3e}"
         )
     if status == 4:
         return NonFiniteObjective(f"{where}: incremental objective is not finite")
@@ -156,56 +153,6 @@ def _elastic_strains(model: MaterialModel, sigma: np.ndarray) -> np.ndarray:
         return sigma / model.c_e
     c_e, a4 = model.c_e, model.a4
     return np.array([kernels._strain(c_e, a4, s) for s in sigma.tolist()])
-
-
-def _viscous_slopes(
-    model: MaterialModel,
-    sigma: np.ndarray,
-    b_old: np.ndarray,
-    r: float,
-    h: float,
-    settings: MinimizeSettings,
-    where: str,
-):
-    """Per-element viscous slopes b with c_v b + psi'((b - b_old)/r) = sigma;
-    returns ``(b, iterations, grad_inf)``.
-
-    A closed form when p_psi = 2 (0 iterations, grad_inf 0). Otherwise
-    Newton on each element, kept inside the bracket between b_old and
-    sigma/c_v, where the residual changes sign (a step that leaves it
-    bisects). An element is solved, and then left as it is, when h *
-    |residual| <= grad_tol or when its Newton step is below the resolution
-    of b, ``RESOLUTION * max(1, |b|)``; ``iterations`` is the most any
-    element took, ``grad_inf`` the largest final h * |residual|. Raises
-    :class:`SolverNotConverged` at ``max_iter``, named ``where``.
-    """
-    if model.p_psi == 2.0:
-        return b_old + (sigma - model.c_v * b_old) / (model.c_v + model.d_v / r), 0, 0.0
-    p = model.p_psi
-    lo = np.minimum(b_old, sigma / model.c_v)
-    hi = np.maximum(b_old, sigma / model.c_v)
-    b = b_old.copy()
-    active = np.ones(b.shape, dtype=bool)
-    iterations = 0
-    while True:
-        rate = (b - b_old) / r
-        residual = model.c_v * b + model.dpsi(rate) - sigma
-        scaled = h * np.abs(residual)
-        active &= scaled > settings.grad_tol
-        if not active.any():
-            return b, iterations, float(np.max(scaled))
-        if iterations >= settings.max_iter:
-            raise SolverNotConverged(where, MAX_ITER_EXCEEDED, float(np.max(scaled[active])))
-        hi = np.where(residual > 0.0, b, hi)
-        lo = np.where(residual < 0.0, b, lo)
-        ddpsi = 0.5 * model.d_v * p * (p - 1.0) * np.abs(rate) ** (p - 2.0)
-        candidate = b - residual / (model.c_v + ddpsi / r)
-        outside = (candidate < lo) | (candidate > hi)
-        candidate = np.where(outside, 0.5 * (lo + hi), candidate)
-        resolved = np.abs(candidate - b) <= RESOLUTION * np.maximum(1.0, np.abs(b))
-        b = np.where(active, candidate, b)
-        active &= ~resolved
-        iterations += 1
 
 
 # -- the march ------------------------------------------------------------------
@@ -231,7 +178,7 @@ def _march_point(model: MaterialModel, mesh, dofs, f, g, tau: float, settings):
         error = failure
     if solves and solves[-1][5]:
         failed = solves.pop()
-        error = _failure(failed, f"step {len(solves) + 1}")
+        error = _failure(f"step {len(solves) + 1}", failed[5], failed[3], *failed[1:3])
     n = len(solves)
     steps = np.fromiter(itertools.chain.from_iterable(solves), float, 9 * n).reshape(n, 9)
     dofs[1 : n + 1, :, 0] = steps[:, :2]
@@ -239,34 +186,28 @@ def _march_point(model: MaterialModel, mesh, dofs, f, g, tau: float, settings):
 
 
 def _march_column(model: MaterialModel, mesh, dofs, f, g, tau: float, settings):
-    """Viscous-slope solves of steps 1, 2, ... into the same rows of
+    """One ``kernels.column_march`` call (looked up at the module attribute)
+    for the viscous slopes of steps 1, 2, ... into the same rows of
     ``dofs``, under the element resultants of the loads at their ends, each
     from the slopes of the one before; then, in one array pass over the
     steps solved, their elastic strains, and their stored energies and
     dissipation from :func:`dof_stored_energies` and :func:`dof_dissipation`,
     up to the first state that ``w_vi`` refuses, whose error then fails its
-    step. When p_psi = 2 every solve is the closed form of
-    :func:`_viscous_slopes`, and the march is one ``kernels.linear_march``
-    call (looked up at the module attribute); otherwise it is one
-    :func:`_viscous_slopes` call per step, named by the step. Returns what
-    :func:`_march_point` returns."""
+    step. Returns what :func:`_march_point` returns."""
     sigma = element_stress(mesh, f[:, None], g[:, None])
-    iterations, grad_inf, error = [], [], None
+    solves, error = [], None
     try:
-        if model.p_psi == 2.0:
-            c_v = model.c_v
-            dofs[:, 1] = kernels.linear_march(sigma, dofs[0, 1], c_v, c_v + model.d_v / tau)
-            iterations, grad_inf = [0] * len(sigma), [0.0] * len(sigma)
-        else:
-            b = dofs[0, 1]
-            for i, row in enumerate(sigma, start=1):
-                b, its, res = _viscous_slopes(model, row, b, tau, mesh.h, settings, f"step {i}")
-                dofs[i, 1] = b
-                iterations.append(its)
-                grad_inf.append(res)
+        kernels.column_march(
+            model.c_v, model.d_v, model.p_psi, sigma, tau, mesh.h, settings.grad_tol,
+            settings.max_iter, dofs[:, 1], solves,
+        )
     except Exception as failure:  # raised once earlier steps pass
         error = failure
-    n = len(iterations)
+    if solves and solves[-1][2]:
+        _, grad_inf, status = solves.pop()
+        error = _failure(f"step {len(solves) + 1}", status, grad_inf)
+    n = len(solves)
+    steps = np.fromiter(itertools.chain.from_iterable(solves), float, 3 * n).reshape(n, 3)
     beyond = np.flatnonzero((np.abs(dofs[1 : n + 1, 1]) > model.k_radius).any(axis=-1))
     if len(beyond):  # that step fails before any later one
         n = int(beyond[0])
@@ -278,7 +219,7 @@ def _march_column(model: MaterialModel, mesh, dofs, f, g, tau: float, settings):
     np.add(_elastic_strains(model, sigma[:n].ravel()).reshape(b.shape), b, out=gamma)
     w_el, w_vi = dof_stored_energies(model, mesh, gamma, b)
     diss = dof_dissipation(model, mesh, b, dofs[:n, 1], tau)
-    return w_el, w_vi, diss, np.array(iterations[:n], dtype=int), np.array(grad_inf[:n]), error
+    return w_el, w_vi, diss, steps[:n, 0].astype(int), steps[:n, 1], error
 
 
 def run_evolution(
@@ -291,10 +232,9 @@ def run_evolution(
     """March the incremental scheme across the whole grid.
 
     Only the viscous dofs carry history from step to step, so only their
-    solves march: one kernel call for a material point
-    (:func:`_march_point`); for the shear column (:func:`_march_column`) one
-    kernel call when p_psi = 2, one :func:`_viscous_slopes` call per step
-    otherwise. What the march leaves to price is then priced in one array
+    solves march, in one kernel call per trajectory: :func:`_march_point`
+    for a material point, :func:`_march_column` for the shear column. What
+    the march leaves to price is then priced in one array
     pass over the steps: the load pairings of each new state
     and of its old state at the new time, from each state's
     :func:`~visco_pt.domain.pairing_products`, and with them each step's
@@ -389,11 +329,19 @@ def phi_tau(
             f_val + g_val, y_vi_old, r, settings.grad_tol, settings.max_iter,
         )
         if solved[5]:
-            raise _failure(solved, where)
+            raise _failure(where, solved[5], solved[3], *solved[1:3])
         new, iterations = state_from_dofs(mesh, *solved[:2]), solved[4]
     else:
         sigma = element_stress(mesh, f_val, g_val)
-        b, iterations, _ = _viscous_slopes(model, sigma, y_vi_old, r, mesh.h, settings, where)
+        slopes, solved = np.array([y_vi_old, y_vi_old]), []
+        kernels.column_march(
+            model.c_v, model.d_v, model.p_psi, sigma[None], r, mesh.h, settings.grad_tol,
+            settings.max_iter, slopes, solved,
+        )
+        iterations, grad_inf, status = solved[0]
+        if status:
+            raise _failure(where, status, grad_inf)
+        b = slopes[1]
         if np.max(np.abs(b)) > model.k_radius:
             raise InfeasibleState(f"{where} leaves the admissible radius {model.k_radius}")
         new = state_from_dofs(mesh, _elastic_strains(model, sigma) + b, b)

@@ -656,3 +656,34 @@ def test_shipped_csv_outputs_keep_their_digests(tmp_path, command, stem):
     for name, digest in expected.items():
         actual = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert actual == digest, f"{command} {stem}: {name} changed (sha256 {actual})"
+
+
+# float.hex of the values of the monotonicity check (the displacement
+# dissipation of one phi_tau solve per mono_tau_list entry) on the four
+# trajectory configs: no CSV digest covers these single solves.
+SHIPPED_MONOTONICITY_VALUES = {
+    "mp_relax": [
+        "0x1.eb50b6898aedap-10", "0x1.5eab129180c2bp-8",
+        "0x1.fe3a76b2ef2b2p-7", "0x1.b442a6a0916bdp-6",
+    ],
+    "mp_loaded": [
+        "0x1.245fb620479f4p-10", "0x1.a26a5a96be46dp-9",
+        "0x1.31be3cb016b5ap-7", "0x1.0647196b3c7e0p-6",
+    ],
+    "shear_quadratic": [
+        "0x1.776906023348ep-13", "0x1.3b72ea61d950ep-11",
+        "0x1.3b72ea61d950cp-9", "0x1.62e147ae147aep-8",
+    ],
+    "shear_quartic": [
+        "0x1.5693156931564p-15", "0x1.1fdb97530ecabp-13",
+        "0x1.1fdb97530eca8p-11", "0x1.43d70a3d70a3fp-10",
+    ],
+}
+
+
+@pytest.mark.parametrize("stem", list(SHIPPED_MONOTONICITY_VALUES))
+def test_shipped_monotonicity_values_keep_their_bits(stem):
+    config = parse_config((REPO / "configs" / f"{stem}.cfg").read_text(encoding="utf-8"))
+    (report,) = cli._run_checks(config, ["monotonicity"])
+    values = [value.hex() for value in report.params["values"]]
+    assert values == SHIPPED_MONOTONICITY_VALUES[stem]

@@ -1,6 +1,6 @@
 """Plain-float stepping kernels: the material-point minimizers, the
 resolution rule, status codes and the march of a load sequence; and the
-linear viscous recursion."""
+shear column's march of its viscous slopes."""
 
 import math
 import struct
@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from visco_pt import MaterialModel, MinimizeSettings, kernels
+from visco_pt import MaterialModel, kernels
 from visco_pt.minimize import RESOLUTION
-from visco_pt.stepper import _viscous_slopes
 
 # (c_e, a4, c_v, d_v, p_psi, k_radius)
 MODELS = (
@@ -388,7 +387,37 @@ def test_an_error_in_a_step_leaves_the_steps_before_it(params):
     assert bits(out) == bits(chain(params, (0.1, 0.2), 1.5, 0.5))
 
 
-# -- the linear viscous recursion -------------------------------------------------
+# -- the shear column's march ------------------------------------------------------
+
+
+def column(c_v, d_v, p_psi, sigma, b0, r, h, solver=SOLVER):
+    """One ``column_march`` from the start row ``b0``: the (n + 1, E) slopes
+    and the step tuples."""
+    slopes, out = np.empty((len(sigma) + 1, len(b0))), []
+    slopes[0] = b0
+    kernels.column_march(c_v, d_v, p_psi, sigma, r, h, *solver, slopes, out)
+    return slopes, out
+
+
+def column_chain(c_v, d_v, p_psi, sigma, b0, r, h, solver=SOLVER):
+    """The same march as a chain of one-row marches, each from the slopes of
+    the one before."""
+    slopes, out = [b0], []
+    for row in sigma:
+        b, step = column(c_v, d_v, p_psi, row[None], slopes[-1], r, h, solver)
+        slopes.append(b[1])
+        out += step
+    return np.array(slopes), out
+
+
+def seeded_rows(seed, n_steps, n_elements, scale):
+    """Resultant rows and a start row from a seed, which keeps a failing
+    example quick to shrink."""
+    rng = np.random.default_rng(seed)
+    return (
+        rng.normal(size=shape) * 10.0 ** rng.uniform(-scale, scale, shape)
+        for shape in ((n_steps, n_elements), n_elements)
+    )
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -401,24 +430,57 @@ def test_an_error_in_a_step_leaves_the_steps_before_it(params):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_linear_march_chains_the_one_step_closed_forms(n_steps, n_elements, c, d, tau, seed):
-    # One march equals, byte for byte, the one-step closed forms chained row
-    # by row: the p_psi = 2 viscous slopes of the shear column, and the
-    # linearized step b + (sigma - c b) / denominator. The rows come from a
-    # seed, which keeps a failing example quick to shrink.
-    rng = np.random.default_rng(seed)
-    sigma, b0 = (
-        rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
-        for shape in ((n_steps, n_elements), n_elements)
-    )
-    model, denominator = MaterialModel(c_v=c, d_v=d), c + d / tau
-    marched = kernels.linear_march(sigma, b0, c, denominator)
+    # With p_psi = 2 one march equals, byte for byte, the one-step closed
+    # forms chained row by row: the one-row marches of the shear column, and
+    # the linearized step b + (sigma - c b) / denominator as a NumPy row.
+    sigma, b0 = seeded_rows(seed, n_steps, n_elements, 3.0)
+    denominator = c + d / tau
+    marched, steps = column(c, d, 2.0, sigma, b0, tau, 1.0 / n_elements)
     assert marched.shape == (n_steps + 1, n_elements)
+    assert steps == [(0, 0.0, 0)] * n_steps
     slopes, linear = [b0], [b0]
     for row in sigma:
-        b, iterations, grad_inf = _viscous_slopes(
-            model, row, slopes[-1], tau, 1.0 / n_elements, MinimizeSettings(), ""
-        )
-        assert (iterations, grad_inf) == (0, 0.0)
-        slopes.append(b)
+        b, step = column(c, d, 2.0, row[None], slopes[-1], tau, 1.0 / n_elements)
+        assert step == [(0, 0.0, 0)]
+        slopes.append(b[1])
         linear.append(linear[-1] + (row - c * linear[-1]) / denominator)
     assert marched.tobytes() == np.array(slopes).tobytes() == np.array(linear).tobytes()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    n_steps=st.integers(0, 8),
+    n_elements=st.integers(1, 8),
+    c=log_uniform(1e-2, 1e2),
+    d=log_uniform(1e-2, 1e2),
+    p_psi=st.one_of(st.just(2.0), st.floats(2.0, 4.0, exclude_min=True)),
+    tau=log_uniform(1e-3, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_column_march_equals_the_chain_of_one_row_marches(
+    n_steps, n_elements, c, d, p_psi, tau, seed
+):
+    # The elements of a step solve one by one, and a step's tuple reports
+    # the most iterations and the largest final h * |residual| of any: one
+    # march of all rows equals the chain of one-row marches byte for byte,
+    # slopes and tuples alike, on the closed form as on Newton, and its
+    # columns and tuples follow from the marches of each element alone. At
+    # p_psi = 2 the march is also the linear recursion.
+    sigma, b0 = seeded_rows(seed, n_steps, n_elements, 1.0)
+    h = 1.0 / n_elements
+    marched, steps = column(c, d, p_psi, sigma, b0, tau, h)
+    chained, chain_steps = column_chain(c, d, p_psi, sigma, b0, tau, h)
+    assert marched.tobytes() == chained.tobytes()
+    assert bits(steps) == bits(chain_steps)
+    assert [status for _, _, status in steps] == [0] * n_steps
+    alone = [column(c, d, p_psi, sigma[:, [e]], b0[[e]], tau, h) for e in range(n_elements)]
+    assert marched.tobytes() == np.hstack([b for b, _ in alone]).tobytes()
+    for i, step in enumerate(steps):
+        solves = [out[i] for _, out in alone]
+        assert step == (max(s[0] for s in solves), max(s[1] for s in solves), 0)
+    if p_psi == 2.0:
+        linear = [b0]
+        for row in sigma:
+            linear.append(linear[-1] + (row - c * linear[-1]) / (c + d / tau))
+        assert marched.tobytes() == np.array(linear).tobytes()
+        assert steps == [(0, 0.0, 0)] * n_steps

@@ -355,21 +355,20 @@ def test_lin_trajectory_arrays_equal_the_stepwise_scheme(shear):
 
 
 def test_run_lin_evolution_marches_in_one_kernel_call(monkeypatch):
-    # The viscous recursion of a linearized run is one kernels.linear_march
-    # call (looked up at the module attribute) in both geometries, with c =
-    # c_vi and denominator c_vi + d / tau.
+    # The viscous recursion of a linearized run is one kernels.column_march
+    # call (looked up at the module attribute) in both geometries, with the
+    # quadratic limit (c_vi, d_diss) and p = 2, over the substep tau.
     from visco_pt import kernels
 
-    calls, march = [], kernels.linear_march
+    calls, march = [], kernels.column_march
 
-    def counted(sigma, b0, c, denominator):
-        calls.append((sigma.shape, c, denominator))
-        return march(sigma, b0, c, denominator)
+    def counted(c, d, p, sigma, r, *rest):
+        calls.append((sigma.shape, c, d, p, r))
+        return march(c, d, p, sigma, r, *rest)
 
-    monkeypatch.setattr(kernels, "linear_march", counted)
+    monkeypatch.setattr(kernels, "column_march", counted)
     quad = MaterialModel(c_v=0.3, d_v=2.9).quadratic_limit()
     grid = TimeGrid(t_final=1.3, n_steps=7)
     for state in (LinState.material_point(0.37, 0.4), shear_state()):
         run_lin_evolution(quad, state, Loading((0.2,), (0.1,)), grid)
-    denominator = 0.3 + 2.9 / grid.tau
-    assert calls == [((7, 1), 0.3, denominator), ((7, 8), 0.3, denominator)]
+    assert calls == [((7, 1), 0.3, 2.9, 2.0, grid.tau), ((7, 8), 0.3, 2.9, 2.0, grid.tau)]

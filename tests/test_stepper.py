@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from visco_pt import (
@@ -39,8 +39,10 @@ from visco_pt import (
     run_evolution,
     total_energy,
 )
+from visco_pt import kernels
 from visco_pt.domain import (
     dissipation_increment,
+    element_stress,
     energy_value,
     pairing,
     state_dofs,
@@ -107,10 +109,10 @@ def test_step_report_fields():
 def test_step_rejected_on_mismatched_operator(monkeypatch):
     # A solve for a 500 times longer substep pulls the state far beyond the
     # true minimizer, so the stay-put comparison, which charges the true
-    # dissipation of the step, must fail. With p_psi = 2 the shear march is
-    # kernels.linear_march, so the defect is its denominator c_v + d_v / r.
-    def long_substep(one, step, row, b, c, denominator):
-        return one(row, b, c, c + (denominator - c) / 500.0)
+    # dissipation of the step, must fail. In the shear column the defect is
+    # the substep that kernels.column_march solves for.
+    def long_substep(one, step, params, row, b, r, *solver):
+        return one(params, row, b, 500.0 * r, *solver)
 
     march_row_by_row(monkeypatch, long_substep)
     state0 = shear_start()
@@ -361,7 +363,7 @@ def test_de_giorgi_dissipation_solves_no_substep(monkeypatch):
 
     for module, name in (
         (kernels, "mp_minimize"), (kernels, "mp_march"), (kernels, "_strain"),
-        (stepper, "_viscous_slopes"), (stepper, "phi_tau"),
+        (kernels, "column_march"), (stepper, "phi_tau"),
     ):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     for traj, inversions in zip(runs, (["_strain"] * grid.n_steps, [])):
@@ -385,20 +387,33 @@ def test_de_giorgi_dissipation_solves_no_substep(monkeypatch):
     n_steps=st.integers(1, 4),
     n_elements=st.integers(1, 8),
 )
+# two starts within 1e-8 of rest, where p_psi > 2 puts a singularity of the
+# integrand in r next to r = 0: the rule in r misses them by 5.7e-18 against
+# bounds of 5e-19 and 1e-18
+@example(
+    shear=False, c_e=1.0, a4=1.05, c_v=1.0, d_v=1.0, p_psi=2.88, f=(0.0, 0.0), g=0.0,
+    start=5e-9, t_final=0.3, n_steps=2, n_elements=1,
+)
+@example(
+    shear=True, c_e=1.0, a4=1.05, c_v=1.0, d_v=1.0, p_psi=2.88, f=(0.0, 0.0), g=0.0,
+    start=5e-9, t_final=0.3, n_steps=2, n_elements=2,
+)
 def test_de_giorgi_closed_form_matches_the_16_node_rule(
     shear, c_e, a4, c_v, d_v, p_psi, f, g, start, t_final, n_steps, n_elements
 ):
     # The exact integral of de_giorgi_dissipation against the 16-node
     # reference rule, on Newton paths (p_psi > 2, or a4 > 0 at a material
-    # point) as on closed forms. On these draws the integrand is analytic
-    # well beyond [0, tau] (a p_psi > 2 step within about 1e-8 of rest would
-    # put a singularity next to r = 0; none is drawn), so 16 nodes
-    # integrate it to rounding: that of
-    # the rule's rates (x(r) - a) / (r a), which lose digits to cancellation
-    # where a step moves little, relative error about eps * max(1, |a|) /
-    # |x(tau) - a|. A Newton solve stops within grad_tol of its root, which
-    # moves the identity of a step by at most grad_tol times the distance the
-    # step moves, and each substep solve of the rule alike.
+    # point) as on closed forms. The rule runs in u, r = tau u^4, with the
+    # factor 4 u^3 of dr, on the halves [0, 1/2] and [1/2, 1]: a p_psi > 2
+    # step near rest puts a singularity of the integrand in r next to r = 0
+    # (at about r = -1e-3 tau after a start at rest under a load of 1e-7),
+    # which u moves away from [0, 1], so 16 nodes a half integrate it to
+    # rounding: that of the rule's rates (x(r) - a) / (r a), which lose
+    # digits to cancellation where a step moves little, relative error about
+    # eps * max(1, |a|) / |x(tau) - a|. A Newton solve stops within grad_tol
+    # of its root, which moves the identity of a step by at most grad_tol
+    # times the distance the step moves, and each substep solve of the rule
+    # alike.
     model = MaterialModel(c_e=c_e, a4=a4, c_v=c_v, d_v=d_v, p_psi=p_psi)
     loading = Loading(f, (g,))
     if shear:
@@ -409,7 +424,20 @@ def test_de_giorgi_closed_form_matches_the_16_node_rule(
     state0 = equilibrate_elastic(model, state0, loading, 0.0)
     traj = run_evolution(model, state0, loading, TimeGrid(t_final, n_steps))
     exact = de_giorgi_dissipation(traj)
-    q16 = de_giorgi_reference(traj, 16)
+    tau, times = traj.grid.tau, traj.grid.times.tolist()
+
+    def substituted(lo, hi):
+        # the integrand in u over [lo, hi], mapped onto the rule's r in [0, tau]
+        def rate(n, r):
+            u = lo + (hi - lo) * r / tau
+            old, r = traj.states[n - 1], tau * u**4
+            sub = phi_tau(model, old, loading, times[n], r, traj.settings)
+            return sub.rate_dissipation * 4.0 * u**3 * (hi - lo)
+
+        return rate
+
+    q16 = de_giorgi_reference(traj, 16, substituted(0.0, 0.5))
+    q16 += de_giorgi_reference(traj, 16, substituted(0.5, 1.0))
     assert exact.shape == q16.shape == (n_steps,)
     anchors = traj.dofs[:-1, 1]
     steps = np.abs(traj.dofs[1:, 1] - anchors)
@@ -811,46 +839,49 @@ def march_load_by_load(monkeypatch, solve=None):
 
 
 def march_row_by_row(monkeypatch, solve=None):
-    """Patches ``kernels.linear_march`` with a fake that marches one row at
+    """Patches ``kernels.column_march`` with a fake that marches one row at
     a time through the real kernel: step i (from 1) of a march is
-    ``solve(one, i, row, b, c, denominator)``, where ``one(row, b, c,
-    denominator)`` is the real kernel's next row from the row ``b``;
-    without ``solve`` it is that row. Returns a list that holds, for each
-    march, the list of the rows of sigma it solved."""
-    from visco_pt import kernels
+    ``solve(one, i, params, row, b, r, h, grad_tol, max_iter)``, where
+    ``one(params, row, b, r, h, grad_tol, max_iter)`` is the real kernel's
+    pair (slopes, tuple) for the one row ``row`` from the slopes ``b``;
+    without ``solve`` it is that pair. Like the kernel, the fake stops after
+    the first nonzero status. Returns a list that holds, for each march, the
+    list of the rows of sigma it solved."""
+    march, marches = kernels.column_march, []
 
-    march, marches = kernels.linear_march, []
+    def one(params, row, b, r, h, grad_tol, max_iter):
+        slopes, out = np.empty((2, len(b))), []
+        slopes[0] = b
+        march(*params, row[None], r, h, grad_tol, max_iter, slopes, out)
+        return slopes[1], out[0]
 
-    def one(row, b, c, denominator):
-        return march(row[None], b, c, denominator)[1]
-
-    def fake(sigma, b0, c, denominator):
-        rows, solved = [b0], []
+    def fake(c_v, d_v, p_psi, sigma, r, h, grad_tol, max_iter, slopes, out):
+        params, solved = (c_v, d_v, p_psi), []
         marches.append(solved)
         for i, row in enumerate(sigma, start=1):
-            solver = (row, rows[-1], c, denominator)
-            rows.append(one(*solver) if solve is None else solve(one, i, *solver))
+            solver = (params, row, slopes[i - 1], r, h, grad_tol, max_iter)
+            slopes[i], step = one(*solver) if solve is None else solve(one, i, *solver)
+            out.append(step)
             solved.append(row)
-        return np.array(rows)
+            if step[2]:
+                return
 
-    monkeypatch.setattr(kernels, "linear_march", fake)
+    monkeypatch.setattr(kernels, "column_march", fake)
     return marches
 
 
-def overshoot(monkeypatch, factors, stalled=(), outside=(), broken=()):
+def overshoot(
+    monkeypatch, factors, stalled=(), outside=(), broken=(), radius=UNIT_MP.k_radius
+):
     """Makes step i of a run solve for a substep ``factors[i]`` times longer,
-    at a material point and in the shear column (in ``kernels.linear_march``
-    when p_psi = 2, in ``_viscous_slopes`` otherwise); the march still
-    charges the dissipation of the true step. The steps in ``stalled`` get
-    one iteration to reach an unreachable tolerance, so their solves fail;
-    in the shear column the viscous slopes of the steps in ``outside`` move
-    beyond the admissible radius. The solves of the steps in ``broken``
-    raise a ValueError, an error no solver names. In the shear column these
-    three reach only the per-step solves of p_psi != 2: the linear march has
-    no solver to stall and no per-step error."""
-    from visco_pt import stepper
-
-    slopes = stepper._viscous_slopes
+    at a material point and in the shear column (in ``kernels.column_march``);
+    the march still charges the dissipation of the true step. The steps in
+    ``stalled`` get one iteration to reach an unreachable tolerance, so their
+    solves fail (in the shear column only when p_psi != 2: the closed form
+    has no solver to stall); in the shear column the viscous slopes of the
+    steps in ``outside`` move beyond the admissible radius ``radius``. The
+    solves of the steps in ``broken`` raise a ValueError, an error no solver
+    names."""
     stall = MinimizeSettings(grad_tol=1e-300, max_iter=1)
 
     def point(one, step, params, load, anchor, r, grad_tol, max_iter):
@@ -865,28 +896,18 @@ def overshoot(monkeypatch, factors, stalled=(), outside=(), broken=()):
         rate = (Fv - anchor) / (r * anchor)
         return solved[:6] + (model.w_el(F / Fv - 1.0), model.w_vi(Fv - 1.0), r * model.psi(rate))
 
-    def column(model, sigma, b_old, r, h, settings, where):
-        step = int(where.removeprefix("step "))
+    def column(one, step, params, row, b, r, h, grad_tol, max_iter):
         if step in broken:
             raise ValueError(f"step {step} broken")
         if step in stalled:
-            settings = stall
-        b, iterations, grad_inf = slopes(
-            model, sigma, b_old, factors.get(step, 1.0) * r, h, settings, where
-        )
+            grad_tol, max_iter = stall.grad_tol, stall.max_iter
+        b, solved = one(params, row, b, factors.get(step, 1.0) * r, h, grad_tol, max_iter)
         if step in outside:
-            b = b + 2.0 * model.k_radius
-        return b, iterations, grad_inf
-
-    def linear(one, step, row, b, c, denominator):
-        if step not in factors:
-            return one(row, b, c, denominator)
-        # the denominator c + d / r of the longer substep
-        return one(row, b, c, c + (denominator - c) / factors[step])
+            b = b + 2.0 * radius
+        return b, solved
 
     march_load_by_load(monkeypatch, point)
-    march_row_by_row(monkeypatch, linear)
-    monkeypatch.setattr(stepper, "_viscous_slopes", column)
+    march_row_by_row(monkeypatch, column)
 
 
 def test_the_earliest_failing_step_raises(monkeypatch):
@@ -917,6 +938,41 @@ def test_the_earliest_failing_step_raises(monkeypatch):
                 with pytest.raises(error) as exc:
                     run_evolution(model, start, loading, grid)
             assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "f, g, max_iter, fails",
+    [((0, 0, 0, -4.0), (0, 0, 0, 4.0), 6, [5, 4, 3]), ((0, 0, 0, 4.0), (0.0,), 4, [2, 2, 4])],
+)
+def test_the_earliest_step_where_an_element_fails_is_named(f, g, max_iter, fails):
+    # The elements of a column march one after another, each up to its first
+    # step that stops at max_iter (``fails``: the step of each element, when
+    # it marches alone). The run names the earliest such step of any element,
+    # with the worst h * |residual| of the elements that fail there: here the
+    # last element's step 3, under resultants 4 t^3 x_e; then, under 4 t^3
+    # (1 - x_e), step 2 of the first two elements, the worst the first's.
+    model, mesh, grid = MaterialModel(p_psi=4.0), ShearColumnMesh(3), TimeGrid(0.5, 5)
+    loading, solver = Loading(f, g), MinimizeSettings(max_iter=max_iter)
+    t = grid.times[1:]
+    sigma = element_stress(mesh, loading.f(t)[:, None], loading.g(t)[:, None])
+    alone = []
+    for column in sigma.T:
+        slopes, out = np.zeros((grid.n_steps + 1, 1)), []
+        kernels.column_march(
+            model.c_v, model.d_v, model.p_psi, column[:, None], grid.tau, mesh.h,
+            solver.grad_tol, solver.max_iter, slopes, out,
+        )
+        assert out[-1][::2] == (max_iter, 1)
+        alone.append((len(out), out[-1][1]))
+    assert [step for step, _ in alone] == fails
+    step = min(fails)
+    worst = max(grad_inf for failed, grad_inf in alone if failed == step)
+    state0 = State.shear_column(mesh, np.zeros(3), np.zeros(3))
+    with pytest.raises(SolverNotConverged) as exc:
+        run_evolution(model, state0, loading, grid, solver)
+    assert (exc.value.where, exc.value.grad_inf) == (f"step {step}", worst)
+    message = f"step {step} not solved: max_iter_exceeded at |grad|_inf {worst:.3e}"
+    assert str(exc.value) == message
 
 
 def test_step_without_a_minimizer_fails_at_once():
@@ -971,30 +1027,18 @@ def test_quadratic_shear_run_evaluates_dissipation_once_per_step(monkeypatch):
 def test_run_evolution_steps_through_the_public_names(monkeypatch):
     # A run's solves are looked up at the names a tracer wraps: one
     # kernels.mp_march call per material-point trajectory, solving every
-    # step; one kernels.linear_march call per p_psi = 2 shear trajectory,
-    # marching every step; and with p_psi != 2 one _viscous_slopes call per
-    # shear step, named by the step.
-    from visco_pt import stepper
-
-    calls = []
-    slopes = stepper._viscous_slopes
-
-    def counted_slopes(*args):
-        calls.append(args[-1])
-        return slopes(*args)
-
+    # step, and one kernels.column_march call per shear trajectory, marching
+    # every step, whether its solves are closed forms (p_psi = 2) or Newton.
     marches = march_load_by_load(monkeypatch)
-    linear = march_row_by_row(monkeypatch)
-    monkeypatch.setattr(stepper, "_viscous_slopes", counted_slopes)
+    columns = march_row_by_row(monkeypatch)
     grid = TimeGrid(t_final=0.5, n_steps=10)
     run_evolution(UNIT_MP, State.material_point(F_O, F_O), ZERO, grid)
-    assert ([len(loads) for loads in marches], linear, calls) == ([grid.n_steps], [], [])
+    assert ([len(loads) for loads in marches], columns) == ([grid.n_steps], [])
     run_evolution(MaterialModel(), shear_start(), Loading((0.2,)), grid)
     assert len(marches) == 1
-    assert ([len(rows) for rows in linear], calls) == ([grid.n_steps], [])
+    assert [len(rows) for rows in columns] == [grid.n_steps]
     run_evolution(MaterialModel(p_psi=2.5), shear_start(), Loading((0.2,)), grid)
-    assert (len(marches), len(linear)) == (1, 1)
-    assert calls == [f"step {i}" for i in range(1, grid.n_steps + 1)]
+    assert (len(marches), [len(rows) for rows in columns]) == (1, [grid.n_steps] * 2)
 
 
 # -- condensed shear step -------------------------------------------------------
