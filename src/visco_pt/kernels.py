@@ -36,7 +36,7 @@ as x grows), and the solve stops at once: Newton stops at the first iterate
 where g' shows the root beyond the admissible interval.
 
 Status codes: 0 converged, 1 max_iter exceeded, 3 no admissible minimizer,
-4 nonfinite objective.
+4 nonfinite objective (also when a rate overflows the float power of psi).
 
 Besides the minimizer, a solve returns the parts of the value at it: W_el,
 W_vi and r * psi, evaluated in the order of operations of
@@ -46,8 +46,8 @@ model's densities give, bit for bit.
 A material-point trajectory is one :func:`mp_march` call: its steps solve
 one after another in plain floats, each anchored at the F_vi of the one
 before, with no Python call per step but the elastic inversion of a Newton
-iterate (:func:`_strain`). :func:`mp_minimize` is its one-load case, the
-single solve of ``phi_tau``.
+iterate (:func:`_strain`). The single solve of ``phi_tau`` is its one-load
+case.
 
 The shear column
 ----------------
@@ -99,9 +99,16 @@ def mp_march(
     (the previous F_vi, > 0) and each later one at the F_vi of the one
     before.
 
-    Appends each step's tuple (see :func:`mp_minimize`) to ``out``, which the
-    caller owns, and stops after the first with a nonzero status, so an
-    error raised in a step leaves the tuples of the steps before it there.
+    Appends each step's tuple ``(F, Fv, value, grad_inf, iterations, status,
+    w_el, w_vi, dis)`` to ``out``, which the caller owns: the last iterate,
+    the objective there, |g'| there (the gradient in F vanishes by
+    construction), the Newton iterations, the status code, and the parts of
+    ``value``. For status 3, ``value`` is g'' at Fv, the reduced curvature,
+    and the parts are zeros: Fv is the root, or the iterate beyond which it
+    lies. A rate that overflows the float power of psi stops its step with
+    status 4 at that iterate Fv, the other floats NaN. The march stops after
+    the first step with a nonzero status, so an error raised in a step
+    leaves the tuples of the steps before it there.
     """
     closed = a4 == 0.0 and p_psi == 2.0
     quadratic = p_psi == 2.0
@@ -109,107 +116,90 @@ def mp_march(
     # psi'(y) = dpsi |y|^(p_psi - 1) sign(y), psi''(y) = ddpsi |y|^(p_psi - 2)
     dpsi = 0.5 * d_v * p_psi
     ddpsi = dpsi * (p_psi - 1.0)
-    for load in loads:
-        ra = r * anchor
-        if closed:
-            viscous = d_v / (ra * anchor)
-            x = anchor + (load * (1.0 + load * anchor / c_e) - c_v * (anchor - 1.0)) / (
-                c_v - load * load / c_e + viscous
-            )
-            s = load * x / c_e
-            rate = (x - anchor) / ra
-            g1 = c_v * (x - 1.0) + d_v * rate / anchor - load * (1.0 + s)
-            # w_el''(s) as written, not c_e: an overflowing s makes it 0 * inf =
-            # NaN, and then the step has no minimizer (status 3)
-            g2 = c_v - load * load / (c_e + 3.0 * a4 * s * s) + viscous
+    try:
+        for load in loads:
+            ra = r * anchor
             iterations, status = 0, 0
-        else:
-            # Newton from the anchor, inside the bracket [lo, hi] of the
-            # iterates between which g' changes sign and inside the
-            # admissible interval [low, high]
-            lo, hi = -_INF, _INF
-            x = anchor
-            iterations, status = 0, 0
-            resolved = False
-            while True:
-                s = _strain(c_e, a4, load * x)
+            if closed:
+                viscous = d_v / (ra * anchor)
+                x = anchor + (load * (1.0 + load * anchor / c_e) - c_v * (anchor - 1.0)) / (
+                    c_v - load * load / c_e + viscous
+                )
+                s = load * x / c_e
                 rate = (x - anchor) / ra
-                if quadratic:
-                    d1, d2 = d_v * rate, d_v
-                else:
-                    m = dpsi * abs(rate) ** (p_psi - 1.0)
-                    d1 = m if rate >= 0.0 else -m
-                    d2 = ddpsi * abs(rate) ** (p_psi - 2.0)
-                g1 = c_v * (x - 1.0) + d1 / anchor - load * (1.0 + s)
-                g2 = c_v - load * load / (c_e + 3.0 * a4 * s * s) + d2 / (ra * anchor)
-                if g1 != g1:
-                    status = 4
-                    break
-                if abs(g1) <= grad_tol:
-                    break
-                if g1 > 0.0:
-                    hi = x
-                else:
-                    lo = x
-                if lo >= high or hi <= low:
-                    status = 3
-                    break
-                if resolved:
-                    break
-                if iterations >= max_iter:
-                    status = 1
-                    break
-                if g2 > 0.0:
-                    x_new = min(max(x - g1 / g2, low), high)
-                else:
-                    x_new = high if g1 < 0.0 else low
-                if not lo <= x_new <= hi:
-                    x_new = 0.5 * (lo + hi)
-                resolved = abs(x_new - x) <= RESOLUTION * max(1.0, abs(x))
-                x = x_new
-                iterations += 1
-        F = (1.0 + s) * x
-        if status == 3 or (
-            status == 0 and not (g2 > 0.0 and x > 0.0 and abs(x - 1.0) <= k_radius)
-        ):
-            out.append((F, x, g2, abs(g1), iterations, 3, 0.0, 0.0, 0.0))
-            return
-        # the parts, multiplied out as MaterialModel does
-        e = F / x - 1.0
-        e2 = e * e
-        v = x - 1.0
-        w_el = 0.5 * c_e * e * e + 0.25 * a4 * e2 * e2
-        w_vi = 0.5 * c_v * v * v
-        if quadratic:
-            dis = r * (0.5 * d_v * rate * rate)
-        else:
-            dis = r * (0.5 * d_v * abs(rate) ** p_psi)
-        value = w_el + w_vi + dis - load * F
-        if not math.isfinite(value):
-            status = 4
-        out.append((F, x, value, abs(g1), iterations, status, w_el, w_vi, dis))
-        if status:
-            return
-        anchor = x
-
-
-def mp_minimize(
-    c_e, a4, c_v, d_v, p_psi, k_radius, load, anchor, r, grad_tol, max_iter
-):
-    """Minimize the material-point incremental objective with dissipation
-    anchor ``anchor`` (the previous F_vi, > 0) over substep ``r``: the
-    one-load :func:`mp_march`.
-
-    Returns ``(F, Fv, value, grad_inf, iterations, status, w_el, w_vi,
-    dis)``: the last iterate, the objective there, |g'| there (the gradient
-    in F vanishes by construction), the Newton iterations, the status code,
-    and the parts of ``value``. For status 3, ``value`` is g'' at Fv, the
-    reduced curvature, and the parts are zeros: Fv is the root, or the
-    iterate beyond which it lies.
-    """
-    out = []
-    mp_march(c_e, a4, c_v, d_v, p_psi, k_radius, (load,), anchor, r, grad_tol, max_iter, out)
-    return out[0]
+                g1 = c_v * (x - 1.0) + d_v * rate / anchor - load * (1.0 + s)
+                # w_el''(s) as written, not c_e: an overflowing s makes it 0 * inf =
+                # NaN, and then the step has no minimizer (status 3)
+                g2 = c_v - load * load / (c_e + 3.0 * a4 * s * s) + viscous
+            else:
+                # Newton from the anchor, inside the bracket [lo, hi] of the
+                # iterates between which g' changes sign and inside the
+                # admissible interval [low, high]
+                lo, hi = -_INF, _INF
+                x = anchor
+                resolved = False
+                while True:
+                    s = _strain(c_e, a4, load * x)
+                    rate = (x - anchor) / ra
+                    if quadratic:
+                        d1, d2 = d_v * rate, d_v
+                    else:
+                        m = dpsi * abs(rate) ** (p_psi - 1.0)
+                        d1 = m if rate >= 0.0 else -m
+                        d2 = ddpsi * abs(rate) ** (p_psi - 2.0)
+                    g1 = c_v * (x - 1.0) + d1 / anchor - load * (1.0 + s)
+                    g2 = c_v - load * load / (c_e + 3.0 * a4 * s * s) + d2 / (ra * anchor)
+                    if g1 != g1:
+                        status = 4
+                        break
+                    if abs(g1) <= grad_tol:
+                        break
+                    if g1 > 0.0:
+                        hi = x
+                    else:
+                        lo = x
+                    if lo >= high or hi <= low:
+                        status = 3
+                        break
+                    if resolved:
+                        break
+                    if iterations >= max_iter:
+                        status = 1
+                        break
+                    if g2 > 0.0:
+                        x_new = min(max(x - g1 / g2, low), high)
+                    else:
+                        x_new = high if g1 < 0.0 else low
+                    if not lo <= x_new <= hi:
+                        x_new = 0.5 * (lo + hi)
+                    resolved = abs(x_new - x) <= RESOLUTION * max(1.0, abs(x))
+                    x = x_new
+                    iterations += 1
+            F = (1.0 + s) * x
+            if status == 3 or (
+                status == 0 and not (g2 > 0.0 and x > 0.0 and abs(x - 1.0) <= k_radius)
+            ):
+                out.append((F, x, g2, abs(g1), iterations, 3, 0.0, 0.0, 0.0))
+                return
+            # the parts, multiplied out as MaterialModel does
+            e = F / x - 1.0
+            e2 = e * e
+            v = x - 1.0
+            w_el = 0.5 * c_e * e * e + 0.25 * a4 * e2 * e2
+            w_vi = 0.5 * c_v * v * v
+            if quadratic:
+                dis = r * (0.5 * d_v * rate * rate)
+            else:
+                dis = r * (0.5 * d_v * abs(rate) ** p_psi)
+            value = w_el + w_vi + dis - load * F
+            if not math.isfinite(value):
+                status = 4
+            out.append((F, x, value, abs(g1), iterations, status, w_el, w_vi, dis))
+            if status:
+                return
+            anchor = x
+    except OverflowError:  # a rate beyond float range: |rate| ** p overflows
+        out.append((math.nan, x, math.nan, math.nan, iterations, 4, 0.0, 0.0, 0.0))
 
 
 def column_march(c_v, d_v, p_psi, sigma, r, h, grad_tol, max_iter, slopes, out):
@@ -219,8 +209,9 @@ def column_march(c_v, d_v, p_psi, sigma, r, h, grad_tol, max_iter, slopes, out):
     ``(iterations, grad_inf, status)`` to ``out`` (both the caller's): the
     most Newton iterations and the largest final h * |residual| of its
     elements, and 0. The march stops after the earliest step at which an
-    element stops at ``max_iter``: its tuple holds ``max_iter``, the worst
-    h * |residual| of the elements failing there and status 1.
+    element stops at ``max_iter`` (status 1) or its rate overflows the float
+    power of psi (4, residual inf): its tuple holds ``max_iter``, the worst
+    h * |residual| of the elements failing there and the status.
 
     With p_psi = 2 a step is the closed form, in the order of operations of
     the NumPy row step, so every bit agrees with it. Otherwise Newton from
@@ -252,24 +243,27 @@ def column_march(c_v, d_v, p_psi, sigma, r, h, grad_tol, max_iter, slopes, out):
         for i, s in enumerate(sigma[: failed + 1, e].tolist()):
             lo, hi = sorted((b_old, s / c_v))
             b, count, resolved = b_old, 0, False
-            while True:
-                rate = (b - b_old) / r
-                m = dpsi * abs(rate) ** (p_psi - 1.0)
-                residual = c_v * b + (m if rate >= 0.0 else -m) - s
-                scaled = h * abs(residual)
-                if resolved or not scaled > grad_tol or count >= max_iter:
-                    break
-                if residual > 0.0:
-                    hi = b
-                elif residual < 0.0:
-                    lo = b
-                x = b - residual / (c_v + ddpsi * abs(rate) ** (p_psi - 2.0) / r)
-                if x < lo or x > hi:
-                    x = 0.5 * (lo + hi)
-                resolved = abs(x - b) <= RESOLUTION * max(1.0, abs(b))
-                b = x
-                count += 1
-            if not resolved and scaled > grad_tol:  # stopped at max_iter
+            try:
+                while True:
+                    rate = (b - b_old) / r
+                    m = dpsi * abs(rate) ** (p_psi - 1.0)
+                    residual = c_v * b + (m if rate >= 0.0 else -m) - s
+                    scaled = h * abs(residual)
+                    if resolved or not scaled > grad_tol or count >= max_iter:
+                        break
+                    if residual > 0.0:
+                        hi = b
+                    elif residual < 0.0:
+                        lo = b
+                    x = b - residual / (c_v + ddpsi * abs(rate) ** (p_psi - 2.0) / r)
+                    if x < lo or x > hi:
+                        x = 0.5 * (lo + hi)
+                    resolved = abs(x - b) <= RESOLUTION * max(1.0, abs(b))
+                    b = x
+                    count += 1
+            except OverflowError:  # a rate beyond float range: |rate| ** p overflows
+                scaled, resolved = _INF, False
+            if not resolved and scaled > grad_tol:  # stopped at max_iter, or overflowed
                 worst = max(worst, scaled) if i == failed else scaled
                 failed = i
                 break
@@ -279,5 +273,5 @@ def column_march(c_v, d_v, p_psi, sigma, r, h, grad_tol, max_iter, slopes, out):
         slopes[: len(march), e] = march
         solves[: len(steps), e] = np.reshape(steps, (len(steps), 2))
     out.extend((int(its), res, 0) for its, res in solves[:failed].max(axis=1).tolist())
-    if failed < n:
-        out.append((max_iter, worst, 1))
+    if failed < n:  # an infinite residual is an overflowed rate
+        out.append((max_iter, worst, 1 if worst < _INF else 4))

@@ -15,16 +15,15 @@ below which floating point cannot resolve x.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ValidationError
 
 MAX_ITER_EXCEEDED = "max_iter_exceeded"
 
 # Changes at or below this multiple of the magnitude are rounding.
-RESOLUTION = 16.0 * np.finfo(float).eps
+RESOLUTION = 16.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)

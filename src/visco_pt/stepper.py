@@ -12,41 +12,40 @@ energies compared, and violations reject the step.
 Routing: both geometries eliminate the elastic variable in closed form and
 solve scalar equations for the viscous one. At a material point the stepping
 kernel (:mod:`visco_pt.kernels`) solves them in plain floats: F solves
-w_el'(F/F_vi - 1) = load * F_vi, and F_vi one scalar equation anchored at the
-previous F_vi (a closed form when a4 = 0 and p_psi = 2, a bracketed scalar
-Newton otherwise); the kernel also returns the state's stored energies and
-dissipation. A whole trajectory is one ``kernels.mp_march`` call, and a
-single solve (``phi_tau``) one ``kernels.mp_minimize`` call. A solve with
-no admissible minimizer (the root leaves the admissible set, or the reduced
-curvature there is not positive) fails at once, naming the curvature
-(:func:`_failure`). The shear column under dead loads is statically
-determinate, so its solve splits into one problem per element: with the
-element resultant sigma_e = g + f * (1 - x_e,mid), the viscous slope
-solves c_v b + psi'((b - b_old)/r) = sigma_e (a closed form when p_psi = 2,
-a bracketed scalar Newton otherwise) in ``kernels.column_march``, and the
-elastic strain solves w_el'(s) = sigma_e. The state is these element
+w_el'(F/F_vi - 1) = load * F_vi, and F_vi one scalar equation anchored at
+the previous F_vi (a closed form when a4 = 0 and p_psi = 2, a bracketed
+scalar Newton otherwise); the kernel also returns the state's stored
+energies and dissipation. A whole trajectory is one ``kernels.mp_march``
+call. A solve with no admissible minimizer (the root leaves the admissible
+set, or the reduced curvature there is not positive) fails at once, naming
+the curvature (:func:`_failure`). The shear column under dead loads is
+statically determinate, so its solve splits into one problem per element:
+with the element resultant sigma_e = g + f * (1 - x_e,mid), the viscous
+slope solves c_v b + psi'((b - b_old)/r) = sigma_e (a closed form when
+p_psi = 2, a bracketed scalar Newton otherwise) in ``kernels.column_march``,
+and the elastic strain solves w_el'(s) = sigma_e. The state is these element
 slopes: gamma' = s + b and beta' = b. A solve that stops at ``max_iter``
 raises :class:`SolverNotConverged`; no such step is accepted.
 
 Only the viscous variable carries history from one step to the next, so
 :func:`run_evolution` marches only the solves under loads formed for all
-steps at once: one ``kernels.mp_march`` call per material-point trajectory
-and one ``kernels.column_march`` call per shear trajectory. Everything else
-is a function of the two states around a step and is priced after the march
-in one array pass, bit for bit as the per-state functions of
-:mod:`visco_pt.domain` price it; the earliest failing step still raises what
-it raised when steps ran one by one. No :class:`State` is built: the
+steps at once (:func:`_march`): one ``kernels.mp_march`` call per
+material-point trajectory and one ``kernels.column_march`` call per shear
+trajectory. Everything else is a function of the two states around a step
+and is priced after the march in one array pass, bit for bit as the
+per-state functions of :mod:`visco_pt.domain` price it; the earliest failing
+step still raises what it raised when steps ran one by one. The
 :class:`Trajectory` stores the states as one dof array (see
 :mod:`visco_pt.domain`) with per-state and per-step arrays beside it.
 
-The same solve over a substep r in (0, tau] gives phi_tau(r), the value
-function of the De Giorgi interpolation, priced by the per-state functions;
-its minimizer is the De Giorgi interpolant, the step itself at r = tau. The
-integral of its rate dissipation over r in [0, tau], the improved
-dissipation term of the sharp energy identity, needs no substep solve:
-:func:`de_giorgi_dissipation` takes it exactly for a whole trajectory, in
-one array pass over its accepted states, from each step's own dissipation
-and the Bregman gap of the reduced energy between the step's two ends.
+The same march one step long, over a substep r in (0, tau], gives
+phi_tau(r), the value function of the De Giorgi interpolation (its failure
+is named ``step 1``); its minimizer is the De Giorgi interpolant, the step
+itself at r = tau. The integral of its rate dissipation over r in [0, tau],
+the improved dissipation term of the sharp energy identity, needs no
+substep solve: :func:`de_giorgi_dissipation` takes it exactly for a whole
+trajectory, in one array pass over its accepted states, from each step's own
+dissipation and the Bregman gap of the reduced energy between its two ends.
 """
 
 from __future__ import annotations
@@ -65,15 +64,12 @@ from .domain import (
     ShearColumnMesh,
     State,
     TimeGrid,
-    dissipation_increment,
     dof_dissipation,
     dof_stored_energies,
     element_stress,
-    energy_value,
     pairing_products,
     product_pairings,
     read_only,
-    state_dofs,
     state_from_dofs,
     stored_energies,
 )
@@ -125,11 +121,6 @@ class Trajectory(Ledger):
 
 
 # -- the solve primitives --------------------------------------------------------
-
-
-def _check_substep(r):
-    if not (r > 0.0 and math.isfinite(r)):
-        raise ValidationError(f"substep length must be > 0, got {r!r}")
 
 
 def _failure(where: str, status, grad_inf, Fv=None, curvature=None) -> Exception:
@@ -192,8 +183,8 @@ def _march_column(model: MaterialModel, mesh, dofs, f, g, tau: float, settings):
     from the slopes of the one before; then, in one array pass over the
     steps solved, their elastic strains, and their stored energies and
     dissipation from :func:`dof_stored_energies` and :func:`dof_dissipation`,
-    up to the first state that ``w_vi`` refuses, whose error then fails its
-    step. Returns what :func:`_march_point` returns."""
+    up to the first step whose slopes leave the admissible radius, which
+    fails there. Returns what :func:`_march_point` returns."""
     sigma = element_stress(mesh, f[:, None], g[:, None])
     solves, error = [], None
     try:
@@ -211,15 +202,24 @@ def _march_column(model: MaterialModel, mesh, dofs, f, g, tau: float, settings):
     beyond = np.flatnonzero((np.abs(dofs[1 : n + 1, 1]) > model.k_radius).any(axis=-1))
     if len(beyond):  # that step fails before any later one
         n = int(beyond[0])
-        try:
-            model.w_vi(dofs[n + 1, 1])
-        except InfeasibleState as refused:
-            error = refused
+        error = InfeasibleState(f"step {n + 1} leaves the admissible radius {model.k_radius}")
     gamma, b = dofs[1 : n + 1, 0], dofs[1 : n + 1, 1]
     np.add(_elastic_strains(model, sigma[:n].ravel()).reshape(b.shape), b, out=gamma)
     w_el, w_vi = dof_stored_energies(model, mesh, gamma, b)
     diss = dof_dissipation(model, mesh, b, dofs[:n, 1], tau)
     return w_el, w_vi, diss, steps[:n, 0].astype(int), steps[:n, 1], error
+
+
+def _march(model: MaterialModel, state0: State, f, g, tau: float, settings):
+    """The dof array of ``state0`` and a step after it for each load value of
+    the arrays f and g, marched by :func:`_march_point` or
+    :func:`_march_column`; returns it with what the march returns."""
+    if not (tau > 0.0 and math.isfinite(tau)):
+        raise ValidationError(f"substep length must be > 0, got {tau!r}")
+    dofs = np.empty((len(f) + 1, 2, len(state0.beta)))
+    dofs[0] = state0.gamma, state0.beta
+    march = _march_point if state0.mesh is None else _march_column
+    return (dofs, *march(model, state0.mesh, dofs, f, g, tau, settings))
 
 
 def run_evolution(
@@ -232,8 +232,7 @@ def run_evolution(
     """March the incremental scheme across the whole grid.
 
     Only the viscous dofs carry history from step to step, so only their
-    solves march, in one kernel call per trajectory: :func:`_march_point`
-    for a material point, :func:`_march_column` for the shear column. What
+    solves march, in one kernel call per trajectory (:func:`_march`). What
     the march leaves to price is then priced in one array
     pass over the steps: the load pairings of each new state
     and of its old state at the new time, from each state's
@@ -242,20 +241,17 @@ def run_evolution(
     each as the per-state functions give it, bit for bit.
 
     The earliest step that fails raises what it raised when the steps ran
-    one by one: its solve error; the error of ``w_vi`` for a viscous strain
+    one by one: its solve error; :class:`InfeasibleState` for shear slopes
     outside the admissible radius; :class:`NonFiniteObjective` when the
     margin is not finite; or :class:`StepRejected` when the margin falls
     below -(``STAY_PUT_TOL`` plus the rounding of the two energies it
     compares, ``RESOLUTION`` times the sum of their magnitudes).
     """
-    mesh, tau = state0.mesh, grid.tau
+    mesh = state0.mesh
     stored0 = stored_energies(model, state0)
-    _check_substep(tau)
     f, g = loading.f(grid.times[1:]), loading.g(grid.times[1:])
-    dofs = np.empty((grid.n_steps + 1, 2, len(state0.beta)))
-    dofs[0] = state0.gamma, state0.beta
-    march = _march_point if mesh is None else _march_column
-    w_el, w_vi, diss, iterations, grad_inf, error = march(model, mesh, dofs, f, g, tau, settings)
+    march = _march(model, state0, f, g, grid.tau, settings)
+    dofs, w_el, w_vi, diss, iterations, grad_inf, error = march
     n = len(diss)
     dofs = dofs[: n + 1]
     stored = np.concatenate([[stored0], np.column_stack([w_el, w_vi])])
@@ -316,37 +312,18 @@ def phi_tau(
     r: float,
     settings: MinimizeSettings = MinimizeSettings(),
 ) -> PhiTau:
-    """Value, minimizer and rate dissipation of the substep functional,
-    solved as a step of length r is; the value is priced by the per-state
-    functions, E(t, new) + r * Psi. A failure is named ``substep r=...``."""
-    _check_substep(r)
-    mesh, (_, y_vi_old) = old.mesh, state_dofs(old)
-    f_val, g_val = loading.f(t), loading.g(t)
-    where = f"substep r={r!r}"
-    if mesh is None:
-        solved = kernels.mp_minimize(
-            model.c_e, model.a4, model.c_v, model.d_v, model.p_psi, model.k_radius,
-            f_val + g_val, y_vi_old, r, settings.grad_tol, settings.max_iter,
-        )
-        if solved[5]:
-            raise _failure(where, solved[5], solved[3], *solved[1:3])
-        new, iterations = state_from_dofs(mesh, *solved[:2]), solved[4]
-    else:
-        sigma = element_stress(mesh, f_val, g_val)
-        slopes, solved = np.array([y_vi_old, y_vi_old]), []
-        kernels.column_march(
-            model.c_v, model.d_v, model.p_psi, sigma[None], r, mesh.h, settings.grad_tol,
-            settings.max_iter, slopes, solved,
-        )
-        iterations, grad_inf, status = solved[0]
-        if status:
-            raise _failure(where, status, grad_inf)
-        b = slopes[1]
-        if np.max(np.abs(b)) > model.k_radius:
-            raise InfeasibleState(f"{where} leaves the admissible radius {model.k_radius}")
-        new = state_from_dofs(mesh, _elastic_strains(model, sigma) + b, b)
-    diss = dissipation_increment(model, new, old, r)
-    return PhiTau(energy_value(model, new, loading, t) + diss, new, diss / r, iterations)
+    """Value, minimizer and rate dissipation of the substep functional: the
+    one-step march of :func:`run_evolution` from ``old``, of length r, under
+    the load at t. The value is E(t, new) + r * Psi, as
+    :func:`~visco_pt.domain.energy_value` prices it; a failure is named
+    ``step 1``, as the march names it."""
+    f, g = np.array([loading.f(t)]), np.array([loading.g(t)])
+    dofs, w_el, w_vi, diss, iterations, _, error = _march(model, old, f, g, r, settings)
+    if error is not None:
+        raise error
+    new = state_from_dofs(old.mesh, *dofs[1])
+    value = float(w_el[0] + w_vi[0] - loading.pairing(new, t)) + float(diss[0])
+    return PhiTau(value, new, float(diss[0]) / r, int(iterations[0]))
 
 
 def de_giorgi_dissipation(traj: Trajectory) -> np.ndarray:

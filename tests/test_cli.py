@@ -390,6 +390,22 @@ def test_step_of_infinite_energy_exits_1_and_names_the_step(tmp_path, capsys):
     assert not (out / "run.csv").exists()
 
 
+def test_step_whose_rate_overflows_exits_1_and_names_the_step(tmp_path, capsys):
+    # tau = 1e-160 and p_psi = 3: Newton's first iterate moves F_vi at a rate
+    # whose square overflows the float power of psi. The step fails as an
+    # objective that is not finite: one error line, no traceback.
+    cfg = write(
+        tmp_path,
+        "overflow.cfg",
+        "mode = mp\nt_final = 1e-158\nn_steps = 100\np_psi = 3\nF_vi0 = 1.5\nload_f = 0.3\n",
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: step 1: incremental objective is not finite\n"
+    assert not (out / "run.csv").exists()
+
+
 @pytest.mark.parametrize(
     "flag, command",
     [("--tau-list", c) for c in ("run", "lin", "sweep-eps", "verify", "densities")]

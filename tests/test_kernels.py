@@ -24,9 +24,9 @@ SOLVER = (1e-10, 10000)  # grad_tol, max_iter
 
 
 def run_kernel(params, load, Fv, r, solver=SOLVER):
-    """Call mp_minimize the way the stepper does: anchored at the previous
-    F_vi."""
-    return kernels.mp_minimize(*params, load, Fv, r, *solver)
+    """The tuple of a one-load mp_march, anchored at ``Fv`` the way the
+    stepper anchors a step at the previous F_vi."""
+    return march(params, (load,), Fv, r, solver)[0]
 
 
 def objective(params, load, anchor, r, F, Fv):
@@ -232,10 +232,9 @@ def test_kernel_names_a_stationary_point_of_negative_curvature():
 
 
 def test_kernel_status_infeasible_start():
-    c_e, a4, c_v, d_v, p_psi, k_radius = MODELS[0]
-    out = kernels.mp_minimize(c_e, a4, c_v, d_v, p_psi, k_radius, 0.0, -1.0, 0.5, *SOLVER)
+    out = run_kernel(MODELS[0], 0.0, -1.0, 0.5)
     assert out[5] == 3  # nonpositive viscous stretch
-    out = kernels.mp_minimize(c_e, a4, c_v, d_v, p_psi, 0.1, 0.0, 1.5, 0.5, *SOLVER)
+    out = run_kernel(MODELS[0][:5] + (0.1,), 0.0, 1.5, 0.5)
     assert out[5] == 3  # viscous strain outside k_radius
 
 
@@ -259,7 +258,7 @@ def march(params, loads, anchor, r, solver=SOLVER):
 
 
 def chain(params, loads, anchor, r, solver=SOLVER):
-    """One-load mp_minimize calls over ``loads``, each anchored at the F_vi
+    """One-load mp_march calls over ``loads``, each anchored at the F_vi
     of the one before, up to and with the first nonzero status."""
     out = []
     for load in loads:
@@ -314,6 +313,9 @@ def test_march_equals_the_chain_of_one_load_solves(
         ((1.0, 0.0, 1.5e308, 1.0, 2.0, 10.0), (0.0, 1e154, 0.0), 1.0, 1.0, 10000, [0, 4]),
         # the dissipation overflows at Newton's
         ((1e72, 0.0, 1e168, 1e304, 3.0, 10.0), (0.0, 1e137, 0.0), 1.0, 1e-3, 10000, [0, 4]),
+        # the float power of psi overflows at Newton's first iterate: over r =
+        # 1e-160 a move of F_vi by 0.1 is a rate whose square exceeds 1e308
+        ((1.0, 0.0, 1.0, 1.0, 3.0, 10.0), (0.0, 0.3, 0.0), 1.0, 1e-160, 10000, [0, 4]),
     ],
 )
 def test_march_stops_after_the_first_nonzero_status(params, loads, anchor, r, max_iter, statuses):
@@ -484,3 +486,26 @@ def test_column_march_equals_the_chain_of_one_row_marches(
             linear.append(linear[-1] + (row - c * linear[-1]) / (c + d / tau))
         assert marched.tobytes() == np.array(linear).tobytes()
         assert steps == [(0, 0.0, 0)] * n_steps
+
+
+@pytest.mark.parametrize(
+    "sigma, statuses",
+    [
+        # element 1 moves at step 2, element 0 only at step 3
+        ([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0, 4]),
+        # at step 2 element 0 stops at max_iter and element 1 overflows
+        ([[0.0, 0.0], [1e-7, 1.0], [1.0, 1.0]], [0, 4]),
+        # element 0 stops at max_iter at step 1, before element 1 overflows
+        ([[1e-7, 0.0], [1e-7, 1.0], [1.0, 1.0]], [1]),
+    ],
+)
+def test_column_rate_that_overflows_fails_its_step_as_not_finite(sigma, statuses):
+    # p_psi = 3 over r = 1e-160: a slope that moves by 1 has a rate whose
+    # square overflows the float power of psi, while one that moves by 1e-7
+    # stays finite but cannot converge in one iteration. The march stops
+    # after the earliest step at which any element fails, with status 4 and
+    # an infinite residual if an element overflowed there.
+    solver = (SOLVER[0], 1)
+    _, out = column(1.0, 1.0, 3.0, np.array(sigma), np.zeros(2), 1e-160, 0.5, solver)
+    assert [status for _, _, status in out] == statuses
+    assert math.isinf(out[-1][1]) == (statuses[-1] == 4)

@@ -26,6 +26,7 @@ from visco_pt import (
     Loading,
     MaterialModel,
     MinimizeSettings,
+    NonFiniteObjective,
     ShearColumnMesh,
     SolverNotConverged,
     State,
@@ -172,44 +173,54 @@ def test_step_that_does_not_converge_raises(model, old, where):
     assert str(exc.value).startswith(f"{where} not solved: max_iter_exceeded")
 
 
-def test_substep_that_does_not_converge_names_r():
+def test_substep_that_does_not_converge_names_step_1():
+    # A substep is a one-step march, and names its failure as a run does.
     model = MaterialModel(c_e=2.0, a4=1.0, c_v=0.5, d_v=2.0, p_psi=2.5, k_radius=4.0)
-    with pytest.raises(SolverNotConverged, match="substep r=0.25"):
+    with pytest.raises(SolverNotConverged, match="^step 1 not solved"):
         phi_tau(
             model, State.material_point(1.5, 1.5), Loading((0.2,)), 0.5, 0.25,
             MinimizeSettings(max_iter=1),
         )
 
 
-def test_shear_substep_that_does_not_converge_names_r():
+def test_shear_substep_that_does_not_converge_names_step_1():
     old = State.shear_column(ShearColumnMesh(4), np.full(4, 0.5), np.full(4, 0.4))
     with pytest.raises(SolverNotConverged) as exc:
         phi_tau(
             MaterialModel(a4=1.0, p_psi=3.0), old, Loading((0.3,), (0.2,)), 0.5, 0.25,
             MinimizeSettings(max_iter=1),
         )
-    assert exc.value.where == "substep r=0.25"
+    assert exc.value.where == "step 1"
+    assert exc.value.status == "max_iter_exceeded"
     assert exc.value.grad_inf == 0.1584375
-    assert str(exc.value) == (
-        "substep r=0.25 not solved: max_iter_exceeded at |grad|_inf 1.584e-01"
-    )
+    assert str(exc.value) == "step 1 not solved: max_iter_exceeded at |grad|_inf 1.584e-01"
 
 
 def test_shear_substep_beyond_the_radius_is_infeasible():
     old = State.shear_column(ShearColumnMesh(4), np.full(4, 0.5), np.full(4, 0.4))
     with pytest.raises(InfeasibleState) as exc:
         phi_tau(MaterialModel(k_radius=0.41), old, Loading((0.3,), (0.2,)), 0.5, 0.25)
-    assert str(exc.value) == "substep r=0.25 leaves the admissible radius 0.41"
+    assert str(exc.value) == "step 1 leaves the admissible radius 0.41"
 
 
-def test_material_point_substep_without_a_minimizer_names_r():
+def test_material_point_substep_without_a_minimizer_names_step_1():
     # load^2 = 4 >= c_e * c_v: the root of g' lies at a negative F_vi.
     with pytest.raises(InfeasibleState) as exc:
         phi_tau(MaterialModel(), State.material_point(1.2, 1.2), Loading((2.0,)), 0.5, 0.25)
     assert str(exc.value) == (
-        "substep r=0.25 has no admissible minimizer: at F_vi = -28.499999999999986, "
+        "step 1 has no admissible minimizer: at F_vi = -28.499999999999986, "
         "|g'| = 1.421e-14 and the reduced curvature g'' = -2.222e-01"
     )
+
+
+@pytest.mark.parametrize("old", [State.material_point(1.5, 1.5), shear_start(4)])
+def test_substep_whose_rate_overflows_is_not_finite(old):
+    # p_psi = 3 over r = 1e-160: a viscous dof that moves at all has a rate
+    # whose square overflows the float power of psi. The substep fails as an
+    # objective that is not finite, not with an OverflowError.
+    with pytest.raises(NonFiniteObjective) as exc:
+        phi_tau(MaterialModel(p_psi=3.0), old, Loading((0.3,)), 0.5, 1e-160)
+    assert str(exc.value) == "step 1: incremental objective is not finite"
 
 
 def test_mp_cubic_dissipation_step():
@@ -362,7 +373,7 @@ def test_de_giorgi_dissipation_solves_no_substep(monkeypatch):
         return wrapped
 
     for module, name in (
-        (kernels, "mp_minimize"), (kernels, "mp_march"), (kernels, "_strain"),
+        (kernels, "mp_march"), (kernels, "_strain"),
         (kernels, "column_march"), (stepper, "phi_tau"),
     ):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
@@ -920,7 +931,7 @@ def test_the_earliest_failing_step_raises(monkeypatch):
     loading = Loading((0.2,), (0.1,))
     grid = TimeGrid(0.1, 6)
     stalled = ({"stalled": {5}}, SolverNotConverged, "step 5 not solved: max_iter_exceeded")
-    outside = ({"outside": {5}}, InfeasibleState, "viscous strain outside the admissible radius")
+    outside = ({"outside": {5}}, InfeasibleState, "step 5 leaves the admissible radius")
     broken = ({"broken": {5}}, ValueError, "step 5 broken")
     for state0, faults in (
         (State.material_point(F_O, F_O), [stalled, broken]),
@@ -1028,7 +1039,8 @@ def test_run_evolution_steps_through_the_public_names(monkeypatch):
     # A run's solves are looked up at the names a tracer wraps: one
     # kernels.mp_march call per material-point trajectory, solving every
     # step, and one kernels.column_march call per shear trajectory, marching
-    # every step, whether its solves are closed forms (p_psi = 2) or Newton.
+    # every step, whether its solves are closed forms (p_psi = 2) or Newton;
+    # and a phi_tau's solve at the same names.
     marches = march_load_by_load(monkeypatch)
     columns = march_row_by_row(monkeypatch)
     grid = TimeGrid(t_final=0.5, n_steps=10)
@@ -1039,6 +1051,12 @@ def test_run_evolution_steps_through_the_public_names(monkeypatch):
     assert [len(rows) for rows in columns] == [grid.n_steps]
     run_evolution(MaterialModel(p_psi=2.5), shear_start(), Loading((0.2,)), grid)
     assert (len(marches), [len(rows) for rows in columns]) == (1, [grid.n_steps] * 2)
+    # A phi_tau is a one-step march: one call with one load, or one row.
+    phi_tau(UNIT_MP, State.material_point(F_O, F_O), ZERO, 0.0, 0.25)
+    assert [len(loads) for loads in marches] == [grid.n_steps, 1]
+    phi_tau(MaterialModel(p_psi=2.5), shear_start(), Loading((0.2,)), 0.5, 0.25)
+    assert [len(loads) for loads in marches] == [grid.n_steps, 1]
+    assert [len(rows) for rows in columns] == [grid.n_steps] * 2 + [1]
 
 
 # -- condensed shear step -------------------------------------------------------
