@@ -220,12 +220,12 @@ def semistability_sweep(traj: Trajectory) -> VerificationReport:
     y, y_vi = traj.dofs[:, 0], traj.dofs[:, 1]
     if mesh is None:
         sigma = (f + g) * y_vi
-        y_min = (1.0 + _elastic_strains(model, sigma[:, 0])[:, None]) * y_vi
+        y_min = (1.0 + _elastic_strains(model, sigma)) * y_vi
         stored = np.hstack([model.w_el(y_min / y_vi - 1.0), model.w_vi(y_vi - 1.0)])
         strain = y / y_vi - 1.0
     else:
         sigma = element_stress(mesh, f, g)
-        y_min = _elastic_strains(model, sigma.ravel()).reshape(sigma.shape) + y_vi
+        y_min = _elastic_strains(model, sigma) + y_vi
         stored = np.column_stack(dof_stored_energies(model, mesh, y_min, y_vi))
         strain = y - y_vi
     minimizer = replace(traj, dofs=np.stack([y_min, y_vi], 1), stored=stored)

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__, analysis
 from .config import ScenarioConfig, load_config
+from .domain import State
 from .errors import ValidationError, ViscoPTError
 from .linearized import LinTrajectory, run_lin_evolution
 from .stepper import Trajectory, run_evolution
@@ -113,14 +114,19 @@ def _run_checks(config: ScenarioConfig, names: Sequence[str]):
     model = config.model()
     loading = config.loading()
     grid = config.grid()
+    state0: Optional[State] = None
     traj: Optional[Trajectory] = None
+
+    def initial_state() -> State:
+        nonlocal state0
+        if state0 is None:
+            state0 = config.initial_state()
+        return state0
 
     def trajectory() -> Trajectory:
         nonlocal traj
         if traj is None:
-            traj = run_evolution(
-                model, config.initial_state(), loading, grid, settings
-            )
+            traj = run_evolution(model, initial_state(), loading, grid, settings)
         return traj
 
     reports = []
@@ -134,7 +140,7 @@ def _run_checks(config: ScenarioConfig, names: Sequence[str]):
         elif name == "monotonicity":
             reports.append(
                 analysis.check_monotonicity(
-                    config.initial_state(),
+                    initial_state(),
                     max(config.mono_tau_list),
                     config.mono_tau_list,
                     model,
@@ -146,7 +152,7 @@ def _run_checks(config: ScenarioConfig, names: Sequence[str]):
             reports.append(
                 analysis.tau_convergence(
                     model,
-                    config.initial_state(),
+                    initial_state(),
                     loading,
                     config.t_final,
                     config.tau_list,

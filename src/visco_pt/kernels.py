@@ -20,14 +20,21 @@ What is left is one scalar equation in x, for the objective g reduced over F:
     g''(x) = c_v - load^2 / w_el''(s) + psi''((x - a)/(r a)) / (r a^2).
 
 With a4 = 0 and p_psi = 2, g' is affine and its root is a closed form (0
-iterations). Otherwise scalar Newton from x = a solves it, inside the bracket
-of the iterates between which g' changes sign (a step that leaves the
-bracket bisects it) and inside the admissible interval
+iterations). Otherwise scalar Newton solves it, inside the bracket of the
+iterates between which g' changes sign (a step that leaves the bracket
+bisects it) and inside the admissible interval
 [max(0, 1 - k_radius), 1 + k_radius]. It is converged when |g'| <= grad_tol
 or when its step is at most ``RESOLUTION * max(1, |x|)``, the rule of the
 shear column's viscous solve (see :mod:`visco_pt.minimize`). Its iterates
 stay in the admissible interval: a step that would leave it, or one wanted
 where g'' <= 0, goes to its end.
+
+With p_psi = 2 Newton starts from x = a. With p_psi > 2, psi'' vanishes
+there and a Newton step from x = a overshoots, so unless x = a already
+meets grad_tol, Newton starts from the root's r -> 0 limit
+x0 = a + r a rate0, clipped to the admissible interval. Here
+psi'(rate0) = a [load (1 + s(a)) - c_v (a - 1)] = -a g'(a), solved in
+closed form; a start that is not finite falls back to x = a.
 
 The root is the step's minimizer only if g'' > 0 there and it is admissible,
 0 < x and |x - 1| <= k_radius. Otherwise the step has no minimizer in the
@@ -46,8 +53,11 @@ model's densities give, bit for bit.
 A material-point trajectory is one :func:`mp_march` call: its steps solve
 one after another in plain floats, each anchored at the F_vi of the one
 before, with no Python call per step but the elastic inversion of a Newton
-iterate (:func:`_strain`). The single solve of ``phi_tau`` is its one-load
-case.
+iterate (:func:`_strain`), and that only when the target load * x differs
+from the last one inverted (a zero target is always inverted, whatever its
+sign). Under a constant load the first iterate of a step, at its anchor,
+repeats the last target of the step before. The single solve of
+``phi_tau`` is its one-load case.
 
 The shear column
 ----------------
@@ -102,13 +112,14 @@ def mp_march(
     Appends each step's tuple ``(F, Fv, value, grad_inf, iterations, status,
     w_el, w_vi, dis)`` to ``out``, which the caller owns: the last iterate,
     the objective there, |g'| there (the gradient in F vanishes by
-    construction), the Newton iterations, the status code, and the parts of
-    ``value``. For status 3, ``value`` is g'' at Fv, the reduced curvature,
-    and the parts are zeros: Fv is the root, or the iterate beyond which it
-    lies. A rate that overflows the float power of psi stops its step with
-    status 4 at that iterate Fv, the other floats NaN. The march stops after
-    the first step with a nonzero status, so an error raised in a step
-    leaves the tuples of the steps before it there.
+    construction), the Newton iterations (the move to the start at the
+    r -> 0 rate is not one), the status code, and the parts of ``value``.
+    For status 3, ``value`` is g'' at Fv, the reduced curvature, and the
+    parts are zeros: Fv is the root, or the iterate beyond which it lies. A
+    rate that overflows the float power of psi stops its step with status 4
+    at that iterate Fv, the other floats NaN. The march stops after the
+    first step with a nonzero status, so an error raised in a step leaves
+    the tuples of the steps before it there.
     """
     closed = a4 == 0.0 and p_psi == 2.0
     quadratic = p_psi == 2.0
@@ -116,6 +127,8 @@ def mp_march(
     # psi'(y) = dpsi |y|^(p_psi - 1) sign(y), psi''(y) = ddpsi |y|^(p_psi - 2)
     dpsi = 0.5 * d_v * p_psi
     ddpsi = dpsi * (p_psi - 1.0)
+    exponent = 1.0 / (p_psi - 1.0)
+    target = math.nan  # the last elastic target inverted, to strain s
     try:
         for load in loads:
             ra = r * anchor
@@ -132,14 +145,16 @@ def mp_march(
                 # NaN, and then the step has no minimizer (status 3)
                 g2 = c_v - load * load / (c_e + 3.0 * a4 * s * s) + viscous
             else:
-                # Newton from the anchor, inside the bracket [lo, hi] of the
-                # iterates between which g' changes sign and inside the
-                # admissible interval [low, high]
+                # Newton inside the bracket [lo, hi] of the iterates between
+                # which g' changes sign and inside the admissible interval
+                # [low, high], from the anchor (p_psi = 2) or next to the root
                 lo, hi = -_INF, _INF
                 x = anchor
-                resolved = False
+                resolved, started = False, quadratic
                 while True:
-                    s = _strain(c_e, a4, load * x)
+                    if load * x != target or target == 0.0:  # a zero may be signed
+                        target = load * x
+                        s = _strain(c_e, a4, target)
                     rate = (x - anchor) / ra
                     if quadratic:
                         d1, d2 = d_v * rate, d_v
@@ -149,6 +164,16 @@ def mp_march(
                         d2 = ddpsi * abs(rate) ** (p_psi - 2.0)
                     g1 = c_v * (x - 1.0) + d1 / anchor - load * (1.0 + s)
                     g2 = c_v - load * load / (c_e + 3.0 * a4 * s * s) + d2 / (ra * anchor)
+                    if not started and abs(g1) > grad_tol:
+                        # psi'' vanishes at the anchor: start from the r -> 0
+                        # rate instead, psi'(rate0) = -anchor g'(anchor), where
+                        # that start is finite
+                        started = True
+                        rate0 = (abs(anchor * g1) / dpsi) ** exponent
+                        start = anchor + ra * (rate0 if g1 < 0.0 else -rate0)
+                        if math.isfinite(start):
+                            x = min(max(start, low), high)
+                            continue
                     if g1 != g1:
                         status = 4
                         break
@@ -214,10 +239,14 @@ def column_march(c_v, d_v, p_psi, sigma, r, h, grad_tol, max_iter, slopes, out):
     h * |residual| of the elements failing there and the status.
 
     With p_psi = 2 a step is the closed form, in the order of operations of
-    the NumPy row step, so every bit agrees with it. Otherwise Newton from
-    b_old, bisecting the bracket between b_old and sigma_e / c_v where a
-    step leaves it, until h * |residual| <= grad_tol or the step is at most
-    ``RESOLUTION * max(1, |b|)``.
+    the NumPy row step, so every bit agrees with it. Otherwise Newton,
+    bisecting the bracket between b_old and sigma_e / c_v where a step leaves
+    it, until h * |residual| <= grad_tol or the step is at most
+    ``RESOLUTION * max(1, |b|)``. psi'' vanishes at b_old, so unless b_old
+    already meets grad_tol, Newton starts from the root's r -> 0 limit
+    b0 = b_old + r rate0, clipped to the bracket, where psi'(rate0) =
+    sigma_e - c_v b_old is solved in closed form (from b_old if b0 is not
+    finite).
     """
     n, n_elements = sigma.shape
     c_v, d_v, r, h = float(c_v), float(d_v), float(r), float(h)
@@ -235,6 +264,7 @@ def column_march(c_v, d_v, p_psi, sigma, r, h, grad_tol, max_iter, slopes, out):
     # psi'(y) = dpsi |y|^(p_psi - 1) sign(y), psi''(y) = ddpsi |y|^(p_psi - 2)
     dpsi = 0.5 * d_v * p_psi
     ddpsi = dpsi * (p_psi - 1.0)
+    exponent = 1.0 / (p_psi - 1.0)
     solves = np.zeros((n, n_elements, 2))  # (iterations, h * |residual|)
     failed, worst = n, 0.0  # the earliest failing step (n: none) and its residual
     for e, b_old in enumerate(slopes[0].tolist()):
@@ -243,6 +273,14 @@ def column_march(c_v, d_v, p_psi, sigma, r, h, grad_tol, max_iter, slopes, out):
         for i, s in enumerate(sigma[: failed + 1, e].tolist()):
             lo, hi = sorted((b_old, s / c_v))
             b, count, resolved = b_old, 0, False
+            push = s - c_v * b_old
+            if h * abs(push) > grad_tol:
+                # psi'' vanishes at b_old: start from the r -> 0 rate instead,
+                # psi'(rate0) = sigma_e - c_v b_old, where that start is finite
+                rate0 = (abs(push) / dpsi) ** exponent
+                start = b_old + r * (rate0 if push >= 0.0 else -rate0)
+                if math.isfinite(start):
+                    b = min(max(start, lo), hi)
             try:
                 while True:
                     rate = (b - b_old) / r

@@ -139,11 +139,17 @@ def _failure(where: str, status, grad_inf, Fv=None, curvature=None) -> Exception
 
 
 def _elastic_strains(model: MaterialModel, sigma: np.ndarray) -> np.ndarray:
-    """Per-element elastic strains s with w_el'(s) = sigma."""
+    """Elastic strains s with w_el'(s) = sigma, for stresses with one row per
+    time (shape (n, E)). When every row repeats the first bit for bit, as
+    under constant dead loads, only the first is inverted (a read-only view
+    repeats it)."""
     if model.a4 == 0.0:
         return sigma / model.c_e
     c_e, a4 = model.c_e, model.a4
-    return np.array([kernels._strain(c_e, a4, s) for s in sigma.tolist()])
+    bits = sigma.view(np.uint64)  # a signed zero stands in for no other zero
+    rows = sigma[:1] if (bits == bits[:1]).all() else sigma
+    strains = [kernels._strain(c_e, a4, s) for s in rows.ravel().tolist()]
+    return np.broadcast_to(np.reshape(strains, rows.shape), sigma.shape)
 
 
 # -- the march ------------------------------------------------------------------
@@ -204,7 +210,7 @@ def _march_column(model: MaterialModel, mesh, dofs, f, g, tau: float, settings):
         n = int(beyond[0])
         error = InfeasibleState(f"step {n + 1} leaves the admissible radius {model.k_radius}")
     gamma, b = dofs[1 : n + 1, 0], dofs[1 : n + 1, 1]
-    np.add(_elastic_strains(model, sigma[:n].ravel()).reshape(b.shape), b, out=gamma)
+    np.add(_elastic_strains(model, sigma[:n]), b, out=gamma)
     w_el, w_vi = dof_stored_energies(model, mesh, gamma, b)
     diss = dof_dissipation(model, mesh, b, dofs[:n, 1], tau)
     return w_el, w_vi, diss, steps[:n, 0].astype(int), steps[:n, 1], error
@@ -298,7 +304,7 @@ def equilibrate_elastic(
         s = kernels._strain(model.c_e, model.a4, (f_val + g_val) * state.F_vi)
         return State.material_point((1.0 + s) * state.F_vi, state.F_vi)
     sigma = element_stress(state.mesh, f_val, g_val)
-    return replace(state, gamma=_elastic_strains(model, sigma) + state.beta)
+    return replace(state, gamma=_elastic_strains(model, sigma[None])[0] + state.beta)
 
 
 # -- De Giorgi interpolation ----------------------------------------------------
@@ -351,7 +357,7 @@ def de_giorgi_dissipation(traj: Trajectory) -> np.ndarray:
     if mesh is None:
         a, x, F = anchors[:, 0], steps[:, 0], traj.dofs[1:, 0, 0]
         load = traj.loading.f(grid.times[1:]) + traj.loading.g(grid.times[1:])
-        s = _elastic_strains(model, load * a)
+        s = _elastic_strains(model, (load * a)[:, None])[:, 0]
         reduced = model.w_el(s) + model.w_vi(a - 1.0) - load * ((1.0 + s) * a)
         slope = model.c_v * (x - 1.0) - load * F / x
         gap = (reduced - traj.energies[1:]) + slope * (x - a)

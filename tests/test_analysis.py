@@ -128,8 +128,8 @@ def test_energy_inequality_sharp_identity_mode():
     # minimizer, every step closes on the energy of the step before: the
     # sharp form is an identity at any p_psi, in either geometry. A Newton
     # step is off its identity by its residual times the distance it moves,
-    # which the tolerance takes from the ledger: under grad_tol = 1e-8 this
-    # column is off by 1.0e-9, ten times EQUALITY_TOL.
+    # which the tolerance takes from the ledger: under grad_tol = 1e-7 this
+    # column is off by 6.7e-8, 670 times EQUALITY_TOL.
     model = MaterialModel(a4=1.0, p_psi=2.5)
     loading = Loading((0.2,), (0.1,))
     column = State.shear_column(ShearColumnMesh(8), np.zeros(8), np.full(8, 0.4))
@@ -137,7 +137,7 @@ def test_energy_inequality_sharp_identity_mode():
     grid = TimeGrid(3.0, 30)
     runs = [(relax_trajectory(), 1e-10)] + [
         (run_evolution(model, column, loading, grid, MinimizeSettings(grad_tol=tol)), tol)
-        for tol in (1e-10, 1e-8)
+        for tol in (1e-10, 1e-7)
     ]
     for traj, grad_tol in runs:
         report = check_energy_inequality(traj, factor="p_psi")

@@ -15,7 +15,7 @@ import pytest
 from visco_pt import ConfigParseError, ValidationError, analysis, cli, parse_config
 from visco_pt.cli import main
 
-from test_stepper import march_load_by_load
+from test_stepper import counted_inversions, march_load_by_load
 
 MINIMAL = "mode = mp\nT = 3\nN = 300\nF_vi0 = 1.5\n"
 
@@ -388,6 +388,24 @@ def test_step_of_infinite_energy_exits_1_and_names_the_step(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: step 1: incremental objective is not finite\n"
     assert not (out / "run.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, stem, inversions",
+    [("run", "shear_quartic", 16), ("verify", "shear_quartic", 64), ("sweep-eps", "eps_quartic", 3003)],
+)
+def test_commands_invert_each_repeated_stress_once(tmp_path, monkeypatch, command, stem, inversions):
+    # Under constant dead loads the stresses of a column repeat from step to
+    # step, bit for bit, and are inverted once per element: 8 for the start
+    # and 8 for the 30 steps of a run (248 element by element). A verify
+    # builds its start once for all its checks. A material-point march
+    # inverts a target only when it changes: each step's anchor repeats the
+    # last iterate of the step before, so the three runs of 1,000 steps of
+    # the epsilon sweep invert 1,001 times each (6,000 at two a step).
+    targets = counted_inversions(monkeypatch)
+    cfg = str(REPO / "configs" / f"{stem}.cfg")
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(targets) == inversions
 
 
 def test_step_whose_rate_overflows_exits_1_and_names_the_step(tmp_path, capsys):

@@ -492,20 +492,38 @@ def test_column_march_equals_the_chain_of_one_row_marches(
     "sigma, statuses",
     [
         # element 1 moves at step 2, element 0 only at step 3
-        ([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0, 4]),
+        ([[1.0, 1.0], [1.0, 2.0], [2.0, 2.0]], [0, 4]),
         # at step 2 element 0 stops at max_iter and element 1 overflows
-        ([[0.0, 0.0], [1e-7, 1.0], [1.0, 1.0]], [0, 4]),
+        ([[1.0, 1.0], [1.0 + 1e-7, 2.0], [2.0, 2.0]], [0, 4]),
         # element 0 stops at max_iter at step 1, before element 1 overflows
-        ([[1e-7, 0.0], [1e-7, 1.0], [1.0, 1.0]], [1]),
+        ([[1.0 + 1e-7, 1.0], [1.0 + 1e-7, 2.0], [2.0, 2.0]], [1]),
     ],
 )
 def test_column_rate_that_overflows_fails_its_step_as_not_finite(sigma, statuses):
-    # p_psi = 3 over r = 1e-160: a slope that moves by 1 has a rate whose
-    # square overflows the float power of psi, while one that moves by 1e-7
-    # stays finite but cannot converge in one iteration. The march stops
-    # after the earliest step at which any element fails, with status 4 and
-    # an infinite residual if an element overflowed there.
+    # p_psi = 3 over r = 1e-160, from slopes 1: the r -> 0 start moves a
+    # slope by less than its last bit, so Newton starts at b_old, where
+    # psi'' = 0. A slope that moves by 1 then has a rate whose square
+    # overflows the float power of psi, while one that moves by 1e-7 stays
+    # finite but cannot converge in one iteration. The march stops after the
+    # earliest step at which any element fails, with status 4 and an
+    # infinite residual if an element overflowed there.
     solver = (SOLVER[0], 1)
-    _, out = column(1.0, 1.0, 3.0, np.array(sigma), np.zeros(2), 1e-160, 0.5, solver)
+    _, out = column(1.0, 1.0, 3.0, np.array(sigma), np.ones(2), 1e-160, 0.5, solver)
     assert [status for _, _, status in out] == statuses
     assert math.isinf(out[-1][1]) == (statuses[-1] == 4)
+
+
+def test_start_beyond_float_range_falls_back_to_the_anchor():
+    # p_psi = 3 with d_v = 1e-310: the r -> 0 rate (drive / (1.5 d_v))^(1/2)
+    # of a drive of 0.3 overflows, so Newton starts at the anchor, where
+    # psi'' = 0, and its first step solves what is left, a viscosity of
+    # rounding size: g' affine at a material point with a4 = 0, the slope
+    # sigma_e / c_v in the column.
+    F, Fv, _, grad_inf, iterations, status, *_ = run_kernel(
+        (1.0, 0.0, 1.0, 1e-310, 3.0, 10.0), 0.3, 1.0, 0.5
+    )
+    assert (iterations, status) == (1, 0)
+    assert grad_inf <= SOLVER[0]
+    assert Fv == 1.0 / 0.7 and F == (1.0 + 0.3 * Fv) * Fv
+    slopes, out = column(1.0, 1e-310, 3.0, np.array([[0.3]]), np.zeros(1), 0.5, 0.5)
+    assert slopes[1, 0] == 0.3 and out == [(1, 0.0, 0)]
