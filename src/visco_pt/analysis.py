@@ -4,9 +4,11 @@ Every check returns a :class:`VerificationReport` whose residuals are signed
 margins with a single convention: positive means the inequality under test
 holds, and ``passed`` is true exactly when ``min(residuals) >= -tolerance``.
 Checks that certify an equality store ``-|raw residual|`` so the same
-convention applies. Fitted convergence orders are least-squares slopes in
-log-log coordinates, and reports keep the raw errors so rates can be
-recomputed externally.
+convention applies. The tau, epsilon and density studies judge each error
+series by one rule, :func:`_judge_rates`: at its floor it passes, otherwise
+its order (the log-log least-squares slope of :func:`fit_rate`) must clear
+its gate, and a falling series must not rise. Reports keep the raw errors,
+so rates and slack can be recomputed externally.
 
 The sharp energy inequality takes the De Giorgi integral exactly, with no
 substep solve (:func:`~visco_pt.stepper.de_giorgi_dissipation`), and is an
@@ -29,6 +31,7 @@ epsilon study compares slopes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -142,6 +145,33 @@ def fit_rate(params: Sequence[float], errors: Sequence[float]) -> Optional[float
         return None
     slope = np.polyfit(np.array(xs), np.array(ys), 1)[0]
     return float(slope)
+
+
+def _judge_rates(params: Sequence[float], series) -> Tuple[dict, dict, List[float]]:
+    """The ``(regimes, rates, residuals)`` of the error series ``(name,
+    errors, floor, gate, falling)`` over ``params``. A series whose every
+    error is at most ``floor`` is in regime "floor" and adds the residual 0.
+    Otherwise it is in regime "rate", its :func:`fit_rate` order (where one
+    fits) enters ``rates``, and it adds a - b for each consecutive pair of
+    errors if ``falling``, rate - gate (-inf where no rate fits) if it has a
+    gate, and -inf if an error is not finite, wherever that error stands.
+    """
+    regimes, rates, residuals = {}, {}, []
+    for name, errors, floor, gate, falling in series:
+        if all(e <= floor for e in errors):
+            regimes[name] = "floor"
+            residuals.append(0.0)
+            continue
+        regimes[name], rate = "rate", fit_rate(params, errors)
+        if rate is not None:
+            rates[name] = rate
+        if falling:
+            residuals.extend(a - b for a, b in zip(errors, errors[1:]))
+        if gate is not None:
+            residuals.append(-math.inf if rate is None else rate - gate)
+        if not all(map(math.isfinite, errors)):
+            residuals.append(-math.inf)
+    return regimes, rates, residuals
 
 
 # -- energy inequalities ----------------------------------------------------------
@@ -367,7 +397,8 @@ def tau_sweep(
     settings: Optional[MinimizeSettings] = None,
 ) -> Tuple[Dict[float, Trajectory], VerificationReport]:
     """Run one trajectory per distinct tau and judge its sup-over-grid error
-    against the exact viscous flow (:func:`viscous_flow`), with fitted order.
+    against the exact viscous flow (:func:`viscous_flow`): the errors pass
+    at the floor 1e-12, or else with fitted order >= 0.9 (:func:`_judge_rates`).
 
     The oracle requires a zero-load material point with p_psi = 2, where the
     viscous strain obeys that flow. The tau list and these requirements are
@@ -397,22 +428,9 @@ def tau_sweep(
         "errors": errors,
         "t_final": t_final,
     }
-    if max(errors) <= 1e-12:
-        params["regime"] = "converged"
-        report = VerificationReport.build(
-            check="tau_convergence", params=params, residuals=[0.0], rates={}
-        )
-    else:
-        order = fit_rate(taus, errors)
-        params["regime"] = "rate"
-        report = VerificationReport.build(
-            check="tau_convergence",
-            params=params,
-            residuals=[order - 0.9] if order is not None else [-float("inf")],
-            rates={"order": order},
-            tolerance=0.0,
-        )
-    return trajectories, report
+    regimes, rates, residuals = _judge_rates(taus, [("order", errors, 1e-12, 0.9, False)])
+    params["regime"] = regimes["order"]
+    return trajectories, VerificationReport.build("tau_convergence", params, residuals, rates)
 
 
 def tau_convergence(
@@ -433,11 +451,17 @@ def tau_convergence(
 def eps_values(
     epsilon_list: Sequence[float], decreasing: bool = True, name: str = "epsilon_list"
 ) -> List[float]:
-    """The epsilon list as floats, nonempty, each entry positive and finite
+    """The epsilon list as floats, nonempty, each entry positive with a
+    square that is a positive normal float (the rescalings divide by it)
     and, if ``decreasing``, strictly decreasing (the order along which an
     epsilon study expects its errors to fall). Errors name the list
     ``name``."""
     eps_list = _positive(name, epsilon_list)
+    for eps in eps_list:
+        if not sys.float_info.min <= eps * eps < math.inf:
+            raise ValidationError(
+                f"{name} entry {eps!r} squares to {eps * eps!r}, not a positive normal float"
+            )
     if decreasing and any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValidationError(f"{name} must be strictly decreasing")
     return eps_list
@@ -460,14 +484,16 @@ def eps_sweep(
     shear column the sup-norm of the slopes, which bounds that of the nodal
     profiles), together with the rescaled-energy gaps at t = 0 and t = T.
 
-    Each quantity (u error, v error, t = 0 gap) is judged separately: at or
-    below ``EPSILON_STUDY_FLOOR`` (1e-7) it passes outright (the shear
-    ansatz with quadratic densities is exactly eps-independent, and its
-    stress is pinned by statics so v never deviates at all); above the
-    floor the errors must decrease along the (descending) epsilon list and
-    the t = 0 energy gap must vanish with fitted order >= 0.9. In the shear ansatz that gap is
-    exactly the quartic Taylor remainder with order 2; at a material point
-    the geometric factors reduce it to order 1.
+    Each quantity (u error, v error, t = 0 gap) is one series of
+    :func:`_judge_rates`: at or below ``EPSILON_STUDY_FLOOR`` (1e-7) it
+    passes outright (the shear ansatz with quadratic densities is exactly
+    eps-independent, and its stress is pinned by statics so v never
+    deviates at all); above the floor its errors must not increase along
+    the (descending) epsilon list, and the t = 0 energy gap must vanish with
+    fitted order >= 0.9. In the shear ansatz that gap is exactly the quartic
+    Taylor remainder with order 2; at a material point the geometric
+    factors reduce it to order 1. A single eps has no order to judge: its
+    report keeps the gaps and passes, in regime "gaps_only".
 
     The epsilon list is validated before the first trajectory runs. Returns
     the linearized trajectory, the finite-strain trajectories keyed by eps
@@ -515,33 +541,12 @@ def eps_sweep(
     }
     if len(eps_list) == 1:
         params["regime"] = "gaps_only"
-        report = VerificationReport.build(
-            check="epsilon_study", params=params, residuals=[0.0], rates={}
-        )
-        return lin_traj, trajectories, report
-    regimes: Dict[str, str] = {}
-    rates: Dict[str, float] = {}
-    residuals: List[float] = []
-    for name, values in (("u", err_u), ("v", err_v), ("energy_t0", gap_t0)):
-        if max(values) <= EPSILON_STUDY_FLOOR:
-            regimes[name] = "floor"
-            residuals.extend(EPSILON_STUDY_FLOOR - e for e in values)
-            continue
-        regimes[name] = "rate"
-        rate = fit_rate(eps_list, values)
-        if rate is not None:
-            rates[name] = rate
-        residuals.extend(a - b for a, b in zip(values, values[1:]))
-        if name == "energy_t0":
-            residuals.append((rate - 0.9) if rate is not None else -float("inf"))
-    params["regimes"] = regimes
-    report = VerificationReport.build(
-        check="epsilon_study",
-        params=params,
-        residuals=residuals,
-        rates=rates,
-        tolerance=0.0,
-    )
+        return lin_traj, trajectories, VerificationReport.build("epsilon_study", params, [0.0])
+    floor = EPSILON_STUDY_FLOOR
+    series = [("u", err_u, floor, None, True), ("v", err_v, floor, None, True),
+              ("energy_t0", gap_t0, floor, 0.9, True)]
+    params["regimes"], rates, residuals = _judge_rates(eps_list, series)
+    report = VerificationReport.build("epsilon_study", params, residuals, rates)
     return lin_traj, trajectories, report
 
 
@@ -571,7 +576,7 @@ def density_convergence(
     |eps^-2 W(eps a) - (1/2) c a^2| is recorded; densities with a nonzero gap
     must fit order >= 1.9 (the built-in quartic term gives exactly 2). A gap
     of at most 16 eps_mach * (1/2) c max|a|^2, the rounding of the limit
-    density on the grid, counts as zero.
+    density on the grid, counts as zero: the floor of :func:`_judge_rates`.
     """
     eps_list = eps_values(epsilon_list, decreasing=False)
     if probe_grid is None:
@@ -580,28 +585,18 @@ def density_convergence(
     if not np.all(np.isfinite(grid)) or grid.size == 0:
         raise ValidationError("probe_grid must be nonempty and bounded")
     quad = model.quadratic_limit()
-    limits = {"el": quad.c_el, "vi": quad.c_vi, "psi": quad.d_diss}
     gaps: Dict[str, List[float]] = {}
-    for which, c in limits.items():
+    series = []
+    for which, c in (("el", quad.c_el), ("vi", quad.c_vi), ("psi", quad.d_diss)):
         target = 0.5 * c * grid * grid
         gaps[which] = [
             float(np.max(np.abs(model.rescaled_density(which, eps, grid) - target)))
             for eps in eps_list
         ]
-    rates: Dict[str, float] = {}
-    residuals: List[float] = []
-    for which in ("el", "vi", "psi"):
         # A gap within the rounding of the limit density is zero.
-        rounding = RESOLUTION * 0.5 * limits[which] * float(np.max(grid * grid))
-        if max(gaps[which]) <= rounding:
-            residuals.append(0.0)
-            continue
-        rate = fit_rate(eps_list, gaps[which])
-        if rate is None:
-            residuals.append(-float("inf"))
-            continue
-        rates[which] = rate
-        residuals.append(rate - 1.9)
+        rounding = RESOLUTION * 0.5 * c * float(np.max(grid * grid))
+        series.append((which, gaps[which], rounding, 1.9, False))
+    _, rates, residuals = _judge_rates(eps_list, series)
     return VerificationReport.build(
         check="density_convergence",
         params={
@@ -612,5 +607,4 @@ def density_convergence(
         },
         residuals=residuals,
         rates=rates,
-        tolerance=0.0,
     )

@@ -21,8 +21,9 @@ What is left is one scalar equation in x, for the objective g reduced over F:
 
 With a4 = 0 and p_psi = 2, g' is affine and its root is a closed form (0
 iterations). Otherwise scalar Newton solves it, inside the bracket of the
-iterates between which g' changes sign (a step that leaves the bracket
-bisects it) and inside the admissible interval
+iterates between which g' changes sign (a step that leaves the bracket, or
+lands back on the iterate before the current one, bisects it: a return
+cycle stays inside the bracket) and inside the admissible interval
 [max(0, 1 - k_radius), 1 + k_radius]. It is converged when |g'| <= grad_tol
 or when its step is at most ``RESOLUTION * max(1, |x|)``, the rule of the
 shear column's viscous solve (see :mod:`visco_pt.minimize`). Its iterates
@@ -149,7 +150,7 @@ def mp_march(
                 # which g' changes sign and inside the admissible interval
                 # [low, high], from the anchor (p_psi = 2) or next to the root
                 lo, hi = -_INF, _INF
-                x = anchor
+                x, before = anchor, math.nan  # before: the iterate before x
                 resolved, started = False, quadratic
                 while True:
                     if load * x != target or target == 0.0:  # a zero may be signed
@@ -195,10 +196,10 @@ def mp_march(
                         x_new = min(max(x - g1 / g2, low), high)
                     else:
                         x_new = high if g1 < 0.0 else low
-                    if not lo <= x_new <= hi:
+                    if not lo <= x_new <= hi or x_new == before:  # or a return cycle
                         x_new = 0.5 * (lo + hi)
                     resolved = abs(x_new - x) <= RESOLUTION * max(1.0, abs(x))
-                    x = x_new
+                    before, x = x, x_new
                     iterations += 1
             F = (1.0 + s) * x
             if status == 3 or (
@@ -241,7 +242,8 @@ def column_march(c_v, d_v, p_psi, sigma, r, h, grad_tol, max_iter, slopes, out):
     With p_psi = 2 a step is the closed form, in the order of operations of
     the NumPy row step, so every bit agrees with it. Otherwise Newton,
     bisecting the bracket between b_old and sigma_e / c_v where a step leaves
-    it, until h * |residual| <= grad_tol or the step is at most
+    it or lands back on the iterate before the current one, until
+    h * |residual| <= grad_tol or the step is at most
     ``RESOLUTION * max(1, |b|)``. psi'' vanishes at b_old, so unless b_old
     already meets grad_tol, Newton starts from the root's r -> 0 limit
     b0 = b_old + r rate0, clipped to the bracket, where psi'(rate0) =
@@ -272,7 +274,7 @@ def column_march(c_v, d_v, p_psi, sigma, r, h, grad_tol, max_iter, slopes, out):
         # up to the earliest failing step, which this element may share
         for i, s in enumerate(sigma[: failed + 1, e].tolist()):
             lo, hi = sorted((b_old, s / c_v))
-            b, count, resolved = b_old, 0, False
+            b, before, count, resolved = b_old, math.nan, 0, False
             push = s - c_v * b_old
             if h * abs(push) > grad_tol:
                 # psi'' vanishes at b_old: start from the r -> 0 rate instead,
@@ -294,10 +296,10 @@ def column_march(c_v, d_v, p_psi, sigma, r, h, grad_tol, max_iter, slopes, out):
                     elif residual < 0.0:
                         lo = b
                     x = b - residual / (c_v + ddpsi * abs(rate) ** (p_psi - 2.0) / r)
-                    if x < lo or x > hi:
+                    if x < lo or x > hi or x == before:  # or a return cycle
                         x = 0.5 * (lo + hi)
                     resolved = abs(x - b) <= RESOLUTION * max(1.0, abs(b))
-                    b = x
+                    before, b = b, x
                     count += 1
             except OverflowError:  # a rate beyond float range: |rate| ** p overflows
                 scaled, resolved = _INF, False

@@ -37,7 +37,7 @@ from visco_pt import (
     tau_convergence,
     viscous_flow,
 )
-from visco_pt.analysis import EQUALITY_TOL, INEQUALITY_TOL, fit_rate
+from visco_pt.analysis import EQUALITY_TOL, INEQUALITY_TOL, _judge_rates, fit_rate
 from visco_pt.minimize import RESOLUTION
 from visco_pt.domain import stored_energies
 from visco_pt.linearized import LinState
@@ -101,6 +101,40 @@ def test_fit_rate_recovers_exact_slope():
     assert fit_rate([0.1, 0.05], [0.0, 0.0]) is None
     # zero entries are skipped, not propagated
     assert fit_rate([0.1, 0.05, 0.025], [0.0, 1e-3, 1e-4]) is not None
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "series, regimes, rates, residuals",
+    [
+        # every error at its floor: one residual 0, no rate
+        ([("e", [1e-9, 0.0, 1e-9], 1e-8, 0.9, True)], {"e": "floor"}, {}, [0.0]),
+        # a falling series adds its consecutive differences, after the series before it
+        (
+            [("a", [0.0] * 3, 0.0, None, True), ("b", [4.0, 2.0, 1.0], 0.0, None, True)],
+            {"a": "floor", "b": "rate"}, {"b": 1.0}, [0.0, 2.0, 1.0],
+        ),
+        # a rise fails
+        ([("e", [1.0, 2.0, 1.0], 0.0, None, True)], {"e": "rate"}, {"e": 0.0}, [-1.0, 1.0]),
+        # a gate that is missed
+        ([("e", [4.0, 2.0, 1.0], 0.0, 1.9, False)], {"e": "rate"}, {"e": 1.0}, [-0.9]),
+        # no rate can be fitted to one positive error
+        ([("e", [1.0, 0.0, 0.0], 0.5, 0.9, False)], {"e": "rate"}, {}, [-INF]),
+        # a NaN error fails wherever it stands
+        ([("e", [NAN, 2.0, 1.0], 0.0, 0.9, False)], {"e": "rate"}, {"e": 1.0}, [0.1, -INF]),
+        ([("e", [4.0, 2.0, NAN], 0.0, 0.9, False)], {"e": "rate"}, {"e": 1.0}, [0.1, -INF]),
+    ],
+    ids=["floor", "falling", "rise", "gate-missed", "no-rate", "nan-first", "nan-last"],
+)
+def test_judge_rates(series, regimes, rates, residuals):
+    judged = _judge_rates([0.4, 0.2, 0.1], series)
+    assert judged[0] == regimes
+    assert judged[1] == pytest.approx(rates, abs=1e-12)
+    assert judged[2] == pytest.approx(residuals, abs=1e-12)
+    passed = VerificationReport.build("demo", {}, judged[2]).passed
+    assert passed == (min(residuals) >= 0.0)
 
 
 # -- energy inequalities -------------------------------------------------------------
@@ -427,6 +461,16 @@ def test_tau_convergence_first_order_window():
     assert all(e > 0.0 for e in report.params["errors"])
 
 
+def test_tau_convergence_at_rest_is_at_the_floor():
+    # From rest under no load the flow and every trajectory stay at 1.
+    report = tau_convergence(UNIT_MP, State.material_point(1.0, 1.0), ZERO, 1.0, [0.1, 0.05])
+    assert report.params["errors"] == [0.0, 0.0]
+    assert report.params["regime"] == "floor"
+    assert report.residuals == [0.0]
+    assert report.rates == {}
+    assert report.passed
+
+
 @pytest.mark.parametrize(
     "t_final, taus",
     [(3.0, [0.1, 0.05, 0.025, 0.0125]), (3.0, [0.1, 0.075]), (1.0, [0.25, 0.2, 0.1])],
@@ -510,6 +554,7 @@ def test_epsilon_study_quadratic_hits_floor():
     )
     assert report.passed
     assert set(report.params["regimes"].values()) == {"floor"}
+    assert report.residuals == [0.0, 0.0, 0.0]
     assert max(report.params["err_u"]) <= 1e-7
     assert max(report.params["err_v"]) <= 1e-7
 

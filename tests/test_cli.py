@@ -129,6 +129,22 @@ def test_list_keys_reach_the_validator_of_their_check(tmp_path, capsys, key, val
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["densities", "verify"])
+@pytest.mark.parametrize(
+    "eps_list, square",
+    [("1e200 0.1", "1e+200 squares to inf"), ("1e-200", "1e-200 squares to 0.0")],
+)
+def test_eps_whose_square_is_not_a_normal_float_exits_1(
+    tmp_path, capsys, command, eps_list, square
+):
+    # The rescaled densities divide by eps^2, which must neither overflow (a
+    # bare OverflowError from eps**2) nor underflow (NaN gaps): exit 1, named.
+    cfg = write(tmp_path, "eps.cfg", MINIMAL + f"eps_list = {eps_list}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: eps_list entry {square}, not a positive normal float\n"
+
+
 def test_tau_list_override_of_zero_exits_1(tmp_path, capsys):
     cfg = str(REPO / "configs" / "mp_relax.cfg")
     argv = ["sweep-tau", "--config", cfg, "--out", str(tmp_path), "--tau-list", "0"]

@@ -268,6 +268,29 @@ def test_substep_next_to_r_0_is_solved_at_its_start(old):
     assert abs(sub.rate_dissipation - limit) <= cancellation * limit
 
 
+@pytest.mark.parametrize("r", [6.2e-12, 1e-11])
+@pytest.mark.parametrize(
+    "old, loading",
+    [
+        (State.material_point(1.0, 1.0), Loading((1e-5,))),
+        (
+            State.shear_column(ShearColumnMesh(1), np.ones(1), np.ones(1)),
+            Loading((0.0,), (1.0 + 1e-5,)),
+        ),
+    ],
+)
+def test_newton_step_back_onto_the_iterate_before_bisects(old, loading, r):
+    # p_psi = 2 + 1 ulp under a viscous drive of 1e-5 at the anchor 1: the
+    # r -> 0 start rounds to the anchor, where psi'' = 0, so Newton
+    # overshoots, and its step back lands exactly on the anchor, inside the
+    # bracket. That return bisects instead of cycling until max_iter, and
+    # the solve stops within the resolution of its root, which lies within
+    # one ulp of the anchor.
+    sub = phi_tau(MaterialModel(p_psi=2.0000000000000004), old, loading, 0.125, r)
+    assert sub.iterations < MinimizeSettings().max_iter
+    assert abs(sub.state.beta[0] - 1.0) <= RESOLUTION
+
+
 def test_mp_cubic_dissipation_step():
     model = MaterialModel(p_psi=3.0)
     step = step_from(model, State.material_point(1.5, 1.5), ZERO, 0.1)
