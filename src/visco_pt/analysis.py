@@ -251,13 +251,12 @@ def semistability_sweep(traj: Trajectory) -> VerificationReport:
     if mesh is None:
         sigma = (f + g) * y_vi
         y_min = (1.0 + _elastic_strains(model, sigma)) * y_vi
-        stored = np.hstack([model.w_el(y_min / y_vi - 1.0), model.w_vi(y_vi - 1.0)])
         strain = y / y_vi - 1.0
     else:
         sigma = element_stress(mesh, f, g)
         y_min = _elastic_strains(model, sigma) + y_vi
-        stored = np.column_stack(dof_stored_energies(model, mesh, y_min, y_vi))
         strain = y - y_vi
+    stored = np.column_stack(dof_stored_energies(model, mesh, y_min, y_vi))
     minimizer = replace(traj, dofs=np.stack([y_min, y_vi], 1), stored=stored)
     residuals = minimizer.energies - traj.energies
     stress_residual = np.abs(model.dw_el(strain) - sigma) / (1.0 + np.abs(sigma))
@@ -449,18 +448,30 @@ def tau_convergence(
 
 
 def eps_values(
-    epsilon_list: Sequence[float], decreasing: bool = True, name: str = "epsilon_list"
+    epsilon_list: Sequence[float],
+    decreasing: bool = True,
+    name: str = "epsilon_list",
+    probes: Sequence[float] = (1.0,),
 ) -> List[float]:
-    """The epsilon list as floats, nonempty, each entry positive with a
-    square that is a positive normal float (the rescalings divide by it)
-    and, if ``decreasing``, strictly decreasing (the order along which an
-    epsilon study expects its errors to fall). Errors name the list
-    ``name``."""
+    """The epsilon list as floats, nonempty, each entry positive and, if
+    ``decreasing``, strictly decreasing (the order along which an epsilon
+    study expects its errors to fall). A rescaled density eps^-2 W(eps a)
+    divides by eps^2 and squares eps a, so eps and eps times the smallest
+    nonzero |a| of ``probes`` must each square to a positive normal float,
+    or the rescaling loses its digits. Errors name the list ``name``."""
     eps_list = _positive(name, epsilon_list)
+    magnitudes = np.abs(np.asarray(probes, dtype=float))
+    smallest = float(np.min(magnitudes[magnitudes > 0.0], initial=1.0))
     for eps in eps_list:
         if not sys.float_info.min <= eps * eps < math.inf:
             raise ValidationError(
                 f"{name} entry {eps!r} squares to {eps * eps!r}, not a positive normal float"
+            )
+        low = eps * smallest
+        if low * low < sys.float_info.min:
+            raise ValidationError(
+                f"{name} entry {eps!r} times the probe {smallest!r} squares to "
+                f"{low * low!r}, not a positive normal float"
             )
     if decreasing and any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValidationError(f"{name} must be strictly decreasing")
@@ -474,6 +485,7 @@ def eps_sweep(
     grid: TimeGrid,
     epsilon_list: Sequence[float],
     settings: Optional[MinimizeSettings] = None,
+    name: str = "epsilon_list",
 ) -> Tuple[LinTrajectory, Dict[float, Trajectory], VerificationReport]:
     """Run the linearized trajectory and one eps-rescaled finite-strain
     trajectory per eps, and compare them.
@@ -495,11 +507,12 @@ def eps_sweep(
     factors reduce it to order 1. A single eps has no order to judge: its
     report keeps the gaps and passes, in regime "gaps_only".
 
-    The epsilon list is validated before the first trajectory runs. Returns
+    The epsilon list is validated before the first trajectory runs, its
+    errors naming it ``name``. Returns
     the linearized trajectory, the finite-strain trajectories keyed by eps
     in list order, and the report.
     """
-    eps_list = eps_values(epsilon_list)
+    eps_list = eps_values(epsilon_list, name=name)
     settings = settings or MinimizeSettings()
     quad = model.quadratic_limit()
     lin_traj = run_lin_evolution(quad, lin0, loading0, grid)
@@ -557,9 +570,10 @@ def epsilon_study(
     grid: TimeGrid,
     epsilon_list: Sequence[float],
     settings: Optional[MinimizeSettings] = None,
+    name: str = "epsilon_list",
 ) -> VerificationReport:
     """The report of :func:`eps_sweep`, without its trajectories."""
-    return eps_sweep(model, lin0, loading0, grid, epsilon_list, settings)[2]
+    return eps_sweep(model, lin0, loading0, grid, epsilon_list, settings, name)[2]
 
 
 # -- density convergence ---------------------------------------------------------------
@@ -569,6 +583,7 @@ def density_convergence(
     model: MaterialModel,
     epsilon_list: Sequence[float],
     probe_grid: Optional[np.ndarray] = None,
+    name: str = "epsilon_list",
 ) -> VerificationReport:
     """Locally uniform convergence of the rescaled densities to their limits.
 
@@ -577,13 +592,15 @@ def density_convergence(
     must fit order >= 1.9 (the built-in quartic term gives exactly 2). A gap
     of at most 16 eps_mach * (1/2) c max|a|^2, the rounding of the limit
     density on the grid, counts as zero: the floor of :func:`_judge_rates`.
+    The epsilon list is validated against the probe grid
+    (:func:`eps_values`), its errors naming it ``name``.
     """
-    eps_list = eps_values(epsilon_list, decreasing=False)
     if probe_grid is None:
         probe_grid = np.linspace(-1.0, 1.0, 41)
     grid = np.asarray(probe_grid, dtype=float)
     if not np.all(np.isfinite(grid)) or grid.size == 0:
         raise ValidationError("probe_grid must be nonempty and bounded")
+    eps_list = eps_values(epsilon_list, decreasing=False, name=name, probes=grid)
     quad = model.quadratic_limit()
     gaps: Dict[str, List[float]] = {}
     series = []

@@ -168,10 +168,11 @@ def _run_checks(config: ScenarioConfig, names: Sequence[str]):
                     grid,
                     config.eps_list,
                     settings,
+                    name="eps_list",
                 )
             )
         elif name == "density_convergence":
-            reports.append(analysis.density_convergence(model, config.eps_list))
+            reports.append(analysis.density_convergence(model, config.eps_list, name="eps_list"))
         else:
             raise ViscoPTError(f"unknown check {name!r}")
     return reports
@@ -230,6 +231,7 @@ def _cmd_sweep_eps(config: ScenarioConfig, out: str, eps_list) -> int:
         config.grid(),
         eps_list or config.eps_list,
         config.settings(),
+        "--eps-list" if eps_list else "eps_list",
     )
     _atomic_write(os.path.join(out, "eps_lin.csv"), lin_trajectory_csv(lin_traj))
     for e, traj in trajs.items():
@@ -240,7 +242,7 @@ def _cmd_sweep_eps(config: ScenarioConfig, out: str, eps_list) -> int:
 
 
 def _cmd_densities(config: ScenarioConfig, out: str) -> int:
-    report = analysis.density_convergence(config.model(), config.eps_list)
+    report = analysis.density_convergence(config.model(), config.eps_list, name="eps_list")
     gaps = report.params["gaps"]
     lines = ["eps,gap_el,gap_vi,gap_psi"]
     for i, e in enumerate(report.params["epsilon_list"]):

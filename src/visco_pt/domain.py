@@ -347,11 +347,11 @@ def stored_energies(model: MaterialModel, state: State) -> tuple:
 
 
 def dof_stored_energies(model: MaterialModel, mesh, y, y_vi) -> tuple:
-    """:func:`stored_energies` of the state with dofs (y, y_vi) on ``mesh``.
-    In the shear column the last axis runs over the elements; leading axes
-    hold further states, each priced on its own."""
+    """:func:`stored_energies` of the state with dofs (y, y_vi) on ``mesh``:
+    floats, or arrays of further states, each priced on its own. In the
+    shear column the last axis runs over the elements."""
     if mesh is None:
-        return float(model.w_el(y / y_vi - 1.0)), float(model.w_vi(y_vi - 1.0))
+        return model.w_el(y / y_vi - 1.0), model.w_vi(y_vi - 1.0)
     h = mesh.h
     return (
         h * np.add.reduce(model.w_el(y - y_vi), axis=-1),
@@ -399,7 +399,7 @@ def dof_dissipation(model: MaterialModel, mesh, y_vi, y_vi_old, r: float):
     """:func:`dissipation_increment` from the viscous dofs y_vi_old to y_vi;
     in the shear column over their last axis, as :func:`dof_stored_energies`."""
     if mesh is None:
-        return r * float(model.psi((y_vi - y_vi_old) / (r * y_vi_old)))
+        return r * model.psi((y_vi - y_vi_old) / (r * y_vi_old))
     return r * mesh.h * np.add.reduce(model.psi((y_vi - y_vi_old) / r), axis=-1)
 
 

@@ -44,12 +44,11 @@ as x grows), and the solve stops at once: Newton stops at the first iterate
 where g' shows the root beyond the admissible interval.
 
 Status codes: 0 converged, 1 max_iter exceeded, 3 no admissible minimizer,
-4 nonfinite objective (also when a rate overflows the float power of psi).
+4 not finite (g' is NaN, or a rate overflows the float power of psi).
 
-Besides the minimizer, a solve returns the parts of the value at it: W_el,
-W_vi and r * psi, evaluated in the order of operations of
-:class:`~visco_pt.rheology.MaterialModel`, so that each equals what the
-model's densities give, bit for bit.
+A solve returns its minimizer and how it ended, never a value there: the
+caller prices the states it solved with the model's densities, so a step
+whose price is not finite is the caller's to fail.
 
 A material-point trajectory is one :func:`mp_march` call: its steps solve
 one after another in plain floats, each anchored at the F_vi of the one
@@ -110,17 +109,15 @@ def mp_march(
     (the previous F_vi, > 0) and each later one at the F_vi of the one
     before.
 
-    Appends each step's tuple ``(F, Fv, value, grad_inf, iterations, status,
-    w_el, w_vi, dis)`` to ``out``, which the caller owns: the last iterate,
-    the objective there, |g'| there (the gradient in F vanishes by
-    construction), the Newton iterations (the move to the start at the
-    r -> 0 rate is not one), the status code, and the parts of ``value``.
-    For status 3, ``value`` is g'' at Fv, the reduced curvature, and the
-    parts are zeros: Fv is the root, or the iterate beyond which it lies. A
-    rate that overflows the float power of psi stops its step with status 4
-    at that iterate Fv, the other floats NaN. The march stops after the
-    first step with a nonzero status, so an error raised in a step leaves
-    the tuples of the steps before it there.
+    Appends each step's tuple ``(F, Fv, curvature, grad_inf, iterations,
+    status)`` to ``out``, which the caller owns: the last iterate, g'' and
+    |g'| there (the gradient in F vanishes by construction), the Newton
+    iterations (the move to the start at the r -> 0 rate is not one) and
+    the status code. For status 3, Fv is the root, or the iterate beyond
+    which it lies. A rate that overflows the float power of psi stops its
+    step with status 4 at that iterate Fv, the other floats NaN. The march
+    stops after the first step with a nonzero status, so an error raised in
+    a step leaves the tuples of the steps before it there.
     """
     closed = a4 == 0.0 and p_psi == 2.0
     quadratic = p_psi == 2.0
@@ -202,30 +199,14 @@ def mp_march(
                     before, x = x, x_new
                     iterations += 1
             F = (1.0 + s) * x
-            if status == 3 or (
-                status == 0 and not (g2 > 0.0 and x > 0.0 and abs(x - 1.0) <= k_radius)
-            ):
-                out.append((F, x, g2, abs(g1), iterations, 3, 0.0, 0.0, 0.0))
-                return
-            # the parts, multiplied out as MaterialModel does
-            e = F / x - 1.0
-            e2 = e * e
-            v = x - 1.0
-            w_el = 0.5 * c_e * e * e + 0.25 * a4 * e2 * e2
-            w_vi = 0.5 * c_v * v * v
-            if quadratic:
-                dis = r * (0.5 * d_v * rate * rate)
-            else:
-                dis = r * (0.5 * d_v * abs(rate) ** p_psi)
-            value = w_el + w_vi + dis - load * F
-            if not math.isfinite(value):
-                status = 4
-            out.append((F, x, value, abs(g1), iterations, status, w_el, w_vi, dis))
+            if status == 0 and not (g2 > 0.0 and x > 0.0 and abs(x - 1.0) <= k_radius):
+                status = 3
+            out.append((F, x, g2, abs(g1), iterations, status))
             if status:
                 return
             anchor = x
     except OverflowError:  # a rate beyond float range: |rate| ** p overflows
-        out.append((math.nan, x, math.nan, math.nan, iterations, 4, 0.0, 0.0, 0.0))
+        out.append((math.nan, x, math.nan, math.nan, iterations, 4))
 
 
 def column_march(c_v, d_v, p_psi, sigma, r, h, grad_tol, max_iter, slopes, out):

@@ -116,12 +116,17 @@ class MaterialModel:
         return _unwrap(self.c_v * s)
 
     def psi(self, r):
-        """Dissipation rate density, positively p_psi-homogeneous and convex."""
+        """Dissipation rate density, positively p_psi-homogeneous and convex.
+
+        For p_psi != 2, |r| ** p_psi is raised on an array of at least one
+        dimension, so a single rate rounds as it does among many: NumPy's
+        vectorized power can round differently from the libm ``pow`` it
+        calls on a 0-d array."""
         r = np.asarray(r, dtype=float)
         if self.p_psi == 2.0:
             out = 0.5 * self.d_v * r * r
         else:
-            out = 0.5 * self.d_v * np.abs(r) ** self.p_psi
+            out = 0.5 * self.d_v * (np.abs(np.atleast_1d(r)) ** self.p_psi).reshape(r.shape)
         return _unwrap(out)
 
     def dpsi(self, r):

@@ -14,8 +14,7 @@ solve scalar equations for the viscous one. At a material point the stepping
 kernel (:mod:`visco_pt.kernels`) solves them in plain floats: F solves
 w_el'(F/F_vi - 1) = load * F_vi, and F_vi one scalar equation anchored at
 the previous F_vi (a closed form when a4 = 0 and p_psi = 2, a bracketed
-scalar Newton otherwise); the kernel also returns the state's stored
-energies and dissipation. A whole trajectory is one ``kernels.mp_march``
+scalar Newton otherwise). A whole trajectory is one ``kernels.mp_march``
 call. A solve with no admissible minimizer (the root leaves the admissible
 set, or the reduced curvature there is not positive) fails at once, naming
 the curvature (:func:`_failure`). The shear column under dead loads is
@@ -31,10 +30,12 @@ Only the viscous variable carries history from one step to the next, so
 :func:`run_evolution` marches only the solves under loads formed for all
 steps at once (:func:`_march`): one ``kernels.mp_march`` call per
 material-point trajectory and one ``kernels.column_march`` call per shear
-trajectory. Everything else is a function of the two states around a step
-and is priced after the march in one array pass, bit for bit as the
-per-state functions of :mod:`visco_pt.domain` price it; the earliest failing
-step still raises what it raised when steps ran one by one. The
+trajectory. The kernels price nothing. Everything else is a function of the
+two states around a step and is priced after the march, in both geometries
+by one array pass over all states, state 0 included, through the model's
+densities, bit for bit as the per-state functions of :mod:`visco_pt.domain`
+price it; the earliest failing step still raises what it raised when steps
+ran one by one. The
 :class:`Trajectory` stores the states as one dof array (see
 :mod:`visco_pt.domain`) with per-state and per-step arrays beside it.
 
@@ -71,7 +72,6 @@ from .domain import (
     product_pairings,
     read_only,
     state_from_dofs,
-    stored_energies,
 )
 from .errors import (
     InfeasibleState,
@@ -155,77 +155,64 @@ def _elastic_strains(model: MaterialModel, sigma: np.ndarray) -> np.ndarray:
 # -- the march ------------------------------------------------------------------
 
 
-def _march_point(model: MaterialModel, mesh, dofs, f, g, tau: float, settings):
-    """One ``kernels.mp_march`` call (looked up at the module attribute) for
-    steps 1, 2, ... into the same rows of ``dofs``, under the loads f + g at
-    their ends, each anchored at the F_vi of the one before. The kernel
-    returns each step's stored energies and dissipation with its minimizer,
-    so nothing is left to price here. Returns ``(w_el, w_vi, diss,
-    iterations, grad_inf, error)``: arrays over the steps solved, and the
-    error of the step where the march stopped (None if none): what its
-    solve raised, or the :func:`_failure` of its nonzero status."""
-    solves, error = [], None
-    try:
-        kernels.mp_march(
-            model.c_e, model.a4, model.c_v, model.d_v, model.p_psi, model.k_radius,
-            (f + g).tolist(), float(dofs[0, 1, 0]), tau, settings.grad_tol,
-            settings.max_iter, solves,
-        )
-    except Exception as failure:  # raised once earlier steps pass
-        error = failure
-    if solves and solves[-1][5]:
-        failed = solves.pop()
-        error = _failure(f"step {len(solves) + 1}", failed[5], failed[3], *failed[1:3])
-    n = len(solves)
-    steps = np.fromiter(itertools.chain.from_iterable(solves), float, 9 * n).reshape(n, 9)
-    dofs[1 : n + 1, :, 0] = steps[:, :2]
-    return steps[:, 6], steps[:, 7], steps[:, 8], steps[:, 4].astype(int), steps[:, 3], error
-
-
-def _march_column(model: MaterialModel, mesh, dofs, f, g, tau: float, settings):
-    """One ``kernels.column_march`` call (looked up at the module attribute)
-    for the viscous slopes of steps 1, 2, ... into the same rows of
-    ``dofs``, under the element resultants of the loads at their ends, each
-    from the slopes of the one before; then, in one array pass over the
-    steps solved, their elastic strains, and their stored energies and
-    dissipation from :func:`dof_stored_energies` and :func:`dof_dissipation`,
-    up to the first step whose slopes leave the admissible radius, which
-    fails there. Returns what :func:`_march_point` returns."""
-    sigma = element_stress(mesh, f[:, None], g[:, None])
-    solves, error = [], None
-    try:
-        kernels.column_march(
-            model.c_v, model.d_v, model.p_psi, sigma, tau, mesh.h, settings.grad_tol,
-            settings.max_iter, dofs[:, 1], solves,
-        )
-    except Exception as failure:  # raised once earlier steps pass
-        error = failure
-    if solves and solves[-1][2]:
-        _, grad_inf, status = solves.pop()
-        error = _failure(f"step {len(solves) + 1}", status, grad_inf)
-    n = len(solves)
-    steps = np.fromiter(itertools.chain.from_iterable(solves), float, 3 * n).reshape(n, 3)
-    beyond = np.flatnonzero((np.abs(dofs[1 : n + 1, 1]) > model.k_radius).any(axis=-1))
-    if len(beyond):  # that step fails before any later one
-        n = int(beyond[0])
-        error = InfeasibleState(f"step {n + 1} leaves the admissible radius {model.k_radius}")
-    gamma, b = dofs[1 : n + 1, 0], dofs[1 : n + 1, 1]
-    np.add(_elastic_strains(model, sigma[:n]), b, out=gamma)
-    w_el, w_vi = dof_stored_energies(model, mesh, gamma, b)
-    diss = dof_dissipation(model, mesh, b, dofs[:n, 1], tau)
-    return w_el, w_vi, diss, steps[:n, 0].astype(int), steps[:n, 1], error
-
-
 def _march(model: MaterialModel, state0: State, f, g, tau: float, settings):
     """The dof array of ``state0`` and a step after it for each load value of
-    the arrays f and g, marched by :func:`_march_point` or
-    :func:`_march_column`; returns it with what the march returns."""
+    the arrays f and g, each from the one before, marched by one kernel call
+    (looked up at the module attribute): ``kernels.mp_march`` at a material
+    point, ``kernels.column_march`` for a column's viscous slopes, whose
+    elastic strains follow from the element resultants. The march stops at
+    the step whose solve raised or ended with a nonzero status
+    (:func:`_failure`), or, in a column, whose slopes leave the admissible
+    radius. Then one array pass prices state 0 and the steps before it with
+    :func:`dof_stored_energies` and :func:`dof_dissipation`; a price that is
+    not finite is the caller's to fail. Returns ``(dofs, stored, diss,
+    iterations, grad_inf, error)``: the rows of the states priced, and the
+    error of the step where the march stopped (None if none)."""
     if not (tau > 0.0 and math.isfinite(tau)):
         raise ValidationError(f"substep length must be > 0, got {tau!r}")
+    mesh, solves, error = state0.mesh, [], None
     dofs = np.empty((len(f) + 1, 2, len(state0.beta)))
     dofs[0] = state0.gamma, state0.beta
-    march = _march_point if state0.mesh is None else _march_column
-    return (dofs, *march(model, state0.mesh, dofs, f, g, tau, settings))
+    sigma = None if mesh is None else element_stress(mesh, f[:, None], g[:, None])
+    try:
+        if mesh is None:
+            kernels.mp_march(
+                model.c_e, model.a4, model.c_v, model.d_v, model.p_psi, model.k_radius,
+                (f + g).tolist(), float(dofs[0, 1, 0]), tau, settings.grad_tol,
+                settings.max_iter, solves,
+            )
+        else:
+            kernels.column_march(
+                model.c_v, model.d_v, model.p_psi, sigma, tau, mesh.h, settings.grad_tol,
+                settings.max_iter, dofs[:, 1], solves,
+            )
+    except Exception as failure:  # raised once earlier steps pass
+        error = failure
+    # a material point's tuples (F, F_vi, g'', |g'|, iterations, status), a
+    # column's (iterations, |grad|_inf, status)
+    n, width = len(solves), 6 if mesh is None else 3
+    steps = np.fromiter(itertools.chain.from_iterable(solves), float, width * n).reshape(n, width)
+    if mesh is None:
+        dofs[1 : n + 1, :, 0] = steps[:, :2]
+        iterations, grad_inf, status = steps[:, 4], steps[:, 3], steps[:, 5]
+    else:
+        iterations, grad_inf, status = steps.T
+    if n and status[-1]:
+        n -= 1
+        at = steps[n, 1:3].tolist() if mesh is None else ()  # F_vi and g''
+        error = _failure(f"step {n + 1}", status[n], float(grad_inf[n]), *at)
+    if mesh is not None:
+        beyond = np.flatnonzero((np.abs(dofs[1 : n + 1, 1]) > model.k_radius).any(axis=-1))
+        if len(beyond):  # that step fails before any later one
+            n = int(beyond[0])
+            error = InfeasibleState(f"step {n + 1} leaves the admissible radius {model.k_radius}")
+        np.add(_elastic_strains(model, sigma[:n]), dofs[1 : n + 1, 1], out=dofs[1 : n + 1, 0])
+    dofs = dofs[: n + 1]
+    y, y_vi = (dofs[:, 0, 0], dofs[:, 1, 0]) if mesh is None else (dofs[:, 0], dofs[:, 1])
+    with np.errstate(all="ignore"):  # the caller fails a price that is not finite
+        stored = np.column_stack(dof_stored_energies(model, mesh, y, y_vi))
+        diss = dof_dissipation(model, mesh, y_vi[1:], y_vi[:-1], tau)
+    return dofs, stored, diss, iterations[:n].astype(int), grad_inf[:n], error
 
 
 def run_evolution(
@@ -238,10 +225,10 @@ def run_evolution(
     """March the incremental scheme across the whole grid.
 
     Only the viscous dofs carry history from step to step, so only their
-    solves march, in one kernel call per trajectory (:func:`_march`). What
-    the march leaves to price is then priced in one array
-    pass over the steps: the load pairings of each new state
-    and of its old state at the new time, from each state's
+    solves march, in one kernel call per trajectory, and the states are
+    priced after it in one array pass (:func:`_march`). Then, in one more
+    array pass over the steps: the load pairings of each new state and of
+    its old state at the new time, from each state's
     :func:`~visco_pt.domain.pairing_products`, and with them each step's
     value E(t_i, new) + tau * Psi and stay-put margin E(t_i, old) - value,
     each as the per-state functions give it, bit for bit.
@@ -254,20 +241,18 @@ def run_evolution(
     compares, ``RESOLUTION`` times the sum of their magnitudes).
     """
     mesh = state0.mesh
-    stored0 = stored_energies(model, state0)
     f, g = loading.f(grid.times[1:]), loading.g(grid.times[1:])
     march = _march(model, state0, f, g, grid.tau, settings)
-    dofs, w_el, w_vi, diss, iterations, grad_inf, error = march
+    dofs, stored, diss, iterations, grad_inf, error = march
     n = len(diss)
-    dofs = dofs[: n + 1]
-    stored = np.concatenate([[stored0], np.column_stack([w_el, w_vi])])
-    products = pairing_products(mesh, dofs[:, 0])
     f, g = f[:n], g[:n]
-    totals = stored[:, 0] + stored[:, 1]
-    energy_old = totals[:-1] - product_pairings(mesh, products[..., :-1], f, g)
-    value = (totals[1:] - product_pairings(mesh, products[..., 1:], f, g)) + diss
-    margins = energy_old - value
-    tolerance = STAY_PUT_TOL + RESOLUTION * (np.abs(energy_old) + np.abs(value))
+    with np.errstate(all="ignore"):  # a margin that is not finite fails its step
+        products = pairing_products(mesh, dofs[:, 0])
+        totals = stored[:, 0] + stored[:, 1]
+        energy_old = totals[:-1] - product_pairings(mesh, products[..., :-1], f, g)
+        value = (totals[1:] - product_pairings(mesh, products[..., 1:], f, g)) + diss
+        margins = energy_old - value
+        tolerance = STAY_PUT_TOL + RESOLUTION * (np.abs(energy_old) + np.abs(value))
     failed = np.flatnonzero((margins < -tolerance) | ~np.isfinite(margins))
     if len(failed):
         k = int(failed[0])
@@ -324,12 +309,16 @@ def phi_tau(
     :func:`~visco_pt.domain.energy_value` prices it; a failure is named
     ``step 1``, as the march names it."""
     f, g = np.array([loading.f(t)]), np.array([loading.g(t)])
-    dofs, w_el, w_vi, diss, iterations, _, error = _march(model, old, f, g, r, settings)
+    dofs, stored, diss, iterations, _, error = _march(model, old, f, g, r, settings)
     if error is not None:
         raise error
     new = state_from_dofs(old.mesh, *dofs[1])
-    value = float(w_el[0] + w_vi[0] - loading.pairing(new, t)) + float(diss[0])
-    return PhiTau(value, new, float(diss[0]) / r, int(iterations[0]))
+    (w_el, w_vi), (dissipation,) = stored[1].tolist(), diss.tolist()
+    with np.errstate(all="ignore"):  # a value that is not finite fails below
+        value = float(w_el + w_vi - loading.pairing(new, t)) + dissipation
+    if not math.isfinite(value):
+        raise NonFiniteObjective("step 1: incremental objective is not finite")
+    return PhiTau(value, new, dissipation / r, int(iterations[0]))
 
 
 def de_giorgi_dissipation(traj: Trajectory) -> np.ndarray:

@@ -132,17 +132,35 @@ def test_list_keys_reach_the_validator_of_their_check(tmp_path, capsys, key, val
 @pytest.mark.parametrize("command", ["densities", "verify"])
 @pytest.mark.parametrize(
     "eps_list, square",
-    [("1e200 0.1", "1e+200 squares to inf"), ("1e-200", "1e-200 squares to 0.0")],
+    [
+        ("1e200 0.1", "1e+200 squares to inf"),
+        ("1e-200", "1e-200 squares to 0.0"),
+        ("1.5e-154 0.1", "1.5e-154 times the probe 0.04999999999999993 squares to 5.625e-311"),
+    ],
 )
 def test_eps_whose_square_is_not_a_normal_float_exits_1(
     tmp_path, capsys, command, eps_list, square
 ):
     # The rescaled densities divide by eps^2, which must neither overflow (a
-    # bare OverflowError from eps**2) nor underflow (NaN gaps): exit 1, named.
+    # bare OverflowError from eps**2) nor underflow (NaN gaps), and square
+    # eps a, which must not be subnormal for the smallest probe |a| = 0.05
+    # (density_convergence failed at -1.81): exit 1, named.
     cfg = write(tmp_path, "eps.cfg", MINIMAL + f"eps_list = {eps_list}\n")
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err == f"error: eps_list entry {square}, not a positive normal float\n"
+
+
+@pytest.mark.parametrize(
+    "argv, name", [(["verify"], "eps_list"), (["sweep-eps", "--eps-list", "0.1 0.2"], "--eps-list")]
+)
+def test_increasing_eps_list_is_named_as_written(tmp_path, capsys, argv, name):
+    # An epsilon study needs a strictly decreasing list, and the error names
+    # the config key or the flag that gave it (it named epsilon_list, a key
+    # no config has).
+    cfg = write(tmp_path, "eps.cfg", MINIMAL + "checks = epsilon_study\neps_list = 0.1 0.2\n")
+    assert main([argv[0], "--config", cfg, "--out", str(tmp_path / "out"), *argv[1:]]) == 1
+    assert capsys.readouterr().err == f"error: {name} must be strictly decreasing\n"
 
 
 def test_tau_list_override_of_zero_exits_1(tmp_path, capsys):
@@ -231,10 +249,9 @@ def test_trajectory_csv_makes_no_stored_energy_calls(monkeypatch):
 
 @pytest.mark.parametrize("text", [RELAX_SMALL, SHEAR_SMALL])
 def test_run_and_csv_evaluate_each_state_once(monkeypatch, text):
-    # The stored energies of a state are priced once: the initial state's by
-    # stored_energies, a shear step's in the array pass after the march
-    # (w_el sees its element strains once), a material-point step's by the
-    # kernel, which returns them with the minimizer. The CSV prices none.
+    # The stored energies of a state are priced once, the initial state's
+    # with the steps', in the one array pass after the march: w_el sees the
+    # elastic strains of every state in one call. The CSV prices none.
     from visco_pt import MaterialModel, run_evolution
 
     config = parse_config(text)
@@ -248,9 +265,7 @@ def test_run_and_csv_evaluate_each_state_once(monkeypatch, text):
     monkeypatch.setattr(MaterialModel, "w_el", counted)
     marches = march_load_by_load(monkeypatch)
     traj = run_evolution(config.model(), state0, config.loading(), config.grid())
-    n_elements = len(state0.gamma)
-    solves = sum(len(loads) for loads in marches)
-    assert sum(strains) + solves * n_elements == (config.n_steps + 1) * n_elements
+    assert strains == [(config.n_steps + 1) * len(state0.gamma)]
     strains.clear()
     marches.clear()
     cli.trajectory_csv(traj)

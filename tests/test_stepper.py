@@ -933,6 +933,36 @@ def test_failing_steps_are_named_by_their_index(monkeypatch):
         assert str(exc.value).startswith("step 3 rejected")
 
 
+@pytest.mark.parametrize(
+    "params, n_elements, loading, grid, step",
+    [
+        # W_el overflows at step 2's minimizer, a closed form
+        ((1.0, 0.0, 1.5e308, 1.0, 2.0, 10.0), None, Loading((-1e154, 1e154)), TimeGrid(2, 2), 2),
+        # the dissipation overflows at step 2's, a Newton solve
+        ((1e72, 0.0, 1e168, 1e304, 3.0, 10.0), None, Loading((-1e137, 1e140)), TimeGrid(2e-3, 2), 2),
+        # a traction of 1e200 strains each element by 1e200
+        ((1.0, 0.0, 1e300, 1.0, 2.0, 10.0), 4, Loading((0.0,), (1e200,)), TimeGrid(1.0, 4), 1),
+    ],
+)
+def test_a_step_priced_not_finite_fails_as_not_finite(params, n_elements, loading, grid, step):
+    # The kernels price nothing and accept these solves; the array pass
+    # after the march prices them, and they fail there with no RuntimeWarning
+    # (the suite turns warnings into errors): in run_evolution by their
+    # stay-put margins, and in phi_tau by its value, as step 1.
+    model = MaterialModel(*params)
+    if n_elements is None:
+        rest = State.material_point(1.0, 1.0)
+    else:
+        zeros = np.zeros(n_elements)
+        rest = State.shear_column(ShearColumnMesh(n_elements), zeros, zeros)
+    with pytest.raises(NonFiniteObjective) as exc:
+        run_evolution(model, rest, loading, grid)
+    assert str(exc.value) == f"step {step}: incremental objective is not finite"
+    with pytest.raises(NonFiniteObjective) as exc:
+        phi_tau(model, rest, loading, grid.times[step], grid.tau)
+    assert str(exc.value) == "step 1: incremental objective is not finite"
+
+
 def march_load_by_load(monkeypatch, solve=None):
     """Patches ``kernels.mp_march`` with a fake that marches one load at a
     time through the real kernel: step i (from 1) of a march is ``solve(one,
@@ -1001,8 +1031,8 @@ def overshoot(
     monkeypatch, factors, stalled=(), outside=(), broken=(), radius=UNIT_MP.k_radius
 ):
     """Makes step i of a run solve for a substep ``factors[i]`` times longer,
-    at a material point and in the shear column (in ``kernels.column_march``);
-    the march still charges the dissipation of the true step. The steps in
+    at a material point and in the shear column; the march still prices the
+    dissipation of the true step. The steps in
     ``stalled`` get one iteration to reach an unreachable tolerance, so their
     solves fail (in the shear column only when p_psi != 2: the closed form
     has no solver to stall); in the shear column the viscous slopes of the
@@ -1016,12 +1046,7 @@ def overshoot(
             raise ValueError(f"step {step} broken")
         if step in stalled:
             grad_tol, max_iter = stall.grad_tol, stall.max_iter
-        solved = one(params, load, anchor, factors.get(step, 1.0) * r, grad_tol, max_iter)
-        if solved[5]:
-            return solved
-        model, (F, Fv) = MaterialModel(*params), solved[:2]
-        rate = (Fv - anchor) / (r * anchor)
-        return solved[:6] + (model.w_el(F / Fv - 1.0), model.w_vi(Fv - 1.0), r * model.psi(rate))
+        return one(params, load, anchor, factors.get(step, 1.0) * r, grad_tol, max_iter)
 
     def column(one, step, params, row, b, r, h, grad_tol, max_iter):
         if step in broken:
