@@ -364,22 +364,24 @@ def viscous_flow(model: MaterialModel, f_vi0: float, times) -> np.ndarray:
     return np.where(nearer_far, far, near)
 
 
-def tau_values(tau_list: Sequence[float]) -> List[float]:
+def tau_values(tau_list: Sequence[float], name: str = "tau_list") -> List[float]:
     """The distinct taus of a convergence sweep, largest first: at least two,
-    each positive and finite."""
-    taus = sorted(set(_positive("tau_list", tau_list)), reverse=True)
+    each positive and finite. Errors name the list ``name``."""
+    taus = sorted(set(_positive(name, tau_list)), reverse=True)
     if len(taus) < 2:
         raise ValidationError("need at least two tau values to fit an order")
     return taus
 
 
-def tau_grids(t_final: float, tau_list: Sequence[float]) -> Dict[float, TimeGrid]:
+def tau_grids(
+    t_final: float, tau_list: Sequence[float], name: str = "tau_list"
+) -> Dict[float, TimeGrid]:
     """The taus of :func:`tau_values`, each mapped to the uniform grid of
     [0, t_final] it divides into; raises :class:`ValidationError` unless
     each divides ``t_final``.
     """
     grids = {}
-    for tau in tau_values(tau_list):
+    for tau in tau_values(tau_list, name):
         n = int(round(t_final / tau))
         if n < 1 or abs(n * tau - t_final) > 1e-9 * max(1.0, t_final):
             raise ValidationError(f"tau={tau!r} does not divide t_final={t_final!r}")
@@ -394,6 +396,7 @@ def tau_sweep(
     t_final: float,
     tau_list: Sequence[float],
     settings: Optional[MinimizeSettings] = None,
+    name: str = "tau_list",
 ) -> Tuple[Dict[float, Trajectory], VerificationReport]:
     """Run one trajectory per distinct tau and judge its sup-over-grid error
     against the exact viscous flow (:func:`viscous_flow`): the errors pass
@@ -401,10 +404,11 @@ def tau_sweep(
 
     The oracle requires a zero-load material point with p_psi = 2, where the
     viscous strain obeys that flow. The tau list and these requirements are
-    validated before the first trajectory runs. Returns the trajectories,
-    keyed by tau from largest to smallest, and the report.
+    validated before the first trajectory runs, its errors naming the list
+    ``name``. Returns the trajectories, keyed by tau from largest to
+    smallest, and the report.
     """
-    grids = tau_grids(t_final, tau_list)
+    grids = tau_grids(t_final, tau_list, name)
     taus = list(grids)
     settings = settings or MinimizeSettings()
     if state0.mesh is not None or not loading.is_zero:
@@ -508,11 +512,22 @@ def eps_sweep(
     report keeps the gaps and passes, in regime "gaps_only".
 
     The epsilon list is validated before the first trajectory runs, its
-    errors naming it ``name``. Returns
+    errors naming it ``name``. At a material point it must also keep
+    ``RESOLUTION / eps`` at most the floor: a rescaled dof (F - 1) / eps
+    carries the rounding of F, about one ulp of 1, divided by eps. Returns
     the linearized trajectory, the finite-strain trajectories keyed by eps
     in list order, and the report.
     """
     eps_list = eps_values(epsilon_list, name=name)
+    if lin0.mesh is None:
+        for eps in eps_list:
+            if RESOLUTION / eps > EPSILON_STUDY_FLOOR:
+                raise ValidationError(
+                    f"{name} entry {eps!r} is below "
+                    f"{RESOLUTION / EPSILON_STUDY_FLOOR:.3g}: a material point's "
+                    "rescaled dofs (F - 1) / eps would carry more rounding than "
+                    f"the study's floor {EPSILON_STUDY_FLOOR!r}"
+                )
     settings = settings or MinimizeSettings()
     quad = model.quadratic_limit()
     lin_traj = run_lin_evolution(quad, lin0, loading0, grid)

@@ -10,9 +10,10 @@ alone. Exit codes: 0 on pass, 2 when a check fails (stderr names the check
 and its worst residual) or the command line is malformed, 1 on runtime
 errors.
 
-All outputs are written atomically (temp file + rename) with
-17-significant-digit decimals, so identical configs give byte-identical
-files.
+All outputs are written atomically (temp file + rename). CSV cells are
+17-significant-digit decimals ('%.17g'), JSON floats Python's shortest
+round-trip ``repr``; both read back to the same bits, so identical configs
+give byte-identical files.
 """
 
 from __future__ import annotations
@@ -214,7 +215,8 @@ def _cmd_sweep_tau(config: ScenarioConfig, out: str, tau_list) -> int:
         config.loading(),
         config.t_final,
         tau_list or config.tau_list,
-        settings=config.settings(),
+        config.settings(),
+        "--tau-list" if tau_list else "tau_list",
     )
     for tau, traj in trajs.items():
         _atomic_write(os.path.join(out, f"tau_{_fmt(tau)}.csv"), trajectory_csv(traj))

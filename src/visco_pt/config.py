@@ -57,9 +57,7 @@ class ScenarioConfig:
     n_elements: int = 16
     load_f: Tuple[float, ...] = (0.0,)
     load_g: Tuple[float, ...] = (0.0,)
-    F0: Optional[float] = None
     F_vi0: Optional[float] = None
-    init_elastic: str = "equilibrate"
     u0: Optional[float] = None
     v0: Optional[float] = None
     u0_slope: Optional[float] = None
@@ -77,11 +75,6 @@ class ScenarioConfig:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
         for build in (self.model, self.grid, self.loading, self.mesh, self.settings):
             build()  # each object checks the ranges of its own parameters
-        if self.init_elastic not in ("equilibrate", "direct"):
-            raise ValidationError(
-                "init_elastic must be 'equilibrate' or 'direct', "
-                f"got {self.init_elastic!r}"
-            )
         tau_values(self.tau_list)
         substep_values(self.mono_tau_list, "mono_tau_list")
         eps_values(self.eps_list, decreasing=False, name="eps_list")
@@ -119,39 +112,35 @@ class ScenarioConfig:
         )
 
     def initial_state(self) -> State:
-        """Initial data for the finite-strain run. At a material point it
-        mirrors :meth:`lin_initial`: without ``F_vi0``, F_vi = 1 + v0, and a
-        given ``u0`` sets F = 1 + u0 as it is, the state that the epsilon
-        study starts from at eps = 1."""
+        """Initial data for the finite-strain run, by the rule of
+        :meth:`lin_initial`: a given ``u0`` (F = 1 + u0) or ``u0_slope``
+        (gamma' = u0_slope) is the elastic start as it is, and without one
+        the elastic variable is equilibrated at t = 0. At a material point
+        F_vi = 1 + v0 without ``F_vi0``."""
         from .stepper import equilibrate_elastic
 
-        model = self.model()
-        loading = self.loading()
         if self.mode == MATERIAL_POINT:
             F_vi0 = self.F_vi0
             if F_vi0 is None and self.v0 is not None:
                 F_vi0 = 1.0 + self.v0
             if F_vi0 is None:
                 raise ValidationError("material-point run requires F_vi0 or v0")
-            if self.init_elastic == "direct":
-                f0 = F_vi0 if self.F0 is None else self.F0
-                return State.material_point(f0, F_vi0)
             if self.u0 is not None:
                 return State.material_point(1.0 + self.u0, F_vi0)
-            seeded = State.material_point(F_vi0, F_vi0)
-            return equilibrate_elastic(model, seeded, loading, 0.0)
-        n = self.n_elements
-        state = State.shear_column(
-            self.mesh(), np.full(n, self.u0_slope or 0.0), np.full(n, self.v0_slope)
-        )
-        if self.init_elastic == "direct":
-            return state
-        return equilibrate_elastic(model, state, loading, 0.0)
+            state = State.material_point(F_vi0, F_vi0)
+        else:
+            n = self.n_elements
+            state = State.shear_column(
+                self.mesh(), np.full(n, self.u0_slope or 0.0), np.full(n, self.v0_slope)
+            )
+            if self.u0_slope is not None:
+                return state
+        return equilibrate_elastic(self.model(), state, self.loading(), 0.0)
 
     def lin_initial(self) -> LinState:
-        """Initial data (u0, v0) for linearized runs and the epsilon study."""
-        quad = self.model().quadratic_limit()
-        loading = self.loading()
+        """Initial data (u0, v0) for linearized runs and the epsilon study: a
+        given ``u0`` or ``u0_slope`` as it is, else the elastic equilibrium at
+        t = 0. At a material point v0 = F_vi0 - 1 without ``v0``."""
         if self.mode == MATERIAL_POINT:
             v0 = self.v0
             if v0 is None and self.F_vi0 is not None:
@@ -160,16 +149,15 @@ class ScenarioConfig:
                 raise ValidationError("material-point lin run requires v0 or F_vi0")
             if self.u0 is not None:
                 return LinState.material_point(self.u0, v0)
-            return lin_equilibrium(
-                quad, LinState.material_point(v0, v0), loading, 0.0
+            state = LinState.material_point(v0, v0)
+        else:
+            n = self.n_elements
+            state = LinState.shear_column(
+                self.mesh(), np.full(n, self.u0_slope or 0.0), np.full(n, self.v0_slope)
             )
-        n = self.n_elements
-        state = LinState.shear_column(
-            self.mesh(), np.full(n, self.u0_slope or 0.0), np.full(n, self.v0_slope)
-        )
-        if self.u0_slope is not None:
-            return state
-        return lin_equilibrium(quad, state, loading, 0.0)
+            if self.u0_slope is not None:
+                return state
+        return lin_equilibrium(self.model().quadratic_limit(), state, self.loading(), 0.0)
 
     def as_dict(self) -> dict:
         out = {}

@@ -220,8 +220,8 @@ def column_march(c_v, d_v, p_psi, sigma, r, h, grad_tol, max_iter, slopes, out):
     power of psi (4, residual inf): its tuple holds ``max_iter``, the worst
     h * |residual| of the elements failing there and the status.
 
-    With p_psi = 2 a step is the closed form, in the order of operations of
-    the NumPy row step, so every bit agrees with it. Otherwise Newton,
+    With p_psi = 2 a step is the closed form b + (s - c_v b) / (c_v + d_v / r),
+    evaluated in that order, each operation rounded once. Otherwise Newton,
     bisecting the bracket between b_old and sigma_e / c_v where a step leaves
     it or lands back on the iterate before the current one, until
     h * |residual| <= grad_tol or the step is at most

@@ -70,6 +70,14 @@ def test_parse_removed_probe_keys_are_unknown():
             parse_config(MINIMAL + f"{key} = 1\n")
 
 
+def test_parse_removed_initial_data_keys_are_unknown():
+    # A given u0 is the elastic start as it is (F = 1 + u0), so neither a
+    # second spelling of F nor a switch to take it as given is a key.
+    for key, value in (("F0", "2.0"), ("init_elastic", "direct")):
+        with pytest.raises(ConfigParseError, match=f"unknown key '{key}'"):
+            parse_config(MINIMAL + f"{key} = {value}\n")
+
+
 def test_parse_duplicate_key():
     with pytest.raises(ConfigParseError, match="duplicate"):
         parse_config(MINIMAL + "t_final = 4\n")
@@ -163,11 +171,46 @@ def test_increasing_eps_list_is_named_as_written(tmp_path, capsys, argv, name):
     assert capsys.readouterr().err == f"error: {name} must be strictly decreasing\n"
 
 
+@pytest.mark.parametrize(
+    "command, stem, eps, code",
+    [
+        ("sweep-eps", "eps_quartic", "4e-08", 0),
+        ("sweep-eps", "eps_quartic", "3e-08", 1),
+        ("verify", "eps_quartic", "4e-08", 0),
+        ("verify", "eps_quartic", "3e-08", 1),
+        ("sweep-eps", "eps_quadratic", "1.5e-154", 0),
+    ],
+)
+def test_material_point_eps_study_refuses_eps_below_its_rounding(
+    tmp_path, capsys, command, stem, eps, code
+):
+    # A rescaled material-point dof (F - 1) / eps carries the rounding of F,
+    # RESOLUTION = 16 ulp(1), divided by eps: above the study's floor 1e-7
+    # for eps < 3.55e-8 (at 3e-8 epsilon_study failed with -0.024). A shear
+    # column compares slopes that carry no offset of 1.
+    text = (REPO / "configs" / f"{stem}.cfg").read_text()
+    assert "\neps_list = 0.2 0.1 0.05\n" in text
+    if command == "verify":
+        text = text.replace("\neps_list = 0.2 0.1 0.05\n", f"\neps_list = 0.1 {eps}\n")
+        argv, name = [], "eps_list"
+    else:
+        argv, name = ["--eps-list", f"0.1 {eps}"], "--eps-list"
+    cfg = write(tmp_path, "eps.cfg", text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), *argv]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith(f"error: {name} entry {eps} is below 3.55e-08: ")
+        assert list(out.glob("*")) == []
+    else:
+        assert err == ""
+
+
 def test_tau_list_override_of_zero_exits_1(tmp_path, capsys):
     cfg = str(REPO / "configs" / "mp_relax.cfg")
     argv = ["sweep-tau", "--config", cfg, "--out", str(tmp_path), "--tau-list", "0"]
     assert main(argv) == 1
-    assert "error: tau_list entries must be positive and finite" in capsys.readouterr().err
+    assert "error: --tau-list entries must be positive and finite" in capsys.readouterr().err
     # The override is validated before the model or the state is looked at.
     with pytest.raises(ValidationError, match="positive and finite"):
         analysis.tau_sweep(None, None, None, 3.0, [0.0])
@@ -201,6 +244,22 @@ def test_run_starts_a_material_point_from_u0_and_v0(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     first = (out / "run.csv").read_text().splitlines()[1].split(",")
     assert (float(first[1]), float(first[2])) == (1.3, 1.2)
+
+
+def test_shear_run_starts_from_a_given_u0_slope_as_lin_does(tmp_path):
+    # A given u0_slope is the elastic start of every run: gamma' = 0.5 in
+    # each of the 8 elements gives F = 1 + h * 4 = 1.5 and u = 0.5 at t = 0
+    # (equilibrating the start would give F = 1.6000000000000001).
+    cfg = write(
+        tmp_path, "slope.cfg",
+        (REPO / "configs" / "eps_quadratic.cfg").read_text() + "u0_slope = 0.5\n",
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["lin", "--config", cfg, "--out", str(out)]) == 0
+    run_row = (out / "run.csv").read_text().splitlines()[1].split(",")
+    lin_row = (out / "lin.csv").read_text().splitlines()[1].split(",")
+    assert (float(run_row[1]), float(lin_row[1])) == (1.5, 0.5)
 
 
 def test_material_point_run_without_viscous_data_is_a_validation_error():
@@ -342,13 +401,13 @@ def test_seed_option_is_hidden(capsys):
 
 
 def test_verify_failure_exits_2_and_names_the_check(tmp_path, capsys):
-    # start far from elastic equilibrium without equilibration: the t = 0
-    # state lies above its elastic minimizer
+    # a given u0 = 1 starts at F = 2, far from elastic equilibrium: the
+    # t = 0 state lies above its elastic minimizer
     cfg = write(
         tmp_path,
         "bad.cfg",
-        "mode = mp\nt_final = 1.0\nn_steps = 10\nF_vi0 = 1.0\nF0 = 2.0\n"
-        "init_elastic = direct\nchecks = semistability\n",
+        "mode = mp\nt_final = 1.0\nn_steps = 10\nF_vi0 = 1.0\nu0 = 1.0\n"
+        "checks = semistability\n",
     )
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
@@ -651,8 +710,8 @@ def test_no_source_file_reads_the_environment():
 
 # sha256 of every CSV the shipped configs write, recorded from the per-step
 # march before the stepper priced its ledger in arrays. The CSVs hold only
-# IEEE arithmetic (no LAPACK), so they must not change by a bit; verify.json
-# carries polyfit rates and is checked run to run by test_12 instead.
+# IEEE arithmetic (no LAPACK), so they must not change by a bit; the JSON
+# reports are pinned by SHIPPED_JSON_SHA256 below.
 SHIPPED_CSV_SHA256 = {
     ("run", "mp_relax"): {
         "run.csv": "d80aab09bd2b0d8c76fc64459d4a2ff0006f691dd05198a8fb7b004fd2d0aa9d",
@@ -721,6 +780,32 @@ def test_shipped_csv_outputs_keep_their_digests(tmp_path, command, stem):
     for name, digest in expected.items():
         actual = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert actual == digest, f"{command} {stem}: {name} changed (sha256 {actual})"
+
+
+# sha256 of the JSON report of verify on every shipped config and of the
+# sweeps above, recorded when the config lost its F0 and init_elastic keys.
+# Their rates are polyfit slopes, from LAPACK's least squares, so another
+# LAPACK build may move their last digits.
+SHIPPED_JSON_SHA256 = {
+    ("verify", "mp_relax"): "1e51619913e50f3b7a3eb057b7eadc307a0a829f2f415d8aca8848895f6d5473",
+    ("verify", "mp_loaded"): "fbd1f011dca4bbe1c48dd3eb7353ebad9768fccd3637587e57e3302f6da263e5",
+    ("verify", "shear_quadratic"): "a0b899e17adb9ace149621b8a3275b59ec0d4db279720a60538dc249c41dead2",
+    ("verify", "shear_quartic"): "76c03a2c5bea19eeab4dc2373da9170348349dcf488e8167bb6e20e4a381acd2",
+    ("verify", "eps_quadratic"): "9cf236f2dd8f72d308465fb291a2c008a3211dce953ca2c5b4c2ecd032a4979b",
+    ("verify", "eps_quartic"): "ec59a130df9d70c2462629bc88b7da096903d12d7846e179ccbf65fda15f3ddf",
+    ("sweep-tau", "mp_relax"): "0ff1e577d34eb977accdace4092824ee16d0a0a2ca1ccd09b4e6a199deacc5c9",
+    ("sweep-eps", "eps_quadratic"): "a92b605bbbe41ff33cde4f980b749d34068a6b6802d0264bfcc71f1d1520b04b",
+    ("sweep-eps", "eps_quartic"): "b4a1b92875ae42d399a0097dc38706cebc1d29d84d6c9c2d28536255af566893",
+}
+
+
+@pytest.mark.parametrize("command, stem", list(SHIPPED_JSON_SHA256))
+def test_shipped_json_outputs_keep_their_digests(tmp_path, command, stem):
+    cfg = str(REPO / "configs" / f"{stem}.cfg")
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    (written,) = tmp_path.glob("*.json")
+    actual = hashlib.sha256(written.read_bytes()).hexdigest()
+    assert actual == SHIPPED_JSON_SHA256[command, stem], f"{command} {stem}: sha256 {actual}"
 
 
 # float.hex of the values of the monotonicity check (the displacement
