@@ -16,9 +16,11 @@ identity under loads constant in time. The tau oracle is the exact
 zero-load viscous flow, :func:`viscous_flow`.
 
 Parameter sweeps run once per command. :func:`tau_sweep` and
-:func:`eps_sweep` validate their whole list (:func:`tau_grids`,
-:func:`eps_values`) and, for tau, that the oracle applies before the first
-trajectory runs; then they run each trajectory once, in parameter order,
+:func:`eps_sweep` validate their whole list and, for tau, that the oracle
+applies (:func:`tau_sweep_grids`, :func:`eps_study_values`) before the first
+trajectory runs, as :func:`density_convergence` validates its list
+(:func:`density_values`); the config runs the same validators on parse for
+each check it lists. Then they run each trajectory once, in parameter order,
 judge it, and return the trajectories with the report, so the command line
 writes the very trajectories that were judged.
 :func:`tau_convergence` and :func:`epsilon_study` return the same reports
@@ -373,19 +375,30 @@ def tau_values(tau_list: Sequence[float], name: str = "tau_list") -> List[float]
     return taus
 
 
-def tau_grids(
-    t_final: float, tau_list: Sequence[float], name: str = "tau_list"
+def tau_sweep_grids(
+    model: MaterialModel,
+    material_point: bool,
+    loading: Loading,
+    t_final: float,
+    tau_list: Sequence[float],
+    name: str = "tau_list",
 ) -> Dict[float, TimeGrid]:
     """The taus of :func:`tau_values`, each mapped to the uniform grid of
-    [0, t_final] it divides into; raises :class:`ValidationError` unless
-    each divides ``t_final``.
-    """
+    [0, t_final] it divides into, once the exact-flow oracle of
+    :func:`tau_sweep` applies: a zero-load material point with p_psi = 2.
+    Raises :class:`ValidationError` unless each tau divides ``t_final`` and
+    the oracle applies; the list is validated first, its errors naming it
+    ``name``."""
     grids = {}
     for tau in tau_values(tau_list, name):
         n = int(round(t_final / tau))
         if n < 1 or abs(n * tau - t_final) > 1e-9 * max(1.0, t_final):
             raise ValidationError(f"tau={tau!r} does not divide t_final={t_final!r}")
         grids[tau] = TimeGrid(t_final, n)
+    if not material_point or not loading.is_zero:
+        raise ValidationError("the exact-flow oracle requires a zero-load material point")
+    if model.p_psi != 2.0:
+        raise ValidationError(f"the exact-flow oracle requires p_psi = 2, got {model.p_psi!r}")
     return grids
 
 
@@ -404,17 +417,13 @@ def tau_sweep(
 
     The oracle requires a zero-load material point with p_psi = 2, where the
     viscous strain obeys that flow. The tau list and these requirements are
-    validated before the first trajectory runs, its errors naming the list
-    ``name``. Returns the trajectories, keyed by tau from largest to
-    smallest, and the report.
+    validated before the first trajectory runs (:func:`tau_sweep_grids`),
+    its errors naming the list ``name``. Returns the trajectories, keyed by
+    tau from largest to smallest, and the report.
     """
-    grids = tau_grids(t_final, tau_list, name)
+    grids = tau_sweep_grids(model, state0.mesh is None, loading, t_final, tau_list, name)
     taus = list(grids)
     settings = settings or MinimizeSettings()
-    if state0.mesh is not None or not loading.is_zero:
-        raise ValidationError("the exact-flow oracle requires a zero-load material point")
-    if model.p_psi != 2.0:
-        raise ValidationError(f"the exact-flow oracle requires p_psi = 2, got {model.p_psi!r}")
 
     trajectories: Dict[float, Trajectory] = {}
     errors = []
@@ -453,16 +462,14 @@ def tau_convergence(
 
 def eps_values(
     epsilon_list: Sequence[float],
-    decreasing: bool = True,
     name: str = "epsilon_list",
     probes: Sequence[float] = (1.0,),
 ) -> List[float]:
-    """The epsilon list as floats, nonempty, each entry positive and, if
-    ``decreasing``, strictly decreasing (the order along which an epsilon
-    study expects its errors to fall). A rescaled density eps^-2 W(eps a)
-    divides by eps^2 and squares eps a, so eps and eps times the smallest
-    nonzero |a| of ``probes`` must each square to a positive normal float,
-    or the rescaling loses its digits. Errors name the list ``name``."""
+    """The epsilon list as floats, nonempty, each entry positive. A rescaled
+    density eps^-2 W(eps a) divides by eps^2 and squares eps a, so eps and
+    eps times the smallest nonzero |a| of ``probes`` must each square to a
+    positive normal float, or the rescaling loses its digits. Errors name
+    the list ``name``."""
     eps_list = _positive(name, epsilon_list)
     magnitudes = np.abs(np.asarray(probes, dtype=float))
     smallest = float(np.min(magnitudes[magnitudes > 0.0], initial=1.0))
@@ -477,8 +484,30 @@ def eps_values(
                 f"{name} entry {eps!r} times the probe {smallest!r} squares to "
                 f"{low * low!r}, not a positive normal float"
             )
-    if decreasing and any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+    return eps_list
+
+
+def eps_study_values(
+    epsilon_list: Sequence[float], material_point: bool, name: str = "epsilon_list"
+) -> List[float]:
+    """The epsilon list of a study (:func:`eps_sweep`): the entries of
+    :func:`eps_values`, strictly decreasing (the order along which the study
+    expects its errors to fall), and from a material-point start each with
+    ``RESOLUTION / eps`` at most ``EPSILON_STUDY_FLOOR``: a rescaled dof
+    (F - 1) / eps carries the rounding of F, about one ulp of 1, divided by
+    eps. Errors name the list ``name``."""
+    eps_list = eps_values(epsilon_list, name)
+    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValidationError(f"{name} must be strictly decreasing")
+    if material_point:
+        for eps in eps_list:
+            if RESOLUTION / eps > EPSILON_STUDY_FLOOR:
+                raise ValidationError(
+                    f"{name} entry {eps!r} is below "
+                    f"{RESOLUTION / EPSILON_STUDY_FLOOR:.3g}: a material point's "
+                    "rescaled dofs (F - 1) / eps would carry more rounding than "
+                    f"the study's floor {EPSILON_STUDY_FLOOR!r}"
+                )
     return eps_list
 
 
@@ -511,23 +540,12 @@ def eps_sweep(
     factors reduce it to order 1. A single eps has no order to judge: its
     report keeps the gaps and passes, in regime "gaps_only".
 
-    The epsilon list is validated before the first trajectory runs, its
-    errors naming it ``name``. At a material point it must also keep
-    ``RESOLUTION / eps`` at most the floor: a rescaled dof (F - 1) / eps
-    carries the rounding of F, about one ulp of 1, divided by eps. Returns
-    the linearized trajectory, the finite-strain trajectories keyed by eps
-    in list order, and the report.
+    The epsilon list is validated before the first trajectory runs
+    (:func:`eps_study_values`), its errors naming it ``name``. Returns the
+    linearized trajectory, the finite-strain trajectories keyed by eps in
+    list order, and the report.
     """
-    eps_list = eps_values(epsilon_list, name=name)
-    if lin0.mesh is None:
-        for eps in eps_list:
-            if RESOLUTION / eps > EPSILON_STUDY_FLOOR:
-                raise ValidationError(
-                    f"{name} entry {eps!r} is below "
-                    f"{RESOLUTION / EPSILON_STUDY_FLOOR:.3g}: a material point's "
-                    "rescaled dofs (F - 1) / eps would carry more rounding than "
-                    f"the study's floor {EPSILON_STUDY_FLOOR!r}"
-                )
+    eps_list = eps_study_values(epsilon_list, lin0.mesh is None, name)
     settings = settings or MinimizeSettings()
     quad = model.quadratic_limit()
     lin_traj = run_lin_evolution(quad, lin0, loading0, grid)
@@ -594,6 +612,23 @@ def epsilon_study(
 # -- density convergence ---------------------------------------------------------------
 
 
+def density_values(
+    epsilon_list: Sequence[float],
+    probe_grid: Optional[np.ndarray] = None,
+    name: str = "epsilon_list",
+) -> Tuple[List[float], np.ndarray]:
+    """The epsilon list and the probe grid (default 41 points on [-1, 1]) of
+    :func:`density_convergence`: the grid nonempty and finite, the list that
+    of :func:`eps_values` against the grid's probes. Errors name the list
+    ``name``."""
+    if probe_grid is None:
+        probe_grid = np.linspace(-1.0, 1.0, 41)
+    grid = np.asarray(probe_grid, dtype=float)
+    if not np.all(np.isfinite(grid)) or grid.size == 0:
+        raise ValidationError("probe_grid must be nonempty and bounded")
+    return eps_values(epsilon_list, name, grid), grid
+
+
 def density_convergence(
     model: MaterialModel,
     epsilon_list: Sequence[float],
@@ -608,14 +643,9 @@ def density_convergence(
     of at most 16 eps_mach * (1/2) c max|a|^2, the rounding of the limit
     density on the grid, counts as zero: the floor of :func:`_judge_rates`.
     The epsilon list is validated against the probe grid
-    (:func:`eps_values`), its errors naming it ``name``.
+    (:func:`density_values`), its errors naming it ``name``.
     """
-    if probe_grid is None:
-        probe_grid = np.linspace(-1.0, 1.0, 41)
-    grid = np.asarray(probe_grid, dtype=float)
-    if not np.all(np.isfinite(grid)) or grid.size == 0:
-        raise ValidationError("probe_grid must be nonempty and bounded")
-    eps_list = eps_values(epsilon_list, decreasing=False, name=name, probes=grid)
+    eps_list, grid = density_values(epsilon_list, probe_grid, name)
     quad = model.quadratic_limit()
     gaps: Dict[str, List[float]] = {}
     series = []

@@ -8,9 +8,10 @@ One argument parser takes the command as its first positional argument:
 ``--tau-list`` belongs to ``sweep-tau`` and ``--eps-list`` to ``sweep-eps``
 alone. Exit codes: 0 on pass, 2 when a check fails (stderr names the check
 and its worst residual) or the command line is malformed, 1 on runtime
-errors.
+errors, an unreadable config or an unwritable output included.
 
-All outputs are written atomically (temp file + rename). CSV cells are
+All outputs are written atomically (temp file + rename; a failed write
+leaves no temp file). CSV cells are
 17-significant-digit decimals ('%.17g'), JSON floats Python's shortest
 round-trip ``repr``; both read back to the same bits, so identical configs
 give byte-identical files.
@@ -42,9 +43,23 @@ def _fmt(x: float) -> str:
 
 def _atomic_write(path: str, data: str):
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(data)
-    os.replace(tmp, path)
+    handle = open(tmp, "w", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def _csv_table(header: str, columns, flag: str = "") -> str:
+    """A CSV table: the header line, then one row per entry of the
+    equal-length ``columns``, each cell '%.17g' and each row ended by
+    ``flag``."""
+    row = ",".join(["%.17g"] * len(columns)) + flag + "\n"
+    values = tuple(np.column_stack(columns).ravel().tolist())
+    return header + "\n" + (row * len(columns[0])) % values
 
 
 def _ledger_csv(traj, offset: float, flag: str = "") -> str:
@@ -65,9 +80,7 @@ def _ledger_csv(traj, offset: float, flag: str = "") -> str:
     diss = np.concatenate([[0.0], traj.diss_increments])
     columns = (traj.grid.times, y, y_vi, traj.stored[:, 0], traj.stored[:, 1],
                work, energies, diss, delta, residual)
-    row = ",".join(["%.17g"] * len(columns)) + flag + "\n"
-    values = tuple(np.column_stack(columns).ravel().tolist())
-    return CSV_HEADER + (",lin" if flag else "") + "\n" + (row * len(y)) % values
+    return _csv_table(CSV_HEADER + (",lin" if flag else ""), columns, flag)
 
 
 def trajectory_csv(traj: Trajectory) -> str:
@@ -246,14 +259,9 @@ def _cmd_sweep_eps(config: ScenarioConfig, out: str, eps_list) -> int:
 def _cmd_densities(config: ScenarioConfig, out: str) -> int:
     report = analysis.density_convergence(config.model(), config.eps_list, name="eps_list")
     gaps = report.params["gaps"]
-    lines = ["eps,gap_el,gap_vi,gap_psi"]
-    for i, e in enumerate(report.params["epsilon_list"]):
-        lines.append(
-            ",".join(
-                _fmt(v) for v in (e, gaps["el"][i], gaps["vi"][i], gaps["psi"][i])
-            )
-        )
-    _atomic_write(os.path.join(out, "densities.csv"), "\n".join(lines) + "\n")
+    columns = (report.params["epsilon_list"], gaps["el"], gaps["vi"], gaps["psi"])
+    table = _csv_table("eps,gap_el,gap_vi,gap_psi", columns)
+    _atomic_write(os.path.join(out, "densities.csv"), table)
     payload = _report_payload(config, [report])
     _atomic_write(os.path.join(out, "densities.json"), _json_dump(payload))
     return _emit_failures([report])
@@ -336,7 +344,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "densities":
             return _cmd_densities(config, args.out)
         raise ViscoPTError(f"unknown command {args.command!r}")
-    except ViscoPTError as exc:
+    except (ViscoPTError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,7 +15,9 @@ from typing import Optional, Tuple, get_type_hints
 
 import numpy as np
 
-from .analysis import eps_values, substep_values, tau_values
+from .analysis import (
+    density_values, eps_study_values, eps_values, substep_values, tau_sweep_grids, tau_values,
+)
 from .domain import Loading, ShearColumnMesh, State, TimeGrid
 from .errors import ConfigParseError, ValidationError
 from .linearized import LinState, lin_equilibrium
@@ -60,8 +62,6 @@ class ScenarioConfig:
     F_vi0: Optional[float] = None
     u0: Optional[float] = None
     v0: Optional[float] = None
-    u0_slope: Optional[float] = None
-    v0_slope: float = 0.0
     grad_tol: float = 1e-10
     max_iter: int = 10000
     checks: Tuple[str, ...] = DEFAULT_CHECKS
@@ -77,12 +77,25 @@ class ScenarioConfig:
             build()  # each object checks the ranges of its own parameters
         tau_values(self.tau_list)
         substep_values(self.mono_tau_list, "mono_tau_list")
-        eps_values(self.eps_list, decreasing=False, name="eps_list")
-        for check in self.checks:
+        eps_values(self.eps_list, "eps_list")
+        material_point = self.mode == MATERIAL_POINT
+        if self.F_vi0 is not None and not material_point:
+            raise ValidationError("F_vi0 is a material-point key; a shear column starts from v0")
+        if self.F_vi0 is not None and self.v0 is not None:
+            raise ValidationError("F_vi0 and v0 give one datum (F_vi0 = 1 + v0); give one of them")
+        for check in self.checks:  # what a listed check validates before its work
             if check not in KNOWN_CHECKS:
                 raise ValidationError(
                     f"unknown check {check!r}; known: {', '.join(KNOWN_CHECKS)}"
                 )
+            if check == "tau_convergence":
+                tau_sweep_grids(
+                    self.model(), material_point, self.loading(), self.t_final, self.tau_list
+                )
+            elif check == "epsilon_study":
+                eps_study_values(self.eps_list, material_point, "eps_list")
+            elif check == "density_convergence":
+                density_values(self.eps_list, name="eps_list")
 
     # -- derived objects ---------------------------------------------------------
 
@@ -112,52 +125,46 @@ class ScenarioConfig:
         )
 
     def initial_state(self) -> State:
-        """Initial data for the finite-strain run, by the rule of
-        :meth:`lin_initial`: a given ``u0`` (F = 1 + u0) or ``u0_slope``
-        (gamma' = u0_slope) is the elastic start as it is, and without one
-        the elastic variable is equilibrated at t = 0. At a material point
-        F_vi = 1 + v0 without ``F_vi0``."""
+        """Initial state of the finite-strain run, by the rule of :meth:`_start`:
+        F = 1 + u0 and F_vi = F_vi0 or 1 + v0 at a material point, the slopes
+        gamma' = u0 and beta' = v0 in every element of the shear column."""
         from .stepper import equilibrate_elastic
 
-        if self.mode == MATERIAL_POINT:
-            F_vi0 = self.F_vi0
-            if F_vi0 is None and self.v0 is not None:
-                F_vi0 = 1.0 + self.v0
-            if F_vi0 is None:
-                raise ValidationError("material-point run requires F_vi0 or v0")
-            if self.u0 is not None:
-                return State.material_point(1.0 + self.u0, F_vi0)
-            state = State.material_point(F_vi0, F_vi0)
-        else:
-            n = self.n_elements
-            state = State.shear_column(
-                self.mesh(), np.full(n, self.u0_slope or 0.0), np.full(n, self.v0_slope)
-            )
-            if self.u0_slope is not None:
-                return state
-        return equilibrate_elastic(self.model(), state, self.loading(), 0.0)
+        return self._start(
+            State, lambda s: equilibrate_elastic(self.model(), s, self.loading(), 0.0)
+        )
 
     def lin_initial(self) -> LinState:
-        """Initial data (u0, v0) for linearized runs and the epsilon study: a
-        given ``u0`` or ``u0_slope`` as it is, else the elastic equilibrium at
-        t = 0. At a material point v0 = F_vi0 - 1 without ``v0``."""
+        """Initial data of linearized runs and the epsilon study, by the rule
+        of :meth:`_start`: u = u0 and v = v0 or F_vi0 - 1 at a material point,
+        the slopes u' = u0 and v' = v0 in the shear column."""
+        return self._start(
+            LinState,
+            lambda s: lin_equilibrium(self.model().quadratic_limit(), s, self.loading(), 0.0),
+        )
+
+    def _start(self, kind, equilibrate):
+        """The initial ``kind`` (:class:`State` or :class:`LinState`) from
+        the initial data, by one rule: a given ``u0`` is the elastic start as
+        it is, and without one ``equilibrate`` relaxes the elastic variable at
+        t = 0. A material point needs one of ``F_vi0`` and ``v0``; a start
+        given by ``F_vi0`` keeps its bits."""
+        lin = kind is LinState
         if self.mode == MATERIAL_POINT:
-            v0 = self.v0
-            if v0 is None and self.F_vi0 is not None:
-                v0 = self.F_vi0 - 1.0
-            if v0 is None:
-                raise ValidationError("material-point lin run requires v0 or F_vi0")
-            if self.u0 is not None:
-                return LinState.material_point(self.u0, v0)
-            state = LinState.material_point(v0, v0)
+            if self.F_vi0 is not None:
+                v = self.F_vi0 - 1.0 if lin else self.F_vi0
+            elif self.v0 is not None:
+                v = self.v0 if lin else 1.0 + self.v0
+            else:
+                raise ValidationError("material-point run requires F_vi0 or v0")
+            u = v if self.u0 is None else (self.u0 if lin else 1.0 + self.u0)
+            state = kind.material_point(u, v)
         else:
             n = self.n_elements
-            state = LinState.shear_column(
-                self.mesh(), np.full(n, self.u0_slope or 0.0), np.full(n, self.v0_slope)
+            state = kind.shear_column(
+                self.mesh(), np.full(n, self.u0 or 0.0), np.full(n, self.v0 or 0.0)
             )
-            if self.u0_slope is not None:
-                return state
-        return lin_equilibrium(self.model().quadratic_limit(), state, self.loading(), 0.0)
+        return state if self.u0 is not None else equilibrate(state)
 
     def as_dict(self) -> dict:
         out = {}

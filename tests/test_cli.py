@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from visco_pt import ConfigParseError, ValidationError, analysis, cli, parse_config
+from visco_pt import ConfigParseError, State, ValidationError, analysis, cli, parse_config
 from visco_pt.cli import main
 
 from test_stepper import counted_inversions, march_load_by_load
@@ -31,7 +31,7 @@ mode = shear
 t_final = 0.5
 n_steps = 10
 n_elements = 8
-v0_slope = 0.4
+v0 = 0.4
 load_f = 0.0 0.2
 load_g = 0.1
 """
@@ -72,10 +72,37 @@ def test_parse_removed_probe_keys_are_unknown():
 
 def test_parse_removed_initial_data_keys_are_unknown():
     # A given u0 is the elastic start as it is (F = 1 + u0), so neither a
-    # second spelling of F nor a switch to take it as given is a key.
-    for key, value in (("F0", "2.0"), ("init_elastic", "direct")):
+    # second spelling of F nor a switch to take it as given is a key; u0 and
+    # v0 are the initial data of the shear column too (gamma' = u0, beta' = v0).
+    for key, value in (
+        ("F0", "2.0"), ("init_elastic", "direct"), ("u0_slope", "0.5"), ("v0_slope", "0.4")
+    ):
         with pytest.raises(ConfigParseError, match=f"unknown key '{key}'"):
             parse_config(MINIMAL + f"{key} = {value}\n")
+
+
+def test_shear_column_starts_from_v0_in_every_element():
+    # v0 is the viscous datum of both geometries: beta' = v0 = 0.4 in each
+    # element of the finite-strain start, v' = 0.4 in the linearized one.
+    config = parse_config(SHEAR_SMALL)
+    assert config.initial_state().beta.tolist() == [0.4] * 8
+    assert config.lin_initial().v.tolist() == [0.4] * 8
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (MINIMAL + "v0 = 0.5\n", "F_vi0 and v0 give one datum"),
+        (SHEAR_SMALL + "F_vi0 = 1.5\n", "F_vi0 is a material-point key"),
+    ],
+)
+def test_parse_refuses_initial_data_it_would_ignore(tmp_path, capsys, text, message):
+    # One datum has one key, and neither geometry drops the other's keys.
+    with pytest.raises(ValidationError, match=message):
+        parse_config(text)
+    cfg = write(tmp_path, "mixed.cfg", text)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_parse_duplicate_key():
@@ -165,8 +192,10 @@ def test_eps_whose_square_is_not_a_normal_float_exits_1(
 def test_increasing_eps_list_is_named_as_written(tmp_path, capsys, argv, name):
     # An epsilon study needs a strictly decreasing list, and the error names
     # the config key or the flag that gave it (it named epsilon_list, a key
-    # no config has).
-    cfg = write(tmp_path, "eps.cfg", MINIMAL + "checks = epsilon_study\neps_list = 0.1 0.2\n")
+    # no config has). The config gives the list only where it is used: a
+    # listed check refuses its list on parse, whatever the command.
+    given = "eps_list = 0.1 0.2\n" if argv[0] == "verify" else ""
+    cfg = write(tmp_path, "eps.cfg", MINIMAL + "checks = epsilon_study\n" + given)
     assert main([argv[0], "--config", cfg, "--out", str(tmp_path / "out"), *argv[1:]]) == 1
     assert capsys.readouterr().err == f"error: {name} must be strictly decreasing\n"
 
@@ -206,14 +235,46 @@ def test_material_point_eps_study_refuses_eps_below_its_rounding(
         assert err == ""
 
 
+@pytest.mark.parametrize(
+    "stem, edits, message",
+    [
+        ("mp_relax", {"tau_list": "0.07 0.035"}, "tau=0.07 does not divide t_final=3.0"),
+        ("shear_quadratic", {"checks": "energy_one tau_convergence"},
+         "the exact-flow oracle requires a zero-load material point"),
+        ("eps_quartic",
+         {"checks": "energy_one energy_sharp semistability epsilon_study",
+          "eps_list": "0.1 3e-8"},
+         "eps_list entry 3e-08 is below 3.55e-08: "),
+        ("eps_quartic", {"eps_list": "0.1 0.2"}, "eps_list must be strictly decreasing"),
+        ("mp_relax", {"eps_list": "0.1 1.5e-154"}, "eps_list entry 1.5e-154 times the probe"),
+    ],
+)
+def test_verify_refuses_a_listed_checks_parameters_on_parse(
+    tmp_path, capsys, monkeypatch, stem, edits, message
+):
+    # What a listed check would refuse before its work is refused when the
+    # config is read, with the check's own message, before any trajectory.
+    text = (REPO / "configs" / f"{stem}.cfg").read_text()
+    for key, value in edits.items():
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.MULTILINE)
+        text += "" if count else f"{key} = {value}\n"
+    cfg = write(tmp_path, "listed.cfg", text)
+    runs = count_calls(monkeypatch, (cli, analysis), "run_evolution")
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert runs == []
+    assert not out.exists()
+
+
 def test_tau_list_override_of_zero_exits_1(tmp_path, capsys):
     cfg = str(REPO / "configs" / "mp_relax.cfg")
     argv = ["sweep-tau", "--config", cfg, "--out", str(tmp_path), "--tau-list", "0"]
     assert main(argv) == 1
     assert "error: --tau-list entries must be positive and finite" in capsys.readouterr().err
-    # The override is validated before the model or the state is looked at.
+    # The override is validated before the model or the loading is looked at.
     with pytest.raises(ValidationError, match="positive and finite"):
-        analysis.tau_sweep(None, None, None, 3.0, [0.0])
+        analysis.tau_sweep(None, State.material_point(1.5, 1.5), None, 3.0, [0.0])
 
 
 def test_zero_steps_is_a_validation_error():
@@ -246,13 +307,13 @@ def test_run_starts_a_material_point_from_u0_and_v0(tmp_path):
     assert (float(first[1]), float(first[2])) == (1.3, 1.2)
 
 
-def test_shear_run_starts_from_a_given_u0_slope_as_lin_does(tmp_path):
-    # A given u0_slope is the elastic start of every run: gamma' = 0.5 in
-    # each of the 8 elements gives F = 1 + h * 4 = 1.5 and u = 0.5 at t = 0
+def test_shear_run_starts_from_a_given_u0_as_lin_does(tmp_path):
+    # A given u0 is the elastic start of every run: gamma' = 0.5 in each of
+    # the 8 elements gives F = 1 + h * 4 = 1.5 and u = 0.5 at t = 0
     # (equilibrating the start would give F = 1.6000000000000001).
     cfg = write(
         tmp_path, "slope.cfg",
-        (REPO / "configs" / "eps_quadratic.cfg").read_text() + "u0_slope = 0.5\n",
+        (REPO / "configs" / "eps_quadratic.cfg").read_text() + "u0 = 0.5\n",
     )
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
@@ -269,7 +330,7 @@ def test_material_point_run_without_viscous_data_is_a_validation_error():
 
 
 def test_lin_writes_flag_column(tmp_path):
-    cfg = write(tmp_path, "relax.cfg", RELAX_SMALL + "v0 = 0.5\n")
+    cfg = write(tmp_path, "relax.cfg", RELAX_SMALL)
     out = tmp_path / "out"
     assert main(["lin", "--config", cfg, "--out", str(out)]) == 0
     lines = (out / "lin.csv").read_text().strip().splitlines()
@@ -682,6 +743,30 @@ def test_no_temp_files_left_behind(tmp_path):
     assert leftovers == []
 
 
+def test_missing_config_file_exits_1(tmp_path, capsys):
+    missing = str(tmp_path / "nope.cfg")
+    assert main(["run", "--config", missing, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nope.cfg" in err
+
+
+def test_out_naming_a_file_exits_1(tmp_path, capsys):
+    cfg = write(tmp_path, "relax.cfg", RELAX_SMALL)
+    taken = write(tmp_path, "taken", "")
+    assert main(["run", "--config", cfg, "--out", taken]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unwritable_output_exits_1_and_leaves_no_temp_file(tmp_path, capsys):
+    # A directory where run.csv goes: the write succeeds, the rename fails.
+    cfg = write(tmp_path, "relax.cfg", RELAX_SMALL)
+    out = tmp_path / "out"
+    (out / "run.csv").mkdir(parents=True)
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert [p.name for p in out.iterdir()] == ["run.csv"]
+
+
 # -- options ----------------------------------------------------------------------
 
 
@@ -709,7 +794,8 @@ def test_no_source_file_reads_the_environment():
 # -- shipped outputs --------------------------------------------------------------
 
 # sha256 of every CSV the shipped configs write, recorded from the per-step
-# march before the stepper priced its ledger in arrays. The CSVs hold only
+# march before the stepper priced its ledger in arrays (the densities tables
+# before the config lost its u0_slope and v0_slope keys). The CSVs hold only
 # IEEE arithmetic (no LAPACK), so they must not change by a bit; the JSON
 # reports are pinned by SHIPPED_JSON_SHA256 below.
 SHIPPED_CSV_SHA256 = {
@@ -767,6 +853,24 @@ SHIPPED_CSV_SHA256 = {
         "eps_0.20000000000000001.csv": "42a0b02b68e043d949acc48e562b7d5c26c74d46f3b03fa3e8879e14b22f51ee",
         "eps_lin.csv": "dc3a347548b4f9878b23940d25851266ce090d8bebac64cbf8a2823b0a1d3922",
     },
+    ("densities", "mp_relax"): {
+        "densities.csv": "2469fdd2c7fd42d6660466a813bc0b22d5204f4c93d24c614a34d4d6654ac121",
+    },
+    ("densities", "mp_loaded"): {
+        "densities.csv": "2469fdd2c7fd42d6660466a813bc0b22d5204f4c93d24c614a34d4d6654ac121",
+    },
+    ("densities", "shear_quadratic"): {
+        "densities.csv": "2469fdd2c7fd42d6660466a813bc0b22d5204f4c93d24c614a34d4d6654ac121",
+    },
+    ("densities", "shear_quartic"): {
+        "densities.csv": "f62ee246061f6312dbe3a284f1c2681e45e807177f02e554b64603eaca82d8b0",
+    },
+    ("densities", "eps_quadratic"): {
+        "densities.csv": "2469fdd2c7fd42d6660466a813bc0b22d5204f4c93d24c614a34d4d6654ac121",
+    },
+    ("densities", "eps_quartic"): {
+        "densities.csv": "f62ee246061f6312dbe3a284f1c2681e45e807177f02e554b64603eaca82d8b0",
+    },
 }
 
 
@@ -782,20 +886,27 @@ def test_shipped_csv_outputs_keep_their_digests(tmp_path, command, stem):
         assert actual == digest, f"{command} {stem}: {name} changed (sha256 {actual})"
 
 
-# sha256 of the JSON report of verify on every shipped config and of the
-# sweeps above, recorded when the config lost its F0 and init_elastic keys.
+# sha256 of the JSON report of verify and densities on every shipped config
+# and of the sweeps above, recorded when the config lost its u0_slope and
+# v0_slope keys.
 # Their rates are polyfit slopes, from LAPACK's least squares, so another
 # LAPACK build may move their last digits.
 SHIPPED_JSON_SHA256 = {
-    ("verify", "mp_relax"): "1e51619913e50f3b7a3eb057b7eadc307a0a829f2f415d8aca8848895f6d5473",
-    ("verify", "mp_loaded"): "fbd1f011dca4bbe1c48dd3eb7353ebad9768fccd3637587e57e3302f6da263e5",
-    ("verify", "shear_quadratic"): "a0b899e17adb9ace149621b8a3275b59ec0d4db279720a60538dc249c41dead2",
-    ("verify", "shear_quartic"): "76c03a2c5bea19eeab4dc2373da9170348349dcf488e8167bb6e20e4a381acd2",
-    ("verify", "eps_quadratic"): "9cf236f2dd8f72d308465fb291a2c008a3211dce953ca2c5b4c2ecd032a4979b",
-    ("verify", "eps_quartic"): "ec59a130df9d70c2462629bc88b7da096903d12d7846e179ccbf65fda15f3ddf",
-    ("sweep-tau", "mp_relax"): "0ff1e577d34eb977accdace4092824ee16d0a0a2ca1ccd09b4e6a199deacc5c9",
-    ("sweep-eps", "eps_quadratic"): "a92b605bbbe41ff33cde4f980b749d34068a6b6802d0264bfcc71f1d1520b04b",
-    ("sweep-eps", "eps_quartic"): "b4a1b92875ae42d399a0097dc38706cebc1d29d84d6c9c2d28536255af566893",
+    ("verify", "mp_relax"): "125ba5145d91e58f884fdcf31dfb1037f0e2fd76ac037f08ce09e0090144d611",
+    ("verify", "mp_loaded"): "5cce4b31047ffd730b0fc3e441a3e2b75f3b88459435c5db56ae030eb7066c9a",
+    ("verify", "shear_quadratic"): "a6bab91e2c6581b2c773047e22d99011df66da74f30358c080b5cdbf3abcf9cd",
+    ("verify", "shear_quartic"): "b36cc9d15d6cb3da544339579ddacba03b14db110f15663b563d42b69be2d858",
+    ("verify", "eps_quadratic"): "c37356c401819fd1e2db8127a3d6d1b6627aa898ff027d396da77eda0a735ff9",
+    ("verify", "eps_quartic"): "60b540a2252e5a5a92794da3ab720ede3255deee03761d54a1aae537a450788b",
+    ("sweep-tau", "mp_relax"): "f8f4e7c62a27776bd7049ee61917f2c96e2abe7a0fec21e694ec467c84df1dab",
+    ("sweep-eps", "eps_quadratic"): "7ba77c722c2863c1f0db13d63885ae9ff5c00b1adbea97318532caa2d6d50c4d",
+    ("sweep-eps", "eps_quartic"): "17d11d4a05874e17def6ff6c08e74573f11f593183c719a0f72a577dd966568b",
+    ("densities", "mp_relax"): "16952d15fe7527cff703687e696e51de9bbe38d94fabb5076a2b0d8503417765",
+    ("densities", "mp_loaded"): "29aff5817dbfe1d3371855ccbac02cf1793cdd53eb7e0317e398e5ccea67efb0",
+    ("densities", "shear_quadratic"): "d5923b78df79478f0ca8794aaf5280fbb02298cdb2f35aa7cfb7b162c71ffc20",
+    ("densities", "shear_quartic"): "a6a4bda6563e40c7df01c98ee9d370cc5cfa4648d562598b2b8ccd46897f441a",
+    ("densities", "eps_quadratic"): "1904ccfea567981992d61be1831ca96c04e8838e1b782539c9d7d1a1598d0bd9",
+    ("densities", "eps_quartic"): "4d6991ee1742d945bded94f7dc9fff649d9f33bc204ac912f8da82981eb3fd11",
 }
 
 
