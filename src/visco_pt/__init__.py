@@ -29,7 +29,6 @@ from .domain import (
     energy_value,
     total_energy,
 )
-from .minimize import MinimizeSettings
 from .stepper import (
     PhiTau,
     Trajectory,
@@ -69,7 +68,6 @@ __all__ = [
     "LinTrajectory",
     "Loading",
     "MaterialModel",
-    "MinimizeSettings",
     "NonFiniteObjective",
     "PhiTau",
     "QuadraticLimit",

@@ -22,7 +22,9 @@ trajectory runs, as :func:`density_convergence` validates its list
 (:func:`density_values`); the config runs the same validators on parse for
 each check it lists. Then they run each trajectory once, in parameter order,
 judge it, and return the trajectories with the report, so the command line
-writes the very trajectories that were judged.
+writes the very trajectories that were judged. Every trajectory and substep
+a check runs is solved under the one stopping rule of
+:mod:`visco_pt.kernels`, so no check takes solver settings.
 :func:`tau_convergence` and :func:`epsilon_study` return the same reports
 without the trajectories. Semistability is judged against the exact
 elastic minimizer at every grid time, so no check draws random numbers.
@@ -48,6 +50,7 @@ from .domain import (
     element_stress,
 )
 from .errors import ValidationError
+from .kernels import RESOLUTION
 from .linearized import (
     LinState,
     LinTrajectory,
@@ -55,7 +58,6 @@ from .linearized import (
     rescaled_energies,
     run_lin_evolution,
 )
-from .minimize import RESOLUTION, MinimizeSettings
 from .rheology import MaterialModel
 from .stepper import (
     Trajectory,
@@ -287,9 +289,12 @@ def _positive(name: str, values: Sequence[float]) -> List[float]:
 
 
 def substep_values(tau_list: Sequence[float], name: str = "tau_list") -> List[float]:
-    """The substeps of a monotonicity check as floats: nonempty, positive,
-    finite and nondecreasing. Errors name the list ``name``."""
+    """The substeps of a monotonicity check as floats: at least two (one
+    has no neighbour to compare with), positive, finite and nondecreasing.
+    Errors name the list ``name``."""
     taus = _positive(name, tau_list)
+    if len(taus) < 2:
+        raise ValidationError(f"{name} needs at least two substeps to compare")
     if any(b < a for a, b in zip(taus, taus[1:])):
         raise ValidationError(f"{name} must be nondecreasing")
     return taus
@@ -301,7 +306,6 @@ def check_monotonicity(
     tau_list: Sequence[float],
     model: MaterialModel,
     loading: Loading = Loading(),
-    settings: Optional[MinimizeSettings] = None,
 ) -> VerificationReport:
     """Unnormalized displacement dissipation is nondecreasing in the substep.
 
@@ -310,10 +314,9 @@ def check_monotonicity(
     differences.
     """
     taus = substep_values(tau_list)
-    settings = settings or MinimizeSettings()
 
     def displacement(r: float) -> float:
-        sub = phi_tau(model, old, loading, t_i, r, settings)
+        sub = phi_tau(model, old, loading, t_i, r)
         return dissipation_displacement(model, sub.state, old)
 
     values = [displacement(r) for r in taus]
@@ -408,7 +411,6 @@ def tau_sweep(
     loading: Loading,
     t_final: float,
     tau_list: Sequence[float],
-    settings: Optional[MinimizeSettings] = None,
     name: str = "tau_list",
 ) -> Tuple[Dict[float, Trajectory], VerificationReport]:
     """Run one trajectory per distinct tau and judge its sup-over-grid error
@@ -423,7 +425,6 @@ def tau_sweep(
     """
     grids = tau_sweep_grids(model, state0.mesh is None, loading, t_final, tau_list, name)
     taus = list(grids)
-    settings = settings or MinimizeSettings()
 
     trajectories: Dict[float, Trajectory] = {}
     errors = []
@@ -431,7 +432,7 @@ def tau_sweep(
     flow = viscous_flow(model, state0.F_vi, np.concatenate(times))
     references = np.split(flow, np.cumsum([len(t) for t in times[:-1]]))
     for (tau, grid), reference in zip(grids.items(), references):
-        traj = run_evolution(model, state0, loading, grid, settings)
+        traj = run_evolution(model, state0, loading, grid)
         trajectories[tau] = traj
         errors.append(float(np.max(np.abs(traj.dofs[:, 1, 0] - reference))))
     params = {
@@ -451,10 +452,9 @@ def tau_convergence(
     loading: Loading,
     t_final: float,
     tau_list: Sequence[float],
-    settings: Optional[MinimizeSettings] = None,
 ) -> VerificationReport:
     """The report of :func:`tau_sweep`, without its trajectories."""
-    return tau_sweep(model, state0, loading, t_final, tau_list, settings)[1]
+    return tau_sweep(model, state0, loading, t_final, tau_list)[1]
 
 
 # -- linearization (epsilon) study ---------------------------------------------------
@@ -517,7 +517,6 @@ def eps_sweep(
     loading0: Loading,
     grid: TimeGrid,
     epsilon_list: Sequence[float],
-    settings: Optional[MinimizeSettings] = None,
     name: str = "epsilon_list",
 ) -> Tuple[LinTrajectory, Dict[float, Trajectory], VerificationReport]:
     """Run the linearized trajectory and one eps-rescaled finite-strain
@@ -546,7 +545,6 @@ def eps_sweep(
     list order, and the report.
     """
     eps_list = eps_study_values(epsilon_list, lin0.mesh is None, name)
-    settings = settings or MinimizeSettings()
     quad = model.quadratic_limit()
     lin_traj = run_lin_evolution(quad, lin0, loading0, grid)
 
@@ -563,7 +561,7 @@ def eps_sweep(
             )
         else:
             init = State.shear_column(lin0.mesh, eps * lin0.u, eps * lin0.v)
-        traj = run_evolution(model, init, loading_eps, grid, settings)
+        traj = run_evolution(model, init, loading_eps, grid)
         trajectories[eps] = traj
         scaled = rescale_displacements(traj, eps)
         gap = np.abs(scaled.dofs - lin_traj.dofs)
@@ -602,11 +600,10 @@ def epsilon_study(
     loading0: Loading,
     grid: TimeGrid,
     epsilon_list: Sequence[float],
-    settings: Optional[MinimizeSettings] = None,
     name: str = "epsilon_list",
 ) -> VerificationReport:
     """The report of :func:`eps_sweep`, without its trajectories."""
-    return eps_sweep(model, lin0, loading0, grid, epsilon_list, settings, name)[2]
+    return eps_sweep(model, lin0, loading0, grid, epsilon_list, name)[2]
 
 
 # -- density convergence ---------------------------------------------------------------

@@ -124,7 +124,6 @@ def _emit_failures(reports) -> int:
 
 
 def _run_checks(config: ScenarioConfig, names: Sequence[str]):
-    settings = config.settings()
     model = config.model()
     loading = config.loading()
     grid = config.grid()
@@ -140,7 +139,7 @@ def _run_checks(config: ScenarioConfig, names: Sequence[str]):
     def trajectory() -> Trajectory:
         nonlocal traj
         if traj is None:
-            traj = run_evolution(model, initial_state(), loading, grid, settings)
+            traj = run_evolution(model, initial_state(), loading, grid)
         return traj
 
     reports = []
@@ -159,7 +158,6 @@ def _run_checks(config: ScenarioConfig, names: Sequence[str]):
                     config.mono_tau_list,
                     model,
                     loading,
-                    settings,
                 )
             )
         elif name == "tau_convergence":
@@ -170,7 +168,6 @@ def _run_checks(config: ScenarioConfig, names: Sequence[str]):
                     loading,
                     config.t_final,
                     config.tau_list,
-                    settings=settings,
                 )
             )
         elif name == "epsilon_study":
@@ -181,7 +178,6 @@ def _run_checks(config: ScenarioConfig, names: Sequence[str]):
                     loading,
                     grid,
                     config.eps_list,
-                    settings,
                     name="eps_list",
                 )
             )
@@ -201,7 +197,6 @@ def _cmd_run(config: ScenarioConfig, out: str) -> int:
         config.initial_state(),
         config.loading(),
         config.grid(),
-        config.settings(),
     )
     _atomic_write(os.path.join(out, "run.csv"), trajectory_csv(traj))
     return 0
@@ -228,7 +223,6 @@ def _cmd_sweep_tau(config: ScenarioConfig, out: str, tau_list) -> int:
         config.loading(),
         config.t_final,
         tau_list or config.tau_list,
-        config.settings(),
         "--tau-list" if tau_list else "tau_list",
     )
     for tau, traj in trajs.items():
@@ -245,7 +239,6 @@ def _cmd_sweep_eps(config: ScenarioConfig, out: str, eps_list) -> int:
         config.loading(),
         config.grid(),
         eps_list or config.eps_list,
-        config.settings(),
         "--eps-list" if eps_list else "eps_list",
     )
     _atomic_write(os.path.join(out, "eps_lin.csv"), lin_trajectory_csv(lin_traj))

@@ -21,7 +21,6 @@ from .analysis import (
 from .domain import Loading, ShearColumnMesh, State, TimeGrid
 from .errors import ConfigParseError, ValidationError
 from .linearized import LinState, lin_equilibrium
-from .minimize import MinimizeSettings
 from .rheology import MODES, SHEAR_COLUMN, MATERIAL_POINT, MaterialModel
 
 KNOWN_CHECKS = (
@@ -56,14 +55,12 @@ class ScenarioConfig:
     d_v: float = 1.0
     p_psi: float = 2.0
     k_radius: float = 10.0
-    n_elements: int = 16
+    n_elements: Optional[int] = None
     load_f: Tuple[float, ...] = (0.0,)
     load_g: Tuple[float, ...] = (0.0,)
     F_vi0: Optional[float] = None
     u0: Optional[float] = None
     v0: Optional[float] = None
-    grad_tol: float = 1e-10
-    max_iter: int = 10000
     checks: Tuple[str, ...] = DEFAULT_CHECKS
     tau_list: Tuple[float, ...] = (0.1, 0.05, 0.025, 0.0125)
     mono_tau_list: Tuple[float, ...] = (0.1, 0.2, 0.5, 1.0)
@@ -73,7 +70,7 @@ class ScenarioConfig:
         object.__setattr__(self, "mode", _MODE_ALIASES.get(self.mode, self.mode))
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for build in (self.model, self.grid, self.loading, self.mesh, self.settings):
+        for build in (self.model, self.grid, self.loading, self.mesh):
             build()  # each object checks the ranges of its own parameters
         tau_values(self.tau_list)
         substep_values(self.mono_tau_list, "mono_tau_list")
@@ -81,6 +78,8 @@ class ScenarioConfig:
         material_point = self.mode == MATERIAL_POINT
         if self.F_vi0 is not None and not material_point:
             raise ValidationError("F_vi0 is a material-point key; a shear column starts from v0")
+        if self.n_elements is not None and material_point:
+            raise ValidationError("n_elements is a shear-column key; a material point has no mesh")
         if self.F_vi0 is not None and self.v0 is not None:
             raise ValidationError("F_vi0 and v0 give one datum (F_vi0 = 1 + v0); give one of them")
         for check in self.checks:  # what a listed check validates before its work
@@ -88,6 +87,8 @@ class ScenarioConfig:
                 raise ValidationError(
                     f"unknown check {check!r}; known: {', '.join(KNOWN_CHECKS)}"
                 )
+            if self.checks.count(check) > 1:
+                raise ValidationError(f"duplicate check {check!r}")
             if check == "tau_convergence":
                 tau_sweep_grids(
                     self.model(), material_point, self.loading(), self.t_final, self.tau_list
@@ -116,13 +117,8 @@ class ScenarioConfig:
         return Loading(f_coeffs=self.load_f, g_coeffs=self.load_g)
 
     def mesh(self) -> ShearColumnMesh:
-        return ShearColumnMesh(self.n_elements)
-
-    def settings(self) -> MinimizeSettings:
-        return MinimizeSettings(
-            grad_tol=self.grad_tol,
-            max_iter=self.max_iter,
-        )
+        """The shear column's mesh, of 16 elements unless ``n_elements`` is given."""
+        return ShearColumnMesh(16 if self.n_elements is None else self.n_elements)
 
     def initial_state(self) -> State:
         """Initial state of the finite-strain run, by the rule of :meth:`_start`:
@@ -160,9 +156,10 @@ class ScenarioConfig:
             u = v if self.u0 is None else (self.u0 if lin else 1.0 + self.u0)
             state = kind.material_point(u, v)
         else:
-            n = self.n_elements
+            mesh = self.mesh()
+            n = mesh.n_elements
             state = kind.shear_column(
-                self.mesh(), np.full(n, self.u0 or 0.0), np.full(n, self.v0 or 0.0)
+                mesh, np.full(n, self.u0 or 0.0), np.full(n, self.v0 or 0.0)
             )
         return state if self.u0 is not None else equilibrate(state)
 
@@ -182,6 +179,7 @@ _PARSERS = {
     str: str,
     int: int,
     float: float,
+    Optional[int]: int,
     Optional[float]: float,
     Tuple[float, ...]: lambda value: tuple(float(v) for v in value.split()),
     Tuple[str, ...]: lambda value: tuple(value.split()),

@@ -42,12 +42,12 @@ class StepRejected(ViscoPTError):
 
 
 class SolverNotConverged(ViscoPTError):
-    """Step or substep solve stopped at max_iter."""
+    """Step or substep solve stopped at ``kernels.MAX_ITER`` iterations
+    without meeting the kernels' stopping rule (:mod:`visco_pt.kernels`)."""
 
-    def __init__(self, where: str, status: str, grad_inf: float):
+    def __init__(self, where: str, grad_inf: float):
         self.where = where
-        self.status = status
         self.grad_inf = grad_inf
         super().__init__(
-            f"{where} not solved: {status} at |grad|_inf {grad_inf:.3e}"
+            f"{where} not solved: max_iter_exceeded at |grad|_inf {grad_inf:.3e}"
         )

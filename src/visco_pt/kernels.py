@@ -24,11 +24,9 @@ iterations). Otherwise scalar Newton solves it, inside the bracket of the
 iterates between which g' changes sign (a step that leaves the bracket, or
 lands back on the iterate before the current one, bisects it: a return
 cycle stays inside the bracket) and inside the admissible interval
-[max(0, 1 - k_radius), 1 + k_radius]. It is converged when |g'| <= grad_tol
-or when its step is at most ``RESOLUTION * max(1, |x|)``, the rule of the
-shear column's viscous solve (see :mod:`visco_pt.minimize`). Its iterates
-stay in the admissible interval: a step that would leave it, or one wanted
-where g'' <= 0, goes to its end.
+[max(0, 1 - k_radius), 1 + k_radius]. It stops by the rule of both
+geometries (see below). Its iterates stay in the admissible interval: a
+step that would leave it, or one wanted where g'' <= 0, goes to its end.
 
 With p_psi = 2 Newton starts from x = a. With p_psi > 2, psi'' vanishes
 there and a Newton step from x = a overshoots, so unless x = a already
@@ -45,6 +43,14 @@ where g' shows the root beyond the admissible interval.
 
 Status codes: 0 converged, 1 max_iter exceeded, 3 no admissible minimizer,
 4 not finite (g' is NaN, or a rate overflows the float power of psi).
+
+Both kernels' Newton solves stop by one rule, a constant of the method: the
+residual (in the shear column, h times each element residual) is at most
+``grad_tol``, or the Newton step is at most ``RESOLUTION * max(1, |x|)`` for
+the iterate x, below which floating point cannot resolve x; a solve that
+takes ``max_iter`` iterations without either stops with status 1. The
+kernels take ``grad_tol`` and ``max_iter`` as arguments, and the stepper
+passes ``GRAD_TOL`` and ``MAX_ITER``.
 
 A solve returns its minimizer and how it ended, never a value there: the
 caller prices the states it solved with the model's densities, so a step
@@ -74,10 +80,15 @@ to about 30 elements it is faster than a NumPy row per step.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-from .minimize import RESOLUTION
+# Changes at or below this multiple of the magnitude are rounding.
+RESOLUTION = 16.0 * sys.float_info.epsilon
+# The stopping rule of every Newton solve.
+GRAD_TOL = 1e-10
+MAX_ITER = 10000
 
 _INF = float("inf")
 

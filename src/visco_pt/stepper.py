@@ -23,8 +23,10 @@ with the element resultant sigma_e = g + f * (1 - x_e,mid), the viscous
 slope solves c_v b + psi'((b - b_old)/r) = sigma_e (a closed form when
 p_psi = 2, a bracketed scalar Newton otherwise) in ``kernels.column_march``,
 and the elastic strain solves w_el'(s) = sigma_e. The state is these element
-slopes: gamma' = s + b and beta' = b. A solve that stops at ``max_iter``
-raises :class:`SolverNotConverged`; no such step is accepted.
+slopes: gamma' = s + b and beta' = b. Both kernels stop by one rule, the
+constants ``kernels.GRAD_TOL`` and ``kernels.MAX_ITER``; a solve that stops
+at ``MAX_ITER`` iterations raises :class:`SolverNotConverged`, and no such
+step is accepted.
 
 Only the viscous variable carries history from one step to the next, so
 :func:`run_evolution` marches only the solves under loads formed for all
@@ -80,7 +82,6 @@ from .errors import (
     StepRejected,
     ValidationError,
 )
-from .minimize import MAX_ITER_EXCEEDED, RESOLUTION, MinimizeSettings
 from .rheology import MaterialModel
 
 STAY_PUT_TOL = 1e-8
@@ -117,7 +118,6 @@ class Trajectory(Ledger):
     iterations: np.ndarray
     grad_inf: np.ndarray
     stay_put_margin: np.ndarray
-    settings: MinimizeSettings
 
 
 # -- the solve primitives --------------------------------------------------------
@@ -135,7 +135,7 @@ def _failure(where: str, status, grad_inf, Fv=None, curvature=None) -> Exception
         )
     if status == 4:
         return NonFiniteObjective(f"{where}: incremental objective is not finite")
-    return SolverNotConverged(where, MAX_ITER_EXCEEDED, grad_inf)
+    return SolverNotConverged(where, grad_inf)
 
 
 def _elastic_strains(model: MaterialModel, sigma: np.ndarray) -> np.ndarray:
@@ -155,17 +155,18 @@ def _elastic_strains(model: MaterialModel, sigma: np.ndarray) -> np.ndarray:
 # -- the march ------------------------------------------------------------------
 
 
-def _march(model: MaterialModel, state0: State, f, g, tau: float, settings):
+def _march(model: MaterialModel, state0: State, f, g, tau: float):
     """The dof array of ``state0`` and a step after it for each load value of
     the arrays f and g, each from the one before, marched by one kernel call
-    (looked up at the module attribute): ``kernels.mp_march`` at a material
-    point, ``kernels.column_march`` for a column's viscous slopes, whose
-    elastic strains follow from the element resultants. The march stops at
-    the step whose solve raised or ended with a nonzero status
-    (:func:`_failure`), or, in a column, whose slopes leave the admissible
-    radius. Then one array pass prices state 0 and the steps before it with
-    :func:`dof_stored_energies` and :func:`dof_dissipation`; a price that is
-    not finite is the caller's to fail. Returns ``(dofs, stored, diss,
+    under the stopping rule ``kernels.GRAD_TOL`` and ``kernels.MAX_ITER``
+    (kernel and rule looked up at the module attributes when called):
+    ``kernels.mp_march`` at a material point, ``kernels.column_march`` for a
+    column's viscous slopes, whose elastic strains follow from the element
+    resultants. The march stops at the step whose solve raised or ended with
+    a nonzero status (:func:`_failure`), or, in a column, whose slopes leave
+    the admissible radius. Then one array pass prices state 0 and the steps
+    before it with :func:`dof_stored_energies` and :func:`dof_dissipation`;
+    a price that is not finite is the caller's to fail. Returns ``(dofs, stored, diss,
     iterations, grad_inf, error)``: the rows of the states priced, and the
     error of the step where the march stopped (None if none)."""
     if not (tau > 0.0 and math.isfinite(tau)):
@@ -178,13 +179,13 @@ def _march(model: MaterialModel, state0: State, f, g, tau: float, settings):
         if mesh is None:
             kernels.mp_march(
                 model.c_e, model.a4, model.c_v, model.d_v, model.p_psi, model.k_radius,
-                (f + g).tolist(), float(dofs[0, 1, 0]), tau, settings.grad_tol,
-                settings.max_iter, solves,
+                (f + g).tolist(), float(dofs[0, 1, 0]), tau, kernels.GRAD_TOL,
+                kernels.MAX_ITER, solves,
             )
         else:
             kernels.column_march(
-                model.c_v, model.d_v, model.p_psi, sigma, tau, mesh.h, settings.grad_tol,
-                settings.max_iter, dofs[:, 1], solves,
+                model.c_v, model.d_v, model.p_psi, sigma, tau, mesh.h, kernels.GRAD_TOL,
+                kernels.MAX_ITER, dofs[:, 1], solves,
             )
     except Exception as failure:  # raised once earlier steps pass
         error = failure
@@ -220,7 +221,6 @@ def run_evolution(
     state0: State,
     loading: Loading,
     grid: TimeGrid,
-    settings: MinimizeSettings = MinimizeSettings(),
 ) -> Trajectory:
     """March the incremental scheme across the whole grid.
 
@@ -238,11 +238,11 @@ def run_evolution(
     outside the admissible radius; :class:`NonFiniteObjective` when the
     margin is not finite; or :class:`StepRejected` when the margin falls
     below -(``STAY_PUT_TOL`` plus the rounding of the two energies it
-    compares, ``RESOLUTION`` times the sum of their magnitudes).
+    compares, ``kernels.RESOLUTION`` times the sum of their magnitudes).
     """
     mesh = state0.mesh
     f, g = loading.f(grid.times[1:]), loading.g(grid.times[1:])
-    march = _march(model, state0, f, g, grid.tau, settings)
+    march = _march(model, state0, f, g, grid.tau)
     dofs, stored, diss, iterations, grad_inf, error = march
     n = len(diss)
     f, g = f[:n], g[:n]
@@ -252,7 +252,7 @@ def run_evolution(
         energy_old = totals[:-1] - product_pairings(mesh, products[..., :-1], f, g)
         value = (totals[1:] - product_pairings(mesh, products[..., 1:], f, g)) + diss
         margins = energy_old - value
-        tolerance = STAY_PUT_TOL + RESOLUTION * (np.abs(energy_old) + np.abs(value))
+        tolerance = STAY_PUT_TOL + kernels.RESOLUTION * (np.abs(energy_old) + np.abs(value))
     failed = np.flatnonzero((margins < -tolerance) | ~np.isfinite(margins))
     if len(failed):
         k = int(failed[0])
@@ -265,7 +265,7 @@ def run_evolution(
         model=model, loading=loading, grid=grid, mesh=mesh, dofs=read_only(dofs),
         stored=read_only(stored), diss_increments=read_only(diss),
         iterations=read_only(iterations), grad_inf=read_only(grad_inf),
-        stay_put_margin=read_only(margins), settings=settings,
+        stay_put_margin=read_only(margins),
     )
     traj.pairing_products = read_only(products)  # the ledger's cache: formed from these dofs
     return traj
@@ -301,7 +301,6 @@ def phi_tau(
     loading: Loading,
     t: float,
     r: float,
-    settings: MinimizeSettings = MinimizeSettings(),
 ) -> PhiTau:
     """Value, minimizer and rate dissipation of the substep functional: the
     one-step march of :func:`run_evolution` from ``old``, of length r, under
@@ -309,7 +308,7 @@ def phi_tau(
     :func:`~visco_pt.domain.energy_value` prices it; a failure is named
     ``step 1``, as the march names it."""
     f, g = np.array([loading.f(t)]), np.array([loading.g(t)])
-    dofs, stored, diss, iterations, _, error = _march(model, old, f, g, r, settings)
+    dofs, stored, diss, iterations, _, error = _march(model, old, f, g, r)
     if error is not None:
         raise error
     new = state_from_dofs(old.mesh, *dofs[1])

@@ -46,7 +46,6 @@ def shipped():
             config.initial_state(),
             config.loading(),
             config.grid(),
-            config.settings(),
         )
         out[name] = (config, traj)
     return out
@@ -91,7 +90,6 @@ def test_03_first_order_tau_convergence():
         config.loading(),
         config.t_final,
         config.tau_list,
-        settings=config.settings(),
     )
     assert report.passed
     assert 0.9 <= report.rates["order"] <= 1.3
@@ -171,7 +169,6 @@ def test_09_linearization_convergence():
         quartic.loading(),
         fine,
         [0.2, 0.1, 0.05],
-        quartic.settings(),
     )
     err_v = report.params["err_v"]
     assert all(b < a for a, b in zip(err_v, err_v[1:]))
@@ -184,7 +181,6 @@ def test_09_linearization_convergence():
         quadratic.loading(),
         fine,
         [0.2, 0.1, 0.05],
-        quadratic.settings(),
     )
     for key in ("err_u", "err_v", "energy_gap_t0", "energy_gap_t_final"):
         assert max(report0.params[key]) <= 1e-7, key

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from visco_pt import (
     Loading,
     MaterialModel,
-    MinimizeSettings,
     ShearColumnMesh,
     State,
     TimeGrid,
@@ -31,6 +30,7 @@ from visco_pt import (
     energy_value,
     epsilon_study,
     equilibrate_elastic,
+    kernels,
     load_config,
     run_evolution,
     semistability_sweep,
@@ -38,8 +38,8 @@ from visco_pt import (
     viscous_flow,
 )
 from visco_pt.analysis import EQUALITY_TOL, INEQUALITY_TOL, _judge_rates, fit_rate
-from visco_pt.minimize import RESOLUTION
 from visco_pt.domain import stored_energies
+from visco_pt.kernels import RESOLUTION
 from visco_pt.linearized import LinState
 
 UNIT_MP = MaterialModel()
@@ -157,22 +157,24 @@ def test_energy_inequality_factor_one_relaxation():
     assert report.tolerance == 1e-8
 
 
-def test_energy_inequality_sharp_identity_mode():
+def test_energy_inequality_sharp_identity_mode(monkeypatch):
     # Under loads constant in time, from a start at its own elastic
     # minimizer, every step closes on the energy of the step before: the
     # sharp form is an identity at any p_psi, in either geometry. A Newton
     # step is off its identity by its residual times the distance it moves,
-    # which the tolerance takes from the ledger: under grad_tol = 1e-7 this
+    # which the tolerance takes from the ledger: under GRAD_TOL = 1e-7 this
     # column is off by 6.7e-8, 670 times EQUALITY_TOL.
     model = MaterialModel(a4=1.0, p_psi=2.5)
     loading = Loading((0.2,), (0.1,))
     column = State.shear_column(ShearColumnMesh(8), np.zeros(8), np.full(8, 0.4))
     column = equilibrate_elastic(model, column, loading, 0.0)
     grid = TimeGrid(3.0, 30)
-    runs = [(relax_trajectory(), 1e-10)] + [
-        (run_evolution(model, column, loading, grid, MinimizeSettings(grad_tol=tol)), tol)
-        for tol in (1e-10, 1e-7)
-    ]
+
+    def run(tol):
+        monkeypatch.setattr(kernels, "GRAD_TOL", tol)
+        return run_evolution(model, column, loading, grid), tol
+
+    runs = [(relax_trajectory(), 1e-10)] + [run(tol) for tol in (1e-10, 1e-7)]
     for traj, grad_tol in runs:
         report = check_energy_inequality(traj, factor="p_psi")
         assert report.params["equality_mode"] is True
@@ -285,7 +287,6 @@ def shipped_trajectory(name):
         config.initial_state(),
         config.loading(),
         config.grid(),
-        config.settings(),
     )
 
 
@@ -377,6 +378,8 @@ def test_monotonicity_validates_tau_list():
         check_monotonicity(old, 0.0, [0.5, 0.1], UNIT_MP)
     with pytest.raises(ValidationError):
         check_monotonicity(old, 0.0, [0.0, 0.1], UNIT_MP)
+    with pytest.raises(ValidationError, match="tau_list needs at least two substeps"):
+        check_monotonicity(old, 0.0, [0.5], UNIT_MP)
 
 
 # -- tau convergence -----------------------------------------------------------------

@@ -7,12 +7,16 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from visco_pt import ConfigParseError, State, ValidationError, analysis, cli, parse_config
+from visco_pt import (
+    ConfigParseError, ScenarioConfig, State, ValidationError, analysis, cli, kernels,
+    parse_config,
+)
 from visco_pt.cli import main
 
 from test_stepper import counted_inversions, march_load_by_load
@@ -81,6 +85,30 @@ def test_parse_removed_initial_data_keys_are_unknown():
             parse_config(MINIMAL + f"{key} = {value}\n")
 
 
+@pytest.mark.parametrize(
+    "key, value", [("grad_tol", "0"), ("grad_tol", "nan"), ("grad_tol", "inf"), ("max_iter", "0")]
+)
+def test_parse_removed_solver_keys_are_unknown(key, value):
+    # The Newton stopping rule is a constant of the kernels, not of a scenario.
+    with pytest.raises(ConfigParseError, match=f"unknown key '{key}'"):
+        parse_config(MINIMAL + f"{key} = {value}\n")
+
+
+def test_readme_names_every_config_key_and_no_removed_one():
+    # README "Configuration files" documents each field of ScenarioConfig as
+    # a key, in backticks or as a line of its example, and no key that was
+    # removed from the format.
+    readme = (REPO / "README.md").read_text()
+    section = readme.split("\n## Configuration files\n", 1)[1].split("\n## ", 1)[0]
+
+    def named(key):
+        return re.search(rf"`{key}[` ]|^\s*#?\s*{key} =", section, re.M) is not None
+
+    assert [f.name for f in fields(ScenarioConfig) if not named(f.name)] == []
+    removed = ("F0", "init_elastic", "u0_slope", "v0_slope", "grad_tol", "max_iter")
+    assert [key for key in removed if named(key)] == []
+
+
 def test_shear_column_starts_from_v0_in_every_element():
     # v0 is the viscous datum of both geometries: beta' = v0 = 0.4 in each
     # element of the finite-strain start, v' = 0.4 in the linearized one.
@@ -110,6 +138,32 @@ def test_parse_duplicate_key():
         parse_config(MINIMAL + "t_final = 4\n")
 
 
+def test_parse_refuses_a_check_listed_twice(tmp_path, capsys):
+    # A check runs once; listed twice it would write two identical reports.
+    text = MINIMAL + "checks = energy_one semistability energy_one\n"
+    with pytest.raises(ValidationError, match="duplicate check 'energy_one'"):
+        parse_config(text)
+    cfg = write(tmp_path, "twice.cfg", text)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: duplicate check 'energy_one'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_parse_refuses_n_elements_at_a_material_point(tmp_path, capsys):
+    # A material point has no mesh, so n_elements would be ignored; the shear
+    # column takes 16 elements unless it is given.
+    message = "n_elements is a shear-column key; a material point has no mesh"
+    with pytest.raises(ValidationError, match=message):
+        parse_config(MINIMAL + "n_elements = 3\n")
+    cfg = write(tmp_path, "mp.cfg", MINIMAL + "n_elements = 3\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert parse_config(MINIMAL).n_elements is None
+    shear = parse_config(SHEAR_SMALL.replace("n_elements = 8\n", ""))
+    assert shear.n_elements is None and shear.mesh().n_elements == 16
+    assert len(shear.initial_state().beta) == 16
+
+
 def test_parse_empty_value_and_bad_line():
     with pytest.raises(ConfigParseError):
         parse_config("mode = mp\nt_final =\nn_steps = 10\n")
@@ -131,10 +185,6 @@ def test_parse_empty_value_and_bad_line():
         ("t_final", "0"),
         ("n_steps", "0"),
         ("n_elements", "0"),
-        ("grad_tol", "0"),
-        ("grad_tol", "nan"),
-        ("grad_tol", "inf"),
-        ("max_iter", "0"),
         ("load_f", "nan"),
     ],
 )
@@ -151,6 +201,7 @@ def test_parse_names_the_key_of_an_out_of_range_value(key, value):
         ("tau_list", "0", "tau_list entries must be positive and finite"),
         ("tau_list", "0.1", "need at least two tau values"),
         ("mono_tau_list", "0.5 0.1", "mono_tau_list must be nondecreasing"),
+        ("mono_tau_list", "0.5", "mono_tau_list needs at least two substeps"),
         ("eps_list", "0.1 -0.05", "eps_list entries must be positive and finite"),
     ],
 )
@@ -510,13 +561,10 @@ def test_missing_required_key_exits_1(tmp_path, capsys):
     assert "t_final" in err
 
 
-def test_unsolved_step_exits_1_and_names_the_step(tmp_path, capsys):
+def test_unsolved_step_exits_1_and_names_the_step(tmp_path, capsys, monkeypatch):
     # quartic elasticity under load needs more than one Newton iteration
-    cfg = write(
-        tmp_path,
-        "tight.cfg",
-        RELAX_SMALL + "a4 = 1.0\np_psi = 2.5\nload_f = 0.2\nmax_iter = 1\n",
-    )
+    monkeypatch.setattr(kernels, "MAX_ITER", 1)
+    cfg = write(tmp_path, "tight.cfg", RELAX_SMALL + "a4 = 1.0\np_psi = 2.5\nload_f = 0.2\n")
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -892,21 +940,21 @@ def test_shipped_csv_outputs_keep_their_digests(tmp_path, command, stem):
 # Their rates are polyfit slopes, from LAPACK's least squares, so another
 # LAPACK build may move their last digits.
 SHIPPED_JSON_SHA256 = {
-    ("verify", "mp_relax"): "125ba5145d91e58f884fdcf31dfb1037f0e2fd76ac037f08ce09e0090144d611",
-    ("verify", "mp_loaded"): "5cce4b31047ffd730b0fc3e441a3e2b75f3b88459435c5db56ae030eb7066c9a",
-    ("verify", "shear_quadratic"): "a6bab91e2c6581b2c773047e22d99011df66da74f30358c080b5cdbf3abcf9cd",
-    ("verify", "shear_quartic"): "b36cc9d15d6cb3da544339579ddacba03b14db110f15663b563d42b69be2d858",
-    ("verify", "eps_quadratic"): "c37356c401819fd1e2db8127a3d6d1b6627aa898ff027d396da77eda0a735ff9",
-    ("verify", "eps_quartic"): "60b540a2252e5a5a92794da3ab720ede3255deee03761d54a1aae537a450788b",
-    ("sweep-tau", "mp_relax"): "f8f4e7c62a27776bd7049ee61917f2c96e2abe7a0fec21e694ec467c84df1dab",
-    ("sweep-eps", "eps_quadratic"): "7ba77c722c2863c1f0db13d63885ae9ff5c00b1adbea97318532caa2d6d50c4d",
-    ("sweep-eps", "eps_quartic"): "17d11d4a05874e17def6ff6c08e74573f11f593183c719a0f72a577dd966568b",
-    ("densities", "mp_relax"): "16952d15fe7527cff703687e696e51de9bbe38d94fabb5076a2b0d8503417765",
-    ("densities", "mp_loaded"): "29aff5817dbfe1d3371855ccbac02cf1793cdd53eb7e0317e398e5ccea67efb0",
-    ("densities", "shear_quadratic"): "d5923b78df79478f0ca8794aaf5280fbb02298cdb2f35aa7cfb7b162c71ffc20",
-    ("densities", "shear_quartic"): "a6a4bda6563e40c7df01c98ee9d370cc5cfa4648d562598b2b8ccd46897f441a",
-    ("densities", "eps_quadratic"): "1904ccfea567981992d61be1831ca96c04e8838e1b782539c9d7d1a1598d0bd9",
-    ("densities", "eps_quartic"): "4d6991ee1742d945bded94f7dc9fff649d9f33bc204ac912f8da82981eb3fd11",
+    ("verify", "mp_relax"): "e142b1bc5b26ed9590775abbac38015bf2cfbd0cf0cc6d5d85b92173e9f615e3",
+    ("verify", "mp_loaded"): "c52fe7ef0ca4370c4abcfc691cb4a1494a7e2b55977df6336c1837e673956355",
+    ("verify", "shear_quadratic"): "0e93a17233d5062b21237729cfeb3bd66b936f873352200736734bad1974d304",
+    ("verify", "shear_quartic"): "aef7d6525363e18dbf4d9e80de72f5120712aae26d55d17f8fde11e95a943782",
+    ("verify", "eps_quadratic"): "8f885284c595320af74bdc3e604eb2a47cd46a2e772b08b78bed718eac7ffdd1",
+    ("verify", "eps_quartic"): "678162ead6ee0e07bae8d4733eed4e2e408bbc85816e24641b0b0d5eb339ad67",
+    ("sweep-tau", "mp_relax"): "4467803343a9dd443e9f195d6b6581dc6ae4f7560eb2b324df74bd809faa2bc8",
+    ("sweep-eps", "eps_quadratic"): "a068c401095ce45a485a428ac3db7348969acb1a270d235a04ad0886dd4d7f63",
+    ("sweep-eps", "eps_quartic"): "016678b4076986f4a92ad7f826422d4b3a16adc4acfc2d386cc58d6ceac99a66",
+    ("densities", "mp_relax"): "e48781ddf87cc14d02e3e344b7a285e6b8e730a7df8fdf324631f3a9a95a6d03",
+    ("densities", "mp_loaded"): "426af7a3c361c8ab847284fa053929ff2ba4144f23ad593ddd06036765faf9d9",
+    ("densities", "shear_quadratic"): "57ff2b2e9240287e21f856f15d478ac9dbf61bfcd733f7570d66e894f424b662",
+    ("densities", "shear_quartic"): "44b221f91902f427cd03278c5e795a6b0db8d5530affc403f9bada2a8b633bd6",
+    ("densities", "eps_quadratic"): "063a25d38a5c865982bc1672795e9fbf6d6d8cbdc2233f20ff44f528e3ca35c7",
+    ("densities", "eps_quartic"): "7f338703bcc1aa270feadff38b09818b143ee86f22c04c1ed227d853d8564fbb",
 }
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from visco_pt import MaterialModel, kernels
-from visco_pt.minimize import RESOLUTION
+from visco_pt.kernels import RESOLUTION
 
 # (c_e, a4, c_v, d_v, p_psi, k_radius)
 MODELS = (
@@ -20,7 +20,7 @@ MODELS = (
     (1.0, 0.0, 1.0, 1.0, 3.0, 10.0),
     (2.0, 1.0, 0.5, 2.0, 2.5, 4.0),
 )
-SOLVER = (1e-10, 10000)  # grad_tol, max_iter
+SOLVER = (kernels.GRAD_TOL, kernels.MAX_ITER)
 
 
 def run_kernel(params, load, Fv, r, solver=SOLVER):

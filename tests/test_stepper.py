@@ -15,6 +15,7 @@ import dataclasses
 import math
 import re
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from visco_pt import (
     InfeasibleState,
     Loading,
     MaterialModel,
-    MinimizeSettings,
     NonFiniteObjective,
     ShearColumnMesh,
     SolverNotConverged,
@@ -49,7 +49,7 @@ from visco_pt.domain import (
     state_dofs,
     stored_energies,
 )
-from visco_pt.minimize import RESOLUTION
+from visco_pt.kernels import RESOLUTION
 from visco_pt.stepper import de_giorgi_dissipation
 
 UNIT_MP = MaterialModel()
@@ -72,9 +72,9 @@ def shear_start(n=8):
 # -- single incremental steps -----------------------------------------------
 
 
-def step_from(model, old, loading, tau, settings=MinimizeSettings()):
+def step_from(model, old, loading, tau):
     """The trajectory of one step of length tau from ``old``."""
-    return run_evolution(model, old, loading, TimeGrid(tau, 1), settings)
+    return run_evolution(model, old, loading, TimeGrid(tau, 1))
 
 
 @pytest.mark.parametrize("tau", [0.5, 0.1, 0.01])
@@ -157,41 +157,36 @@ def test_stay_put_tolerance_scales_with_the_energies(g):
         ),
     ],
 )
-def test_step_that_does_not_converge_raises(model, old, where):
+def test_step_that_does_not_converge_raises(model, old, where, monkeypatch):
     # The state rests under a body force 0.25 (t - 0.5)(t - 1)(t - 1.5),
     # which is 0 at the ends of steps 1 to 3, so they solve at once. At the
-    # end of step 4 it is 0.1875, and one iteration cannot reach grad_tol on
+    # end of step 4 it is 0.1875, and one iteration cannot reach GRAD_TOL on
     # these nonquadratic objectives: the step must be refused with its
     # index, status and gradient, never accepted with a max_iter_exceeded
     # report.
     loading = Loading((-0.1875, 0.6875, -0.75, 0.25))
-    settings = MinimizeSettings(max_iter=1)
+    monkeypatch.setattr(kernels, "MAX_ITER", 1)
     with pytest.raises(SolverNotConverged) as exc:
-        run_evolution(model, old, loading, TimeGrid(2.0, 4), settings)
-    assert exc.value.status == "max_iter_exceeded"
+        run_evolution(model, old, loading, TimeGrid(2.0, 4))
+    assert exc.value.where == where
     assert exc.value.grad_inf > 1e-10
     assert str(exc.value).startswith(f"{where} not solved: max_iter_exceeded")
 
 
-def test_substep_that_does_not_converge_names_step_1():
+def test_substep_that_does_not_converge_names_step_1(monkeypatch):
     # A substep is a one-step march, and names its failure as a run does.
     model = MaterialModel(c_e=2.0, a4=1.0, c_v=0.5, d_v=2.0, p_psi=2.5, k_radius=4.0)
+    monkeypatch.setattr(kernels, "MAX_ITER", 1)
     with pytest.raises(SolverNotConverged, match="^step 1 not solved"):
-        phi_tau(
-            model, State.material_point(1.5, 1.5), Loading((0.2,)), 0.5, 0.25,
-            MinimizeSettings(max_iter=1),
-        )
+        phi_tau(model, State.material_point(1.5, 1.5), Loading((0.2,)), 0.5, 0.25)
 
 
-def test_shear_substep_that_does_not_converge_names_step_1():
+def test_shear_substep_that_does_not_converge_names_step_1(monkeypatch):
     old = State.shear_column(ShearColumnMesh(4), np.full(4, 0.5), np.full(4, 0.4))
+    monkeypatch.setattr(kernels, "MAX_ITER", 1)
     with pytest.raises(SolverNotConverged) as exc:
-        phi_tau(
-            MaterialModel(a4=1.0, p_psi=3.0), old, Loading((0.3,), (0.2,)), 0.5, 0.25,
-            MinimizeSettings(max_iter=1),
-        )
+        phi_tau(MaterialModel(a4=1.0, p_psi=3.0), old, Loading((0.3,), (0.2,)), 0.5, 0.25)
     assert exc.value.where == "step 1"
-    assert exc.value.status == "max_iter_exceeded"
     assert exc.value.grad_inf == 0.0016582061036562526
     assert str(exc.value) == "step 1 not solved: max_iter_exceeded at |grad|_inf 1.658e-03"
 
@@ -234,9 +229,7 @@ def test_newton_starts_next_to_its_root(name, p_psi):
     # average and 6 in any step (from the anchor: up to 14.8 and 20).
     config = load_config(f"configs/{name}.cfg")
     model = dataclasses.replace(config.model(), p_psi=p_psi)
-    traj = run_evolution(
-        model, config.initial_state(), config.loading(), config.grid(), config.settings()
-    )
+    traj = run_evolution(model, config.initial_state(), config.loading(), config.grid())
     assert np.mean(traj.iterations) <= 4.0
     assert np.max(traj.iterations) <= 6
 
@@ -287,7 +280,7 @@ def test_newton_step_back_onto_the_iterate_before_bisects(old, loading, r):
     # the solve stops within the resolution of its root, which lies within
     # one ulp of the anchor.
     sub = phi_tau(MaterialModel(p_psi=2.0000000000000004), old, loading, 0.125, r)
-    assert sub.iterations < MinimizeSettings().max_iter
+    assert sub.iterations < kernels.MAX_ITER
     assert abs(sub.state.beta[0] - 1.0) <= RESOLUTION
 
 
@@ -375,14 +368,14 @@ def de_giorgi_reference(traj, m, rate=None):
     """The m-node Gauss-Legendre rule on [0, tau] for each step n of
     ``traj``: an array of the integrals over r of ``rate(n, r)``, by default
     the rate dissipation of :func:`phi_tau` over the substep r from state
-    n - 1 under the load at t_n and the settings of ``traj``. The reference
-    the exact :func:`de_giorgi_dissipation` is measured against."""
+    n - 1 under the load at t_n. The reference the exact
+    :func:`de_giorgi_dissipation` is measured against."""
     if rate is None:
         times = traj.grid.times.tolist()
 
         def rate(n, r):
             old = traj.states[n - 1]
-            solved = phi_tau(traj.model, old, traj.loading, times[n], r, traj.settings)
+            solved = phi_tau(traj.model, old, traj.loading, times[n], r)
             return solved.rate_dissipation
 
     x, w = np.polynomial.legendre.leggauss(m)
@@ -558,7 +551,7 @@ def test_de_giorgi_closed_form_matches_the_16_node_rule(
         def rate(n, r):
             u = lo + (hi - lo) * r / tau
             old, r = traj.states[n - 1], tau * u**4
-            sub = phi_tau(model, old, loading, times[n], r, traj.settings)
+            sub = phi_tau(model, old, loading, times[n], r)
             return sub.rate_dissipation * 4.0 * u**3 * (hi - lo)
 
         return rate
@@ -571,7 +564,7 @@ def test_de_giorgi_closed_form_matches_the_16_node_rule(
     moved = np.max(steps, axis=-1)
     size = np.maximum(1.0, np.max(np.abs(anchors), axis=-1))
     rounding = RESOLUTION * np.abs(q16) * size / np.maximum(moved, 1e-300)
-    solves = traj.settings.grad_tol * np.sum(steps, axis=-1)
+    solves = kernels.GRAD_TOL * np.sum(steps, axis=-1)
     underflow = np.finfo(float).tiny
     assert np.all(np.abs(exact - q16) <= rounding + solves + underflow)
 
@@ -647,13 +640,11 @@ def test_de_giorgi_interpolant_endpoint_is_the_step():
 # -- full evolutions -----------------------------------------------------------
 
 
-def test_run_evolution_mp_relaxation():
+def test_run_evolution_mp_relaxation(monkeypatch):
     grid = TimeGrid(t_final=1.0, n_steps=100)
-    # a non-default grad_tol reaches the kernel
-    settings = MinimizeSettings(grad_tol=1e-8)
-    traj = run_evolution(
-        UNIT_MP, State.material_point(F_O, F_O), ZERO, grid, settings
-    )
+    # a GRAD_TOL other than the default reaches the kernel: the march reads it when called
+    monkeypatch.setattr(kernels, "GRAD_TOL", 1e-8)
+    traj = run_evolution(UNIT_MP, State.material_point(F_O, F_O), ZERO, grid)
     f_vi = np.array([s.F_vi for s in traj.states])
     assert f_vi.shape == (101,)
     assert np.all(np.diff(f_vi) < 0.0)  # strict relaxation toward 1
@@ -666,7 +657,7 @@ def test_run_evolution_mp_relaxation():
 
 def test_scalar_relaxation_every_step_converges_in_few_iterations():
     # The 3000-step relaxation of the acceptance suite at the default
-    # grad_tol = 1e-10: each step must converge, not stop at max_iter, and
+    # GRAD_TOL = 1e-10: each step must converge, not stop at MAX_ITER, and
     # the material-point solver must not zig-zag.
     grid = TimeGrid(t_final=3.0, n_steps=3000)
     traj = run_evolution(UNIT_MP, State.material_point(F_O, F_O), ZERO, grid)
@@ -679,9 +670,7 @@ def test_loaded_relaxation_every_step_converges():
     # Armijo alone stalled to max_iter on 8 of the 300 steps.
     config = load_config("configs/mp_relax.cfg")
     grid = config.grid()
-    traj = run_evolution(
-        config.model(), config.initial_state(), Loading((0.1,)), grid, config.settings()
-    )
+    traj = run_evolution(config.model(), config.initial_state(), Loading((0.1,)), grid)
     assert int(np.sum(traj.iterations)) <= 3 * grid.n_steps
 
 
@@ -904,24 +893,22 @@ def test_phi_tau_over_a_whole_step_is_the_step(n, a4, p_psi, f, g, n_steps, data
 
 
 def test_failing_steps_are_named_by_their_index(monkeypatch):
-    # A fast-growing load with a tight max_iter: the first steps solve, a
+    # A fast-growing load with a tight MAX_ITER: the first steps solve, a
     # later one does not, and the error names it with its gradient.
     model = MaterialModel(c_e=2.0, a4=1.0, c_v=0.5, d_v=2.0, p_psi=2.5, k_radius=4.0)
     quartic = Loading((0.0, 0.0, 0.0, 0.0, 500.0))
-    with pytest.raises(SolverNotConverged) as exc:
-        run_evolution(
-            model, State.material_point(1.0, 1.0), quartic, TimeGrid(1.0, 10),
-            MinimizeSettings(max_iter=3),
-        )
-    assert str(exc.value) == "step 4 not solved: max_iter_exceeded at |grad|_inf 3.128e-10"
-    shear_model = MaterialModel(a4=1.0, p_psi=4.0)
-    rest = State.shear_column(ShearColumnMesh(4), np.zeros(4), np.zeros(4))
-    with pytest.raises(SolverNotConverged) as exc:
-        run_evolution(
-            shear_model, rest, Loading((0.0, 0.0, 0.0, 0.0, 0.1)), TimeGrid(1.0, 10),
-            MinimizeSettings(max_iter=3),
-        )
-    assert str(exc.value) == "step 8 not solved: max_iter_exceeded at |grad|_inf 1.670e-09"
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "MAX_ITER", 3)
+        with pytest.raises(SolverNotConverged) as exc:
+            run_evolution(model, State.material_point(1.0, 1.0), quartic, TimeGrid(1.0, 10))
+        assert str(exc.value) == "step 4 not solved: max_iter_exceeded at |grad|_inf 3.128e-10"
+        shear_model = MaterialModel(a4=1.0, p_psi=4.0)
+        rest = State.shear_column(ShearColumnMesh(4), np.zeros(4), np.zeros(4))
+        with pytest.raises(SolverNotConverged) as exc:
+            run_evolution(
+                shear_model, rest, Loading((0.0, 0.0, 0.0, 0.0, 0.1)), TimeGrid(1.0, 10)
+            )
+        assert str(exc.value) == "step 8 not solved: max_iter_exceeded at |grad|_inf 1.670e-09"
 
     # A step 3 that lands on the minimizer for a 500 times longer step, and
     # is charged its true dissipation, is rejected as step 3.
@@ -1039,20 +1026,20 @@ def overshoot(
     steps in ``outside`` move beyond the admissible radius ``radius``. The
     solves of the steps in ``broken`` raise a ValueError, an error no solver
     names."""
-    stall = MinimizeSettings(grad_tol=1e-300, max_iter=1)
+    stall = (1e-300, 1)  # grad_tol, max_iter
 
     def point(one, step, params, load, anchor, r, grad_tol, max_iter):
         if step in broken:
             raise ValueError(f"step {step} broken")
         if step in stalled:
-            grad_tol, max_iter = stall.grad_tol, stall.max_iter
+            grad_tol, max_iter = stall
         return one(params, load, anchor, factors.get(step, 1.0) * r, grad_tol, max_iter)
 
     def column(one, step, params, row, b, r, h, grad_tol, max_iter):
         if step in broken:
             raise ValueError(f"step {step} broken")
         if step in stalled:
-            grad_tol, max_iter = stall.grad_tol, stall.max_iter
+            grad_tol, max_iter = stall
         b, solved = one(params, row, b, factors.get(step, 1.0) * r, h, grad_tol, max_iter)
         if step in outside:
             b = b + 2.0 * radius
@@ -1096,7 +1083,7 @@ def test_the_earliest_failing_step_raises(monkeypatch):
     "f, g, max_iter, fails",
     [((0, 0, 0, 0, -3.0), (0, 0, 0, 0, 3.0), 3, [5, 4, 3]), ((0, 0, 0, 4.0), (0.0,), 3, [2, 2, 4])],
 )
-def test_the_earliest_step_where_an_element_fails_is_named(f, g, max_iter, fails):
+def test_the_earliest_step_where_an_element_fails_is_named(f, g, max_iter, fails, monkeypatch):
     # The elements of a column march one after another, each up to its first
     # step that stops at max_iter (``fails``: the step of each element, when
     # it marches alone). The run names the earliest such step of any element,
@@ -1104,7 +1091,7 @@ def test_the_earliest_step_where_an_element_fails_is_named(f, g, max_iter, fails
     # last element's step 3, under resultants 3 t^4 x_e; then, under 4 t^3
     # (1 - x_e), step 2 of the first two elements, the worst the first's.
     model, mesh, grid = MaterialModel(p_psi=4.0), ShearColumnMesh(3), TimeGrid(0.5, 5)
-    loading, solver = Loading(f, g), MinimizeSettings(max_iter=max_iter)
+    loading = Loading(f, g)
     t = grid.times[1:]
     sigma = element_stress(mesh, loading.f(t)[:, None], loading.g(t)[:, None])
     alone = []
@@ -1112,7 +1099,7 @@ def test_the_earliest_step_where_an_element_fails_is_named(f, g, max_iter, fails
         slopes, out = np.zeros((grid.n_steps + 1, 1)), []
         kernels.column_march(
             model.c_v, model.d_v, model.p_psi, column[:, None], grid.tau, mesh.h,
-            solver.grad_tol, solver.max_iter, slopes, out,
+            kernels.GRAD_TOL, max_iter, slopes, out,
         )
         assert out[-1][::2] == (max_iter, 1)
         alone.append((len(out), out[-1][1]))
@@ -1120,8 +1107,9 @@ def test_the_earliest_step_where_an_element_fails_is_named(f, g, max_iter, fails
     step = min(fails)
     worst = max(grad_inf for failed, grad_inf in alone if failed == step)
     state0 = State.shear_column(mesh, np.zeros(3), np.zeros(3))
+    monkeypatch.setattr(kernels, "MAX_ITER", max_iter)
     with pytest.raises(SolverNotConverged) as exc:
-        run_evolution(model, state0, loading, grid, solver)
+        run_evolution(model, state0, loading, grid)
     assert (exc.value.where, exc.value.grad_inf) == (f"step {step}", worst)
     message = f"step {step} not solved: max_iter_exceeded at |grad|_inf {worst:.3e}"
     assert str(exc.value) == message
@@ -1222,7 +1210,7 @@ def test_condensed_shear_step_is_stationary_for_the_full_functional(
     # The per-element solves must minimize the full 2n-dof incremental
     # functional. w_el, w_vi and psi are convex in the slopes, so
     # stationarity of that functional, with the gradient of total_energy as
-    # the oracle, proves global minimality. A grad_tol below any reachable
+    # the oracle, proves global minimality. A GRAD_TOL below any reachable
     # residual makes each scalar Newton stop at the resolution of b, so the
     # step must be stationary to roundoff. Loads scale with c_v, so the
     # viscous slopes, which lie between b_old and sigma/c_v, stay inside
@@ -1233,9 +1221,8 @@ def test_condensed_shear_step_is_stationary_for_the_full_functional(
     b_old = np.array(data.draw(slopes))
     old = State.shear_column(mesh, np.array(data.draw(slopes)), b_old)
     f, g = c_v * f_hat, c_v * g_hat
-    state = phi_tau(
-        model, old, Loading((f,), (g,)), 0.0, r, MinimizeSettings(grad_tol=1e-300)
-    ).state
+    with mock.patch.object(kernels, "GRAD_TOL", 1e-300):
+        state = phi_tau(model, old, Loading((f,), (g,)), 0.0, r).state
 
     # Gradient in the slopes of the stored energies and the dissipation...
     _, grad = total_energy(model, state, Loading(), 0.0)
