@@ -24,7 +24,7 @@ each check it lists. Then they run each trajectory once, in parameter order,
 judge it, and return the trajectories with the report, so the command line
 writes the very trajectories that were judged. Every trajectory and substep
 a check runs is solved under the one stopping rule of
-:mod:`visco_pt.kernels`, so no check takes solver settings.
+:mod:`visco_pt.kernels`; no check takes a solver option.
 :func:`tau_convergence` and :func:`epsilon_study` return the same reports
 without the trajectories. Semistability is judged against the exact
 elastic minimizer at every grid time, so no check draws random numbers.
