@@ -13,12 +13,7 @@ from .errors import (
     ValidationError,
     ViscoPTError,
 )
-from .rheology import (
-    MATERIAL_POINT,
-    SHEAR_COLUMN,
-    MaterialModel,
-    QuadraticLimit,
-)
+from .rheology import MATERIAL_POINT, SHEAR_COLUMN, MaterialModel
 from .domain import (
     Loading,
     ShearColumnMesh,
@@ -36,15 +31,7 @@ from .stepper import (
     phi_tau,
     run_evolution,
 )
-from .linearized import (
-    LinState,
-    LinTrajectory,
-    lin_el_residual,
-    lin_equilibrium,
-    rescale_displacements,
-    rescaled_energies,
-    run_lin_evolution,
-)
+from .linearized import linear_column, rescale_displacements, rescaled_energies
 from .analysis import (
     VerificationReport,
     check_energy_inequality,
@@ -64,13 +51,10 @@ __all__ = [
     "SHEAR_COLUMN",
     "ConfigParseError",
     "InfeasibleState",
-    "LinState",
-    "LinTrajectory",
     "Loading",
     "MaterialModel",
     "NonFiniteObjective",
     "PhiTau",
-    "QuadraticLimit",
     "ScenarioConfig",
     "ShearColumnMesh",
     "SolverNotConverged",
@@ -90,15 +74,13 @@ __all__ = [
     "eps_sweep",
     "epsilon_study",
     "equilibrate_elastic",
-    "lin_el_residual",
-    "lin_equilibrium",
+    "linear_column",
     "load_config",
     "parse_config",
     "phi_tau",
     "rescale_displacements",
     "rescaled_energies",
     "run_evolution",
-    "run_lin_evolution",
     "semistability_sweep",
     "tau_convergence",
     "tau_sweep",

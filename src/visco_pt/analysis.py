@@ -43,6 +43,7 @@ import numpy as np
 
 from .domain import (
     Loading,
+    ShearColumnMesh,
     State,
     TimeGrid,
     dissipation_displacement,
@@ -51,13 +52,7 @@ from .domain import (
 )
 from .errors import ValidationError
 from .kernels import RESOLUTION
-from .linearized import (
-    LinState,
-    LinTrajectory,
-    rescale_displacements,
-    rescaled_energies,
-    run_lin_evolution,
-)
+from .linearized import linear_column, rescale_displacements, rescaled_energies
 from .rheology import MaterialModel
 from .stepper import (
     Trajectory,
@@ -289,12 +284,12 @@ def _positive(name: str, values: Sequence[float]) -> List[float]:
 
 
 def substep_values(tau_list: Sequence[float], name: str = "tau_list") -> List[float]:
-    """The substeps of a monotonicity check as floats: at least two (one
-    has no neighbour to compare with), positive, finite and nondecreasing.
-    Errors name the list ``name``."""
+    """The substeps of a monotonicity check as floats: at least two distinct
+    (equal substeps have the same minimizer, so compare nothing), positive,
+    finite and nondecreasing. Errors name the list ``name``."""
     taus = _positive(name, tau_list)
-    if len(taus) < 2:
-        raise ValidationError(f"{name} needs at least two substeps to compare")
+    if len(set(taus)) < 2:
+        raise ValidationError(f"{name} needs at least two substeps to compare, distinct ones")
     if any(b < a for a, b in zip(taus, taus[1:])):
         raise ValidationError(f"{name} must be nondecreasing")
     return taus
@@ -513,20 +508,27 @@ def eps_study_values(
 
 def eps_sweep(
     model: MaterialModel,
-    lin0: LinState,
+    mesh: Optional[ShearColumnMesh],
+    lin0: State,
     loading0: Loading,
     grid: TimeGrid,
     epsilon_list: Sequence[float],
     name: str = "epsilon_list",
-) -> Tuple[LinTrajectory, Dict[float, Trajectory], VerificationReport]:
+) -> Tuple[Trajectory, Dict[float, Trajectory], VerificationReport]:
     """Run the linearized trajectory and one eps-rescaled finite-strain
     trajectory per eps, and compare them.
 
-    For each eps the nonlinear problem uses loading eps*l0 and initial data
-    id + eps*(u0, v0); its rescaled trajectory (u_eps, v_eps) is compared
-    with the linearized solution in the dof sup-norm over the grid (for the
-    shear column the sup-norm of the slopes, which bounds that of the nodal
-    profiles), together with the rescaled-energy gaps at t = 0 and t = T.
+    The finite-strain problem lives on ``mesh``, None at a material point;
+    the geometry is given, since the linearized start ``lin0`` lives on the
+    column of :func:`~visco_pt.linearized.linear_column` (one element at a
+    material point) in both. The linearized trajectory is
+    :func:`~visco_pt.stepper.run_evolution` of the quadratic model on that
+    column. For each eps the nonlinear problem uses loading eps*l0 and
+    initial data id + eps*(u0, v0); its rescaled trajectory (u_eps, v_eps)
+    is compared with the linearized solution in the dof sup-norm over the
+    grid (for the shear column the sup-norm of the slopes, which bounds that
+    of the nodal profiles), together with the rescaled-energy gaps at t = 0
+    and t = T.
 
     Each quantity (u error, v error, t = 0 gap) is one series of
     :func:`_judge_rates`: at or below ``EPSILON_STUDY_FLOOR`` (1e-7) it
@@ -544,9 +546,11 @@ def eps_sweep(
     linearized trajectory, the finite-strain trajectories keyed by eps in
     list order, and the report.
     """
-    eps_list = eps_study_values(epsilon_list, lin0.mesh is None, name)
-    quad = model.quadratic_limit()
-    lin_traj = run_lin_evolution(quad, lin0, loading0, grid)
+    eps_list = eps_study_values(epsilon_list, mesh is None, name)
+    quad, column, loading_lin = linear_column(model, mesh, loading0)
+    if lin0.mesh != column:
+        raise ValidationError(f"the linearized start must live on {column}")
+    lin_traj = run_evolution(quad, lin0, loading_lin, grid)
 
     trajectories: Dict[float, Trajectory] = {}
     err_u, err_v, gap_t0, gap_tf = [], [], [], []
@@ -555,21 +559,21 @@ def eps_sweep(
             f_coeffs=tuple(eps * c for c in loading0.f_coeffs),
             g_coeffs=tuple(eps * c for c in loading0.g_coeffs),
         )
-        if lin0.mesh is None:
+        if mesh is None:
             init = State.material_point(
-                1.0 + eps * float(lin0.u[0]), 1.0 + eps * float(lin0.v[0])
+                1.0 + eps * float(lin0.gamma[0]), 1.0 + eps * float(lin0.beta[0])
             )
         else:
-            init = State.shear_column(lin0.mesh, eps * lin0.u, eps * lin0.v)
+            init = State.shear_column(mesh, eps * lin0.gamma, eps * lin0.beta)
         traj = run_evolution(model, init, loading_eps, grid)
         trajectories[eps] = traj
         scaled = rescale_displacements(traj, eps)
-        gap = np.abs(scaled.dofs - lin_traj.dofs)
+        gap = np.abs(scaled - lin_traj.dofs)
         err_u.append(float(np.max(gap[:, 0])))
         err_v.append(float(np.max(gap[:, 1])))
         gaps = []
         for idx in (0, grid.n_steps):
-            w_el, w_vi = rescaled_energies(scaled.states[idx], eps, model)
+            w_el, w_vi = rescaled_energies(model, mesh, *scaled[idx], eps)
             w0_el, w0_vi = lin_traj.stored[idx].tolist()
             gaps.append(abs((w_el + w_vi) - (w0_el + w0_vi)))
         gap_t0.append(gaps[0])
@@ -596,14 +600,15 @@ def eps_sweep(
 
 def epsilon_study(
     model: MaterialModel,
-    lin0: LinState,
+    mesh: Optional[ShearColumnMesh],
+    lin0: State,
     loading0: Loading,
     grid: TimeGrid,
     epsilon_list: Sequence[float],
     name: str = "epsilon_list",
 ) -> VerificationReport:
     """The report of :func:`eps_sweep`, without its trajectories."""
-    return eps_sweep(model, lin0, loading0, grid, epsilon_list, name)[2]
+    return eps_sweep(model, mesh, lin0, loading0, grid, epsilon_list, name)[2]
 
 
 # -- density convergence ---------------------------------------------------------------
@@ -646,7 +651,7 @@ def density_convergence(
     quad = model.quadratic_limit()
     gaps: Dict[str, List[float]] = {}
     series = []
-    for which, c in (("el", quad.c_el), ("vi", quad.c_vi), ("psi", quad.d_diss)):
+    for which, c in (("el", quad.c_e), ("vi", quad.c_v), ("psi", quad.d_v)):
         target = 0.5 * c * grid * grid
         gaps[which] = [
             float(np.max(np.abs(model.rescaled_density(which, eps, grid) - target)))

@@ -31,7 +31,7 @@ from . import __version__, analysis
 from .config import ScenarioConfig, load_config
 from .domain import State
 from .errors import ValidationError, ViscoPTError
-from .linearized import LinTrajectory, run_lin_evolution
+from .linearized import linear_column
 from .stepper import Trajectory, run_evolution
 
 CSV_HEADER = "t,F,F_vi,W_el,W_vi,load_work,E_total,diss_inc,delta,ineq_residual"
@@ -90,9 +90,10 @@ def trajectory_csv(traj: Trajectory) -> str:
     return _ledger_csv(traj, 1.0)
 
 
-def lin_trajectory_csv(traj: LinTrajectory) -> str:
-    """Same schema as trajectory_csv plus a lin flag; the F and F_vi columns
-    carry u and v, in the shear column h * (sum of u') and h * (sum of v')."""
+def lin_trajectory_csv(traj: Trajectory) -> str:
+    """Same schema as trajectory_csv plus a lin flag, for a linearized run
+    on its column; the F and F_vi columns carry u and v, h * (sum of u') and
+    h * (sum of v') (one element, h = 1, at a material point)."""
     return _ledger_csv(traj, 0.0, ",1")
 
 
@@ -174,6 +175,7 @@ def _run_checks(config: ScenarioConfig, names: Sequence[str]):
             reports.append(
                 analysis.epsilon_study(
                     model,
+                    config.mesh(),
                     config.lin_initial(),
                     loading,
                     grid,
@@ -203,8 +205,8 @@ def _cmd_run(config: ScenarioConfig, out: str) -> int:
 
 
 def _cmd_lin(config: ScenarioConfig, out: str) -> int:
-    quad = config.model().quadratic_limit()
-    traj = run_lin_evolution(quad, config.lin_initial(), config.loading(), config.grid())
+    quad, _, loading = linear_column(config.model(), config.mesh(), config.loading())
+    traj = run_evolution(quad, config.lin_initial(), loading, config.grid())
     _atomic_write(os.path.join(out, "lin.csv"), lin_trajectory_csv(traj))
     return 0
 
@@ -235,6 +237,7 @@ def _cmd_sweep_tau(config: ScenarioConfig, out: str, tau_list) -> int:
 def _cmd_sweep_eps(config: ScenarioConfig, out: str, eps_list) -> int:
     lin_traj, trajs, report = analysis.eps_sweep(
         config.model(),
+        config.mesh(),
         config.lin_initial(),
         config.loading(),
         config.grid(),

@@ -20,7 +20,7 @@ from .analysis import (
 )
 from .domain import Loading, ShearColumnMesh, State, TimeGrid
 from .errors import ConfigParseError, ValidationError
-from .linearized import LinState, lin_equilibrium
+from .linearized import linear_column
 from .rheology import MODES, SHEAR_COLUMN, MATERIAL_POINT, MaterialModel
 
 KNOWN_CHECKS = (
@@ -116,52 +116,47 @@ class ScenarioConfig:
     def loading(self) -> Loading:
         return Loading(f_coeffs=self.load_f, g_coeffs=self.load_g)
 
-    def mesh(self) -> ShearColumnMesh:
-        """The shear column's mesh, of 16 elements unless ``n_elements`` is given."""
+    def mesh(self) -> Optional[ShearColumnMesh]:
+        """The geometry's mesh: None at a material point, in the shear column
+        of 16 elements unless ``n_elements`` is given."""
+        if self.mode == MATERIAL_POINT:
+            return None
         return ShearColumnMesh(16 if self.n_elements is None else self.n_elements)
 
     def initial_state(self) -> State:
         """Initial state of the finite-strain run, by the rule of :meth:`_start`:
         F = 1 + u0 and F_vi = F_vi0 or 1 + v0 at a material point, the slopes
         gamma' = u0 and beta' = v0 in every element of the shear column."""
+        return self._start(self.model(), self.mesh(), self.loading())
+
+    def lin_initial(self) -> State:
+        """Initial state of linearized runs and the epsilon study, on the
+        column of :func:`~visco_pt.linearized.linear_column`, by the rule of
+        :meth:`_start`: the slopes u' = u0 and v' = v0 in every element, at a
+        material point v' = F_vi0 - 1 when ``F_vi0`` is given."""
+        return self._start(*linear_column(self.model(), self.mesh(), self.loading()))
+
+    def _start(
+        self, model: MaterialModel, mesh: Optional[ShearColumnMesh], loading: Loading
+    ) -> State:
+        """The initial state on ``mesh`` (None: a material point) from the
+        initial data, by one rule: a given ``u0`` is the elastic start as it
+        is, and without one :func:`~visco_pt.stepper.equilibrate_elastic`
+        relaxes the elastic variable at t = 0 under ``model`` and
+        ``loading``. A material point needs one of ``F_vi0`` and ``v0``; a
+        start given by ``F_vi0`` keeps its bits."""
         from .stepper import equilibrate_elastic
 
-        return self._start(
-            State, lambda s: equilibrate_elastic(self.model(), s, self.loading(), 0.0)
-        )
-
-    def lin_initial(self) -> LinState:
-        """Initial data of linearized runs and the epsilon study, by the rule
-        of :meth:`_start`: u = u0 and v = v0 or F_vi0 - 1 at a material point,
-        the slopes u' = u0 and v' = v0 in the shear column."""
-        return self._start(
-            LinState,
-            lambda s: lin_equilibrium(self.model().quadratic_limit(), s, self.loading(), 0.0),
-        )
-
-    def _start(self, kind, equilibrate):
-        """The initial ``kind`` (:class:`State` or :class:`LinState`) from
-        the initial data, by one rule: a given ``u0`` is the elastic start as
-        it is, and without one ``equilibrate`` relaxes the elastic variable at
-        t = 0. A material point needs one of ``F_vi0`` and ``v0``; a start
-        given by ``F_vi0`` keeps its bits."""
-        lin = kind is LinState
-        if self.mode == MATERIAL_POINT:
-            if self.F_vi0 is not None:
-                v = self.F_vi0 - 1.0 if lin else self.F_vi0
-            elif self.v0 is not None:
-                v = self.v0 if lin else 1.0 + self.v0
-            else:
-                raise ValidationError("material-point run requires F_vi0 or v0")
-            u = v if self.u0 is None else (self.u0 if lin else 1.0 + self.u0)
-            state = kind.material_point(u, v)
+        if self.mode == MATERIAL_POINT and self.F_vi0 is None and self.v0 is None:
+            raise ValidationError("material-point run requires F_vi0 or v0")
+        if mesh is None:
+            F_vi = 1.0 + self.v0 if self.F_vi0 is None else self.F_vi0
+            state = State.material_point(F_vi if self.u0 is None else 1.0 + self.u0, F_vi)
         else:
-            mesh = self.mesh()
+            v = (self.v0 or 0.0) if self.F_vi0 is None else self.F_vi0 - 1.0
             n = mesh.n_elements
-            state = kind.shear_column(
-                mesh, np.full(n, self.u0 or 0.0), np.full(n, self.v0 or 0.0)
-            )
-        return state if self.u0 is not None else equilibrate(state)
+            state = State.shear_column(mesh, np.full(n, self.u0 or 0.0), np.full(n, v))
+        return state if self.u0 is not None else equilibrate_elastic(model, state, loading, 0.0)
 
     def as_dict(self) -> dict:
         out = {}

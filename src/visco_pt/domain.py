@@ -159,13 +159,12 @@ class State:
             raise ValidationError(f"operation requires mode {mode}, state is {self.mode}")
 
 
-def state_from_dofs(mesh: Optional[ShearColumnMesh], y, y_vi, cls=State):
-    """The :class:`State` (or ``cls``, whose fields are ordered alike) with
-    dofs (y, y_vi): F and F_vi at a material point (``mesh`` None), element
-    slopes otherwise. Arrays are kept, not copied."""
+def state_from_dofs(mesh: Optional[ShearColumnMesh], y, y_vi) -> State:
+    """The :class:`State` with dofs (y, y_vi): F and F_vi at a material point
+    (``mesh`` None), element slopes otherwise. Arrays are kept, not copied."""
     if mesh is None:
-        return cls(np.reshape(y, 1), np.reshape(y_vi, 1))
-    return cls(y, y_vi, mesh)
+        return State(np.reshape(y, 1), np.reshape(y_vi, 1))
+    return State(y, y_vi, mesh)
 
 
 def state_dofs(state: State) -> tuple:
@@ -198,13 +197,10 @@ class Ledger:
     (:func:`pairing_products`), and ``np.cumsum`` adds in the order of a
     running sum. All results are read-only."""
 
-    state_class = State  # the class of ``states``
-
     @cached_property
     def states(self) -> Sequence:
         """The states, built from ``dofs`` on demand."""
-        make = functools.partial(state_from_dofs, self.mesh, cls=self.state_class)
-        return DofStates(self.dofs, make)
+        return DofStates(self.dofs, functools.partial(state_from_dofs, self.mesh))
 
     @cached_property
     def pairing_products(self) -> np.ndarray:

@@ -72,9 +72,10 @@ Under dead loads a shear step splits into one scalar equation per element
 for its viscous slope b, c_v b + psi'((b - b_old)/r) = sigma_e, and a whole
 trajectory is one :func:`column_march` call (``phi_tau``'s solve a one-row
 march). With p_psi = 2 it is linear in the slopes, b_i = b_{i-1} +
-(sigma_i - c b_{i-1}) / (c + d / r), the recursion of the linearized model
-too, with (c, d) = (c_vi, d). The march runs one element after another: up
-to about 30 elements it is faster than a NumPy row per step.
+(sigma_i - c b_{i-1}) / (c + d / r) with (c, d) = (c_v, d_v), which
+linearized runs march too, as the quadratic model's column. The march runs
+one element after another: up to about 30 elements it is faster than a
+NumPy row per step.
 """
 
 from __future__ import annotations

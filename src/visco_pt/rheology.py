@@ -1,5 +1,5 @@
 """Material model: stored-energy and dissipation densities in reduced strain
-coordinates and their small-strain quadratic limits.
+coordinates and their small-strain quadratic limit.
 
 Both supported geometries reduce every density to a scalar argument:
 
@@ -24,6 +24,7 @@ scheme: zero and minimal at the origin, psi convex and p_psi-homogeneous.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,16 +34,6 @@ from .errors import InfeasibleState, ValidationError
 MATERIAL_POINT = "material_point"
 SHEAR_COLUMN = "shear_column"
 MODES = (MATERIAL_POINT, SHEAR_COLUMN)
-
-
-@dataclass(frozen=True)
-class QuadraticLimit:
-    """Curvatures of the densities at the identity: the coefficients of the
-    small-strain (linearized) model."""
-
-    c_el: float
-    c_vi: float
-    d_diss: float
 
 
 @dataclass(frozen=True)
@@ -151,9 +142,10 @@ class MaterialModel:
             raise ValidationError(f"which must be 'el', 'vi' or 'psi', got {which!r}")
         return _unwrap(np.asarray(density(np.asarray(a, dtype=float) * eps)) / eps**2)
 
-    def quadratic_limit(self) -> QuadraticLimit:
-        """Curvatures (c_el, c_vi, d_diss) = (c_e, c_v, d_v) of the densities
-        at 0.
+    def quadratic_limit(self) -> MaterialModel:
+        """The small-strain (linearized) model: the curvatures c_e, c_v and
+        d_v of the densities at 0, with a4 = 0, p_psi = 2 and no viscous
+        constraint (``k_radius`` the largest float).
 
         Requires p_psi = 2: for other exponents the rescaled dissipation has
         no finite nonzero limit.
@@ -162,7 +154,9 @@ class MaterialModel:
             raise ValidationError(
                 f"quadratic limit requires p_psi = 2, got {self.p_psi!r}"
             )
-        return QuadraticLimit(c_el=self.c_e, c_vi=self.c_v, d_diss=self.d_v)
+        return MaterialModel(
+            c_e=self.c_e, c_v=self.c_v, d_v=self.d_v, k_radius=sys.float_info.max
+        )
 
 
 def _unwrap(value: np.ndarray):

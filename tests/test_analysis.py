@@ -9,6 +9,7 @@ test holds, and a report passes exactly when min(residuals) >= -tolerance.
 import dataclasses
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from visco_pt import (
     equilibrate_elastic,
     kernels,
     load_config,
+    parse_config,
     run_evolution,
     semistability_sweep,
     tau_convergence,
@@ -40,7 +42,6 @@ from visco_pt import (
 from visco_pt.analysis import EQUALITY_TOL, INEQUALITY_TOL, _judge_rates, fit_rate
 from visco_pt.domain import stored_energies
 from visco_pt.kernels import RESOLUTION
-from visco_pt.linearized import LinState
 
 UNIT_MP = MaterialModel()
 ZERO = Loading()
@@ -366,10 +367,10 @@ def test_monotonicity_increasing_substeps():
 
 def test_monotonicity_allows_duplicates():
     report = check_monotonicity(
-        State.material_point(1.5, 1.5), 0.0, [0.2, 0.2], UNIT_MP
+        State.material_point(1.5, 1.5), 0.0, [0.1, 0.2, 0.2], UNIT_MP
     )
     assert report.passed
-    assert report.residuals[0] == pytest.approx(0.0, abs=1e-12)
+    assert report.residuals[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_monotonicity_validates_tau_list():
@@ -380,6 +381,9 @@ def test_monotonicity_validates_tau_list():
         check_monotonicity(old, 0.0, [0.0, 0.1], UNIT_MP)
     with pytest.raises(ValidationError, match="tau_list needs at least two substeps"):
         check_monotonicity(old, 0.0, [0.5], UNIT_MP)
+    # equal substeps have one minimizer: a list of one distinct value compares nothing
+    with pytest.raises(ValidationError, match="at least two substeps to compare, distinct"):
+        check_monotonicity(old, 0.0, [0.2, 0.2], UNIT_MP)
 
 
 # -- tau convergence -----------------------------------------------------------------
@@ -529,15 +533,19 @@ def test_tau_sweep_rejects_p_psi_other_than_two_before_any_run(monkeypatch):
 # -- epsilon study -------------------------------------------------------------------
 
 
-def shear_lin0(n=4):
-    return LinState.shear_column(ShearColumnMesh(n), np.full(n, 0.3), np.full(n, 0.2))
+MESH4 = ShearColumnMesh(4)
+
+
+def shear_lin0(mesh=MESH4):
+    n = mesh.n_elements
+    return State.shear_column(mesh, np.full(n, 0.3), np.full(n, 0.2))
 
 
 def test_epsilon_study_quartic_rates():
     model = MaterialModel(a4=1.0)
     grid = TimeGrid(t_final=0.2, n_steps=40)
     report = epsilon_study(
-        model, shear_lin0(), Loading((0.3,), (0.2,)), grid, [0.2, 0.1, 0.05]
+        model, MESH4, shear_lin0(), Loading((0.3,), (0.2,)), grid, [0.2, 0.1, 0.05]
     )
     assert report.passed
     regimes = report.params["regimes"]
@@ -553,7 +561,7 @@ def test_epsilon_study_quadratic_hits_floor():
     model = MaterialModel()
     grid = TimeGrid(t_final=0.2, n_steps=40)
     report = epsilon_study(
-        model, shear_lin0(), Loading((0.3,), (0.2,)), grid, [0.2, 0.1, 0.05]
+        model, MESH4, shear_lin0(), Loading((0.3,), (0.2,)), grid, [0.2, 0.1, 0.05]
     )
     assert report.passed
     assert set(report.params["regimes"].values()) == {"floor"}
@@ -566,7 +574,7 @@ def test_epsilon_study_single_eps_reports_gaps_only():
     model = MaterialModel()
     grid = TimeGrid(t_final=0.1, n_steps=10)
     report = epsilon_study(
-        model, shear_lin0(), Loading((0.3,), (0.2,)), grid, [0.1]
+        model, MESH4, shear_lin0(), Loading((0.3,), (0.2,)), grid, [0.1]
     )
     assert report.params["regime"] == "gaps_only"
     assert report.residuals == [0.0]
@@ -577,9 +585,33 @@ def test_epsilon_study_validates_eps_list():
     model = MaterialModel()
     grid = TimeGrid(t_final=0.1, n_steps=10)
     with pytest.raises(ValidationError):
-        epsilon_study(model, shear_lin0(), ZERO, grid, [0.05, 0.1])
+        epsilon_study(model, MESH4, shear_lin0(), ZERO, grid, [0.05, 0.1])
     with pytest.raises(ValidationError):
-        epsilon_study(model, shear_lin0(), ZERO, grid, [0.1, -0.05])
+        epsilon_study(model, MESH4, shear_lin0(), ZERO, grid, [0.1, -0.05])
+
+
+def test_epsilon_study_takes_the_geometry_it_is_given():
+    # A one-element shear column and a material point march the same
+    # linearized column, so the study reads the geometry from its mesh
+    # argument, not from the start. Read as a material point, this quadratic
+    # shear study would run multiplicative trajectories with gaps of order eps.
+    text = pathlib.Path("configs/eps_quadratic.cfg").read_text(encoding="utf-8")
+    config = parse_config(text.replace("n_elements = 8", "n_elements = 1"))
+    assert config.mesh() == ShearColumnMesh(1)
+    args = (config.lin_initial(), config.loading(), config.grid(), config.eps_list)
+    report = epsilon_study(config.model(), config.mesh(), *args)
+    for key in ("err_u", "err_v", "energy_gap_t0", "energy_gap_t_final"):
+        assert max(report.params[key]) <= 1e-12, key
+    as_point = epsilon_study(config.model(), None, *args)
+    assert min(as_point.params["err_u"]) > 1e-6
+
+
+@pytest.mark.parametrize("mesh", [None, ShearColumnMesh(3)])
+def test_epsilon_study_refuses_a_start_off_its_column(mesh):
+    # The start of a four-element column fits neither a material point's
+    # one-element column nor a three-element mesh.
+    with pytest.raises(ValidationError, match="linearized start must live on"):
+        epsilon_study(UNIT_MP, mesh, shear_lin0(), ZERO, TimeGrid(0.1, 10), [0.2, 0.1])
 
 
 # -- density convergence ----------------------------------------------------------

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import visco_pt
 from visco_pt import (
     ConfigParseError, ScenarioConfig, State, ValidationError, analysis, cli, kernels,
     parse_config,
@@ -109,12 +110,25 @@ def test_readme_names_every_config_key_and_no_removed_one():
     assert [key for key in removed if named(key)] == []
 
 
+def test_public_names_resolve_once_and_no_removed_one():
+    # visco_pt.__all__ names each export once, each resolves, and no name
+    # removed from the API is exported again.
+    names = visco_pt.__all__
+    assert [name for name in names if not hasattr(visco_pt, name)] == []
+    assert sorted(set(names)) == sorted(names)
+    removed = (
+        "LinState", "LinTrajectory", "lin_equilibrium", "lin_el_residual",
+        "run_lin_evolution", "QuadraticLimit", "MinimizeSettings",
+    )
+    assert [name for name in removed if name in names or hasattr(visco_pt, name)] == []
+
+
 def test_shear_column_starts_from_v0_in_every_element():
     # v0 is the viscous datum of both geometries: beta' = v0 = 0.4 in each
     # element of the finite-strain start, v' = 0.4 in the linearized one.
     config = parse_config(SHEAR_SMALL)
     assert config.initial_state().beta.tolist() == [0.4] * 8
-    assert config.lin_initial().v.tolist() == [0.4] * 8
+    assert config.lin_initial().beta.tolist() == [0.4] * 8
 
 
 @pytest.mark.parametrize(
@@ -202,6 +216,7 @@ def test_parse_names_the_key_of_an_out_of_range_value(key, value):
         ("tau_list", "0.1", "need at least two tau values"),
         ("mono_tau_list", "0.5 0.1", "mono_tau_list must be nondecreasing"),
         ("mono_tau_list", "0.5", "mono_tau_list needs at least two substeps"),
+        ("mono_tau_list", "0.5 0.5", "mono_tau_list needs at least two substeps to compare, distinct"),
         ("eps_list", "0.1 -0.05", "eps_list entries must be positive and finite"),
     ],
 )
@@ -730,22 +745,18 @@ def test_bad_sweep_list_exits_1_before_any_trajectory(
 @pytest.fixture
 def solver_calls(monkeypatch):
     """Records ``(grid step, loading)`` of every finite-strain run and
-    ``"lin"`` for every linearized run that the command line or the analysis
-    layer starts."""
+    ``"lin"`` for every linearized run (of the quadratic limit, whose viscous
+    radius is the largest float) that the command line or the analysis layer
+    starts."""
     calls = []
     for module in (analysis, cli):
-        evolve, lin_evolve = module.run_evolution, module.run_lin_evolution
 
-        def run_evolution(model, state0, loading, grid, *args, _run=evolve, **kw):
-            calls.append((grid.tau, loading))
+        def run_evolution(model, state0, loading, grid, *args, _run=module.run_evolution, **kw):
+            linear = model.k_radius == sys.float_info.max
+            calls.append("lin" if linear else (grid.tau, loading))
             return _run(model, state0, loading, grid, *args, **kw)
 
-        def run_lin_evolution(*args, _run=lin_evolve, **kw):
-            calls.append("lin")
-            return _run(*args, **kw)
-
         monkeypatch.setattr(module, "run_evolution", run_evolution)
-        monkeypatch.setattr(module, "run_lin_evolution", run_lin_evolution)
     return calls
 
 
@@ -843,7 +854,9 @@ def test_no_source_file_reads_the_environment():
 
 # sha256 of every CSV the shipped configs write, recorded from the per-step
 # march before the stepper priced its ledger in arrays (the densities tables
-# before the config lost its u0_slope and v0_slope keys). The CSVs hold only
+# before the config lost its u0_slope and v0_slope keys, and the
+# material-point linearized runs once they ran as one-element quadratic
+# columns, which price W_vi and the dissipation as any column). The CSVs hold only
 # IEEE arithmetic (no LAPACK), so they must not change by a bit; the JSON
 # reports are pinned by SHIPPED_JSON_SHA256 below.
 SHIPPED_CSV_SHA256 = {
@@ -866,10 +879,10 @@ SHIPPED_CSV_SHA256 = {
         "run.csv": "3fda3fcea930d12cf6760bb1cb838f2bee8758554e7ab4d6cf7c32a4827f4324",
     },
     ("lin", "mp_relax"): {
-        "lin.csv": "beb24f66a3055f5ecd6528f97c1fc0856110dc3c08fa061e7fbb8cf3888b6814",
+        "lin.csv": "70fe2d8d42309dadfe7a9da246793648a79f1f945fe2ab6784fe1803b2c14725",
     },
     ("lin", "mp_loaded"): {
-        "lin.csv": "59d5212617d15e2cb5e0575652be032bbbc79699deca407397116d48c3fcc557",
+        "lin.csv": "e4b5a4fdfa37caf9b4d6010911737e5ddbe10f2c79164a000e9a88307ddb5246",
     },
     ("lin", "shear_quadratic"): {
         "lin.csv": "65b0fe20e2ec7e027b1e45403cfcc72beaebeffa7779e46d998738724f7eb738",
@@ -881,7 +894,7 @@ SHIPPED_CSV_SHA256 = {
         "lin.csv": "93fedf55d08b3027d9a6b5878379fe14bf13ba4574cc23944a524847c4ebf21f",
     },
     ("lin", "eps_quartic"): {
-        "lin.csv": "dc3a347548b4f9878b23940d25851266ce090d8bebac64cbf8a2823b0a1d3922",
+        "lin.csv": "6ecad32f731fec5f971aca6b0371b0522340696c71864cdae5e6f2340b5ff7a2",
     },
     ("sweep-tau", "mp_relax"): {
         "tau_0.012500000000000001.csv": "d56131ad9bdf5afd5fcb4b64a062fac70a37478200fff620455674d80bec4e0c",
@@ -899,7 +912,7 @@ SHIPPED_CSV_SHA256 = {
         "eps_0.050000000000000003.csv": "20e49e238e2c5f2278591f418929ff7f6053f7c26b18d40dd5c6ec541280a0e5",
         "eps_0.10000000000000001.csv": "49b4de7067428249d6a4eb45864e229a53e22e36fb1083c63fcfdfdcc9140e6d",
         "eps_0.20000000000000001.csv": "42a0b02b68e043d949acc48e562b7d5c26c74d46f3b03fa3e8879e14b22f51ee",
-        "eps_lin.csv": "dc3a347548b4f9878b23940d25851266ce090d8bebac64cbf8a2823b0a1d3922",
+        "eps_lin.csv": "6ecad32f731fec5f971aca6b0371b0522340696c71864cdae5e6f2340b5ff7a2",
     },
     ("densities", "mp_relax"): {
         "densities.csv": "2469fdd2c7fd42d6660466a813bc0b22d5204f4c93d24c614a34d4d6654ac121",

@@ -26,11 +26,9 @@ ROOTS = ("main",)
 # method by its qualified name.
 EXEMPT = (
     # Energy with its analytic gradient: acceptance test_11 checks the
-    # gradient, and the planned per-step stationarity check will call it.
+    # gradient, test_08 certifies a linear step with it, and the planned
+    # per-step stationarity check will call it.
     "total_energy",
-    # Linear Euler-Lagrange residual: acceptance test_08 certifies a linear
-    # step with it, and the planned stationarity check serves both ledgers.
-    "lin_el_residual",
     # psi': the planned per-step stationarity check takes the gradient from
     # the model's densities, the dissipation's with it.
     "MaterialModel.dpsi",

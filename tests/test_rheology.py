@@ -1,6 +1,7 @@
 """Density family: values, derivatives, rescaling, limits, admissibility."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -113,10 +114,13 @@ def test_rescaled_density_constraint_uses_unrescaled_argument():
 
 
 def test_quadratic_limit_builtin():
+    # the small-strain model: the curvatures at 0, no quartic term, quadratic
+    # dissipation and no viscous constraint
     limit = MaterialModel().quadratic_limit()
-    assert (limit.c_el, limit.c_vi, limit.d_diss) == (1.0, 1.0, 1.0)
-    limit = MaterialModel(c_e=2.5, a4=3.0, c_v=0.7, d_v=1.9).quadratic_limit()
-    assert (limit.c_el, limit.c_vi, limit.d_diss) == (2.5, 0.7, 1.9)
+    assert limit == MaterialModel(k_radius=sys.float_info.max)
+    limit = MaterialModel(c_e=2.5, a4=3.0, c_v=0.7, d_v=1.9, k_radius=0.5).quadratic_limit()
+    assert limit == MaterialModel(c_e=2.5, c_v=0.7, d_v=1.9, k_radius=sys.float_info.max)
+    assert limit.w_vi(1e100) == 0.5 * 0.7 * 1e100 * 1e100
 
 
 def test_quadratic_limit_rejects_nonquadratic_rate_exponent():
@@ -192,7 +196,7 @@ def assert_admissible(model):
     a4, d_v, p_psi = model.a4, model.d_v, model.p_psi
     if p_psi == 2.0:
         limit = model.quadratic_limit()
-        c_e, c_v = limit.c_el, limit.c_vi
+        c_e, c_v = limit.c_e, limit.c_v
     else:
         c_e, c_v = model.c_e, model.c_v
     r = np.linspace(-2.0, 2.0, 201)
