@@ -38,9 +38,7 @@ from .analysis import (
     check_monotonicity,
     density_convergence,
     eps_sweep,
-    epsilon_study,
     semistability_sweep,
-    tau_convergence,
     tau_sweep,
     viscous_flow,
 )
@@ -72,7 +70,6 @@ __all__ = [
     "elastic_strain",
     "energy_value",
     "eps_sweep",
-    "epsilon_study",
     "equilibrate_elastic",
     "linear_column",
     "load_config",
@@ -82,7 +79,6 @@ __all__ = [
     "rescaled_energies",
     "run_evolution",
     "semistability_sweep",
-    "tau_convergence",
     "tau_sweep",
     "total_energy",
     "viscous_flow",

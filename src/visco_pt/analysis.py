@@ -22,12 +22,13 @@ trajectory runs, as :func:`density_convergence` validates its list
 (:func:`density_values`); the config runs the same validators on parse for
 each check it lists. Then they run each trajectory once, in parameter order,
 judge it, and return the trajectories with the report, so the command line
-writes the very trajectories that were judged. Every trajectory and substep
-a check runs is solved under the one stopping rule of
-:mod:`visco_pt.kernels`; no check takes a solver option.
-:func:`tau_convergence` and :func:`epsilon_study` return the same reports
-without the trajectories. Semistability is judged against the exact
-elastic minimizer at every grid time, so no check draws random numbers.
+writes the very trajectories that were judged; ``verify`` keeps the report
+alone. The validators name in their errors the config key each list comes
+from (``tau_list``, ``mono_tau_list``, ``eps_list``). Every trajectory and
+substep a check runs is solved under the one stopping rule of
+:mod:`visco_pt.kernels`; no check takes a solver option. Semistability is
+judged against the exact elastic minimizer at every grid time, so no check
+draws random numbers.
 Shear-column states are element slopes (:mod:`visco_pt.domain`), and the
 epsilon study compares slopes.
 """
@@ -283,15 +284,17 @@ def _positive(name: str, values: Sequence[float]) -> List[float]:
     return values
 
 
-def substep_values(tau_list: Sequence[float], name: str = "tau_list") -> List[float]:
+def substep_values(tau_list: Sequence[float]) -> List[float]:
     """The substeps of a monotonicity check as floats: at least two distinct
     (equal substeps have the same minimizer, so compare nothing), positive,
-    finite and nondecreasing. Errors name the list ``name``."""
-    taus = _positive(name, tau_list)
+    finite and nondecreasing. Errors name the config key ``mono_tau_list``."""
+    taus = _positive("mono_tau_list", tau_list)
     if len(set(taus)) < 2:
-        raise ValidationError(f"{name} needs at least two substeps to compare, distinct ones")
+        raise ValidationError(
+            "mono_tau_list needs at least two substeps to compare, distinct ones"
+        )
     if any(b < a for a, b in zip(taus, taus[1:])):
-        raise ValidationError(f"{name} must be nondecreasing")
+        raise ValidationError("mono_tau_list must be nondecreasing")
     return taus
 
 
@@ -364,10 +367,10 @@ def viscous_flow(model: MaterialModel, f_vi0: float, times) -> np.ndarray:
     return np.where(nearer_far, far, near)
 
 
-def tau_values(tau_list: Sequence[float], name: str = "tau_list") -> List[float]:
+def tau_values(tau_list: Sequence[float]) -> List[float]:
     """The distinct taus of a convergence sweep, largest first: at least two,
-    each positive and finite. Errors name the list ``name``."""
-    taus = sorted(set(_positive(name, tau_list)), reverse=True)
+    each positive and finite. Errors name the config key ``tau_list``."""
+    taus = sorted(set(_positive("tau_list", tau_list)), reverse=True)
     if len(taus) < 2:
         raise ValidationError("need at least two tau values to fit an order")
     return taus
@@ -379,16 +382,14 @@ def tau_sweep_grids(
     loading: Loading,
     t_final: float,
     tau_list: Sequence[float],
-    name: str = "tau_list",
 ) -> Dict[float, TimeGrid]:
     """The taus of :func:`tau_values`, each mapped to the uniform grid of
     [0, t_final] it divides into, once the exact-flow oracle of
     :func:`tau_sweep` applies: a zero-load material point with p_psi = 2.
     Raises :class:`ValidationError` unless each tau divides ``t_final`` and
-    the oracle applies; the list is validated first, its errors naming it
-    ``name``."""
+    the oracle applies; the list is validated first."""
     grids = {}
-    for tau in tau_values(tau_list, name):
+    for tau in tau_values(tau_list):
         n = int(round(t_final / tau))
         if n < 1 or abs(n * tau - t_final) > 1e-9 * max(1.0, t_final):
             raise ValidationError(f"tau={tau!r} does not divide t_final={t_final!r}")
@@ -406,7 +407,6 @@ def tau_sweep(
     loading: Loading,
     t_final: float,
     tau_list: Sequence[float],
-    name: str = "tau_list",
 ) -> Tuple[Dict[float, Trajectory], VerificationReport]:
     """Run one trajectory per distinct tau and judge its sup-over-grid error
     against the exact viscous flow (:func:`viscous_flow`): the errors pass
@@ -414,11 +414,11 @@ def tau_sweep(
 
     The oracle requires a zero-load material point with p_psi = 2, where the
     viscous strain obeys that flow. The tau list and these requirements are
-    validated before the first trajectory runs (:func:`tau_sweep_grids`),
-    its errors naming the list ``name``. Returns the trajectories, keyed by
-    tau from largest to smallest, and the report.
+    validated before the first trajectory runs (:func:`tau_sweep_grids`).
+    Returns the trajectories, keyed by tau from largest to smallest, and the
+    report.
     """
-    grids = tau_sweep_grids(model, state0.mesh is None, loading, t_final, tau_list, name)
+    grids = tau_sweep_grids(model, state0.mesh is None, loading, t_final, tau_list)
     taus = list(grids)
 
     trajectories: Dict[float, Trajectory] = {}
@@ -441,64 +441,47 @@ def tau_sweep(
     return trajectories, VerificationReport.build("tau_convergence", params, residuals, rates)
 
 
-def tau_convergence(
-    model: MaterialModel,
-    state0: State,
-    loading: Loading,
-    t_final: float,
-    tau_list: Sequence[float],
-) -> VerificationReport:
-    """The report of :func:`tau_sweep`, without its trajectories."""
-    return tau_sweep(model, state0, loading, t_final, tau_list)[1]
-
-
 # -- linearization (epsilon) study ---------------------------------------------------
 
 
-def eps_values(
-    epsilon_list: Sequence[float],
-    name: str = "epsilon_list",
-    probes: Sequence[float] = (1.0,),
-) -> List[float]:
+def eps_values(epsilon_list: Sequence[float], probes: Sequence[float] = (1.0,)) -> List[float]:
     """The epsilon list as floats, nonempty, each entry positive. A rescaled
     density eps^-2 W(eps a) divides by eps^2 and squares eps a, so eps and
     eps times the smallest nonzero |a| of ``probes`` must each square to a
     positive normal float, or the rescaling loses its digits. Errors name
-    the list ``name``."""
-    eps_list = _positive(name, epsilon_list)
+    the config key ``eps_list``."""
+    eps_list = _positive("eps_list", epsilon_list)
     magnitudes = np.abs(np.asarray(probes, dtype=float))
     smallest = float(np.min(magnitudes[magnitudes > 0.0], initial=1.0))
     for eps in eps_list:
         if not sys.float_info.min <= eps * eps < math.inf:
             raise ValidationError(
-                f"{name} entry {eps!r} squares to {eps * eps!r}, not a positive normal float"
+                f"eps_list entry {eps!r} squares to {eps * eps!r}, not a positive normal float"
             )
         low = eps * smallest
         if low * low < sys.float_info.min:
             raise ValidationError(
-                f"{name} entry {eps!r} times the probe {smallest!r} squares to "
+                f"eps_list entry {eps!r} times the probe {smallest!r} squares to "
                 f"{low * low!r}, not a positive normal float"
             )
     return eps_list
 
 
-def eps_study_values(
-    epsilon_list: Sequence[float], material_point: bool, name: str = "epsilon_list"
-) -> List[float]:
+def eps_study_values(epsilon_list: Sequence[float], material_point: bool) -> List[float]:
     """The epsilon list of a study (:func:`eps_sweep`): the entries of
     :func:`eps_values`, strictly decreasing (the order along which the study
     expects its errors to fall), and from a material-point start each with
     ``RESOLUTION / eps`` at most ``EPSILON_STUDY_FLOOR``: a rescaled dof
     (F - 1) / eps carries the rounding of F, about one ulp of 1, divided by
-    eps. Errors name the list ``name``."""
-    eps_list = eps_values(epsilon_list, name)
+    eps."""
+    eps_list = eps_values(epsilon_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValidationError(f"{name} must be strictly decreasing")
+        raise ValidationError("eps_list must be strictly decreasing")
     if material_point:
         for eps in eps_list:
             if RESOLUTION / eps > EPSILON_STUDY_FLOOR:
                 raise ValidationError(
-                    f"{name} entry {eps!r} is below "
+                    f"eps_list entry {eps!r} is below "
                     f"{RESOLUTION / EPSILON_STUDY_FLOOR:.3g}: a material point's "
                     "rescaled dofs (F - 1) / eps would carry more rounding than "
                     f"the study's floor {EPSILON_STUDY_FLOOR!r}"
@@ -513,7 +496,6 @@ def eps_sweep(
     loading0: Loading,
     grid: TimeGrid,
     epsilon_list: Sequence[float],
-    name: str = "epsilon_list",
 ) -> Tuple[Trajectory, Dict[float, Trajectory], VerificationReport]:
     """Run the linearized trajectory and one eps-rescaled finite-strain
     trajectory per eps, and compare them.
@@ -542,11 +524,10 @@ def eps_sweep(
     report keeps the gaps and passes, in regime "gaps_only".
 
     The epsilon list is validated before the first trajectory runs
-    (:func:`eps_study_values`), its errors naming it ``name``. Returns the
-    linearized trajectory, the finite-strain trajectories keyed by eps in
-    list order, and the report.
+    (:func:`eps_study_values`). Returns the linearized trajectory, the
+    finite-strain trajectories keyed by eps in list order, and the report.
     """
-    eps_list = eps_study_values(epsilon_list, mesh is None, name)
+    eps_list = eps_study_values(epsilon_list, mesh is None)
     quad, column, loading_lin = linear_column(model, mesh, loading0)
     if lin0.mesh != column:
         raise ValidationError(f"the linearized start must live on {column}")
@@ -598,44 +579,27 @@ def eps_sweep(
     return lin_traj, trajectories, report
 
 
-def epsilon_study(
-    model: MaterialModel,
-    mesh: Optional[ShearColumnMesh],
-    lin0: State,
-    loading0: Loading,
-    grid: TimeGrid,
-    epsilon_list: Sequence[float],
-    name: str = "epsilon_list",
-) -> VerificationReport:
-    """The report of :func:`eps_sweep`, without its trajectories."""
-    return eps_sweep(model, mesh, lin0, loading0, grid, epsilon_list, name)[2]
-
-
 # -- density convergence ---------------------------------------------------------------
 
 
 def density_values(
-    epsilon_list: Sequence[float],
-    probe_grid: Optional[np.ndarray] = None,
-    name: str = "epsilon_list",
+    epsilon_list: Sequence[float], probe_grid: Optional[np.ndarray] = None
 ) -> Tuple[List[float], np.ndarray]:
     """The epsilon list and the probe grid (default 41 points on [-1, 1]) of
     :func:`density_convergence`: the grid nonempty and finite, the list that
-    of :func:`eps_values` against the grid's probes. Errors name the list
-    ``name``."""
+    of :func:`eps_values` against the grid's probes."""
     if probe_grid is None:
         probe_grid = np.linspace(-1.0, 1.0, 41)
     grid = np.asarray(probe_grid, dtype=float)
     if not np.all(np.isfinite(grid)) or grid.size == 0:
         raise ValidationError("probe_grid must be nonempty and bounded")
-    return eps_values(epsilon_list, name, grid), grid
+    return eps_values(epsilon_list, grid), grid
 
 
 def density_convergence(
     model: MaterialModel,
     epsilon_list: Sequence[float],
     probe_grid: Optional[np.ndarray] = None,
-    name: str = "epsilon_list",
 ) -> VerificationReport:
     """Locally uniform convergence of the rescaled densities to their limits.
 
@@ -645,9 +609,9 @@ def density_convergence(
     of at most 16 eps_mach * (1/2) c max|a|^2, the rounding of the limit
     density on the grid, counts as zero: the floor of :func:`_judge_rates`.
     The epsilon list is validated against the probe grid
-    (:func:`density_values`), its errors naming it ``name``.
+    (:func:`density_values`).
     """
-    eps_list, grid = density_values(epsilon_list, probe_grid, name)
+    eps_list, grid = density_values(epsilon_list, probe_grid)
     quad = model.quadratic_limit()
     gaps: Dict[str, List[float]] = {}
     series = []

@@ -4,11 +4,12 @@ One argument parser takes the command as its first positional argument:
 ``run`` (single trajectory to CSV), ``lin`` (linearized run), ``sweep-tau``
 (grid refinement against the exact-flow oracle), ``sweep-eps``
 (linearization study), ``verify`` (selected checks to JSON), ``densities``
-(density-convergence table). Every command takes ``--config`` and ``--out``;
-``--tau-list`` belongs to ``sweep-tau`` and ``--eps-list`` to ``sweep-eps``
-alone. Exit codes: 0 on pass, 2 when a check fails (stderr names the check
-and its worst residual) or the command line is malformed, 1 on runtime
-errors, an unreadable config or an unwritable output included.
+(density-convergence table). Every command takes ``--config`` and ``--out``
+alone and reads its inputs from the config, the tau, epsilon and substep
+lists included, so the ``config`` of a JSON report is what ran. Exit codes:
+0 on pass, 2 when a check fails (stderr names the check and its worst
+residual) or the command line is malformed, 1 on runtime errors, an
+unreadable config or an unwritable output included.
 
 All outputs are written atomically (temp file + rename; a failed write
 leaves no temp file). CSV cells are
@@ -23,14 +24,14 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__, analysis
 from .config import ScenarioConfig, load_config
 from .domain import State
-from .errors import ValidationError, ViscoPTError
+from .errors import ViscoPTError
 from .linearized import linear_column
 from .stepper import Trajectory, run_evolution
 
@@ -124,7 +125,7 @@ def _emit_failures(reports) -> int:
 # -- check orchestration -----------------------------------------------------------
 
 
-def _run_checks(config: ScenarioConfig, names: Sequence[str]):
+def _run_checks(config: ScenarioConfig):
     model = config.model()
     loading = config.loading()
     grid = config.grid()
@@ -144,7 +145,7 @@ def _run_checks(config: ScenarioConfig, names: Sequence[str]):
         return traj
 
     reports = []
-    for name in names:
+    for name in config.checks:
         if name == "energy_one":
             reports.append(analysis.check_energy_inequality(trajectory(), "one"))
         elif name == "energy_sharp":
@@ -162,29 +163,17 @@ def _run_checks(config: ScenarioConfig, names: Sequence[str]):
                 )
             )
         elif name == "tau_convergence":
-            reports.append(
-                analysis.tau_convergence(
-                    model,
-                    initial_state(),
-                    loading,
-                    config.t_final,
-                    config.tau_list,
-                )
+            _, report = analysis.tau_sweep(
+                model, initial_state(), loading, config.t_final, config.tau_list
             )
+            reports.append(report)
         elif name == "epsilon_study":
-            reports.append(
-                analysis.epsilon_study(
-                    model,
-                    config.mesh(),
-                    config.lin_initial(),
-                    loading,
-                    grid,
-                    config.eps_list,
-                    name="eps_list",
-                )
+            _, _, report = analysis.eps_sweep(
+                model, config.mesh(), config.lin_initial(), loading, grid, config.eps_list
             )
+            reports.append(report)
         elif name == "density_convergence":
-            reports.append(analysis.density_convergence(model, config.eps_list, name="eps_list"))
+            reports.append(analysis.density_convergence(model, config.eps_list))
         else:
             raise ViscoPTError(f"unknown check {name!r}")
     return reports
@@ -212,20 +201,19 @@ def _cmd_lin(config: ScenarioConfig, out: str) -> int:
 
 
 def _cmd_verify(config: ScenarioConfig, out: str) -> int:
-    reports = _run_checks(config, config.checks)
+    reports = _run_checks(config)
     payload = _report_payload(config, reports)
     _atomic_write(os.path.join(out, "verify.json"), _json_dump(payload))
     return _emit_failures(reports)
 
 
-def _cmd_sweep_tau(config: ScenarioConfig, out: str, tau_list) -> int:
+def _cmd_sweep_tau(config: ScenarioConfig, out: str) -> int:
     trajs, report = analysis.tau_sweep(
         config.model(),
         config.initial_state(),
         config.loading(),
         config.t_final,
-        tau_list or config.tau_list,
-        "--tau-list" if tau_list else "tau_list",
+        config.tau_list,
     )
     for tau, traj in trajs.items():
         _atomic_write(os.path.join(out, f"tau_{_fmt(tau)}.csv"), trajectory_csv(traj))
@@ -234,15 +222,14 @@ def _cmd_sweep_tau(config: ScenarioConfig, out: str, tau_list) -> int:
     return _emit_failures([report])
 
 
-def _cmd_sweep_eps(config: ScenarioConfig, out: str, eps_list) -> int:
+def _cmd_sweep_eps(config: ScenarioConfig, out: str) -> int:
     lin_traj, trajs, report = analysis.eps_sweep(
         config.model(),
         config.mesh(),
         config.lin_initial(),
         config.loading(),
         config.grid(),
-        eps_list or config.eps_list,
-        "--eps-list" if eps_list else "eps_list",
+        config.eps_list,
     )
     _atomic_write(os.path.join(out, "eps_lin.csv"), lin_trajectory_csv(lin_traj))
     for e, traj in trajs.items():
@@ -253,7 +240,7 @@ def _cmd_sweep_eps(config: ScenarioConfig, out: str, eps_list) -> int:
 
 
 def _cmd_densities(config: ScenarioConfig, out: str) -> int:
-    report = analysis.density_convergence(config.model(), config.eps_list, name="eps_list")
+    report = analysis.density_convergence(config.model(), config.eps_list)
     gaps = report.params["gaps"]
     columns = (report.params["epsilon_list"], gaps["el"], gaps["vi"], gaps["psi"])
     table = _csv_table("eps,gap_el,gap_vi,gap_psi", columns)
@@ -266,47 +253,33 @@ def _cmd_densities(config: ScenarioConfig, out: str) -> int:
 # -- entry point ---------------------------------------------------------------------
 
 
-def _parse_list(text: Optional[str], flag: str) -> Optional[List[float]]:
-    if text is None:
-        return None
-    values = []
-    for part in text.replace(",", " ").split():
-        try:
-            values.append(float(part))
-        except ValueError:
-            raise ValidationError(f"{flag}: {part!r} is not a number") from None
-    return values
-
-
-COMMANDS = (
-    ("run", "single finite-strain trajectory to run.csv"),
-    ("lin", "linearized trajectory to lin.csv"),
-    ("sweep-tau", "tau refinement with exact-flow oracle rates"),
-    ("sweep-eps", "linearization study across epsilon"),
-    ("verify", "run the configured checks to verify.json"),
-    ("densities", "rescaled-density convergence table"),
-)
+# Each command's handler, ``(config, out) -> exit code``, and its help line.
+COMMANDS = {
+    "run": (_cmd_run, "single finite-strain trajectory to run.csv"),
+    "lin": (_cmd_lin, "linearized trajectory to lin.csv"),
+    "sweep-tau": (_cmd_sweep_tau, "tau refinement with exact-flow oracle rates"),
+    "sweep-eps": (_cmd_sweep_eps, "linearization study across epsilon"),
+    "verify": (_cmd_verify, "run the configured checks to verify.json"),
+    "densities": (_cmd_densities, "rescaled-density convergence table"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     """One parser for every command: the command is a positional choice, and
-    the options of all commands sit beside it (:func:`main` refuses a list
-    option on a command that does not take it)."""
+    the options, which every command shares, sit beside it."""
     parser = argparse.ArgumentParser(
         prog="visco-pt",
         description="Incremental-minimization solver for a finite-strain viscoelastic\n"
         "column, with a linearized companion and a verification harness.",
-        epilog="commands:\n" + "".join(f"  {n:<11}{h}\n" for n, h in COMMANDS),
+        epilog="commands:\n" + "".join(f"  {n:<11}{h}\n" for n, (_, h) in COMMANDS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
-        "command", choices=[name for name, _ in COMMANDS], metavar="command",
+        "command", choices=list(COMMANDS), metavar="command",
         help="one of the commands below",
     )
     parser.add_argument("--config", required=True, help="scenario config path")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--tau-list", default=None, help="override tau values (sweep-tau)")
-    parser.add_argument("--eps-list", default=None, help="override eps values (sweep-eps)")
     parser.add_argument("--version", action="version", version=__version__)
     # Parsed and ignored; ROADMAP item 1 removes it with the benchmark's use.
     parser.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
@@ -314,32 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for flag, value, command in (
-        ("--tau-list", args.tau_list, "sweep-tau"),
-        ("--eps-list", args.eps_list, "sweep-eps"),
-    ):
-        if value is not None and args.command != command:
-            parser.error(f"{flag} is accepted only by {command}")
+    args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
-        if args.command == "run":
-            return _cmd_run(config, args.out)
-        if args.command == "lin":
-            return _cmd_lin(config, args.out)
-        if args.command == "verify":
-            return _cmd_verify(config, args.out)
-        if args.command == "sweep-tau":
-            taus = _parse_list(args.tau_list, "--tau-list")
-            return _cmd_sweep_tau(config, args.out, taus)
-        if args.command == "sweep-eps":
-            eps = _parse_list(args.eps_list, "--eps-list")
-            return _cmd_sweep_eps(config, args.out, eps)
-        if args.command == "densities":
-            return _cmd_densities(config, args.out)
-        raise ViscoPTError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command][0](config, args.out)
     except (ViscoPTError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

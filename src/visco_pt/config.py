@@ -73,8 +73,8 @@ class ScenarioConfig:
         for build in (self.model, self.grid, self.loading, self.mesh):
             build()  # each object checks the ranges of its own parameters
         tau_values(self.tau_list)
-        substep_values(self.mono_tau_list, "mono_tau_list")
-        eps_values(self.eps_list, "eps_list")
+        substep_values(self.mono_tau_list)
+        eps_values(self.eps_list)
         material_point = self.mode == MATERIAL_POINT
         if self.F_vi0 is not None and not material_point:
             raise ValidationError("F_vi0 is a material-point key; a shear column starts from v0")
@@ -94,9 +94,9 @@ class ScenarioConfig:
                     self.model(), material_point, self.loading(), self.t_final, self.tau_list
                 )
             elif check == "epsilon_study":
-                eps_study_values(self.eps_list, material_point, "eps_list")
+                eps_study_values(self.eps_list, material_point)
             elif check == "density_convergence":
-                density_values(self.eps_list, name="eps_list")
+                density_values(self.eps_list)
 
     # -- derived objects ---------------------------------------------------------
 

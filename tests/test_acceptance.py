@@ -21,10 +21,10 @@ from visco_pt import (
     load_config,
     run_evolution,
     semistability_sweep,
-    tau_convergence,
+    tau_sweep,
     total_energy,
 )
-from visco_pt.analysis import epsilon_study, viscous_flow
+from visco_pt.analysis import eps_sweep, viscous_flow
 from visco_pt.cli import main
 
 from test_domain import unpack
@@ -82,13 +82,13 @@ def test_02_closed_form_step_oracle():
 def test_03_first_order_tau_convergence():
     start = time.perf_counter()
     config = load_config("configs/mp_relax.cfg")
-    report = tau_convergence(
+    report = tau_sweep(
         config.model(),
         config.initial_state(),
         config.loading(),
         config.t_final,
         config.tau_list,
-    )
+    )[1]
     assert report.passed
     assert 0.9 <= report.rates["order"] <= 1.3
     assert time.perf_counter() - start < 10.0
@@ -167,27 +167,27 @@ def test_09_linearization_convergence():
     fine = TimeGrid(t_final=1.0, n_steps=1000)  # tau = 1e-3
 
     quartic = load_config("configs/eps_quartic.cfg")
-    report = epsilon_study(
+    report = eps_sweep(
         quartic.model(),
         quartic.mesh(),
         quartic.lin_initial(),
         quartic.loading(),
         fine,
         [0.2, 0.1, 0.05],
-    )
+    )[2]
     err_v = report.params["err_v"]
     assert all(b < a for a, b in zip(err_v, err_v[1:]))
     assert report.rates["v"] >= 0.8
 
     quadratic = load_config("configs/eps_quadratic.cfg")
-    report0 = epsilon_study(
+    report0 = eps_sweep(
         quadratic.model(),
         quadratic.mesh(),
         quadratic.lin_initial(),
         quadratic.loading(),
         fine,
         [0.2, 0.1, 0.05],
-    )
+    )[2]
     for key in ("err_u", "err_v", "energy_gap_t0", "energy_gap_t_final"):
         assert max(report0.params[key]) <= 1e-7, key
     assert time.perf_counter() - start < 30.0

@@ -29,14 +29,14 @@ from visco_pt import (
     cli,
     density_convergence,
     energy_value,
-    epsilon_study,
+    eps_sweep,
     equilibrate_elastic,
     kernels,
     load_config,
     parse_config,
     run_evolution,
     semistability_sweep,
-    tau_convergence,
+    tau_sweep,
     viscous_flow,
 )
 from visco_pt.analysis import EQUALITY_TOL, INEQUALITY_TOL, _judge_rates, fit_rate
@@ -379,7 +379,7 @@ def test_monotonicity_validates_tau_list():
         check_monotonicity(old, 0.0, [0.5, 0.1], UNIT_MP)
     with pytest.raises(ValidationError):
         check_monotonicity(old, 0.0, [0.0, 0.1], UNIT_MP)
-    with pytest.raises(ValidationError, match="tau_list needs at least two substeps"):
+    with pytest.raises(ValidationError, match="mono_tau_list needs at least two substeps"):
         check_monotonicity(old, 0.0, [0.5], UNIT_MP)
     # equal substeps have one minimizer: a list of one distinct value compares nothing
     with pytest.raises(ValidationError, match="at least two substeps to compare, distinct"):
@@ -454,13 +454,13 @@ def test_viscous_flow_is_monotone_and_keeps_its_invariant(f_vi0):
 
 
 def test_tau_convergence_first_order_window():
-    report = tau_convergence(
+    report = tau_sweep(
         UNIT_MP,
         State.material_point(1.5, 1.5),
         ZERO,
         1.0,
         [0.1, 0.05, 0.025, 0.0125],
-    )
+    )[1]
     assert report.passed
     assert report.params["regime"] == "rate"
     assert 0.9 <= report.rates["order"] <= 1.3
@@ -470,7 +470,7 @@ def test_tau_convergence_first_order_window():
 
 def test_tau_convergence_at_rest_is_at_the_floor():
     # From rest under no load the flow and every trajectory stay at 1.
-    report = tau_convergence(UNIT_MP, State.material_point(1.0, 1.0), ZERO, 1.0, [0.1, 0.05])
+    report = tau_sweep(UNIT_MP, State.material_point(1.0, 1.0), ZERO, 1.0, [0.1, 0.05])[1]
     assert report.params["errors"] == [0.0, 0.0]
     assert report.params["regime"] == "floor"
     assert report.residuals == [0.0]
@@ -509,11 +509,11 @@ def test_tau_sweep_integrates_the_oracle_once(monkeypatch, t_final, taus):
 def test_tau_convergence_validations():
     state0 = State.material_point(1.5, 1.5)
     with pytest.raises(ValidationError):
-        tau_convergence(UNIT_MP, state0, Loading((0.1,)), 1.0, [0.1, 0.05])
+        tau_sweep(UNIT_MP, state0, Loading((0.1,)), 1.0, [0.1, 0.05])
     with pytest.raises(ValidationError):
-        tau_convergence(UNIT_MP, state0, ZERO, 1.0, [0.1])
+        tau_sweep(UNIT_MP, state0, ZERO, 1.0, [0.1])
     with pytest.raises(ValidationError):
-        tau_convergence(UNIT_MP, state0, ZERO, 1.0, [0.4, 0.3])
+        tau_sweep(UNIT_MP, state0, ZERO, 1.0, [0.4, 0.3])
 
 
 def test_tau_sweep_rejects_p_psi_other_than_two_before_any_run(monkeypatch):
@@ -544,9 +544,9 @@ def shear_lin0(mesh=MESH4):
 def test_epsilon_study_quartic_rates():
     model = MaterialModel(a4=1.0)
     grid = TimeGrid(t_final=0.2, n_steps=40)
-    report = epsilon_study(
+    report = eps_sweep(
         model, MESH4, shear_lin0(), Loading((0.3,), (0.2,)), grid, [0.2, 0.1, 0.05]
-    )
+    )[2]
     assert report.passed
     regimes = report.params["regimes"]
     # statics pin the viscous displacement exactly in this geometry
@@ -560,9 +560,9 @@ def test_epsilon_study_quartic_rates():
 def test_epsilon_study_quadratic_hits_floor():
     model = MaterialModel()
     grid = TimeGrid(t_final=0.2, n_steps=40)
-    report = epsilon_study(
+    report = eps_sweep(
         model, MESH4, shear_lin0(), Loading((0.3,), (0.2,)), grid, [0.2, 0.1, 0.05]
-    )
+    )[2]
     assert report.passed
     assert set(report.params["regimes"].values()) == {"floor"}
     assert report.residuals == [0.0, 0.0, 0.0]
@@ -573,9 +573,9 @@ def test_epsilon_study_quadratic_hits_floor():
 def test_epsilon_study_single_eps_reports_gaps_only():
     model = MaterialModel()
     grid = TimeGrid(t_final=0.1, n_steps=10)
-    report = epsilon_study(
+    report = eps_sweep(
         model, MESH4, shear_lin0(), Loading((0.3,), (0.2,)), grid, [0.1]
-    )
+    )[2]
     assert report.params["regime"] == "gaps_only"
     assert report.residuals == [0.0]
     assert report.passed
@@ -585,9 +585,9 @@ def test_epsilon_study_validates_eps_list():
     model = MaterialModel()
     grid = TimeGrid(t_final=0.1, n_steps=10)
     with pytest.raises(ValidationError):
-        epsilon_study(model, MESH4, shear_lin0(), ZERO, grid, [0.05, 0.1])
+        eps_sweep(model, MESH4, shear_lin0(), ZERO, grid, [0.05, 0.1])
     with pytest.raises(ValidationError):
-        epsilon_study(model, MESH4, shear_lin0(), ZERO, grid, [0.1, -0.05])
+        eps_sweep(model, MESH4, shear_lin0(), ZERO, grid, [0.1, -0.05])
 
 
 def test_epsilon_study_takes_the_geometry_it_is_given():
@@ -599,10 +599,10 @@ def test_epsilon_study_takes_the_geometry_it_is_given():
     config = parse_config(text.replace("n_elements = 8", "n_elements = 1"))
     assert config.mesh() == ShearColumnMesh(1)
     args = (config.lin_initial(), config.loading(), config.grid(), config.eps_list)
-    report = epsilon_study(config.model(), config.mesh(), *args)
+    report = eps_sweep(config.model(), config.mesh(), *args)[2]
     for key in ("err_u", "err_v", "energy_gap_t0", "energy_gap_t_final"):
         assert max(report.params[key]) <= 1e-12, key
-    as_point = epsilon_study(config.model(), None, *args)
+    as_point = eps_sweep(config.model(), None, *args)[2]
     assert min(as_point.params["err_u"]) > 1e-6
 
 
@@ -611,7 +611,7 @@ def test_epsilon_study_refuses_a_start_off_its_column(mesh):
     # The start of a four-element column fits neither a material point's
     # one-element column nor a three-element mesh.
     with pytest.raises(ValidationError, match="linearized start must live on"):
-        epsilon_study(UNIT_MP, mesh, shear_lin0(), ZERO, TimeGrid(0.1, 10), [0.2, 0.1])
+        eps_sweep(UNIT_MP, mesh, shear_lin0(), ZERO, TimeGrid(0.1, 10), [0.2, 0.1])
 
 
 # -- density convergence ----------------------------------------------------------

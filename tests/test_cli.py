@@ -1,13 +1,14 @@
 """Command-line interface: config parsing, command outputs, exit codes,
 and byte-level determinism of the JSON reports."""
 
+import argparse
 import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,16 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def edited_config(tmp_path, stem, edits):
+    """The shipped config ``stem`` with each key of ``edits`` set to its
+    value, in place where the config gives the key, else appended."""
+    text = (REPO / "configs" / f"{stem}.cfg").read_text()
+    for key, value in edits.items():
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.MULTILINE)
+        text += "" if count else f"{key} = {value}\n"
+    return write(tmp_path, f"{stem}_edited.cfg", text)
 
 
 # -- config parsing ---------------------------------------------------------------
@@ -110,6 +121,23 @@ def test_readme_names_every_config_key_and_no_removed_one():
     assert [key for key in removed if named(key)] == []
 
 
+def test_readme_names_every_cli_option_and_no_removed_one():
+    # README "Command-line interface" documents each option of the parser but
+    # the hidden --seed, and no option that was removed from it.
+    readme = (REPO / "README.md").read_text()
+    section = readme.split("\n## Command-line interface\n", 1)[1].split("\n## ", 1)[0]
+
+    def named(option):
+        return re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", section) is not None
+
+    options = [
+        action.option_strings for action in cli.build_parser()._actions
+        if action.option_strings and action.help != argparse.SUPPRESS
+    ]
+    assert [o for o in options if not any(named(option) for option in o)] == []
+    assert [option for option in ("--tau-list", "--eps-list") if named(option)] == []
+
+
 def test_public_names_resolve_once_and_no_removed_one():
     # visco_pt.__all__ names each export once, each resolves, and no name
     # removed from the API is exported again.
@@ -119,6 +147,7 @@ def test_public_names_resolve_once_and_no_removed_one():
     removed = (
         "LinState", "LinTrajectory", "lin_equilibrium", "lin_el_residual",
         "run_lin_evolution", "QuadraticLimit", "MinimizeSettings",
+        "tau_convergence", "epsilon_study",
     )
     assert [name for name in removed if name in names or hasattr(visco_pt, name)] == []
 
@@ -221,8 +250,8 @@ def test_parse_names_the_key_of_an_out_of_range_value(key, value):
     ],
 )
 def test_list_keys_reach_the_validator_of_their_check(tmp_path, capsys, key, value, message):
-    # The config parse and the command-line overrides share one validator per
-    # list: analysis.tau_values, substep_values and eps_values.
+    # The config parse and the checks share one validator per list:
+    # analysis.tau_values, substep_values and eps_values.
     with pytest.raises(ValidationError, match=message):
         parse_config(MINIMAL + f"{key} = {value}\n")
     cfg = write(tmp_path, "bad.cfg", MINIMAL + f"{key} = {value}\n")
@@ -252,18 +281,14 @@ def test_eps_whose_square_is_not_a_normal_float_exits_1(
     assert err == f"error: eps_list entry {square}, not a positive normal float\n"
 
 
-@pytest.mark.parametrize(
-    "argv, name", [(["verify"], "eps_list"), (["sweep-eps", "--eps-list", "0.1 0.2"], "--eps-list")]
-)
-def test_increasing_eps_list_is_named_as_written(tmp_path, capsys, argv, name):
+@pytest.mark.parametrize("command", ["verify", "sweep-eps"])
+def test_increasing_eps_list_is_named_as_written(tmp_path, capsys, command):
     # An epsilon study needs a strictly decreasing list, and the error names
-    # the config key or the flag that gave it (it named epsilon_list, a key
-    # no config has). The config gives the list only where it is used: a
-    # listed check refuses its list on parse, whatever the command.
-    given = "eps_list = 0.1 0.2\n" if argv[0] == "verify" else ""
-    cfg = write(tmp_path, "eps.cfg", MINIMAL + "checks = epsilon_study\n" + given)
-    assert main([argv[0], "--config", cfg, "--out", str(tmp_path / "out"), *argv[1:]]) == 1
-    assert capsys.readouterr().err == f"error: {name} must be strictly decreasing\n"
+    # the config key that gave it (it named epsilon_list, a key no config
+    # has). A listed check refuses its list on parse, whatever the command.
+    cfg = write(tmp_path, "eps.cfg", MINIMAL + "checks = epsilon_study\neps_list = 0.1 0.2\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: eps_list must be strictly decreasing\n"
 
 
 @pytest.mark.parametrize(
@@ -282,20 +307,18 @@ def test_material_point_eps_study_refuses_eps_below_its_rounding(
     # A rescaled material-point dof (F - 1) / eps carries the rounding of F,
     # RESOLUTION = 16 ulp(1), divided by eps: above the study's floor 1e-7
     # for eps < 3.55e-8 (at 3e-8 epsilon_study failed with -0.024). A shear
-    # column compares slopes that carry no offset of 1.
-    text = (REPO / "configs" / f"{stem}.cfg").read_text()
-    assert "\neps_list = 0.2 0.1 0.05\n" in text
-    if command == "verify":
-        text = text.replace("\neps_list = 0.2 0.1 0.05\n", f"\neps_list = 0.1 {eps}\n")
-        argv, name = [], "eps_list"
-    else:
-        argv, name = ["--eps-list", f"0.1 {eps}"], "--eps-list"
-    cfg = write(tmp_path, "eps.cfg", text)
+    # column compares slopes that carry no offset of 1; its config lists the
+    # study alone, since density_convergence refuses 1.5e-154 against its
+    # probe 0.05.
+    edits = {"eps_list": f"0.1 {eps}"}
+    if stem == "eps_quadratic":
+        edits["checks"] = "epsilon_study"
+    cfg = edited_config(tmp_path, stem, edits)
     out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out), *argv]) == code
+    assert main([command, "--config", cfg, "--out", str(out)]) == code
     err = capsys.readouterr().err
     if code:
-        assert err.startswith(f"error: {name} entry {eps} is below 3.55e-08: ")
+        assert err.startswith(f"error: eps_list entry {eps} is below 3.55e-08: ")
         assert list(out.glob("*")) == []
     else:
         assert err == ""
@@ -320,11 +343,7 @@ def test_verify_refuses_a_listed_checks_parameters_on_parse(
 ):
     # What a listed check would refuse before its work is refused when the
     # config is read, with the check's own message, before any trajectory.
-    text = (REPO / "configs" / f"{stem}.cfg").read_text()
-    for key, value in edits.items():
-        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.MULTILINE)
-        text += "" if count else f"{key} = {value}\n"
-    cfg = write(tmp_path, "listed.cfg", text)
+    cfg = edited_config(tmp_path, stem, edits)
     runs = count_calls(monkeypatch, (cli, analysis), "run_evolution")
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
@@ -334,11 +353,11 @@ def test_verify_refuses_a_listed_checks_parameters_on_parse(
 
 
 def test_tau_list_override_of_zero_exits_1(tmp_path, capsys):
-    cfg = str(REPO / "configs" / "mp_relax.cfg")
-    argv = ["sweep-tau", "--config", cfg, "--out", str(tmp_path), "--tau-list", "0"]
+    cfg = edited_config(tmp_path, "mp_relax", {"tau_list": "0"})
+    argv = ["sweep-tau", "--config", cfg, "--out", str(tmp_path / "out")]
     assert main(argv) == 1
-    assert "error: --tau-list entries must be positive and finite" in capsys.readouterr().err
-    # The override is validated before the model or the loading is looked at.
+    assert "error: tau_list entries must be positive and finite" in capsys.readouterr().err
+    # The list is validated before the model or the loading is looked at.
     with pytest.raises(ValidationError, match="positive and finite"):
         analysis.tau_sweep(None, State.material_point(1.5, 1.5), None, 3.0, [0.0])
 
@@ -523,7 +542,7 @@ def test_seed_option_is_hidden(capsys):
         assert "--seed" not in out
         for name in ("run", "lin", "sweep-tau", "sweep-eps", "verify", "densities"):
             assert re.search(rf"^  {name} +\S", out, re.MULTILINE), name
-        for flag in ("--config", "--out", "--tau-list", "--eps-list", "--version"):
+        for flag in ("--config", "--out", "--version"):
             assert flag in out
 
 
@@ -638,18 +657,15 @@ def test_step_whose_rate_overflows_exits_1_and_names_the_step(tmp_path, capsys):
     assert not (out / "run.csv").exists()
 
 
-@pytest.mark.parametrize(
-    "flag, command",
-    [("--tau-list", c) for c in ("run", "lin", "sweep-eps", "verify", "densities")]
-    + [("--eps-list", c) for c in ("run", "lin", "sweep-tau", "verify", "densities")],
-)
-def test_list_option_on_another_command_exits_2(tmp_path, capsys, flag, command):
+@pytest.mark.parametrize("flag, command", [("--tau-list", "sweep-tau"), ("--eps-list", "sweep-eps")])
+def test_list_options_are_unrecognized(tmp_path, capsys, flag, command):
+    # The sweeps read their lists from the config alone.
     cfg = str(REPO / "configs" / "mp_relax.cfg")
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", cfg, "--out", str(out), flag, "0.1 0.05"])
     assert exc.value.code == 2
-    assert f"error: {flag} is accepted only by " in capsys.readouterr().err
+    assert f"error: unrecognized arguments: {flag} 0.1 0.05" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -664,8 +680,6 @@ def test_options_may_come_before_the_command(tmp_path):
 def test_main_builds_one_argument_parser(tmp_path, monkeypatch):
     # One parser per call, none cached across calls: a subparser tree would
     # build one parser per command besides the top one.
-    import argparse
-
     built, init = [], argparse.ArgumentParser.__init__
 
     def counted(self, *args, **kwargs):
@@ -690,17 +704,9 @@ def test_version_flag(capsys):
 
 
 def test_sweep_tau_with_list_override(tmp_path):
-    cfg = write(tmp_path, "relax.cfg", RELAX_SMALL)
+    cfg = write(tmp_path, "relax.cfg", RELAX_SMALL + "tau_list = 0.1 0.05 0.025\n")
     out = tmp_path / "out"
-    code = main(
-        [
-            "sweep-tau",
-            "--config", cfg,
-            "--out", str(out),
-            "--tau-list", "0.1 0.05 0.025",
-        ]
-    )
-    assert code == 0
+    assert main(["sweep-tau", "--config", cfg, "--out", str(out)]) == 0
     csvs = sorted(p.name for p in out.glob("tau_*.csv"))
     assert len(csvs) == 3
     payload = json.loads((out / "sweep_tau.json").read_text())
@@ -719,23 +725,42 @@ def test_sweep_eps_outputs(tmp_path):
     assert payload["pass"] is True
 
 
+def test_sweep_reports_record_the_list_that_ran(tmp_path):
+    # The config of a sweep's JSON report is the list its check ran, and the
+    # CSVs written are one per entry of that list.
+    cases = (
+        ("sweep-tau", RELAX_SMALL, "tau", "tau_list", [0.1, 0.05]),
+        ("sweep-eps", SHEAR_SMALL, "eps", "epsilon_list", [0.2, 0.1]),
+    )
+    for command, base, stem, param, values in cases:
+        key = f"{stem}_list"
+        text = base + f"{key} = {' '.join(map(str, values))}\n"
+        cfg = write(tmp_path, f"{stem}.cfg", text)
+        out = tmp_path / stem
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        payload = json.loads((out / f"sweep_{stem}.json").read_text())
+        assert payload["config"][key] == payload["checks"][0]["params"][param] == values
+        written = {p.name for p in out.glob(f"{stem}_*.csv")} - {"eps_lin.csv"}
+        assert written == {f"{stem}_{cli._fmt(v)}.csv" for v in values}
+
+
 @pytest.mark.parametrize(
-    "command, config, flag, values, message",
+    "command, config, key, values, message",
     [
-        ("sweep-tau", "mp_relax", "--tau-list", "0.07 0.05", "does not divide"),
-        ("sweep-tau", "mp_relax", "--tau-list", "abc", "--tau-list"),
-        ("sweep-tau", "mp_relax", "--tau-list", "0 0.1", "positive"),
-        ("sweep-eps", "eps_quartic", "--eps-list", "0.05 0.1", "strictly decreasing"),
-        ("sweep-tau", "shear_quadratic", "--tau-list", "0.1 0.05",
+        ("sweep-tau", "mp_relax", "tau_list", "0.07 0.05", "does not divide"),
+        ("sweep-tau", "mp_relax", "tau_list", "abc", "key 'tau_list'"),
+        ("sweep-tau", "mp_relax", "tau_list", "0 0.1", "positive"),
+        ("sweep-eps", "eps_quartic", "eps_list", "0.05 0.1", "strictly decreasing"),
+        ("sweep-tau", "shear_quadratic", "tau_list", "0.1 0.05",
          "exact-flow oracle requires a zero-load material point"),
     ],
 )
 def test_bad_sweep_list_exits_1_before_any_trajectory(
-    tmp_path, capsys, command, config, flag, values, message
+    tmp_path, capsys, command, config, key, values, message
 ):
-    cfg = str(REPO / "configs" / f"{config}.cfg")
+    cfg = edited_config(tmp_path, config, {key: values})
     out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out), flag, values]) == 1
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert message in err
@@ -761,10 +786,9 @@ def solver_calls(monkeypatch):
 
 
 def test_sweep_tau_runs_each_trajectory_once(tmp_path, solver_calls):
-    cfg = write(tmp_path, "relax.cfg", RELAX_SMALL)
+    cfg = write(tmp_path, "relax.cfg", RELAX_SMALL + "tau_list = 0.1 0.05 0.05 0.025\n")
     out = tmp_path / "out"
-    tau_list = ["--tau-list", "0.1 0.05 0.05 0.025"]
-    assert main(["sweep-tau", "--config", cfg, "--out", str(out)] + tau_list) == 0
+    assert main(["sweep-tau", "--config", cfg, "--out", str(out)]) == 0
     assert sorted(tau for tau, _ in solver_calls) == pytest.approx([0.025, 0.05, 0.1])
     assert len(list(out.glob("tau_*.csv"))) == 3
 
@@ -1006,6 +1030,6 @@ SHIPPED_MONOTONICITY_VALUES = {
 @pytest.mark.parametrize("stem", list(SHIPPED_MONOTONICITY_VALUES))
 def test_shipped_monotonicity_values_keep_their_bits(stem):
     config = parse_config((REPO / "configs" / f"{stem}.cfg").read_text(encoding="utf-8"))
-    (report,) = cli._run_checks(config, ["monotonicity"])
+    (report,) = cli._run_checks(replace(config, checks=("monotonicity",)))
     values = [value.hex() for value in report.params["values"]]
     assert values == SHIPPED_MONOTONICITY_VALUES[stem]
