@@ -31,7 +31,7 @@ from .stepper import (
     phi_tau,
     run_evolution,
 )
-from .linearized import linear_column, rescale_displacements, rescaled_energies
+from .linearized import linear_column, rescale_displacements
 from .analysis import (
     VerificationReport,
     check_energy_inequality,
@@ -76,7 +76,6 @@ __all__ = [
     "parse_config",
     "phi_tau",
     "rescale_displacements",
-    "rescaled_energies",
     "run_evolution",
     "semistability_sweep",
     "tau_sweep",

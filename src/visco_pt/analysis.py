@@ -49,16 +49,15 @@ from .domain import (
     TimeGrid,
     dissipation_displacement,
     dof_stored_energies,
-    element_stress,
 )
 from .errors import ValidationError
 from .kernels import RESOLUTION
-from .linearized import linear_column, rescale_displacements, rescaled_energies
+from .linearized import linear_column, rescale_displacements
 from .rheology import MaterialModel
 from .stepper import (
     Trajectory,
-    _elastic_strains,
     de_giorgi_dissipation,
+    elastic_minimizers,
     equilibrate_elastic,
     phi_tau,
     run_evolution,
@@ -68,6 +67,9 @@ INEQUALITY_TOL = 1e-8
 EQUALITY_TOL = 1e-10
 MONOTONICITY_TOL = 1e-9
 EPSILON_STUDY_FLOOR = 1e-7
+# The probes a of density_convergence: 41 points on [-1, 1].
+PROBE_GRID = np.linspace(-1.0, 1.0, 41)
+PROBE_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -245,17 +247,9 @@ def semistability_sweep(traj: Trajectory) -> VerificationReport:
     functions; the energies come from the ledger of the minimizers.
     """
     model, mesh = traj.model, traj.mesh
-    times = traj.grid.times[:, None]
-    f, g = traj.loading.f(times), traj.loading.g(times)
     y, y_vi = traj.dofs[:, 0], traj.dofs[:, 1]
-    if mesh is None:
-        sigma = (f + g) * y_vi
-        y_min = (1.0 + _elastic_strains(model, sigma)) * y_vi
-        strain = y / y_vi - 1.0
-    else:
-        sigma = element_stress(mesh, f, g)
-        y_min = _elastic_strains(model, sigma) + y_vi
-        strain = y - y_vi
+    y_min, sigma = elastic_minimizers(model, mesh, traj.loading, traj.grid.times, y_vi)
+    strain = y / y_vi - 1.0 if mesh is None else y - y_vi
     stored = np.column_stack(dof_stored_energies(model, mesh, y_min, y_vi))
     minimizer = replace(traj, dofs=np.stack([y_min, y_vi], 1), stored=stored)
     residuals = minimizer.energies - traj.energies
@@ -509,8 +503,10 @@ def eps_sweep(
     initial data id + eps*(u0, v0); its rescaled trajectory (u_eps, v_eps)
     is compared with the linearized solution in the dof sup-norm over the
     grid (for the shear column the sup-norm of the slopes, which bounds that
-    of the nodal profiles), together with the rescaled-energy gaps at t = 0
-    and t = T.
+    of the nodal profiles). The rescaled-energy gaps at t = 0 and t = T are
+    read from the two ledgers: |W_el / eps^2 + W_vi / eps^2 - (W0_el +
+    W0_vi)| with the stored energies of the finite-strain and the
+    linearized state.
 
     Each quantity (u error, v error, t = 0 gap) is one series of
     :func:`_judge_rates`: at or below ``EPSILON_STUDY_FLOOR`` (1e-7) it
@@ -554,9 +550,9 @@ def eps_sweep(
         err_v.append(float(np.max(gap[:, 1])))
         gaps = []
         for idx in (0, grid.n_steps):
-            w_el, w_vi = rescaled_energies(model, mesh, *scaled[idx], eps)
+            w_el, w_vi = traj.stored[idx].tolist()
             w0_el, w0_vi = lin_traj.stored[idx].tolist()
-            gaps.append(abs((w_el + w_vi) - (w0_el + w0_vi)))
+            gaps.append(abs((w_el / (eps * eps) + w_vi / (eps * eps)) - (w0_el + w0_vi)))
         gap_t0.append(gaps[0])
         gap_tf.append(gaps[1])
     params = {
@@ -582,28 +578,18 @@ def eps_sweep(
 # -- density convergence ---------------------------------------------------------------
 
 
-def density_values(
-    epsilon_list: Sequence[float], probe_grid: Optional[np.ndarray] = None
-) -> Tuple[List[float], np.ndarray]:
-    """The epsilon list and the probe grid (default 41 points on [-1, 1]) of
-    :func:`density_convergence`: the grid nonempty and finite, the list that
-    of :func:`eps_values` against the grid's probes."""
-    if probe_grid is None:
-        probe_grid = np.linspace(-1.0, 1.0, 41)
-    grid = np.asarray(probe_grid, dtype=float)
-    if not np.all(np.isfinite(grid)) or grid.size == 0:
-        raise ValidationError("probe_grid must be nonempty and bounded")
-    return eps_values(epsilon_list, grid), grid
+def density_values(epsilon_list: Sequence[float]) -> List[float]:
+    """The epsilon list of :func:`density_convergence`: that of
+    :func:`eps_values` against the probes of ``PROBE_GRID``."""
+    return eps_values(epsilon_list, PROBE_GRID)
 
 
 def density_convergence(
-    model: MaterialModel,
-    epsilon_list: Sequence[float],
-    probe_grid: Optional[np.ndarray] = None,
+    model: MaterialModel, epsilon_list: Sequence[float]
 ) -> VerificationReport:
     """Locally uniform convergence of the rescaled densities to their limits.
 
-    For each density and eps, the sup over the probe grid of
+    For each density and eps, the sup over ``PROBE_GRID`` of
     |eps^-2 W(eps a) - (1/2) c a^2| is recorded; densities with a nonzero gap
     must fit order >= 1.9 (the built-in quartic term gives exactly 2). A gap
     of at most 16 eps_mach * (1/2) c max|a|^2, the rounding of the limit
@@ -611,18 +597,18 @@ def density_convergence(
     The epsilon list is validated against the probe grid
     (:func:`density_values`).
     """
-    eps_list, grid = density_values(epsilon_list, probe_grid)
+    eps_list = density_values(epsilon_list)
     quad = model.quadratic_limit()
     gaps: Dict[str, List[float]] = {}
     series = []
     for which, c in (("el", quad.c_e), ("vi", quad.c_v), ("psi", quad.d_v)):
-        target = 0.5 * c * grid * grid
+        target = 0.5 * c * PROBE_GRID * PROBE_GRID
         gaps[which] = [
-            float(np.max(np.abs(model.rescaled_density(which, eps, grid) - target)))
+            float(np.max(np.abs(model.rescaled_density(which, eps, PROBE_GRID) - target)))
             for eps in eps_list
         ]
         # A gap within the rounding of the limit density is zero.
-        rounding = RESOLUTION * 0.5 * c * float(np.max(grid * grid))
+        rounding = RESOLUTION * 0.5 * c * float(np.max(PROBE_GRID * PROBE_GRID))
         series.append((which, gaps[which], rounding, 1.9, False))
     _, rates, residuals = _judge_rates(eps_list, series)
     return VerificationReport.build(
@@ -630,8 +616,8 @@ def density_convergence(
         params={
             "epsilon_list": eps_list,
             "gaps": gaps,
-            "probe_grid_size": int(grid.size),
-            "probe_grid_max_abs": float(np.max(np.abs(grid))),
+            "probe_grid_size": int(PROBE_GRID.size),
+            "probe_grid_max_abs": float(np.max(np.abs(PROBE_GRID))),
         },
         residuals=residuals,
         rates=rates,

@@ -21,6 +21,7 @@ give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -30,7 +31,6 @@ import numpy as np
 
 from . import __version__, analysis
 from .config import ScenarioConfig, load_config
-from .domain import State
 from .errors import ViscoPTError
 from .linearized import linear_column
 from .stepper import Trajectory, run_evolution
@@ -125,58 +125,44 @@ def _emit_failures(reports) -> int:
 # -- check orchestration -----------------------------------------------------------
 
 
+# Each check's handler, ``(config, start, trajectory) -> report``: ``start()``
+# and ``trajectory()`` give the config's initial state and its trajectory,
+# which the checks of one run share.
+CHECKS = {
+    "energy_one": lambda config, start, trajectory: analysis.check_energy_inequality(
+        trajectory(), "one"
+    ),
+    "energy_sharp": lambda config, start, trajectory: analysis.check_energy_inequality(
+        trajectory(), "p_psi"
+    ),
+    "semistability": lambda config, start, trajectory: analysis.semistability_sweep(
+        trajectory()
+    ),
+    "monotonicity": lambda config, start, trajectory: analysis.check_monotonicity(
+        start(), max(config.mono_tau_list), config.mono_tau_list, config.model(),
+        config.loading(),
+    ),
+    "tau_convergence": lambda config, start, trajectory: analysis.tau_sweep(
+        config.model(), start(), config.loading(), config.t_final, config.tau_list
+    )[1],
+    "epsilon_study": lambda config, start, trajectory: analysis.eps_sweep(
+        config.model(), config.mesh(), config.lin_initial(), config.loading(), config.grid(),
+        config.eps_list,
+    )[2],
+    "density_convergence": lambda config, start, trajectory: analysis.density_convergence(
+        config.model(), config.eps_list
+    ),
+}
+
+
 def _run_checks(config: ScenarioConfig):
-    model = config.model()
-    loading = config.loading()
-    grid = config.grid()
-    state0: Optional[State] = None
-    traj: Optional[Trajectory] = None
-
-    def initial_state() -> State:
-        nonlocal state0
-        if state0 is None:
-            state0 = config.initial_state()
-        return state0
-
-    def trajectory() -> Trajectory:
-        nonlocal traj
-        if traj is None:
-            traj = run_evolution(model, initial_state(), loading, grid)
-        return traj
-
-    reports = []
-    for name in config.checks:
-        if name == "energy_one":
-            reports.append(analysis.check_energy_inequality(trajectory(), "one"))
-        elif name == "energy_sharp":
-            reports.append(analysis.check_energy_inequality(trajectory(), "p_psi"))
-        elif name == "semistability":
-            reports.append(analysis.semistability_sweep(trajectory()))
-        elif name == "monotonicity":
-            reports.append(
-                analysis.check_monotonicity(
-                    initial_state(),
-                    max(config.mono_tau_list),
-                    config.mono_tau_list,
-                    model,
-                    loading,
-                )
-            )
-        elif name == "tau_convergence":
-            _, report = analysis.tau_sweep(
-                model, initial_state(), loading, config.t_final, config.tau_list
-            )
-            reports.append(report)
-        elif name == "epsilon_study":
-            _, _, report = analysis.eps_sweep(
-                model, config.mesh(), config.lin_initial(), loading, grid, config.eps_list
-            )
-            reports.append(report)
-        elif name == "density_convergence":
-            reports.append(analysis.density_convergence(model, config.eps_list))
-        else:
-            raise ViscoPTError(f"unknown check {name!r}")
-    return reports
+    """The reports of the config's checks, in its order. The initial state
+    and the trajectory are built once, on first use."""
+    start = functools.cache(config.initial_state)
+    trajectory = functools.cache(
+        lambda: run_evolution(config.model(), start(), config.loading(), config.grid())
+    )
+    return [CHECKS[name](config, start, trajectory) for name in config.checks]
 
 
 # -- commands -----------------------------------------------------------------------

@@ -18,13 +18,12 @@ material point and ``[gamma', beta']`` in the shear column.
 
 Trajectory layout: one read-only dof array of shape (n_steps + 1, 2,
 n_elements), row i holding the pair of state i (n_elements = 1 at a material
-point); :class:`Ledger` builds states from its rows on demand and prices all
-rows at once.
+point); :class:`~visco_pt.stepper.Trajectory` builds states from its rows on
+demand (:class:`DofStates`) and prices all rows at once.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -186,57 +185,6 @@ class DofStates(Sequence):
 
     def __getitem__(self, i):
         return self._make(*self._dofs[operator.index(i)])
-
-
-class Ledger:
-    """A trajectory's states and energy bookkeeping, for all states at once
-    from the fields ``mesh``, ``loading``, ``grid``, ``dofs``, ``stored``
-    and ``diss_increments``. Each value equals what the per-state functions
-    give, bit for bit: f and g are evaluated once per grid time, each shear
-    state keeps its own ``load_shapes @ slopes`` product
-    (:func:`pairing_products`), and ``np.cumsum`` adds in the order of a
-    running sum. All results are read-only."""
-
-    @cached_property
-    def states(self) -> Sequence:
-        """The states, built from ``dofs`` on demand."""
-        return DofStates(self.dofs, functools.partial(state_from_dofs, self.mesh))
-
-    @cached_property
-    def pairing_products(self) -> np.ndarray:
-        """:func:`pairing_products` of every state, read-only.
-        :func:`~visco_pt.stepper.run_evolution` caches the ones its pricing
-        formed from the same dofs; a copy made by ``dataclasses.replace``
-        forms its own."""
-        return read_only(pairing_products(self.mesh, self.dofs[:, 0]))
-
-    @cached_property
-    def _load_ledger(self):
-        """The load pairing of each state at its time, and the cumulative
-        load-rate work against the previous state (0 at t = 0)."""
-        times, products = self.grid.times, self.pairing_products
-        f, g = self.loading.f(times), self.loading.g(times)
-        df, dg = f[1:] - f[:-1], g[1:] - g[:-1]
-        pairs = product_pairings(self.mesh, products, f, g)
-        steps = product_pairings(self.mesh, products[..., :-1], df, dg)
-        return read_only(pairs), read_only(np.cumsum(np.concatenate(([0.0], steps))))
-
-    @cached_property
-    def energies(self) -> np.ndarray:
-        """E(t_i, state i) = W_el + W_vi - pairing, for every state."""
-        return read_only((self.stored[:, 0] + self.stored[:, 1]) - self._load_ledger[0])
-
-    @property
-    def load_work(self) -> np.ndarray:
-        return self._load_ledger[1]
-
-    @cached_property
-    def delta(self) -> np.ndarray:
-        """Cumulative dissipation: delta[n] = sum of the first n increments."""
-        return read_only(np.concatenate([[0.0], np.cumsum(self.diss_increments)]))
-
-    def energy(self, i: int) -> float:
-        return float(self.energies[i])
 
 
 def elastic_strain(state: State):

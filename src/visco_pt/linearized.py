@@ -18,11 +18,12 @@ traction. Its states hold the element slopes (u', v') as (gamma', beta'),
 and its ledger prices them as any shear trajectory's.
 
 The bridge: a finite-strain trajectory computed under load eps*l0 and
-initial data id + eps*(u0, v0) is divided by eps into (u_eps, v_eps), and
-the eps-scaled energies evaluate the nonlinear densities at eps-scaled
-arguments times 1/eps^2. At a material point the elastic argument is
-eps(u - v)/(1 + eps v); in the shear column it collapses to eps(u' - v')
-exactly and quadratic densities make the rescaled problem eps-independent.
+initial data id + eps*(u0, v0) is divided by eps into (u_eps, v_eps)
+(:func:`rescale_displacements`). Its eps-rescaled energies are the stored
+energies its own ledger priced (``Trajectory.stored``) divided by eps^2. At
+a material point the elastic argument F/F_vi - 1 is eps(u - v)/(1 + eps v);
+in the shear column gamma' - beta' is eps(u' - v'), and quadratic densities
+make the rescaled problem eps-independent.
 """
 
 from __future__ import annotations
@@ -61,22 +62,3 @@ def rescale_displacements(traj: Trajectory, eps: float) -> np.ndarray:
         raise ValidationError(f"eps must be > 0, got {eps!r}")
     shift = 1.0 if traj.mesh is None else 0.0
     return (traj.dofs - shift) / eps
-
-
-def rescaled_energies(model: MaterialModel, mesh: Optional[ShearColumnMesh], u, v, eps: float):
-    """Eps-scaled stored energies ``(W_el, W_vi)`` of the rescaled dofs
-    (u, v) of one state in the geometry of ``mesh``.
-
-    Evaluates eps^-2 W(eps-scaled arguments): at a material point (``mesh``
-    None, one value each) the elastic argument keeps its (1 + eps v)^-1
-    factor; the element slopes of the shear ansatz have none.
-    """
-    if not (eps > 0.0 and np.isfinite(eps)):
-        raise ValidationError(f"eps must be > 0, got {eps!r}")
-    if mesh is None:
-        h, s_el = 1.0, eps * (u - v) / (1.0 + eps * v)
-    else:
-        h, s_el = mesh.h, eps * (u - v)
-    w_el = h * float(np.sum(model.w_el(s_el))) / (eps * eps)
-    w_vi = h * float(np.sum(model.w_vi(eps * v))) / (eps * eps)
-    return w_el, w_vi

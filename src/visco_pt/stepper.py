@@ -53,16 +53,19 @@ dissipation and the Bregman gap of the reduced energy between its two ends.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import kernels
 from .domain import (
-    Ledger,
+    DofStates,
     Loading,
     ShearColumnMesh,
     State,
@@ -98,14 +101,20 @@ class PhiTau(NamedTuple):
 
 
 @dataclass
-class Trajectory(Ledger):
+class Trajectory:
     """Accepted states as one read-only dof array of shape (n_steps + 1, 2,
     n_elements), with what was priced on them once, after the march:
     ``stored[i]`` is ``stored_energies(model, states[i])``, and step i's
     dissipation, solver iterations, final |grad|_inf (for a closed form 0 in
     the shear column, the rounding of g' at a material point) and stay-put
     margin E(t_i, old) - (E(t_i, new) + tau * Psi) sit at index i - 1 of the
-    per-step arrays. An accepted step has converged. All arrays are
+    per-step arrays. An accepted step has converged.
+
+    The energy bookkeeping of all states at once derives from these fields.
+    Each value equals what the per-state functions give, bit for bit: f and
+    g are evaluated once per grid time, each shear state keeps its own
+    ``load_shapes @ slopes`` product (:attr:`pairing_products`), and
+    ``np.cumsum`` adds in the order of a running sum. All arrays are
     read-only."""
 
     model: MaterialModel
@@ -118,6 +127,46 @@ class Trajectory(Ledger):
     iterations: np.ndarray
     grad_inf: np.ndarray
     stay_put_margin: np.ndarray
+
+    @cached_property
+    def states(self) -> Sequence:
+        """The states, built from ``dofs`` on demand."""
+        return DofStates(self.dofs, functools.partial(state_from_dofs, self.mesh))
+
+    @cached_property
+    def pairing_products(self) -> np.ndarray:
+        """:func:`~visco_pt.domain.pairing_products` of every state.
+        :func:`run_evolution` caches the ones its pricing formed from the
+        same dofs; a copy made by ``dataclasses.replace`` forms its own."""
+        return read_only(pairing_products(self.mesh, self.dofs[:, 0]))
+
+    @cached_property
+    def _load_ledger(self):
+        """The load pairing of each state at its time, and the cumulative
+        load-rate work against the previous state (0 at t = 0)."""
+        times, products = self.grid.times, self.pairing_products
+        f, g = self.loading.f(times), self.loading.g(times)
+        df, dg = f[1:] - f[:-1], g[1:] - g[:-1]
+        pairs = product_pairings(self.mesh, products, f, g)
+        steps = product_pairings(self.mesh, products[..., :-1], df, dg)
+        return read_only(pairs), read_only(np.cumsum(np.concatenate(([0.0], steps))))
+
+    @cached_property
+    def energies(self) -> np.ndarray:
+        """E(t_i, state i) = W_el + W_vi - pairing, for every state."""
+        return read_only((self.stored[:, 0] + self.stored[:, 1]) - self._load_ledger[0])
+
+    @property
+    def load_work(self) -> np.ndarray:
+        return self._load_ledger[1]
+
+    @cached_property
+    def delta(self) -> np.ndarray:
+        """Cumulative dissipation: delta[n] = sum of the first n increments."""
+        return read_only(np.concatenate([[0.0], np.cumsum(self.diss_increments)]))
+
+    def energy(self, i: int) -> float:
+        return float(self.energies[i])
 
 
 # -- the solve primitives --------------------------------------------------------
@@ -274,22 +323,28 @@ def run_evolution(
 # -- elastic equilibration ------------------------------------------------------
 
 
+def elastic_minimizers(model: MaterialModel, mesh, loading: Loading, times, y_vi):
+    """The elastic dofs that minimize the energy over the elastic variable at
+    the frozen viscous dofs ``y_vi`` (one row per state, of shape (n, E)) at
+    the n ``times``, and the stress sigma each row balances: load * F_vi at a
+    material point (``mesh`` None), the element resultants sigma_e in the
+    shear column. w_el is convex, so the elastic strain is the one root of
+    w_el'(s) = sigma, solved as in a step."""
+    f, g = loading.f(times[:, None]), loading.g(times[:, None])
+    if mesh is None:
+        sigma = (f + g) * y_vi
+        return (1.0 + _elastic_strains(model, sigma)) * y_vi, sigma
+    sigma = element_stress(mesh, f, g)
+    return _elastic_strains(model, sigma) + y_vi, sigma
+
+
 def equilibrate_elastic(
     model: MaterialModel, state: State, loading: Loading, t: float
 ) -> State:
-    """Minimize the energy over the elastic variable at frozen viscous state.
-
-    w_el is convex, so the minimizer is the one root of w_el'(s) = sigma,
-    solved as in a step, for the stress sigma that balances the load at t:
-    load * F_vi at a material point, the element resultants sigma_e in the
-    shear column. Used to prepare initial data.
-    """
-    f_val, g_val = loading.f(t), loading.g(t)
-    if state.mesh is None:
-        s = kernels._strain(model.c_e, model.a4, (f_val + g_val) * state.F_vi)
-        return State.material_point((1.0 + s) * state.F_vi, state.F_vi)
-    sigma = element_stress(state.mesh, f_val, g_val)
-    return replace(state, gamma=_elastic_strains(model, sigma[None])[0] + state.beta)
+    """Minimize the energy over the elastic variable at frozen viscous state,
+    by :func:`elastic_minimizers`. Used to prepare initial data."""
+    y, _ = elastic_minimizers(model, state.mesh, loading, np.array([t]), state.beta[None])
+    return state_from_dofs(state.mesh, y[0], state.beta)
 
 
 # -- De Giorgi interpolation ----------------------------------------------------

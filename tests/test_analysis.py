@@ -606,6 +606,25 @@ def test_epsilon_study_takes_the_geometry_it_is_given():
     assert min(as_point.params["err_u"]) > 1e-6
 
 
+@pytest.mark.parametrize("stem", ["eps_quadratic", "eps_quartic"])
+def test_epsilon_study_gaps_are_read_from_the_ledgers(stem):
+    # The rescaled energy of an eps-trajectory is the stored energy its
+    # ledger priced, each part divided by eps^2, against the sum of the
+    # linearized ledger's, at t = 0 and t = T, bit for bit.
+    config = load_config(f"configs/{stem}.cfg")
+    lin, trajs, report = eps_sweep(
+        config.model(), config.mesh(), config.lin_initial(), config.loading(),
+        config.grid(), config.eps_list,
+    )
+    for key, i in (("energy_gap_t0", 0), ("energy_gap_t_final", config.n_steps)):
+        w0_el, w0_vi = lin.stored[i].tolist()
+        expected = []
+        for eps, traj in trajs.items():
+            w_el, w_vi = traj.stored[i].tolist()
+            expected.append(abs((w_el / (eps * eps) + w_vi / (eps * eps)) - (w0_el + w0_vi)))
+        assert report.params[key] == expected, key
+
+
 @pytest.mark.parametrize("mesh", [None, ShearColumnMesh(3)])
 def test_epsilon_study_refuses_a_start_off_its_column(mesh):
     # The start of a four-element column fits neither a material point's
@@ -651,7 +670,3 @@ def test_density_convergence_quartic_rate_two():
 def test_density_convergence_validations():
     with pytest.raises(ValidationError):
         density_convergence(UNIT_MP, [0.1, 0.0])
-    with pytest.raises(ValidationError):
-        density_convergence(UNIT_MP, [0.1], probe_grid=np.array([]))
-    with pytest.raises(ValidationError):
-        density_convergence(UNIT_MP, [0.1], probe_grid=np.array([np.inf]))

@@ -147,7 +147,7 @@ def test_public_names_resolve_once_and_no_removed_one():
     removed = (
         "LinState", "LinTrajectory", "lin_equilibrium", "lin_el_residual",
         "run_lin_evolution", "QuadraticLimit", "MinimizeSettings",
-        "tau_convergence", "epsilon_study",
+        "tau_convergence", "epsilon_study", "rescaled_energies",
     )
     assert [name for name in removed if name in names or hasattr(visco_pt, name)] == []
 
@@ -190,6 +190,12 @@ def test_parse_refuses_a_check_listed_twice(tmp_path, capsys):
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == "error: duplicate check 'energy_one'\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_every_known_check_has_one_handler():
+    # The config refuses a check outside KNOWN_CHECKS on parse, so verify
+    # dispatches each check it can be given through the one table.
+    assert tuple(cli.CHECKS) == visco_pt.config.KNOWN_CHECKS
 
 
 def test_parse_refuses_n_elements_at_a_material_point(tmp_path, capsys):
@@ -982,10 +988,10 @@ SHIPPED_JSON_SHA256 = {
     ("verify", "shear_quadratic"): "0e93a17233d5062b21237729cfeb3bd66b936f873352200736734bad1974d304",
     ("verify", "shear_quartic"): "aef7d6525363e18dbf4d9e80de72f5120712aae26d55d17f8fde11e95a943782",
     ("verify", "eps_quadratic"): "8f885284c595320af74bdc3e604eb2a47cd46a2e772b08b78bed718eac7ffdd1",
-    ("verify", "eps_quartic"): "678162ead6ee0e07bae8d4733eed4e2e408bbc85816e24641b0b0d5eb339ad67",
+    ("verify", "eps_quartic"): "93d550eb795831bed1a030681fec480a160f9d51bcfb6abdb1a1f13216a9b9f6",
     ("sweep-tau", "mp_relax"): "4467803343a9dd443e9f195d6b6581dc6ae4f7560eb2b324df74bd809faa2bc8",
     ("sweep-eps", "eps_quadratic"): "a068c401095ce45a485a428ac3db7348969acb1a270d235a04ad0886dd4d7f63",
-    ("sweep-eps", "eps_quartic"): "016678b4076986f4a92ad7f826422d4b3a16adc4acfc2d386cc58d6ceac99a66",
+    ("sweep-eps", "eps_quartic"): "e74e3ca60340b268a5f38d46d51ea0fd617379f7f6e3bd1720e77afa38334286",
     ("densities", "mp_relax"): "e48781ddf87cc14d02e3e344b7a285e6b8e730a7df8fdf324631f3a9a95a6d03",
     ("densities", "mp_loaded"): "426af7a3c361c8ab847284fa053929ff2ba4144f23ad593ddd06036765faf9d9",
     ("densities", "shear_quadratic"): "57ff2b2e9240287e21f856f15d478ac9dbf61bfcd733f7570d66e894f424b662",

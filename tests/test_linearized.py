@@ -28,7 +28,6 @@ from visco_pt import (
     equilibrate_elastic,
     linear_column,
     rescale_displacements,
-    rescaled_energies,
     run_evolution,
 )
 from visco_pt.domain import element_stress, pairing
@@ -284,38 +283,43 @@ def test_rescale_displacements_arithmetic():
         rescale_displacements(traj, 0.0)
 
 
-def test_rescaled_energies_quadratic_model_is_eps_free():
+def rescaled_ledger(model, state, eps):
+    """eps^-2 (W_el, W_vi) of the eps-scaled finite-strain ``state``, as the
+    ledger of a trajectory from it prices its start."""
+    w_el, w_vi = run_evolution(model, state, ZERO, TimeGrid(1.0, 1)).stored[0].tolist()
+    return w_el / (eps * eps), w_vi / (eps * eps)
+
+
+def test_rescaled_ledger_quadratic_model_is_eps_free():
     # exact 2-homogeneity: the eps-scaled energy equals the limit form.
-    state = shear_state(n=4, u_slope=1.0, v_slope=0.0)
     model = MaterialModel()
     for eps in (0.4, 0.1, 0.05):
-        w_el, w_vi = rescaled_energies(model, state.mesh, state.gamma, state.beta, eps)
+        w_el, w_vi = rescaled_ledger(model, shear_state(4, eps, 0.0), eps)
         assert w_el == pytest.approx(0.5, abs=1e-14)
         assert w_vi == pytest.approx(0.0, abs=1e-16)
 
 
-def test_rescaled_energies_shear_quartic_gap():
+def test_rescaled_ledger_shear_quartic_gap():
     # constant unit elastic slope: w_el = 1/2 + eps^2 / 4 exactly.
-    state = shear_state(n=4, u_slope=1.0, v_slope=0.0)
     model = MaterialModel(a4=1.0)
 
     def w_el(eps):
-        return rescaled_energies(model, state.mesh, state.gamma, state.beta, eps)[0]
+        return rescaled_ledger(model, shear_state(4, eps, 0.0), eps)[0]
 
     for eps in (0.1, 0.05):
         assert w_el(eps) == pytest.approx(0.5 + eps**2 / 4.0, abs=1e-15)
     assert (w_el(0.1) - 0.5) / (w_el(0.05) - 0.5) == pytest.approx(4.0, abs=1e-10)
 
 
-def test_rescaled_energies_mp_geometric_factor():
+def test_rescaled_ledger_mp_geometric_factor():
+    # At a material point F / F_vi - 1 = eps (u - v) / (1 + eps v).
     model = MaterialModel()
     u, v, eps = 0.3, 0.2, 0.1
-    w_el, w_vi = rescaled_energies(model, None, np.array([u]), np.array([v]), eps)
+    state = State.material_point(1.0 + eps * u, 1.0 + eps * v)
+    w_el, w_vi = rescaled_ledger(model, state, eps)
     s_el = eps * (u - v) / (1.0 + eps * v)
     assert w_el == pytest.approx(0.5 * s_el**2 / eps**2, abs=1e-15)
     assert w_vi == pytest.approx(0.5 * v**2, abs=1e-15)
-    with pytest.raises(ValidationError):
-        rescaled_energies(model, None, np.array([u]), np.array([v]), -1.0)
 
 
 # -- trajectories --------------------------------------------------------------------
